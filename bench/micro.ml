@@ -9,21 +9,27 @@ open Toolkit
 let problem_eq1 = Tc_tccg.Suite.problem (Option.get (Tc_tccg.Suite.find "ccsd_1"))
 let problem_sd2 = Tc_tccg.Suite.problem Tc_tccg.Suite.sd2_1
 
-(* A 64-cube GEMM with real operands for the host-side execution paths
+(* A contraction with real operands for the host-side execution paths
    (the plan interpreter's inner product and the reference einsum). *)
-let interp_case =
+let interp_case expr sizes =
   let open Tc_tensor in
-  let problem =
-    Tc_expr.Problem.of_string_exn "ab-ac-cb"
-      ~sizes:[ ('a', 64); ('b', 64); ('c', 64) ]
-  in
+  let problem = Tc_expr.Problem.of_string_exn expr ~sizes in
   let info = Tc_expr.Problem.info problem in
   let orig = info.Tc_expr.Classify.original in
-  let sizes = Tc_expr.Sizes.of_list [ ('a', 64); ('b', 64); ('c', 64) ] in
-  let shape_of indices = Shape.of_indices ~sizes indices in
+  let shape_of indices =
+    Shape.of_indices ~sizes:(Tc_expr.Problem.sizes problem) indices
+  in
   let lhs = Dense.random ~seed:11 (shape_of orig.Tc_expr.Ast.lhs.Tc_expr.Ast.indices) in
   let rhs = Dense.random ~seed:12 (shape_of orig.Tc_expr.Ast.rhs.Tc_expr.Ast.indices) in
   (problem, info, lhs, rhs)
+
+let gemm64 = interp_case "ab-ac-cb" [ ('a', 64); ('b', 64); ('c', 64) ]
+
+(* Eq. 1 at odd, tile-misaligned extents like the verify benchmark's:
+   210 small blocks, every one with partial tiles. *)
+let eq1_odd =
+  interp_case (Option.get (Tc_tccg.Suite.find "ccsd_1")).Tc_tccg.Suite.expr
+    [ ('a', 11); ('b', 7); ('c', 5); ('d', 9); ('e', 3); ('f', 3) ]
 
 let staged_tests =
   let enumerate problem () = ignore (Cogent.Enumerate.enumerate problem) in
@@ -78,13 +84,12 @@ let staged_tests =
     let plan = Cogent.Driver.best_plan problem in
     fun () -> ignore (Tc_sim.Simkernel.run plan)
   in
-  let interp_execute =
-    let problem, _, lhs, rhs = interp_case in
+  let interp_execute (problem, _, lhs, rhs) =
     let plan = Cogent.Driver.best_plan problem in
     fun () -> ignore (Cogent.Interp.execute plan ~lhs ~rhs)
   in
   let contract_ref =
-    let _, info, lhs, rhs = interp_case in
+    let _, info, lhs, rhs = gemm64 in
     fun () ->
       ignore
         (Tc_tensor.Contract_ref.contract
@@ -113,7 +118,9 @@ let staged_tests =
     Test.make ~name:"emit-pipelined/sd2_1"
       (Staged.stage (emit_pipelined problem_sd2));
     Test.make ~name:"simulate/sd2_1" (Staged.stage (simulate problem_sd2));
-    Test.make ~name:"interp-execute/gemm64" (Staged.stage interp_execute);
+    Test.make ~name:"interp-execute/gemm64"
+      (Staged.stage (interp_execute gemm64));
+    Test.make ~name:"interp-execute/odd" (Staged.stage (interp_execute eq1_odd));
     Test.make ~name:"contract-ref/gemm64" (Staged.stage contract_ref);
     Test.make ~name:"generate-end-to-end/eq1" (Staged.stage (full problem_eq1));
     Test.make ~name:"generate-end-to-end/sd2_1" (Staged.stage (full problem_sd2));

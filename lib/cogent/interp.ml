@@ -2,7 +2,8 @@ open Tc_tensor
 open Tc_expr
 
 (* Mixed-radix decomposition, first radix fastest:
-   [decompose 13 [|4;2;2|]] is [|1;1;1|] since 13 = 1 + 4*(1 + 2*1). *)
+   [decompose_into out 13 [|4;2;2|]] sets [out] to [|1;1;1|] since
+   13 = 1 + 4*(1 + 2*1). *)
 let decompose_into out lin radices =
   let r = ref lin in
   for k = 0 to Array.length radices - 1 do
@@ -10,26 +11,8 @@ let decompose_into out lin radices =
     r := !r / radices.(k)
   done
 
-let decompose lin radices =
-  let out = Array.make (Array.length radices) 0 in
-  decompose_into out lin radices;
-  out
-
 let ceil_div a b = (a + b - 1) / b
-
-type axis = { index : Index.t; tile : int; extent : int; chunks : int }
-
-let axes_of_bindings problem bindings =
-  List.map
-    (fun b ->
-      let extent = Problem.extent problem b.Mapping.index in
-      {
-        index = b.Mapping.index;
-        tile = b.Mapping.tile;
-        extent;
-        chunks = ceil_div extent b.Mapping.tile;
-      })
-    bindings
+let product = Array.fold_left ( * ) 1
 
 type counters = {
   mutable tx_lhs : float;
@@ -56,6 +39,90 @@ let create_counters () =
     steps = 0;
   }
 
+(* One axis as a walk sees it: its tile and extent, its stride in the
+   tensor being walked, and where its chunk coordinate lives — slot
+   [slot] of the block coordinates when [block], else of the step (TB_k)
+   coordinates. *)
+type dim = {
+  index : Index.t;
+  tile : int;
+  extent : int;
+  stride : int;
+  block : bool;
+  slot : int;
+}
+
+let coord d bcoords scoords =
+  if d.block then bcoords.(d.slot) else scoords.(d.slot)
+
+(* In-range width of [d]'s current tile: [tile] inside, less at a boundary. *)
+let cut d bcoords scoords =
+  min d.tile (d.extent - (coord d bcoords scoords * d.tile))
+
+(* The per-plan schedule [execute] and [measure] share.  Blocks enumerate
+   tbx, regx, tby, regy then grid chunks (tiled axes contribute
+   ceil(N/T) chunks, grid axes N at tile 1); steps enumerate the tbk
+   chunks.  Operands list their axes in layout order (FVI first) with
+   tensor strides; the thread, register and grid groups carry output
+   strides, [tbk] none. *)
+type schedule = {
+  plan : Plan.t;
+  block_radices : int array;
+  step_radices : int array;
+  lhs : dim array;
+  rhs : dim array;
+  tbx : dim array;
+  regx : dim array;
+  tby : dim array;
+  regy : dim array;
+  grid : dim array;
+  tbk : dim array;
+}
+
+let schedule (plan : Plan.t) =
+  let problem = plan.Plan.problem and m = plan.Plan.mapping in
+  let tiled = List.map (fun b -> (b.Mapping.index, b.Mapping.tile)) in
+  let block_axes =
+    tiled (m.Mapping.tbx @ m.Mapping.regx @ m.Mapping.tby @ m.Mapping.regy)
+    @ List.map (fun i -> (i, 1)) m.Mapping.grid
+  and step_axes = tiled m.Mapping.tbk in
+  let extent = Problem.extent problem in
+  let radices axes =
+    Array.of_list (List.map (fun (i, tile) -> ceil_div (extent i) tile) axes)
+  in
+  let slots block =
+    List.mapi (fun slot (i, tile) -> (i, (block, slot, tile)))
+  in
+  let located = slots true block_axes @ slots false step_axes in
+  let dim stride index =
+    match List.find_opt (fun (i, _) -> Index.equal i index) located with
+    | None -> invalid_arg "Interp: foreign index"
+    | Some (_, (block, slot, tile)) ->
+        { index; tile; extent = extent index; stride; block; slot }
+  in
+  let operand shape =
+    Array.of_list
+      (List.map (fun i -> dim (Shape.stride shape i) i) (Shape.indices shape))
+  in
+  let out_shape = Problem.out_shape problem in
+  let group ?(stride = Shape.stride out_shape) indices =
+    Array.of_list (List.map (fun i -> dim (stride i) i) indices)
+  in
+  let bound = List.map (fun b -> b.Mapping.index) in
+  {
+    plan;
+    block_radices = radices block_axes;
+    step_radices = radices step_axes;
+    lhs = operand (Problem.lhs_shape problem);
+    rhs = operand (Problem.rhs_shape problem);
+    tbx = group (bound m.Mapping.tbx);
+    regx = group (bound m.Mapping.regx);
+    tby = group (bound m.Mapping.tby);
+    regy = group (bound m.Mapping.regy);
+    grid = group m.Mapping.grid;
+    tbk = group ~stride:(fun _ -> 0) (bound m.Mapping.tbk);
+  }
+
 (* Replay the emitted schedule's memory accesses block by block and tally
    hardware counters.  The walk is value-independent (addresses and guards
    only depend on the plan), so [execute] runs it once next to the data
@@ -63,110 +130,13 @@ let create_counters () =
    (operand layout order, waves of [threads] lanes, guards masking
    out-of-range lanes); stores are one wave of the whole thread block per
    register coordinate; both are costed with {!Txcount.staged_sweep}. *)
-let measure_into (c : counters) (plan : Plan.t) =
-  let problem = plan.Plan.problem in
-  let mapping = plan.Plan.mapping in
-  let prec = plan.Plan.precision in
-  let ept = Tc_gpu.Precision.elems_per_transaction prec in
-  let elt_bytes = float_of_int (Tc_gpu.Precision.bytes prec) in
-  let width = Mapping.threads_per_block mapping in
-  let tbx = axes_of_bindings problem mapping.Mapping.tbx in
-  let regx = axes_of_bindings problem mapping.Mapping.regx in
-  let tby = axes_of_bindings problem mapping.Mapping.tby in
-  let regy = axes_of_bindings problem mapping.Mapping.regy in
-  let tbk = axes_of_bindings problem mapping.Mapping.tbk in
-  let grid_axes =
-    List.map
-      (fun index ->
-        let extent = Problem.extent problem index in
-        { index; tile = 1; extent; chunks = extent })
-      mapping.Mapping.grid
-  in
-  let block_axes = tbx @ regx @ tby @ regy @ grid_axes in
-  let block_radices =
-    Array.of_list (List.map (fun ax -> ax.chunks) block_axes)
-  in
-  let num_blocks = Array.fold_left ( * ) 1 block_radices in
-  let step_radices = Array.of_list (List.map (fun ax -> ax.chunks) tbk) in
-  let num_steps = Array.fold_left ( * ) 1 step_radices in
-  (* Locate an index's coordinate slot: (true, k) for the k-th block axis,
-     (false, k) for the k-th step (tbk) axis. *)
-  let locate i =
-    let rec find k = function
-      | [] -> None
-      | ax :: rest ->
-          if Index.equal ax.index i then Some k else find (k + 1) rest
-    in
-    match find 0 block_axes with
-    | Some k -> (true, k)
-    | None -> (
-        match find 0 tbk with
-        | Some k -> (false, k)
-        | None -> invalid_arg "Interp.measure: foreign index")
-  in
-  (* Per-tensor load descriptors, operand layout order (FVI first). *)
-  let operand_axes shape =
-    Shape.indices shape
-    |> List.map (fun i ->
-           let from_block, slot = locate i in
-           let ax =
-             if from_block then List.nth block_axes slot else List.nth tbk slot
-           in
-           (ax.tile, ax.extent, Shape.stride shape i, from_block, slot))
-    |> Array.of_list
-  in
-  let lhs_axes = operand_axes (Problem.lhs_shape problem) in
-  let rhs_axes = operand_axes (Problem.rhs_shape problem) in
-  let cut_axes axes bcoords scoords =
-    Array.map
-      (fun (tile, extent, stride, from_block, slot) ->
-        let coord = if from_block then bcoords.(slot) else scoords.(slot) in
-        { Txcount.tile; cut = min tile (extent - (coord * tile)); stride })
-      axes
-  in
-  (* Store descriptors: threads enumerate tbx (fastest) then tby bindings
-     addressing the output layout; regx/regy cuts gate how many waves a
-     block issues. *)
-  let out_shape = Problem.out_shape problem in
-  let slot_of_block_axis ax =
-    let rec find k = function
-      | [] -> invalid_arg "Interp.measure: store axis"
-      | bx :: rest ->
-          if Index.equal bx.index ax.index then k else find (k + 1) rest
-    in
-    find 0 block_axes
-  in
-  let store_axes =
-    List.map
-      (fun ax ->
-        (ax.tile, ax.extent, Shape.stride out_shape ax.index,
-         slot_of_block_axis ax))
-      (tbx @ tby)
-    |> Array.of_list
-  in
-  let cut_of bcoords (tile, extent, slot) =
-    min tile (extent - (bcoords.(slot) * tile))
-  in
-  let reg_axes =
-    List.map
-      (fun ax -> (ax.tile, ax.extent, slot_of_block_axis ax))
-      (regx @ regy)
-    |> Array.of_list
-  in
-  let x_axes =
-    List.map (fun ax -> (ax.tile, ax.extent, slot_of_block_axis ax))
-      (tbx @ regx)
-    |> Array.of_list
-  and y_axes =
-    List.map (fun ax -> (ax.tile, ax.extent, slot_of_block_axis ax))
-      (tby @ regy)
-    |> Array.of_list
-  in
-  let cut_prod bcoords axes =
-    Array.fold_left (fun a d -> a * cut_of bcoords d) 1 axes
-  in
+let measure_into (c : counters) s =
+  let mapping = s.plan.Plan.mapping and prec = s.plan.Plan.precision in
+  let width = Mapping.threads_per_block mapping
+  and ept = Tc_gpu.Precision.elems_per_transaction prec in
   let smem_step =
-    float_of_int (Mapping.smem_elems mapping) *. elt_bytes
+    float_of_int (Mapping.smem_elems mapping)
+    *. float_of_int (Tc_gpu.Precision.bytes prec)
   in
   let fma_slots_step =
     float_of_int width
@@ -174,46 +144,36 @@ let measure_into (c : counters) (plan : Plan.t) =
     *. float_of_int (Mapping.size_regy mapping)
     *. float_of_int (Mapping.size_tbk mapping)
   in
-  let tbk_arr =
-    Array.of_list (List.map (fun ax -> (ax.tile, ax.extent)) tbk)
+  let threads = Array.append s.tbx s.tby in
+  let bcoords = Array.make (Array.length s.block_radices) 0
+  and scoords = Array.make (Array.length s.step_radices) 0 in
+  let sweep dims =
+    Txcount.staged_sweep ~width ~ept
+      (Array.map
+         (fun d ->
+           let cut = cut d bcoords scoords in
+           { Txcount.tile = d.tile; cut; stride = d.stride })
+         dims)
   in
-  let bcoords = Array.make (Array.length block_radices) 0 in
-  let scoords = Array.make (Array.length step_radices) 0 in
+  let cuts dims =
+    Array.fold_left (fun a d -> a * cut d bcoords scoords) 1 dims
+  in
+  let num_blocks = product s.block_radices
+  and num_steps = product s.step_radices in
   for block = 0 to num_blocks - 1 do
-    decompose_into bcoords block block_radices;
-    let xcount = float_of_int (cut_prod bcoords x_axes)
-    and ycount = float_of_int (cut_prod bcoords y_axes) in
+    decompose_into bcoords block s.block_radices;
+    let xcount = float_of_int (cuts s.tbx * cuts s.regx)
+    and ycount = float_of_int (cuts s.tby * cuts s.regy) in
     for step = 0 to num_steps - 1 do
-      decompose_into scoords step step_radices;
-      c.tx_lhs <-
-        c.tx_lhs
-        +. float_of_int
-             (Txcount.staged_sweep ~width ~ept
-                (cut_axes lhs_axes bcoords scoords));
-      c.tx_rhs <-
-        c.tx_rhs
-        +. float_of_int
-             (Txcount.staged_sweep ~width ~ept
-                (cut_axes rhs_axes bcoords scoords));
+      decompose_into scoords step s.step_radices;
+      c.tx_lhs <- c.tx_lhs +. float_of_int (sweep s.lhs);
+      c.tx_rhs <- c.tx_rhs +. float_of_int (sweep s.rhs);
       c.smem_bytes <- c.smem_bytes +. smem_step;
       c.fma_padded <- c.fma_padded +. fma_slots_step;
-      let kcount = ref 1 in
-      Array.iteri
-        (fun k (tile, extent) ->
-          kcount := !kcount * min tile (extent - (scoords.(k) * tile)))
-        tbk_arr;
       c.fma_useful <-
-        c.fma_useful +. (xcount *. ycount *. float_of_int !kcount)
+        c.fma_useful +. (xcount *. ycount *. float_of_int (cuts s.tbk))
     done;
-    let thread_axes =
-      Array.map
-        (fun (tile, extent, stride, slot) ->
-          { Txcount.tile; cut = cut_of bcoords (tile, extent, slot); stride })
-        store_axes
-    in
-    let wave = Txcount.staged_sweep ~width ~ept thread_axes in
-    let regs = cut_prod bcoords reg_axes in
-    let block_tx = float_of_int (wave * regs) in
+    let block_tx = float_of_int (sweep threads * cuts s.regx * cuts s.regy) in
     c.tx_out <- c.tx_out +. block_tx;
     if block_tx > c.store_tx_block_max then c.store_tx_block_max <- block_tx
   done;
@@ -222,16 +182,72 @@ let measure_into (c : counters) (plan : Plan.t) =
 
 let measure (plan : Plan.t) =
   let c = create_counters () in
-  measure_into c plan;
+  measure_into c (schedule plan);
   c
 
+let tiles = Array.map (fun d -> d.tile)
+
+(* [offsets group strides bounds] maps each linear coordinate of a thread,
+   register or step group (first axis fastest, radices = tiles) to the dot
+   product of its multi-index with [strides], or to -1 when a coordinate
+   reaches its bound: a store the boundary guard masks. *)
+let offsets group strides bounds =
+  let radices = tiles group in
+  let coords = Array.make (Array.length group) 0 in
+  Array.init (product radices) (fun lin ->
+      decompose_into coords lin radices;
+      let off = ref 0 and ok = ref true in
+      Array.iteri
+        (fun k x ->
+          off := !off + (x * strides.(k));
+          if x >= bounds.(k) then ok := false)
+        coords;
+      if !ok then !off else -1)
+
+(* A slab holds one operand tile in the operand's own layout order, packed
+   at tile extents.  [stage] fills it for the current (block, step): the
+   in-range corner is copied with the FVI innermost, and the rest is zero
+   (the emitted [ok ? load : 0.0] guard) whenever a boundary cuts it. *)
+let slab_strides dims =
+  let str = Array.make (Array.length dims) 1 in
+  for k = 1 to Array.length dims - 1 do
+    str.(k) <- str.(k - 1) * dims.(k - 1).tile
+  done;
+  str
+
+let stage slab sstr data dims cuts bcoords scoords =
+  let src = ref 0 and partial = ref false in
+  Array.iteri
+    (fun k d ->
+      src := !src + (coord d bcoords scoords * d.tile * d.stride);
+      cuts.(k) <- cut d bcoords scoords;
+      if cuts.(k) < d.tile then partial := true)
+    dims;
+  (* A full tile overwrites every slab element; a cut one leaves stale
+     values from the previous step outside its corner. *)
+  if !partial then Array.fill slab 0 (Array.length slab) 0.0;
+  let rec copy k dst src =
+    let stride = dims.(k).stride in
+    if k = 0 then
+      for p = 0 to cuts.(0) - 1 do
+        Array.unsafe_set slab (dst + p)
+          (Array.unsafe_get data (src + (p * stride)))
+      done
+    else
+      for p = 0 to cuts.(k) - 1 do
+        copy (k - 1) (dst + (p * sstr.(k))) (src + (p * stride))
+      done
+  in
+  copy (Array.length dims - 1) 0 !src
+
 let execute ?counters (plan : Plan.t) ~lhs ~rhs =
-  Option.iter (fun c -> measure_into c plan) counters;
+  let s = schedule plan in
+  Option.iter (fun c -> measure_into c s) counters;
   let problem = plan.Plan.problem in
-  let mapping = plan.Plan.mapping in
-  let info = Problem.info problem in
   (* Resolve the canonicalization swap: [a] is the canonical lhs. *)
-  let a, b = if info.Classify.swapped then (rhs, lhs) else (lhs, rhs) in
+  let a, b =
+    if (Problem.info problem).Classify.swapped then (rhs, lhs) else (lhs, rhs)
+  in
   let check name want got =
     if not (Shape.equal want (Dense.shape got)) then
       invalid_arg
@@ -241,209 +257,102 @@ let execute ?counters (plan : Plan.t) ~lhs ~rhs =
   check "lhs input" (Problem.lhs_shape problem) a;
   check "rhs input" (Problem.rhs_shape problem) b;
   let out = Dense.create (Problem.out_shape problem) in
-
-  (* Execution-space axes. *)
-  let tbx = axes_of_bindings problem mapping.Mapping.tbx in
-  let regx = axes_of_bindings problem mapping.Mapping.regx in
-  let tby = axes_of_bindings problem mapping.Mapping.tby in
-  let regy = axes_of_bindings problem mapping.Mapping.regy in
-  let tbk = axes_of_bindings problem mapping.Mapping.tbk in
-  let grid_axes =
-    List.map
-      (fun index ->
-        let extent = Problem.extent problem index in
-        { index; tile = 1; extent; chunks = extent })
-      mapping.Mapping.grid
-  in
-  (* Grid decomposition covers every external index: tiled ones contribute
-     ceil(N/T) chunks, grid ones N chunks. *)
-  let block_axes = tbx @ regx @ tby @ regy @ grid_axes in
-  let block_radices = Array.of_list (List.map (fun ax -> ax.chunks) block_axes) in
-  let num_blocks = Array.fold_left ( * ) 1 block_radices in
-  let step_radices = Array.of_list (List.map (fun ax -> ax.chunks) tbk) in
-  let num_steps = Array.fold_left ( * ) 1 step_radices in
-
-  (* Shared-memory slabs, one per input: lhs externals (tbx then regx
-     order, plus any grid-mapped lhs external at tile 1) x internals; rhs
-     externals x internals. *)
-  let lhs_grid =
-    List.filter
-      (fun ax -> List.exists (Index.equal ax.index) info.Classify.lhs_externals)
-      grid_axes
-  and rhs_grid =
-    List.filter
-      (fun ax -> List.exists (Index.equal ax.index) info.Classify.rhs_externals)
-      grid_axes
-  in
-  let side_a = tbx @ regx @ lhs_grid and side_b = tby @ regy @ rhs_grid in
-  let slab_shape side_axes =
-    Shape.make (List.map (fun ax -> (ax.index, ax.tile)) (side_axes @ tbk))
-  in
-  let slab_a = Dense.create (slab_shape side_a) in
-  let slab_b = Dense.create (slab_shape side_b) in
-
-  let size_tbx = Mapping.size_tbx mapping
-  and size_tby = Mapping.size_tby mapping
-  and space_regx = Mapping.size_regx mapping
-  and space_regy = Mapping.size_regy mapping
-  and space_tbk = Mapping.size_tbk mapping in
-  let tbx_radices = Array.of_list (List.map (fun ax -> ax.tile) tbx) in
-  let tby_radices = Array.of_list (List.map (fun ax -> ax.tile) tby) in
-  let regx_radices = Array.of_list (List.map (fun ax -> ax.tile) regx) in
-  let regy_radices = Array.of_list (List.map (fun ax -> ax.tile) regy) in
-  let tbk_radices = Array.of_list (List.map (fun ax -> ax.tile) tbk) in
-
-  (* Per-coordinate offset tables into the slabs: a thread/register/step
-     coordinate's slab offset is the dot product of its decomposed
-     multi-index with the slab strides over those axes (grid-mapped slab
-     axes sit at coordinate 0), so the inner product below adds three
-     table entries per read instead of building an [Index.Map].  Every
-     coordinate is below its axis tile — the slab extent — so the reads
-     are in range by construction and go unchecked. *)
-  let offset_table radices strides first count =
-    let n = Array.length radices in
-    let coords = Array.make n 0 in
-    Array.init count (fun lin ->
-        decompose_into coords lin radices;
-        let off = ref 0 in
-        for k = 0 to n - 1 do
-          off := !off + (coords.(k) * strides.(first + k))
-        done;
-        !off)
-  in
-  let sa_str = Dense.strides slab_a and sb_str = Dense.strides slab_b in
-  let n_tbx = List.length tbx
-  and n_regx = List.length regx
-  and n_tby = List.length tby
-  and n_regy = List.length regy
-  and n_lhs_grid = List.length lhs_grid
-  and n_rhs_grid = List.length rhs_grid in
-  let tx_off_a = offset_table tbx_radices sa_str 0 size_tbx in
-  let rx_off_a = offset_table regx_radices sa_str n_tbx space_regx in
-  let k_off_a =
-    offset_table tbk_radices sa_str (n_tbx + n_regx + n_lhs_grid) space_tbk
-  in
-  let ty_off_b = offset_table tby_radices sb_str 0 size_tby in
-  let ry_off_b = offset_table regy_radices sb_str n_tby space_regy in
-  let k_off_b =
-    offset_table tbk_radices sb_str (n_tby + n_regy + n_rhs_grid) space_tbk
-  in
-
-  let env_add axes coords env =
-    List.fold_left
-      (fun (k, env) ax -> (k + 1, Index.Map.add ax.index coords.(k) env))
-      (0, env) axes
-    |> snd
-  in
-
-  (* Fill a slab from global memory with bounds guards (zero padding). *)
-  let fill_slab slab tensor side_axes block_bases step_bases =
-    let all_axes = side_axes @ tbk in
-    Dense.iteri slab (fun pos _ ->
-        let in_range = ref true in
-        let env =
-          List.fold_left
-            (fun (k, env) ax ->
-              let base =
-                match Index.Map.find_opt ax.index block_bases with
-                | Some v -> v
-                | None -> Index.Map.find ax.index step_bases
-              in
-              let g = base + pos.(k) in
-              if g >= ax.extent then in_range := false;
-              (k + 1, Index.Map.add ax.index g env))
-            (0, Index.Map.empty) all_axes
-          |> snd
-        in
-        let v = if !in_range then Dense.get_named tensor env else 0.0 in
-        Dense.set slab pos v)
-  in
-
-  let bcoords = Array.make (Array.length block_radices) 0 in
-  let scoords = Array.make (Array.length step_radices) 0 in
-  for block = 0 to num_blocks - 1 do
-    decompose_into bcoords block block_radices;
-    let block_bases =
-      List.fold_left
-        (fun (k, m) ax ->
-          (k + 1, Index.Map.add ax.index (bcoords.(k) * ax.tile) m))
-        (0, Index.Map.empty) block_axes
-      |> snd
+  let out_data = Dense.unsafe_data out in
+  let sa = slab_strides s.lhs and sb = slab_strides s.rhs in
+  let slab_a = Array.make (product (tiles s.lhs)) 0.0
+  and slab_b = Array.make (product (tiles s.rhs)) 0.0 in
+  let cuts_a = Array.make (Array.length s.lhs) 0
+  and cuts_b = Array.make (Array.length s.rhs) 0 in
+  (* Slab offsets of each thread, register and TB_k coordinate (grid axes
+     sit at coordinate 0), so the inner product adds table entries. *)
+  let slab_offsets operand sstr group =
+    let slab_stride g =
+      match Array.find_index (fun d -> Index.equal d.index g.index) operand with
+      | Some k -> sstr.(k)
+      | None -> invalid_arg "Interp: index missing from its operand"
     in
-    (* Per-thread accumulators: acc.(ty * size_tbx + tx) is the register
-       tile, indexed by ry * space_regx + rx. *)
-    let acc =
-      Array.init (size_tbx * size_tby) (fun _ ->
-          Array.make (space_regx * space_regy) 0.0)
-    in
-    for step = 0 to num_steps - 1 do
-      decompose_into scoords step step_radices;
-      let step_bases =
-        List.fold_left
-          (fun (k, m) ax ->
-            (k + 1, Index.Map.add ax.index (scoords.(k) * ax.tile) m))
-          (0, Index.Map.empty) tbk
-        |> snd
-      in
-      fill_slab slab_a a side_a block_bases step_bases;
-      fill_slab slab_b b side_b block_bases step_bases;
+    offsets group (Array.map slab_stride group) (tiles group)
+  in
+  let tx_a = slab_offsets s.lhs sa s.tbx
+  and rx_a = slab_offsets s.lhs sa s.regx
+  and k_a = slab_offsets s.lhs sa s.tbk
+  and ty_b = slab_offsets s.rhs sb s.tby
+  and ry_b = slab_offsets s.rhs sb s.regy
+  and k_b = slab_offsets s.rhs sb s.tbk in
+  let size_tbx = Array.length tx_a
+  and size_tby = Array.length ty_b
+  and space_regx = Array.length rx_a
+  and space_regy = Array.length ry_b in
+  let regs = space_regx * space_regy in
+  (* Per-thread register tiles: thread (tx, ty) owns
+     acc.(((ty * size_tbx) + tx) * regs + (ry * space_regx) + rx). *)
+  let acc = Array.make (size_tbx * size_tby * regs) 0.0 in
+  let data_a = Dense.unsafe_data a and data_b = Dense.unsafe_data b in
+  let bcoords = Array.make (Array.length s.block_radices) 0
+  and scoords = Array.make (Array.length s.step_radices) 0 in
+  for block = 0 to product s.block_radices - 1 do
+    decompose_into bcoords block s.block_radices;
+    Array.fill acc 0 (Array.length acc) 0.0;
+    for step = 0 to product s.step_radices - 1 do
+      decompose_into scoords step s.step_radices;
+      stage slab_a sa data_a s.lhs cuts_a bcoords scoords;
+      stage slab_b sb data_b s.rhs cuts_b bcoords scoords;
       (* The serial TB_k sweep with per-thread outer products. *)
-      for kk = 0 to space_tbk - 1 do
-        let ka = Array.unsafe_get k_off_a kk
-        and kb = Array.unsafe_get k_off_b kk in
+      for kk = 0 to Array.length k_a - 1 do
+        let ka = Array.unsafe_get k_a kk and kb = Array.unsafe_get k_b kk in
         for ty = 0 to size_tby - 1 do
-          let tyb = Array.unsafe_get ty_off_b ty + kb in
+          let tyb = Array.unsafe_get ty_b ty + kb in
           for tx = 0 to size_tbx - 1 do
-            let txa = Array.unsafe_get tx_off_a tx + ka in
-            let reg = acc.((ty * size_tbx) + tx) in
+            let txa = Array.unsafe_get tx_a tx + ka in
+            let r0 = ((ty * size_tbx) + tx) * regs in
             for ry = 0 to space_regy - 1 do
-              let bval = Dense.unsafe_get slab_b (tyb + ry_off_b.(ry)) in
+              let bval =
+                Array.unsafe_get slab_b (tyb + Array.unsafe_get ry_b ry)
+              in
               if bval <> 0.0 then
                 for rx = 0 to space_regx - 1 do
-                  let aval = Dense.unsafe_get slab_a (txa + rx_off_a.(rx)) in
-                  reg.((ry * space_regx) + rx) <-
-                    reg.((ry * space_regx) + rx) +. (aval *. bval)
+                  let aval =
+                    Array.unsafe_get slab_a (txa + Array.unsafe_get rx_a rx)
+                  in
+                  let r = r0 + (ry * space_regx) + rx in
+                  Array.unsafe_set acc r
+                    (Array.unsafe_get acc r +. (aval *. bval))
                 done
             done
           done
         done
       done
     done;
-    (* Store finalized register tiles with bounds guards. *)
+    (* Store the finalized register tiles with bounds guards. *)
+    let corner o d = o + (coord d bcoords scoords * d.tile * d.stride) in
+    let base =
+      Array.fold_left (Array.fold_left corner) 0
+        [| s.tbx; s.regx; s.tby; s.regy; s.grid |]
+    in
+    let store group =
+      offsets group
+        (Array.map (fun d -> d.stride) group)
+        (Array.map (fun d -> cut d bcoords scoords) group)
+    in
+    let tx_g = store s.tbx
+    and rx_g = store s.regx
+    and ty_g = store s.tby
+    and ry_g = store s.regy in
     for ty = 0 to size_tby - 1 do
-      let tycoords = decompose ty tby_radices in
-      for tx = 0 to size_tbx - 1 do
-        let txcoords = decompose tx tbx_radices in
-        let reg = acc.((ty * size_tbx) + tx) in
-        for ry = 0 to space_regy - 1 do
-          let rycoords = decompose ry regy_radices in
-          for rx = 0 to space_regx - 1 do
-            let rxcoords = decompose rx regx_radices in
-            let local =
-              env_add tbx txcoords
-                (env_add regx rxcoords
-                   (env_add tby tycoords (env_add regy rycoords Index.Map.empty)))
-            in
-            let in_range = ref true in
-            let env =
-              List.fold_left
-                (fun env ax ->
-                  let base = Index.Map.find ax.index block_bases in
-                  let l =
-                    match Index.Map.find_opt ax.index local with
-                    | Some v -> v
-                    | None -> 0 (* grid index: tile 1 *)
-                  in
-                  let g = base + l in
-                  if g >= ax.extent then in_range := false;
-                  Index.Map.add ax.index g env)
-                Index.Map.empty block_axes
-            in
-            if !in_range then
-              Dense.set_named out env reg.((ry * space_regx) + rx)
-          done
+      if ty_g.(ty) >= 0 then
+        for tx = 0 to size_tbx - 1 do
+          if tx_g.(tx) >= 0 then
+            let r0 = ((ty * size_tbx) + tx) * regs in
+            let o = base + ty_g.(ty) + tx_g.(tx) in
+            for ry = 0 to space_regy - 1 do
+              if ry_g.(ry) >= 0 then
+                for rx = 0 to space_regx - 1 do
+                  if rx_g.(rx) >= 0 then
+                    out_data.(o + ry_g.(ry) + rx_g.(rx)) <-
+                      acc.(r0 + (ry * space_regx) + rx)
+                done
+            done
         done
-      done
     done
   done;
   out

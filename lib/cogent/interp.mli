@@ -1,16 +1,25 @@
 (** Host-side execution of a kernel plan.
 
-    Interprets exactly the schedule the CUDA generator emits (Algorithm 1):
-    the grid is decomposed per external index, each block stages
-    hyper-rectangular slabs of both inputs into simulated shared memory once
-    per step (guarded, zero-padded at boundaries), each (thread, register
+    Runs the schedule the CUDA generator emits (Algorithm 1): the grid is
+    decomposed per external index, each block stages hyper-rectangular
+    slabs of both inputs into simulated shared memory once per step
+    (guarded, zero-padded at boundaries), each (thread, register
     coordinate) accumulates outer-product contributions across the serial
-    TB_k dimension, and finalized register tiles are stored back with bounds
-    guards.
+    TB_k dimension, and finalized register tiles are stored back with
+    bounds guards.
 
-    Because the loop structure, decompositions and address arithmetic mirror
-    the generated CUDA one-for-one, agreement with {!Tc_tensor.Contract_ref}
-    validates the code generation schema itself. *)
+    What is mirrored: the block and step order, the zero-padding guards on
+    loads and stores, and each thread's accumulation order over TB_k, so
+    agreement with {!Tc_tensor.Contract_ref} validates the schedule the
+    generator emits, not just the contraction.  What is table-driven: the
+    addressing.  One per-plan schedule gives each operand axis its tile,
+    extent, tensor stride and block/step slot.  A slab fill walks those
+    strides over the in-range corner of the tile and zero-fills the rest.
+    The outer products add precomputed slab offsets.  Stores combine
+    per-thread and per-register offset-and-guard tables evaluated once per
+    block.  The counter replay ({!measure}) follows the emitted cooperative
+    sweeps lane by lane instead.  The kernel schema is not consulted:
+    pipelined plans run and are counted as the classic schedule. *)
 
 open Tc_tensor
 

@@ -48,11 +48,10 @@ let contract ~out_indices a b =
     Array.of_list (List.map (fun i -> (extent i, sa i, sb i)) internals)
   in
   let n_ext = Array.length ext and n_int = Array.length int_ in
-  (* Odometer over external positions; inner odometer over internals.
-     Loop nesting — and hence the floating-point accumulation order — is
-     identical to the [get_named] walk this replaces; every offset is in
-     range by construction ([analyse] checked the extents), so the inner
-     loop reads unchecked. *)
+  (* Odometer over external positions; inner odometer over internals,
+     which fixes the floating-point accumulation order.  Every offset is
+     in range by construction ([analyse] checked the extents), so the
+     inner loop reads unchecked. *)
   let rec loop_int k off_a off_b acc =
     if k = n_int then
       acc +. (Dense.unsafe_get a off_a *. Dense.unsafe_get b off_b)

@@ -34,20 +34,6 @@ let linear_offset t pos =
 let get t pos = t.data.(linear_offset t pos)
 let set t pos v = t.data.(linear_offset t pos) <- v
 
-let named_offset t env =
-  let off = ref 0 in
-  List.iteri
-    (fun k i -> off := !off + (Index.Map.find i env * t.strides.(k)))
-    (Shape.indices t.shape);
-  !off
-
-let get_named t env = t.data.(named_offset t env)
-let set_named t env v = t.data.(named_offset t env) <- v
-
-let add_named t env v =
-  let off = named_offset t env in
-  t.data.(off) <- t.data.(off) +. v
-
 let unsafe_data t = t.data
 let strides t = Array.copy t.strides
 let unsafe_get t off = Array.unsafe_get t.data off

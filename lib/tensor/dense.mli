@@ -18,14 +18,6 @@ val get : t -> int array -> float
 
 val set : t -> int array -> float -> unit
 
-val get_named : t -> int Index.Map.t -> float
-(** [get_named t env] reads the element whose coordinate along each shape
-    index [i] is [Index.Map.find i env].  Extra bindings in [env] are
-    ignored, which makes this convenient inside contraction loops. *)
-
-val set_named : t -> int Index.Map.t -> float -> unit
-val add_named : t -> int Index.Map.t -> float -> unit
-
 val unsafe_data : t -> float array
 (** The underlying flat array (canonical layout).  Exposed for the tight
     loops of {!Matmul} and the plan interpreter. *)

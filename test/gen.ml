@@ -84,6 +84,16 @@ let reference c =
   let info = Problem.info c.problem in
   Contract_ref.contract ~out_indices:info.Classify.externals c.lhs c.rhs
 
+(* The same mapping on A100/fp16 under every schema the planner admits for
+   it (classic, pipelined, pipelined-MMA), so the execution and counting
+   properties see each kernel schema the driver can pick. *)
+let schema_plans problem mapping =
+  let arch = Tc_gpu.Arch.a100 and precision = Tc_gpu.Precision.FP16 in
+  let plan = Cogent.Plan.make ~problem ~mapping ~arch ~precision in
+  List.map
+    (fun schema -> Cogent.Plan.with_schema schema plan)
+    (Cogent.Plan.feasible_schemas ~arch ~precision mapping)
+
 (* Fixed seed: property tests must be reproducible across runs. *)
 let to_alcotest t =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t

@@ -12,25 +12,29 @@ let fail = Alcotest.fail
 
 let b idx tile = { Mapping.index = idx; tile }
 
-let run_case ~expr ~sizes ~mapping =
-  let problem = Problem.of_string_exn expr ~sizes in
+(* Seeded operands as written in the expression, and the reference
+   result. *)
+let operands problem =
   let info = Problem.info problem in
   let orig = info.Classify.original in
   let shape_of indices = Shape.of_indices ~sizes:(Problem.sizes problem) indices in
   let lhs = Dense.random ~seed:11 (shape_of orig.Ast.lhs.Ast.indices) in
   let rhs = Dense.random ~seed:12 (shape_of orig.Ast.rhs.Ast.indices) in
-  let expected =
-    Contract_ref.contract ~out_indices:info.Classify.externals lhs rhs
-  in
-  let plan =
-    Plan.make ~problem ~mapping ~arch:Arch.v100 ~precision:Precision.FP64
-  in
-  let got = Interp.execute plan ~lhs ~rhs in
+  (lhs, rhs, Contract_ref.contract ~out_indices:info.Classify.externals lhs rhs)
+
+let check_plan ?counters plan ~lhs ~rhs ~expected =
+  let got = Interp.execute ?counters plan ~lhs ~rhs in
   if not (Dense.equal_approx ~tol:1e-9 expected got) then
     fail
-      (Format.asprintf "interp mismatch (%.3e) for %s under %a"
+      (Format.asprintf "interp mismatch (%.3e) for %a"
          (Dense.max_abs_diff expected got)
-         expr Mapping.pp mapping)
+         Plan.pp plan)
+
+let run_case ~expr ~sizes ~mapping =
+  let problem = Problem.of_string_exn expr ~sizes in
+  let lhs, rhs, expected = operands problem in
+  check_plan ~lhs ~rhs ~expected
+    (Plan.make ~problem ~mapping ~arch:Arch.v100 ~precision:Precision.FP64)
 
 let test_gemm_exact_tiles () =
   run_case ~expr:"ab-ac-cb" ~sizes:[ ('a', 16); ('b', 16); ('c', 8) ]
@@ -151,6 +155,39 @@ let test_tile_bigger_than_remainder () =
         grid = [];
       }
 
+(* A 16x16 macro-tile fits the MMA fragments, so A100/fp16 admits all three
+   schemas; the extents leave a boundary tile on every axis.  The random
+   properties never reach MMA: their extents stay below one fragment. *)
+let test_every_schema () =
+  let problem =
+    Problem.of_string_exn "ab-ac-cb" ~sizes:[ ('a', 33); ('b', 17); ('c', 9) ]
+  in
+  let mapping =
+    {
+      Mapping.tbx = [ b 'a' 16 ];
+      regx = [];
+      tby = [ b 'b' 16 ];
+      regy = [];
+      tbk = [ b 'c' 8 ];
+      grid = [];
+    }
+  in
+  let lhs, rhs, expected = operands problem in
+  let plans = Gen.schema_plans problem mapping in
+  Alcotest.(check int) "schemas admitted" 3 (List.length plans);
+  List.iter
+    (fun plan ->
+      let counters = Interp.create_counters () in
+      check_plan ~counters plan ~lhs ~rhs ~expected;
+      let e =
+        Tc_sim.Simkernel.transactions_exact plan.Plan.precision problem mapping
+      in
+      if
+        (counters.Interp.tx_lhs, counters.Interp.tx_rhs, counters.Interp.tx_out)
+        <> (e.Cost.lhs, e.Cost.rhs, e.Cost.out)
+      then fail (Format.asprintf "measured <> exact for %a" Plan.pp plan))
+    plans
+
 let test_shape_mismatch_rejected () =
   let problem =
     Problem.of_string_exn "ab-ac-cb" ~sizes:[ ('a', 4); ('b', 4); ('c', 4) ]
@@ -175,13 +212,18 @@ let test_shape_mismatch_rejected () =
   | _ -> fail "shape mismatch accepted"
 
 (* The strongest property in the repository: for random contractions, the
-   plan COGENT itself selects executes to exactly the reference result. *)
+   plan COGENT itself selects executes to exactly the reference result —
+   and so does its mapping on A100/fp16 under every admitted schema. *)
 let interp_matches_reference_on_best_plan =
   QCheck.Test.make ~count:120 ~name:"interp(best plan) == reference"
     Gen.case_arbitrary (fun c ->
       let plan = Driver.best_plan c.Gen.problem in
-      let got = Interp.execute plan ~lhs:c.Gen.lhs ~rhs:c.Gen.rhs in
-      Dense.equal_approx ~tol:1e-9 (Gen.reference c) got)
+      let expected = Gen.reference c in
+      List.for_all
+        (fun plan ->
+          Dense.equal_approx ~tol:1e-9 expected
+            (Interp.execute plan ~lhs:c.Gen.lhs ~rhs:c.Gen.rhs))
+        (plan :: Gen.schema_plans c.Gen.problem plan.Plan.mapping))
 
 (* And not only for the selected plan: any surviving configuration must
    compute the same function. *)
@@ -232,6 +274,8 @@ let () =
             test_internal_fvi_inputs;
           Alcotest.test_case "boundary remainder tiles" `Quick
             test_tile_bigger_than_remainder;
+          Alcotest.test_case "every schema on A100/fp16" `Quick
+            test_every_schema;
           Alcotest.test_case "shape mismatch rejected" `Quick
             test_shape_mismatch_rejected;
         ] );

@@ -65,16 +65,20 @@ let sample_mappings problem =
       List.sort_uniq compare [ 0; n / 2; n - 1 ]
       |> List.map (fun k -> List.nth all k)
 
+(* Each sampled mapping runs on V100/fp64 and on A100/fp16 under every
+   admitted schema. *)
 let agree_case (c : Gen.case) =
   let problem = c.Gen.problem in
+  let plans mapping =
+    Plan.make ~problem ~mapping ~arch:Arch.v100 ~precision:Precision.FP64
+    :: Gen.schema_plans problem mapping
+  in
   List.iter
-    (fun mapping ->
-      let plan =
-        Plan.make ~problem ~mapping ~arch:Arch.v100 ~precision:Precision.FP64
-      in
+    (fun plan ->
       let m = Interp.measure plan in
       let e =
-        Tc_sim.Simkernel.transactions_exact Precision.FP64 problem mapping
+        Tc_sim.Simkernel.transactions_exact plan.Plan.precision problem
+          plan.Plan.mapping
       in
       if
         not
@@ -82,10 +86,9 @@ let agree_case (c : Gen.case) =
           && m.Interp.tx_rhs = e.Cost.rhs
           && m.Interp.tx_out = e.Cost.out)
       then
-        QCheck.Test.fail_reportf
-          "measured (%g,%g,%g) <> exact (%g,%g,%g) for %a under %a"
+        QCheck.Test.fail_reportf "measured (%g,%g,%g) <> exact (%g,%g,%g) for %a"
           m.Interp.tx_lhs m.Interp.tx_rhs m.Interp.tx_out e.Cost.lhs e.Cost.rhs
-          e.Cost.out Problem.pp problem Mapping.pp mapping;
+          e.Cost.out Plan.pp plan;
       if m.Interp.fma_useful <> Plan.flops plan /. 2.0 then
         QCheck.Test.fail_reportf "useful FMAs %g <> flops/2 %g for %a"
           m.Interp.fma_useful
@@ -94,7 +97,7 @@ let agree_case (c : Gen.case) =
       if m.Interp.fma_padded < m.Interp.fma_useful then
         QCheck.Test.fail_reportf "padded FMA slots below useful FMAs for %a"
           Problem.pp problem)
-    (sample_mappings problem);
+    (List.concat_map plans (sample_mappings problem));
   true
 
 let prop_measured_eq_exact =

@@ -94,14 +94,6 @@ let test_dense_bounds () =
   | exception Invalid_argument _ -> ()
   | _ -> fail "wrong rank accepted"
 
-let test_dense_named_access () =
-  let t = Dense.create (shape [ ('a', 3); ('b', 4) ]) in
-  let env = Index.Map.of_seq (List.to_seq [ ('a', 2); ('b', 3); ('z', 9) ]) in
-  Dense.set_named t env 5.0;
-  check (Alcotest.float 0.0) "named get" 5.0 (Dense.get_named t env);
-  Dense.add_named t env 1.5;
-  check (Alcotest.float 0.0) "named add" 6.5 (Dense.get t [| 2; 3 |])
-
 let test_dense_init_iteri () =
   let s = shape [ ('a', 2); ('b', 3) ] in
   let t = Dense.init s (fun pos -> float_of_int ((10 * pos.(0)) + pos.(1))) in
@@ -334,7 +326,6 @@ let () =
           Alcotest.test_case "FVI-first layout" `Quick
             test_dense_layout_fvi_first;
           Alcotest.test_case "bounds checking" `Quick test_dense_bounds;
-          Alcotest.test_case "named access" `Quick test_dense_named_access;
           Alcotest.test_case "init/iteri" `Quick test_dense_init_iteri;
           Alcotest.test_case "random determinism" `Quick
             test_dense_random_deterministic;
