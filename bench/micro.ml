@@ -88,6 +88,12 @@ let staged_tests =
     let plan = Cogent.Driver.best_plan problem in
     fun () -> ignore (Cogent.Interp.execute plan ~lhs ~rhs)
   in
+  (* The counter-only replay: one transaction sweep per operand for every
+     (block, step), the audit's ground truth. *)
+  let interp_measure (problem, _, _, _) =
+    let plan = Cogent.Driver.best_plan problem in
+    fun () -> ignore (Cogent.Interp.measure plan)
+  in
   let contract_ref =
     let _, info, lhs, rhs = gemm64 in
     fun () ->
@@ -121,6 +127,7 @@ let staged_tests =
     Test.make ~name:"interp-execute/gemm64"
       (Staged.stage (interp_execute gemm64));
     Test.make ~name:"interp-execute/odd" (Staged.stage (interp_execute eq1_odd));
+    Test.make ~name:"interp-measure/odd" (Staged.stage (interp_measure eq1_odd));
     Test.make ~name:"contract-ref/gemm64" (Staged.stage contract_ref);
     Test.make ~name:"generate-end-to-end/eq1" (Staged.stage (full problem_eq1));
     Test.make ~name:"generate-end-to-end/sd2_1" (Staged.stage (full problem_sd2));

@@ -53,12 +53,15 @@ let predictions ctx (plan : Cogent.Plan.t) =
   in
   (sim, tt)
 
-let dispatch_regret ~ctx ~own (plan : Cogent.Plan.t) =
-  let pred_cogent, pred_ttgt = predictions ctx plan in
+let regret ~ctx ~own ~predicted (plan : Cogent.Plan.t) =
+  let pred_cogent, pred_ttgt = predicted in
   let cogent_chosen = pred_cogent <= pred_ttgt in
+  (* The own-extent kernel runs under the plan's schema; feasibility only
+     depends on mapping, arch and precision, which are unchanged. *)
   match
     Cogent.Plan.make ~problem:own ~mapping:plan.Cogent.Plan.mapping
       ~arch:plan.Cogent.Plan.arch ~precision:plan.Cogent.Plan.precision
+    |> Cogent.Plan.with_schema plan.Cogent.Plan.schema
   with
   | own_plan ->
       let oc = (Tc_sim.Simkernel.run own_plan).Tc_sim.Simkernel.time_s in
@@ -74,6 +77,9 @@ let dispatch_regret ~ctx ~own (plan : Cogent.Plan.t) =
          chosen side is the minimum and regret is 0 by construction. *)
       (pred_cogent, pred_ttgt, 0.0, true)
 
+let dispatch_regret ~ctx ~own plan =
+  regret ~ctx ~own ~predicted:(predictions ctx plan) plan
+
 let breakdown_tx (b : Cogent.Cost.breakdown) =
   { lhs = b.Cogent.Cost.lhs; rhs = b.rhs; out = b.out }
 
@@ -83,10 +89,10 @@ let sample ~suite ~request ~key ~ctx ?own ?measured ~degraded
   let mapping = plan.Cogent.Plan.mapping in
   let prec = plan.Cogent.Plan.precision in
   let own = Option.value ~default:problem own in
-  let pred_cogent_s, pred_ttgt_s = predictions ctx plan in
+  let ((pred_cogent_s, pred_ttgt_s) as predicted) = predictions ctx plan in
   let strategy = if pred_cogent_s <= pred_ttgt_s then "cogent" else "ttgt" in
   let own_cogent_s, own_ttgt_s, regret_s, own_approx =
-    dispatch_regret ~ctx ~own plan
+    regret ~ctx ~own ~predicted plan
   in
   let measured =
     match measured with
@@ -118,7 +124,7 @@ let sample ~suite ~request ~key ~ctx ?own ?measured ~degraded
         rhs = measured.Cogent.Interp.tx_rhs;
         out = measured.Cogent.Interp.tx_out;
       };
-    sim_time_s = (Tc_sim.Simkernel.run plan).Tc_sim.Simkernel.time_s;
+    sim_time_s = pred_cogent_s;
   }
 
 (* ---- collecting ---- *)

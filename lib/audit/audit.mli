@@ -67,17 +67,32 @@ val sim_mismatch : sample -> bool
     counters on any tensor — a model bug (the simulator contract is exact
     agreement in no-L2 mode). *)
 
+val predictions : Cogent.Ctx.t -> Cogent.Plan.t -> float * float
+(** [predictions ctx plan] is [(cogent_s, ttgt_s)] on the plan's
+    representative problem: the simulated time of [plan] under its own
+    schema, and the TTGT model's time. *)
+
+val regret :
+  ctx:Cogent.Ctx.t ->
+  own:Tc_expr.Problem.t ->
+  predicted:float * float ->
+  Cogent.Plan.t ->
+  float * float * float * bool
+(** [regret ~ctx ~own ~predicted plan] evaluates both engines at the
+    request's own extents: [(own_cogent_s, own_ttgt_s, regret_s,
+    own_approx)].  The chosen side is re-derived from [predicted] (the
+    {!predictions} of [plan]) exactly as the serving layer dispatches,
+    and the own-extent kernel runs under [plan]'s schema, so regret is 0
+    when [own] is the representative problem.  The serving layer passes
+    the times its dispatch race already computed. *)
+
 val dispatch_regret :
   ctx:Cogent.Ctx.t ->
   own:Tc_expr.Problem.t ->
   Cogent.Plan.t ->
   float * float * float * bool
-(** [dispatch_regret ~ctx ~own plan] evaluates both engines at the
-    request's own extents: [(own_cogent_s, own_ttgt_s, regret_s,
-    own_approx)], where the chosen side is re-derived from the
-    representative-problem predictions exactly as the serving layer
-    dispatches.  The serving layer calls this per request even without a
-    collector attached. *)
+(** [dispatch_regret ~ctx ~own plan] is
+    [regret ~ctx ~own ~predicted:(predictions ctx plan) plan]. *)
 
 val sample :
   suite:string ->

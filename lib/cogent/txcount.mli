@@ -40,4 +40,11 @@ val staged_sweep : width:int -> ept:int -> axis array -> int
     [prod tile] volume (first axis fastest); a position is in range iff
     every local coordinate is below its [cut]; in-range positions access
     element address [sum (local * stride)] relative to the tile base
-    (bases are line-aligned, so only address deltas matter). *)
+    (bases are line-aligned, so only address deltas matter).
+
+    The count is the one an element-by-element walk of that sweep gives,
+    but the walk goes by rows of the first axis: with a unit first-axis
+    stride, each row's in-range prefix is one address run, split only at
+    wave boundaries, and a masked tail or masked row costs O(1).  A
+    non-unit first-axis stride falls back to one step per in-range
+    element. *)

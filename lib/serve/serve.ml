@@ -283,18 +283,22 @@ let run session items =
                   Error e
               | Some (Ok r) ->
                   let plan = r.Cogent.Driver.plan in
-                  let classic_plan =
-                    Cogent.Plan.with_schema Schema.Classic plan
+                  (* One simulation per lane of the race, at the
+                     representative problem: its result is both the
+                     lane's prediction and, for the winner, the simulated
+                     execution (gflops, actual time). *)
+                  let lane sc =
+                    (sc, Tc_sim.Simkernel.run (Cogent.Plan.with_schema sc plan))
                   in
-                  let sim =
+                  let classic =
                     Tc_obs.Trace.with_span "serve.predict.cogent" (fun () ->
-                        Tc_sim.Simkernel.run classic_plan)
+                        lane Schema.Classic)
                   in
                   (* The third lane of the race: the best feasible
                      pipelined variant of the same mapping.  On devices
                      without async copies the list is empty and the race
                      degenerates to the historical classic-vs-TTGT. *)
-                  let pipelined =
+                  let pipelined_lanes =
                     match
                       List.filter Schema.pipelined
                         (Cogent.Plan.feasible_schemas
@@ -302,21 +306,23 @@ let run session items =
                            ~precision:plan.Cogent.Plan.precision
                            plan.Cogent.Plan.mapping)
                     with
-                    | [] -> None
+                    | [] -> []
                     | scs ->
                         Tc_obs.Trace.with_span "serve.predict.pipelined"
-                          (fun () ->
-                            List.fold_left
-                              (fun best sc ->
-                                let t =
-                                  (Tc_sim.Simkernel.run
-                                     (Cogent.Plan.with_schema sc plan))
-                                    .Tc_sim.Simkernel.time_s
-                                in
-                                match best with
-                                | Some (_, bt) when bt <= t -> best
-                                | _ -> Some (sc, t))
-                              None scs)
+                          (fun () -> List.map lane scs)
+                  in
+                  let time_of (_, s) = s.Tc_sim.Simkernel.time_s in
+                  let best_pipelined =
+                    List.fold_left
+                      (fun best l ->
+                        match best with
+                        | Some b when time_of b <= time_of l -> best
+                        | _ -> Some l)
+                      None pipelined_lanes
+                  in
+                  let pipelined =
+                    Option.map (fun ((sc, _) as l) -> (sc, time_of l))
+                      best_pipelined
                   in
                   let tt =
                     Tc_obs.Trace.with_span "serve.predict.ttgt" (fun () ->
@@ -324,29 +330,29 @@ let run session items =
                   in
                   (* Classic wins ties, so the race is a pure refinement
                      of the two-way dispatch it replaces. *)
-                  let cogent_time_s = sim.Tc_sim.Simkernel.time_s in
-                  let cogent_plan, cogent_schema, cogent_best_s =
-                    match pipelined with
-                    | Some (sc, t) when t < cogent_time_s ->
-                        (Cogent.Plan.with_schema sc plan, sc, t)
-                    | _ -> (classic_plan, Schema.Classic, cogent_time_s)
+                  let cogent_time_s = time_of classic in
+                  let cogent_schema, cogent_sim =
+                    match best_pipelined with
+                    | Some l when time_of l < cogent_time_s -> l
+                    | _ -> classic
                   in
                   let ttgt_time_s = tt.Tc_ttgt.Ttgt.time_s in
-                  let engine, gflops =
-                    if cogent_best_s <= ttgt_time_s then
-                      ( Cogent_kernel,
-                        (Tc_sim.Simkernel.run cogent_plan)
-                          .Tc_sim.Simkernel.gflops )
-                    else (Ttgt_pipeline, tt.Tc_ttgt.Ttgt.gflops)
+                  let engine =
+                    if cogent_sim.Tc_sim.Simkernel.time_s <= ttgt_time_s then
+                      Cogent_kernel
+                    else Ttgt_pipeline
                   in
-                  let predicted_s =
+                  (* The winning lane's result is also the simulated
+                     execution of the chosen engine — this repo's
+                     stand-in for running the kernel — so the span's
+                     actual time equals its predicted time. *)
+                  let predicted_s, gflops =
                     match engine with
-                    | Cogent_kernel -> cogent_best_s
-                    | Ttgt_pipeline -> ttgt_time_s
+                    | Cogent_kernel ->
+                        ( cogent_sim.Tc_sim.Simkernel.time_s,
+                          cogent_sim.Tc_sim.Simkernel.gflops )
+                    | Ttgt_pipeline -> (ttgt_time_s, tt.Tc_ttgt.Ttgt.gflops)
                   in
-                  (* The simulated execution of the chosen engine — this
-                     repo's stand-in for running the kernel — so the
-                     span records predicted vs actual per request. *)
                   let strategy =
                     match engine with
                     | Ttgt_pipeline -> engine_name Ttgt_pipeline
@@ -356,28 +362,25 @@ let run session items =
                           ^ Schema.to_string cogent_schema
                         else engine_name Cogent_kernel
                   in
-                  let actual_s =
-                    Tc_obs.Trace.with_span "serve.execute"
-                      ~args:[ ("strategy", Tc_obs.Trace.String strategy) ]
-                      (fun () ->
-                        match engine with
-                        | Cogent_kernel ->
-                            (Tc_sim.Simkernel.run cogent_plan)
-                              .Tc_sim.Simkernel.time_s
-                        | Ttgt_pipeline ->
-                            (Tc_ttgt.Ttgt.run_ctx ctx plan.Cogent.Plan.problem)
-                              .Tc_ttgt.Ttgt.time_s)
-                  in
                   (* Dispatch regret: the decision above compared the
                      engines on the representative problem; the request
                      runs at its own extents, so re-evaluate both sides
                      there and charge the chosen engine whatever it loses
-                     to the alternative.  Pure model output computed
-                     sequentially in request order — the audit metrics
-                     below are part of the CI replay gate's deterministic
-                     subset. *)
+                     to the alternative.  The representative times are the
+                     race's own: a plan's schema is feasible for its
+                     mapping ([Plan.with_schema] enforces it), so it is one
+                     of the lanes.  Pure model output computed sequentially
+                     in request order — the audit metrics below are part of
+                     the CI replay gate's deterministic subset. *)
+                  let plan_lane_s =
+                    (List.assoc plan.Cogent.Plan.schema
+                       (classic :: pipelined_lanes))
+                      .Tc_sim.Simkernel.time_s
+                  in
                   let _own_cogent_s, _own_ttgt_s, regret_s, _own_approx =
-                    Tc_audit.Audit.dispatch_regret ~ctx ~own:problem plan
+                    Tc_audit.Audit.regret ~ctx ~own:problem
+                      ~predicted:(plan_lane_s, ttgt_time_s)
+                      plan
                   in
                   Tc_audit.Audit.record_regret regret_s;
                   if regret_s > 0.0 then incr regrets;
@@ -401,7 +404,7 @@ let run session items =
                   Tc_obs.Trace.add_args
                     [
                       ("predicted_ms", Tc_obs.Trace.Float (predicted_s *. 1e3));
-                      ("actual_ms", Tc_obs.Trace.Float (actual_s *. 1e3));
+                      ("actual_ms", Tc_obs.Trace.Float (predicted_s *. 1e3));
                       ("regret_ms", Tc_obs.Trace.Float (regret_s *. 1e3));
                       ("strategy", Tc_obs.Trace.String strategy);
                       ("outcome", Tc_obs.Trace.String "ok");

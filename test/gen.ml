@@ -94,6 +94,62 @@ let schema_plans problem mapping =
     (fun schema -> Cogent.Plan.with_schema schema plan)
     (Cogent.Plan.feasible_schemas ~arch ~precision mapping)
 
+(* Oracle for [Cogent.Txcount.staged_sweep]: the convention walked one
+   padded-tile position at a time (odometer over every axis, first axis
+   fastest), carrying the element address and the number of out-of-range
+   coordinates along. *)
+let staged_sweep_ref ~width ~ept (axes : Cogent.Txcount.axis array) =
+  let open Cogent.Txcount in
+  let n = Array.length axes in
+  let elems = Array.fold_left (fun a ax -> a * ax.tile) 1 axes in
+  if elems <= 0 then 0
+  else begin
+    let width = max 1 width in
+    let ept = max 1 ept in
+    let locals = Array.make n 0 in
+    let bad = ref 0 in
+    Array.iter (fun ax -> if ax.cut <= 0 then incr bad) axes;
+    let addr = ref 0 in
+    let tx = ref 0 in
+    let seg_len = ref 0 in
+    let seg_prev = ref 0 in
+    let close_segment () =
+      if !seg_len > 0 then begin
+        tx := !tx + ((!seg_len + ept - 1) / ept);
+        seg_len := 0
+      end
+    in
+    for pos = 0 to elems - 1 do
+      if pos mod width = 0 then close_segment ();
+      if !bad = 0 then
+        if !seg_len > 0 && !addr = !seg_prev + 1 then begin
+          incr seg_len;
+          seg_prev := !addr
+        end
+        else begin
+          close_segment ();
+          seg_len := 1;
+          seg_prev := !addr
+        end;
+      if pos < elems - 1 then begin
+        let k = ref 0 in
+        while locals.(!k) = axes.(!k).tile - 1 do
+          let ax = axes.(!k) in
+          if ax.cut > 0 && ax.cut < ax.tile then decr bad;
+          addr := !addr - ((ax.tile - 1) * ax.stride);
+          locals.(!k) <- 0;
+          incr k
+        done;
+        let ax = axes.(!k) in
+        locals.(!k) <- locals.(!k) + 1;
+        addr := !addr + ax.stride;
+        if locals.(!k) = ax.cut then incr bad
+      end
+    done;
+    close_segment ();
+    !tx
+  end
+
 (* Fixed seed: property tests must be reproducible across runs. *)
 let to_alcotest t =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t

@@ -79,6 +79,43 @@ let test_dispatch_regret_on_own_extents () =
   check Alcotest.bool "regret is non-negative" true (regret >= 0.0);
   check Alcotest.bool "own extents re-planned (no fallback)" false approx
 
+(* At the representative problem the chosen engine is the minimum, so
+   regret is 0 whatever the plan's schema: the own-extent kernel must run
+   under that same schema, not the classic one.  On A100/fp16 the
+   pipelined kernels of ccsd_1 and ccsd_9 beat TTGT where their classic
+   variants do not. *)
+let test_regret_zero_on_representative_every_schema () =
+  let arch = Tc_gpu.Arch.a100 and precision = Tc_gpu.Precision.FP16 in
+  let ctx = Cogent.Ctx.make ~arch ~precision ~measure:simulate () in
+  List.iter
+    (fun name ->
+      let problem =
+        Tc_tccg.Suite.problem (Option.get (Tc_tccg.Suite.find name))
+      in
+      let plan =
+        match Cogent.Driver.run ctx problem with
+        | Ok r -> r.Cogent.Driver.plan
+        | Error e -> fail (Cogent.Driver.error_to_string e)
+      in
+      let schemas =
+        Cogent.Plan.feasible_schemas ~arch ~precision plan.Cogent.Plan.mapping
+      in
+      check Alcotest.bool (name ^ ": a pipelined schema is raced") true
+        (List.exists Tc_gpu.Schema.pipelined schemas);
+      List.iter
+        (fun sc ->
+          let what = name ^ "/" ^ Tc_gpu.Schema.to_string sc in
+          let p = Cogent.Plan.with_schema sc plan in
+          let oc, ot, regret, approx = Audit.dispatch_regret ~ctx ~own:problem p in
+          check (Alcotest.float 0.0) (what ^ ": regret") 0.0 regret;
+          check Alcotest.bool (what ^ ": own cogent time is the plan's") true
+            (Float.equal oc (Tc_sim.Simkernel.run p).Tc_sim.Simkernel.time_s);
+          check Alcotest.bool (what ^ ": own ttgt time is positive") true
+            (ot > 0.0);
+          check Alcotest.bool (what ^ ": no fallback") false approx)
+        schemas)
+    [ "ccsd_1"; "ccsd_9" ]
+
 (* ---- collector ---- *)
 
 let test_collector_order () =
@@ -315,6 +352,8 @@ let () =
           Alcotest.test_case "sample invariants" `Quick test_sample_invariants;
           Alcotest.test_case "dispatch regret at own extents" `Quick
             test_dispatch_regret_on_own_extents;
+          Alcotest.test_case "regret 0 on the representative, every schema"
+            `Quick test_regret_zero_on_representative_every_schema;
           Alcotest.test_case "collector keeps insertion order" `Quick
             test_collector_order;
         ] );

@@ -52,6 +52,77 @@ let test_txcount_guard_gap_splits_segment () =
   check Alcotest.int "no gap when full" 1
     (sweep ~width:8 ~ept:16 [| axis 4 4 1; axis 2 2 4 |])
 
+(* The row walk's own paths, each checked against the element-by-element
+   oracle as well as by hand. *)
+let check_sweep what expected ~width ~ept axes =
+  check Alcotest.int (what ^ " (oracle)") expected
+    (Gen.staged_sweep_ref ~width ~ept axes);
+  check Alcotest.int what expected (sweep ~width ~ept axes)
+
+let test_txcount_run_split_mid_row () =
+  (* 12 contiguous elements, waves of 8: the run is cut at position 8 *)
+  check_sweep "wave boundary mid-row" 2 ~width:8 ~ept:16 [| axis 12 12 1 |]
+
+let test_txcount_row_continues_segment () =
+  (* tile = extent on the first axis: row 1 starts at the address after
+     row 0's last, so the 12 elements form one segment (2 lines of 8),
+     not three per-row segments (3 lines) *)
+  check_sweep "rows coalesce" 2 ~width:32 ~ept:8 [| axis 4 4 1; axis 3 3 4 |]
+
+let test_txcount_masked_tail_boundary () =
+  (* row 0 covers addresses 0-1 then a masked tail; row 1 continues at 2.
+     A wave boundary inside the tail (width 3, position 3) closes the
+     segment; without one (width 8) the segment survives the tail *)
+  check_sweep "boundary in masked tail" 2 ~width:3 ~ept:16
+    [| axis 4 2 1; axis 2 2 2 |];
+  check_sweep "no boundary in masked tail" 1 ~width:8 ~ept:16
+    [| axis 4 2 1; axis 2 2 2 |]
+
+let test_txcount_non_unit_first_stride () =
+  check_sweep "stride 2" 4 ~width:32 ~ept:16 [| axis 4 4 2 |];
+  check_sweep "stride 0" 4 ~width:32 ~ept:16 [| axis 4 4 0 |];
+  check_sweep "stride 2, masked" 4 ~width:32 ~ept:16
+    [| axis 4 2 2; axis 2 2 8 |]
+
+(* The row walk equals the element-by-element oracle over random axis
+   sets: 0-4 axes, tiles 1-9, cuts from -1 to tile+1 (fully masked to
+   past the tile), strides 0, 1, dense (the product of the tiles before)
+   or arbitrary, waves of 1-40 and 1-20 elements per transaction. *)
+let sweep_case_gen =
+  let open QCheck.Gen in
+  let* n = int_range 0 4 in
+  let* width = int_range 1 40 in
+  let* ept = int_range 1 20 in
+  let rec axes k dense acc =
+    if k = n then return (Array.of_list (List.rev acc))
+    else
+      let* tile = int_range 1 9 in
+      let* cut = int_range (-1) (tile + 1) in
+      let* stride =
+        frequency
+          [ (1, return 0); (3, return 1); (3, return dense); (3, int_range 2 40) ]
+      in
+      axes (k + 1) (dense * tile) ({ Txcount.tile; cut; stride } :: acc)
+  in
+  let+ axes = axes 0 1 [] in
+  (width, ept, axes)
+
+let sweep_case_print (width, ept, axes) =
+  Printf.sprintf "width %d ept %d [%s]" width ept
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (fun a ->
+               Printf.sprintf "tile %d cut %d stride %d" a.Txcount.tile a.cut
+                 a.stride)
+             axes)))
+
+let prop_sweep_eq_ref =
+  QCheck.Test.make ~count:3000 ~name:"row walk == element walk"
+    (QCheck.make ~print:sweep_case_print sweep_case_gen)
+    (fun (width, ept, axes) ->
+      sweep ~width ~ept axes = Gen.staged_sweep_ref ~width ~ept axes)
+
 (* ---- measured counters == simulator-exact prediction ---- *)
 
 (* A spread of enumerated configurations for a problem: with Gen's extents
@@ -411,6 +482,15 @@ let () =
             test_txcount_no_cross_wave_coalescing;
           Alcotest.test_case "guard gap splits segment" `Quick
             test_txcount_guard_gap_splits_segment;
+          Alcotest.test_case "run split at a wave boundary" `Quick
+            test_txcount_run_split_mid_row;
+          Alcotest.test_case "row continues the segment" `Quick
+            test_txcount_row_continues_segment;
+          Alcotest.test_case "masked tail with a wave boundary" `Quick
+            test_txcount_masked_tail_boundary;
+          Alcotest.test_case "non-unit first-axis stride" `Quick
+            test_txcount_non_unit_first_stride;
+          Gen.to_alcotest prop_sweep_eq_ref;
         ] );
       ( "cross-validation",
         [
