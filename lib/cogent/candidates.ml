@@ -66,17 +66,32 @@ let count t =
   Array.length t.x_sides * Array.length t.y_sides * Array.length t.tbks
 
 let num_chunks t = Array.length t.x_sides
+let num_y t = Array.length t.y_sides
+let num_tbk t = Array.length t.tbks
+let x_side t xi = t.x_sides.(xi)
+let y_side t yi = t.y_sides.(yi)
+let tbk t ti = t.tbks.(ti)
+
+let grid t xi yi =
+  let used = Idxset.union t.x_used.(xi) t.y_used.(yi) in
+  List.filter (fun i -> not (Idxset.mem i used)) t.externals
+
+let mapping t ~grid xi yi ti =
+  let x = t.x_sides.(xi) and y = t.y_sides.(yi) in
+  {
+    Mapping.tbx = x.Enumerate.tb;
+    regx = x.Enumerate.reg;
+    tby = y.Enumerate.tb;
+    regy = y.Enumerate.reg;
+    tbk = t.tbks.(ti);
+    grid;
+  }
 
 let iter_chunk t xi f =
-  let x = t.x_sides.(xi) and x_used = t.x_used.(xi) in
-  let tbx = x.Enumerate.tb and regx = x.Enumerate.reg in
-  for yi = 0 to Array.length t.y_sides - 1 do
-    let y = t.y_sides.(yi) in
-    let used = Idxset.union x_used t.y_used.(yi) in
-    let grid = List.filter (fun i -> not (Idxset.mem i used)) t.externals in
-    let tby = y.Enumerate.tb and regy = y.Enumerate.reg in
-    for ti = 0 to Array.length t.tbks - 1 do
-      f { Mapping.tbx; regx; tby; regy; tbk = t.tbks.(ti); grid }
+  for yi = 0 to num_y t - 1 do
+    let grid = grid t xi yi in
+    for ti = 0 to num_tbk t - 1 do
+      f (mapping t ~grid xi yi ti)
     done
   done
 

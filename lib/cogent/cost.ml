@@ -4,31 +4,29 @@ open Tc_expr
 
 let ceil_div a b = (a + b - 1) / b
 
-let contiguous_run problem mapping indices =
+let run_of ~tile ~extent indices =
   let rec go acc = function
     | [] -> acc
     | i :: rest ->
-        let tile = Mapping.tile_of mapping i in
-        let extent = Problem.extent problem i in
-        if tile = extent then go (acc * tile) rest else acc * tile
+        let t = tile i in
+        if t = extent i then go (acc * t) rest else acc * t
   in
   go 1 indices
+
+let contiguous_run problem mapping indices =
+  run_of ~tile:(Mapping.tile_of mapping) ~extent:(Problem.extent problem)
+    indices
+
+let rec take_while p = function
+  | i :: rest when p i -> i :: take_while p rest
+  | _ -> []
 
 let store_run problem mapping =
   let info = Problem.info problem in
   let in_tbx i =
     List.exists (fun b -> Index.equal b.Mapping.index i) mapping.Mapping.tbx
   in
-  let rec go acc = function
-    | [] -> acc
-    | i :: rest ->
-        if not (in_tbx i) then acc
-        else
-          let tile = Mapping.tile_of mapping i in
-          let extent = Problem.extent problem i in
-          if tile = extent then go (acc * tile) rest else acc * tile
-  in
-  go 1 info.Classify.externals
+  contiguous_run problem mapping (take_while in_tbx info.Classify.externals)
 
 type breakdown = { lhs : float; rhs : float; out : float }
 
@@ -37,22 +35,26 @@ type breakdown = { lhs : float; rhs : float; out : float }
    ceil(width/run') segments of run' = min(run, width) elements, each
    costing ceil(run'/elements-per-transaction) transactions. *)
 let sweep_transactions ~width ~run ~ept =
-  let run = max 1 (min run width) in
+  let run = Int.max 1 (Int.min run width) in
   let segments = ceil_div width run in
   segments * ceil_div run ept
 
-let tile_elems problem mapping indices =
-  ignore problem;
+(* Staging one tile of [elems] elements: ceil(elems/width) sweeps, the
+   last one no wider than the tile. *)
+let tile_transactions ~width ~elems ~run ~ept =
+  let rows = ceil_div elems (Int.max 1 width) in
+  rows * sweep_transactions ~width:(Int.min width elems) ~run ~ept
+
+let tile_elems mapping indices =
   List.fold_left (fun acc i -> acc * Mapping.tile_of mapping i) 1 indices
 
 let load_transactions prec problem mapping indices =
-  let ept = Precision.elems_per_transaction prec in
-  let width = Mapping.size_tbx mapping * Mapping.size_tby mapping in
-  let elems = tile_elems problem mapping indices in
-  let run = contiguous_run problem mapping indices in
-  let rows = ceil_div elems (max 1 width) in
-  let width = min width elems in
-  float_of_int (rows * sweep_transactions ~width ~run ~ept)
+  float_of_int
+    (tile_transactions
+       ~width:(Mapping.size_tbx mapping * Mapping.size_tby mapping)
+       ~elems:(tile_elems mapping indices)
+       ~run:(contiguous_run problem mapping indices)
+       ~ept:(Precision.elems_per_transaction prec))
 
 let transactions prec problem mapping =
   let info = Problem.info problem in
@@ -109,15 +111,14 @@ let explain prec problem mapping =
   let ept = Precision.elems_per_transaction prec in
   let b = transactions prec problem mapping in
   let charge tensor indices total_tx =
-    let elems = tile_elems problem mapping indices in
+    let elems = tile_elems mapping indices in
     let run = contiguous_run problem mapping indices in
     (* Ideal = the fully coalesced sweep over the same tile volume; the
        ratio to the charged count is the model's coalescing efficiency. *)
     let per_tile_actual =
-      let width = Mapping.size_tbx mapping * Mapping.size_tby mapping in
-      let rows = ceil_div elems (max 1 width) in
-      let width = min width elems in
-      rows * sweep_transactions ~width ~run ~ept
+      tile_transactions
+        ~width:(Mapping.size_tbx mapping * Mapping.size_tby mapping)
+        ~elems ~run ~ept
     in
     let per_tile_ideal = ceil_div elems ept in
     {
@@ -131,7 +132,7 @@ let explain prec problem mapping =
   in
   let out_charge =
     let indices = info.Classify.externals in
-    let elems = tile_elems problem mapping indices in
+    let elems = tile_elems mapping indices in
     let run = store_run problem mapping in
     let width = Mapping.size_tbx mapping * Mapping.size_tby mapping in
     let sweeps = Mapping.size_regx mapping * Mapping.size_regy mapping in
@@ -159,161 +160,6 @@ let explain prec problem mapping =
     blocks = Mapping.num_blocks problem mapping;
     ept;
   }
-
-(* Incremental evaluator for the streaming pipeline: one mutable scratch
-   per worker replaces the per-candidate [Mapping.tile_of] list searches
-   with array reads, and the three breakdown components are accumulated
-   in charge order so a candidate can be abandoned as soon as its partial
-   sum provably exceeds the caller's bound.  Every arithmetic step
-   replicates [transactions]/[total] exactly (same integer expressions,
-   same float operation order), so an unaborted result is bit-identical
-   to [total prec problem mapping]. *)
-module Eval = struct
-  type t = {
-    ept : int;
-    extents : int array;  (* indexed by Tc_expr.Idxset.slot *)
-    externals : Index.t list;
-    internals : Index.t list;
-    lhs_indices : Index.t list;
-    rhs_indices : Index.t list;
-    tiles : int array;  (* indexed by Tc_expr.Idxset.slot *)
-    mutable tbx_set : Idxset.t;
-    mutable width : int;  (* TBx * TBy *)
-    mutable regs : int;  (* REGx * REGy *)
-    mutable smem : int;  (* Mapping.smem_elems *)
-    mutable reg_elems : int;  (* Mapping.reg_elems_per_thread *)
-    mutable blocks : int;  (* memoized Mapping.num_blocks; -1 = unset *)
-  }
-
-  let create prec problem =
-    let info = Problem.info problem in
-    let extents = Array.make 26 1 in
-    List.iter
-      (fun i -> extents.(Idxset.slot i) <- Problem.extent problem i)
-      (Classify.all_indices info);
-    {
-      ept = Precision.elems_per_transaction prec;
-      extents;
-      externals = info.Classify.externals;
-      internals = info.Classify.internals;
-      lhs_indices = info.Classify.expr.Ast.lhs.Ast.indices;
-      rhs_indices = info.Classify.expr.Ast.rhs.Ast.indices;
-      tiles = Array.make 26 1;
-      tbx_set = Idxset.empty;
-      width = 1;
-      regs = 1;
-      smem = 0;
-      reg_elems = 0;
-      blocks = -1;
-    }
-
-  (* Every structurally valid mapping binds the identical index set (all
-     externals on one of tbx/regx/tby/regy/grid, all internals on tbk),
-     so loading a candidate overwrites every live slot — no reset
-     needed between candidates. *)
-  let load t (m : Mapping.t) =
-    let tiles = t.tiles in
-    let set l = List.iter (fun b -> tiles.(Idxset.slot b.Mapping.index) <- b.Mapping.tile) l in
-    set m.Mapping.tbx;
-    set m.Mapping.regx;
-    set m.Mapping.tby;
-    set m.Mapping.regy;
-    set m.Mapping.tbk;
-    List.iter (fun i -> tiles.(Idxset.slot i) <- 1) m.Mapping.grid;
-    t.tbx_set <-
-      List.fold_left
-        (fun s b -> Idxset.add b.Mapping.index s)
-        Idxset.empty m.Mapping.tbx;
-    let tbx = Mapping.size_tbx m and tby = Mapping.size_tby m in
-    let regx = Mapping.size_regx m and regy = Mapping.size_regy m in
-    t.width <- tbx * tby;
-    t.regs <- regx * regy;
-    t.smem <- ((tbx * regx) + (tby * regy)) * Mapping.size_tbk m;
-    t.reg_elems <- (regx * regy) + regx + regy;
-    t.blocks <- -1
-
-  let tile t i = t.tiles.(Idxset.slot i)
-  let threads t = t.width
-  let smem_elems t = t.smem
-  let reg_elems t = t.reg_elems
-
-  let blocks t =
-    if t.blocks >= 0 then t.blocks
-    else begin
-      let b =
-        List.fold_left
-          (fun acc i ->
-            let s = Idxset.slot i in
-            acc * ceil_div t.extents.(s) t.tiles.(s))
-          1 t.externals
-      in
-      t.blocks <- b;
-      b
-    end
-
-  let steps t =
-    List.fold_left
-      (fun acc i ->
-        let s = Idxset.slot i in
-        acc * ceil_div t.extents.(s) t.tiles.(s))
-      1 t.internals
-
-  (* [contiguous_run] on the scratch. *)
-  let run_of t indices =
-    let rec go acc = function
-      | [] -> acc
-      | i :: rest ->
-          let s = Idxset.slot i in
-          let tile = t.tiles.(s) in
-          if tile = t.extents.(s) then go (acc * tile) rest else acc * tile
-    in
-    go 1 indices
-
-  (* [store_run] on the scratch. *)
-  let store_run_of t =
-    let rec go acc = function
-      | [] -> acc
-      | i :: rest ->
-          if not (Idxset.mem i t.tbx_set) then acc
-          else
-            let s = Idxset.slot i in
-            let tile = t.tiles.(s) in
-            if tile = t.extents.(s) then go (acc * tile) rest else acc * tile
-    in
-    go 1 t.externals
-
-  (* [load_transactions] on the scratch (integer result). *)
-  let load_tx t indices =
-    let elems =
-      List.fold_left (fun acc i -> acc * t.tiles.(Idxset.slot i)) 1 indices
-    in
-    let run = run_of t indices in
-    let rows = ceil_div elems (max 1 t.width) in
-    let width = min t.width elems in
-    rows * sweep_transactions ~width ~run ~ept:t.ept
-
-  let cost_bounded t ~bound =
-    let steps = float_of_int (steps t) in
-    let blocks = float_of_int (blocks t) in
-    let lhs = float_of_int (load_tx t t.lhs_indices) *. steps *. blocks in
-    (* Each component is >= blocks >= 1, so a partial sum above the bound
-       already decides the comparison against every heap resident. *)
-    if lhs > bound then None
-    else
-      let rhs = float_of_int (load_tx t t.rhs_indices) *. steps *. blocks in
-      let partial = lhs +. rhs in
-      if partial > bound then None
-      else
-        let out =
-          float_of_int
-            (t.regs
-            * sweep_transactions ~width:t.width ~run:(store_run_of t)
-                ~ept:t.ept)
-          *. blocks
-        in
-        let total = partial +. out in
-        if total > bound then None else Some total
-end
 
 let rank prec problem mappings =
   (* Scoring is pure, so the fan-out over surviving mappings is safe to

@@ -17,10 +17,34 @@ val contiguous_run : Problem.t -> Mapping.t -> Index.t list -> int
     [indices] (FVI first): the product of leading tile sizes up to and
     including the first partially-tiled index. *)
 
+val run_of :
+  tile:(Index.t -> int) -> extent:(Index.t -> int) -> Index.t list -> int
+(** {!contiguous_run} over any tile and extent lookup — the form the
+    planner's per-side tables use. *)
+
 val store_run : Problem.t -> Mapping.t -> int
 (** Contiguous-run length for output stores: only [TB_x]-mapped indices
     vary within one store instruction, so the run stops at the first output
     index not mapped to [TB_x]. *)
+
+(** {2 Integer terms}
+
+    The per-tile transaction counts {!transactions} is built from.  The
+    streaming pipeline ({!Pipeline}) computes them from its per-side
+    tables and scales them exactly as {!transactions} does:
+    [lhs = float lhs_tile *. float steps *. float blocks], likewise
+    [rhs], [out = float out_block *. float blocks], and the total
+    [lhs +. rhs +. out], left to right. *)
+
+val sweep_transactions : width:int -> run:int -> ept:int -> int
+(** Transactions for one cooperative sweep of [width] threads over
+    segments of [run] contiguous elements, [ept] elements per
+    transaction.  The output store of one block costs
+    [REGx * REGy * sweep_transactions ~width:(TBx * TBy) ~run:store_run]. *)
+
+val tile_transactions : width:int -> elems:int -> run:int -> ept:int -> int
+(** Transactions to stage one [elems]-element input tile per step:
+    ceil([elems]/[width]) sweeps, none wider than the tile. *)
 
 type breakdown = {
   lhs : float;  (** transactions to load the lhs input over all steps/blocks *)
@@ -33,44 +57,6 @@ val total : Precision.t -> Problem.t -> Mapping.t -> float
 
 val bytes_moved : Precision.t -> Problem.t -> Mapping.t -> float
 (** [total * 128]. *)
-
-(** Incremental evaluator for the streaming pipeline.  One [Eval.t] per
-    worker replaces the per-candidate [Mapping.tile_of] list searches with
-    a shared tile-slot scratch (indexed by {!Tc_expr.Idxset.slot}) and
-    evaluates the breakdown components in charge order, abandoning a
-    candidate as soon as its partial sum exceeds the caller's bound.  Not
-    thread-safe: never share one evaluator across pool workers. *)
-module Eval : sig
-  type t
-
-  val create : Precision.t -> Problem.t -> t
-
-  val load : t -> Mapping.t -> unit
-  (** Load a candidate into the scratch.  Valid mappings all bind the same
-      index set, so consecutive loads need no reset. *)
-
-  val tile : t -> Index.t -> int
-  (** [Mapping.tile_of] of the loaded candidate, as an array read. *)
-
-  val blocks : t -> int
-  (** [Mapping.num_blocks] of the loaded candidate, memoized. *)
-
-  val threads : t -> int
-  (** [Mapping.threads_per_block] of the loaded candidate. *)
-
-  val smem_elems : t -> int
-  (** [Mapping.smem_elems] of the loaded candidate. *)
-
-  val reg_elems : t -> int
-  (** [Mapping.reg_elems_per_thread] of the loaded candidate. *)
-
-  val cost_bounded : t -> bound:float -> float option
-  (** Cost of the loaded candidate, or [None] when it exceeds [bound]
-      (possibly abandoning the evaluation early — each breakdown
-      component is strictly positive, so a partial sum above the bound is
-      conclusive).  [Some c] is bit-identical to [total prec problem m];
-      with [bound = infinity] it never returns [None]. *)
-end
 
 type tensor_charge = {
   tensor : string;  (** ["A"], ["B"] or ["C"] *)

@@ -45,13 +45,18 @@ let timed_phase name f =
 let generate_one (ctx : Ctx.t) ~topk problem =
   let arch = ctx.Ctx.arch and precision = ctx.Ctx.precision in
   let open Tc_obs in
+  (* Span arguments are built only under an installed trace: printing the
+     problem alone costs more than a cache hit. *)
+  let traced = Trace.enabled () in
   Trace.with_span "driver.generate"
     ~args:
-      [
-        ("problem", Trace.String (Format.asprintf "%a" Tc_expr.Problem.pp problem));
-        ("arch", Trace.String arch.Arch.name);
-        ("precision", Trace.String (Precision.to_string precision));
-      ]
+      (if traced then
+         [
+           ("problem", Trace.String (Format.asprintf "%a" Tc_expr.Problem.pp problem));
+           ("arch", Trace.String arch.Arch.name);
+           ("precision", Trace.String (Precision.to_string precision));
+         ]
+       else [])
   @@ fun () ->
   Metrics.incr (Metrics.counter "cogent.driver.generations");
   (* One streamed pass over the candidate space: enumerate → prune →
@@ -67,13 +72,14 @@ let generate_one (ctx : Ctx.t) ~topk problem =
                 ~topk:(max (max 1 ctx.Ctx.refine) (max 1 topk))
                 arch precision problem)
         in
-        Trace.add_args
-          [
-            ("enumerated", Trace.Int o.Pipeline.stats.Prune.enumerated);
-            ("kept", Trace.Int o.Pipeline.stats.Prune.kept);
-            ("bound_aborted", Trace.Int o.Pipeline.bound_aborted);
-            ("relaxed", Trace.Bool o.Pipeline.stats.Prune.relaxed);
-          ];
+        if traced then
+          Trace.add_args
+            [
+              ("enumerated", Trace.Int o.Pipeline.stats.Prune.enumerated);
+              ("kept", Trace.Int o.Pipeline.stats.Prune.kept);
+              ("bound_aborted", Trace.Int o.Pipeline.bound_aborted);
+              ("relaxed", Trace.Bool o.Pipeline.stats.Prune.relaxed);
+            ];
         o)
   in
   let prune_stats = outcome.Pipeline.stats in
@@ -152,7 +158,10 @@ let generate_one (ctx : Ctx.t) ~topk problem =
                      List.map (fun s -> (m, s)) (schemas_of m))
             in
             Trace.with_span "driver.refine"
-              ~args:[ ("candidates", Trace.Int (List.length candidates)) ]
+              ~args:
+                (if traced then
+                   [ ("candidates", Trace.Int (List.length candidates)) ]
+                 else [])
             @@ fun () ->
             timed_phase "refine" @@ fun () ->
             (* [candidates] starts with [top] under its first schema, so
@@ -178,13 +187,14 @@ let generate_one (ctx : Ctx.t) ~topk problem =
           m "selected %a [%s schema] (cost %.3e)" Mapping.pp plan.Plan.mapping
             (Schema.to_string plan.Plan.schema)
             plan.Plan.cost);
-      Trace.add_args
-        [
-          ("kept", Trace.Int prune_stats.Prune.kept);
-          ("selected_cost", Trace.Float plan.Plan.cost);
-          ("degraded", Trace.Bool degraded);
-          ("bound_aborted", Trace.Int outcome.Pipeline.bound_aborted);
-        ];
+      if traced then
+        Trace.add_args
+          [
+            ("kept", Trace.Int prune_stats.Prune.kept);
+            ("selected_cost", Trace.Float plan.Plan.cost);
+            ("degraded", Trace.Bool degraded);
+            ("bound_aborted", Trace.Int outcome.Pipeline.bound_aborted);
+          ];
       (* The accuracy observatory's driver-side hook: every selected
          plan's model cost lands in a histogram, so a ledger-less run
          still exposes the predicted-cost distribution.  Bucket counts

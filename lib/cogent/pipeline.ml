@@ -1,9 +1,15 @@
+open Tc_gpu
+open Tc_expr
+
 type outcome = {
   ranked : (Mapping.t * float) list;
   stats : Prune.stats;
   bound_aborted : int;
   degraded : bool;
 }
+
+let no_mapping =
+  { Mapping.tbx = []; regx = []; tby = []; regy = []; tbk = []; grid = [] }
 
 (* Bounded best-heap: the K cheapest candidates under the total order
    (cost, Mapping.compare).  A max-heap on that order keeps the current
@@ -16,11 +22,7 @@ module Topk = struct
 
   type t = { cap : int; mutable n : int; heap : entry array }
 
-  let dummy =
-    {
-      cost = nan;
-      m = { Mapping.tbx = []; regx = []; tby = []; regy = []; tbk = []; grid = [] };
-    }
+  let dummy = { cost = nan; m = no_mapping }
 
   let create cap =
     let cap = max 1 cap in
@@ -101,47 +103,199 @@ type chunk_out = {
    mode streams every survivor through the bounded evaluator. *)
 type mode = Heap of int | Feed of int
 
-(* One work unit: a fixed slice of the chunk stream, scanned with one
-   shared evaluator and one heap.  The slice boundaries depend only on
-   the chunk count — never on the job count — so unit outputs (and the
-   bound each unit's heap tightens as it goes) are reproducible at any
-   parallelism. *)
-let scan_chunks cands checker eval mode ~tallying ~lo ~hi =
+(* Per-search factor tables.  A candidate is a coordinate (x, y, k) of the
+   product X-side x Y-side x TB_k, and every term of the §IV-A rules and
+   of Algorithm 3 depends on at most two of the three: the lhs tile on
+   (x, k), the rhs tile on (y, k), threads/registers/blocks on (x, y).
+   One [side] per input holds its per-packing terms, and per (packing,
+   k) pair — at [p * num_tbk + k] — that input's contiguous run and FVI
+   tile. *)
+type side = {
+  tb : int array;  (* TB size *)
+  reg : int array;  (* REG size *)
+  blocks : int array;  (* prod ceil(extent / tile) over the input's externals *)
+  out_tile : int array;  (* tile of the output FVI; 1 when not on this side *)
+  run : int array;  (* (p, k): Cost.contiguous_run of the input's tile *)
+  fvi_tile : int array;  (* (p, k): tile of the input's FVI *)
+}
+
+type tables = {
+  x : side;
+  y : side;
+  store_run : int array;  (* Cost.store_run per X-side packing *)
+  tbk_size : int array;  (* TB_k size per packing *)
+  steps : float array;  (* Mapping.num_steps per TB_k packing *)
+}
+
+let ceil_div a b = (a + b - 1) / b
+
+let tables cands problem =
+  let info = Problem.info problem in
+  let extents = Array.make 26 1 in
+  List.iter
+    (fun i -> extents.(Idxset.slot i) <- Problem.extent problem i)
+    (Classify.all_indices info);
+  let extent i = extents.(Idxset.slot i) in
+  let nk = Candidates.num_tbk cands in
+  let tbks = Array.init nk (Candidates.tbk cands) in
+  let product f l = List.fold_left (fun acc x -> acc * f x) 1 l in
+  let tile_size = product (fun b -> b.Mapping.tile) in
+  (* Tiles of one input's indices, by slot: the side's externals (1 =
+     grid) and the internals of the current TB_k packing. *)
+  let side n side_of ~externals ~indices ~fvi =
+    let tiles = Array.make 26 1 in
+    let tile i = tiles.(Idxset.slot i) in
+    let bind =
+      List.iter (fun b -> tiles.(Idxset.slot b.Mapping.index) <- b.Mapping.tile)
+    in
+    let t =
+      {
+        tb = Array.make n 0;
+        reg = Array.make n 0;
+        blocks = Array.make n 0;
+        out_tile = Array.make n 0;
+        run = Array.make (n * nk) 0;
+        fvi_tile = Array.make (n * nk) 0;
+      }
+    in
+    for p = 0 to n - 1 do
+      let s : Enumerate.side = side_of cands p in
+      List.iter (fun i -> tiles.(Idxset.slot i) <- 1) externals;
+      bind s.Enumerate.tb;
+      bind s.Enumerate.reg;
+      t.tb.(p) <- tile_size s.Enumerate.tb;
+      t.reg.(p) <- tile_size s.Enumerate.reg;
+      t.blocks.(p) <- product (fun i -> ceil_div (extent i) (tile i)) externals;
+      t.out_tile.(p) <- tile info.Classify.out_fvi;
+      for k = 0 to nk - 1 do
+        bind tbks.(k);
+        t.run.((p * nk) + k) <- Cost.run_of ~tile ~extent indices;
+        t.fvi_tile.((p * nk) + k) <- tile fvi
+      done
+    done;
+    t
+  in
+  let expr = info.Classify.expr in
+  {
+    x =
+      side (Candidates.num_chunks cands) Candidates.x_side
+        ~externals:info.Classify.lhs_externals ~indices:expr.Ast.lhs.Ast.indices
+        ~fvi:info.Classify.lhs_fvi;
+    y =
+      side (Candidates.num_y cands) Candidates.y_side
+        ~externals:info.Classify.rhs_externals ~indices:expr.Ast.rhs.Ast.indices
+        ~fvi:info.Classify.rhs_fvi;
+    (* The store run reads only TB_x tiles. *)
+    store_run =
+      Array.init (Candidates.num_chunks cands) (fun p ->
+          Cost.store_run problem
+            { no_mapping with tbx = (Candidates.x_side cands p).Enumerate.tb });
+    tbk_size = Array.map tile_size tbks;
+    steps =
+      Array.map
+        (fun l ->
+          float_of_int
+            (product
+               (fun b -> ceil_div (extent b.Mapping.index) b.Mapping.tile)
+               l))
+        tbks;
+  }
+
+(* Cost.tile_transactions of one input's tile at (p, k): its elements are
+   the side's TB and REG tiles times the TB_k tiles. *)
+let load_tx s ~width ~size_k ~ept p pk =
+  Cost.tile_transactions ~width
+    ~elems:(s.tb.(p) * s.reg.(p) * size_k)
+    ~run:s.run.(pk) ~ept
+
+(* The grid of (x, y), computed once and only when a candidate of that
+   pair needs its Mapping.t. *)
+let grid_of cands grid xi yi =
+  match !grid with
+  | Some g -> g
+  | None ->
+      let g = Candidates.grid cands xi yi in
+      grid := Some g;
+      g
+
+(* One work unit: a fixed slice of the chunk (X-side) range, scanned with
+   one heap.  The slice boundaries depend only on the chunk count — never
+   on the job count — so unit outputs (and the bound each unit's heap
+   tightens as it goes) are reproducible at any parallelism.  Candidates
+   are visited in ascending (x, y, k) order, the stream order of
+   {!Candidates.iter_chunk}; the cost is the float expression of
+   {!Cost.transactions}, term by term, aborted as soon as a partial sum
+   exceeds the heap bound (each term is >= blocks >= 1). *)
+let scan_chunks cands tabs checker prec mode ~tallying ~lo ~hi =
   let tally = Array.make Prune.num_reasons 0 in
   let kept = ref 0 and aborted = ref 0 and n_fed = ref 0 in
   let fed = ref [] in
   let heap =
     match mode with Heap cap -> Topk.create cap | Feed _ -> Topk.create 1
   in
-  let tile i = Cost.Eval.tile eval i in
-  let blocks () = Cost.Eval.blocks eval in
-  let visit m =
-    Cost.Eval.load eval m;
-    match
-      Prune.check_stream checker ~threads:(Cost.Eval.threads eval)
-        ~smem_elems:(Cost.Eval.smem_elems eval)
-        ~reg_elems:(Cost.Eval.reg_elems eval) ~tile ~blocks
-    with
-    | Some r ->
-        if tallying then begin
-          let k = Prune.reason_index r in
-          tally.(k) <- tally.(k) + 1
+  let ept = Precision.elems_per_transaction prec in
+  let bytes = Precision.bytes prec in
+  let x = tabs.x and y = tabs.y and nk = Array.length tabs.tbk_size in
+  for xi = lo to hi - 1 do
+    for yi = 0 to Array.length y.tb - 1 do
+      let width = x.tb.(xi) * y.tb.(yi) in
+      let regx = x.reg.(xi) and regy = y.reg.(yi) in
+      let smem_row = (x.tb.(xi) * regx) + (y.tb.(yi) * regy) in
+      let regs = Prune.regs_of_elems prec ((regx * regy) + regx + regy) in
+      let blocks = x.blocks.(xi) * y.blocks.(yi) in
+      let fblocks = float_of_int blocks in
+      let out_tile = x.out_tile.(xi) * y.out_tile.(yi) in
+      let out_tx =
+        regx * regy
+        * Cost.sweep_transactions ~width ~run:tabs.store_run.(xi) ~ept
+      in
+      let grid = ref None in
+      for k = 0 to nk - 1 do
+        let xk = (xi * nk) + k and yk = (yi * nk) + k in
+        let r =
+          Prune.verdict checker ~threads:width
+            ~smem:(smem_row * tabs.tbk_size.(k) * bytes)
+            ~regs ~blocks ~out_tile ~lhs_tile:x.fvi_tile.(xk)
+            ~rhs_tile:y.fvi_tile.(yk)
+        in
+        if r >= 0 then begin
+          if tallying then tally.(r) <- tally.(r) + 1
         end
-    | None -> (
-        incr kept;
-        match mode with
-        | Feed maxfeed ->
-            if !n_fed < maxfeed then begin
-              fed := m :: !fed;
-              incr n_fed
-            end
-        | Heap _ -> (
-            match Cost.Eval.cost_bounded eval ~bound:(Topk.bound heap) with
-            | None -> incr aborted
-            | Some c -> if not (Topk.insert heap m c) then incr aborted))
-  in
-  for chunk_i = lo to hi - 1 do
-    Candidates.iter_chunk cands chunk_i visit
+        else begin
+          incr kept;
+          match mode with
+          | Feed maxfeed ->
+              if !n_fed < maxfeed then begin
+                let grid = grid_of cands grid xi yi in
+                fed := Candidates.mapping cands ~grid xi yi k :: !fed;
+                incr n_fed
+              end
+          | Heap _ ->
+              let bound = Topk.bound heap in
+              let steps = tabs.steps.(k) in
+              let size_k = tabs.tbk_size.(k) in
+              let lhs =
+                float_of_int (load_tx x ~width ~size_k ~ept xi xk)
+                *. steps *. fblocks
+              in
+              if lhs > bound then incr aborted
+              else
+                let rhs =
+                  float_of_int (load_tx y ~width ~size_k ~ept yi yk)
+                  *. steps *. fblocks
+                in
+                let partial = lhs +. rhs in
+                if partial > bound then incr aborted
+                else
+                  let total = partial +. (float_of_int out_tx *. fblocks) in
+                  if total > bound then incr aborted
+                  else
+                    let grid = grid_of cands grid xi yi in
+                    let m = Candidates.mapping cands ~grid xi yi k in
+                    if not (Topk.insert heap m total) then incr aborted
+        end
+      done
+    done
   done;
   let top = ref [] in
   Topk.iter heap (fun m c -> top := (m, c) :: !top);
@@ -160,6 +314,7 @@ let work_units = 16
 
 let search ?(performance = true) ?budget ~topk arch prec problem =
   let cands = Candidates.create problem in
+  let tabs = tables cands problem in
   let enumerated = Candidates.count cands in
   let nchunks = Candidates.num_chunks cands in
   let units = min work_units nchunks in
@@ -176,8 +331,9 @@ let search ?(performance = true) ?budget ~topk arch prec problem =
     | None -> Heap (max 1 topk)
   in
   (* One pass over the whole candidate stream with a given rule set.
-     Workers are pure: each chunk gets its own evaluator and heap, and
-     metrics/trace emission stays on the calling domain after the merge. *)
+     Workers are pure: each work unit gets its own heap and only reads the
+     shared tables, and metrics/trace emission stays on the calling domain
+     after the merge. *)
   let pass checker ~tallying =
     let tally = Array.make Prune.num_reasons 0 in
     let heap =
@@ -186,8 +342,7 @@ let search ?(performance = true) ?budget ~topk arch prec problem =
     let kept, aborted, _, fed_rev =
       Tc_par.Pool.map_fold slices
         ~map:(fun (lo, hi) ->
-          scan_chunks cands checker (Cost.Eval.create prec problem) mode
-            ~tallying ~lo ~hi)
+          scan_chunks cands tabs checker prec mode ~tallying ~lo ~hi)
         ~init:(0, 0, 0, [])
         ~fold:(fun (kept, aborted, n_fed, fed_rev) c ->
           if tallying then

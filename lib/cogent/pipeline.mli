@@ -1,16 +1,24 @@
 (** Fused streaming planner: enumerate → prune → rank as one candidate
-    pipeline with branch-and-bound cost pruning.
+    scan with branch-and-bound cost pruning.
 
-    The legacy hot path materializes three intermediate lists
+    The legacy path materializes three intermediate lists
     ({!Enumerate.enumerate}, {!Prune.filter}, {!Cost.rank}).  [search]
-    instead streams each candidate from {!Candidates} through the
-    {!Prune.check_stream} rules and an incremental {!Cost.Eval}
-    evaluation that aborts as soon as the candidate's partial
-    transaction count exceeds the cost of the current K-th best (a
-    bounded best-heap ordered by (cost, {!Mapping.compare})).
+    instead scans the product X-side × Y-side × TB_k of {!Candidates} as
+    coordinates.  Per search it builds one table per input side (TB and
+    REG sizes, block product, output-FVI tile and, per TB_k packing, the
+    input's contiguous run and FVI tile) plus the TB_k sizes and step
+    counts; per (x, y) pair it derives threads, registers, blocks and the
+    output-store transactions.  The innermost TB_k loop then runs the
+    §IV-A rules as {!Prune.verdict}, one int function, and the
+    Algorithm-3 cost in the float operation order of {!Cost.transactions},
+    abandoned as soon as a partial sum exceeds the cost of the current
+    K-th best (a bounded best-heap ordered by (cost, {!Mapping.compare})).
+    A [Mapping.t] is built only for a heap entrant or a budget-fed
+    survivor.
 
-    Equivalences with the legacy path, locked by a property test in
-    [test/test_cogent.ml]:
+    Equivalences with the legacy path, locked by property tests in
+    [test/test_cogent.ml] on the four benchmark targets, with and without
+    the performance rules:
 
     {ul
     {- the ranked result equals the first [topk] entries of
@@ -22,11 +30,12 @@
        order are ranked in full, like the legacy truncate-then-rank
        path, and [degraded] is set iff survivors were dropped.}}
 
-    Determinism: the parallel fan-out is over {!Candidates.iter_chunk}
-    chunks via {!Tc_par.Pool.map_fold}.  Chunk boundaries depend only on
-    the problem, per-chunk tallies/heaps merge in chunk order, and the
-    heap order is total — so every field of [outcome], including
-    [bound_aborted], is bit-identical at any job count. *)
+    Determinism: the parallel fan-out is over fixed slices of the X-side
+    chunks ({!Candidates.iter_chunk}) via {!Tc_par.Pool.map_fold}.  Slice
+    boundaries depend only on the problem, per-slice tallies/heaps merge
+    in slice order, and the heap order is total — so every field of
+    [outcome], including [bound_aborted], is bit-identical at any job
+    count. *)
 
 open Tc_gpu
 open Tc_expr

@@ -47,10 +47,12 @@ let min_occupancy = 0.25
 let min_blocks_factor = 2
 let min_fvi_tile = 4
 
+(* sub-word scalars (fp16) still occupy whole registers *)
+let regs_of_elems prec reg_elems =
+  (max 1 (Precision.bytes prec / 4) * reg_elems) + 32
+
 let regs_per_thread prec mapping =
-  (* sub-word scalars (fp16) still occupy whole registers *)
-  let factor = max 1 (Precision.bytes prec / 4) in
-  (factor * Mapping.reg_elems_per_thread mapping) + 32
+  regs_of_elems prec (Mapping.reg_elems_per_thread mapping)
 
 let smem_bytes prec mapping =
   Mapping.smem_elems mapping * Precision.bytes prec
@@ -92,12 +94,8 @@ let all_classes =
   [ Hardware; Perf_occupancy; Perf_blocks; Perf_coalescing_out;
     Perf_coalescing_in ]
 
-(* Streaming checker: the constraint list of §IV-A with the per-candidate
-   work hoisted out.  Checks run in the same order as the historical
-   eagerly-built constraint list — first violation wins — but occupancy is
-   computed lazily (it is the expensive check and is skipped entirely once
-   an earlier rule fires or when neither the Hardware nor the
-   Perf_occupancy class is active). *)
+(* The constraint list of §IV-A with everything per-problem hoisted into a
+   [checker]: FVI thresholds, the block floor and class membership. *)
 type checker = {
   arch : Arch.t;
   prec : Precision.t;
@@ -108,6 +106,7 @@ type checker = {
   lhs_fvi_min : int;
   rhs_fvi_min : int;
   min_blocks : int;
+  max_warps : float;  (* warps per SM, the occupancy denominator *)
   chk_hardware : bool;
   chk_occupancy : bool;
   chk_blocks : bool;
@@ -128,6 +127,8 @@ let checker_of_classes classes arch prec problem =
     lhs_fvi_min = fvi_min info.Classify.lhs_fvi;
     rhs_fvi_min = fvi_min info.Classify.rhs_fvi;
     min_blocks = min_blocks_factor * arch.Arch.sms;
+    max_warps =
+      float_of_int (arch.Arch.max_threads_per_sm / arch.Arch.warp_size);
     chk_hardware = List.mem Hardware classes;
     chk_occupancy = List.mem Perf_occupancy classes;
     chk_blocks = List.mem Perf_blocks classes;
@@ -139,54 +140,96 @@ let checker ?(performance = true) arch prec problem =
   checker_of_classes (if performance then all_classes else [ Hardware ])
     arch prec problem
 
-let check_stream c ~threads ~smem_elems ~reg_elems ~tile ~blocks =
-  let bytes = Precision.bytes c.prec in
-  let smem = smem_elems * bytes in
-  let regs = (max 1 (bytes / 4) * reg_elems) + 32 in
-  let occ =
-    lazy
-      (Occupancy.calculate c.arch
-         {
-           Occupancy.threads_per_block = threads;
-           smem_per_block = smem;
-           regs_per_thread = min 255 regs;
-         })
-  in
-  if c.chk_hardware && threads > c.arch.Arch.max_threads_per_block then
-    Some Too_many_threads
-  else if c.chk_hardware && smem > c.arch.Arch.smem_per_block then
-    Some Smem_overflow
-  else if
-    c.chk_hardware
-    && not
-         (regs <= c.arch.Arch.regs_per_thread_max
-         && (Lazy.force occ).Occupancy.limiter <> Occupancy.Invalid)
-  then Some Regs_overflow
-  else if c.chk_occupancy && (Lazy.force occ).Occupancy.occupancy < min_occupancy
-  then Some Low_occupancy
-  else if c.chk_occupancy && threads < c.arch.Arch.warp_size then
-    Some Too_few_threads
-  else if c.chk_blocks && blocks () < c.min_blocks then Some Too_few_blocks
-  else if c.chk_out && tile c.out_fvi < c.out_fvi_min then Some Uncoalesced_out
-  else if c.chk_in && tile c.lhs_fvi < c.lhs_fvi_min then Some Uncoalesced_lhs
-  else if c.chk_in && tile c.rhs_fvi < c.rhs_fvi_min then Some Uncoalesced_rhs
-  else None
+(* [Occupancy.calculate]'s active warps per SM as int arithmetic: -1 for
+   a request it calls [Invalid], 0 when one block over-subscribes the SM
+   (limiter registers, shared memory or threads, occupancy 0). *)
+let active_warps (a : Arch.t) ~threads ~smem ~regs =
+  if
+    threads <= 0
+    || threads > a.max_threads_per_block
+    || smem > a.smem_per_block
+    || regs > a.regs_per_thread_max
+    || smem < 0 || regs < 0
+  then -1
+  else
+    let warps = (threads + a.warp_size - 1) / a.warp_size in
+    let limit_threads = a.max_threads_per_sm / (warps * a.warp_size) in
+    let limit_smem =
+      if smem = 0 then a.max_blocks_per_sm else a.smem_per_sm / smem
+    in
+    let limit_regs =
+      if regs = 0 then a.max_blocks_per_sm
+      else a.regs_per_sm / (regs * warps * a.warp_size)
+    in
+    Int.min (Int.min limit_threads limit_smem)
+      (Int.min limit_regs a.max_blocks_per_sm)
+    * warps
 
-let check_classes classes arch prec problem mapping =
-  let c = checker_of_classes classes arch prec problem in
+(* Position in [all_reasons]: the int code [verdict] returns. *)
+let reason_index = function
+  | Too_many_threads -> 0
+  | Too_few_threads -> 1
+  | Smem_overflow -> 2
+  | Regs_overflow -> 3
+  | Low_occupancy -> 4
+  | Too_few_blocks -> 5
+  | Uncoalesced_out -> 6
+  | Uncoalesced_lhs -> 7
+  | Uncoalesced_rhs -> 8
+
+(* The rules, in the order of the historical eagerly-built constraint
+   list — first violation wins.  Int codes keep the hot loop free of
+   allocation. *)
+let verdict c ~threads ~smem ~regs ~blocks ~out_tile ~lhs_tile ~rhs_tile =
+  let a = c.arch in
+  if c.chk_hardware && threads > a.Arch.max_threads_per_block then
+    reason_index Too_many_threads
+  else if c.chk_hardware && smem > a.Arch.smem_per_block then
+    reason_index Smem_overflow
+  else
+    let warps =
+      if c.chk_hardware || c.chk_occupancy then
+        active_warps a ~threads ~smem ~regs:(Int.min 255 regs)
+      else 0
+    in
+    if c.chk_hardware && (regs > a.Arch.regs_per_thread_max || warps < 0)
+    then reason_index Regs_overflow
+    else if
+      c.chk_occupancy
+      && float_of_int (Int.max 0 warps) /. c.max_warps < min_occupancy
+    then reason_index Low_occupancy
+    else if c.chk_occupancy && threads < a.Arch.warp_size then
+      reason_index Too_few_threads
+    else if c.chk_blocks && blocks < c.min_blocks then
+      reason_index Too_few_blocks
+    else if c.chk_out && out_tile < c.out_fvi_min then
+      reason_index Uncoalesced_out
+    else if c.chk_in && lhs_tile < c.lhs_fvi_min then
+      reason_index Uncoalesced_lhs
+    else if c.chk_in && rhs_tile < c.rhs_fvi_min then
+      reason_index Uncoalesced_rhs
+    else -1
+
+let reasons = Array.of_list all_reasons
+let reason_of_index k = reasons.(k)
+let num_reasons = Array.length reasons
+
+let check_with c problem mapping =
+  let tile = Mapping.tile_of mapping in
   match
-    check_stream c
+    verdict c
       ~threads:(Mapping.threads_per_block mapping)
-      ~smem_elems:(Mapping.smem_elems mapping)
-      ~reg_elems:(Mapping.reg_elems_per_thread mapping)
-      ~tile:(Mapping.tile_of mapping)
-      ~blocks:(fun () -> Mapping.num_blocks problem mapping)
+      ~smem:(smem_bytes c.prec mapping)
+      ~regs:(regs_per_thread c.prec mapping)
+      ~blocks:(Mapping.num_blocks problem mapping)
+      ~out_tile:(tile c.out_fvi) ~lhs_tile:(tile c.lhs_fvi)
+      ~rhs_tile:(tile c.rhs_fvi)
   with
-  | None -> Ok ()
-  | Some r -> Error r
+  | -1 -> Ok ()
+  | k -> Error (reason_of_index k)
 
 let check arch prec problem mapping =
-  check_classes all_classes arch prec problem mapping
+  check_with (checker arch prec problem) problem mapping
 
 type stats = {
   enumerated : int;
@@ -201,21 +244,12 @@ type stats = {
 let pruned_count s reason =
   Option.value ~default:0 (List.assoc_opt reason s.pruned)
 
-(* Reject tallies are int arrays indexed by declaration order: cheap to
+(* Reject tallies are int arrays indexed by [reason_index]: cheap to
    bump in the streaming hot loop and trivially summed across the
    pipeline's parallel chunks.  [stats_of_tally] renders them in one
    canonical order — count-descending, declaration order on ties (the
    sort is stable) — so a tally produced chunk-by-chunk yields the exact
    [stats] value of a single sequential pass. *)
-let reason_index r =
-  let rec go k = function
-    | [] -> assert false
-    | r' :: rest -> if r' = r then k else go (k + 1) rest
-  in
-  go 0 all_reasons
-
-let num_reasons = List.length all_reasons
-
 let stats_of_tally ~enumerated ~kept ~relaxed ~relax_attempts counts =
   let pruned =
     List.filter_map
@@ -300,9 +334,10 @@ let filter ?(performance = true) arch prec problem mappings =
   let tally = Array.make num_reasons 0 in
   let primary = if performance then all_classes else [ Hardware ] in
   let run classes =
+    let c = checker_of_classes classes arch prec problem in
     List.filter
       (fun m ->
-        match check_classes classes arch prec problem m with
+        match check_with c problem m with
         | Ok () -> true
         | Error r ->
             if classes == primary then

@@ -53,13 +53,18 @@ val regs_per_thread : Precision.t -> Mapping.t -> int
     FP64, registers being 32-bit) plus a fixed allowance for index
     arithmetic. *)
 
+val regs_of_elems : Precision.t -> int -> int
+(** [regs_per_thread] from a precomputed
+    [Mapping.reg_elems_per_thread]. *)
+
 val smem_bytes : Precision.t -> Mapping.t -> int
 
 val occupancy : Arch.t -> Precision.t -> Mapping.t -> Occupancy.result
 
 val check :
   Arch.t -> Precision.t -> Problem.t -> Mapping.t -> (unit, reason) result
-(** First violated constraint, hardware constraints checked first. *)
+(** First violated constraint, hardware constraints checked first — the
+    {!verdict} of the full class set on the mapping's sizes. *)
 
 type stats = {
   enumerated : int;
@@ -92,12 +97,12 @@ val filter :
 
 (** {2 Streaming interface}
 
-    The fused planner pipeline ({!Pipeline}) checks candidates one at a
-    time without materializing the enumeration.  A {!checker} hoists
-    everything per-problem out of the hot loop (FVI slots, thresholds,
-    class membership); {!check_stream} then needs only the per-candidate
-    tile lookup and a lazy block count from the caller's shared scratch
-    state. *)
+    The fused planner pipeline ({!Pipeline}) checks candidates without
+    materializing them.  A {!checker} hoists everything per-problem out of
+    the hot loop (FVI thresholds, block floor, class membership);
+    {!verdict} is then one allocation-free int function of the
+    candidate's sizes.  It is the only implementation of the rules:
+    {!check} and {!filter} call it too. *)
 
 type checker
 (** Per-problem constraint context for one class set. *)
@@ -110,23 +115,24 @@ val checker_of_classes :
   klass list -> Arch.t -> Precision.t -> Problem.t -> checker
 (** Checker for an explicit class set (the relaxation passes). *)
 
-val check_stream :
+val verdict :
   checker ->
   threads:int ->
-  smem_elems:int ->
-  reg_elems:int ->
-  tile:(Tc_tensor.Index.t -> int) ->
-  blocks:(unit -> int) ->
-  reason option
-(** First violated constraint of the checker's classes, in the exact rule
-    order of {!check} — [None] means the candidate survives.  The caller
-    supplies the candidate's hoisted size products
-    ([Mapping.threads_per_block] / [smem_elems] / [reg_elems_per_thread] —
-    the streaming pipeline computes them once per candidate in
-    {!Cost.Eval}), a [tile] lookup behaving like [Mapping.tile_of], and a
-    [blocks] thunk behaving like [Mapping.num_blocks] (called at most
-    once, only if the block rule is reached).  Occupancy is computed
-    lazily at most once. *)
+  smem:int ->
+  regs:int ->
+  blocks:int ->
+  out_tile:int ->
+  lhs_tile:int ->
+  rhs_tile:int ->
+  int
+(** First violated constraint of the checker's classes, as its
+    {!reason_index}, in the rule order of {!check}; [-1] means the
+    candidate survives.  The arguments are the candidate's
+    [Mapping.threads_per_block], {!smem_bytes}, {!regs_per_thread} (not
+    clamped), [Mapping.num_blocks] and the tiles of the output, lhs and
+    rhs FVIs.  The occupancy rules use the arithmetic of
+    [Occupancy.calculate] inlined (registers clamped to 255, as in
+    {!occupancy}), so the verdict never allocates. *)
 
 val relax_attempts_classes : klass list list
 (** The relaxation ladder {!filter} walks when the strict pass keeps
@@ -134,8 +140,11 @@ val relax_attempts_classes : klass list list
     streaming pipeline degrades identically. *)
 
 val reason_index : reason -> int
-(** Position of a reason in {!all_reasons} — the tally-array slot used by
-    {!stats_of_tally}. *)
+(** Position of a reason in {!all_reasons} — the code {!verdict} returns
+    and the tally-array slot used by {!stats_of_tally}. *)
+
+val reason_of_index : int -> reason
+(** Inverse of {!reason_index}. *)
 
 val num_reasons : int
 

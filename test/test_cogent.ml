@@ -228,9 +228,9 @@ let candidates_match_enumerate =
 (* The legacy planner hot path, phase by phase, as Driver.generate_one
    composed it before the fused pipeline: materialize the enumeration,
    filter, truncate to the search budget, rank everything. *)
-let legacy_search ?budget ~topk arch prec problem =
+let legacy_search ?performance ?budget ~topk arch prec problem =
   let configs = Enumerate.enumerate problem in
-  let kept, stats = Prune.filter arch prec problem configs in
+  let kept, stats = Prune.filter ?performance arch prec problem configs in
   let kept, degraded =
     match budget with
     | Some b when List.length kept > max 1 b ->
@@ -271,6 +271,45 @@ let test_pipeline_bound_aborts () =
      doing real work. *)
   check Alcotest.bool "bound aborts happen" true (o.Pipeline.bound_aborted > 0)
 
+(* The four targets of the benchmark suite: the rules inline the
+   occupancy arithmetic and the precision byte widths, so every device and
+   precision pair must agree with the materialized phases. *)
+let bench_targets =
+  [
+    (Arch.p100, Precision.FP64);
+    (Arch.v100, Precision.FP64);
+    (Arch.v100, Precision.FP32);
+    (Arch.a100, Precision.FP16);
+  ]
+
+(* Gen extents (1..6) never come near the SMEM, register or occupancy
+   limits, so the byte widths only show on real sizes: every TCCG suite
+   entry on every target, with and without the performance rules. *)
+let test_pipeline_suite_targets () =
+  List.iter
+    (fun entry ->
+      let problem = Tc_tccg.Suite.problem entry in
+      List.iter
+        (fun (arch, prec) ->
+          List.iter
+            (fun performance ->
+              let ranked, stats, _ =
+                legacy_search ~performance ~topk:8 arch prec problem
+              in
+              let o = Pipeline.search ~performance ~topk:8 arch prec problem in
+              let what =
+                Printf.sprintf "%s %s/%s performance:%b"
+                  entry.Tc_tccg.Suite.name arch.Arch.name
+                  (Precision.to_string prec) performance
+              in
+              check Alcotest.bool (what ^ " stats") true
+                (o.Pipeline.stats = stats);
+              check Alcotest.bool (what ^ " ranked") true
+                (ranked_equal o.Pipeline.ranked ranked))
+            [ true; false ])
+        bench_targets)
+    Tc_tccg.Suite.all
+
 let streamed_matches_legacy ?budget () =
   QCheck.Test.make ~count:40
     ~name:
@@ -279,23 +318,72 @@ let streamed_matches_legacy ?budget () =
       | Some b -> Printf.sprintf "streamed pipeline == budget-%d path" b)
     Gen.case_arbitrary (fun c ->
       let problem = c.Gen.problem in
-      let arch = Tc_gpu.Arch.v100 and prec = Tc_gpu.Precision.FP64 in
       let topk = 8 in
-      let legacy_ranked, legacy_stats, legacy_degraded =
-        legacy_search ?budget ~topk arch prec problem
+      let agrees (arch, prec) performance =
+        let legacy_ranked, legacy_stats, legacy_degraded =
+          legacy_search ~performance ?budget ~topk arch prec problem
+        in
+        let at_jobs jobs =
+          Tc_par.Pool.set_default_jobs jobs;
+          let o = Pipeline.search ~performance ?budget ~topk arch prec problem in
+          o.Pipeline.stats = legacy_stats
+          && o.Pipeline.degraded = legacy_degraded
+          && ranked_equal o.Pipeline.ranked legacy_ranked
+        in
+        at_jobs 1 && at_jobs 4
       in
-      let at_jobs jobs =
-        Tc_par.Pool.set_default_jobs jobs;
-        let o = Pipeline.search ?budget ~topk arch prec problem in
-        o.Pipeline.stats = legacy_stats
-        && o.Pipeline.degraded = legacy_degraded
-        && ranked_equal o.Pipeline.ranked legacy_ranked
+      let ok =
+        List.for_all
+          (fun target -> agrees target true && agrees target false)
+          bench_targets
       in
-      let ok = at_jobs 1 && at_jobs 4 in
       Tc_par.Pool.set_default_jobs 1;
       ok)
 
 (* ---- Prune ---- *)
+
+let verdict_matches_occupancy =
+  QCheck.Test.make ~count:5000
+    ~name:"int rule verdict == Occupancy.calculate verdict"
+    Gen.rule_case_arbitrary (fun c ->
+      let occ, expected = Gen.verdict_ref c in
+      let checker =
+        Prune.checker_of_classes c.Gen.r_classes c.Gen.r_arch Precision.FP64
+          c.Gen.r_problem
+      in
+      let got =
+        Prune.verdict checker ~threads:c.Gen.r_threads ~smem:c.Gen.r_smem
+          ~regs:c.Gen.r_regs ~blocks:c.Gen.r_blocks ~out_tile:c.Gen.r_out_tile
+          ~lhs_tile:c.Gen.r_lhs_tile ~rhs_tile:c.Gen.r_rhs_tile
+      in
+      (* The generator must reach the region it claims: zero-fit requests
+         are valid (limiter not Invalid) yet occupy nothing. *)
+      let reached =
+        match c.Gen.r_kind with
+        | Gen.Any_request -> true
+        | Gen.Valid_request -> occ.Occupancy.limiter <> Occupancy.Invalid
+        | Gen.Invalid_request ->
+            occ.Occupancy.limiter = Occupancy.Invalid
+        | Gen.Zero_fit_request ->
+            occ.Occupancy.limiter <> Occupancy.Invalid
+            && occ.Occupancy.active_blocks_per_sm = 0
+            && occ.Occupancy.occupancy = 0.0
+      in
+      reached
+      &&
+      match expected with
+      | None -> got = -1
+      | Some r -> got >= 0 && Prune.reason_of_index got = r)
+
+let test_prune_reason_codes () =
+  List.iteri
+    (fun k r ->
+      check Alcotest.int (Prune.reason_slug r) k (Prune.reason_index r);
+      check Alcotest.string "inverse" (Prune.reason_slug r)
+        (Prune.reason_slug (Prune.reason_of_index k)))
+    Prune.all_reasons;
+  check Alcotest.int "num_reasons" (List.length Prune.all_reasons)
+    Prune.num_reasons
 
 let test_prune_smem_overflow () =
   (* (16*8 + 16*8) * 32 * 8B = 64 KB > 48 KB *)
@@ -954,6 +1042,8 @@ let () =
             test_pipeline_eq1;
           Alcotest.test_case "bound aborts tallied distinctly" `Quick
             test_pipeline_bound_aborts;
+          Alcotest.test_case "suite streamed = legacy on every target" `Quick
+            test_pipeline_suite_targets;
           Gen.to_alcotest (streamed_matches_legacy ());
           Gen.to_alcotest (streamed_matches_legacy ~budget:3 ());
         ] );
@@ -968,6 +1058,9 @@ let () =
           Alcotest.test_case "filter statistics" `Quick test_prune_filter_stats;
           Alcotest.test_case "relaxation for tiny problems" `Quick
             test_prune_relaxation;
+          Alcotest.test_case "reason codes follow declaration order" `Quick
+            test_prune_reason_codes;
+          Gen.to_alcotest verdict_matches_occupancy;
         ] );
       ( "cost",
         [
