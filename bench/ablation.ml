@@ -23,13 +23,15 @@ let plan_of problem mapping =
   Cogent.Plan.make ~problem ~mapping ~arch ~precision:prec
 
 (* Studies 1 and 2 sweep *every* surviving configuration (oracle search,
-   rank correlation), which the streaming driver deliberately no longer
-   materializes — so they run the classic enumerate → prune → rank phases
-   directly. *)
+   rank correlation): the planner's search with a heap as large as the
+   candidate space keeps them all. *)
 let full_ranking problem =
-  let configs = Cogent.Enumerate.enumerate problem in
-  let kept, _ = Cogent.Prune.filter arch prec problem configs in
-  Cogent.Cost.rank prec problem kept
+  (Cogent.Pipeline.search ~topk:max_int arch prec problem).Cogent.Pipeline.ranked
+
+(* The driver's plan, refined on the simulator. *)
+let refined ?auto_split problem =
+  let ctx = Cogent.Ctx.make ~arch ~precision:prec ~measure:simulate () in
+  simulate (Cogent.Driver.run_exn ctx ?auto_split problem).Cogent.Driver.plan
 
 (* Geomean of a/b over pairs, dropping non-finite ratios so a degenerate
    study cannot poison the JSON report. *)
@@ -82,11 +84,7 @@ let selection () =
           | (m, _) :: _ -> simulate (plan_of problem m)
           | [] -> nan
         in
-        let refined =
-          simulate
-            (Cogent.Driver.best_plan ~arch ~precision:prec ~measure:simulate
-               problem)
-        in
+        let refined = refined problem in
         let oracle =
           List.fold_left
             (fun acc (m, _) -> Float.max acc (simulate (plan_of problem m)))
@@ -158,14 +156,13 @@ let constraints () =
     Tc_par.Pool.map
       (fun e ->
         let problem = Tc_tccg.Suite.problem e in
-        let configs = Cogent.Enumerate.enumerate problem in
         let pick performance =
-          let kept, _ =
-            Cogent.Prune.filter ~performance arch prec problem configs
-          in
-          match Cogent.Cost.best prec problem kept with
-          | Some (m, _) -> Some (simulate (plan_of problem m))
-          | None -> None
+          match
+            (Cogent.Pipeline.search ~performance ~topk:1 arch prec problem)
+              .Cogent.Pipeline.ranked
+          with
+          | (m, _) :: _ -> Some (simulate (plan_of problem m))
+          | [] -> None
         in
         match (pick true, pick false) with
         | Some full, Some hw -> Some (e, full, hw)
@@ -223,16 +220,8 @@ let splitting () =
         let _, applied = Tc_expr.Split.auto problem in
         if applied = [] then None
         else
-          let base =
-            simulate
-              (Cogent.Driver.best_plan ~arch ~precision:prec ~measure:simulate
-                 problem)
-          in
-          let split =
-            simulate
-              (Cogent.Driver.best_plan ~arch ~precision:prec ~measure:simulate
-                 ~auto_split:true problem)
-          in
+          let base = refined problem in
+          let split = refined ~auto_split:true problem in
           Some (e, base, split))
       Tc_tccg.Suite.all
     |> List.filter_map (fun row ->

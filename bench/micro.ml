@@ -31,24 +31,13 @@ let eq1_odd =
   interp_case (Option.get (Tc_tccg.Suite.find "ccsd_1")).Tc_tccg.Suite.expr
     [ ('a', 11); ('b', 7); ('c', 5); ('d', 9); ('e', 3); ('f', 3) ]
 
+(* The driver's plan for [problem] under [ctx]. *)
+let selected_plan ctx problem =
+  (Cogent.Driver.run_exn ctx problem).Cogent.Driver.plan
+
 let staged_tests =
-  let enumerate problem () = ignore (Cogent.Enumerate.enumerate problem) in
-  let full problem () = ignore (Cogent.Driver.generate_exn problem) in
-  let prune problem =
-    let configs = Cogent.Enumerate.enumerate problem in
-    fun () ->
-      ignore
-        (Cogent.Prune.filter Tc_gpu.Arch.v100 Tc_gpu.Precision.FP64 problem
-           configs)
-  in
-  let cost problem =
-    let configs = Cogent.Enumerate.enumerate problem in
-    fun () ->
-      ignore (Cogent.Cost.rank Tc_gpu.Precision.FP64 problem configs)
-  in
-  let candidates problem () =
-    let c = Cogent.Candidates.create problem in
-    Cogent.Candidates.iter c ignore
+  let full problem () =
+    ignore (Cogent.Driver.run_exn Cogent.Ctx.default problem)
   in
   let pipeline problem () =
     ignore
@@ -56,21 +45,16 @@ let staged_tests =
          problem)
   in
   let codegen problem =
-    let plan = Cogent.Driver.best_plan problem in
+    let plan = selected_plan Cogent.Ctx.default problem in
     fun () -> ignore (Cogent.Codegen.emit plan)
   in
   (* The double-buffered lowering restructures the K-loop (prologue +
      rotation), so its lower/emit cost is tracked separately from the
      classic schema's. *)
-  let pipelined problem =
-    match
-      Cogent.Driver.run
-        (Cogent.Ctx.make ~arch:Tc_gpu.Arch.a100
-           ~schema:Tc_gpu.Schema.Pipelined ())
-        problem
-    with
-    | Ok t -> t.Cogent.Driver.plan
-    | Error e -> failwith (Cogent.Driver.error_to_string e)
+  let pipelined =
+    selected_plan
+      (Cogent.Ctx.make ~arch:Tc_gpu.Arch.a100 ~schema:Tc_gpu.Schema.Pipelined
+         ())
   in
   let lower_pipelined problem =
     let plan = pipelined problem in
@@ -81,17 +65,17 @@ let staged_tests =
     fun () -> ignore (Cogent.Codegen.emit plan)
   in
   let simulate problem =
-    let plan = Cogent.Driver.best_plan problem in
+    let plan = selected_plan Cogent.Ctx.default problem in
     fun () -> ignore (Tc_sim.Simkernel.run plan)
   in
   let interp_execute (problem, _, lhs, rhs) =
-    let plan = Cogent.Driver.best_plan problem in
+    let plan = selected_plan Cogent.Ctx.default problem in
     fun () -> ignore (Cogent.Interp.execute plan ~lhs ~rhs)
   in
   (* The counter-only replay: one transaction sweep per operand for every
      (block, step), the audit's ground truth. *)
   let interp_measure (problem, _, _, _) =
-    let plan = Cogent.Driver.best_plan problem in
+    let plan = selected_plan Cogent.Ctx.default problem in
     fun () -> ignore (Cogent.Interp.measure plan)
   in
   let contract_ref =
@@ -102,14 +86,6 @@ let staged_tests =
            ~out_indices:info.Tc_expr.Classify.externals lhs rhs)
   in
   [
-    Test.make ~name:"enumerate/eq1" (Staged.stage (enumerate problem_eq1));
-    Test.make ~name:"enumerate/sd2_1" (Staged.stage (enumerate problem_sd2));
-    Test.make ~name:"prune/eq1" (Staged.stage (prune problem_eq1));
-    Test.make ~name:"cost-rank/eq1" (Staged.stage (cost problem_eq1));
-    Test.make ~name:"candidates-stream/eq1"
-      (Staged.stage (candidates problem_eq1));
-    Test.make ~name:"candidates-stream/sd2_1"
-      (Staged.stage (candidates problem_sd2));
     Test.make ~name:"pipeline-search/eq1" (Staged.stage (pipeline problem_eq1));
     Test.make ~name:"pipeline-search/sd2_1"
       (Staged.stage (pipeline problem_sd2));
@@ -133,29 +109,12 @@ let staged_tests =
     Test.make ~name:"generate-end-to-end/sd2_1" (Staged.stage (full problem_sd2));
   ]
 
-(* Stage timings are machine-dependent, so the "ns_per_call" and
-   "candidates_per_s" metrics carry no gate tolerance (un-tolerated metrics
-   are trend-watched but never judged, see Benchrep.diff).  The target IS
-   in the baseline: the gate still trips if a micro entry disappears, and
-   the deterministic branch-and-bound counters below are held to zero
-   drift — the planner-throughput tripwire. *)
-let candidate_count problem =
-  Cogent.Candidates.count (Cogent.Candidates.create problem)
-
-let count_eq1 = candidate_count problem_eq1
-let count_sd2 = candidate_count problem_sd2
-
-(* Derived producer throughput: the staged function yields every candidate
-   once per call, so rate = count / time-per-call. *)
-let extra_metrics name t =
-  let rate n =
-    Figures.finite "candidates_per_s" (float_of_int n /. (t *. 1e-9))
-  in
-  match name with
-  | "candidates-stream/eq1" -> rate count_eq1
-  | "candidates-stream/sd2_1" -> rate count_sd2
-  | _ -> []
-
+(* Stage timings are machine-dependent, so the "ns_per_call" metric
+   carries no gate tolerance (un-tolerated metrics are trend-watched but
+   never judged, see Benchrep.diff).  The target IS in the baseline: the
+   gate still trips if a micro entry disappears, and the deterministic
+   branch-and-bound counters below are held to zero drift — the
+   planner-throughput tripwire. *)
 let stage_entry name t =
   {
     Tc_profile.Benchrep.name;
@@ -164,8 +123,7 @@ let stage_entry name t =
     precision = "n/a";
     strategies =
       [
-        Figures.strat "bechamel"
-          (Figures.finite "ns_per_call" t @ extra_metrics name t);
+        Figures.strat "bechamel" (Figures.finite "ns_per_call" t);
       ];
   }
 

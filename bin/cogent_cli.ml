@@ -1,7 +1,9 @@
 (* cogent — command-line front end of the code generator.
 
    Subcommands:
-     gen      emit CUDA for a contraction at a representative size
+     gen      emit CUDA, OpenCL or host C for a contraction at a
+              representative size (--dialect cuda|opencl|c; --standalone
+              adds a main() for cuda and c)
      plan     show the top-ranked configurations with model cost and
               simulated performance
      explain  itemized cost-model breakdown: prune audit, per-tensor DRAM
@@ -56,6 +58,16 @@ let expr_arg =
      (C[a,b]=A[a,k]*B[k,b])."
   in
   Arg.(value & opt (some string) None & info [ "e"; "expr" ] ~docv:"EXPR" ~doc)
+
+(* [explain] and [profile] also take the contraction as their first
+   positional argument; the positional form wins over --expr. *)
+let pos_or_expr_arg =
+  let pos =
+    Arg.(value & pos 0 (some string) None & info [] ~docv:"EXPR"
+           ~doc:"The contraction (alternative to --expr).")
+  in
+  Term.(const (fun pos expr -> match pos with Some _ -> pos | None -> expr)
+        $ pos $ expr_arg)
 
 let sizes_arg =
   let doc = "Representative extents, e.g. a=48,b=48,e=32." in
@@ -113,7 +125,7 @@ let schema_arg =
 
 let output_arg =
   Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
-         ~doc:"Write the generated CUDA to $(docv) instead of stdout.")
+         ~doc:"Write the generated source to $(docv) instead of stdout.")
 
 let trace_arg =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
@@ -164,6 +176,9 @@ let resolve_problem expr sizes entry =
   | None, Some _, None -> Error "missing --sizes"
   | _ -> Error "give either --entry NAME, or --expr with --sizes"
 
+let write_file path s =
+  Out_channel.with_open_text path (fun oc -> output_string oc s)
+
 let or_die = function
   | Ok v -> v
   | Error m ->
@@ -213,11 +228,9 @@ let harness ?jobs ?metrics trace f =
     | Some path ->
         Fun.protect
           ~finally:(fun () ->
-            let oc = open_out path in
-            output_string oc
+            write_file path
               (Tc_obs.Metrics.to_prometheus
                  (Tc_obs.Metrics.snapshot Tc_obs.Metrics.global));
-            close_out oc;
             Printf.eprintf "cogent: wrote metrics to %s\n%!" path)
           traced
   in
@@ -240,31 +253,22 @@ let harness ?jobs ?metrics trace f =
 
 let gen_cmd =
   let run trace metrics jobs expr sizes entry arch precision schema budget
-      output standalone opencl dialect =
+      output standalone dialect =
     harness ?jobs ?metrics trace @@ fun () ->
     let problem = or_die (resolve_problem expr sizes entry) in
     let r =
       or_die_gen
         (Cogent.Driver.run (mk_ctx ?schema arch precision budget) problem)
     in
-    let dialect = if opencl then Cogent.Codegen.Opencl else dialect in
-    let plan = r.Cogent.Driver.plan in
+    if standalone && dialect = Cogent.Codegen.Opencl then
+      or_die (Error "--standalone is not available for the OpenCL dialect");
     let src =
-      match (dialect, standalone) with
-      | Cogent.Codegen.Cuda, false -> Cogent.Driver.cuda_source r
-      | Cogent.Codegen.Cuda, true -> Cogent.Codegen.emit_standalone plan
-      | Cogent.Codegen.Opencl, false -> Cogent.Codegen.emit_opencl plan
-      | Cogent.Codegen.Opencl, true ->
-          or_die (Error "--standalone is not available for the OpenCL dialect")
-      | Cogent.Codegen.C_host, false -> Cogent.Codegen.emit_c plan
-      | Cogent.Codegen.C_host, true -> Cogent.Codegen.emit_c_standalone plan
+      Cogent.Codegen.emit ~dialect ~standalone r.Cogent.Driver.plan
     in
     match output with
     | None -> print_string src
     | Some file ->
-        let oc = open_out file in
-        output_string oc src;
-        close_out oc;
+        write_file file src;
         Printf.printf "wrote %s (%d bytes)\n" file (String.length src)
   in
   let standalone =
@@ -272,10 +276,6 @@ let gen_cmd =
            ~doc:"Emit a self-contained translation unit with a main(): a \
                  benchmarking .cu for the CUDA dialect, a runnable .c (prints \
                  the output tensor) for the C dialect.")
-  in
-  let opencl =
-    Arg.(value & flag & info [ "opencl" ]
-           ~doc:"Deprecated alias for --dialect opencl.")
   in
   let dialect =
     let parse = function
@@ -298,7 +298,7 @@ let gen_cmd =
        ~doc:"Generate CUDA, OpenCL or host-C for a tensor contraction")
     Term.(const run $ trace_arg $ metrics_arg $ jobs_arg $ expr_arg
           $ sizes_arg $ entry_arg $ arch_arg $ precision_arg $ schema_arg
-          $ budget_arg $ output_arg $ standalone $ opencl $ dialect)
+          $ budget_arg $ output_arg $ standalone $ dialect)
 
 (* ---- plan ---- *)
 
@@ -374,9 +374,8 @@ let plan_cmd =
 (* ---- explain ---- *)
 
 let explain_cmd =
-  let run trace metrics jobs pos_expr expr sizes entry arch precision top json =
+  let run trace metrics jobs expr sizes entry arch precision top json =
     harness ?jobs ?metrics trace @@ fun () ->
-    let expr = match pos_expr with Some _ -> pos_expr | None -> expr in
     let problem = or_die (resolve_problem expr sizes entry) in
     let e =
       or_die_gen ~stats_table:true
@@ -385,10 +384,6 @@ let explain_cmd =
     if json then
       print_endline (Tc_obs.Json.to_string_pretty (Tc_explain.Explain.to_json e))
     else print_string (Tc_explain.Explain.render e)
-  in
-  let pos_expr =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"EXPR"
-           ~doc:"The contraction (alternative to --expr).")
   in
   let top =
     Arg.(value & opt int 3 & info [ "n"; "top" ] ~docv:"N"
@@ -402,34 +397,26 @@ let explain_cmd =
     (Cmd.info "explain" ~version
        ~doc:"Explain the cost model's choice: prune audit, per-tensor DRAM \
              charges, occupancy limiter, simulator roofline")
-    Term.(const run $ trace_arg $ metrics_arg $ jobs_arg $ pos_expr
-          $ expr_arg $ sizes_arg $ entry_arg $ arch_arg $ precision_arg $ top
-          $ json)
+    Term.(const run $ trace_arg $ metrics_arg $ jobs_arg $ pos_or_expr_arg
+          $ sizes_arg $ entry_arg $ arch_arg $ precision_arg $ top $ json)
 
 (* ---- profile ---- *)
 
 let profile_cmd =
-  let run metrics jobs pos_expr expr sizes entry arch precision json trace =
+  let run metrics jobs expr sizes entry arch precision json trace =
     harness ?jobs ?metrics None @@ fun () ->
-    let expr = match pos_expr with Some _ -> pos_expr | None -> expr in
     let problem = or_die (resolve_problem expr sizes entry) in
     let r = or_die_gen (Cogent.Driver.run (mk_ctx arch precision None) problem) in
     let prof = Tc_profile.Profile.profile r.Cogent.Driver.plan in
     (match trace with
     | None -> ()
     | Some path ->
-        let oc = open_out path in
-        output_string oc (Tc_profile.Profile.timeline_chrome prof);
-        close_out oc;
+        write_file path (Tc_profile.Profile.timeline_chrome prof);
         Printf.eprintf "cogent: wrote simulated timeline to %s\n%!" path);
     if json then
       print_endline
         (Tc_obs.Json.to_string_pretty (Tc_profile.Profile.to_json prof))
     else print_string (Tc_profile.Profile.render prof)
-  in
-  let pos_expr =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"EXPR"
-           ~doc:"The contraction (alternative to --expr).")
   in
   let json =
     Arg.(value & flag & info [ "json" ]
@@ -447,9 +434,8 @@ let profile_cmd =
              interpreter-measured counters cross-validated against the \
              simulator's exact transaction model and the Algorithm-3 cost \
              estimate")
-    Term.(const run $ metrics_arg $ jobs_arg $ pos_expr $ expr_arg
-          $ sizes_arg $ entry_arg $ arch_arg $ precision_arg $ json
-          $ timeline)
+    Term.(const run $ metrics_arg $ jobs_arg $ pos_or_expr_arg $ sizes_arg
+          $ entry_arg $ arch_arg $ precision_arg $ json $ timeline)
 
 (* ---- bench ---- *)
 

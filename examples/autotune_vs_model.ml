@@ -17,7 +17,11 @@ let () =
   let simulate plan = (Tc_sim.Simkernel.run plan).Tc_sim.Simkernel.gflops in
 
   let t0 = Sys.time () in
-  let r = Cogent.Driver.generate_exn ~arch ~precision:prec ~measure:simulate problem in
+  let r =
+    Cogent.Driver.run_exn
+      (Cogent.Ctx.make ~arch ~precision:prec ~measure:simulate ())
+      problem
+  in
   let model_time = Sys.time () -. t0 in
   let cogent = simulate r.Cogent.Driver.plan in
   Format.printf

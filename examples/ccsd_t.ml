@@ -27,7 +27,9 @@ let () =
   List.iter
     (fun e ->
       let problem = Tc_tccg.Suite.problem e in
-      let r = Cogent.Driver.generate_exn ~arch ~measure:simulate problem in
+      let r =
+        Cogent.Driver.run_exn (Cogent.Ctx.make ~arch ~measure:simulate ()) problem
+      in
       let plan = r.Cogent.Driver.plan in
       let cg_sim = Tc_sim.Simkernel.run plan in
       let nw_plan = Tc_nwchem.Nwgen.plan ~arch problem in

@@ -16,6 +16,7 @@ let simulate plan = (Tc_sim.Simkernel.run plan).Tc_sim.Simkernel.gflops
 
 let () =
   let arch = Arch.v100 in
+  let ctx = Cogent.Ctx.make ~arch ~measure:simulate () in
   let expr = "abc-bda-dc" in
   Format.printf "mode-2 tensor-times-matrix: %s (C[a,b,c] = A[b,d,a] * M[d,c])@.@." expr;
 
@@ -24,7 +25,7 @@ let () =
   List.iter
     (fun (label, sizes) ->
       let problem = Problem.of_string_exn expr ~sizes in
-      let r = Cogent.Driver.generate_exn ~arch ~measure:simulate problem in
+      let r = Cogent.Driver.run_exn ctx problem in
       Format.printf "  %-22s -> %a  (%.0f GFLOPS)@." label Cogent.Mapping.pp
         r.Cogent.Driver.plan.Cogent.Plan.mapping
         (simulate r.Cogent.Driver.plan))
@@ -37,7 +38,7 @@ let () =
   (* Strategy comparison at the TCCG benchmark size. *)
   let e = Option.get (Tc_tccg.Suite.find "ml_1") in
   let problem = Tc_tccg.Suite.problem e in
-  let cg = simulate (Cogent.Driver.best_plan ~arch ~measure:simulate problem) in
+  let cg = simulate (Cogent.Driver.run_exn ctx problem).Cogent.Driver.plan in
   let ts =
     (Tc_ttgt.Ttgt.run_ctx (Cogent.Ctx.make ~arch ()) problem).Tc_ttgt.Ttgt.gflops
   in
@@ -57,6 +58,7 @@ let () =
   let a = Dense.random ~seed:5 (Problem.lhs_shape small) in
   let m = Dense.random ~seed:6 (Problem.rhs_shape small) in
   let expected = Contract_ref.contract ~out_indices:[ 'a'; 'b'; 'c' ] a m in
-  let got = Cogent.Interp.execute (Cogent.Driver.best_plan small) ~lhs:a ~rhs:m in
+  let plan = (Cogent.Driver.run_exn Cogent.Ctx.default small).Cogent.Driver.plan in
+  let got = Cogent.Interp.execute plan ~lhs:a ~rhs:m in
   Format.printf "@.schedule validation at 10x7x6 (d=5): max |diff| = %.2e@."
     (Dense.max_abs_diff expected got)

@@ -30,10 +30,11 @@ let () =
      "running" the top candidates — here on the simulator, on real
      hardware a timed execution. *)
   let simulate plan = (Tc_sim.Simkernel.run plan).Tc_sim.Simkernel.gflops in
-  let r =
-    Cogent.Driver.generate_exn ~arch:Arch.v100 ~precision:Precision.FP64
-      ~measure:simulate problem
+  let ctx =
+    Cogent.Ctx.make ~arch:Arch.v100 ~precision:Precision.FP64
+      ~measure:simulate ()
   in
+  let r = Cogent.Driver.run_exn ctx problem in
   let s = r.Cogent.Driver.prune_stats in
   Format.printf
     "@.search: naive space %.2e, enumerated %d, kept %d after pruning@."
@@ -41,7 +42,7 @@ let () =
   Format.printf "selected plan:@.  %a@." Cogent.Plan.pp r.Cogent.Driver.plan;
 
   (* 3. The generated CUDA (first lines). *)
-  let cuda = Cogent.Driver.cuda_source r in
+  let cuda = Cogent.Codegen.emit r.Cogent.Driver.plan in
   let preview =
     String.concat "\n"
       (List.filteri (fun k _ -> k < 12) (String.split_on_char '\n' cuda))
@@ -61,7 +62,7 @@ let () =
     Problem.of_string_exn "abcd-aebf-dfce"
       ~sizes:[ ('a', 6); ('b', 5); ('c', 4); ('d', 7); ('e', 3); ('f', 2) ]
   in
-  let plan = Cogent.Driver.best_plan small in
+  let plan = (Cogent.Driver.run_exn Cogent.Ctx.default small).Cogent.Driver.plan in
   let a = Dense.random ~seed:1 (Problem.lhs_shape small) in
   let b = Dense.random ~seed:2 (Problem.rhs_shape small) in
   let expected =

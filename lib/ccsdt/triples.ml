@@ -97,8 +97,8 @@ let contract_with ~method_ problem ~lhs ~rhs =
       Contract_ref.contract
         ~out_indices:(Problem.info problem).Classify.externals lhs rhs
   | Cogent_plans ->
-      let plan = Cogent.Driver.best_plan problem in
-      Cogent.Interp.execute plan ~lhs ~rhs
+      let r = Cogent.Driver.run_exn Cogent.Ctx.default problem in
+      Cogent.Interp.execute r.Cogent.Driver.plan ~lhs ~rhs
   | Ttgt_pipeline -> Tc_ttgt.Ttgt.execute problem ~lhs ~rhs
 
 let t3 s ~method_ =
@@ -166,9 +166,10 @@ let sweep_estimate arch prec ~nh ~np =
       (fun (p, _) ->
         match strategy with
         | `Cogent ->
-            (Tc_sim.Simkernel.run
-               (Cogent.Driver.best_plan ~arch ~precision:prec
-                  ~measure:simulate p))
+            let ctx =
+              Cogent.Ctx.make ~arch ~precision:prec ~measure:simulate ()
+            in
+            (Tc_sim.Simkernel.run (Cogent.Driver.run_exn ctx p).Cogent.Driver.plan)
               .Tc_sim.Simkernel.time_s
         | `Nwchem ->
             (Tc_sim.Simkernel.run (Tc_nwchem.Nwgen.plan ~arch ~precision:prec p))

@@ -29,24 +29,16 @@ let create problem =
     Enumerate.enumerate_side problem ~fvi:(Some info.Classify.out_fvi)
       ~externals:info.Classify.lhs_externals
   in
-  let y_fvi =
-    if
-      List.exists (Index.equal info.Classify.rhs_fvi)
-        info.Classify.rhs_externals
-    then Some info.Classify.rhs_fvi
-    else None
-  in
   let y_sides =
-    Enumerate.enumerate_side problem ~fvi:y_fvi
+    Enumerate.enumerate_side problem ~fvi:(Some info.Classify.rhs_fvi)
       ~externals:info.Classify.rhs_externals
   in
   (* Completed TB_k lists are the one product component with duplicates
      (tile-1 completion can merge distinct packings); sides are distinct
      as (tb, reg) pairs.  After sort_uniq the triple product is therefore
      duplicate-free, and nested ascending iteration yields full
-     configurations in strictly increasing Mapping.compare order — the
-     exact sequence Enumerate.enumerate materializes (a property test
-     locks this). *)
+     configurations in strictly increasing Mapping.compare order (a
+     property test locks this against the materialized enumeration). *)
   let tbks =
     List.sort_uniq Mapping.compare_bindings
       (Enumerate.enumerate_tbk problem ~internals:info.Classify.internals)
@@ -86,21 +78,3 @@ let mapping t ~grid xi yi ti =
     tbk = t.tbks.(ti);
     grid;
   }
-
-let iter_chunk t xi f =
-  for yi = 0 to num_y t - 1 do
-    let grid = grid t xi yi in
-    for ti = 0 to num_tbk t - 1 do
-      f (mapping t ~grid xi yi ti)
-    done
-  done
-
-let iter t f =
-  for xi = 0 to num_chunks t - 1 do
-    iter_chunk t xi f
-  done
-
-let to_list t =
-  let acc = ref [] in
-  iter t (fun m -> acc := m :: !acc);
-  List.rev !acc

@@ -1,28 +1,22 @@
-(** Streaming candidate producer — the enumeration half of the fused
-    planner pipeline.
+(** The candidate space of Algorithm 2 — the enumeration half of the
+    planner.
 
-    {!Enumerate.enumerate} materializes the full Cartesian product of
-    partial configurations as a [Mapping.t list] and deduplicates it
-    through a [Set].  This module precomputes the three {e sorted} product
-    components once (X-side packings, Y-side packings, duplicate-free
-    completed TB_k packings) and exposes the product without building it:
+    This module precomputes the three {e sorted} product components once
+    (X-side packings, Y-side packings, duplicate-free completed TB_k
+    packings) and exposes the product without building it.  A
+    configuration is a coordinate [(x, y, k)] of the product:
+    {!x_side}, {!y_side} and {!tbk} give the components and {!mapping}
+    builds one configuration on demand.  {!Pipeline} scans these
+    coordinates from per-side tables and builds a [Mapping.t] only for
+    the few candidates it keeps.
 
-    {ul
-    {- {e factored}: a configuration is a coordinate [(x, y, k)] of
-       the product.  {!x_side}, {!y_side} and {!tbk} give the components
-       and {!mapping} builds one configuration on demand.  {!Pipeline}
-       scans these coordinates from per-side tables and builds a
-       [Mapping.t] only for the few candidates it keeps;}
-    {- {e streamed}: {!iter} visits exactly the configurations of
-       [Enumerate.enumerate], in the same strictly increasing
-       {!Mapping.compare} order — no intermediate list, no set (a
-       property test in [test/test_cogent.ml] locks the equivalence).
-       Coordinates in lexicographic order are that same order;}
-    {- {e chunked}: {!iter_chunk} exposes the outer (X-side) loop as the
-       pipeline's deterministic parallel chunks: chunk boundaries depend
-       only on the problem, never on the job count, so per-chunk prune
-       tallies and candidate heaps merge bit-identically at any
-       parallelism (see [Tc_par.Pool.map_fold]).}} *)
+    Coordinates in lexicographic order visit every structurally valid
+    configuration once, in strictly increasing {!Mapping.compare} order —
+    exactly the deduplicated set the materialized enumeration of
+    [test/oracle.ml] builds (a property test in [test/test_cogent.ml]
+    locks the equivalence).  The X-side range is the planner's
+    deterministic unit of parallel work: its boundaries depend only on
+    the problem, never on the job count. *)
 
 open Tc_expr
 
@@ -33,8 +27,7 @@ val create : Problem.t -> t
     packing enumeration; cheap — the product itself is not built). *)
 
 val count : t -> int
-(** Number of configurations the stream yields — equals
-    [List.length (Enumerate.enumerate problem)], i.e. the [enumerated]
+(** Number of configurations in the product, i.e. the [enumerated]
     figure of {!Prune.stats}. *)
 
 val num_chunks : t -> int
@@ -63,15 +56,3 @@ val grid : t -> int -> int -> Tc_tensor.Index.t list
 val mapping : t -> grid:Tc_tensor.Index.t list -> int -> int -> int -> Mapping.t
 (** [mapping t ~grid x y k]: the configuration at coordinate [(x, y, k)],
     given [grid = grid t x y]. *)
-
-val iter_chunk : t -> int -> (Mapping.t -> unit) -> unit
-(** [iter_chunk t k f] applies [f] to chunk [k]'s configurations in
-    ascending {!Mapping.compare} order.  Chunks partition the stream:
-    concatenating chunks [0 .. num_chunks t - 1] is exactly {!iter}. *)
-
-val iter : t -> (Mapping.t -> unit) -> unit
-(** All configurations, ascending, duplicate-free. *)
-
-val to_list : t -> Mapping.t list
-(** Materialize the stream (testing/debugging; equals
-    [Enumerate.enumerate]). *)

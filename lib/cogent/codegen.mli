@@ -5,11 +5,13 @@
     vector loads, register-tile outer products over the serial TB_k sweep,
     and guarded coalesced stores — plus a host-side launcher.
 
-    Since the IR refactor, every [emit*] entry point is a thin wrapper:
+    One emitter, {!emit}, covers every dialect × standalone choice:
     {!lower} encodes Algorithm 1 once as a [Tc_kir.Ir.kernel], a
     [Tc_kir.Print] dialect renders it, and [Tc_kir.Check.cross_validate]
     asserts at emission time that the shared-memory footprint and register
     estimate derived from the IR match the plan's predictions.
+    {!emit_kernel} and {!emit_launcher} are the pieces {!Variants.emit}
+    assembles into a multi-version unit.
 
     Tile sizes, thread-block shape and shared-memory footprints are baked in
     as compile-time constants (they define the configuration); tensor
@@ -45,28 +47,24 @@ val emit_launcher : ?name:string -> Plan.t -> string
 (** An [extern "C"] host function computing the grid decomposition and
     launching the kernel. *)
 
-val emit : ?name:string -> Plan.t -> string
-(** Header comment + kernel + launcher: a compilable [.cu] translation
-    unit (given CUDA headers). *)
-
-val emit_standalone : ?name:string -> Plan.t -> string
-(** {!emit} plus a [main] that allocates device buffers at the
-    representative problem size, runs the kernel repeatedly and reports
-    GFLOPS — the shape of the paper's benchmark drivers. *)
-
-val emit_opencl : ?name:string -> Plan.t -> string
-(** A complete [.cl] translation unit: header comment, the OpenCL kernel,
-    and a comment documenting the NDRange launch geometry
-    (global/local work sizes) the host must use. *)
-
-val emit_c : ?name:string -> Plan.t -> string
-(** A complete [.c] translation unit in the C-host dialect: header comment,
-    a note on the loop-based execution model, and the kernel as a plain C
-    function. *)
-
-val emit_c_standalone : ?name:string -> Plan.t -> string
-(** {!emit_c} plus includes and a [main] that fills the inputs with the
-    deterministic [Tc_kir.Print.host_fill] pattern, runs the contraction on
-    the CPU at the representative extents (overridable via argv) and prints
-    every output element — the executable form the numeric tests diff
-    against [Tensor.Contract_ref]. *)
+val emit :
+  ?name:string -> ?dialect:dialect -> ?standalone:bool -> Plan.t -> string
+(** A complete translation unit: the header comment, then per dialect
+    {ul
+    {- [Cuda] (the default): the kernel and its launcher — a compilable
+       [.cu] file given CUDA headers;}
+    {- [Opencl]: the [__kernel], after a comment documenting the NDRange
+       launch geometry (global/local work sizes) the host must use;}
+    {- [C_host]: the kernel as a plain C function, after a note on the
+       loop-based execution model.}}
+    [standalone:true] adds the includes and a [main]: for CUDA, one that
+    allocates device buffers at the representative problem size, runs the
+    kernel repeatedly and reports GFLOPS (the shape of the paper's
+    benchmark drivers); for C, one that fills the inputs with the
+    deterministic [Tc_kir.Print.host_fill] pattern, runs the contraction
+    on the CPU at the representative extents (overridable via argv) and
+    prints every output element — the executable form the numeric tests
+    diff against [Tensor.Contract_ref].  The plan is lowered and
+    cross-validated once per call.
+    @raise Invalid_argument for [~dialect:Opencl ~standalone:true], or as
+    {!emit_kernel}. *)

@@ -160,21 +160,3 @@ let explain prec problem mapping =
     blocks = Mapping.num_blocks problem mapping;
     ept;
   }
-
-let rank prec problem mappings =
-  (* Scoring is pure, so the fan-out over surviving mappings is safe to
-     run on the domain pool; [Pool.map] preserves order and the sort key
-     is total (cost, then [Mapping.compare]), so the ranking is
-     bit-identical at any job count. *)
-  let scored =
-    Tc_par.Pool.map (fun m -> (m, total prec problem m)) mappings
-  in
-  List.sort
-    (fun (m1, c1) (m2, c2) ->
-      match Float.compare c1 c2 with
-      | 0 -> Mapping.compare m1 m2
-      | c -> c)
-    scored
-
-let best prec problem mappings =
-  match rank prec problem mappings with [] -> None | hd :: _ -> Some hd

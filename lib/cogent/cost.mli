@@ -81,11 +81,3 @@ val explain : Precision.t -> Problem.t -> Mapping.t -> explanation
 (** Itemized Algorithm-3 charge sheet for one configuration: where the
     model thinks the DRAM traffic goes and how efficient each tensor's
     access pattern is.  [total_transactions] equals {!total} exactly. *)
-
-val rank :
-  Precision.t -> Problem.t -> Mapping.t list -> (Mapping.t * float) list
-(** Configurations sorted by ascending cost; ties broken deterministically
-    by {!Mapping.compare}. *)
-
-val best :
-  Precision.t -> Problem.t -> Mapping.t list -> (Mapping.t * float) option

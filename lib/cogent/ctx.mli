@@ -1,12 +1,12 @@
 (** The front-door configuration record of the generator.
 
-    Every entry point used to repeat the same optional arguments
-    ([?arch ?precision ?measure ...]); a [Ctx.t] gathers them into one
-    value that a calling runtime (the CLI, the {!Tc_serve} engine, a
-    library embedder) builds once and threads everywhere:
-    {!Driver.run}, {!Cache.find_or_generate_ctx}, {!Variants.generate_ctx},
-    [Ttgt.plan_ctx].  The old optional-arg signatures remain as thin
-    deprecated wrappers over a context built per call. *)
+    A [Ctx.t] gathers target device, precision, schema and selection
+    policy into one value that a calling runtime (the CLI, the
+    {!Tc_serve} engine, a library embedder) builds once and threads
+    everywhere: {!Driver.run}, {!Cache.find_or_generate_ctx},
+    {!Variants.generate_ctx}, [Ttgt.plan_ctx].  It is the only way to
+    pass these choices; no entry point repeats them as optional
+    arguments. *)
 
 open Tc_gpu
 
@@ -41,7 +41,7 @@ type t = {
 
 val default : t
 (** V100, FP64, refine 8, no measure, process-default jobs, unlimited
-    budget — exactly the historical defaults of [Driver.generate]. *)
+    budget. *)
 
 val make :
   ?arch:Arch.t -> ?precision:Precision.t -> ?schema:Schema.t -> ?refine:int

@@ -237,21 +237,7 @@ let run ctx ?(auto_split = false) ?(topk = default_topk) ?trace problem =
 let run_exn ctx ?auto_split ?topk ?trace problem =
   match run ctx ?auto_split ?topk ?trace problem with
   | Ok t -> t
-  | Error e -> invalid_arg ("Driver.generate: " ^ error_to_string e)
-
-let generate ?arch ?precision ?refine ?measure ?auto_split ?trace problem =
-  run (Ctx.make ?arch ?precision ?refine ?measure ()) ?auto_split ?trace
-    problem
-
-let generate_exn ?arch ?precision ?refine ?measure ?auto_split ?trace problem =
-  run_exn (Ctx.make ?arch ?precision ?refine ?measure ()) ?auto_split ?trace
-    problem
-
-let best_plan ?arch ?precision ?refine ?measure ?auto_split ?trace problem =
-  (generate_exn ?arch ?precision ?refine ?measure ?auto_split ?trace problem)
-    .plan
-
-let cuda_source t = Codegen.emit t.plan
+  | Error e -> invalid_arg ("Driver.run_exn: " ^ error_to_string e)
 
 let top_plans ?(n = 5) t =
   List.filteri (fun k _ -> k < n) t.ranked

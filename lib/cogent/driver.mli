@@ -1,14 +1,11 @@
-(** End-to-end code generation: streamed enumerate→prune→rank ({!Pipeline})
-    → plan → CUDA.
+(** End-to-end planning: streamed enumerate→prune→rank ({!Pipeline}) →
+    measured refinement → plan.
 
     This is the public entry point mirroring the COGENT tool: given a
-    contraction (in either concrete syntax), a representative problem size
-    and a target device, produce the best kernel plan and its CUDA source,
-    together with the search statistics the paper reports (§IV-A3).
-
-    The primary entry point is {!run}, which takes a {!Ctx.t}; the
-    optional-argument functions below it are thin deprecated wrappers kept
-    so historical callers compile unchanged. *)
+    contraction at a representative problem size and a {!Ctx.t} naming
+    the target device, precision and selection policy, {!run} produces
+    the best kernel plan together with the search statistics the paper
+    reports (§IV-A3).  {!Codegen.emit} turns the plan into source. *)
 
 open Tc_expr
 
@@ -64,8 +61,7 @@ val run :
     [max ctx.refine topk] cheapest survivors ([topk] defaults to 8 —
     raise it when more of the ranking is wanted, e.g. for display).  The
     retained prefix, [prune_stats] and the selected plan are bit-identical
-    to the materialized enumerate → prune → rank pipeline at any job
-    count.
+    at any job count.
 
     [auto_split:true] additionally considers the {!Tc_expr.Split.auto}
     rewriting of register-starved contractions (an extension §IV names) and
@@ -83,27 +79,8 @@ val run :
 val run_exn :
   Ctx.t -> ?auto_split:bool -> ?topk:int -> ?trace:Tc_obs.Trace.t
   -> Problem.t -> t
-
-val generate :
-  ?arch:Tc_gpu.Arch.t -> ?precision:Tc_gpu.Precision.t -> ?refine:int
-  -> ?measure:measure -> ?auto_split:bool -> ?trace:Tc_obs.Trace.t
-  -> Problem.t -> (t, error) result
-(** Deprecated wrapper: builds a {!Ctx.t} from the optional arguments and
-    calls {!run}.  Defaults: V100, FP64. *)
-
-val generate_exn :
-  ?arch:Tc_gpu.Arch.t -> ?precision:Tc_gpu.Precision.t -> ?refine:int
-  -> ?measure:measure -> ?auto_split:bool -> ?trace:Tc_obs.Trace.t
-  -> Problem.t -> t
-
-val best_plan :
-  ?arch:Tc_gpu.Arch.t -> ?precision:Tc_gpu.Precision.t -> ?refine:int
-  -> ?measure:measure -> ?auto_split:bool -> ?trace:Tc_obs.Trace.t
-  -> Problem.t -> Plan.t
-(** Shorthand for [(generate_exn p).plan]. *)
-
-val cuda_source : t -> string
-(** CUDA translation unit for the selected plan. *)
+(** {!run}, raising [Invalid_argument "Driver.run_exn: <error>"] on an
+    error. *)
 
 val top_plans : ?n:int -> t -> Plan.t list
 (** The [n] (default 5) lowest-cost plans, e.g. to auto-tune among a model-

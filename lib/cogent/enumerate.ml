@@ -143,62 +143,6 @@ let enumerate_tbk problem ~internals =
       @ List.map (fun index -> { Mapping.index; tile = 1 }) leftover)
     packings
 
-let enumerate problem =
-  let info = Problem.info problem in
-  let x_sides =
-    enumerate_side problem ~fvi:(Some info.Classify.out_fvi)
-      ~externals:info.Classify.lhs_externals
-  in
-  let y_fvi =
-    if List.exists (Index.equal info.Classify.rhs_fvi) info.Classify.rhs_externals
-    then Some info.Classify.rhs_fvi
-    else None
-  in
-  let y_sides =
-    enumerate_side problem ~fvi:y_fvi ~externals:info.Classify.rhs_externals
-  in
-  let tbks = enumerate_tbk problem ~internals:info.Classify.internals in
-  let mapped_side side =
-    List.fold_left
-      (fun s b -> Idxset.add b.Mapping.index s)
-      Idxset.empty
-      (side.tb @ side.reg)
-  in
-  let configs =
-    List.concat_map
-      (fun x ->
-        let x_used = mapped_side x in
-        List.concat_map
-          (fun y ->
-            let y_used = mapped_side y in
-            let used = Idxset.union x_used y_used in
-            let grid =
-              List.filter
-                (fun i -> not (Idxset.mem i used))
-                info.Classify.externals
-            in
-            List.map
-              (fun tbk ->
-                {
-                  Mapping.tbx = x.tb;
-                  regx = x.reg;
-                  tby = y.tb;
-                  regy = y.reg;
-                  tbk;
-                  grid;
-                })
-              tbks)
-          y_sides)
-      x_sides
-  in
-  (* Deduplicate full configurations. *)
-  let module MSet = Set.Make (struct
-    type t = Mapping.t
-
-    let compare = Mapping.compare
-  end) in
-  MSet.elements (MSet.of_list configs)
-
 let naive_space_size problem =
   let info = Problem.info problem in
   let n_ext = List.length info.Classify.externals in

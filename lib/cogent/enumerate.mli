@@ -7,8 +7,9 @@
     packed the same way onto [TB_y]/[REG_y] (starting with the rhs FVI when
     it is external); internal indices are packed onto the serial [TB_k]
     dimension.  A full configuration is an element of the Cartesian product
-    of the three partial configurations; externals left over on either side
-    fall through to the grid with tile size 1.
+    of the three partial configurations ({!Candidates} exposes that
+    product); externals left over on either side fall through to the grid
+    with tile size 1.
 
     Deviation from the paper (documented in DESIGN.md): when a side's
     indices are too small to reach even the smallest target (tiny tensors),
@@ -47,8 +48,8 @@ val enumerate_side :
   externals:Tc_tensor.Index.t list ->
   side list
 (** All TB/REG packings of one input's externals ([fvi] forced first when
-    given).  Distinct as pairs — the building block of the Cartesian
-    product that {!enumerate} materializes and {!Candidates} streams. *)
+    it is one of them).  Distinct as pairs — one factor of the Cartesian
+    product {!Candidates} exposes. *)
 
 val enumerate_tbk :
   Problem.t -> internals:Tc_tensor.Index.t list -> Mapping.binding list list
@@ -57,11 +58,6 @@ val enumerate_tbk :
     with tile 1, so every returned list covers every internal index.
     Completion can make distinct packings equal — callers that need a
     duplicate-free product must dedup (see {!Candidates}). *)
-
-val enumerate : Problem.t -> Mapping.t list
-(** All structurally valid configurations for the contraction, deduplicated.
-    Hardware and performance pruning is {e not} applied here; see
-    {!Prune}. *)
 
 val naive_space_size : Problem.t -> float
 (** Size of the unpruned search space per the paper's §IV formula

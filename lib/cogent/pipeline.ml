@@ -79,13 +79,14 @@ module Topk = struct
       f t.heap.(k).m t.heap.(k).cost
     done
 
+  (* The final ascending order, as a comparison of (mapping, cost) pairs. *)
+  let compare_ranked (m1, c1) (m2, c2) =
+    match Float.compare c1 c2 with 0 -> Mapping.compare m1 m2 | c -> c
+
   let to_sorted t =
     let l = ref [] in
     iter t (fun m c -> l := (m, c) :: !l);
-    List.sort
-      (fun (m1, c1) (m2, c2) ->
-        match Float.compare c1 c2 with 0 -> Mapping.compare m1 m2 | c -> c)
-      !l
+    List.sort compare_ranked !l
 end
 
 (* One chunk's worth of streamed work; merged sequentially in chunk order
@@ -95,12 +96,13 @@ type chunk_out = {
   c_kept : int;
   c_aborted : int;
   c_top : (Mapping.t * float) list;  (* heap mode: chunk top-K, unordered *)
-  c_fed : Mapping.t list;  (* feed mode: first <= maxfeed survivors, in order *)
+  c_fed : (Mapping.t * float) list;
+      (* feed mode: first <= maxfeed survivors and their costs, in order *)
 }
 
-(* Feed mode (search budget set) ranks the first [maxfeed] survivors in
-   candidate order, exactly like the legacy truncate-then-rank path; heap
-   mode streams every survivor through the bounded evaluator. *)
+(* Feed mode (search budget set) costs the first [maxfeed] survivors in
+   candidate order and ranks them all; heap mode streams every survivor
+   through the bounded evaluator. *)
 type mode = Heap of int | Feed of int
 
 (* Per-search factor tables.  A candidate is a coordinate (x, y, k) of the
@@ -201,12 +203,16 @@ let tables cands problem =
         tbks;
   }
 
-(* Cost.tile_transactions of one input's tile at (p, k): its elements are
-   the side's TB and REG tiles times the TB_k tiles. *)
-let load_tx s ~width ~size_k ~ept p pk =
-  Cost.tile_transactions ~width
-    ~elems:(s.tb.(p) * s.reg.(p) * size_k)
-    ~run:s.run.(pk) ~ept
+(* The lhs or rhs term of Cost.transactions at (p, k): the tile
+   transactions of that input (its elements are the side's TB and REG
+   tiles times the TB_k tiles), scaled by steps and blocks in Cost's
+   float order. *)
+let[@inline] load_cost s ~width ~size_k ~ept ~steps ~fblocks p pk =
+  float_of_int
+    (Cost.tile_transactions ~width
+       ~elems:(s.tb.(p) * s.reg.(p) * size_k)
+       ~run:s.run.(pk) ~ept)
+  *. steps *. fblocks
 
 (* The grid of (x, y), computed once and only when a candidate of that
    pair needs its Mapping.t. *)
@@ -222,20 +228,24 @@ let grid_of cands grid xi yi =
    one heap.  The slice boundaries depend only on the chunk count — never
    on the job count — so unit outputs (and the bound each unit's heap
    tightens as it goes) are reproducible at any parallelism.  Candidates
-   are visited in ascending (x, y, k) order, the stream order of
-   {!Candidates.iter_chunk}; the cost is the float expression of
-   {!Cost.transactions}, term by term, aborted as soon as a partial sum
-   exceeds the heap bound (each term is >= blocks >= 1). *)
+   are visited in ascending (x, y, k) order, which is ascending
+   {!Mapping.compare} order; the cost is the float expression of
+   {!Cost.transactions}, term by term.  Heap mode aborts it as soon as a
+   partial sum exceeds the heap bound (each term is >= blocks >= 1). *)
 let scan_chunks cands tabs checker prec mode ~tallying ~lo ~hi =
   let tally = Array.make Prune.num_reasons 0 in
   let kept = ref 0 and aborted = ref 0 and n_fed = ref 0 in
   let fed = ref [] in
+  let x = tabs.x and y = tabs.y and nk = Array.length tabs.tbk_size in
+  (* Like the search's own heap, a slice heap never holds more than the
+     slice's candidates. *)
   let heap =
-    match mode with Heap cap -> Topk.create cap | Feed _ -> Topk.create 1
+    match mode with
+    | Heap cap -> Topk.create (min cap ((hi - lo) * Array.length y.tb * nk))
+    | Feed _ -> Topk.create 1
   in
   let ept = Precision.elems_per_transaction prec in
   let bytes = Precision.bytes prec in
-  let x = tabs.x and y = tabs.y and nk = Array.length tabs.tbk_size in
   for xi = lo to hi - 1 do
     for yi = 0 to Array.length y.tb - 1 do
       let width = x.tb.(xi) * y.tb.(yi) in
@@ -263,26 +273,26 @@ let scan_chunks cands tabs checker prec mode ~tallying ~lo ~hi =
         end
         else begin
           incr kept;
+          let steps = tabs.steps.(k) and size_k = tabs.tbk_size.(k) in
           match mode with
           | Feed maxfeed ->
               if !n_fed < maxfeed then begin
+                let total =
+                  load_cost x ~width ~size_k ~ept ~steps ~fblocks xi xk
+                  +. load_cost y ~width ~size_k ~ept ~steps ~fblocks yi yk
+                  +. (float_of_int out_tx *. fblocks)
+                in
                 let grid = grid_of cands grid xi yi in
-                fed := Candidates.mapping cands ~grid xi yi k :: !fed;
+                fed := (Candidates.mapping cands ~grid xi yi k, total) :: !fed;
                 incr n_fed
               end
           | Heap _ ->
               let bound = Topk.bound heap in
-              let steps = tabs.steps.(k) in
-              let size_k = tabs.tbk_size.(k) in
-              let lhs =
-                float_of_int (load_tx x ~width ~size_k ~ept xi xk)
-                *. steps *. fblocks
-              in
+              let lhs = load_cost x ~width ~size_k ~ept ~steps ~fblocks xi xk in
               if lhs > bound then incr aborted
               else
                 let rhs =
-                  float_of_int (load_tx y ~width ~size_k ~ept yi yk)
-                  *. steps *. fblocks
+                  load_cost y ~width ~size_k ~ept ~steps ~fblocks yi yk
                 in
                 let partial = lhs +. rhs in
                 if partial > bound then incr aborted
@@ -325,10 +335,13 @@ let search ?(performance = true) ?budget ~topk arch prec problem =
         (nchunks * u / units, nchunks * (u + 1) / units))
   in
   let maxfeed = Option.map (fun b -> max 1 b) budget in
+  (* The heap never holds more than every candidate, so [topk:max_int]
+     keeps every survivor: the heap never fills before the last one, and
+     nothing is bound-aborted. *)
   let mode =
     match maxfeed with
     | Some f -> Feed f
-    | None -> Heap (max 1 topk)
+    | None -> Heap (max 1 (min topk enumerated))
   in
   (* One pass over the whole candidate stream with a given rule set.
      Workers are pure: each work unit gets its own heap and only reads the
@@ -353,8 +366,8 @@ let search ?(performance = true) ?budget ~topk arch prec problem =
             | Heap _ -> (n_fed, fed_rev)
             | Feed maxfeed ->
                 List.fold_left
-                  (fun (n, acc) m ->
-                    if n < maxfeed then (n + 1, m :: acc) else (n, acc))
+                  (fun (n, acc) e ->
+                    if n < maxfeed then (n + 1, e :: acc) else (n, acc))
                   (n_fed, fed_rev) c.c_fed
           in
           (kept + c.c_kept, aborted + c.c_aborted, n_fed, fed_rev))
@@ -368,7 +381,7 @@ let search ?(performance = true) ?budget ~topk arch prec problem =
     if primary_kept > 0 then
       (primary_kept, primary_aborted, primary_heap, primary_fed, false, 0)
     else
-      (* Relaxation ladder, exactly as [Prune.filter]: re-stream the
+      (* Relaxation ladder ({!Prune.relax_attempts_classes}): re-stream the
          candidates per attempt (hardware rules always stay), stop at the
          first rule set with survivors; reject tallies cover only the
          primary pass. *)
@@ -388,7 +401,7 @@ let search ?(performance = true) ?budget ~topk arch prec problem =
   let ranked =
     match mode with
     | Heap _ -> Topk.to_sorted heap
-    | Feed _ -> Cost.rank prec problem fed
+    | Feed _ -> List.sort Topk.compare_ranked fed
   in
   let degraded =
     match maxfeed with Some f -> kept > f | None -> false

@@ -1,37 +1,37 @@
-(** Fused streaming planner: enumerate → prune → rank as one candidate
-    scan with branch-and-bound cost pruning.
+(** The planner: Algorithm 2's enumeration, the §IV-A rules and the
+    Algorithm-3 ranking as one candidate scan with branch-and-bound cost
+    pruning.  Every planning caller ({!Driver}, the ablations, the
+    serving layer) goes through {!search}.
 
-    The legacy path materializes three intermediate lists
-    ({!Enumerate.enumerate}, {!Prune.filter}, {!Cost.rank}).  [search]
-    instead scans the product X-side × Y-side × TB_k of {!Candidates} as
-    coordinates.  Per search it builds one table per input side (TB and
-    REG sizes, block product, output-FVI tile and, per TB_k packing, the
-    input's contiguous run and FVI tile) plus the TB_k sizes and step
-    counts; per (x, y) pair it derives threads, registers, blocks and the
-    output-store transactions.  The innermost TB_k loop then runs the
-    §IV-A rules as {!Prune.verdict}, one int function, and the
-    Algorithm-3 cost in the float operation order of {!Cost.transactions},
-    abandoned as soon as a partial sum exceeds the cost of the current
-    K-th best (a bounded best-heap ordered by (cost, {!Mapping.compare})).
-    A [Mapping.t] is built only for a heap entrant or a budget-fed
-    survivor.
+    [search] scans the product X-side × Y-side × TB_k of {!Candidates} as
+    coordinates, without materializing it.  Per search it builds one
+    table per input side (TB and REG sizes, block product, output-FVI
+    tile and, per TB_k packing, the input's contiguous run and FVI tile)
+    plus the TB_k sizes and step counts; per (x, y) pair it derives
+    threads, registers, blocks and the output-store transactions.  The
+    innermost TB_k loop then runs the §IV-A rules as {!Prune.verdict},
+    one int function, and the Algorithm-3 cost in the float operation
+    order of {!Cost.transactions}, abandoned as soon as a partial sum
+    exceeds the cost of the current K-th best (a bounded best-heap
+    ordered by (cost, {!Mapping.compare})).  A [Mapping.t] is built only
+    for a heap entrant or a budget-fed survivor.
 
-    Equivalences with the legacy path, locked by property tests in
-    [test/test_cogent.ml] on the four benchmark targets, with and without
-    the performance rules:
+    The materialized reference — enumerate every configuration, filter
+    it with {!Prune.check}, cost and sort the survivors — lives in
+    [test/oracle.ml].  Property tests in [test/test_cogent.ml] lock, on
+    the four benchmark targets, with and without the performance rules:
 
     {ul
-    {- the ranked result equals the first [topk] entries of
-       [Cost.rank prec problem (fst (Prune.filter ...))] — mappings and
-       costs bit-identical;}
+    {- the ranked result equals the first [topk] entries of the oracle's
+       full ranking — mappings and costs bit-identical;}
     {- {!Prune.stats} is structurally equal (same canonical reject
        tally, relaxation behaves identically);}
     {- with [budget], the first [max 1 budget] survivors in candidate
-       order are ranked in full, like the legacy truncate-then-rank
-       path, and [degraded] is set iff survivors were dropped.}}
+       order are ranked in full, and [degraded] is set iff survivors
+       were dropped.}}
 
     Determinism: the parallel fan-out is over fixed slices of the X-side
-    chunks ({!Candidates.iter_chunk}) via {!Tc_par.Pool.map_fold}.  Slice
+    range ({!Candidates.num_chunks}) via {!Tc_par.Pool.map_fold}.  Slice
     boundaries depend only on the problem, per-slice tallies/heaps merge
     in slice order, and the heap order is total — so every field of
     [outcome], including [bound_aborted], is bit-identical at any job
@@ -60,9 +60,11 @@ val search :
   Problem.t ->
   outcome
 (** One fused search.  [performance:false] streams with hardware rules
-    only (the ablation hook of {!Prune.filter}).  [budget] bounds the
-    survivors ranked (serving-layer worst case): the first [max 1 budget]
-    in candidate order are ranked exactly, with no bound aborts.
+    only (the ablation hook for what §IV-A2's rules buy).  [topk] is
+    clamped to the candidate count, so [topk:max_int] ranks every
+    survivor with no bound aborts.  [budget] bounds the survivors ranked
+    (serving-layer worst case): the first [max 1 budget] in candidate
+    order are ranked exactly, with no bound aborts.
     [ranked] is empty iff no configuration survives even relaxation.
     Emits no metrics or spans — the caller ({!Driver}) owns
     observability, outside the parallel section. *)

@@ -99,6 +99,7 @@ let all_classes =
 type checker = {
   arch : Arch.t;
   prec : Precision.t;
+  problem : Problem.t;
   out_fvi : Tc_tensor.Index.t;
   lhs_fvi : Tc_tensor.Index.t;
   rhs_fvi : Tc_tensor.Index.t;
@@ -120,6 +121,7 @@ let checker_of_classes classes arch prec problem =
   {
     arch;
     prec;
+    problem;
     out_fvi = info.Classify.out_fvi;
     lhs_fvi = info.Classify.lhs_fvi;
     rhs_fvi = info.Classify.rhs_fvi;
@@ -214,22 +216,19 @@ let reasons = Array.of_list all_reasons
 let reason_of_index k = reasons.(k)
 let num_reasons = Array.length reasons
 
-let check_with c problem mapping =
+let check c mapping =
   let tile = Mapping.tile_of mapping in
   match
     verdict c
       ~threads:(Mapping.threads_per_block mapping)
       ~smem:(smem_bytes c.prec mapping)
       ~regs:(regs_per_thread c.prec mapping)
-      ~blocks:(Mapping.num_blocks problem mapping)
+      ~blocks:(Mapping.num_blocks c.problem mapping)
       ~out_tile:(tile c.out_fvi) ~lhs_tile:(tile c.lhs_fvi)
       ~rhs_tile:(tile c.rhs_fvi)
   with
   | -1 -> Ok ()
   | k -> Error (reason_of_index k)
-
-let check arch prec problem mapping =
-  check_with (checker arch prec problem) problem mapping
 
 type stats = {
   enumerated : int;
@@ -326,48 +325,3 @@ let pp_stats fmt s =
         pp_reason r n)
     s.pruned;
   Format.fprintf fmt "@]"
-
-let filter ?(performance = true) arch prec problem mappings =
-  Tc_obs.Trace.with_span "prune.filter"
-    ~args:[ ("enumerated", Tc_obs.Trace.Int (List.length mappings)) ]
-  @@ fun () ->
-  let tally = Array.make num_reasons 0 in
-  let primary = if performance then all_classes else [ Hardware ] in
-  let run classes =
-    let c = checker_of_classes classes arch prec problem in
-    List.filter
-      (fun m ->
-        match check_with c problem m with
-        | Ok () -> true
-        | Error r ->
-            if classes == primary then
-              tally.(reason_index r) <- tally.(reason_index r) + 1;
-            false)
-      mappings
-  in
-  let strict = run primary in
-  let kept, relaxed, relax_attempts =
-    if strict <> [] then (strict, false, 0)
-    else
-      let rec try_relax n = function
-        | [] -> ([], true, n)
-        | classes :: rest -> (
-            match run classes with
-            | [] -> try_relax (n + 1) rest
-            | l -> (l, true, n + 1))
-      in
-      try_relax 0 relax_attempts_classes
-  in
-  let stats =
-    stats_of_tally ~enumerated:(List.length mappings)
-      ~kept:(List.length kept) ~relaxed ~relax_attempts tally
-  in
-  emit_stats_metrics stats;
-  Tc_obs.Trace.add_args
-    [
-      ("kept", Tc_obs.Trace.Int stats.kept);
-      ("hardware_rejects", Tc_obs.Trace.Int stats.hardware_rejects);
-      ("performance_rejects", Tc_obs.Trace.Int stats.performance_rejects);
-      ("relaxed", Tc_obs.Trace.Bool relaxed);
-    ];
-  (kept, stats)

@@ -61,11 +61,6 @@ val smem_bytes : Precision.t -> Mapping.t -> int
 
 val occupancy : Arch.t -> Precision.t -> Mapping.t -> Occupancy.result
 
-val check :
-  Arch.t -> Precision.t -> Problem.t -> Mapping.t -> (unit, reason) result
-(** First violated constraint, hardware constraints checked first — the
-    {!verdict} of the full class set on the mapping's sizes. *)
-
 type stats = {
   enumerated : int;
   kept : int;
@@ -86,34 +81,28 @@ val pruned_count : stats -> reason -> int
 
 val pp_stats : Format.formatter -> stats -> unit
 
-val filter :
-  ?performance:bool -> Arch.t -> Precision.t -> Problem.t -> Mapping.t list
-  -> Mapping.t list * stats
-(** Keeps configurations passing {!check}.  If none pass, performance
-    constraints are relaxed one class at a time (occupancy, then block
-    count, then coalescing); hardware constraints are never relaxed.
-    [performance:false] applies hardware constraints only — an ablation
-    hook for quantifying what §IV-A2's rules buy. *)
+(** {2 Checking candidates}
 
-(** {2 Streaming interface}
-
-    The fused planner pipeline ({!Pipeline}) checks candidates without
-    materializing them.  A {!checker} hoists everything per-problem out of
-    the hot loop (FVI thresholds, block floor, class membership);
-    {!verdict} is then one allocation-free int function of the
-    candidate's sizes.  It is the only implementation of the rules:
-    {!check} and {!filter} call it too. *)
+    The planner ({!Pipeline}) checks candidates without materializing
+    them.  A {!checker} hoists everything per-problem out of the hot loop
+    (FVI thresholds, block floor, class membership); {!verdict} is then
+    one allocation-free int function of the candidate's sizes.  It is the
+    only implementation of the rules: {!check} calls it too. *)
 
 type checker
 (** Per-problem constraint context for one class set. *)
 
 val checker : ?performance:bool -> Arch.t -> Precision.t -> Problem.t -> checker
 (** Checker for the primary pass: all classes, or [Hardware] only when
-    [performance:false] (the ablation hook, as in {!filter}). *)
+    [performance:false] (the ablation hook for what §IV-A2's rules buy). *)
 
 val checker_of_classes :
   klass list -> Arch.t -> Precision.t -> Problem.t -> checker
 (** Checker for an explicit class set (the relaxation passes). *)
+
+val check : checker -> Mapping.t -> (unit, reason) result
+(** First violated constraint of the checker's classes, hardware
+    constraints first — the {!verdict} on the mapping's sizes. *)
 
 val verdict :
   checker ->
@@ -135,9 +124,10 @@ val verdict :
     {!occupancy}), so the verdict never allocates. *)
 
 val relax_attempts_classes : klass list list
-(** The relaxation ladder {!filter} walks when the strict pass keeps
-    nothing, strongest first and [\[Hardware\]] last — exported so the
-    streaming pipeline degrades identically. *)
+(** The relaxation ladder walked when the strict pass keeps nothing: class
+    sets that drop performance rules, strongest first and [\[Hardware\]]
+    last — hardware constraints are never relaxed.  The first set with
+    survivors wins. *)
 
 val reason_index : reason -> int
 (** Position of a reason in {!all_reasons} — the code {!verdict} returns
@@ -163,5 +153,4 @@ val stats_of_tally :
 
 val emit_stats_metrics : stats -> unit
 (** Emit the [cogent.prune.*] counters for one search — called once per
-    search by whichever path produced the stats (legacy {!filter} or the
-    streaming pipeline), outside any parallel section. *)
+    search by {!Driver}, outside any parallel section. *)

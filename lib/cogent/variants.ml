@@ -8,7 +8,7 @@ let ( let* ) = Result.bind
 
 let generate_ctx ctx ast size_list =
   if size_list = [] then
-    Error (Driver.Bad_problem "Variants.generate: no representative sizes")
+    Error (Driver.Bad_problem "Variants.generate_ctx: no representative sizes")
   else begin
     let rec plan_all k acc = function
       | [] -> Ok (List.rev acc)
@@ -29,15 +29,6 @@ let generate_ctx ctx ast size_list =
     let* variants = plan_all 0 [] size_list in
     Ok { ast; variants }
   end
-
-let generate ?arch ?precision ?measure ast size_list =
-  Result.map_error Driver.error_to_string
-    (generate_ctx (Ctx.make ?arch ?precision ?measure ()) ast size_list)
-
-let generate_exn ?arch ?precision ?measure ast size_list =
-  match generate ?arch ?precision ?measure ast size_list with
-  | Ok t -> t
-  | Error e -> invalid_arg ("Variants.generate: " ^ e)
 
 let distance a b indices =
   List.fold_left

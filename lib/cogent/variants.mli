@@ -12,7 +12,6 @@
     kernel plus a runtime dispatcher. *)
 
 open Tc_tensor
-open Tc_gpu
 open Tc_expr
 
 type variant = {
@@ -28,16 +27,6 @@ val generate_ctx : Ctx.t -> Ast.t -> Sizes.t list -> (t, Driver.error) result
     enumerate/prune/rank/refine pipeline under the given context).
     [Driver.Bad_problem] on an invalid contraction, an empty size list, or
     a size map that does not cover the contraction. *)
-
-val generate :
-  ?arch:Arch.t -> ?precision:Precision.t -> ?measure:Driver.measure
-  -> Ast.t -> Sizes.t list -> (t, string) result
-(** Deprecated wrapper over {!generate_ctx}; errors rendered with
-    {!Driver.error_to_string}. *)
-
-val generate_exn :
-  ?arch:Arch.t -> ?precision:Precision.t -> ?measure:Driver.measure
-  -> Ast.t -> Sizes.t list -> t
 
 val distance : Sizes.t -> Sizes.t -> Index.t list -> float
 (** Sum over the given indices of [|log(Na / Nb)|] — the closeness measure

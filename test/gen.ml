@@ -84,6 +84,10 @@ let reference c =
   let info = Problem.info c.problem in
   Contract_ref.contract ~out_indices:info.Classify.externals c.lhs c.rhs
 
+(* The plan [Cogent.Driver.run_exn] selects for [problem] under [ctx]. *)
+let plan_of ctx problem =
+  (Cogent.Driver.run_exn ctx problem).Cogent.Driver.plan
+
 (* The same mapping on A100/fp16 under every schema the planner admits for
    it (classic, pipelined, pipelined-MMA), so the execution and counting
    properties see each kernel schema the driver can pick. *)

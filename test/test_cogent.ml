@@ -151,7 +151,7 @@ let test_pack_greedy_exhausted () =
   check Alcotest.int "fully packed" 3 (List.hd bindings).Mapping.tile
 
 let test_enumerate_eq1_nonempty () =
-  let configs = Enumerate.enumerate eq1 in
+  let configs = Oracle.candidates eq1 in
   check Alcotest.bool "nonempty" true (configs <> []);
   List.iter
     (fun m ->
@@ -164,7 +164,7 @@ let test_enumerate_eq1_nonempty () =
     configs
 
 let test_enumerate_dedup () =
-  let configs = Enumerate.enumerate eq1 in
+  let configs = Oracle.candidates eq1 in
   let module MSet = Set.Make (struct
     type t = Mapping.t
 
@@ -177,7 +177,7 @@ let test_enumerate_dedup () =
 let test_enumerate_tiny_fallback () =
   (* all extents 2: targets unreachable, fallback keeps exhausted packs *)
   let p = Problem.of_string_exn "ab-ac-cb" ~sizes:[ ('a', 2); ('b', 2); ('c', 2) ] in
-  check Alcotest.bool "nonempty" true (Enumerate.enumerate p <> [])
+  check Alcotest.bool "nonempty" true (Candidates.count (Candidates.create p) > 0)
 
 let test_naive_space_eq1 () =
   (* §IV: 3,981,312 configurations for Eq. 1 *)
@@ -187,7 +187,7 @@ let test_naive_space_eq1 () =
 let enumerate_all_valid =
   QCheck.Test.make ~count:60 ~name:"every enumerated config validates"
     Gen.case_arbitrary (fun c ->
-      let configs = Enumerate.enumerate c.Gen.problem in
+      let configs = Oracle.candidates c.Gen.problem in
       configs <> []
       && List.for_all
            (fun m -> Mapping.validate c.Gen.problem m = Ok ())
@@ -199,51 +199,22 @@ let mapping_list = Alcotest.(list (testable Mapping.pp Mapping.equal))
 
 let test_candidates_eq1_stream () =
   let cands = Candidates.create eq1 in
-  let legacy = Enumerate.enumerate eq1 in
+  let legacy = Oracle.enumerate eq1 in
   check Alcotest.int "count matches enumeration" (List.length legacy)
     (Candidates.count cands);
   check mapping_list "stream equals materialized enumeration" legacy
-    (Candidates.to_list cands)
-
-let test_candidates_chunks_partition () =
-  let cands = Candidates.create eq1 in
-  let acc = ref [] in
-  for k = 0 to Candidates.num_chunks cands - 1 do
-    Candidates.iter_chunk cands k (fun m -> acc := m :: !acc)
-  done;
-  check mapping_list "chunks concatenate to the stream"
-    (Candidates.to_list cands) (List.rev !acc)
+    (Oracle.candidates eq1)
 
 let candidates_match_enumerate =
   QCheck.Test.make ~count:60
     ~name:"candidate stream equals materialized enumeration"
     Gen.case_arbitrary (fun c ->
       let cands = Candidates.create c.Gen.problem in
-      let legacy = Enumerate.enumerate c.Gen.problem in
+      let legacy = Oracle.enumerate c.Gen.problem in
       Candidates.count cands = List.length legacy
-      && List.equal Mapping.equal (Candidates.to_list cands) legacy)
+      && List.equal Mapping.equal (Oracle.candidates c.Gen.problem) legacy)
 
-(* ---- Streaming pipeline vs the three materialized phases ---- *)
-
-(* The legacy planner hot path, phase by phase, as Driver.generate_one
-   composed it before the fused pipeline: materialize the enumeration,
-   filter, truncate to the search budget, rank everything. *)
-let legacy_search ?performance ?budget ~topk arch prec problem =
-  let configs = Enumerate.enumerate problem in
-  let kept, stats = Prune.filter ?performance arch prec problem configs in
-  let kept, degraded =
-    match budget with
-    | Some b when List.length kept > max 1 b ->
-        (List.filteri (fun k _ -> k < max 1 b) kept, true)
-    | _ -> (kept, false)
-  in
-  let ranked = Cost.rank prec problem kept in
-  let ranked =
-    match budget with
-    | None -> List.filteri (fun k _ -> k < topk) ranked
-    | Some _ -> ranked
-  in
-  (ranked, stats, degraded)
+(* ---- Streaming pipeline vs the materialized oracle ---- *)
 
 let ranked_equal a b =
   List.equal
@@ -253,7 +224,7 @@ let ranked_equal a b =
 let test_pipeline_eq1 () =
   let arch = Arch.v100 and prec = Precision.FP64 in
   let topk = 8 in
-  let legacy_ranked, legacy_stats, _ = legacy_search ~topk arch prec eq1 in
+  let legacy_ranked, legacy_stats, _ = Oracle.search ~topk arch prec eq1 in
   let o = Pipeline.search ~topk arch prec eq1 in
   check Alcotest.bool "stats equal" true (o.Pipeline.stats = legacy_stats);
   check Alcotest.bool "top-8 equal" true
@@ -284,7 +255,9 @@ let bench_targets =
 
 (* Gen extents (1..6) never come near the SMEM, register or occupancy
    limits, so the byte widths only show on real sizes: every TCCG suite
-   entry on every target, with and without the performance rules. *)
+   entry on every target, with and without the performance rules, at the
+   driver's K = 8 and at K = max_int, which must keep the oracle's full
+   ranking without a single bound abort. *)
 let test_pipeline_suite_targets () =
   List.iter
     (fun entry ->
@@ -293,19 +266,26 @@ let test_pipeline_suite_targets () =
         (fun (arch, prec) ->
           List.iter
             (fun performance ->
-              let ranked, stats, _ =
-                legacy_search ~performance ~topk:8 arch prec problem
+              let full, stats, _ =
+                Oracle.search ~performance ~topk:max_int arch prec problem
               in
-              let o = Pipeline.search ~performance ~topk:8 arch prec problem in
-              let what =
-                Printf.sprintf "%s %s/%s performance:%b"
-                  entry.Tc_tccg.Suite.name arch.Arch.name
-                  (Precision.to_string prec) performance
-              in
-              check Alcotest.bool (what ^ " stats") true
-                (o.Pipeline.stats = stats);
-              check Alcotest.bool (what ^ " ranked") true
-                (ranked_equal o.Pipeline.ranked ranked))
+              List.iter
+                (fun topk ->
+                  let o = Pipeline.search ~performance ~topk arch prec problem in
+                  let what =
+                    Printf.sprintf "%s %s/%s performance:%b topk:%d"
+                      entry.Tc_tccg.Suite.name arch.Arch.name
+                      (Precision.to_string prec) performance topk
+                  in
+                  check Alcotest.bool (what ^ " stats") true
+                    (o.Pipeline.stats = stats);
+                  check Alcotest.bool (what ^ " ranked") true
+                    (ranked_equal o.Pipeline.ranked
+                       (List.filteri (fun k _ -> k < topk) full));
+                  if topk = max_int then
+                    check Alcotest.int (what ^ " bound aborts") 0
+                      o.Pipeline.bound_aborted)
+                [ 8; max_int ])
             [ true; false ])
         bench_targets)
     Tc_tccg.Suite.all
@@ -321,7 +301,7 @@ let streamed_matches_legacy ?budget () =
       let topk = 8 in
       let agrees (arch, prec) performance =
         let legacy_ranked, legacy_stats, legacy_degraded =
-          legacy_search ~performance ?budget ~topk arch prec problem
+          Oracle.search ~performance ?budget ~topk arch prec problem
         in
         let at_jobs jobs =
           Tc_par.Pool.set_default_jobs jobs;
@@ -403,7 +383,7 @@ let test_prune_smem_overflow () =
   in
   check Alcotest.int "smem bytes" (((16 * 1) + (16 * 1)) * 256 * 8)
     (Prune.smem_bytes Precision.FP64 m);
-  match Prune.check Arch.v100 Precision.FP64 p m with
+  match Prune.check (Prune.checker Arch.v100 Precision.FP64 p) m with
   | Error Prune.Smem_overflow -> ()
   | Error r -> fail (Prune.reason_to_string r)
   | Ok () -> fail "smem overflow accepted"
@@ -423,14 +403,14 @@ let test_prune_too_many_threads () =
       grid = [];
     }
   in
-  match Prune.check Arch.v100 Precision.FP64 p m with
+  match Prune.check (Prune.checker Arch.v100 Precision.FP64 p) m with
   | Error Prune.Too_many_threads -> ()
   | _ -> fail "4096 threads accepted"
 
 let test_prune_uncoalesced () =
   (* tiny tile on the output FVI breaks store coalescing *)
   let m = { eq1_mapping with Mapping.tbx = [ b 'a' 2 ]; regx = [ b 'b' 8 ] } in
-  match Prune.check Arch.v100 Precision.FP64 eq1 m with
+  match Prune.check (Prune.checker Arch.v100 Precision.FP64 eq1) m with
   | Error Prune.Uncoalesced_out -> ()
   | Error r -> fail (Prune.reason_to_string r)
   | Ok () -> fail "uncoalesced store accepted"
@@ -440,27 +420,33 @@ let test_prune_regs_fp32_cheaper () =
     (Prune.regs_per_thread Precision.FP32 eq1_mapping
     < Prune.regs_per_thread Precision.FP64 eq1_mapping)
 
+(* Every survivor of a search, ranked: a heap as large as the space. *)
+let survivors problem = Pipeline.search ~topk:max_int Arch.v100 Precision.FP64 problem
+
 let test_prune_filter_stats () =
-  let configs = Enumerate.enumerate eq1 in
-  let kept, stats = Prune.filter Arch.v100 Precision.FP64 eq1 configs in
-  check Alcotest.int "enumerated" (List.length configs) stats.Prune.enumerated;
-  check Alcotest.int "kept" (List.length kept) stats.Prune.kept;
+  let o = survivors eq1 in
+  let stats = o.Pipeline.stats in
+  check Alcotest.int "enumerated"
+    (Candidates.count (Candidates.create eq1))
+    stats.Prune.enumerated;
+  check Alcotest.int "kept" (List.length o.Pipeline.ranked) stats.Prune.kept;
   check Alcotest.bool "something pruned" true (stats.Prune.kept < stats.Prune.enumerated);
   check Alcotest.bool "not relaxed" false stats.Prune.relaxed;
+  let checker = Prune.checker Arch.v100 Precision.FP64 eq1 in
   List.iter
-    (fun m ->
-      match Prune.check Arch.v100 Precision.FP64 eq1 m with
+    (fun (m, _) ->
+      match Prune.check checker m with
       | Ok () -> ()
       | Error r -> fail (Prune.reason_to_string r))
-    kept
+    o.Pipeline.ranked
 
 let test_prune_relaxation () =
   (* a tiny contraction cannot satisfy the block-count constraint, but
-     filter must still return something, flagged as relaxed *)
+     the search must still keep something, flagged as relaxed *)
   let p = Problem.of_string_exn "ab-ac-cb" ~sizes:[ ('a', 4); ('b', 4); ('c', 4) ] in
-  let kept, stats = Prune.filter Arch.v100 Precision.FP64 p (Enumerate.enumerate p) in
-  check Alcotest.bool "kept nonempty" true (kept <> []);
-  check Alcotest.bool "relaxed" true stats.Prune.relaxed
+  let o = survivors p in
+  check Alcotest.bool "kept nonempty" true (o.Pipeline.ranked <> []);
+  check Alcotest.bool "relaxed" true o.Pipeline.stats.Prune.relaxed
 
 (* ---- Cost ---- *)
 
@@ -526,7 +512,7 @@ let test_cost_fp32_fewer_transactions () =
     <= Cost.total Precision.FP64 eq1 eq1_mapping)
 
 let test_cost_rank_sorted () =
-  let ranked = Cost.rank Precision.FP64 eq1 (Enumerate.enumerate eq1) in
+  let ranked = (survivors eq1).Pipeline.ranked in
   let rec sorted = function
     | (_, c1) :: ((_, c2) :: _ as rest) -> c1 <= c2 && sorted rest
     | _ -> true
@@ -560,14 +546,16 @@ let enumerate_tbk_covers_internals =
           let tbk = List.map (fun bd -> bd.Mapping.index) m.Mapping.tbk in
           List.sort Char.compare tbk
           = List.sort Char.compare info.Tc_expr.Classify.internals)
-        (Enumerate.enumerate c.Gen.problem))
+        (Oracle.candidates c.Gen.problem))
 
 let codegen_deterministic =
   QCheck.Test.make ~count:30 ~name:"emission is deterministic"
     Gen.case_arbitrary (fun c ->
-      let plan = Driver.best_plan c.Gen.problem in
+      let plan = Gen.plan_of Ctx.default c.Gen.problem in
       String.equal (Codegen.emit plan) (Codegen.emit plan)
-      && String.equal (Codegen.emit_opencl plan) (Codegen.emit_opencl plan))
+      && String.equal
+           (Codegen.emit ~dialect:Codegen.Opencl plan)
+           (Codegen.emit ~dialect:Codegen.Opencl plan))
 
 (* ---- Plan ---- *)
 
@@ -654,10 +642,15 @@ let test_schema_forced_infeasible () =
     Ctx.make ~arch:Arch.a100 ~precision:Precision.FP64
       ~schema:Schema.Pipelined_mma ()
   in
-  match Driver.run ctx gemm_like with
+  (match Driver.run ctx gemm_like with
   | Error (Driver.Infeasible_schema (Schema.Pipelined_mma, _)) -> ()
   | Error e -> fail ("unexpected error: " ^ Driver.error_to_string e)
-  | Ok _ -> fail "MMA accepted for fp64"
+  | Ok _ -> fail "MMA accepted for fp64");
+  match Driver.run_exn ctx gemm_like with
+  | exception Invalid_argument m ->
+      check Alcotest.bool "error names its raiser" true
+        (String.starts_with ~prefix:"Driver.run_exn: " m)
+  | _ -> fail "MMA accepted for fp64"
 
 (* ---- Codegen ---- *)
 
@@ -700,10 +693,11 @@ let test_codegen_golden () =
 
 let test_codegen_golden_opencl () =
   check_golden "golden OpenCL kernel" "ab_ac_cb.cl"
-    (Codegen.emit_opencl gemm_plan)
+    (Codegen.emit ~dialect:Codegen.Opencl gemm_plan)
 
 let test_codegen_golden_c () =
-  check_golden "golden C-host kernel" "ab_ac_cb.c" (Codegen.emit_c gemm_plan)
+  check_golden "golden C-host kernel" "ab_ac_cb.c"
+    (Codegen.emit ~dialect:Codegen.C_host gemm_plan)
 
 (* The same plan under the double-buffered schema, on a device with async
    copies.  The golden files lock the cp.async prologue and the two-slab
@@ -719,11 +713,11 @@ let test_codegen_golden_pipelined () =
 
 let test_codegen_golden_pipelined_opencl () =
   check_golden "golden pipelined OpenCL kernel" "ab_ac_cb_pipelined.cl"
-    (Codegen.emit_opencl pipelined_plan)
+    (Codegen.emit ~dialect:Codegen.Opencl pipelined_plan)
 
 let test_codegen_golden_pipelined_c () =
   check_golden "golden pipelined C-host kernel" "ab_ac_cb_pipelined.c"
-    (Codegen.emit_c pipelined_plan)
+    (Codegen.emit ~dialect:Codegen.C_host pipelined_plan)
 
 let has_sub src needle =
   let ln = String.length needle and ls = String.length src in
@@ -802,7 +796,7 @@ let test_codegen_fp32 () =
         go 0))
 
 let test_codegen_standalone_has_main () =
-  let src = Codegen.emit_standalone gemm_plan in
+  let src = Codegen.emit ~standalone:true gemm_plan in
   let has needle =
     let len_n = String.length needle and len_s = String.length src in
     let rec go i =
@@ -812,7 +806,13 @@ let test_codegen_standalone_has_main () =
   in
   check Alcotest.bool "main" true (has "int main()");
   check Alcotest.bool "cudaMalloc" true (has "cudaMalloc");
-  check Alcotest.bool "representative extents" true (has "const int N_a = 32;")
+  check Alcotest.bool "representative extents" true (has "const int N_a = 32;");
+  check Alcotest.bool "C-host main" true
+    (has_sub (Codegen.emit ~dialect:Codegen.C_host ~standalone:true gemm_plan)
+       "int main(");
+  match Codegen.emit ~dialect:Codegen.Opencl ~standalone:true gemm_plan with
+  | exception Invalid_argument _ -> ()
+  | _ -> fail "standalone OpenCL emitted"
 
 (* ---- Variants (§IV-B multi-version generation) ---- *)
 
@@ -823,7 +823,8 @@ let small_sizes = Sizes.of_list [ ('a', 64); ('b', 64); ('c', 64) ]
 let big_sizes = Sizes.of_list [ ('a', 2048); ('b', 2048); ('c', 512) ]
 
 let variants_t =
-  Variants.generate_exn variants_ast [ small_sizes; big_sizes ]
+  Result.get_ok
+    (Variants.generate_ctx Ctx.default variants_ast [ small_sizes; big_sizes ])
 
 let test_variants_generate () =
   check Alcotest.int "two versions" 2 (List.length variants_t.Variants.variants);
@@ -832,10 +833,14 @@ let test_variants_generate () =
     (List.length (List.sort_uniq String.compare names) = 2)
 
 let test_variants_generate_rejects () =
-  (match Variants.generate variants_ast [] with
-  | Error _ -> ()
+  let generate = Variants.generate_ctx Ctx.default variants_ast in
+  (match generate [] with
+  | Error e ->
+      check Alcotest.bool "error names its raiser" true
+        (String.starts_with ~prefix:"Variants.generate_ctx: "
+           (Driver.error_to_string e))
   | Ok _ -> fail "empty representative list accepted");
-  match Variants.generate variants_ast [ Sizes.of_list [ ('a', 4) ] ] with
+  match generate [ Sizes.of_list [ ('a', 4) ] ] with
   | Error _ -> ()
   | Ok _ -> fail "non-covering sizes accepted"
 
@@ -876,7 +881,7 @@ let test_variants_emit () =
 (* ---- Driver ---- *)
 
 let test_driver_generate () =
-  match Driver.generate eq1 with
+  match Driver.run Ctx.default eq1 with
   | Error e -> fail (Driver.error_to_string e)
   | Ok r ->
       check Alcotest.bool "ranked nonempty" true (r.Driver.ranked <> []);
@@ -890,8 +895,8 @@ let test_driver_refine_uses_measure () =
   (* a measure preferring many blocks must pick the max-blocks candidate
      among the top 8 *)
   let measure plan = float_of_int (Plan.num_blocks plan) in
-  let r = Driver.generate_exn ~refine:8 ~measure eq1 in
-  let r0 = Driver.generate_exn eq1 in
+  let r = Driver.run_exn (Ctx.make ~refine:8 ~measure ()) eq1 in
+  let r0 = Driver.run_exn Ctx.default eq1 in
   let top8 = List.filteri (fun k _ -> k < 8) r0.Driver.ranked in
   let best_blocks =
     List.fold_left
@@ -911,7 +916,7 @@ let test_driver_refine_measurement_count () =
     float_of_int (Plan.num_blocks plan)
   in
   let refine = 6 in
-  let r = Driver.generate_exn ~refine ~measure eq1 in
+  let r = Driver.run_exn (Ctx.make ~refine ~measure ()) eq1 in
   let expected = min refine (List.length r.Driver.ranked) in
   check Alcotest.int "one measurement per refined candidate" expected
     (Atomic.get calls)
@@ -926,30 +931,31 @@ let test_driver_auto_split () =
     Problem.of_string_exn "ab-cad-dcb"
       ~sizes:[ ('a', 384); ('b', 384); ('c', 128); ('d', 128) ]
   in
-  let base = Driver.generate_exn ~measure:simulate ttm in
-  let with_split = Driver.generate_exn ~measure:simulate ~auto_split:true ttm in
+  let ctx = Ctx.make ~measure:simulate () in
+  let base = Driver.run_exn ctx ttm in
+  let with_split = Driver.run_exn ctx ~auto_split:true ttm in
   check Alcotest.bool "never worse under its own measure" true
     (simulate with_split.Driver.plan >= simulate base.Driver.plan);
   (* without a measure, auto_split silently degrades to the base path *)
-  let no_measure = Driver.generate_exn ~auto_split:true ttm in
+  let no_measure = Driver.run_exn Ctx.default ~auto_split:true ttm in
   check Alcotest.bool "same contraction without measure" true
     (Problem.flops no_measure.Driver.plan.Plan.problem
     = Problem.flops ttm)
 
 let test_driver_top_plans () =
-  let r = Driver.generate_exn eq1 in
+  let r = Driver.run_exn Ctx.default eq1 in
   check Alcotest.int "default 5" 5 (List.length (Driver.top_plans r));
   check Alcotest.int "n=2" 2 (List.length (Driver.top_plans ~n:2 r))
 
 let test_driver_cuda_source () =
-  let r = Driver.generate_exn eq1 in
+  let r = Driver.run_exn Ctx.default eq1 in
   check Alcotest.bool "emits something" true
-    (String.length (Driver.cuda_source r) > 500)
+    (String.length (Codegen.emit r.Driver.plan) > 500)
 
 let driver_succeeds_on_generated =
   QCheck.Test.make ~count:40 ~name:"driver succeeds on random contractions"
     Gen.case_arbitrary (fun c ->
-      match Driver.generate c.Gen.problem with
+      match Driver.run Ctx.default c.Gen.problem with
       | Ok r -> Mapping.validate c.Gen.problem r.Driver.plan.Plan.mapping = Ok ()
       | Error _ -> false)
 
@@ -1032,8 +1038,6 @@ let () =
         [
           Alcotest.test_case "Eq. 1 stream = enumeration" `Quick
             test_candidates_eq1_stream;
-          Alcotest.test_case "chunks partition the stream" `Quick
-            test_candidates_chunks_partition;
           Gen.to_alcotest candidates_match_enumerate;
         ] );
       ( "pipeline",

@@ -94,7 +94,7 @@ let test_suite_kernels_compile precision () =
   List.iter
     (fun e ->
       let problem = Tc_tccg.Suite.problem e in
-      let plan = Cogent.Driver.best_plan ~precision problem in
+      let plan = Gen.plan_of (Cogent.Ctx.make ~precision ()) problem in
       check_kernel ~shim:cuda_shim plan e.Tc_tccg.Suite.name)
     Tc_tccg.Suite.all
 
@@ -103,7 +103,7 @@ let test_suite_kernels_compile_opencl () =
   List.iter
     (fun e ->
       let problem = Tc_tccg.Suite.problem e in
-      let plan = Cogent.Driver.best_plan problem in
+      let plan = Gen.plan_of Cogent.Ctx.default problem in
       check_kernel ~dialect:Cogent.Codegen.Opencl ~shim:opencl_shim plan
         (e.Tc_tccg.Suite.name ^ " (OpenCL)"))
     Tc_tccg.Suite.all
@@ -118,7 +118,8 @@ let test_variants_unit_compiles () =
     | Error _ -> assert false
   in
   let v =
-    Cogent.Variants.generate_exn ast
+    Result.get_ok
+    @@ Cogent.Variants.generate_ctx Cogent.Ctx.default ast
       [
         Tc_expr.Sizes.of_list
           [ ('a', 48); ('b', 48); ('c', 48); ('d', 48); ('e', 32); ('f', 32) ];
@@ -183,7 +184,9 @@ let reference_output spec extents =
    tile-misaligned [small_extents], and return the printed output tensor. *)
 let c_host_output cc plan name =
   let spec = Cogent.Codegen.spec_of_plan plan in
-  let src = Cogent.Codegen.emit_c_standalone plan in
+  let src =
+    Cogent.Codegen.emit ~dialect:Cogent.Codegen.C_host ~standalone:true plan
+  in
   let file = Filename.temp_file "cogent_chost" ".c" in
   let exe = Filename.temp_file "cogent_chost" ".exe" in
   let out = exe ^ ".out" and log = exe ^ ".log" in
@@ -242,7 +245,7 @@ let test_suite_kernels_execute () =
   List.iter
     (fun e ->
       let problem = Tc_tccg.Suite.problem e in
-      let plan = Cogent.Driver.best_plan problem in
+      let plan = Gen.plan_of Cogent.Ctx.default problem in
       run_c_host cc plan (e.Tc_tccg.Suite.name ^ " (C host)"))
     Tc_tccg.Suite.all
 
@@ -315,7 +318,7 @@ let prop_pipelined_matches_classic =
       | None -> true
       | Some cc ->
           let plan =
-            Cogent.Driver.best_plan ~arch:Arch.a100 c.Gen.problem
+            Gen.plan_of (Cogent.Ctx.make ~arch:Arch.a100 ()) c.Gen.problem
           in
           if
             not

@@ -16,8 +16,12 @@ let test_pipeline_eq1 () =
     Problem.of_string_exn "C[a,b,c,d] = A[a,e,b,f] * B[d,f,c,e]"
       ~sizes:[ ('a', 48); ('b', 48); ('c', 48); ('d', 48); ('e', 32); ('f', 32) ]
   in
-  let r = Cogent.Driver.generate_exn ~arch:Arch.v100 ~measure:simulate problem in
-  let src = Cogent.Driver.cuda_source r in
+  let r =
+    Cogent.Driver.run_exn
+      (Cogent.Ctx.make ~arch:Arch.v100 ~measure:simulate ())
+      problem
+  in
+  let src = Cogent.Codegen.emit r.Cogent.Driver.plan in
   check Alcotest.bool "substantial CUDA" true (String.length src > 2000);
   check Alcotest.bool "pruning removes configurations" true
     (let s = r.Cogent.Driver.prune_stats in
@@ -39,7 +43,7 @@ let test_three_backends_agree () =
     Contract_ref.contract ~out_indices:(Index.list_of_string "abcd") lhs rhs
   in
   let cogent =
-    Cogent.Interp.execute (Cogent.Driver.best_plan problem) ~lhs ~rhs
+    Cogent.Interp.execute (Gen.plan_of Cogent.Ctx.default problem) ~lhs ~rhs
   in
   let ttgt = Tc_ttgt.Ttgt.execute problem ~lhs ~rhs in
   let nwchem =
@@ -58,7 +62,7 @@ let test_ccsdt_ordering_claim () =
   let p = Tc_tccg.Suite.problem Tc_tccg.Suite.sd2_1 in
   List.iter
     (fun arch ->
-      let cg = simulate (Cogent.Driver.best_plan ~arch ~measure:simulate p) in
+      let cg = simulate (Gen.plan_of (Cogent.Ctx.make ~arch ~measure:simulate ()) p) in
       let nw = simulate (Tc_nwchem.Nwgen.plan ~arch p) in
       let ts =
         (Tc_ttgt.Ttgt.run_ctx (Cogent.Ctx.make ~arch ()) p).Tc_ttgt.Ttgt.gflops
@@ -87,7 +91,8 @@ let test_ccsd_4d_talsh_strong () =
   check Alcotest.bool "transpose << gemm" true
     (e.Tc_ttgt.Ttgt.transpose_time_s < 0.25 *. e.Tc_ttgt.Ttgt.gemm_time_s);
   let cg =
-    simulate (Cogent.Driver.best_plan ~arch:Arch.v100 ~measure:simulate p)
+    simulate
+      (Gen.plan_of (Cogent.Ctx.make ~arch:Arch.v100 ~measure:simulate ()) p)
   in
   check Alcotest.bool "within 2x of each other" true
     (cg /. e.Tc_ttgt.Ttgt.gflops < 2.0 && e.Tc_ttgt.Ttgt.gflops /. cg < 2.0)
@@ -97,7 +102,7 @@ let test_codegen_time_far_below_tuning_time () =
      faster than autotuning *)
   let p = Tc_tccg.Suite.problem Tc_tccg.Suite.sd2_1 in
   let t0 = Sys.time () in
-  ignore (Cogent.Driver.generate_exn p);
+  ignore (Cogent.Driver.run_exn Cogent.Ctx.default p);
   let generation_time = Sys.time () -. t0 in
   check Alcotest.bool "generation under 10 s of CPU" true (generation_time < 10.0)
 
@@ -108,7 +113,7 @@ let test_interp_matches_cuda_structure () =
   let problem =
     Problem.of_string_exn "ab-ac-cb" ~sizes:[ ('a', 32); ('b', 32); ('c', 32) ]
   in
-  let plan = Cogent.Driver.best_plan problem in
+  let plan = Gen.plan_of Cogent.Ctx.default problem in
   let src = Cogent.Codegen.emit_kernel plan in
   let expect =
     Printf.sprintf "const int tid = ty * %d + tx;" (Cogent.Plan.threads_x plan)

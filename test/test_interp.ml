@@ -217,7 +217,7 @@ let test_shape_mismatch_rejected () =
 let interp_matches_reference_on_best_plan =
   QCheck.Test.make ~count:120 ~name:"interp(best plan) == reference"
     Gen.case_arbitrary (fun c ->
-      let plan = Driver.best_plan c.Gen.problem in
+      let plan = Gen.plan_of Ctx.default c.Gen.problem in
       let expected = Gen.reference c in
       List.for_all
         (fun plan ->
@@ -230,7 +230,7 @@ let interp_matches_reference_on_best_plan =
 let interp_matches_reference_on_ranked_plans =
   QCheck.Test.make ~count:25 ~name:"interp(any ranked plan) == reference"
     Gen.case_arbitrary (fun c ->
-      let r = Driver.generate_exn c.Gen.problem in
+      let r = Driver.run_exn Ctx.default c.Gen.problem in
       let expected = Gen.reference c in
       let plans = Driver.top_plans ~n:4 r in
       List.for_all
@@ -244,7 +244,7 @@ let interp_matches_reference_on_ranked_plans =
 let interp_precision_independent =
   QCheck.Test.make ~count:40 ~name:"interp agrees across precisions"
     Gen.case_arbitrary (fun c ->
-      let mapping = (Driver.best_plan c.Gen.problem).Plan.mapping in
+      let mapping = (Gen.plan_of Ctx.default c.Gen.problem).Plan.mapping in
       let run precision =
         let plan =
           Plan.make ~problem:c.Gen.problem ~mapping ~arch:Arch.v100 ~precision

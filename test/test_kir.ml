@@ -37,7 +37,7 @@ let has_sub src needle =
 let prop_resources =
   QCheck.Test.make ~count:60 ~name:"IR-derived smem/regs match the plan"
     Gen.case_arbitrary (fun c ->
-      let plan = Driver.best_plan c.Gen.problem in
+      let plan = Gen.plan_of Ctx.default c.Gen.problem in
       let k = Codegen.lower plan in
       Tc_kir.Check.smem_bytes k = Plan.smem_bytes plan
       && Tc_kir.Check.reg_estimate k = Plan.regs_per_thread plan)
@@ -45,7 +45,7 @@ let prop_resources =
 let prop_occupancy =
   QCheck.Test.make ~count:60 ~name:"IR occupancy request matches the plan"
     Gen.case_arbitrary (fun c ->
-      let plan = Driver.best_plan c.Gen.problem in
+      let plan = Gen.plan_of Ctx.default c.Gen.problem in
       let k = Codegen.lower plan in
       let got =
         Occupancy.calculate plan.Plan.arch (Tc_kir.Check.occupancy_request k)
@@ -81,7 +81,7 @@ let prop_guard_elim =
   QCheck.Test.make ~count:60
     ~name:"guard elimination fires iff an extent divides its tile"
     Gen.case_arbitrary (fun c ->
-      let plan = Driver.best_plan c.Gen.problem in
+      let plan = Gen.plan_of Ctx.default c.Gen.problem in
       let p = plan.Plan.problem and m = plan.Plan.mapping in
       let info = Problem.info p in
       let all = Tc_expr.Classify.all_indices info in
@@ -101,7 +101,7 @@ let prop_guard_elim =
 let prop_staging_conflict_free =
   QCheck.Test.make ~count:60 ~name:"staging writes are bank-conflict-free"
     Gen.case_arbitrary (fun c ->
-      let plan = Driver.best_plan c.Gen.problem in
+      let plan = Gen.plan_of Ctx.default c.Gen.problem in
       Tc_kir.Check.staging_conflict_ways (Codegen.lower plan) = 1)
 
 (* ---- units ---- *)

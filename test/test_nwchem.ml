@@ -66,7 +66,7 @@ let nwchem_never_beats_refined_cogent =
       in
       let cg =
         simulate
-          (Driver.best_plan ~measure:simulate ~refine:64 c.Gen.problem)
+          (Gen.plan_of (Ctx.make ~measure:simulate ~refine:64 ()) c.Gen.problem)
       in
       let nw = simulate (Nwgen.plan c.Gen.problem) in
       (* On tiny random problems the fixed recipe can land outside the

@@ -259,24 +259,49 @@ let test_prometheus_exposition () =
    ^ "serve_requests 5\n")
     (Metrics.to_prometheus (Metrics.snapshot reg))
 
-(* Counter determinism across repeated pipeline runs: the same generated
-   problem pruned twice yields byte-identical metric deltas. *)
+(* Counter determinism across repeated driver runs: the same generated
+   problem planned twice yields byte-identical [cogent.prune.*] counters,
+   and they are the search's own statistics. *)
 let metrics_deterministic_on_generated =
   QCheck.Test.make ~count:30 ~name:"prune metrics deterministic"
     Gen.case_arbitrary (fun c ->
       let problem = c.Gen.problem in
-      let open Tc_gpu in
-      let run () =
+      let ctx = Cogent.Ctx.default in
+      let prune_counters () =
         Metrics.reset Metrics.global;
-        let configs = Cogent.Enumerate.enumerate problem in
-        let _kept, _stats =
-          Cogent.Prune.filter Arch.v100 Precision.FP64 problem configs
-        in
-        Json.to_string (Metrics.to_json (Metrics.snapshot Metrics.global))
+        ignore (Cogent.Driver.run_exn ctx problem);
+        (* [reset] keeps registrations: skip counters still at zero. *)
+        List.filter_map
+          (function
+            | Metrics.Counter_v { name; value }
+              when value <> 0.0
+                   && String.starts_with ~prefix:"cogent.prune." name ->
+                Some (name, value)
+            | _ -> None)
+          (Metrics.snapshot Metrics.global)
       in
-      let a = run () in
-      let b = run () in
-      a = b)
+      let a = prune_counters () in
+      let b = prune_counters () in
+      let s =
+        (Cogent.Pipeline.search ~topk:8 ctx.Cogent.Ctx.arch
+           ctx.Cogent.Ctx.precision problem)
+          .Cogent.Pipeline.stats
+      in
+      let expected =
+        [
+          ("cogent.prune.enumerated", float_of_int s.Cogent.Prune.enumerated);
+          ("cogent.prune.kept", float_of_int s.Cogent.Prune.kept);
+        ]
+        @ (if s.Cogent.Prune.relaxed then [ ("cogent.prune.relaxed", 1.0) ]
+           else [])
+        @ List.map
+            (fun (r, n) ->
+              ( "cogent.prune.rejected." ^ Cogent.Prune.reason_slug r,
+                float_of_int n ))
+            s.Cogent.Prune.pruned
+        |> List.filter (fun (_, v) -> v <> 0.0)
+      in
+      a = b && List.sort compare a = List.sort compare expected)
 
 (* ---- Flight recorder ---- *)
 
@@ -538,7 +563,7 @@ let eq1 =
 
 let test_driver_trace () =
   let t = Trace.make ~clock:(ticker ()) () in
-  (match Cogent.Driver.generate ~trace:t eq1 with
+  (match Cogent.Driver.run Cogent.Ctx.default ~trace:t eq1 with
   | Ok _ -> ()
   | Error e -> fail (Cogent.Driver.error_to_string e));
   let names =
@@ -559,7 +584,7 @@ let test_driver_trace () =
 let test_driver_trace_no_leak () =
   (* ?trace must not leave an ambient context installed. *)
   let t = Trace.make ~clock:(ticker ()) () in
-  ignore (Cogent.Driver.generate ~trace:t eq1);
+  ignore (Cogent.Driver.run Cogent.Ctx.default ~trace:t eq1);
   check Alcotest.bool "no ambient context after generate" true
     (Trace.installed () = None)
 

@@ -185,7 +185,7 @@ let driver_deterministic_across_jobs =
     (fun c ->
       let run jobs =
         Pool.set_default_jobs jobs;
-        Cogent.Driver.generate_exn ~measure:simulate c.Gen.problem
+        Cogent.Driver.run_exn (Cogent.Ctx.make ~measure:simulate ()) c.Gen.problem
       in
       let r1 = run 1 in
       let r4 = run 4 in

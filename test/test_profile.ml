@@ -129,7 +129,7 @@ let prop_sweep_eq_ref =
    in 1..6 and power-of-two tile targets, most sampled plans have partial
    boundary tiles on several axes. *)
 let sample_mappings problem =
-  match Enumerate.enumerate problem with
+  match Oracle.candidates problem with
   | [] -> []
   | all ->
       let n = List.length all in
@@ -247,7 +247,7 @@ let eq1 =
   Problem.of_string_exn "abcd-aebf-dfce"
     ~sizes:[ ('a', 48); ('b', 48); ('c', 48); ('d', 48); ('e', 32); ('f', 32) ]
 
-let profile_eq1 = lazy (Profile.profile (Driver.best_plan eq1))
+let profile_eq1 = lazy (Profile.profile (Gen.plan_of Ctx.default eq1))
 
 let test_profile_eq1_golden () =
   let p = Lazy.force profile_eq1 in

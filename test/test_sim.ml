@@ -194,7 +194,7 @@ let sim_finite_on_pruned_configs =
   QCheck.Test.make ~count:40
     ~name:"simulator finite and below peak on surviving configs"
     Gen.case_arbitrary (fun c ->
-      let r = Driver.generate_exn c.Gen.problem in
+      let r = Driver.run_exn Ctx.default c.Gen.problem in
       List.for_all
         (fun plan ->
           let s = Simkernel.run plan in

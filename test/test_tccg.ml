@@ -123,7 +123,7 @@ let test_suite_functional_all () =
       let expected =
         Contract_ref.contract ~out_indices:info.Classify.externals lhs rhs
       in
-      let plan = Cogent.Driver.best_plan p in
+      let plan = Gen.plan_of Cogent.Ctx.default p in
       let via_cogent = Cogent.Interp.execute plan ~lhs ~rhs in
       let via_ttgt = Tc_ttgt.Ttgt.execute p ~lhs ~rhs in
       if not (Dense.equal_approx ~tol:1e-9 expected via_cogent) then
