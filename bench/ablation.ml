@@ -17,8 +17,6 @@ open Tc_gpu
 let arch = Arch.v100
 let prec = Precision.FP64
 
-let simulate plan = (Tc_sim.Simkernel.run plan).Tc_sim.Simkernel.gflops
-
 let plan_of problem mapping =
   Cogent.Plan.make ~problem ~mapping ~arch ~precision:prec
 
@@ -30,8 +28,11 @@ let full_ranking problem =
 
 (* The driver's plan, refined on the simulator. *)
 let refined ?auto_split problem =
-  let ctx = Cogent.Ctx.make ~arch ~precision:prec ~measure:simulate () in
-  simulate (Cogent.Driver.run_exn ctx ?auto_split problem).Cogent.Driver.plan
+  let ctx =
+    Cogent.Ctx.make ~arch ~precision:prec ~measure:Tc_sim.Simkernel.gflops ()
+  in
+  Tc_sim.Simkernel.gflops
+    (Cogent.Driver.run_exn ctx ?auto_split problem).Cogent.Driver.plan
 
 (* Geomean of a/b over pairs, dropping non-finite ratios so a degenerate
    study cannot poison the JSON report. *)
@@ -81,13 +82,14 @@ let selection () =
         let ranking = full_ranking problem in
         let model =
           match ranking with
-          | (m, _) :: _ -> simulate (plan_of problem m)
+          | (m, _) :: _ -> Tc_sim.Simkernel.gflops (plan_of problem m)
           | [] -> nan
         in
         let refined = refined problem in
         let oracle =
           List.fold_left
-            (fun acc (m, _) -> Float.max acc (simulate (plan_of problem m)))
+            (fun acc (m, _) ->
+              Float.max acc (Tc_sim.Simkernel.gflops (plan_of problem m)))
             0.0 ranking
         in
         (e, model, refined, oracle))
@@ -161,7 +163,7 @@ let constraints () =
             (Cogent.Pipeline.search ~performance ~topk:1 arch prec problem)
               .Cogent.Pipeline.ranked
           with
-          | (m, _) :: _ -> Some (simulate (plan_of problem m))
+          | (m, _) :: _ -> Some (Tc_sim.Simkernel.gflops (plan_of problem m))
           | [] -> None
         in
         match (pick true, pick false) with

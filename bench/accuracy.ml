@@ -13,7 +13,6 @@
 module Benchrep = Tc_profile.Benchrep
 module Audit = Tc_audit.Audit
 
-let simulate plan = (Tc_sim.Simkernel.run plan).Tc_sim.Simkernel.gflops
 let ledger_dir = "audit-ledger"
 
 (* A fixed cross-section of the TCCG suite — the first two entries of
@@ -34,7 +33,9 @@ let tccg_subset =
    plan searches and counter replays fan out on the pool (Audit.sample is
    a pure model evaluation); sample order is entry order regardless. *)
 let tccg_suite ~suite ~arch ~precision entries =
-  let ctx = Cogent.Ctx.make ~arch ~precision ~measure:simulate () in
+  let ctx =
+    Cogent.Ctx.make ~arch ~precision ~measure:Tc_sim.Simkernel.gflops ()
+  in
   Tc_par.Pool.map
     (fun e ->
       let problem = Tc_tccg.Suite.problem e in
@@ -77,7 +78,7 @@ let serve_requests =
   ]
 
 let serve_suite () =
-  let ctx = Cogent.Ctx.make ~measure:simulate () in
+  let ctx = Cogent.Ctx.make ~measure:Tc_sim.Simkernel.gflops () in
   let collector = Audit.collector () in
   let session =
     match Tc_serve.Serve.open_session ~audit:collector ctx with

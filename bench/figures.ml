@@ -9,8 +9,6 @@
 open Tc_gpu
 module Benchrep = Tc_profile.Benchrep
 
-let simulate plan = (Tc_sim.Simkernel.run plan).Tc_sim.Simkernel.gflops
-
 (* One plan cache for the whole harness: figures and prunestats revisit the
    same (contraction, device, precision) triples, which is exactly the
    workload the cache exists for — its hit/miss counters land in the
@@ -18,17 +16,18 @@ let simulate plan = (Tc_sim.Simkernel.run plan).Tc_sim.Simkernel.gflops
 let cache = Cogent.Cache.create ()
 
 let cogent_result arch prec problem =
-  let ctx = Cogent.Ctx.make ~arch ~precision:prec ~measure:simulate () in
+  let ctx =
+    Cogent.Ctx.make ~arch ~precision:prec ~measure:Tc_sim.Simkernel.gflops ()
+  in
   match Cogent.Cache.find_or_generate_ctx cache ctx problem with
   | Ok r -> r
   | Error e -> invalid_arg (Cogent.Driver.error_to_string e)
 
 let cogent_gflops arch prec problem =
-  simulate (cogent_result arch prec problem).Cogent.Driver.plan
+  Tc_sim.Simkernel.gflops (cogent_result arch prec problem).Cogent.Driver.plan
 
 let nwchem_gflops arch prec problem =
-  let plan = Tc_nwchem.Nwgen.plan ~arch ~precision:prec problem in
-  (Tc_sim.Simkernel.run plan).Tc_sim.Simkernel.gflops
+  Tc_sim.Simkernel.gflops (Tc_nwchem.Nwgen.plan ~arch ~precision:prec problem)
 
 let talsh_gflops arch prec problem =
   (Tc_ttgt.Ttgt.run_ctx (Cogent.Ctx.make ~arch ~precision:prec ()) problem)
@@ -81,9 +80,9 @@ let tccg_comparison arch =
       (fun e ->
         let problem = Tc_tccg.Suite.problem e in
         let cg_plan = (cogent_result arch Precision.FP64 problem).Cogent.Driver.plan in
-        let cg = simulate cg_plan in
+        let cg = Tc_sim.Simkernel.gflops cg_plan in
         let nw_plan = Tc_nwchem.Nwgen.plan ~arch ~precision:Precision.FP64 problem in
-        let nw = simulate nw_plan in
+        let nw = Tc_sim.Simkernel.gflops nw_plan in
         let ts = talsh_gflops arch Precision.FP64 problem in
         let entry =
           bench_entry ~name:e.Tc_tccg.Suite.name ~expr:e.Tc_tccg.Suite.expr
@@ -166,7 +165,7 @@ let tc_comparison arch =
         let cg_plan =
           (cogent_result arch Precision.FP32 problem).Cogent.Driver.plan
         in
-        let cg = simulate cg_plan in
+        let cg = Tc_sim.Simkernel.gflops cg_plan in
         let r = Tc_autotune.Tuner.tuned arch Precision.FP32 problem in
         let tuned = r.Tc_autotune.Genetic.best_gflops in
         let untuned =
@@ -212,7 +211,7 @@ let fig8 () =
   let problem = Tc_tccg.Suite.problem e in
   let arch = Arch.v100 and prec = Precision.FP32 in
   let cg_plan = (cogent_result arch prec problem).Cogent.Driver.plan in
-  let cg = simulate cg_plan in
+  let cg = Tc_sim.Simkernel.gflops cg_plan in
   let untuned = Tc_autotune.Tuner.untuned_gflops arch prec problem in
   let r = Tc_autotune.Tuner.tuned arch prec problem in
   Printf.printf "COGENT (model-driven, no tuning): %.0f GFLOPS\n" cg;
@@ -263,45 +262,40 @@ let schemas () =
       (fun e ->
         let problem = Tc_tccg.Suite.problem e in
         let plan = (cogent_result arch prec problem).Cogent.Driver.plan in
-        let classic_plan = Cogent.Plan.with_schema Schema.Classic plan in
-        let classic = simulate classic_plan in
-        (* fastest feasible pipelined variant of the chosen mapping *)
+        let chosen = plan.Cogent.Plan.schema in
+        let race = Tc_sim.Simkernel.race plan in
+        let gflops (r : Tc_sim.Simkernel.result) = r.Tc_sim.Simkernel.gflops in
+        let classic = gflops race.Tc_sim.Simkernel.classic in
         let piped =
-          List.filter Schema.pipelined
-            (Cogent.Plan.feasible_schemas ~arch ~precision:prec
-               plan.Cogent.Plan.mapping)
-          |> List.fold_left
-               (fun best sc ->
-                 let p = Cogent.Plan.with_schema sc plan in
-                 let g = simulate p in
-                 match best with
-                 | Some (_, bg) when bg >= g -> best
-                 | _ -> Some (p, g))
-               None
+          Option.map
+            (fun (sc, r) -> (sc, gflops r))
+            race.Tc_sim.Simkernel.pipelined
         in
         let entry =
           bench_entry ~name:e.Tc_tccg.Suite.name ~expr:e.Tc_tccg.Suite.expr
             arch prec
-            ([ plan_strategy "classic" classic_plan ]
+            ([
+               plan_strategy "classic"
+                 (Cogent.Plan.with_schema Schema.Classic plan);
+             ]
             @ (match piped with
               | None -> []
-              | Some (p, g) ->
+              | Some (sc, g) ->
                   [
-                    strat "pipelined"
-                      ~config:(Schema.to_string p.Cogent.Plan.schema)
+                    strat "pipelined" ~config:(Schema.to_string sc)
                       (finite "gflops" g @ finite "speedup" (g /. classic));
                   ])
             @ [
-                strat "chosen"
-                  ~config:(Schema.to_string plan.Cogent.Plan.schema)
-                  (finite "gflops" (simulate plan));
+                strat "chosen" ~config:(Schema.to_string chosen)
+                  (finite "gflops"
+                     (gflops (Tc_sim.Simkernel.lane race chosen)));
               ])
         in
-        (e, plan, classic, piped, entry))
+        (e, chosen, classic, piped, entry))
       Tc_tccg.Suite.all
   in
   List.iter
-    (fun (e, plan, classic, piped, _) ->
+    (fun (e, chosen, classic, piped, _) ->
       let pg, speedup =
         match piped with
         | Some (_, g) -> (Printf.sprintf "%9.0f" g, Printf.sprintf "%7.2fx" (g /. classic))
@@ -309,14 +303,12 @@ let schemas () =
       in
       Printf.printf "%-3d %-8s %-18s %9.0f %s %s  %s\n" e.Tc_tccg.Suite.id
         e.Tc_tccg.Suite.name e.Tc_tccg.Suite.expr classic pg speedup
-        (Schema.to_string plan.Cogent.Plan.schema))
+        (Schema.to_string chosen))
     rows;
   print_newline ();
   let chosen_pipelined =
     List.length
-      (List.filter
-         (fun (_, plan, _, _, _) -> Schema.pipelined plan.Cogent.Plan.schema)
-         rows)
+      (List.filter (fun (_, sc, _, _, _) -> Schema.pipelined sc) rows)
   in
   Report.speedup_summary ~name:"pipelined" ~base:"classic"
     (List.filter_map

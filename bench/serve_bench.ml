@@ -7,8 +7,6 @@
 
 module Benchrep = Tc_profile.Benchrep
 
-let simulate plan = (Tc_sim.Simkernel.run plan).Tc_sim.Simkernel.gflops
-
 let requests () =
   List.map
     (fun e ->
@@ -25,7 +23,7 @@ let requests () =
 let run () =
   Report.section
     "Serving engine: TCCG suite replay (dedup, model dispatch)";
-  let ctx = Cogent.Ctx.make ~measure:simulate () in
+  let ctx = Cogent.Ctx.make ~measure:Tc_sim.Simkernel.gflops () in
   let session =
     match Tc_serve.Serve.open_session ctx with
     | Ok s -> s

@@ -27,13 +27,15 @@
      suite    list the TCCG benchmark entries
 
    The generation subcommands share one configuration surface (a
-   Cogent.Ctx built from --arch, --precision and --budget); every
-   subcommand accepts --trace FILE to record a pipeline trace as Chrome
-   trace_event JSON (load in chrome://tracing or Perfetto), --metrics
-   FILE to write the final metrics snapshot in Prometheus text format,
-   and --jobs N to set the worker-domain count for the parallel sections
-   (overrides COGENT_JOBS; 1 disables parallelism).  Results are
-   bit-identical at any job count.
+   Cogent.Ctx built from --arch, --precision and --budget).  Every
+   subcommand accepts --metrics FILE to write the final metrics snapshot
+   in Prometheus text format and --jobs N to set the worker-domain count
+   for the parallel sections (overrides COGENT_JOBS; 1 disables
+   parallelism); all but profile, audit and suite also accept --trace
+   FILE to record a pipeline trace as Chrome trace_event JSON (load in
+   chrome://tracing or Perfetto) — profile's --trace is the simulated
+   execution timeline instead.  Results are bit-identical at any job
+   count.
 
    Examples:
      cogent gen  -e abcd-aebf-dfce -s a=48,b=48,c=48,d=48,e=32,f=32
@@ -47,8 +49,6 @@ open Tc_gpu
 open Tc_expr
 
 let version = "1.0.0"
-
-let simulate plan = (Tc_sim.Simkernel.run plan).Tc_sim.Simkernel.gflops
 
 (* ---- shared arguments ---- *)
 
@@ -157,8 +157,9 @@ let budget_arg =
 (* The shared front door: every generation subcommand folds its --arch,
    --precision and --budget into one [Cogent.Ctx.t] (the simulator is the
    measure — this repo's stand-in for timed runs on real hardware). *)
-let mk_ctx ?jobs ?schema arch precision budget =
-  Cogent.Ctx.make ~arch ~precision ?schema ~measure:simulate ?jobs ?budget ()
+let mk_ctx ?schema ?budget (arch, precision) =
+  Cogent.Ctx.make ~arch ~precision ?schema ~measure:Tc_sim.Simkernel.gflops
+    ?budget ()
 
 let resolve_problem expr sizes entry =
   match (entry, expr, sizes) with
@@ -249,16 +250,40 @@ let harness ?jobs ?metrics trace f =
           exit 1
       | None -> raise (unwrap e))
 
+(* ---- shared terms ---- *)
+
+(* The contraction a subcommand works on: [--entry NAME], or an expression
+   (from [expr]) with [--sizes].  [resolve] runs inside the harness, so a
+   bad problem is reported after tracing starts. *)
+type problem = { entry : string option; resolve : unit -> Problem.t }
+
+let problem_term expr =
+  Term.(
+    const (fun expr sizes entry ->
+        {
+          entry;
+          resolve = (fun () -> or_die (resolve_problem expr sizes entry));
+        })
+    $ expr $ sizes_arg $ entry_arg)
+
+let device_term =
+  Term.(const (fun arch precision -> (arch, precision)) $ arch_arg
+        $ precision_arg)
+
+(* --metrics and --jobs, plus the pipeline --trace when [trace]: the
+   {!harness} a subcommand body runs under. *)
+let harness_term ~trace =
+  Term.(const (fun trace metrics jobs -> harness ?jobs ?metrics trace)
+        $ (if trace then trace_arg else const None) $ metrics_arg $ jobs_arg)
+
 (* ---- gen ---- *)
 
 let gen_cmd =
-  let run trace metrics jobs expr sizes entry arch precision schema budget
-      output standalone dialect =
-    harness ?jobs ?metrics trace @@ fun () ->
-    let problem = or_die (resolve_problem expr sizes entry) in
+  let run harness problem device schema budget output standalone dialect =
+    harness @@ fun () ->
+    let problem = problem.resolve () in
     let r =
-      or_die_gen
-        (Cogent.Driver.run (mk_ctx ?schema arch precision budget) problem)
+      or_die_gen (Cogent.Driver.run (mk_ctx ?schema ?budget device) problem)
     in
     if standalone && dialect = Cogent.Codegen.Opencl then
       or_die (Error "--standalone is not available for the OpenCL dialect");
@@ -296,21 +321,19 @@ let gen_cmd =
   Cmd.v
     (Cmd.info "gen" ~version
        ~doc:"Generate CUDA, OpenCL or host-C for a tensor contraction")
-    Term.(const run $ trace_arg $ metrics_arg $ jobs_arg $ expr_arg
-          $ sizes_arg $ entry_arg $ arch_arg $ precision_arg $ schema_arg
-          $ budget_arg $ output_arg $ standalone $ dialect)
+    Term.(const run $ harness_term ~trace:true $ problem_term expr_arg
+          $ device_term $ schema_arg $ budget_arg $ output_arg $ standalone
+          $ dialect)
 
 (* ---- plan ---- *)
 
 let plan_cmd =
-  let run trace metrics jobs expr sizes entry arch precision schema budget top
-      =
-    harness ?jobs ?metrics trace @@ fun () ->
-    let problem = or_die (resolve_problem expr sizes entry) in
+  let run harness problem ((arch, precision) as device) schema budget top =
+    harness @@ fun () ->
+    let problem = problem.resolve () in
     let r =
       or_die_gen
-        (Cogent.Driver.run (mk_ctx ?schema arch precision budget) ~topk:top
-           problem)
+        (Cogent.Driver.run (mk_ctx ?schema ?budget device) ~topk:top problem)
     in
     let s = r.Cogent.Driver.prune_stats in
     Format.printf "problem:     %a@." Problem.pp problem;
@@ -321,33 +344,25 @@ let plan_cmd =
       r.Cogent.Driver.bound_aborted
       (if r.Cogent.Driver.degraded then " (budget-truncated)" else "");
     let plan = r.Cogent.Driver.plan in
-    (* Predicted overlap saving: the same configuration re-priced under the
-       classic schema (and under the best pipelined one when classic won the
-       race but a pipelined schema was feasible). *)
-    let sim_schema sc = simulate (Cogent.Plan.with_schema sc plan) in
-    (match plan.Cogent.Plan.schema with
-    | Schema.Classic -> (
-        let pipelined =
-          List.filter Schema.pipelined
-            (Cogent.Plan.feasible_schemas ~arch ~precision
-               plan.Cogent.Plan.mapping)
-        in
-        match pipelined with
-        | [] -> Format.printf "schema:      classic@."
-        | scs ->
-            let best =
-              List.fold_left
-                (fun acc sc -> Float.max acc (sim_schema sc))
-                0.0 scs
-            in
-            Format.printf
-              "schema:      classic (pipelined predicted %.2fx, not taken)@."
-              (best /. simulate plan))
-    | sc ->
+    (* Predicted overlap saving: the schema race's lane for the selected
+       schema over its classic lane (or its best pipelined lane when
+       classic was selected but a pipelined schema was feasible). *)
+    let race = Tc_sim.Simkernel.race plan in
+    let over_classic (r : Tc_sim.Simkernel.result) =
+      r.Tc_sim.Simkernel.gflops
+      /. race.Tc_sim.Simkernel.classic.Tc_sim.Simkernel.gflops
+    in
+    (match (plan.Cogent.Plan.schema, race.Tc_sim.Simkernel.pipelined) with
+    | Schema.Classic, None -> Format.printf "schema:      classic@."
+    | Schema.Classic, Some (_, p) ->
+        Format.printf
+          "schema:      classic (pipelined predicted %.2fx, not taken)@."
+          (over_classic p)
+    | sc, _ ->
         Format.printf
           "schema:      %s (predicted %.2fx over classic staging)@."
           (Schema.to_string sc)
-          (simulate plan /. sim_schema Schema.Classic));
+          (over_classic (Tc_sim.Simkernel.lane race sc)));
     Format.printf "selected:    %a@.@." Cogent.Plan.pp plan;
     Format.printf "top %d configurations by model cost:@." top;
     List.iteri
@@ -357,7 +372,7 @@ let plan_cmd =
             Cogent.Plan.make ~problem ~mapping:m ~arch ~precision
           in
           Format.printf "  #%-2d cost %.3e  sim %7.0f GFLOPS  %a@." (k + 1)
-            cost (simulate plan) Cogent.Mapping.pp m)
+            cost (Tc_sim.Simkernel.gflops plan) Cogent.Mapping.pp m)
       r.Cogent.Driver.ranked
   in
   let top =
@@ -367,19 +382,18 @@ let plan_cmd =
   Cmd.v
     (Cmd.info "plan" ~version
        ~doc:"Inspect the configuration search for a contraction")
-    Term.(const run $ trace_arg $ metrics_arg $ jobs_arg $ expr_arg
-          $ sizes_arg $ entry_arg $ arch_arg $ precision_arg $ schema_arg
-          $ budget_arg $ top)
+    Term.(const run $ harness_term ~trace:true $ problem_term expr_arg
+          $ device_term $ schema_arg $ budget_arg $ top)
 
 (* ---- explain ---- *)
 
 let explain_cmd =
-  let run trace metrics jobs expr sizes entry arch precision top json =
-    harness ?jobs ?metrics trace @@ fun () ->
-    let problem = or_die (resolve_problem expr sizes entry) in
+  let run harness problem device top json =
+    harness @@ fun () ->
+    let problem = problem.resolve () in
     let e =
       or_die_gen ~stats_table:true
-        (Tc_explain.Explain.analyze (mk_ctx arch precision None) ~top problem)
+        (Tc_explain.Explain.analyze (mk_ctx device) ~top problem)
     in
     if json then
       print_endline (Tc_obs.Json.to_string_pretty (Tc_explain.Explain.to_json e))
@@ -397,16 +411,16 @@ let explain_cmd =
     (Cmd.info "explain" ~version
        ~doc:"Explain the cost model's choice: prune audit, per-tensor DRAM \
              charges, occupancy limiter, simulator roofline")
-    Term.(const run $ trace_arg $ metrics_arg $ jobs_arg $ pos_or_expr_arg
-          $ sizes_arg $ entry_arg $ arch_arg $ precision_arg $ top $ json)
+    Term.(const run $ harness_term ~trace:true $ problem_term pos_or_expr_arg
+          $ device_term $ top $ json)
 
 (* ---- profile ---- *)
 
 let profile_cmd =
-  let run metrics jobs expr sizes entry arch precision json trace =
-    harness ?jobs ?metrics None @@ fun () ->
-    let problem = or_die (resolve_problem expr sizes entry) in
-    let r = or_die_gen (Cogent.Driver.run (mk_ctx arch precision None) problem) in
+  let run harness problem device json trace =
+    harness @@ fun () ->
+    let problem = problem.resolve () in
+    let r = or_die_gen (Cogent.Driver.run (mk_ctx device) problem) in
     let prof = Tc_profile.Profile.profile r.Cogent.Driver.plan in
     (match trace with
     | None -> ()
@@ -434,24 +448,25 @@ let profile_cmd =
              interpreter-measured counters cross-validated against the \
              simulator's exact transaction model and the Algorithm-3 cost \
              estimate")
-    Term.(const run $ metrics_arg $ jobs_arg $ pos_or_expr_arg $ sizes_arg
-          $ entry_arg $ arch_arg $ precision_arg $ json $ timeline)
+    Term.(const run $ harness_term ~trace:false $ problem_term pos_or_expr_arg
+          $ device_term $ json $ timeline)
 
 (* ---- bench ---- *)
 
 let bench_cmd =
-  let run trace metrics jobs expr sizes entry arch precision json_file =
-    harness ?jobs ?metrics trace @@ fun () ->
+  let run harness problem ((arch, precision) as device) json_file =
+    harness @@ fun () ->
     let t0 = Sys.time () in
-    let problem = or_die (resolve_problem expr sizes entry) in
+    let entry = problem.entry in
+    let problem = problem.resolve () in
     let cg_plan =
-      (or_die_gen (Cogent.Driver.run (mk_ctx arch precision None) problem))
+      (or_die_gen (Cogent.Driver.run (mk_ctx device) problem))
         .Cogent.Driver.plan
     in
     let cg_sim = Tc_sim.Simkernel.run cg_plan in
     let nw_plan = Tc_nwchem.Nwgen.plan ~arch ~precision problem in
     let nw_sim = Tc_sim.Simkernel.run nw_plan in
-    let ts = Tc_ttgt.Ttgt.run_ctx (mk_ctx arch precision None) problem in
+    let ts = Tc_ttgt.Ttgt.run_ctx (mk_ctx device) problem in
     let cg = cg_sim.Tc_sim.Simkernel.gflops
     and nw = nw_sim.Tc_sim.Simkernel.gflops
     and tsg = ts.Tc_ttgt.Ttgt.gflops in
@@ -478,12 +493,9 @@ let bench_cmd =
                    plan.Cogent.Plan.mapping);
           }
         in
-        let entry_name =
-          match entry with
-          | Some n -> n
-          | None ->
-              Format.asprintf "%a" Tc_expr.Ast.pp
-                (Problem.info problem).Classify.original
+        let expr =
+          Format.asprintf "%a" Tc_expr.Ast.pp
+            (Problem.info problem).Classify.original
         in
         let doc =
           {
@@ -493,10 +505,8 @@ let bench_cmd =
             entries =
               [
                 {
-                  Tc_profile.Benchrep.name = entry_name;
-                  expr =
-                    Format.asprintf "%a" Tc_expr.Ast.pp
-                      (Problem.info problem).Classify.original;
+                  Tc_profile.Benchrep.name = Option.value entry ~default:expr;
+                  expr;
                   arch = arch.Arch.name;
                   precision = Precision.to_string precision;
                   strategies =
@@ -525,17 +535,17 @@ let bench_cmd =
   Cmd.v
     (Cmd.info "bench" ~version
        ~doc:"Compare execution strategies on one contraction")
-    Term.(const run $ trace_arg $ metrics_arg $ jobs_arg $ expr_arg
-          $ sizes_arg $ entry_arg $ arch_arg $ precision_arg $ json_file)
+    Term.(const run $ harness_term ~trace:true $ problem_term expr_arg
+          $ device_term $ json_file)
 
 (* ---- serve ---- *)
 
 let serve_cmd =
-  let run trace metrics jobs requests store arch precision budget json
-      flight_dump audit_ledger flight_size =
-    harness ?jobs ?metrics trace @@ fun () ->
+  let run harness requests store device budget json flight_dump audit_ledger
+      flight_size =
+    harness @@ fun () ->
     let t0 = Sys.time () in
-    let ctx = mk_ctx ?jobs arch precision budget in
+    let ctx = mk_ctx ?budget device in
     let requests =
       match requests with
       | Some f -> f
@@ -652,15 +662,14 @@ let serve_cmd =
        ~doc:"Serve a batched workload of contraction requests: dedup by \
              plan key, search in parallel, dispatch each request to the \
              COGENT kernel or the TTGT pipeline by predicted time")
-    Term.(const run $ trace_arg $ metrics_arg $ jobs_arg $ requests $ store
-          $ arch_arg $ precision_arg $ budget_arg $ json $ flight_dump
-          $ audit_ledger $ flight_size)
+    Term.(const run $ harness_term ~trace:true $ requests $ store $ device_term
+          $ budget_arg $ json $ flight_dump $ audit_ledger $ flight_size)
 
 (* ---- audit ---- *)
 
 let audit_cmd =
-  let run metrics jobs ledger json diff =
-    harness ?jobs ?metrics None @@ fun () ->
+  let run harness ledger json diff =
+    harness @@ fun () ->
     let samples = or_die (Tc_audit.Ledger.load ~dir:ledger) in
     match diff with
     | Some baseline_path ->
@@ -707,13 +716,13 @@ let audit_cmd =
     (Cmd.info "audit" ~version
        ~doc:"Aggregate a cost-model accuracy ledger: error quantiles, \
              dispatch mix, regret account, CI drift gate")
-    Term.(const run $ metrics_arg $ jobs_arg $ ledger $ json $ diff)
+    Term.(const run $ harness_term ~trace:false $ ledger $ json $ diff)
 
 (* ---- triples ---- *)
 
 let triples_cmd =
-  let run trace metrics jobs arch nh np =
-    harness ?jobs ?metrics trace @@ fun () ->
+  let run harness arch nh np =
+    harness @@ fun () ->
     Format.printf
       "CCSD(T) triples sweep estimate at nh=%d, np=%d on %s (FP64):@." nh np
       arch.Arch.name;
@@ -742,13 +751,13 @@ let triples_cmd =
   Cmd.v
     (Cmd.info "triples" ~version
        ~doc:"Estimate a CCSD(T) triples sweep; compute E(T) at toy sizes")
-    Term.(const run $ trace_arg $ metrics_arg $ jobs_arg $ arch_arg $ nh $ np)
+    Term.(const run $ harness_term ~trace:true $ arch_arg $ nh $ np)
 
 (* ---- suite ---- *)
 
 let suite_cmd =
-  let run metrics jobs =
-    harness ?jobs ?metrics None @@ fun () ->
+  let run harness =
+    harness @@ fun () ->
     Format.printf "%-3s %-8s %-12s %-18s %s@." "#" "name" "group" "contraction"
       "sizes";
     List.iter
@@ -764,7 +773,7 @@ let suite_cmd =
       Tc_tccg.Suite.all
   in
   Cmd.v (Cmd.info "suite" ~version ~doc:"List the TCCG benchmark entries")
-    Term.(const run $ metrics_arg $ jobs_arg)
+    Term.(const run $ harness_term ~trace:false)
 
 let main =
   let doc = "COGENT: a code generator for high-performance tensor contractions on GPUs" in

@@ -146,7 +146,6 @@ type sweep = { strategy : string; time_s : float; gflops : float }
 
 let sweep_estimate arch prec ~nh ~np =
   let dummy = make ~nh ~np () in
-  let simulate plan = (Tc_sim.Simkernel.run plan).Tc_sim.Simkernel.gflops in
   let entries =
     List.map
       (fun e -> (entry_problem dummy e ~g_occupied:true, e))
@@ -167,7 +166,8 @@ let sweep_estimate arch prec ~nh ~np =
         match strategy with
         | `Cogent ->
             let ctx =
-              Cogent.Ctx.make ~arch ~precision:prec ~measure:simulate ()
+              Cogent.Ctx.make ~arch ~precision:prec
+                ~measure:Tc_sim.Simkernel.gflops ()
             in
             (Tc_sim.Simkernel.run (Cogent.Driver.run_exn ctx p).Cogent.Driver.plan)
               .Tc_sim.Simkernel.time_s

@@ -26,8 +26,10 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
+(* Nearest power of two; extents above 2^61, the largest power of two an
+   [int] holds, round to 2^61 (doubling past it would overflow). *)
 let round_pow2 n =
-  let rec go p = if p >= n then p else go (2 * p) in
+  let rec go p = if p >= n || p > max_int / 2 then p else go (2 * p) in
   let hi = go 1 in
   let lo = max 1 (hi / 2) in
   if n - lo <= hi - n then lo else hi

@@ -34,30 +34,16 @@ let analyze (ctx : Ctx.t) ?(top = 3) problem =
         List.mapi
           (fun k (mapping, _) ->
             let plan = Plan.make ~problem ~mapping ~arch ~precision in
-            (* The schema race the driver would run for this mapping: the
-               fastest feasible pipelined variant, priced by the same
-               simulator.  [None] on devices without async copies. *)
-            let pipelined =
-              List.filter Schema.pipelined
-                (Plan.feasible_schemas ~arch ~precision mapping)
-              |> List.fold_left
-                   (fun best sc ->
-                     let r = Tc_sim.Simkernel.run (Plan.with_schema sc plan) in
-                     match best with
-                     | Some (_, br)
-                       when br.Tc_sim.Simkernel.time_s
-                            <= r.Tc_sim.Simkernel.time_s ->
-                         best
-                     | _ -> Some (sc, r))
-                   None
-            in
+            (* The schema race for this mapping, priced by the same
+               simulator: [sim] is its classic lane. *)
+            let race = Tc_sim.Simkernel.race plan in
             {
               rank = k + 1;
               plan;
               cost = Cost.explain precision problem mapping;
               occupancy = Plan.occupancy plan;
-              sim = Tc_sim.Simkernel.run plan;
-              pipelined;
+              sim = race.Tc_sim.Simkernel.classic;
+              pipelined = race.Tc_sim.Simkernel.pipelined;
             })
           ranked
       in

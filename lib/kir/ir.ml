@@ -161,14 +161,6 @@ let rec map_stmts ~fe ~fl stmts =
       | Comment _ -> s)
     stmts
 
-let map_expr f stmts = map_stmts ~fe:f ~fl:(fun l -> l) stmts
-
-let exists_expr p stmts =
-  let found = ref false in
-  let fe e = if p e then found := true; e in
-  ignore (map_expr fe stmts);
-  !found
-
 let offset_array ~name ~offset stmts =
   let fe = function
     | Index (n, e) when String.equal n name -> Index (n, Add (offset, e))

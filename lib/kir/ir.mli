@@ -9,8 +9,8 @@
     phase in explicit thread-grid loops so the same IR runs on a CPU.
 
     Everything inside a phase is an ordinary typed statement over integer and
-    scalar expressions, which is what the static checks ({!Check}) and
-    transformations ({!Opt}) traverse. *)
+    scalar expressions, which is what the static checks ({!Check})
+    traverse. *)
 
 open Tc_tensor
 open Tc_gpu
@@ -165,13 +165,6 @@ val buf_comp_var : string
     ([step mod 2]). *)
 
 (** {1 Traversals} *)
-
-val map_expr : (expr -> expr) -> stmt list -> stmt list
-(** Bottom-up expression rewriting over a statement list. *)
-
-val exists_expr : (expr -> bool) -> stmt list -> bool
-(** True iff some (sub-)expression in the statements satisfies the
-    predicate. *)
 
 val offset_array : name:string -> offset:expr -> stmt list -> stmt list
 (** Adds [offset] to every index into array [name] (reads, writes and

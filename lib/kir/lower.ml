@@ -122,9 +122,8 @@ let guard_expr s v ~local_prefix =
        v.indices)
 
 (* Cooperative GMEM -> SMEM staging loop for one input slab.  The guard
-   flag is named per slab (ok_la / ok_lb) so IR passes that track flags by
-   name — notably [Opt.eliminate_guards] — never confuse one slab's guard
-   with the other's. *)
+   flag is named per slab (ok_la / ok_lb), so the emitted text declares a
+   distinct flag for each slab; the golden files lock those names. *)
 let slab_load s v ~smem ~local_prefix =
   let elems = slab_elems s v.indices in
   let tiles = List.map (tile_of s) v.indices in

@@ -260,9 +260,10 @@ let run session items =
         | Ok (req, ctx, problem, k) ->
             let rid = request_label req.Request.id in
             let t0 = Sys.time () in
-            (* [result_r] pairs the public outcome with the request's
-               dispatch regret (not part of the report_doc surface — it
-               lands on the span, the flight entry and the audit ledger). *)
+            (* [result_r] carries the public outcome with the request's
+               predicted time and dispatch regret (not part of the
+               report_doc surface — they land on the span, the flight
+               entry and the audit ledger). *)
             let result_r =
               Tc_obs.Trace.with_request ~id:rid
                 ~attrs:
@@ -283,58 +284,21 @@ let run session items =
                   Error e
               | Some (Ok r) ->
                   let plan = r.Cogent.Driver.plan in
-                  (* One simulation per lane of the race, at the
+                  (* One simulation per lane of the schema race, at the
                      representative problem: its result is both the
                      lane's prediction and, for the winner, the simulated
-                     execution (gflops, actual time). *)
-                  let lane sc =
-                    (sc, Tc_sim.Simkernel.run (Cogent.Plan.with_schema sc plan))
-                  in
-                  let classic =
+                     execution (gflops, actual time).  On devices without
+                     async copies the race has only the classic lane. *)
+                  let race =
                     Tc_obs.Trace.with_span "serve.predict.cogent" (fun () ->
-                        lane Schema.Classic)
-                  in
-                  (* The third lane of the race: the best feasible
-                     pipelined variant of the same mapping.  On devices
-                     without async copies the list is empty and the race
-                     degenerates to the historical classic-vs-TTGT. *)
-                  let pipelined_lanes =
-                    match
-                      List.filter Schema.pipelined
-                        (Cogent.Plan.feasible_schemas
-                           ~arch:plan.Cogent.Plan.arch
-                           ~precision:plan.Cogent.Plan.precision
-                           plan.Cogent.Plan.mapping)
-                    with
-                    | [] -> []
-                    | scs ->
-                        Tc_obs.Trace.with_span "serve.predict.pipelined"
-                          (fun () -> List.map lane scs)
-                  in
-                  let time_of (_, s) = s.Tc_sim.Simkernel.time_s in
-                  let best_pipelined =
-                    List.fold_left
-                      (fun best l ->
-                        match best with
-                        | Some b when time_of b <= time_of l -> best
-                        | _ -> Some l)
-                      None pipelined_lanes
-                  in
-                  let pipelined =
-                    Option.map (fun ((sc, _) as l) -> (sc, time_of l))
-                      best_pipelined
+                        Tc_sim.Simkernel.race plan)
                   in
                   let tt =
                     Tc_obs.Trace.with_span "serve.predict.ttgt" (fun () ->
                         Tc_ttgt.Ttgt.run_ctx ctx plan.Cogent.Plan.problem)
                   in
-                  (* Classic wins ties, so the race is a pure refinement
-                     of the two-way dispatch it replaces. *)
-                  let cogent_time_s = time_of classic in
                   let cogent_schema, cogent_sim =
-                    match best_pipelined with
-                    | Some l when time_of l < cogent_time_s -> l
-                    | _ -> classic
+                    race.Tc_sim.Simkernel.chosen
                   in
                   let ttgt_time_s = tt.Tc_ttgt.Ttgt.time_s in
                   let engine =
@@ -353,14 +317,22 @@ let run session items =
                           cogent_sim.Tc_sim.Simkernel.gflops )
                     | Ttgt_pipeline -> (ttgt_time_s, tt.Tc_ttgt.Ttgt.gflops)
                   in
-                  let strategy =
-                    match engine with
-                    | Ttgt_pipeline -> engine_name Ttgt_pipeline
-                    | Cogent_kernel ->
-                        if Schema.pipelined cogent_schema then
-                          engine_name Cogent_kernel ^ "-"
-                          ^ Schema.to_string cogent_schema
-                        else engine_name Cogent_kernel
+                  let outcome =
+                    {
+                      key = k;
+                      cached = Hashtbl.mem warm k;
+                      degraded = r.Cogent.Driver.degraded;
+                      engine;
+                      schema = cogent_schema;
+                      pipelined =
+                        Option.map
+                          (fun (sc, s) -> (sc, s.Tc_sim.Simkernel.time_s))
+                          race.Tc_sim.Simkernel.pipelined;
+                      cogent_time_s =
+                        race.Tc_sim.Simkernel.classic.Tc_sim.Simkernel.time_s;
+                      ttgt_time_s;
+                      gflops;
+                    }
                   in
                   (* Dispatch regret: the decision above compared the
                      engines on the representative problem; the request
@@ -373,8 +345,7 @@ let run session items =
                      in request order — the audit metrics below are part of
                      the CI replay gate's deterministic subset. *)
                   let plan_lane_s =
-                    (List.assoc plan.Cogent.Plan.schema
-                       (classic :: pipelined_lanes))
+                    (Tc_sim.Simkernel.lane race plan.Cogent.Plan.schema)
                       .Tc_sim.Simkernel.time_s
                   in
                   let _own_cogent_s, _own_ttgt_s, regret_s, _own_approx =
@@ -406,41 +377,24 @@ let run session items =
                       ("predicted_ms", Tc_obs.Trace.Float (predicted_s *. 1e3));
                       ("actual_ms", Tc_obs.Trace.Float (predicted_s *. 1e3));
                       ("regret_ms", Tc_obs.Trace.Float (regret_s *. 1e3));
-                      ("strategy", Tc_obs.Trace.String strategy);
+                      ( "strategy",
+                        Tc_obs.Trace.String (outcome_strategy outcome) );
                       ("outcome", Tc_obs.Trace.String "ok");
-                      ("cached", Tc_obs.Trace.Bool (Hashtbl.mem warm k));
-                      ("degraded", Tc_obs.Trace.Bool r.Cogent.Driver.degraded);
+                      ("cached", Tc_obs.Trace.Bool outcome.cached);
+                      ("degraded", Tc_obs.Trace.Bool outcome.degraded);
                       ("gflops", Tc_obs.Trace.Float gflops);
                     ];
                   Tc_obs.Metrics.observe (predicted_hist ()) predicted_s;
-                  Ok
-                    ( {
-                        key = k;
-                        cached = Hashtbl.mem warm k;
-                        degraded = r.Cogent.Driver.degraded;
-                        engine;
-                        schema = cogent_schema;
-                        pipelined;
-                        cogent_time_s;
-                        ttgt_time_s;
-                        gflops;
-                      },
-                      regret_s )
+                  Ok (outcome, predicted_s, regret_s)
             in
-            let result = Result.map fst result_r in
+            let result = Result.map (fun (o, _, _) -> o) result_r in
             (match result_r with
-            | Ok (o, regret_s) ->
+            | Ok (o, predicted_s, regret_s) ->
                 Tc_obs.Flightrec.record ~key:k ~expr:req.Request.expr
                   ~strategy:(outcome_strategy o)
                   ~timings:
                     [
-                      ("predicted_s",
-                       match o.engine with
-                       | Cogent_kernel -> (
-                           match o.pipelined with
-                           | Some (_, t) when Schema.pipelined o.schema -> t
-                           | _ -> o.cogent_time_s)
-                       | Ttgt_pipeline -> o.ttgt_time_s);
+                      ("predicted_s", predicted_s);
                       ("cogent_s", o.cogent_time_s);
                       ("ttgt_s", o.ttgt_time_s);
                       ("regret_s", regret_s);
@@ -463,6 +417,9 @@ let run session items =
   in
   let after = Cogent.Cache.stats session.cache in
   let count p = List.length (List.filter p responses) in
+  let count_ok p =
+    count (fun r -> match r.result with Ok o -> p o | Error _ -> false)
+  in
   let ok = count (fun r -> Result.is_ok r.result) in
   (* A fresh successful search serves its first requester; everyone else —
      dups, warm-store keys, repeat batches — is a hit.  [generations]
@@ -481,25 +438,13 @@ let run session items =
       loaded = session.loaded;
       generations = after.Cogent.Cache.misses - before.Cogent.Cache.misses;
       hits = ok - fresh_ok;
-      degraded =
-        count (fun r ->
-            match r.result with Ok o -> o.degraded | Error _ -> false);
+      degraded = count_ok (fun o -> o.degraded);
       errors = count (fun r -> Result.is_error r.result);
-      to_cogent =
-        count (fun r ->
-            match r.result with
-            | Ok o -> o.engine = Cogent_kernel
-            | Error _ -> false);
+      to_cogent = count_ok (fun o -> o.engine = Cogent_kernel);
       to_pipelined =
-        count (fun r ->
-            match r.result with
-            | Ok o -> o.engine = Cogent_kernel && Schema.pipelined o.schema
-            | Error _ -> false);
-      to_ttgt =
-        count (fun r ->
-            match r.result with
-            | Ok o -> o.engine = Ttgt_pipeline
-            | Error _ -> false);
+        count_ok (fun o ->
+            o.engine = Cogent_kernel && Schema.pipelined o.schema);
+      to_ttgt = count_ok (fun o -> o.engine = Ttgt_pipeline);
       regrets = !regrets;
     }
   in

@@ -7,12 +7,12 @@
     {!Tc_par.Pool} (first-appearance order, so results are bit-identical
     at any job count), then dispatches every request to whichever engine
     the models predict faster — a three-way race between the classic
-    COGENT kernel ({!Tc_sim.Simkernel} on the cached plan), the best
-    feasible {e pipelined} COGENT variant of the same mapping (double
-    buffering / MMA, absent on devices without async copies), and the
-    TTGT pipeline ({!Tc_ttgt.Ttgt.run_ctx} on the same representative
-    problem).  Classic wins ties, so classic-only workloads dispatch
-    exactly as they did under the two-way race.
+    COGENT kernel, the best feasible {e pipelined} COGENT variant of the
+    same mapping (double buffering / MMA, absent on devices without async
+    copies) — both lanes of {!Tc_sim.Simkernel.race} on the cached plan —
+    and the TTGT pipeline ({!Tc_ttgt.Ttgt.run_ctx} on the same
+    representative problem).  Classic wins ties, so classic-only workloads
+    dispatch exactly as they did under the two-way race.
 
     Degradation ladder: a {!Cogent.Ctx.t.budget} falls generation back to
     the heuristic top-of-enumeration plan (flagged per request); a failed
@@ -40,8 +40,8 @@ type outcome = {
   degraded : bool;  (** plan came from a budget-truncated search *)
   engine : engine;  (** dispatch decision: lower predicted time wins *)
   schema : Tc_gpu.Schema.t;
-      (** kernel schema of the winning COGENT variant ([Classic] when the
-          TTGT pipeline won) *)
+      (** kernel schema of the winning COGENT variant (the schema race's
+          chosen lane, reported even when the TTGT pipeline won) *)
   pipelined : (Tc_gpu.Schema.t * float) option;
       (** best feasible pipelined variant and its predicted time — [None]
           on devices without async copies *)

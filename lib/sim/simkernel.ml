@@ -358,3 +358,41 @@ let run (plan : Plan.t) =
   end
 
 let gflops plan = (run plan).gflops
+
+type race = {
+  lanes : (Schema.t * result) list;
+  classic : result;
+  pipelined : (Schema.t * result) option;
+  chosen : Schema.t * result;
+}
+
+let race_of_lanes lanes =
+  let time (_, r) = r.time_s in
+  let classic =
+    match List.assoc_opt Schema.Classic lanes with
+    | Some r -> r
+    | None -> invalid_arg "Simkernel.race_of_lanes: no classic lane"
+  in
+  (* The earliest of equally fast pipelined lanes wins... *)
+  let pipelined =
+    List.filter (fun (sc, _) -> Schema.pipelined sc) lanes
+    |> List.fold_left
+         (fun best l ->
+           match best with Some b when time b <= time l -> best | _ -> Some l)
+         None
+  in
+  (* ...and classic wins a tie against it. *)
+  let chosen =
+    match pipelined with
+    | Some l when time l < classic.time_s -> l
+    | _ -> (Schema.Classic, classic)
+  in
+  { lanes; classic; pipelined; chosen }
+
+let race (plan : Plan.t) =
+  Plan.feasible_schemas ~arch:plan.Plan.arch ~precision:plan.Plan.precision
+    plan.Plan.mapping
+  |> List.map (fun sc -> (sc, run (Plan.with_schema sc plan)))
+  |> race_of_lanes
+
+let lane r sc = List.assoc sc r.lanes

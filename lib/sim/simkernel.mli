@@ -63,6 +63,35 @@ val run : Cogent.Plan.t -> result
     representative size. *)
 
 val gflops : Cogent.Plan.t -> float
+(** [(run plan).gflops]. *)
+
+(** {1 Schema race}
+
+    The one place that decides which kernel schema wins for a mapping;
+    [serve], [explain], the [plan] subcommand and the schema figure all
+    read their lanes from here. *)
+
+type race = {
+  lanes : (Tc_gpu.Schema.t * result) list;
+      (** one per feasible schema, in {!Cogent.Plan.feasible_schemas} order *)
+  classic : result;
+  pipelined : (Tc_gpu.Schema.t * result) option;
+      (** fastest pipelined lane, the earliest on equal times; [None] on
+          devices without async copies *)
+  chosen : Tc_gpu.Schema.t * result;
+      (** the faster of classic and [pipelined]; classic wins ties *)
+}
+
+val race : Cogent.Plan.t -> race
+(** Simulate [Plan.with_schema sc plan] once for every feasible schema
+    [sc] of the plan's mapping (the plan's own schema is one of them). *)
+
+val race_of_lanes : (Tc_gpu.Schema.t * result) list -> race
+(** The decision behind {!race}, over lanes already simulated.
+    [Invalid_argument] when no lane is [Classic]. *)
+
+val lane : race -> Tc_gpu.Schema.t -> result
+(** The lane of one schema; [Not_found] when it was not feasible. *)
 
 val transactions_exact :
   ?arch:Tc_gpu.Arch.t -> Tc_gpu.Precision.t -> Tc_expr.Problem.t

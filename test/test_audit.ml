@@ -9,8 +9,7 @@ module Benchrep = Tc_profile.Benchrep
 
 let check = Alcotest.check
 let fail = Alcotest.fail
-let simulate plan = (Tc_sim.Simkernel.run plan).Tc_sim.Simkernel.gflops
-let ctx = Cogent.Ctx.make ~measure:simulate ()
+let ctx = Cogent.Ctx.make ~measure:Tc_sim.Simkernel.gflops ()
 
 let eq1 =
   Problem.of_string_exn "abcd-aebf-dfce"
@@ -86,7 +85,9 @@ let test_dispatch_regret_on_own_extents () =
    variants do not. *)
 let test_regret_zero_on_representative_every_schema () =
   let arch = Tc_gpu.Arch.a100 and precision = Tc_gpu.Precision.FP16 in
-  let ctx = Cogent.Ctx.make ~arch ~precision ~measure:simulate () in
+  let ctx =
+    Cogent.Ctx.make ~arch ~precision ~measure:Tc_sim.Simkernel.gflops ()
+  in
   List.iter
     (fun name ->
       let problem =

@@ -173,9 +173,13 @@ let test_cogent_beats_tuned_tc () =
       ~sizes:
         [ ('a', 16); ('b', 16); ('c', 16); ('d', 48); ('e', 48); ('f', 48); ('g', 48) ]
   in
-  let simulate plan = (Tc_sim.Simkernel.run plan).Tc_sim.Simkernel.gflops in
-  let cg = simulate
-      (Gen.plan_of (Ctx.make ~precision:Precision.FP32 ~measure:simulate ()) p) in
+  let cg =
+    Tc_sim.Simkernel.gflops
+      (Gen.plan_of
+         (Ctx.make ~precision:Precision.FP32
+            ~measure:Tc_sim.Simkernel.gflops ())
+         p)
+  in
   let tc =
     (Genetic.tune ~params:quick_params Arch.v100 Precision.FP32 p)
       .Genetic.best_gflops

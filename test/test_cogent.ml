@@ -994,6 +994,19 @@ let test_cache_size_class () =
   (* 48 -> 64 (ties round down: 32 vs 64 equidistant? 48-32=16, 64-48=16 -> down), 65 -> 64, 96 -> 64 (96-64=32, 128-96=32 -> down) *)
   check Alcotest.string "rounded extents" "a:32,b:64,c:64" (Cache.size_class p)
 
+(* Doubling past 2^61 overflows an OCaml int: extents above it must round
+   to 2^61 instead of looping forever. *)
+let test_cache_key_huge_extents () =
+  let key a =
+    Cache.key Ctx.default
+      (Problem.of_string_exn "ab-ac-cb" ~sizes:[ ('a', a); ('b', 4); ('c', 4) ])
+  in
+  let top = 1 lsl 61 in
+  let want = Printf.sprintf "ab-ac-cb|V100|fp64|a:%d,b:4,c:4" top in
+  check Alcotest.string "2^61 + 1" want (key (top + 1));
+  check Alcotest.string "max_int" want (key max_int);
+  check Alcotest.string "2^61 itself" want (key top)
+
 let test_cache_clear () =
   let cache = Cache.create () in
   let p = Problem.of_string_exn "ab-ac-cb" ~sizes:[ ('a', 64); ('b', 64); ('c', 64) ] in
@@ -1131,6 +1144,8 @@ let () =
           Alcotest.test_case "hits and misses" `Quick test_cache_hits_and_misses;
           Alcotest.test_case "discriminates keys" `Quick test_cache_discriminates;
           Alcotest.test_case "size class" `Quick test_cache_size_class;
+          Alcotest.test_case "key terminates on huge extents" `Quick
+            test_cache_key_huge_extents;
           Alcotest.test_case "clear" `Quick test_cache_clear;
         ] );
       ( "driver",

@@ -9,7 +9,6 @@ open Tc_expr
 let check = Alcotest.check
 let fail = Alcotest.fail
 
-let simulate plan = (Tc_sim.Simkernel.run plan).Tc_sim.Simkernel.gflops
 
 let test_pipeline_eq1 () =
   let problem =
@@ -18,7 +17,7 @@ let test_pipeline_eq1 () =
   in
   let r =
     Cogent.Driver.run_exn
-      (Cogent.Ctx.make ~arch:Arch.v100 ~measure:simulate ())
+      (Cogent.Ctx.make ~arch:Arch.v100 ~measure:Tc_sim.Simkernel.gflops ())
       problem
   in
   let src = Cogent.Codegen.emit r.Cogent.Driver.plan in
@@ -27,7 +26,7 @@ let test_pipeline_eq1 () =
     (let s = r.Cogent.Driver.prune_stats in
      s.Cogent.Prune.kept < s.Cogent.Prune.enumerated);
   check Alcotest.bool "simulated throughput plausible" true
-    (let g = simulate r.Cogent.Driver.plan in
+    (let g = Tc_sim.Simkernel.gflops r.Cogent.Driver.plan in
      g > 100.0 && g < Arch.peak_gflops Arch.v100 Precision.FP64)
 
 let test_three_backends_agree () =
@@ -62,8 +61,13 @@ let test_ccsdt_ordering_claim () =
   let p = Tc_tccg.Suite.problem Tc_tccg.Suite.sd2_1 in
   List.iter
     (fun arch ->
-      let cg = simulate (Gen.plan_of (Cogent.Ctx.make ~arch ~measure:simulate ()) p) in
-      let nw = simulate (Tc_nwchem.Nwgen.plan ~arch p) in
+      let cg =
+        Tc_sim.Simkernel.gflops
+          (Gen.plan_of
+             (Cogent.Ctx.make ~arch ~measure:Tc_sim.Simkernel.gflops ())
+             p)
+      in
+      let nw = Tc_sim.Simkernel.gflops (Tc_nwchem.Nwgen.plan ~arch p) in
       let ts =
         (Tc_ttgt.Ttgt.run_ctx (Cogent.Ctx.make ~arch ()) p).Tc_ttgt.Ttgt.gflops
       in
@@ -91,8 +95,10 @@ let test_ccsd_4d_talsh_strong () =
   check Alcotest.bool "transpose << gemm" true
     (e.Tc_ttgt.Ttgt.transpose_time_s < 0.25 *. e.Tc_ttgt.Ttgt.gemm_time_s);
   let cg =
-    simulate
-      (Gen.plan_of (Cogent.Ctx.make ~arch:Arch.v100 ~measure:simulate ()) p)
+    Tc_sim.Simkernel.gflops
+      (Gen.plan_of
+         (Cogent.Ctx.make ~arch:Arch.v100 ~measure:Tc_sim.Simkernel.gflops ())
+         p)
   in
   check Alcotest.bool "within 2x of each other" true
     (cg /. e.Tc_ttgt.Ttgt.gflops < 2.0 && e.Tc_ttgt.Ttgt.gflops /. cg < 2.0)

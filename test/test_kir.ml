@@ -1,7 +1,7 @@
 (* IR-level checks (Tc_kir): resource derivation agrees with the planner,
    the occupancy request reproduces the plan's occupancy, staging is
-   SMEM-bank-conflict-free, guard elimination fires exactly on
-   divisibility, and the C-host dialect has the loop-emulated structure. *)
+   SMEM-bank-conflict-free, and the C-host dialect has the loop-emulated
+   structure. *)
 
 open Tc_gpu
 open Tc_expr
@@ -54,49 +54,6 @@ let prop_occupancy =
       got.Occupancy.active_blocks_per_sm = want.Occupancy.active_blocks_per_sm
       && got.Occupancy.active_warps_per_sm = want.Occupancy.active_warps_per_sm
       && got.Occupancy.occupancy = want.Occupancy.occupancy)
-
-let has_guard stmts =
-  Tc_kir.Ir.exists_expr
-    (function Tc_kir.Ir.Lt _ -> true | _ -> false)
-    stmts
-
-let guarded_phases (k : Tc_kir.Ir.kernel) =
-  k.Tc_kir.Ir.grid_setup @ k.Tc_kir.Ir.block_setup @ k.Tc_kir.Ir.step_counts
-  @ k.Tc_kir.Ir.thread_init @ k.Tc_kir.Ir.acc_init @ k.Tc_kir.Ir.step_setup
-  @ k.Tc_kir.Ir.stage @ k.Tc_kir.Ir.compute @ k.Tc_kir.Ir.store
-
-let count_selects stmts =
-  let n = ref 0 in
-  ignore
-    (Tc_kir.Ir.map_expr
-       (function
-         | Tc_kir.Ir.Select _ as e ->
-             incr n;
-             e
-         | e -> e)
-       stmts);
-  !n
-
-let prop_guard_elim =
-  QCheck.Test.make ~count:60
-    ~name:"guard elimination fires iff an extent divides its tile"
-    Gen.case_arbitrary (fun c ->
-      let plan = Gen.plan_of Ctx.default c.Gen.problem in
-      let p = plan.Plan.problem and m = plan.Plan.mapping in
-      let info = Problem.info p in
-      let all = Tc_expr.Classify.all_indices info in
-      let divisible i = Problem.extent p i mod Mapping.tile_of m i = 0 in
-      let k = Codegen.lower plan in
-      let k', fired = Tc_kir.Opt.eliminate_guards k in
-      (* per-operand: a slab's staging Select collapses exactly when every
-         index of that operand divides its tile — one guard being trivially
-         true must not drop the other slab's zero-fill *)
-      let spec = k.Tc_kir.Ir.spec in
-      let surviving indices = if List.for_all divisible indices then 0 else 1 in
-      fired = List.exists divisible all
-      && has_guard (guarded_phases k') = not (List.for_all divisible all)
-      && count_selects k'.Tc_kir.Ir.stage
-         = surviving spec.Tc_kir.Ir.lhs + surviving spec.Tc_kir.Ir.rhs)
 
 let prop_staging_conflict_free =
   QCheck.Test.make ~count:60 ~name:"staging writes are bank-conflict-free"
@@ -189,53 +146,6 @@ let test_pipelined_cuda_structure () =
   check Alcotest.bool "classic has no pipeline intrinsics" false
     (has_sub classic "__pipeline")
 
-let test_guard_elim_toy () =
-  (* 32 divides every tile (16, 16, 8): all guards disappear *)
-  let k', fired = Tc_kir.Opt.eliminate_guards (Codegen.lower toy_plan) in
-  check Alcotest.bool "fired" true fired;
-  check Alcotest.bool "no guards left" false (has_guard (guarded_phases k'))
-
-let test_guard_elim_mixed () =
-  (* regression: N_b = 33 does not divide its 16-tile, so slab B keeps its
-     guarded zero-fill even though slab A's guard is trivially true — an
-     elimination of A's flag must not leak onto B's Select *)
-  let problem =
-    Problem.of_string_exn "ab-ac-cb"
-      ~sizes:[ ('a', 32); ('b', 33); ('c', 32) ]
-  in
-  let b idx tile = { Mapping.index = idx; tile } in
-  let mapping =
-    {
-      Mapping.tbx = [ b 'a' 16 ];
-      regx = [];
-      tby = [ b 'b' 16 ];
-      regy = [];
-      tbk = [ b 'c' 8 ];
-      grid = [];
-    }
-  in
-  let plan =
-    Plan.make ~problem ~mapping ~arch:Arch.v100 ~precision:Precision.FP64
-  in
-  let k', fired = Tc_kir.Opt.eliminate_guards (Codegen.lower plan) in
-  check Alcotest.bool "fired" true fired;
-  check Alcotest.int "slab B select survives" 1
-    (count_selects k'.Tc_kir.Ir.stage);
-  check Alcotest.bool "store guard survives" true
-    (has_guard k'.Tc_kir.Ir.store)
-
-let test_specialize () =
-  let k = Tc_kir.Opt.specialize (Codegen.lower toy_plan) in
-  let extent_var =
-    Tc_kir.Ir.exists_expr
-      (function
-        | Tc_kir.Ir.Var n ->
-            String.length n = 3 && n.[0] = 'N' && n.[1] = '_'
-        | _ -> false)
-      (guarded_phases k)
-  in
-  check Alcotest.bool "no extent parameters left" false extent_var
-
 let test_c_host_structure () =
   let src = Codegen.emit_kernel ~dialect:Codegen.C_host toy_plan in
   List.iter
@@ -304,7 +214,6 @@ let () =
         [
           Gen.to_alcotest prop_resources;
           Gen.to_alcotest prop_occupancy;
-          Gen.to_alcotest prop_guard_elim;
           Gen.to_alcotest prop_staging_conflict_free;
         ] );
       ( "checks",
@@ -319,14 +228,6 @@ let () =
             test_pipelined_resources;
           Alcotest.test_case "pipelined CUDA structure" `Quick
             test_pipelined_cuda_structure;
-        ] );
-      ( "passes",
-        [
-          Alcotest.test_case "guard elimination (all divide)" `Quick
-            test_guard_elim_toy;
-          Alcotest.test_case "guard elimination (mixed divisibility)" `Quick
-            test_guard_elim_mixed;
-          Alcotest.test_case "specialization" `Quick test_specialize;
         ] );
       ( "printing",
         [

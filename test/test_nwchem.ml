@@ -61,14 +61,13 @@ let nwchem_never_beats_refined_cogent =
   QCheck.Test.make ~count:30
     ~name:"model-driven COGENT >= fixed-recipe NWChem (simulated)"
     Gen.case_arbitrary (fun c ->
-      let simulate plan =
-        (Tc_sim.Simkernel.run plan).Tc_sim.Simkernel.gflops
-      in
       let cg =
-        simulate
-          (Gen.plan_of (Ctx.make ~measure:simulate ~refine:64 ()) c.Gen.problem)
+        Tc_sim.Simkernel.gflops
+          (Gen.plan_of
+             (Ctx.make ~measure:Tc_sim.Simkernel.gflops ~refine:64 ())
+             c.Gen.problem)
       in
-      let nw = simulate (Nwgen.plan c.Gen.problem) in
+      let nw = Tc_sim.Simkernel.gflops (Nwgen.plan c.Gen.problem) in
       (* On tiny random problems the fixed recipe can land outside the
          enumerated space and occasionally win by a small margin; the
          model-driven search must stay at least competitive. *)

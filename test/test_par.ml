@@ -177,7 +177,6 @@ let map_matches_sequential =
 (* The pipeline-level determinism contract: generation (model ranking +
    measured refinement on the default pool) must select the same plan and
    produce the same ranked costs at any job count. *)
-let simulate plan = (Tc_sim.Simkernel.run plan).Tc_sim.Simkernel.gflops
 
 let driver_deterministic_across_jobs =
   QCheck.Test.make ~count:15
@@ -185,7 +184,9 @@ let driver_deterministic_across_jobs =
     (fun c ->
       let run jobs =
         Pool.set_default_jobs jobs;
-        Cogent.Driver.run_exn (Cogent.Ctx.make ~measure:simulate ()) c.Gen.problem
+        Cogent.Driver.run_exn
+          (Cogent.Ctx.make ~measure:Tc_sim.Simkernel.gflops ())
+          c.Gen.problem
       in
       let r1 = run 1 in
       let r4 = run 4 in
@@ -245,7 +246,7 @@ let test_cache_single_flight () =
   let calls = Atomic.make 0 in
   let measure plan =
     Atomic.incr calls;
-    simulate plan
+    Tc_sim.Simkernel.gflops plan
   in
   let ctx = Cogent.Ctx.make ~measure () in
   (* learn how many measure calls one generation costs, sequentially *)

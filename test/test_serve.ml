@@ -6,8 +6,7 @@ open Tc_expr
 
 let check = Alcotest.check
 let fail = Alcotest.fail
-let simulate plan = (Tc_sim.Simkernel.run plan).Tc_sim.Simkernel.gflops
-let ctx = Cogent.Ctx.make ~measure:simulate ()
+let ctx = Cogent.Ctx.make ~measure:Tc_sim.Simkernel.gflops ()
 
 (* A unique, initially-absent store directory (Planstore.save creates it). *)
 let fresh_dir () =
@@ -490,6 +489,117 @@ let test_request_parsing () =
   | Error _ -> ()
   | Ok _ -> fail "non-JSON line must be rejected"
 
+(* An extent above 2^61, where doubling overflows, must not loop in the
+   cache key's power-of-two rounding: the line gets exactly one answer. *)
+let test_hostile_extent_answers () =
+  let line = {|{"expr":"ab-ac-cb","sizes":"a=2305843009213693953,b=4,c=4"}|} in
+  let item = Tc_serve.Request.of_line ~default:ctx ~id:1 line in
+  (match item with Ok _ -> () | Error m -> fail m);
+  let report =
+    Tc_serve.Serve.run (open_session ctx)
+      [ Result.map_error (fun m -> (1, m)) item ]
+  in
+  match report.Tc_serve.Serve.responses with
+  | [ { Tc_serve.Serve.result = Ok _; _ } ] -> ()
+  | [ { Tc_serve.Serve.result = Error e; _ } ] ->
+      fail (Tc_serve.Serve.error_to_string e)
+  | _ -> fail "expected exactly one response"
+
+(* ---- the schema race behind every consumer ---- *)
+
+(* Bit-exact equality, floats included. *)
+let bits x = Marshal.to_string x []
+
+(* Over the whole TCCG suite on a device with pipelined schemas and one
+   without: [Simkernel.race] simulates each feasible schema once, in
+   [Plan.feasible_schemas] order, and serve's dispatch and explain's
+   schema comparison both report exactly its lanes. *)
+let test_race_shared_by_consumers () =
+  List.iter
+    (fun (arch, precision) ->
+      let ctx =
+        Cogent.Ctx.make ~arch ~precision ~measure:Tc_sim.Simkernel.gflops ()
+      in
+      let dir = fresh_dir () in
+      let s = open_session ~store:dir ctx in
+      let report =
+        Tc_serve.Serve.run s
+          (List.map
+             (fun e ->
+               Ok
+                 {
+                   Tc_serve.Request.id = e.Tc_tccg.Suite.id;
+                   expr = e.Tc_tccg.Suite.expr;
+                   sizes = Sizes.of_list e.Tc_tccg.Suite.sizes;
+                   arch;
+                   precision;
+                 })
+             Tc_tccg.Suite.all)
+      in
+      Tc_serve.Serve.close_session s;
+      (* the served plans, exactly as the session cached them *)
+      let served =
+        match Tc_serve.Planstore.load ~dir with
+        | Ok rows -> rows
+        | Error m -> fail m
+      in
+      List.iter2
+        (fun e resp ->
+          let name =
+            Printf.sprintf "%s on %s/%s" e.Tc_tccg.Suite.name
+              arch.Tc_gpu.Arch.name
+              (Tc_gpu.Precision.to_string precision)
+          in
+          let same what a b =
+            check Alcotest.bool (name ^ ": " ^ what) true (bits a = bits b)
+          in
+          match resp.Tc_serve.Serve.result with
+          | Error err -> fail (name ^ ": " ^ Tc_serve.Serve.error_to_string err)
+          | Ok o ->
+              let plan =
+                (List.assoc o.Tc_serve.Serve.key served).Cogent.Driver.plan
+              in
+              let race = Tc_sim.Simkernel.race plan in
+              same "lanes in feasible_schemas order"
+                (Cogent.Plan.feasible_schemas ~arch ~precision
+                   plan.Cogent.Plan.mapping)
+                (List.map fst race.Tc_sim.Simkernel.lanes);
+              List.iter
+                (fun (sc, r) ->
+                  same
+                    ("lane " ^ Tc_gpu.Schema.to_string sc)
+                    (Tc_sim.Simkernel.run (Cogent.Plan.with_schema sc plan))
+                    r)
+                race.Tc_sim.Simkernel.lanes;
+              same "served schema" (fst race.Tc_sim.Simkernel.chosen)
+                o.Tc_serve.Serve.schema;
+              same "served pipelined lane"
+                (Option.map
+                   (fun (sc, r) -> (sc, r.Tc_sim.Simkernel.time_s))
+                   race.Tc_sim.Simkernel.pipelined)
+                o.Tc_serve.Serve.pipelined;
+              same "served classic time"
+                race.Tc_sim.Simkernel.classic.Tc_sim.Simkernel.time_s
+                o.Tc_serve.Serve.cogent_time_s;
+              match
+                Tc_explain.Explain.analyze ctx ~top:1 (Tc_tccg.Suite.problem e)
+              with
+              | Ok { Tc_explain.Explain.candidates = c :: _; _ } ->
+                  let race = Tc_sim.Simkernel.race c.Tc_explain.Explain.plan in
+                  same "explain pipelined lane"
+                    race.Tc_sim.Simkernel.pipelined
+                    c.Tc_explain.Explain.pipelined;
+                  same "explain classic lane" race.Tc_sim.Simkernel.classic
+                    c.Tc_explain.Explain.sim
+              | Ok _ -> fail (name ^ ": explain returned no candidate")
+              | Error err ->
+                  fail (name ^ ": " ^ Cogent.Driver.error_to_string err))
+        Tc_tccg.Suite.all report.Tc_serve.Serve.responses)
+    [
+      (Tc_gpu.Arch.a100, Tc_gpu.Precision.FP16);
+      (Tc_gpu.Arch.v100, Tc_gpu.Precision.FP64);
+    ]
+
 let () =
   Alcotest.run "serve"
     [
@@ -518,6 +628,13 @@ let () =
           Alcotest.test_case "warm restart regenerates nothing" `Quick
             test_warm_restart_regenerates_nothing;
           Alcotest.test_case "request parsing" `Quick test_request_parsing;
+          Alcotest.test_case "extent above 2^61 gets one answer" `Quick
+            test_hostile_extent_answers;
+        ] );
+      ( "race",
+        [
+          Alcotest.test_case "one race behind serve and explain (TCCG)"
+            `Quick test_race_shared_by_consumers;
         ] );
       ( "telemetry",
         [

@@ -190,6 +190,54 @@ let test_l2_never_below_cold_traffic () =
   check Alcotest.bool "at least one cold pass" true
     (cached.Cost.lhs >= cold_lhs -. 1.0)
 
+(* The schema race's tie rules, on lanes with hand-set times: the earlier
+   of two equally fast pipelined lanes is the best pipelined one, and
+   classic wins a tie against it. *)
+let test_race_ties () =
+  let r = Simkernel.run (plan (gemm_problem 512 512) gemm_mapping) in
+  let lane sc t = (sc, { r with Simkernel.time_s = t }) in
+  let decide lanes =
+    let race = Simkernel.race_of_lanes lanes in
+    ( Option.map fst race.Simkernel.pipelined,
+      fst race.Simkernel.chosen )
+  in
+  let outcome = Alcotest.(pair (option string) string) in
+  let names (p, c) =
+    (Option.map Schema.to_string p, Schema.to_string c)
+  in
+  check outcome "all equal: classic wins, earlier pipelined is best"
+    (Some "pipelined", "classic")
+    (names
+       (decide
+          [
+            lane Schema.Classic 1.0;
+            lane Schema.Pipelined 1.0;
+            lane Schema.Pipelined_mma 1.0;
+          ]));
+  check outcome "equal pipelined lanes beat classic: the earlier wins"
+    (Some "pipelined", "pipelined")
+    (names
+       (decide
+          [
+            lane Schema.Classic 2.0;
+            lane Schema.Pipelined 1.0;
+            lane Schema.Pipelined_mma 1.0;
+          ]));
+  check outcome "strictly faster later lane wins"
+    (Some "pipelined-mma", "pipelined-mma")
+    (names
+       (decide
+          [
+            lane Schema.Classic 2.0;
+            lane Schema.Pipelined 1.5;
+            lane Schema.Pipelined_mma 1.0;
+          ]));
+  check outcome "classic only" (None, "classic")
+    (names (decide [ lane Schema.Classic 1.0 ]));
+  match Simkernel.race_of_lanes [ lane Schema.Pipelined 1.0 ] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a race without a classic lane must be rejected"
+
 let sim_finite_on_pruned_configs =
   QCheck.Test.make ~count:40
     ~name:"simulator finite and below peak on surviving configs"
@@ -229,6 +277,7 @@ let () =
             test_l2_discounts_small_input_reloads;
           Alcotest.test_case "L2 never below cold traffic" `Quick
             test_l2_never_below_cold_traffic;
+          Alcotest.test_case "schema race tie rules" `Quick test_race_ties;
           Gen.to_alcotest sim_finite_on_pruned_configs;
         ] );
     ]
