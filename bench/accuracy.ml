@@ -42,10 +42,15 @@ let tccg_suite ~suite ~arch ~precision entries =
       match Cogent.Driver.run ctx problem with
       | Error _ -> None
       | Ok r ->
+          let plan = r.Cogent.Driver.plan in
+          let dispatch = Audit.dispatch ctx plan in
           Some
             (Audit.sample ~suite ~request:e.Tc_tccg.Suite.name
                ~key:(Cogent.Cache.key ctx problem)
-               ~ctx ~degraded:r.Cogent.Driver.degraded r.Cogent.Driver.plan))
+               ~degraded:r.Cogent.Driver.degraded ~dispatch
+               ~regret:
+                 (Audit.regret ~ctx ~own:plan.Cogent.Plan.problem dispatch plan)
+               plan))
     entries
   |> List.filter_map Fun.id
 

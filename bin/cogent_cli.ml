@@ -91,15 +91,7 @@ let arch_arg =
          ~doc:"Target device: p100, v100, a100 or h100.")
 
 let precision_arg =
-  let parse = function
-    | "fp64" | "double" -> Ok Precision.FP64
-    | "fp32" | "float" | "single" -> Ok Precision.FP32
-    | "fp16" | "half" -> Ok Precision.FP16
-    | "tf32" -> Ok Precision.TF32
-    | s ->
-        Error
-          (`Msg (Printf.sprintf "unknown precision %S (fp16|tf32|fp32|fp64)" s))
-  in
+  let parse s = Result.map_error (fun m -> `Msg m) (Precision.of_string s) in
   let prec_conv = Arg.conv (parse, fun fmt p -> Precision.pp fmt p) in
   Arg.(value & opt prec_conv Precision.FP64 & info [ "precision" ] ~docv:"PREC"
          ~doc:"Floating-point precision: fp16, tf32, fp32 or fp64.")
@@ -584,10 +576,7 @@ let serve_cmd =
               Format.printf "req-%03d  %-24s -> %-6s  %10.3f ms  %8.0f GFLOPS%s%s@."
                 r.Tc_serve.Serve.id r.Tc_serve.Serve.expr
                 (Tc_serve.Serve.engine_name o.Tc_serve.Serve.engine)
-                ((match o.Tc_serve.Serve.engine with
-                 | Tc_serve.Serve.Cogent_kernel -> o.Tc_serve.Serve.cogent_time_s
-                 | Tc_serve.Serve.Ttgt_pipeline -> o.Tc_serve.Serve.ttgt_time_s)
-                *. 1e3)
+                (o.Tc_serve.Serve.predicted_s *. 1e3)
                 o.Tc_serve.Serve.gflops
                 (if o.Tc_serve.Serve.cached then "  [cached]" else "")
                 (if o.Tc_serve.Serve.degraded then "  [degraded]" else "")

@@ -29,71 +29,89 @@ type sample = {
 
 let tx_total t = t.lhs +. t.rhs +. t.out
 
-(* The Tc_profile.Profile error convention: relative to the measured
-   value, clamped at 1 so tiny denominators cannot explode the ratio. *)
-let tx_rel_err s =
-  let m = tx_total s.measured_tx in
-  Float.abs (tx_total s.model_tx -. m) /. Float.max (Float.abs m) 1.0
-
 let tx_signed_err s =
-  let m = tx_total s.measured_tx in
-  (tx_total s.model_tx -. m) /. Float.max (Float.abs m) 1.0
+  Tc_profile.Profile.signed_error ~measured:(tx_total s.measured_tx)
+    (tx_total s.model_tx)
 
+let tx_rel_err s = Float.abs (tx_signed_err s)
 let sim_mismatch s = s.exact_tx <> s.measured_tx
 
 let pred_chosen_s s =
   if String.equal s.strategy "cogent" then s.pred_cogent_s else s.pred_ttgt_s
 
+(* ---- the dispatch decision ---- *)
+
+type engine = Cogent_kernel | Ttgt_pipeline
+
+let engine_name = function Cogent_kernel -> "cogent" | Ttgt_pipeline -> "ttgt"
+
+type dispatch = {
+  engine : engine;
+  race : Tc_sim.Simkernel.race;
+  schema : Schema.t;
+  cogent_s : float;
+  ttgt_s : float;
+  predicted_s : float;
+  gflops : float;
+}
+
+let dispatch ctx (plan : Cogent.Plan.t) =
+  let race =
+    Tc_obs.Trace.with_span "dispatch.race" (fun () ->
+        Tc_sim.Simkernel.race plan)
+  in
+  let tt =
+    Tc_obs.Trace.with_span "dispatch.ttgt" (fun () ->
+        Tc_ttgt.Ttgt.run_ctx ctx plan.Cogent.Plan.problem)
+  in
+  let schema, lane = race.Tc_sim.Simkernel.chosen in
+  let cogent_s = lane.Tc_sim.Simkernel.time_s in
+  let ttgt_s = tt.Tc_ttgt.Ttgt.time_s in
+  (* The winning lane's simulation is also the chosen kernel's simulated
+     execution, so its gflops is the served throughput. *)
+  let engine, predicted_s, gflops =
+    if cogent_s <= ttgt_s then
+      (Cogent_kernel, cogent_s, lane.Tc_sim.Simkernel.gflops)
+    else (Ttgt_pipeline, ttgt_s, tt.Tc_ttgt.Ttgt.gflops)
+  in
+  { engine; race; schema; cogent_s; ttgt_s; predicted_s; gflops }
+
 (* ---- sampling ---- *)
 
-let predictions ctx (plan : Cogent.Plan.t) =
-  let sim = (Tc_sim.Simkernel.run plan).Tc_sim.Simkernel.time_s in
-  let tt =
-    (Tc_ttgt.Ttgt.run_ctx ctx plan.Cogent.Plan.problem).Tc_ttgt.Ttgt.time_s
-  in
-  (sim, tt)
-
-let regret ~ctx ~own ~predicted (plan : Cogent.Plan.t) =
-  let pred_cogent, pred_ttgt = predicted in
-  let cogent_chosen = pred_cogent <= pred_ttgt in
-  (* The own-extent kernel runs under the plan's schema; feasibility only
+let regret ~ctx ~own d (plan : Cogent.Plan.t) =
+  (* The own-extent kernel runs under the served schema; feasibility only
      depends on mapping, arch and precision, which are unchanged. *)
   match
     Cogent.Plan.make ~problem:own ~mapping:plan.Cogent.Plan.mapping
       ~arch:plan.Cogent.Plan.arch ~precision:plan.Cogent.Plan.precision
-    |> Cogent.Plan.with_schema plan.Cogent.Plan.schema
+    |> Cogent.Plan.with_schema d.schema
   with
   | own_plan ->
       let oc = (Tc_sim.Simkernel.run own_plan).Tc_sim.Simkernel.time_s in
       let ot = (Tc_ttgt.Ttgt.run_ctx ctx own).Tc_ttgt.Ttgt.time_s in
       let regret =
-        if cogent_chosen then Float.max 0.0 (oc -. ot)
-        else Float.max 0.0 (ot -. oc)
+        match d.engine with
+        | Cogent_kernel -> Float.max 0.0 (oc -. ot)
+        | Ttgt_pipeline -> Float.max 0.0 (ot -. oc)
       in
       (oc, ot, regret, false)
   | exception Invalid_argument _ ->
       (* The cached mapping does not survive re-planning at the request's
          own extents; fall back to the representative's numbers, where the
          chosen side is the minimum and regret is 0 by construction. *)
-      (pred_cogent, pred_ttgt, 0.0, true)
+      (d.cogent_s, d.ttgt_s, 0.0, true)
 
-let dispatch_regret ~ctx ~own plan =
-  regret ~ctx ~own ~predicted:(predictions ctx plan) plan
+let dispatch_regret ~ctx ~own plan = regret ~ctx ~own (dispatch ctx plan) plan
 
 let breakdown_tx (b : Cogent.Cost.breakdown) =
   { lhs = b.Cogent.Cost.lhs; rhs = b.rhs; out = b.out }
 
-let sample ~suite ~request ~key ~ctx ?own ?measured ~degraded
+let sample ~suite ~request ~key ?measured ~degraded ~dispatch:d ~regret
     (plan : Cogent.Plan.t) =
   let problem = plan.Cogent.Plan.problem in
   let mapping = plan.Cogent.Plan.mapping in
   let prec = plan.Cogent.Plan.precision in
-  let own = Option.value ~default:problem own in
-  let ((pred_cogent_s, pred_ttgt_s) as predicted) = predictions ctx plan in
-  let strategy = if pred_cogent_s <= pred_ttgt_s then "cogent" else "ttgt" in
-  let own_cogent_s, own_ttgt_s, regret_s, own_approx =
-    regret ~ctx ~own ~predicted plan
-  in
+  let own_cogent_s, own_ttgt_s, regret_s, own_approx = regret in
   let measured =
     match measured with
     | Some c -> c
@@ -106,10 +124,10 @@ let sample ~suite ~request ~key ~ctx ?own ?measured ~degraded
     expr = Ast.tccg_string (Problem.info problem).Classify.original;
     arch = plan.Cogent.Plan.arch.Arch.name;
     precision = Precision.to_string prec;
-    strategy;
+    strategy = engine_name d.engine;
     degraded;
-    pred_cogent_s;
-    pred_ttgt_s;
+    pred_cogent_s = d.cogent_s;
+    pred_ttgt_s = d.ttgt_s;
     own_cogent_s;
     own_ttgt_s;
     own_approx;
@@ -124,7 +142,7 @@ let sample ~suite ~request ~key ~ctx ?own ?measured ~degraded
         rhs = measured.Cogent.Interp.tx_rhs;
         out = measured.Cogent.Interp.tx_out;
       };
-    sim_time_s = pred_cogent_s;
+    sim_time_s = d.cogent_s;
   }
 
 (* ---- collecting ---- *)

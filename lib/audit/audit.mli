@@ -1,10 +1,12 @@
-(** Cost-model accuracy observatory.
+(** The serving dispatch decision and the cost-model accuracy
+    observatory.
 
-    The serving layer dispatches COGENT-vs-TTGT by {e predicted} time, and
-    the roadmap's next steps (n-way GETT dispatch, branch-and-bound
-    pruning against a cost bound) lean even harder on the model being
-    trustworthy.  This module records one structured {!sample} per
-    executed plan — the Algorithm-3 cost, the analytical
+    {!dispatch} is the one place that decides which engine serves a plan.
+    The serving layer acts on it, and {!regret} and {!sample} read the
+    same record, so the ledger holds exactly the decision serve made.
+
+    This module records one structured {!sample} per executed plan — the
+    Algorithm-3 cost, the analytical
     {!Tc_sim.Simkernel.transactions_exact} counters, the
     {!Cogent.Interp.measure} ground truth, both engines' predicted times
     on the plan's representative problem {e and} on the request's own
@@ -34,11 +36,11 @@ type sample = {
   expr : string;  (** canonical TCCG form of the contraction *)
   arch : string;
   precision : string;
-  strategy : string;  (** dispatch winner on the representative problem *)
+  strategy : string;  (** {!engine_name} of the {!dispatch}'s engine *)
   degraded : bool;  (** plan came from a budget-truncated search *)
-  pred_cogent_s : float;  (** simulator prediction, representative problem *)
+  pred_cogent_s : float;  (** served COGENT lane, representative problem *)
   pred_ttgt_s : float;  (** TTGT model prediction, representative problem *)
-  own_cogent_s : float;  (** simulator prediction at the request's extents *)
+  own_cogent_s : float;  (** served schema at the request's extents *)
   own_ttgt_s : float;  (** TTGT prediction at the request's extents *)
   own_approx : bool;
       (** the cached mapping could not be re-planned at the request's
@@ -49,42 +51,60 @@ type sample = {
   model_tx : tx;  (** Algorithm-3 per-tensor estimate *)
   exact_tx : tx;  (** boundary-exact analytical counters (no-L2 mode) *)
   measured_tx : tx;  (** {!Cogent.Interp.measure} ground truth *)
-  sim_time_s : float;  (** simulated kernel time, representative problem *)
+  sim_time_s : float;  (** [pred_cogent_s] (kept for the ledger schema) *)
 }
 
 val tx_total : tx -> float
 
 val tx_rel_err : sample -> float
-(** Relative error of the Algorithm-3 total against the measured total,
-    [|model - measured| / max measured 1] (the {!Tc_profile.Profile}
-    convention). *)
+(** Relative error of the Algorithm-3 total against the measured total:
+    the magnitude of {!tx_signed_err}. *)
 
 val tx_signed_err : sample -> float
-(** Same denominator, signed: positive = the model over-charges. *)
+(** {!Tc_profile.Profile.signed_error} of the Algorithm-3 total against
+    the measured total: positive = the model over-charges. *)
 
 val sim_mismatch : sample -> bool
 (** True iff the analytical exact counters diverge from the measured
     counters on any tensor — a model bug (the simulator contract is exact
     agreement in no-L2 mode). *)
 
-val predictions : Cogent.Ctx.t -> Cogent.Plan.t -> float * float
-(** [predictions ctx plan] is [(cogent_s, ttgt_s)] on the plan's
-    representative problem: the simulated time of [plan] under its own
-    schema, and the TTGT model's time. *)
+(** {1 Dispatch} *)
+
+type engine = Cogent_kernel | Ttgt_pipeline
+
+val engine_name : engine -> string
+(** ["cogent"] / ["ttgt"]. *)
+
+type dispatch = {
+  engine : engine;  (** lower predicted time wins; COGENT wins ties *)
+  race : Tc_sim.Simkernel.race;  (** every COGENT lane, as raced *)
+  schema : Tc_gpu.Schema.t;
+      (** the served COGENT schema: the race's chosen lane, reported even
+          when TTGT won *)
+  cogent_s : float;  (** the chosen lane's predicted time *)
+  ttgt_s : float;  (** the TTGT model's predicted time *)
+  predicted_s : float;  (** the served engine's predicted time *)
+  gflops : float;  (** the served engine's predicted throughput *)
+}
+
+val dispatch : Cogent.Ctx.t -> Cogent.Plan.t -> dispatch
+(** [dispatch ctx plan] runs {!Tc_sim.Simkernel.race} and
+    {!Tc_ttgt.Ttgt.run_ctx} once each on [plan]'s representative problem
+    and picks the engine: the only COGENT-vs-TTGT comparison in the
+    system. *)
 
 val regret :
   ctx:Cogent.Ctx.t ->
   own:Tc_expr.Problem.t ->
-  predicted:float * float ->
+  dispatch ->
   Cogent.Plan.t ->
   float * float * float * bool
-(** [regret ~ctx ~own ~predicted plan] evaluates both engines at the
-    request's own extents: [(own_cogent_s, own_ttgt_s, regret_s,
-    own_approx)].  The chosen side is re-derived from [predicted] (the
-    {!predictions} of [plan]) exactly as the serving layer dispatches,
-    and the own-extent kernel runs under [plan]'s schema, so regret is 0
-    when [own] is the representative problem.  The serving layer passes
-    the times its dispatch race already computed. *)
+(** [regret ~ctx ~own d plan] evaluates both engines at the request's own
+    extents: [(own_cogent_s, own_ttgt_s, regret_s, own_approx)].  The
+    chosen side is [d]'s engine and the own-extent kernel runs under
+    [d]'s schema, so regret is 0 when [own] is the representative
+    problem.  [d] must be [dispatch ctx plan]. *)
 
 val dispatch_regret :
   ctx:Cogent.Ctx.t ->
@@ -92,23 +112,23 @@ val dispatch_regret :
   Cogent.Plan.t ->
   float * float * float * bool
 (** [dispatch_regret ~ctx ~own plan] is
-    [regret ~ctx ~own ~predicted:(predictions ctx plan) plan]. *)
+    [regret ~ctx ~own (dispatch ctx plan) plan]. *)
 
 val sample :
   suite:string ->
   request:string ->
   key:string ->
-  ctx:Cogent.Ctx.t ->
-  ?own:Tc_expr.Problem.t ->
   ?measured:Cogent.Interp.counters ->
   degraded:bool ->
+  dispatch:dispatch ->
+  regret:float * float * float * bool ->
   Cogent.Plan.t ->
   sample
-(** Build one sample from a plan: runs the simulator, the TTGT model, the
-    exact transaction counters and — unless [measured] is supplied (the
-    serving layer computes it once per distinct key, inside the pooled
-    generation fan-out) — the interpreter's counter-only replay.  [own]
-    defaults to the plan's own (representative) problem, making regret 0. *)
+(** Record one plan's dispatch [d] and its {!regret}: no time is
+    predicted here.  Adds the Algorithm-3 and exact transaction counters
+    and — unless [measured] is supplied (the serving layer computes it
+    once per distinct key, inside the pooled generation fan-out) — the
+    interpreter's counter-only replay. *)
 
 (** {1 Collecting} *)
 

@@ -4,25 +4,9 @@ let schema = "cogent-audit/1"
 let file ~dir = Filename.concat dir "audit.jsonl"
 let ( let* ) = Result.bind
 
-(* ---- decoding primitives (the Planstore conventions) ---- *)
-
-let field name json =
-  match J.member name json with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let as_string = function
-  | J.String s -> Ok s
-  | _ -> Error "expected a string"
-
-let as_bool = function J.Bool b -> Ok b | _ -> Error "expected a bool"
-
-let as_float j =
-  match J.to_float j with Some f -> Ok f | None -> Error "expected a number"
-
-let str name j = Result.bind (field name j) as_string
-let boolean name j = Result.bind (field name j) as_bool
-let num name j = Result.bind (field name j) as_float
+let str name j = Result.bind (J.field name j) J.as_string
+let boolean name j = Result.bind (J.field name j) J.as_bool
+let num name j = Result.bind (J.field name j) J.as_float
 
 (* ---- sample codec ---- *)
 
@@ -80,9 +64,9 @@ let sample_of_json j =
   let* own_approx = boolean "own_approx" j in
   let* regret_s = num "regret_s" j in
   let* model_cost = num "model_cost" j in
-  let* model_tx = Result.bind (field "model_tx" j) tx_of_json in
-  let* exact_tx = Result.bind (field "exact_tx" j) tx_of_json in
-  let* measured_tx = Result.bind (field "measured_tx" j) tx_of_json in
+  let* model_tx = Result.bind (J.field "model_tx" j) tx_of_json in
+  let* exact_tx = Result.bind (J.field "exact_tx" j) tx_of_json in
+  let* measured_tx = Result.bind (J.field "measured_tx" j) tx_of_json in
   let* sim_time_s = num "sim_time_s" j in
   Ok
     {
@@ -107,75 +91,11 @@ let sample_of_json j =
       sim_time_s;
     }
 
-let row_of_line line =
-  let* j = Result.map_error (fun m -> "bad JSON: " ^ m) (J.parse line) in
-  sample_of_json j
-
 (* ---- I/O ---- *)
 
-let corrupt_rows () = Tc_obs.Metrics.counter "cogent.audit.ledger.corrupt_rows"
-
-let corrupt_line () =
-  Tc_obs.Metrics.gauge "cogent.audit.ledger.corrupt_line"
-
 let load ~dir =
-  let path = file ~dir in
-  if not (Sys.file_exists path) then Ok []
-  else
-    let ic = open_in path in
-    let lines =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let rec go acc =
-            match input_line ic with
-            | exception End_of_file -> List.rev acc
-            | l -> go (l :: acc)
-          in
-          go [])
-    in
-    match lines with
-    | [] -> Error (path ^ ": empty audit ledger (missing schema header)")
-    | header :: rows -> (
-        match J.parse header with
-        | Ok (J.Obj _ as h) when J.member "schema" h = Some (J.String schema)
-          ->
-            Ok
-              (* [i] counts data rows; the header is file line 1. *)
-              (List.mapi (fun i line -> (i + 2, line)) rows
-              |> List.filter_map (fun (lineno, line) ->
-                     if String.trim line = "" then None
-                     else
-                       match row_of_line line with
-                       | Ok s -> Some s
-                       | Error m ->
-                           Tc_obs.Metrics.incr (corrupt_rows ());
-                           Tc_obs.Metrics.set (corrupt_line ())
-                             (float_of_int lineno);
-                           Printf.eprintf
-                             "cogent: %s:%d: skipping corrupt audit row \
-                              (%s)\n\
-                              %!"
-                             path lineno m;
-                           None))
-        | _ ->
-            Error
-              (Printf.sprintf "%s: not a %s ledger (bad schema header)" path
-                 schema))
+  Tc_obs.Jsonl.load ~kind:"audit ledger" ~row:"audit row"
+    ~metrics:"cogent.audit.ledger" ~schema (file ~dir) sample_of_json
 
 let save ~dir samples =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let path = file ~dir in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (J.to_string (J.Obj [ ("schema", J.String schema) ]));
-      output_char oc '\n';
-      List.iter
-        (fun s ->
-          output_string oc (J.to_string (sample_to_json s));
-          output_char oc '\n')
-        samples);
-  Sys.rename tmp path
+  Tc_obs.Jsonl.save ~schema (file ~dir) sample_to_json samples

@@ -1,13 +1,11 @@
 (** On-disk audit ledger: the persisted form of {!Audit.sample}s.
 
-    Mirrors {!Tc_serve.Planstore}'s codec discipline: a versioned JSONL
-    file ([{"schema":"cogent-audit/1"}] header, one sample object per
-    line), written atomically (tmp + rename) and loaded tolerantly — a
-    corrupt row (a crashed writer's truncated tail) is skipped with a
-    stderr notice naming the offending line number, a bump of the
-    [cogent.audit.ledger.corrupt_rows] counter and the line number on the
-    [cogent.audit.ledger.corrupt_line] gauge.  A missing directory loads
-    as empty; a wrong or missing schema header is an error.
+    A {!Tc_obs.Jsonl} file like {!Tc_serve.Planstore}'s:
+    [{"schema":"cogent-audit/1"}] header, one sample object per line,
+    written atomically and loaded tolerantly — a corrupt row is skipped
+    and counted on [cogent.audit.ledger.corrupt_rows] /
+    [cogent.audit.ledger.corrupt_line].  A missing directory loads as
+    empty; a wrong or missing schema header is an error.
 
     Samples are deterministic model output appended in request order, so
     a saved ledger is byte-identical across worker-domain counts and

@@ -8,6 +8,13 @@ let to_string = function
   | FP32 -> "fp32"
   | FP64 -> "fp64"
 
+let of_string = function
+  | "fp64" | "double" -> Ok FP64
+  | "fp32" | "float" | "single" -> Ok FP32
+  | "fp16" | "half" -> Ok FP16
+  | "tf32" -> Ok TF32
+  | s -> Error (Printf.sprintf "unknown precision %S (fp16|tf32|fp32|fp64)" s)
+
 let cuda_type = function
   | FP16 -> "half"
   | TF32 -> "float"

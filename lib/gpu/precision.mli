@@ -9,6 +9,11 @@ type t = FP16 | TF32 | FP32 | FP64
 
 val bytes : t -> int
 val to_string : t -> string
+
+val of_string : string -> (t, string) result
+(** Inverse of {!to_string}, also accepting the C aliases ["double"],
+    ["float"]/["single"] and ["half"]. *)
+
 val cuda_type : t -> string
 (** The C scalar type emitted in kernels: ["half"], ["float"] (for both
     TF32 and FP32 — TF32 is a compute format over float storage) or

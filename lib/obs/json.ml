@@ -274,3 +274,22 @@ let to_float = function
   | Int i -> Some (float_of_int i)
   | Float f -> Some f
   | _ -> None
+
+let field name json =
+  match member name json with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "missing field %S" name)
+
+let as_string = function String s -> Ok s | _ -> Error "expected a string"
+let as_int = function Int n -> Ok n | _ -> Error "expected an int"
+let as_bool = function Bool b -> Ok b | _ -> Error "expected a bool"
+let as_list = function List l -> Ok l | _ -> Error "expected a list"
+
+let as_float j =
+  match to_float j with Some f -> Ok f | None -> Error "expected a number"
+
+let rec map_result f = function
+  | [] -> Ok []
+  | x :: rest ->
+      Result.bind (f x) (fun y ->
+          Result.map (fun ys -> y :: ys) (map_result f rest))

@@ -36,3 +36,19 @@ val to_float : t -> float option
 (** Numeric accessor: [Int] and [Float] both convert. *)
 
 val pp : Format.formatter -> t -> unit
+
+(** {1 Decoding}
+
+    The accessors every row codec (plan store, audit ledger, bench
+    reports) shares: [Error "missing field \"NAME\""], or
+    ["expected a string"] (int, bool, list, number) on a type mismatch. *)
+
+val field : string -> t -> (t, string) result
+val as_string : t -> (string, string) result
+val as_int : t -> (int, string) result
+val as_bool : t -> (bool, string) result
+val as_list : t -> (t list, string) result
+val as_float : t -> (float, string) result  (** [Int] or [Float] *)
+
+val map_result : ('a -> ('b, 'e) result) -> 'a list -> ('b list, 'e) result
+(** Map in order, stopping at the first [Error]. *)

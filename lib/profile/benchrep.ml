@@ -66,37 +66,14 @@ let baseline_to_json docs =
 
 let ( let* ) = Result.bind
 
-let field name j =
-  match Json.member name j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let as_string = function
-  | Json.String s -> Ok s
-  | _ -> Error "expected a string"
-
-let as_float j =
-  match Json.to_float j with Some f -> Ok f | None -> Error "expected a number"
-
-let as_list = function
-  | Json.List l -> Ok l
-  | _ -> Error "expected a list"
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
-
 let strategy_of_json j =
-  let* strategy = Result.bind (field "strategy" j) as_string in
+  let* strategy = Result.bind (Json.field "strategy" j) Json.as_string in
   let* metrics =
     match Json.member "metrics" j with
     | Some (Json.Obj kvs) ->
-        map_result
+        Json.map_result
           (fun (k, v) ->
-            let* f = as_float v in
+            let* f = Json.as_float v in
             Ok (k, f))
           kvs
     | _ -> Error "missing or malformed metrics"
@@ -109,43 +86,45 @@ let strategy_of_json j =
   Ok { strategy; metrics; config }
 
 let entry_of_json j =
-  let* name = Result.bind (field "name" j) as_string in
-  let* expr = Result.bind (field "expr" j) as_string in
-  let* arch = Result.bind (field "arch" j) as_string in
-  let* precision = Result.bind (field "precision" j) as_string in
+  let* name = Result.bind (Json.field "name" j) Json.as_string in
+  let* expr = Result.bind (Json.field "expr" j) Json.as_string in
+  let* arch = Result.bind (Json.field "arch" j) Json.as_string in
+  let* precision = Result.bind (Json.field "precision" j) Json.as_string in
   let* strategies =
-    Result.bind (field "strategies" j) as_list
-    |> fun l -> Result.bind l (map_result strategy_of_json)
+    Result.bind (Json.field "strategies" j) Json.as_list
+    |> fun l -> Result.bind l (Json.map_result strategy_of_json)
   in
   Ok { name; expr; arch; precision; strategies }
 
 let of_json j =
-  let* s = Result.bind (field "schema" j) as_string in
+  let* s = Result.bind (Json.field "schema" j) Json.as_string in
   if not (String.equal s schema) then
     Error (Printf.sprintf "unsupported schema %S (want %S)" s schema)
   else
-    let* target = Result.bind (field "target" j) as_string in
-    let* wall_s = Result.bind (field "wall_s" j) as_float in
+    let* target = Result.bind (Json.field "target" j) Json.as_string in
+    let* wall_s = Result.bind (Json.field "wall_s" j) Json.as_float in
     (* [jobs] arrived with the parallel runtime; older reports omit it. *)
     let* jobs =
       match Json.member "jobs" j with
       | None -> Ok 1
       | Some v ->
-          let* f = as_float v in
+          let* f = Json.as_float v in
           Ok (int_of_float f)
     in
     let* entries =
-      Result.bind (Result.bind (field "entries" j) as_list)
-        (map_result entry_of_json)
+      Result.bind (Result.bind (Json.field "entries" j) Json.as_list)
+        (Json.map_result entry_of_json)
     in
     Ok { target; wall_s; jobs; entries }
 
 let baseline_of_json j =
-  let* s = Result.bind (field "schema" j) as_string in
+  let* s = Result.bind (Json.field "schema" j) Json.as_string in
   if not (String.equal s schema) then
     Error (Printf.sprintf "unsupported schema %S (want %S)" s schema)
   else
-    Result.bind (Result.bind (field "targets" j) as_list) (map_result of_json)
+    Result.bind
+      (Result.bind (Json.field "targets" j) Json.as_list)
+      (Json.map_result of_json)
 
 let write ~path d =
   let oc = open_out path in

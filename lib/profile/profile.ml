@@ -31,11 +31,12 @@ type t = {
 let sim_bound = 0.0
 let default_cost_bound = 0.5
 
+let signed_error ~measured p =
+  (p -. measured) /. Float.max (Float.abs measured) 1.0
+
 let errors measured = function
   | None -> (0.0, 0.0)
-  | Some p ->
-      let abs = Float.abs (p -. measured) in
-      (abs, abs /. Float.max (Float.abs measured) 1.0)
+  | Some p -> (Float.abs (p -. measured), Float.abs (signed_error ~measured p))
 
 let make_row quantity measured sim model =
   let sim_abs, sim_rel = errors measured sim in

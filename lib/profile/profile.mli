@@ -42,6 +42,13 @@ type row = {
 (** One line of the divergence table.  Relative errors are against the
     measurement: [|predicted - measured| / max measured 1]. *)
 
+val signed_error : measured:float -> float -> float
+(** [signed_error ~measured predicted] is
+    [(predicted - measured) / max |measured| 1]: positive when the
+    prediction over-charges.  A {!row}'s relative errors are its
+    magnitude; the clamp keeps tiny denominators from exploding the
+    ratio. *)
+
 type t = {
   plan : Plan.t;
   counters : Interp.counters;  (** the measured side *)

@@ -7,30 +7,7 @@ let schema = "cogent-planstore/1"
 let file ~dir = Filename.concat dir "plans.jsonl"
 let ( let* ) = Result.bind
 
-let rec map_r f = function
-  | [] -> Ok []
-  | x :: tl ->
-      let* y = f x in
-      let* ys = map_r f tl in
-      Ok (y :: ys)
-
 (* ---- decoding primitives ---- *)
-
-let field name json =
-  match J.member name json with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let as_string = function
-  | J.String s -> Ok s
-  | _ -> Error "expected a string"
-
-let as_int = function J.Int n -> Ok n | _ -> Error "expected an int"
-let as_bool = function J.Bool b -> Ok b | _ -> Error "expected a bool"
-let as_list = function J.List l -> Ok l | _ -> Error "expected a list"
-
-let as_float j =
-  match J.to_float j with Some f -> Ok f | None -> Error "expected a number"
 
 let as_index s =
   if String.length s = 1 && Index.is_valid s.[0] then Ok s.[0]
@@ -42,20 +19,20 @@ let binding_to_json (b : Cogent.Mapping.binding) =
   J.List [ J.String (Index.to_string b.Cogent.Mapping.index); J.Int b.tile ]
 
 let binding_of_json j =
-  let* l = as_list j in
+  let* l = J.as_list j in
   match l with
   | [ i; t ] ->
-      let* s = as_string i in
+      let* s = J.as_string i in
       let* index = as_index s in
-      let* tile = as_int t in
+      let* tile = J.as_int t in
       Ok { Cogent.Mapping.index; tile }
   | _ -> Error "binding must be [index, tile]"
 
 let bindings_to_json bs = J.List (List.map binding_to_json bs)
 
 let bindings_of_json j =
-  let* l = as_list j in
-  map_r binding_of_json l
+  let* l = J.as_list j in
+  J.map_result binding_of_json l
 
 let mapping_to_json (m : Cogent.Mapping.t) =
   J.Obj
@@ -69,14 +46,18 @@ let mapping_to_json (m : Cogent.Mapping.t) =
     ]
 
 let mapping_of_json j =
-  let part name = Result.bind (field name j) bindings_of_json in
+  let part name = Result.bind (J.field name j) bindings_of_json in
   let* tbx = part "tbx" in
   let* regx = part "regx" in
   let* tby = part "tby" in
   let* regy = part "regy" in
   let* tbk = part "tbk" in
-  let* grid_s = Result.bind (field "grid" j) as_string in
-  let* grid = map_r (fun c -> as_index (String.make 1 c)) (List.init (String.length grid_s) (String.get grid_s)) in
+  let* grid_s = Result.bind (J.field "grid" j) J.as_string in
+  let* grid =
+    J.map_result
+      (fun c -> as_index (String.make 1 c))
+      (List.init (String.length grid_s) (String.get grid_s))
+  in
   Ok { Cogent.Mapping.tbx; regx; tby; regy; tbk; grid }
 
 (* ---- prune-stats codec ---- *)
@@ -108,28 +89,30 @@ let stats_to_json (s : Cogent.Prune.stats) =
     ]
 
 let stats_of_json j =
-  let* enumerated = Result.bind (field "enumerated" j) as_int in
-  let* kept = Result.bind (field "kept" j) as_int in
-  let* pruned_l = Result.bind (field "pruned" j) as_list in
+  let* enumerated = Result.bind (J.field "enumerated" j) J.as_int in
+  let* kept = Result.bind (J.field "kept" j) J.as_int in
+  let* pruned_l = Result.bind (J.field "pruned" j) J.as_list in
   let* pruned =
-    map_r
+    J.map_result
       (fun row ->
-        let* l = as_list row in
+        let* l = J.as_list row in
         match l with
         | [ slug; n ] ->
-            let* s = as_string slug in
+            let* s = J.as_string slug in
             let* r = reason_of_slug s in
-            let* n = as_int n in
+            let* n = J.as_int n in
             Ok (r, n)
         | _ -> Error "pruned row must be [rule, count]")
       pruned_l
   in
-  let* hardware_rejects = Result.bind (field "hardware_rejects" j) as_int in
-  let* performance_rejects =
-    Result.bind (field "performance_rejects" j) as_int
+  let* hardware_rejects =
+    Result.bind (J.field "hardware_rejects" j) J.as_int
   in
-  let* relaxed = Result.bind (field "relaxed" j) as_bool in
-  let* relax_attempts = Result.bind (field "relax_attempts" j) as_int in
+  let* performance_rejects =
+    Result.bind (J.field "performance_rejects" j) J.as_int
+  in
+  let* relaxed = Result.bind (J.field "relaxed" j) J.as_bool in
+  let* relax_attempts = Result.bind (J.field "relax_attempts" j) J.as_int in
   Ok
     {
       Cogent.Prune.enumerated;
@@ -171,27 +154,27 @@ let entry_to_json (r : Cogent.Driver.t) =
     ]
 
 let entry_of_json j =
-  let* expr = Result.bind (field "expr" j) as_string in
-  let* sizes_j = field "sizes" j in
+  let* expr = Result.bind (J.field "expr" j) J.as_string in
+  let* sizes_j = J.field "sizes" j in
   let* sizes =
     match sizes_j with
     | J.Obj kvs ->
-        map_r
+        J.map_result
           (fun (k, v) ->
             let* i = as_index k in
-            let* n = as_int v in
+            let* n = J.as_int v in
             Ok (i, n))
           kvs
     | _ -> Error "field \"sizes\" must be an object"
   in
   let* problem = Problem.of_string expr ~sizes in
-  let* arch_s = Result.bind (field "arch" j) as_string in
+  let* arch_s = Result.bind (J.field "arch" j) J.as_string in
   let* arch =
     match Arch.by_name arch_s with
     | Some a -> Ok a
     | None -> Error (Printf.sprintf "unknown device %S" arch_s)
   in
-  let* prec_s = Result.bind (field "precision" j) as_string in
+  let* prec_s = Result.bind (J.field "precision" j) J.as_string in
   let* precision =
     match prec_s with
     | "fp64" -> Ok Precision.FP64
@@ -200,7 +183,7 @@ let entry_of_json j =
     | "tf32" -> Ok Precision.TF32
     | s -> Error (Printf.sprintf "unknown precision %S" s)
   in
-  let* mapping = Result.bind (field "mapping" j) mapping_of_json in
+  let* mapping = Result.bind (J.field "mapping" j) mapping_of_json in
   let* plan =
     (* [Plan.make] recomputes the model cost — deterministic, so the
        reloaded entry is bit-identical to the one that was saved. *)
@@ -212,10 +195,10 @@ let entry_of_json j =
      load as classic; a present tag must name a schema still feasible for
      the row's mapping (feasibility is recomputed, like the cost). *)
   let* plan =
-    match field "kernel_schema" j with
+    match J.field "kernel_schema" j with
     | Error _ -> Ok plan
     | Ok v -> (
-        let* s = as_string v in
+        let* s = J.as_string v in
         match Schema.of_string s with
         | None -> Error (Printf.sprintf "unknown kernel schema %S" s)
         | Some sc -> (
@@ -223,27 +206,27 @@ let entry_of_json j =
             | p -> Ok p
             | exception Invalid_argument m -> Error m))
   in
-  let* ranked_l = Result.bind (field "ranked" j) as_list in
+  let* ranked_l = Result.bind (J.field "ranked" j) J.as_list in
   let* ranked =
-    map_r
+    J.map_result
       (fun row ->
-        let* l = as_list row in
+        let* l = J.as_list row in
         match l with
         | [ m; c ] ->
             let* m = mapping_of_json m in
-            let* c = as_float c in
+            let* c = J.as_float c in
             Ok (m, c)
         | _ -> Error "ranked row must be [mapping, cost]")
       ranked_l
   in
-  let* prune_stats = Result.bind (field "prune" j) stats_of_json in
-  let* naive_space = Result.bind (field "naive_space" j) as_float in
-  let* degraded = Result.bind (field "degraded" j) as_bool in
+  let* prune_stats = Result.bind (J.field "prune" j) stats_of_json in
+  let* naive_space = Result.bind (J.field "naive_space" j) J.as_float in
+  let* degraded = Result.bind (J.field "degraded" j) J.as_bool in
   (* Lenient: rows written before the streaming pipeline lack the counter;
      0 keeps them loadable. *)
   let* bound_aborted =
-    match field "bound_aborted" j with
-    | Ok v -> as_int v
+    match J.field "bound_aborted" j with
+    | Ok v -> J.as_int v
     | Error _ -> Ok 0
   in
   Ok
@@ -258,83 +241,16 @@ let entry_of_json j =
 
 (* ---- store I/O ---- *)
 
-let corrupt_rows () =
-  Tc_obs.Metrics.counter "cogent.serve.planstore.corrupt_rows"
-
-(* Last offending 1-based line number — the [line] attribute of the
-   corrupt-row telemetry, so a truncated store is diagnosable from the
-   metrics snapshot alone (the stderr notice carries the same number). *)
-let corrupt_line () =
-  Tc_obs.Metrics.gauge "cogent.serve.planstore.corrupt_line"
-
-let row_of_line line =
-  let* j =
-    Result.map_error (fun m -> "bad JSON: " ^ m) (J.parse line)
-  in
-  let* k = Result.bind (field "key" j) as_string in
-  let* entry = Result.bind (field "entry" j) entry_of_json in
+let row_of_json j =
+  let* k = Result.bind (J.field "key" j) J.as_string in
+  let* entry = Result.bind (J.field "entry" j) entry_of_json in
   Ok (k, entry)
 
 let load ~dir =
-  let path = file ~dir in
-  if not (Sys.file_exists path) then Ok []
-  else
-    let ic = open_in path in
-    let lines =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let rec go acc =
-            match input_line ic with
-            | exception End_of_file -> List.rev acc
-            | l -> go (l :: acc)
-          in
-          go [])
-    in
-    match lines with
-    | [] -> Error (path ^ ": empty plan store (missing schema header)")
-    | header :: rows -> (
-        match J.parse header with
-        | Ok (J.Obj _ as h) when J.member "schema" h = Some (J.String schema)
-          ->
-            Ok
-              (* [i] counts data rows; the header is file line 1. *)
-              (List.mapi (fun i line -> (i + 2, line)) rows
-              |> List.filter_map (fun (lineno, line) ->
-                     if String.trim line = "" then None
-                     else
-                       match row_of_line line with
-                       | Ok row -> Some row
-                       | Error m ->
-                           Tc_obs.Metrics.incr (corrupt_rows ());
-                           Tc_obs.Metrics.set (corrupt_line ())
-                             (float_of_int lineno);
-                           Printf.eprintf
-                             "cogent: %s:%d: skipping corrupt plan-store \
-                              row (%s)\n\
-                              %!"
-                             path lineno m;
-                           None))
-        | _ ->
-            Error
-              (Printf.sprintf "%s: not a %s store (bad schema header)" path
-                 schema))
+  Tc_obs.Jsonl.load ~kind:"plan store" ~row:"plan-store row"
+    ~metrics:"cogent.serve.planstore" ~schema (file ~dir) row_of_json
 
 let save ~dir rows =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let path = file ~dir in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (J.to_string (J.Obj [ ("schema", J.String schema) ]));
-      output_char oc '\n';
-      List.iter
-        (fun (k, r) ->
-          output_string oc
-            (J.to_string
-               (J.Obj [ ("key", J.String k); ("entry", entry_to_json r) ]));
-          output_char oc '\n')
-        rows);
-  Sys.rename tmp path
+  Tc_obs.Jsonl.save ~schema (file ~dir)
+    (fun (k, r) -> J.Obj [ ("key", J.String k); ("entry", entry_to_json r) ])
+    rows

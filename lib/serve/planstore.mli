@@ -16,9 +16,9 @@
     kernel schema rides along as a ["kernel_schema"] tag, decoded
     leniently: rows written before schemas existed load as classic.
 
-    Failure ladder: a missing file is an empty store; a wrong or missing
-    schema header rejects the whole store (a later writer owns that
-    format); a corrupt row is skipped, counted on the
+    Failure ladder ({!Tc_obs.Jsonl}): a missing file is an empty store; a
+    wrong or missing schema header rejects the whole store (a later
+    writer owns that format); a corrupt row is skipped, counted on the
     [cogent.serve.planstore.corrupt_rows] metric, and everything after it
     still loads. *)
 

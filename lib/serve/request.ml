@@ -42,12 +42,7 @@ let of_line ~default ~id line =
     let* s = string_field "precision" json in
     match s with
     | None -> Ok default.Cogent.Ctx.precision
-    | Some "fp64" | Some "double" -> Ok Precision.FP64
-    | Some "fp32" | Some "float" | Some "single" -> Ok Precision.FP32
-    | Some "fp16" | Some "half" -> Ok Precision.FP16
-    | Some "tf32" -> Ok Precision.TF32
-    | Some s ->
-        Error (Printf.sprintf "unknown precision %S (fp16|tf32|fp32|fp64)" s)
+    | Some s -> Precision.of_string s
   in
   Ok { id; expr; sizes; arch; precision }
 

@@ -1,8 +1,9 @@
 open Tc_gpu
+module Audit = Tc_audit.Audit
 
-type engine = Cogent_kernel | Ttgt_pipeline
+type engine = Audit.engine = Cogent_kernel | Ttgt_pipeline
 
-let engine_name = function Cogent_kernel -> "cogent" | Ttgt_pipeline -> "ttgt"
+let engine_name = Audit.engine_name
 
 type error =
   | Bad_request of string
@@ -25,6 +26,7 @@ type outcome = {
   pipelined : (Schema.t * float) option;
   cogent_time_s : float;
   ttgt_time_s : float;
+  predicted_s : float;
   gflops : float;
 }
 
@@ -72,7 +74,7 @@ type session = {
   cache : Cogent.Cache.t;
   store : string option;
   loaded : int;
-  audit : Tc_audit.Audit.collector option;
+  audit : Audit.collector option;
 }
 
 let open_session ?store ?audit ?flight_capacity ctx =
@@ -244,12 +246,12 @@ let run session items =
             Some (Printf.sprintf "%s: %s" rid (error_to_string e)))
       (List.map2 (fun (k, r) (_, _, _, rid) -> (k, r, rid)) generated distinct)
   in
-  (* Dispatch: both predictions are evaluated on the plan's representative
-     problem (for a dedup'd request that is the first requester's), so the
-     comparison is apples-to-apples and duplicate requests agree.  Each
-     request's dispatch runs inside its request scope: predicted time,
-     chosen strategy and (from the simulated execution) actual time land
-     as span attributes, and one flight-recorder entry is appended. *)
+  (* Dispatch: [Audit.dispatch] races the engines on the plan's
+     representative problem (for a dedup'd request that is the first
+     requester's), so duplicate requests agree.  Each request's dispatch
+     runs inside its request scope: predicted time, chosen strategy and
+     (from the simulated execution) actual time land as span attributes,
+     and one flight-recorder entry is appended. *)
   (* Requests with positive dispatch regret, counted as the (sequential)
      dispatch loop below walks the batch in request order. *)
   let regrets = ref 0 in
@@ -261,9 +263,9 @@ let run session items =
             let rid = request_label req.Request.id in
             let t0 = Sys.time () in
             (* [result_r] carries the public outcome with the request's
-               predicted time and dispatch regret (not part of the
-               report_doc surface — they land on the span, the flight
-               entry and the audit ledger). *)
+               dispatch regret (not part of the report_doc surface — it
+               lands on the span, the flight entry and the audit
+               ledger). *)
             let result_r =
               Tc_obs.Trace.with_request ~id:rid
                 ~attrs:
@@ -284,94 +286,56 @@ let run session items =
                   Error e
               | Some (Ok r) ->
                   let plan = r.Cogent.Driver.plan in
-                  (* One simulation per lane of the schema race, at the
-                     representative problem: its result is both the
-                     lane's prediction and, for the winner, the simulated
-                     execution (gflops, actual time).  On devices without
-                     async copies the race has only the classic lane. *)
-                  let race =
-                    Tc_obs.Trace.with_span "serve.predict.cogent" (fun () ->
-                        Tc_sim.Simkernel.race plan)
-                  in
-                  let tt =
-                    Tc_obs.Trace.with_span "serve.predict.ttgt" (fun () ->
-                        Tc_ttgt.Ttgt.run_ctx ctx plan.Cogent.Plan.problem)
-                  in
-                  let cogent_schema, cogent_sim =
-                    race.Tc_sim.Simkernel.chosen
-                  in
-                  let ttgt_time_s = tt.Tc_ttgt.Ttgt.time_s in
-                  let engine =
-                    if cogent_sim.Tc_sim.Simkernel.time_s <= ttgt_time_s then
-                      Cogent_kernel
-                    else Ttgt_pipeline
-                  in
-                  (* The winning lane's result is also the simulated
-                     execution of the chosen engine — this repo's
-                     stand-in for running the kernel — so the span's
-                     actual time equals its predicted time. *)
-                  let predicted_s, gflops =
-                    match engine with
-                    | Cogent_kernel ->
-                        ( cogent_sim.Tc_sim.Simkernel.time_s,
-                          cogent_sim.Tc_sim.Simkernel.gflops )
-                    | Ttgt_pipeline -> (ttgt_time_s, tt.Tc_ttgt.Ttgt.gflops)
-                  in
+                  let d = Audit.dispatch ctx plan in
+                  let race = d.Audit.race in
                   let outcome =
                     {
                       key = k;
                       cached = Hashtbl.mem warm k;
                       degraded = r.Cogent.Driver.degraded;
-                      engine;
-                      schema = cogent_schema;
+                      engine = d.Audit.engine;
+                      schema = d.Audit.schema;
                       pipelined =
                         Option.map
                           (fun (sc, s) -> (sc, s.Tc_sim.Simkernel.time_s))
                           race.Tc_sim.Simkernel.pipelined;
                       cogent_time_s =
                         race.Tc_sim.Simkernel.classic.Tc_sim.Simkernel.time_s;
-                      ttgt_time_s;
-                      gflops;
+                      ttgt_time_s = d.Audit.ttgt_s;
+                      predicted_s = d.Audit.predicted_s;
+                      gflops = d.Audit.gflops;
                     }
                   in
                   (* Dispatch regret: the decision above compared the
                      engines on the representative problem; the request
-                     runs at its own extents, so re-evaluate both sides
-                     there and charge the chosen engine whatever it loses
-                     to the alternative.  The representative times are the
-                     race's own: a plan's schema is feasible for its
-                     mapping ([Plan.with_schema] enforces it), so it is one
-                     of the lanes.  Pure model output computed sequentially
-                     in request order — the audit metrics below are part of
-                     the CI replay gate's deterministic subset. *)
-                  let plan_lane_s =
-                    (Tc_sim.Simkernel.lane race plan.Cogent.Plan.schema)
-                      .Tc_sim.Simkernel.time_s
-                  in
-                  let _own_cogent_s, _own_ttgt_s, regret_s, _own_approx =
-                    Tc_audit.Audit.regret ~ctx ~own:problem
-                      ~predicted:(plan_lane_s, ttgt_time_s)
-                      plan
-                  in
-                  Tc_audit.Audit.record_regret regret_s;
+                     runs at its own extents.  Pure model output computed
+                     sequentially in request order — the audit metrics
+                     below are part of the CI replay gate's deterministic
+                     subset. *)
+                  let regret = Audit.regret ~ctx ~own:problem d plan in
+                  let _, _, regret_s, _ = regret in
+                  Audit.record_regret regret_s;
                   if regret_s > 0.0 then incr regrets;
                   (match session.audit with
                   | None -> ()
                   | Some c ->
                       let s =
-                        Tc_audit.Audit.sample ~suite:"serve" ~request:rid
-                          ~key:k ~ctx ~own:problem
+                        Audit.sample ~suite:"serve" ~request:rid ~key:k
                           ?measured:(Hashtbl.find_opt measures k)
-                          ~degraded:r.Cogent.Driver.degraded plan
+                          ~degraded:r.Cogent.Driver.degraded ~dispatch:d
+                          ~regret plan
                       in
-                      Tc_audit.Audit.add c s;
-                      Tc_audit.Audit.record_sample s;
+                      Audit.add c s;
+                      Audit.record_sample s;
                       Tc_obs.Trace.add_args
                         [
                           ( "model_tx_rel_err",
-                            Tc_obs.Trace.Float (Tc_audit.Audit.tx_rel_err s)
-                          );
+                            Tc_obs.Trace.Float (Audit.tx_rel_err s) );
                         ]);
+                  (* The served lane's simulation is this repo's
+                     stand-in for running the kernel, so the span's actual
+                     time equals its predicted time. *)
+                  let predicted_s = outcome.predicted_s in
                   Tc_obs.Trace.add_args
                     [
                       ("predicted_ms", Tc_obs.Trace.Float (predicted_s *. 1e3));
@@ -382,19 +346,19 @@ let run session items =
                       ("outcome", Tc_obs.Trace.String "ok");
                       ("cached", Tc_obs.Trace.Bool outcome.cached);
                       ("degraded", Tc_obs.Trace.Bool outcome.degraded);
-                      ("gflops", Tc_obs.Trace.Float gflops);
+                      ("gflops", Tc_obs.Trace.Float outcome.gflops);
                     ];
                   Tc_obs.Metrics.observe (predicted_hist ()) predicted_s;
-                  Ok (outcome, predicted_s, regret_s)
+                  Ok (outcome, regret_s)
             in
-            let result = Result.map (fun (o, _, _) -> o) result_r in
+            let result = Result.map fst result_r in
             (match result_r with
-            | Ok (o, predicted_s, regret_s) ->
+            | Ok (o, regret_s) ->
                 Tc_obs.Flightrec.record ~key:k ~expr:req.Request.expr
                   ~strategy:(outcome_strategy o)
                   ~timings:
                     [
-                      ("predicted_s", predicted_s);
+                      ("predicted_s", o.predicted_s);
                       ("cogent_s", o.cogent_time_s);
                       ("ttgt_s", o.ttgt_time_s);
                       ("regret_s", regret_s);

@@ -5,21 +5,20 @@
     re-generates nothing).  {!run} takes a parsed workload, dedups it by
     {!Cogent.Cache.key}, fans the {e distinct} plan searches out on
     {!Tc_par.Pool} (first-appearance order, so results are bit-identical
-    at any job count), then dispatches every request to whichever engine
-    the models predict faster — a three-way race between the classic
-    COGENT kernel, the best feasible {e pipelined} COGENT variant of the
-    same mapping (double buffering / MMA, absent on devices without async
-    copies) — both lanes of {!Tc_sim.Simkernel.race} on the cached plan —
-    and the TTGT pipeline ({!Tc_ttgt.Ttgt.run_ctx} on the same
-    representative problem).  Classic wins ties, so classic-only workloads
-    dispatch exactly as they did under the two-way race.
+    at any job count), then serves every request on the engine that
+    {!Tc_audit.Audit.dispatch} picks for its cached plan — the schema
+    race's chosen COGENT lane (classic, or a pipelined variant on devices
+    with async copies) against the TTGT pipeline on the same
+    representative problem.  Serve makes no comparison of its own: the
+    outcome, the dispatch regret and the audit sample all read that one
+    decision.
 
     Degradation ladder: a {!Cogent.Ctx.t.budget} falls generation back to
     the heuristic top-of-enumeration plan (flagged per request); a failed
     search or malformed request yields a typed {!error} for that request
     only — the batch always completes. *)
 
-type engine = Cogent_kernel | Ttgt_pipeline
+type engine = Tc_audit.Audit.engine = Cogent_kernel | Ttgt_pipeline
 
 val engine_name : engine -> string
 (** ["cogent"] / ["ttgt"]. *)
@@ -38,7 +37,7 @@ type outcome = {
       (** plan was already cached when the batch started (a warm store, or
           an earlier batch on this session) *)
   degraded : bool;  (** plan came from a budget-truncated search *)
-  engine : engine;  (** dispatch decision: lower predicted time wins *)
+  engine : engine;  (** {!Tc_audit.Audit.dispatch}'s decision *)
   schema : Tc_gpu.Schema.t;
       (** kernel schema of the winning COGENT variant (the schema race's
           chosen lane, reported even when the TTGT pipeline won) *)
@@ -48,7 +47,11 @@ type outcome = {
   cogent_time_s : float;
       (** simulator prediction for the classic COGENT kernel *)
   ttgt_time_s : float;  (** model prediction for the TTGT pipeline *)
-  gflops : float;  (** predicted throughput of the chosen engine *)
+  predicted_s : float;
+      (** predicted time of the served engine (the winning lane when a
+          pipelined kernel won) — the value the request's span and
+          flight-recorder entry carry *)
+  gflops : float;  (** predicted throughput of the served engine *)
 }
 
 val outcome_strategy : outcome -> string

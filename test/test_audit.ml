@@ -26,9 +26,12 @@ let plan_of problem =
 
 let sample_of ?(suite = "eq1") ?(request = "eq1") problem =
   let plan = plan_of problem in
+  let dispatch = Audit.dispatch ctx plan in
   Audit.sample ~suite ~request
     ~key:(Cogent.Cache.key ctx problem)
-    ~ctx ~degraded:false plan
+    ~degraded:false ~dispatch
+    ~regret:(Audit.regret ~ctx ~own:plan.Cogent.Plan.problem dispatch plan)
+    plan
 
 let fresh_dir () =
   let f = Filename.temp_file "cogent_audit" ".ledger" in
@@ -80,9 +83,9 @@ let test_dispatch_regret_on_own_extents () =
 
 (* At the representative problem the chosen engine is the minimum, so
    regret is 0 whatever the plan's schema: the own-extent kernel must run
-   under that same schema, not the classic one.  On A100/fp16 the
-   pipelined kernels of ccsd_1 and ccsd_9 beat TTGT where their classic
-   variants do not. *)
+   under the served schema (the race's chosen lane), not the plan's own
+   or the classic one.  On A100/fp16 the pipelined kernels of ccsd_1 and
+   ccsd_9 beat TTGT where their classic variants do not. *)
 let test_regret_zero_on_representative_every_schema () =
   let arch = Tc_gpu.Arch.a100 and precision = Tc_gpu.Precision.FP16 in
   let ctx =
@@ -108,9 +111,14 @@ let test_regret_zero_on_representative_every_schema () =
           let what = name ^ "/" ^ Tc_gpu.Schema.to_string sc in
           let p = Cogent.Plan.with_schema sc plan in
           let oc, ot, regret, approx = Audit.dispatch_regret ~ctx ~own:problem p in
+          let served =
+            Cogent.Plan.with_schema (Audit.dispatch ctx p).Audit.schema plan
+          in
           check (Alcotest.float 0.0) (what ^ ": regret") 0.0 regret;
-          check Alcotest.bool (what ^ ": own cogent time is the plan's") true
-            (Float.equal oc (Tc_sim.Simkernel.run p).Tc_sim.Simkernel.time_s);
+          check Alcotest.bool (what ^ ": own cogent time is the served schema's")
+            true
+            (Float.equal oc
+               (Tc_sim.Simkernel.run served).Tc_sim.Simkernel.time_s);
           check Alcotest.bool (what ^ ": own ttgt time is positive") true
             (ot > 0.0);
           check Alcotest.bool (what ^ ": no fallback") false approx)

@@ -19,7 +19,21 @@ let test_precision () =
     (Precision.tensor_core Precision.FP16);
   check Alcotest.bool "tf32 is tensor-core" true
     (Precision.tensor_core Precision.TF32);
-  check Alcotest.bool "fp64 is not" false (Precision.tensor_core Precision.FP64)
+  check Alcotest.bool "fp64 is not" false (Precision.tensor_core Precision.FP64);
+  let parsed = Alcotest.(result string string) in
+  List.iter
+    (fun (name, p) ->
+      check parsed name (Ok (Precision.to_string p))
+        (Result.map Precision.to_string (Precision.of_string name)))
+    [
+      ("fp16", Precision.FP16); ("half", Precision.FP16);
+      ("tf32", Precision.TF32); ("fp32", Precision.FP32);
+      ("float", Precision.FP32); ("single", Precision.FP32);
+      ("fp64", Precision.FP64); ("double", Precision.FP64);
+    ];
+  check parsed "unknown name"
+    (Error {|unknown precision "quad" (fp16|tf32|fp32|fp64)|})
+    (Result.map Precision.to_string (Precision.of_string "quad"))
 
 let test_arch_lookup () =
   check Alcotest.bool "p100" true (Arch.by_name "P100" = Some Arch.p100);

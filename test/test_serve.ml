@@ -510,6 +510,35 @@ let test_hostile_extent_answers () =
 (* Bit-exact equality, floats included. *)
 let bits x = Marshal.to_string x []
 
+(* Serve the 48 TCCG entries on [ctx]'s device through a fresh store;
+   returns the report and the served plans, exactly as the session cached
+   them. *)
+let serve_tccg ?audit ctx =
+  let dir = fresh_dir () in
+  let s =
+    match Tc_serve.Serve.open_session ~store:dir ?audit ctx with
+    | Ok s -> s
+    | Error m -> fail m
+  in
+  let report =
+    Tc_serve.Serve.run s
+      (List.map
+         (fun e ->
+           Ok
+             {
+               Tc_serve.Request.id = e.Tc_tccg.Suite.id;
+               expr = e.Tc_tccg.Suite.expr;
+               sizes = Sizes.of_list e.Tc_tccg.Suite.sizes;
+               arch = ctx.Cogent.Ctx.arch;
+               precision = ctx.Cogent.Ctx.precision;
+             })
+         Tc_tccg.Suite.all)
+  in
+  Tc_serve.Serve.close_session s;
+  match Tc_serve.Planstore.load ~dir with
+  | Ok rows -> (report, rows)
+  | Error m -> fail m
+
 (* Over the whole TCCG suite on a device with pipelined schemas and one
    without: [Simkernel.race] simulates each feasible schema once, in
    [Plan.feasible_schemas] order, and serve's dispatch and explain's
@@ -520,29 +549,7 @@ let test_race_shared_by_consumers () =
       let ctx =
         Cogent.Ctx.make ~arch ~precision ~measure:Tc_sim.Simkernel.gflops ()
       in
-      let dir = fresh_dir () in
-      let s = open_session ~store:dir ctx in
-      let report =
-        Tc_serve.Serve.run s
-          (List.map
-             (fun e ->
-               Ok
-                 {
-                   Tc_serve.Request.id = e.Tc_tccg.Suite.id;
-                   expr = e.Tc_tccg.Suite.expr;
-                   sizes = Sizes.of_list e.Tc_tccg.Suite.sizes;
-                   arch;
-                   precision;
-                 })
-             Tc_tccg.Suite.all)
-      in
-      Tc_serve.Serve.close_session s;
-      (* the served plans, exactly as the session cached them *)
-      let served =
-        match Tc_serve.Planstore.load ~dir with
-        | Ok rows -> rows
-        | Error m -> fail m
-      in
+      let report, served = serve_tccg ctx in
       List.iter2
         (fun e resp ->
           let name =
@@ -600,6 +607,52 @@ let test_race_shared_by_consumers () =
       (Tc_gpu.Arch.v100, Tc_gpu.Precision.FP64);
     ]
 
+(* The audit ledger records the dispatch serve made.  Under a model-only
+   context the plan keeps the classic schema while serve's race may pick
+   a pipelined lane, so a ledger that re-derived the decision from the
+   plan's own schema would disagree with serve: the sample's strategy,
+   its COGENT prediction and its own-extent kernel all follow the served
+   schema. *)
+let test_ledger_follows_serve () =
+  let module Audit = Tc_audit.Audit in
+  let module Serve = Tc_serve.Serve in
+  let arch = Tc_gpu.Arch.a100 and precision = Tc_gpu.Precision.FP16 in
+  let ctx = Cogent.Ctx.make ~arch ~precision () in
+  let collector = Audit.collector () in
+  let report, served = serve_tccg ~audit:collector ctx in
+  let samples = Audit.samples collector in
+  check Alcotest.int "one sample per request"
+    (List.length Tc_tccg.Suite.all) (List.length samples);
+  List.iter2
+    (fun (e, resp) (smp : Audit.sample) ->
+      let same what a b =
+        check Alcotest.bool (e.Tc_tccg.Suite.name ^ ": " ^ what) true
+          (bits a = bits b)
+      in
+      match resp.Serve.result with
+      | Error err -> fail (Serve.error_to_string err)
+      | Ok o ->
+          let plan = (List.assoc o.Serve.key served).Cogent.Driver.plan in
+          same "ledger strategy is serve's engine"
+            (Serve.engine_name o.Serve.engine) smp.Audit.strategy;
+          same "served prediction is the ledger's" o.Serve.predicted_s
+            (match o.Serve.engine with
+            | Serve.Cogent_kernel -> smp.Audit.pred_cogent_s
+            | Serve.Ttgt_pipeline -> smp.Audit.pred_ttgt_s);
+          same "predicted COGENT time is the served lane's"
+            (Tc_sim.Simkernel.lane (Tc_sim.Simkernel.race plan) o.Serve.schema)
+              .Tc_sim.Simkernel.time_s
+            smp.Audit.pred_cogent_s;
+          same "own COGENT time is the served schema's"
+            (Tc_sim.Simkernel.run
+               (Cogent.Plan.make ~problem:(Tc_tccg.Suite.problem e)
+                  ~mapping:plan.Cogent.Plan.mapping ~arch ~precision
+               |> Cogent.Plan.with_schema o.Serve.schema))
+              .Tc_sim.Simkernel.time_s
+            smp.Audit.own_cogent_s)
+    (List.combine Tc_tccg.Suite.all report.Tc_serve.Serve.responses)
+    samples
+
 let () =
   Alcotest.run "serve"
     [
@@ -635,6 +688,8 @@ let () =
         [
           Alcotest.test_case "one race behind serve and explain (TCCG)"
             `Quick test_race_shared_by_consumers;
+          Alcotest.test_case "ledger records serve's dispatch (TCCG)"
+            `Quick test_ledger_follows_serve;
         ] );
       ( "telemetry",
         [
