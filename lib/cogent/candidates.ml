@@ -64,17 +64,14 @@ let x_side t xi = t.x_sides.(xi)
 let y_side t yi = t.y_sides.(yi)
 let tbk t ti = t.tbks.(ti)
 
-let grid t xi yi =
-  let used = Idxset.union t.x_used.(xi) t.y_used.(yi) in
-  List.filter (fun i -> not (Idxset.mem i used)) t.externals
-
-let mapping t ~grid xi yi ti =
+let mapping t xi yi ti =
   let x = t.x_sides.(xi) and y = t.y_sides.(yi) in
+  let used = Idxset.union t.x_used.(xi) t.y_used.(yi) in
   {
     Mapping.tbx = x.Enumerate.tb;
     regx = x.Enumerate.reg;
     tby = y.Enumerate.tb;
     regy = y.Enumerate.reg;
     tbk = t.tbks.(ti);
-    grid;
+    grid = List.filter (fun i -> not (Idxset.mem i used)) t.externals;
   }

@@ -49,10 +49,6 @@ val y_side : t -> int -> Enumerate.side
 val tbk : t -> int -> Mapping.binding list
 (** [tbk t k]: the [k]-th TB_k packing, covering every internal index. *)
 
-val grid : t -> int -> int -> Tc_tensor.Index.t list
-(** [grid t x y]: the externals neither side maps, in output order — the
-    grid of every configuration with these two sides. *)
-
-val mapping : t -> grid:Tc_tensor.Index.t list -> int -> int -> int -> Mapping.t
-(** [mapping t ~grid x y k]: the configuration at coordinate [(x, y, k)],
-    given [grid = grid t x y]. *)
+val mapping : t -> int -> int -> int -> Mapping.t
+(** [mapping t x y k]: the configuration at coordinate [(x, y, k)]; its
+    grid is the externals neither side maps, in output order. *)

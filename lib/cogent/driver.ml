@@ -98,10 +98,7 @@ let generate_one (ctx : Ctx.t) ~topk problem =
   match outcome.Pipeline.ranked with
   | [] -> Error (No_viable_mapping prune_stats)
   | (top, _) :: _ as ranked ->
-      let plan_of ?schema mapping =
-        let p = Plan.make ~problem ~mapping ~arch ~precision in
-        match schema with None -> p | Some s -> Plan.with_schema s p
-      in
+      let plan_of mapping = Plan.make ~problem ~mapping ~arch ~precision in
       let forced = ctx.Ctx.schema in
       (* Kernel schemas a candidate is raced under: the forced one (when
          feasible for this mapping), or every feasible schema —
@@ -128,7 +125,7 @@ let generate_one (ctx : Ctx.t) ~topk problem =
                 (fun (m, _) -> Plan.schema_feasible ~arch ~precision ~mapping:m s)
                 ranked
             with
-            | Some (m, _) -> Ok (plan_of ~schema:s m)
+            | Some (m, _) -> Ok (Plan.with_schema s (plan_of m))
             | None ->
                 Error
                   (Infeasible_schema
@@ -152,10 +149,16 @@ let generate_one (ctx : Ctx.t) ~topk problem =
         match ctx.Ctx.measure with
         | None -> model_pick ()
         | Some run ->
+            (* One plan per refined mapping (validated and costed once);
+               its schema lanes are derived from it. *)
             let candidates =
               List.filteri (fun k _ -> k < max 1 ctx.Ctx.refine) ranked
               |> List.concat_map (fun (m, _) ->
-                     List.map (fun s -> (m, s)) (schemas_of m))
+                     match schemas_of m with
+                     | [] -> []
+                     | schemas ->
+                         let p = plan_of m in
+                         List.map (fun s -> Plan.with_schema s p) schemas)
             in
             Trace.with_span "driver.refine"
               ~args:
@@ -172,9 +175,7 @@ let generate_one (ctx : Ctx.t) ~topk problem =
             (match
                Tc_par.Pool.fold_best
                  ~better:(fun (_, g) (_, bg) -> g > bg)
-                 (fun (m, s) ->
-                   let p = plan_of ~schema:s m in
-                   (p, run p))
+                 (fun p -> (p, run p))
                  candidates
              with
             | Some (best, _) -> Ok best

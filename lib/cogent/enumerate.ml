@@ -41,19 +41,14 @@ let pack_greedy ~target ~first ~candidates =
   let p = pack ~target ~first ~candidates in
   (p.bindings, p.reached)
 
+(* First occurrence wins; packings are keyed on their binding lists. *)
 let dedup_packings ps =
   let tbl = Hashtbl.create 16 in
   List.filter
     (fun p ->
-      let key =
-        String.concat ";"
-          (List.map
-             (fun b -> Printf.sprintf "%c%d" b.Mapping.index b.Mapping.tile)
-             p.bindings)
-      in
-      if Hashtbl.mem tbl key then false
+      if Hashtbl.mem tbl p.bindings then false
       else begin
-        Hashtbl.add tbl key ();
+        Hashtbl.add tbl p.bindings ();
         true
       end)
     ps

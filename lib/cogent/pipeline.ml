@@ -12,39 +12,46 @@ let no_mapping =
   { Mapping.tbx = []; regx = []; tby = []; regy = []; tbk = []; grid = [] }
 
 (* Bounded best-heap: the K cheapest candidates under the total order
-   (cost, Mapping.compare).  A max-heap on that order keeps the current
-   worst resident at the root, which is the branch-and-bound cutoff the
-   evaluator aborts against.  Because the order is total, the retained
-   set — and hence [to_sorted] — is independent of insertion order, so
-   per-chunk heaps merged in any grouping equal one sequential heap. *)
+   (cost, key), where a candidate's key is its packed coordinate
+   [((x * num_y) + y) * num_tbk + k].  Coordinate order is Mapping.compare
+   order ({!Candidates}), so this is the order (cost, Mapping.compare) of
+   the ranking — without building a mapping per entrant.  A max-heap on
+   that order keeps the current worst resident at the root, which is the
+   branch-and-bound cutoff the evaluator aborts against.  Because the
+   order is total, the retained set — and hence [to_sorted] — is
+   independent of insertion order, so per-chunk heaps merged in any
+   grouping equal one sequential heap. *)
 module Topk = struct
-  type entry = { cost : float; m : Mapping.t }
-
-  type t = { cap : int; mutable n : int; heap : entry array }
-
-  let dummy = { cost = nan; m = no_mapping }
+  type t = { cap : int; mutable n : int; keys : int array; costs : float array }
 
   let create cap =
     let cap = max 1 cap in
-    { cap; n = 0; heap = Array.make cap dummy }
+    { cap; n = 0; keys = Array.make cap 0; costs = Array.make cap 0.0 }
 
-  (* [worse a b]: a ranks strictly after b in the final ascending order. *)
-  let worse a b =
-    match Float.compare a.cost b.cost with
-    | 0 -> Mapping.compare a.m b.m > 0
-    | c -> c > 0
+  (* The final ascending order on (cost, key) pairs. *)
+  let compare_ranked (k1, c1) (k2, c2) =
+    match Float.compare c1 c2 with 0 -> Int.compare k1 k2 | c -> c
 
-  let bound t = if t.n < t.cap then infinity else t.heap.(0).cost
+  (* [after c1 k1 c2 k2]: (c1, k1) ranks strictly after (c2, k2).  Inlined,
+     so the costs stay unboxed. *)
+  let[@inline] after c1 k1 c2 k2 =
+    match Float.compare c1 c2 with 0 -> k1 > k2 | c -> c > 0
+
+  let worse t i j = after t.costs.(i) t.keys.(i) t.costs.(j) t.keys.(j)
+
+  let[@inline] bound t = if t.n < t.cap then infinity else t.costs.(0)
 
   let swap t i j =
-    let tmp = t.heap.(i) in
-    t.heap.(i) <- t.heap.(j);
-    t.heap.(j) <- tmp
+    let k = t.keys.(i) and c = t.costs.(i) in
+    t.keys.(i) <- t.keys.(j);
+    t.costs.(i) <- t.costs.(j);
+    t.keys.(j) <- k;
+    t.costs.(j) <- c
 
   let rec sift_up t k =
     if k > 0 then
       let p = (k - 1) / 2 in
-      if worse t.heap.(k) t.heap.(p) then begin
+      if worse t k p then begin
         swap t k p;
         sift_up t p
       end
@@ -52,41 +59,32 @@ module Topk = struct
   let rec sift_down t k =
     let l = (2 * k) + 1 and r = (2 * k) + 2 in
     let largest = ref k in
-    if l < t.n && worse t.heap.(l) t.heap.(!largest) then largest := l;
-    if r < t.n && worse t.heap.(r) t.heap.(!largest) then largest := r;
+    if l < t.n && worse t l !largest then largest := l;
+    if r < t.n && worse t r !largest then largest := r;
     if !largest <> k then begin
       swap t k !largest;
       sift_down t !largest
     end
 
-  let insert t m cost =
-    let e = { cost; m } in
+  let insert t key cost =
     if t.n < t.cap then begin
-      t.heap.(t.n) <- e;
+      t.keys.(t.n) <- key;
+      t.costs.(t.n) <- cost;
       t.n <- t.n + 1;
       sift_up t (t.n - 1);
       true
     end
-    else if worse t.heap.(0) e then begin
-      t.heap.(0) <- e;
+    else if after t.costs.(0) t.keys.(0) cost key then begin
+      t.keys.(0) <- key;
+      t.costs.(0) <- cost;
       sift_down t 0;
       true
     end
     else false
 
-  let iter t f =
-    for k = 0 to t.n - 1 do
-      f t.heap.(k).m t.heap.(k).cost
-    done
-
-  (* The final ascending order, as a comparison of (mapping, cost) pairs. *)
-  let compare_ranked (m1, c1) (m2, c2) =
-    match Float.compare c1 c2 with 0 -> Mapping.compare m1 m2 | c -> c
-
-  let to_sorted t =
-    let l = ref [] in
-    iter t (fun m c -> l := (m, c) :: !l);
-    List.sort compare_ranked !l
+  (* The residents, unordered. *)
+  let entries t = List.init t.n (fun i -> (t.keys.(i), t.costs.(i)))
+  let to_sorted t = List.sort compare_ranked (entries t)
 end
 
 (* One chunk's worth of streamed work; merged sequentially in chunk order
@@ -95,9 +93,9 @@ type chunk_out = {
   c_tally : int array;
   c_kept : int;
   c_aborted : int;
-  c_top : (Mapping.t * float) list;  (* heap mode: chunk top-K, unordered *)
-  c_fed : (Mapping.t * float) list;
-      (* feed mode: first <= maxfeed survivors and their costs, in order *)
+  c_top : (int * float) list;  (* heap mode: chunk top-K keys, unordered *)
+  c_fed : (int * float) list;
+      (* feed mode: first <= maxfeed survivor keys and costs, in order *)
 }
 
 (* Feed mode (search budget set) costs the first [maxfeed] survivors in
@@ -214,40 +212,32 @@ let[@inline] load_cost s ~width ~size_k ~ept ~steps ~fblocks p pk =
        ~run:s.run.(pk) ~ept)
   *. steps *. fblocks
 
-(* The grid of (x, y), computed once and only when a candidate of that
-   pair needs its Mapping.t. *)
-let grid_of cands grid xi yi =
-  match !grid with
-  | Some g -> g
-  | None ->
-      let g = Candidates.grid cands xi yi in
-      grid := Some g;
-      g
-
 (* One work unit: a fixed slice of the chunk (X-side) range, scanned with
    one heap.  The slice boundaries depend only on the chunk count — never
    on the job count — so unit outputs (and the bound each unit's heap
    tightens as it goes) are reproducible at any parallelism.  Candidates
-   are visited in ascending (x, y, k) order, which is ascending
-   {!Mapping.compare} order; the cost is the float expression of
-   {!Cost.transactions}, term by term.  Heap mode aborts it as soon as a
-   partial sum exceeds the heap bound (each term is >= blocks >= 1). *)
-let scan_chunks cands tabs checker prec mode ~tallying ~lo ~hi =
+   are visited in ascending (x, y, k) order — ascending key, ascending
+   {!Mapping.compare} — and enter the heap as keys; the cost is the float
+   expression of {!Cost.transactions}, term by term.  Heap mode aborts it
+   as soon as a partial sum exceeds the heap bound (each term is >= blocks
+   >= 1). *)
+let scan_chunks tabs checker prec mode ~tallying ~lo ~hi =
   let tally = Array.make Prune.num_reasons 0 in
   let kept = ref 0 and aborted = ref 0 and n_fed = ref 0 in
   let fed = ref [] in
   let x = tabs.x and y = tabs.y and nk = Array.length tabs.tbk_size in
+  let ny = Array.length y.tb in
   (* Like the search's own heap, a slice heap never holds more than the
      slice's candidates. *)
   let heap =
     match mode with
-    | Heap cap -> Topk.create (min cap ((hi - lo) * Array.length y.tb * nk))
+    | Heap cap -> Topk.create (min cap ((hi - lo) * ny * nk))
     | Feed _ -> Topk.create 1
   in
   let ept = Precision.elems_per_transaction prec in
   let bytes = Precision.bytes prec in
   for xi = lo to hi - 1 do
-    for yi = 0 to Array.length y.tb - 1 do
+    for yi = 0 to ny - 1 do
       let width = x.tb.(xi) * y.tb.(yi) in
       let regx = x.reg.(xi) and regy = y.reg.(yi) in
       let smem_row = (x.tb.(xi) * regx) + (y.tb.(yi) * regy) in
@@ -259,7 +249,7 @@ let scan_chunks cands tabs checker prec mode ~tallying ~lo ~hi =
         regx * regy
         * Cost.sweep_transactions ~width ~run:tabs.store_run.(xi) ~ept
       in
-      let grid = ref None in
+      let key0 = ((xi * ny) + yi) * nk in
       for k = 0 to nk - 1 do
         let xk = (xi * nk) + k and yk = (yi * nk) + k in
         let r =
@@ -282,8 +272,7 @@ let scan_chunks cands tabs checker prec mode ~tallying ~lo ~hi =
                   +. load_cost y ~width ~size_k ~ept ~steps ~fblocks yi yk
                   +. (float_of_int out_tx *. fblocks)
                 in
-                let grid = grid_of cands grid xi yi in
-                fed := (Candidates.mapping cands ~grid xi yi k, total) :: !fed;
+                fed := (key0 + k, total) :: !fed;
                 incr n_fed
               end
           | Heap _ ->
@@ -299,21 +288,17 @@ let scan_chunks cands tabs checker prec mode ~tallying ~lo ~hi =
                 else
                   let total = partial +. (float_of_int out_tx *. fblocks) in
                   if total > bound then incr aborted
-                  else
-                    let grid = grid_of cands grid xi yi in
-                    let m = Candidates.mapping cands ~grid xi yi k in
-                    if not (Topk.insert heap m total) then incr aborted
+                  else if not (Topk.insert heap (key0 + k) total) then
+                    incr aborted
         end
       done
     done
   done;
-  let top = ref [] in
-  Topk.iter heap (fun m c -> top := (m, c) :: !top);
   {
     c_tally = tally;
     c_kept = !kept;
     c_aborted = !aborted;
-    c_top = !top;
+    c_top = Topk.entries heap;
     c_fed = List.rev !fed;
   }
 
@@ -355,12 +340,13 @@ let search ?(performance = true) ?budget ~topk arch prec problem =
     let kept, aborted, _, fed_rev =
       Tc_par.Pool.map_fold slices
         ~map:(fun (lo, hi) ->
-          scan_chunks cands tabs checker prec mode ~tallying ~lo ~hi)
+          scan_chunks tabs checker prec mode ~tallying ~lo ~hi)
         ~init:(0, 0, 0, [])
         ~fold:(fun (kept, aborted, n_fed, fed_rev) c ->
           if tallying then
             Array.iteri (fun k n -> tally.(k) <- tally.(k) + n) c.c_tally;
-          List.iter (fun (m, cost) -> ignore (Topk.insert heap m cost)) c.c_top;
+          List.iter (fun (key, cost) -> ignore (Topk.insert heap key cost))
+            c.c_top;
           let n_fed, fed_rev =
             match mode with
             | Heap _ -> (n_fed, fed_rev)
@@ -398,10 +384,18 @@ let search ?(performance = true) ?budget ~topk arch prec problem =
       in
       try_relax 0 Prune.relax_attempts_classes
   in
+  (* Only the final top-K (or the fed survivors) become mappings. *)
+  let ny = Candidates.num_y cands and nk = Candidates.num_tbk cands in
+  let mapping_of (key, cost) =
+    let k = key mod nk and xy = key / nk in
+    let x = xy / ny and y = xy mod ny in
+    (Candidates.mapping cands x y k, cost)
+  in
   let ranked =
-    match mode with
-    | Heap _ -> Topk.to_sorted heap
-    | Feed _ -> List.sort Topk.compare_ranked fed
+    List.map mapping_of
+      (match mode with
+      | Heap _ -> Topk.to_sorted heap
+      | Feed _ -> List.sort Topk.compare_ranked fed)
   in
   let degraded =
     match maxfeed with Some f -> kept > f | None -> false

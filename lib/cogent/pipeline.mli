@@ -12,9 +12,12 @@
     innermost TB_k loop then runs the §IV-A rules as {!Prune.verdict},
     one int function, and the Algorithm-3 cost in the float operation
     order of {!Cost.transactions}, abandoned as soon as a partial sum
-    exceeds the cost of the current K-th best (a bounded best-heap
-    ordered by (cost, {!Mapping.compare})).  A [Mapping.t] is built only
-    for a heap entrant or a budget-fed survivor.
+    exceeds the cost of the current K-th best (a bounded best-heap of
+    (key, cost) pairs, where the key packs the coordinate as
+    [((x * num_y) + y) * num_tbk + k]; ordered by (cost, key), which is
+    (cost, {!Mapping.compare}) order because coordinate order is
+    mapping order).  A [Mapping.t] is built only for the final top-K —
+    or, under a budget, for the fed survivors — never per heap entrant.
 
     The materialized reference — enumerate every configuration, filter
     it with {!Prune.check}, cost and sort the survivors — lives in

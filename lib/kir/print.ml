@@ -47,46 +47,96 @@ let builtin_str ctx b =
   | Block_flat, Opencl -> "(long)get_group_id(0)"
   | Block_flat, C_host -> "blk"
 
+(* Non-negative ints go digit by digit, without an intermediate string. *)
+let rec add_nat buf n =
+  if n >= 10 then add_nat buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let int ctx n = if n >= 0 then add_nat ctx.buf n else puts ctx (string_of_int n)
+
 (* C precedence levels used here: 5 = * / %, 4 = + -, 2 = &, 1 = ?:.
    [Lt] only ever appears inside guards and is always parenthesized;
-   casts and primaries bind tightest. *)
+   casts and primaries bind tightest.  Every printer appends to [ctx.buf];
+   [prec] is the parent's level, which decides the parentheses. *)
 let rec expr ctx prec e =
   let bin my a op b =
-    let s = expr ctx my a ^ op ^ expr ctx (my + 1) b in
-    if my < prec then "(" ^ s ^ ")" else s
+    if my < prec then puts ctx "(";
+    expr ctx my a;
+    puts ctx op;
+    expr ctx (my + 1) b;
+    if my < prec then puts ctx ")"
   in
   match e with
-  | Int_lit n -> string_of_int n
+  | Int_lit n -> int ctx n
   | I64_lit n -> (
       match ctx.d with
-      | Opencl -> Printf.sprintf "(long)%d" n
-      | Cuda | C_host -> Printf.sprintf "%dLL" n)
-  | Scalar_zero -> zero ctx
-  | Var n -> n
-  | Builtin b -> builtin_str ctx b
+      | Opencl ->
+          puts ctx "(long)";
+          int ctx n
+      | Cuda | C_host ->
+          int ctx n;
+          puts ctx "LL")
+  | Scalar_zero -> puts ctx (zero ctx)
+  | Var n -> puts ctx n
+  | Builtin b -> puts ctx (builtin_str ctx b)
   | Add (a, b) -> bin 4 a " + " b
   | Sub (a, b) -> bin 4 a " - " b
   | Mul (a, b) -> bin 5 a " * " b
   | Div (a, b) -> bin 5 a " / " b
   | Mod (a, b) -> bin 5 a " % " b
-  | Lt (a, b) -> "(" ^ expr ctx 0 a ^ " < " ^ expr ctx 0 b ^ ")"
+  | Lt (a, b) ->
+      puts ctx "(";
+      expr ctx 0 a;
+      puts ctx " < ";
+      expr ctx 0 b;
+      puts ctx ")"
   | And (a, b) -> bin 2 a " & " b
-  | Cast (t, a) -> "(" ^ ty_name ctx t ^ ")" ^ atom ctx a
+  | Cast (t, a) ->
+      puts ctx "(";
+      puts ctx (ty_name ctx t);
+      puts ctx ")";
+      atom ctx a
   | Select (c, a, b) ->
-      let s = expr ctx 2 c ^ " ? " ^ expr ctx 2 a ^ " : " ^ expr ctx 2 b in
-      if prec > 1 then "(" ^ s ^ ")" else s
-  | Index (n, a) -> n ^ "[" ^ expr ctx 0 a ^ "]"
+      if prec > 1 then puts ctx "(";
+      expr ctx 2 c;
+      puts ctx " ? ";
+      expr ctx 2 a;
+      puts ctx " : ";
+      expr ctx 2 b;
+      if prec > 1 then puts ctx ")"
+  | Index (n, a) -> subscript ctx n a
 
 and atom ctx e =
   match e with
   | Int_lit _ | I64_lit _ | Var _ | Index _ -> expr ctx 0 e
-  | _ -> "(" ^ expr ctx 0 e ^ ")"
+  | _ ->
+      puts ctx "(";
+      expr ctx 0 e;
+      puts ctx ")"
 
-let lval ctx = function
-  | Lvar n -> n
-  | Larr (n, e) -> n ^ "[" ^ expr ctx 0 e ^ "]"
+(* [n[e]] *)
+and subscript ctx n e =
+  puts ctx n;
+  puts ctx "[";
+  expr ctx 0 e;
+  puts ctx "]"
 
-let ind ctx n = puts ctx (String.make (2 * n) ' ')
+let lval ctx = function Lvar n -> puts ctx n | Larr (n, e) -> subscript ctx n e
+
+let ind ctx n =
+  for _ = 1 to 2 * n do
+    Buffer.add_char ctx.buf ' '
+  done
+
+(* [__pipeline_memcpy_async(&dst[da], &src[sa], sizeof(scalar));] *)
+let memcpy_async ctx dst da src sa =
+  puts ctx "__pipeline_memcpy_async(&";
+  subscript ctx dst da;
+  puts ctx ", &";
+  subscript ctx src sa;
+  puts ctx ", sizeof(";
+  puts ctx (scalar ctx);
+  puts ctx "));\n"
 
 let rec stmt ctx n s =
   match s with
@@ -96,43 +146,78 @@ let rec stmt ctx n s =
   | Assign (Larr (dst, da), Select (c, Index (src, sa), Scalar_zero))
     when ctx.async ->
       ind ctx n;
-      bpf ctx "if (%s) __pipeline_memcpy_async(&%s[%s], &%s[%s], sizeof(%s));\n"
-        (expr ctx 0 c) dst (expr ctx 0 da) src (expr ctx 0 sa) (scalar ctx);
+      puts ctx "if (";
+      expr ctx 0 c;
+      puts ctx ") ";
+      memcpy_async ctx dst da src sa;
       ind ctx n;
-      bpf ctx "else %s[%s] = %s;\n" dst (expr ctx 0 da) (zero ctx)
+      puts ctx "else ";
+      subscript ctx dst da;
+      puts ctx " = ";
+      puts ctx (zero ctx);
+      puts ctx ";\n"
   | Assign (Larr (dst, da), Index (src, sa)) when ctx.async ->
       ind ctx n;
-      bpf ctx "__pipeline_memcpy_async(&%s[%s], &%s[%s], sizeof(%s));\n" dst
-        (expr ctx 0 da) src (expr ctx 0 sa) (scalar ctx)
+      memcpy_async ctx dst da src sa
   | Decl { ty; const; name; init } ->
       ind ctx n;
       if const then puts ctx "const ";
-      bpf ctx "%s %s" (ty_name ctx ty) name;
+      puts ctx (ty_name ctx ty);
+      puts ctx " ";
+      puts ctx name;
       (match init with
-      | Some e -> bpf ctx " = %s" (expr ctx 0 e)
+      | Some e ->
+          puts ctx " = ";
+          expr ctx 0 e
       | None -> ());
       puts ctx ";\n"
   | Assign (lv, e) ->
       ind ctx n;
-      bpf ctx "%s = %s;\n" (lval ctx lv) (expr ctx 0 e)
+      lval ctx lv;
+      puts ctx " = ";
+      expr ctx 0 e;
+      puts ctx ";\n"
   | Div_assign (lv, e) ->
       ind ctx n;
-      bpf ctx "%s /= %s;\n" (lval ctx lv) (expr ctx 0 e)
+      lval ctx lv;
+      puts ctx " /= ";
+      expr ctx 0 e;
+      puts ctx ";\n"
   | Fma { acc; a; b } ->
       ind ctx n;
-      bpf ctx "%s += %s * %s;\n" (lval ctx acc) (expr ctx 5 a) (expr ctx 6 b)
+      lval ctx acc;
+      puts ctx " += ";
+      expr ctx 5 a;
+      puts ctx " * ";
+      expr ctx 6 b;
+      puts ctx ";\n"
   | For { var; start; bound; step; unroll; body } ->
       if unroll && ctx.d <> C_host then puts ctx "#pragma unroll\n";
       ind ctx n;
-      bpf ctx "for (int %s = %s; %s < %s; %s)" var (expr ctx 0 start) var
-        (expr ctx 0 bound)
-        (match step with
-        | Int_lit 1 -> "++" ^ var
-        | e -> Printf.sprintf "%s += %s" var (expr ctx 0 e));
+      puts ctx "for (int ";
+      puts ctx var;
+      puts ctx " = ";
+      expr ctx 0 start;
+      puts ctx "; ";
+      puts ctx var;
+      puts ctx " < ";
+      expr ctx 0 bound;
+      puts ctx "; ";
+      (match step with
+      | Int_lit 1 ->
+          puts ctx "++";
+          puts ctx var
+      | e ->
+          puts ctx var;
+          puts ctx " += ";
+          expr ctx 0 e);
+      puts ctx ")";
       block ctx n body
   | If (c, body) ->
       ind ctx n;
-      bpf ctx "if (%s)" (expr ctx 0 c);
+      puts ctx "if (";
+      expr ctx 0 c;
+      puts ctx ")";
       block ctx n body
   | Scope body ->
       ind ctx n;
@@ -142,7 +227,9 @@ let rec stmt ctx n s =
       puts ctx "}\n"
   | Comment s ->
       ind ctx n;
-      bpf ctx "// %s\n" s
+      puts ctx "// ";
+      puts ctx s;
+      puts ctx "\n"
 
 (* single statements that introduce no declaration print braceless *)
 and block ctx n body =
@@ -158,10 +245,10 @@ and block ctx n body =
 
 and stmts ctx n l = List.iter (stmt ctx n) l
 
-let param_list s =
-  String.concat ""
-    (List.map (fun i -> Printf.sprintf ",\n    const int N_%c" i)
-       (all_indices s))
+(* The extent parameters that close every kernel signature. *)
+let params ctx s =
+  List.iter (fun i -> bpf ctx ",\n    const int N_%c" i) (all_indices s);
+  puts ctx ")\n{\n"
 
 (* ---- GPU dialects: one real thread per (tx, ty), structural barriers ---- *)
 
@@ -186,7 +273,7 @@ let gpu_kernel ctx (k : kernel) =
       bpf ctx "    __global const %s* restrict g_A,\n" sc;
       bpf ctx "    __global const %s* restrict g_B" sc
   | C_host -> invalid_arg "Tc_kir.Print.gpu_kernel: C_host");
-  bpf ctx "%s)\n{\n" (param_list s);
+  params ctx s;
   stmts ctx 1 k.grid_setup;
   stmts ctx 1 k.block_setup;
   stmts ctx 1 k.step_counts;
@@ -226,7 +313,8 @@ let gpu_kernel ctx (k : kernel) =
     print_stage 2;
     puts ctx "  }\n";
     if async then puts ctx "  __pipeline_commit();\n"
-    else puts ctx ("  " ^ String.trim barrier ^ "\n");
+    else (* the barrier, one level shallower *)
+      puts ctx (String.sub barrier 2 (String.length barrier - 2));
     bpf ctx "  for (int step = 0; step < %s; ++step) {\n" num_steps_var;
     (* prefetch tile step+1 into the half the current compute doesn't read;
        the commit is unconditional so every iteration retires exactly one
@@ -278,7 +366,7 @@ let c_kernel ctx (k : kernel) =
   bpf ctx "    %s* g_C,\n" sc;
   bpf ctx "    const %s* g_A,\n" sc;
   bpf ctx "    const %s* g_B" sc;
-  bpf ctx "%s)\n{\n" (param_list s);
+  params ctx s;
   stmts ctx 1 k.grid_setup;
   stmts ctx 1 k.step_counts;
   let n_blocks =
@@ -327,14 +415,9 @@ let c_kernel ctx (k : kernel) =
   puts ctx "  }\n";
   puts ctx "}\n"
 
-let kernel d (k : kernel) =
-  let ctx =
-    { d; prec = k.spec.precision; async = false; buf = Buffer.create 4096 }
-  in
-  (match d with
-  | Cuda | Opencl -> gpu_kernel ctx k
-  | C_host -> c_kernel ctx k);
-  Buffer.contents ctx.buf
+let kernel buf d (k : kernel) =
+  let ctx = { d; prec = k.spec.precision; async = false; buf } in
+  match d with Cuda | Opencl -> gpu_kernel ctx k | C_host -> c_kernel ctx k
 
 (* ---- C-host standalone driver ---- *)
 
@@ -343,11 +426,9 @@ let host_fill ~tag k =
   /. 16777216.0
   -. 0.5
 
-let c_main (k : kernel) =
+let c_main buf (k : kernel) =
   let s = k.spec in
-  let ctx =
-    { d = C_host; prec = s.precision; async = false; buf = Buffer.create 2048 }
-  in
+  let ctx = { d = C_host; prec = s.precision; async = false; buf } in
   let sc = scalar ctx in
   let idx = all_indices s in
   puts ctx "static double tc_fill(unsigned tag, size_t k)\n{\n";
@@ -377,5 +458,4 @@ let c_main (k : kernel) =
        (List.map (fun i -> Printf.sprintf ", N_%c" i) idx));
   puts ctx
     "  for (size_t i = 0; i < szC; ++i) printf(\"%.17g\\n\", (double)C[i]);\n";
-  puts ctx "  free(A); free(B); free(C);\n  return 0;\n}\n";
-  Buffer.contents ctx.buf
+  puts ctx "  free(A); free(B); free(C);\n  return 0;\n}\n"

@@ -29,12 +29,13 @@ type dialect = Cuda | Opencl | C_host
 val dialect_name : dialect -> string
 (** ["CUDA"], ["OpenCL"], ["C host"]. *)
 
-val kernel : dialect -> Ir.kernel -> string
-(** The kernel definition in the given dialect (no header comment, no
-    launcher). *)
+val kernel : Buffer.t -> dialect -> Ir.kernel -> unit
+(** Append the kernel definition in the given dialect (no header comment,
+    no launcher) to the buffer.  Every expression is printed straight into
+    it: no intermediate string per sub-expression or statement. *)
 
-val c_main : Ir.kernel -> string
-(** A [main] for the C-host dialect: allocates the tensors at the spec's
+val c_main : Buffer.t -> Ir.kernel -> unit
+(** Append a [main] for the C-host dialect: allocates the tensors at the spec's
     representative extents (overridable positionally on argv, [all_indices]
     order), fills the inputs with {!host_fill}, runs the kernel once and
     prints every output element with [%.17g] — one per line, FVI-first

@@ -66,9 +66,8 @@ let candidates problem =
     (List.init (Candidates.num_chunks c) (fun x ->
          List.concat
            (List.init (Candidates.num_y c) (fun y ->
-                let grid = Candidates.grid c x y in
                 List.init (Candidates.num_tbk c) (fun k ->
-                    Candidates.mapping c ~grid x y k)))))
+                    Candidates.mapping c x y k)))))
 
 (* Keep the configurations passing every rule; when none do, walk the
    relaxation ladder.  Reject tallies count the primary pass only. *)

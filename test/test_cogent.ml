@@ -214,6 +214,42 @@ let candidates_match_enumerate =
       Candidates.count cands = List.length legacy
       && List.equal Mapping.equal (Oracle.candidates c.Gen.problem) legacy)
 
+(* ---- Golden files ---- *)
+
+let golden_path file =
+  (* dune materializes the golden files next to the test executable; fall
+     back to the source path when run from the repository root.  A
+     GOLDEN_UPDATE run from the repository root writes the source tree,
+     never the build copy. *)
+  let beside_exe =
+    Filename.concat (Filename.dirname Sys.executable_name)
+      (Filename.concat "golden" file)
+  in
+  if Sys.getenv_opt "GOLDEN_UPDATE" <> None && Sys.file_exists "test/golden"
+  then Filename.concat "test/golden" file
+  else if Sys.file_exists beside_exe then beside_exe
+  else if Sys.file_exists (Filename.concat "golden" file) then
+    Filename.concat "golden" file
+  else Filename.concat "test/golden" file
+
+let read_golden file =
+  let ic = open_in (golden_path file) in
+  let n = in_channel_length ic in
+  let s = really_input_string ic n in
+  close_in ic;
+  s
+
+(* With GOLDEN_UPDATE set, rewrite the golden files from the plan this test
+   constructs instead of comparing (run `GOLDEN_UPDATE=1 dune exec
+   test/test_cogent.exe` from the repository root, then eyeball the diff). *)
+let check_golden label file actual =
+  if Sys.getenv_opt "GOLDEN_UPDATE" <> None then begin
+    let oc = open_out (golden_path file) in
+    output_string oc actual;
+    close_out oc
+  end;
+  check Alcotest.string label (read_golden file) actual
+
 (* ---- Streaming pipeline vs the materialized oracle ---- *)
 
 let ranked_equal a b =
@@ -289,6 +325,37 @@ let test_pipeline_suite_targets () =
             [ true; false ])
         bench_targets)
     Tc_tccg.Suite.all
+
+(* The search outcome itself, pinned bit-exactly: every TCCG entry on
+   every benchmark target, with and without the performance rules, at the
+   driver's K = 8.  One line per case: enumerated, kept and bound_aborted,
+   then the top-8 mappings with their costs in %h. *)
+let test_pipeline_suite_golden () =
+  let buf = Buffer.create 131072 in
+  List.iter
+    (fun entry ->
+      let problem = Tc_tccg.Suite.problem entry in
+      List.iter
+        (fun (arch, prec) ->
+          List.iter
+            (fun performance ->
+              let o = Pipeline.search ~performance ~topk:8 arch prec problem in
+              Printf.bprintf buf "%s %s/%s performance:%b %d %d %d"
+                entry.Tc_tccg.Suite.name arch.Arch.name
+                (Precision.to_string prec) performance
+                o.Pipeline.stats.Prune.enumerated o.Pipeline.stats.Prune.kept
+                o.Pipeline.bound_aborted;
+              List.iter
+                (fun (m, cost) ->
+                  Buffer.add_string buf
+                    (Format.asprintf " | %a %h" Mapping.pp m cost))
+                o.Pipeline.ranked;
+              Buffer.add_char buf '\n')
+            [ true; false ])
+        bench_targets)
+    Tc_tccg.Suite.all;
+  check_golden "suite search outcomes" "pipeline_suite.txt"
+    (Buffer.contents buf)
 
 let streamed_matches_legacy ?budget () =
   QCheck.Test.make ~count:40
@@ -658,36 +725,6 @@ let gemm_plan =
   Plan.make ~problem:gemm_like ~mapping:gemm_mapping ~arch:Arch.v100
     ~precision:Precision.FP64
 
-let golden_path file =
-  (* dune materializes the golden files next to the test executable; fall
-     back to the source path when run from the repository root. *)
-  let beside_exe =
-    Filename.concat (Filename.dirname Sys.executable_name)
-      (Filename.concat "golden" file)
-  in
-  if Sys.file_exists beside_exe then beside_exe
-  else if Sys.file_exists (Filename.concat "golden" file) then
-    Filename.concat "golden" file
-  else Filename.concat "test/golden" file
-
-let read_golden file =
-  let ic = open_in (golden_path file) in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-(* With GOLDEN_UPDATE set, rewrite the golden files from the plan this test
-   constructs instead of comparing (run `GOLDEN_UPDATE=1 dune exec
-   test/test_cogent.exe` from the repository root, then eyeball the diff). *)
-let check_golden label file actual =
-  if Sys.getenv_opt "GOLDEN_UPDATE" <> None then begin
-    let oc = open_out (golden_path file) in
-    output_string oc actual;
-    close_out oc
-  end;
-  check Alcotest.string label (read_golden file) actual
-
 let test_codegen_golden () =
   check_golden "golden kernel" "ab_ac_cb.cu" (Codegen.emit gemm_plan)
 
@@ -718,6 +755,65 @@ let test_codegen_golden_pipelined_opencl () =
 let test_codegen_golden_pipelined_c () =
   check_golden "golden pipelined C-host kernel" "ab_ac_cb_pipelined.c"
     (Codegen.emit ~dialect:Codegen.C_host pipelined_plan)
+
+(* The tensor-core schema at half precision: the golden that locks the
+   [half] scalar type, the fp16 [0.0f] zero and the MMA compute comment. *)
+let mma_plan =
+  Plan.with_schema Schema.Pipelined_mma
+    (Plan.make ~problem:gemm_like ~mapping:gemm_mapping ~arch:Arch.a100
+       ~precision:Precision.FP16)
+
+let test_codegen_golden_mma () =
+  check_golden "golden MMA kernel" "ab_ac_cb_mma.cu" (Codegen.emit mma_plan)
+
+(* Every TCCG entry's model-selected kernel in every emitted form, on an
+   fp64 and a half-precision target, locked by digest — one line per
+   (entry, target, form).  On A100/fp16 the selected mapping is also
+   emitted under each pipelined schema it admits, so the asynchronous
+   staging path is locked suite-wide too. *)
+let test_codegen_suite_digests () =
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun entry ->
+      let problem = Tc_tccg.Suite.problem entry in
+      List.iter
+        (fun (arch, precision) ->
+          let plan =
+            (Driver.run_exn (Ctx.make ~arch ~precision ()) problem).Driver.plan
+          in
+          let pipelined =
+            List.filter_map
+              (fun s ->
+                if
+                  Plan.schema_feasible ~arch ~precision
+                    ~mapping:plan.Plan.mapping s
+                then
+                  Some
+                    ( "cuda-" ^ Schema.to_string s,
+                      Codegen.emit (Plan.with_schema s plan) )
+                else None)
+              [ Schema.Pipelined; Schema.Pipelined_mma ]
+          in
+          List.iter
+            (fun (form, text) ->
+              Printf.bprintf buf "%s %s/%s %s %s\n" entry.Tc_tccg.Suite.name
+                arch.Arch.name
+                (Precision.to_string precision)
+                form
+                (Digest.to_hex (Digest.string text)))
+            ([
+               ("cuda", Codegen.emit plan);
+               ("opencl", Codegen.emit ~dialect:Codegen.Opencl plan);
+               ("c", Codegen.emit ~dialect:Codegen.C_host plan);
+               ("cuda-standalone", Codegen.emit ~standalone:true plan);
+               ( "c-standalone",
+                 Codegen.emit ~dialect:Codegen.C_host ~standalone:true plan );
+             ]
+            @ pipelined))
+        [ (Arch.v100, Precision.FP64); (Arch.a100, Precision.FP16) ])
+    Tc_tccg.Suite.all;
+  check_golden "suite codegen digests" "codegen_suite.txt"
+    (Buffer.contents buf)
 
 let has_sub src needle =
   let ln = String.length needle and ls = String.length src in
@@ -919,7 +1015,45 @@ let test_driver_refine_measurement_count () =
   let r = Driver.run_exn (Ctx.make ~refine ~measure ()) eq1 in
   let expected = min refine (List.length r.Driver.ranked) in
   check Alcotest.int "one measurement per refined candidate" expected
-    (Atomic.get calls)
+    (Atomic.get calls);
+  (* on A100/fp16 each refined mapping is raced under every feasible
+     schema: one measurement per (mapping, schema) lane, and the lanes of
+     one mapping are the same plan — same mapping and model cost — under
+     each schema *)
+  let seen = ref [] and lock = Mutex.create () in
+  let measure plan =
+    Mutex.protect lock (fun () -> seen := plan :: !seen);
+    float_of_int (Plan.num_blocks plan)
+  in
+  let arch = Arch.a100 and precision = Precision.FP16 in
+  let r = Driver.run_exn (Ctx.make ~arch ~precision ~refine ~measure ()) eq1 in
+  let refined = List.filteri (fun k _ -> k < refine) r.Driver.ranked in
+  List.iter
+    (fun (m, _) ->
+      let lanes =
+        List.filter (fun p -> Mapping.equal p.Plan.mapping m) !seen
+      in
+      let cost =
+        (Plan.make ~problem:eq1 ~mapping:m ~arch ~precision).Plan.cost
+      in
+      let names l = List.sort compare (List.map Schema.to_string l) in
+      check
+        (Alcotest.list Alcotest.string)
+        "one lane per feasible schema"
+        (names (Plan.feasible_schemas ~arch ~precision m))
+        (names (List.map (fun p -> p.Plan.schema) lanes));
+      List.iter
+        (fun p ->
+          check Alcotest.bool "lanes share the plan's cost" true
+            (Float.equal p.Plan.cost cost))
+        lanes)
+    refined;
+  check Alcotest.int "lanes cover exactly the refined mappings"
+    (List.fold_left
+       (fun n (m, _) ->
+         n + List.length (Plan.feasible_schemas ~arch ~precision m))
+       0 refined)
+    (List.length !seen)
 
 let test_driver_auto_split () =
   let simulate plan =
@@ -1063,6 +1197,8 @@ let () =
             test_pipeline_suite_targets;
           Gen.to_alcotest (streamed_matches_legacy ());
           Gen.to_alcotest (streamed_matches_legacy ~budget:3 ());
+          Alcotest.test_case "golden suite search outcomes" `Quick
+            test_pipeline_suite_golden;
         ] );
       ( "prune",
         [
@@ -1129,6 +1265,9 @@ let () =
           Alcotest.test_case "standalone driver" `Quick
             test_codegen_standalone_has_main;
           Gen.to_alcotest codegen_deterministic;
+          Alcotest.test_case "golden MMA kernel" `Quick test_codegen_golden_mma;
+          Alcotest.test_case "golden suite codegen digests" `Quick
+            test_codegen_suite_digests;
         ] );
       ( "variants",
         [
