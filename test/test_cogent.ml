@@ -769,8 +769,9 @@ let test_codegen_golden_mma () =
 (* Every TCCG entry's model-selected kernel in every emitted form, on an
    fp64 and a half-precision target, locked by digest — one line per
    (entry, target, form).  On A100/fp16 the selected mapping is also
-   emitted under each pipelined schema it admits, so the asynchronous
-   staging path is locked suite-wide too. *)
+   emitted under each pipelined schema it admits, in all three dialects,
+   so the asynchronous staging path and the emulated two-slab rotation are
+   locked suite-wide too. *)
 let test_codegen_suite_digests () =
   let buf = Buffer.create 65536 in
   List.iter
@@ -782,16 +783,20 @@ let test_codegen_suite_digests () =
             (Driver.run_exn (Ctx.make ~arch ~precision ()) problem).Driver.plan
           in
           let pipelined =
-            List.filter_map
+            List.concat_map
               (fun s ->
                 if
                   Plan.schema_feasible ~arch ~precision
                     ~mapping:plan.Plan.mapping s
                 then
-                  Some
-                    ( "cuda-" ^ Schema.to_string s,
-                      Codegen.emit (Plan.with_schema s plan) )
-                else None)
+                  let p = Plan.with_schema s plan in
+                  let name = Schema.to_string s in
+                  [
+                    ("cuda-" ^ name, Codegen.emit p);
+                    ("opencl-" ^ name, Codegen.emit ~dialect:Codegen.Opencl p);
+                    ("c-" ^ name, Codegen.emit ~dialect:Codegen.C_host p);
+                  ]
+                else [])
               [ Schema.Pipelined; Schema.Pipelined_mma ]
           in
           List.iter
