@@ -27,14 +27,6 @@ let make ?(arch = Arch.v100) ?(precision = Precision.FP64) ?schema
     ?(refine = 8) ?measure ?jobs ?budget () =
   { arch; precision; schema; refine; measure; jobs; budget }
 
-let with_arch arch t = { t with arch }
-let with_precision precision t = { t with precision }
-let with_schema schema t = { t with schema = Some schema }
-let with_measure m t = { t with measure = Some m }
-let with_refine refine t = { t with refine }
-let with_jobs j t = { t with jobs = Some j }
-let with_budget b t = { t with budget = Some b }
-
 let install_jobs t = Option.iter Tc_par.Pool.set_default_jobs t.jobs
 
 let pp ppf t =

@@ -48,14 +48,6 @@ val make :
   -> ?measure:measure -> ?jobs:int -> ?budget:int -> unit -> t
 (** {!default} with the given fields replaced. *)
 
-val with_arch : Arch.t -> t -> t
-val with_precision : Precision.t -> t -> t
-val with_schema : Schema.t -> t -> t
-val with_measure : measure -> t -> t
-val with_refine : int -> t -> t
-val with_jobs : int -> t -> t
-val with_budget : int -> t -> t
-
 val install_jobs : t -> unit
 (** Apply {!t.jobs} to the process-global pool
     ({!Tc_par.Pool.set_default_jobs}); no-op when [jobs] is [None]. *)

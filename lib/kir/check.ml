@@ -38,6 +38,26 @@ let cross_validate ~expected_smem ~expected_regs k =
 
 let n_banks = 32
 
+(* Runs a block schedule at step 0 and raises [Exit] once its first Stage
+   phase has executed. *)
+let rec run_to_first_stage env body =
+  List.iter
+    (function
+      | Uniform b -> exec env b
+      | Phase { kind; body; _ } ->
+          exec env body;
+          if kind = Stage then raise Exit
+      | Fence _ -> ()
+      | Scoped b -> run_to_first_stage env b
+      | Step_loop b ->
+          set_var env step_var 0;
+          run_to_first_stage env b
+      | If_next_step b ->
+          let next = Add (Var step_var, Int_lit 1) in
+          if eval_expr env (Lt (next, Var num_steps_var)) <> 0 then
+            run_to_first_stage env b)
+    body
+
 let staging_conflict_ways k =
   let s = k.spec in
   let tbx = threads_x s in
@@ -77,14 +97,7 @@ let staging_conflict_ways k =
     exec env k.block_setup;
     exec env k.step_counts;
     exec env k.thread_init;
-    set_var env "step" 0;
-    exec env k.step_setup;
-    (* pipelined schemas decode staging bases from the prefetch step; the
-       prologue values make the classic and pipelined first stages alias *)
-    set_var env stage_step_var 0;
-    set_var env buf_stage_var 0;
-    exec env k.stage_setup;
-    exec env k.stage
+    (try run_to_first_stage env k.body with Exit -> ())
   done;
   Hashtbl.fold
     (fun _ addrs worst ->

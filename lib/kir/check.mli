@@ -29,8 +29,8 @@ val cross_validate :
 
 val staging_conflict_ways : Ir.kernel -> int
 (** Worst-case shared-memory bank-conflict degree of the staging phase:
-    simulates the first warp (lanes 0..31) through the stage statements with
-    the IR evaluator, groups simultaneous SMEM writes, and returns the
+    simulates the first warp (lanes 0..31) with the IR evaluator, running
+    the block schedule at step 0 up to and including its first Stage phase, groups simultaneous SMEM writes, and returns the
     maximum number of distinct addresses mapping to one of the 32 banks in
     any group (element-granularity banks; 1 = conflict-free; identical
     addresses broadcast).  COGENT's slab layouts make staging writes

@@ -96,6 +96,18 @@ type stmt =
 
 type array_decl = { a_name : string; elems : int }
 
+type phase_kind = Init | Stage | Compute | Store
+type phase = { kind : phase_kind; async : bool; body : stmt list }
+type fence = Barrier | After_prologue | After_prefetch
+
+type block_stmt =
+  | Uniform of stmt list
+  | Phase of phase
+  | Fence of fence
+  | Scoped of block_stmt list
+  | Step_loop of block_stmt list
+  | If_next_step of block_stmt list
+
 type kernel = {
   spec : spec;
   smem : array_decl list;
@@ -105,19 +117,12 @@ type kernel = {
   block_setup : stmt list;
   step_counts : stmt list;
   thread_init : stmt list;
-  acc_init : stmt list;
-  step_setup : stmt list;
-  stage_setup : stmt list;
-  stage : stmt list;
-  compute : stmt list;
-  store : stmt list;
+  body : block_stmt list;
 }
 
 let num_steps_var = "num_steps"
+let step_var = "step"
 let tid_var = "tid"
-let stage_step_var = "stage_step"
-let buf_stage_var = "buf_stage"
-let buf_comp_var = "buf_comp"
 
 (* ---- traversals ---- *)
 

@@ -1,12 +1,14 @@
 (** Typed kernel IR for the four-phase contraction kernels of Algorithm 1.
 
-    A {!kernel} is not a flat statement list: its fields mirror the phase
-    structure of the paper's Algorithm 1 (GMEM→SMEM staging, SMEM→register
-    loads feeding register-tile outer products, guarded coalesced stores),
-    with the barriers implied by the phase boundaries.  Backends assemble the
-    phases per execution model — the GPU printers interleave them with real
-    barriers inside the serial step loop, while the C-host printer wraps each
-    phase in explicit thread-grid loops so the same IR runs on a CPU.
+    A {!kernel} is not a flat statement list: its [body] is the
+    block schedule of Algorithm 1 — the phases (GMEM→SMEM staging,
+    SMEM→register loads feeding register-tile outer products, guarded
+    coalesced stores), the named fences between them, the serial step loop
+    and, under a pipelined schema, the prologue and the next-step prefetch
+    guard.  {!Lower} builds that schedule once per schema; backends only
+    choose how a phase and a fence print — the GPU printers emit a phase
+    inline and a fence as real barriers, while the C-host printer wraps
+    each phase in explicit thread-grid loops so the same IR runs on a CPU.
 
     Everything inside a phase is an ordinary typed statement over integer and
     scalar expressions, which is what the static checks ({!Check})
@@ -110,16 +112,48 @@ type stmt =
 
 type array_decl = { a_name : string; elems : int }
 
-(** {1 Kernels}
+(** {1 Block schedule}
 
-    Phase fields in execution order.  Barriers are structural: in the
-    classic schema one separates [stage] from [compute] and one ends each
-    step-loop iteration; in the pipelined schemas [stage] prefetches the
-    {e next} tile (addressed by {!stage_step_var} into the SMEM half
-    selected by {!buf_stage_var}) while [compute] reads the current half
-    ({!buf_comp_var}), and a single end-of-iteration barrier (plus the
-    async-copy wait in the CUDA dialect) retires each step — the staged
-    and computed halves are disjoint, so the mid-step barrier disappears. *)
+    What every thread of a block executes, in order.  A {!phase} is the
+    per-thread work between two fences; {!Uniform} statements compute the
+    same value in every thread (step decodes, SMEM-half selectors), so an
+    emulating backend runs them once per block. *)
+
+type phase_kind =
+  | Init  (** accumulator zeroing *)
+  | Stage  (** phase (1): cooperative GMEM→SMEM staging *)
+  | Compute  (** phases (2)+(3): SMEM→REG loads, outer products *)
+  | Store  (** phase (4): guarded REG→GMEM stores *)
+
+type phase = {
+  kind : phase_kind;
+  async : bool;
+      (** the phase's guarded SMEM stores may print as asynchronous copies
+          (set by {!Lower} on the Stage phases of pipelined schemas only;
+          a dialect without async copies keeps them synchronous) *)
+  body : stmt list;
+}
+
+type fence =
+  | Barrier  (** block-wide barrier between phases that share SMEM *)
+  | After_prologue  (** closes the pipelined prologue's staging of tile 0 *)
+  | After_prefetch
+      (** follows each in-flight prefetch: the tile staged one step earlier
+          must be resident and visible before the compute that reads it *)
+
+type block_stmt =
+  | Uniform of stmt list  (** block-uniform statements *)
+  | Phase of phase
+  | Fence of fence
+  | Scoped of block_stmt list  (** brace-scoped block *)
+  | Step_loop of block_stmt list
+      (** the serial K sweep: {!step_var} runs from 0 up to
+          {!num_steps_var} *)
+  | If_next_step of block_stmt list
+      (** runs its body while a tile remains to prefetch
+          ([step + 1 < num_steps]) *)
+
+(** {1 Kernels} *)
 
 type kernel = {
   spec : spec;
@@ -133,36 +167,20 @@ type kernel = {
   block_setup : stmt list;  (** block bases decoded from {!Block_flat} *)
   step_counts : stmt list;  (** per-internal step counts and [num_steps] *)
   thread_init : stmt list;  (** tx/ty/tid and thread-local coordinates *)
-  acc_init : stmt list;  (** accumulator zeroing *)
-  step_setup : stmt list;
-      (** step bases decoded from the step counter (classic schema; empty
-          when pipelined — the decode moves to [stage_setup]) *)
-  stage_setup : stmt list;
-      (** pipelined schemas only: internal-index bases of the tile being
-          {e prefetched}, decoded from {!stage_step_var} — printed before
-          [stage] in the prologue and in each in-flight prefetch *)
-  stage : stmt list;  (** phase (1): cooperative GMEM→SMEM staging *)
-  compute : stmt list;  (** phases (2)+(3): SMEM→REG loads, outer products *)
-  store : stmt list;  (** phase (4): guarded REG→GMEM stores *)
+  body : block_stmt list;
+      (** the block schedule, from accumulator zeroing to the stores: the
+          classic ladder (stage, barrier, compute, barrier per step) or the
+          pipelined prologue and two-slab rotation *)
 }
 
 val num_steps_var : string
 (** Name of the step-count variable the step loop ranges over. *)
 
+val step_var : string
+(** Name of the step loop's counter. *)
+
 val tid_var : string
 (** Name of the flattened thread id declared by [thread_init]. *)
-
-val stage_step_var : string
-(** Pipelined schemas: the step index of the tile being prefetched
-    ([step + 1]; 0 in the prologue), declared by the printers. *)
-
-val buf_stage_var : string
-(** Pipelined schemas: SMEM half being written by [stage]
-    ([stage_step mod 2]). *)
-
-val buf_comp_var : string
-(** Pipelined schemas: SMEM half being read by [compute]
-    ([step mod 2]). *)
 
 (** {1 Traversals} *)
 

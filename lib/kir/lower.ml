@@ -177,6 +177,13 @@ let decode_bases ~src ~names ~counts ~tiles ~init =
                 else [ Div_assign (Lvar src, Var count) ]))
           (List.combine (List.combine names counts) tiles))
 
+(* The pipelined schemas' step bookkeeping, declared by the schedule: the
+   step of the tile being prefetched, the SMEM half it is written to, and
+   the half the running compute reads. *)
+let stage_step_var = "stage_step"
+let buf_stage_var = "buf_stage"
+let buf_comp_var = "buf_comp"
+
 let kernel (s : spec) =
   let a = lhs_view s and b = rhs_view s and c = out_view s in
   let rx = size_regx s and ry = size_regy s and tk = size_tbk s in
@@ -266,10 +273,9 @@ let kernel (s : spec) =
         };
     ]
   in
-  (* -- step bases decoded from the serial step counter.  Only the staging
-     phase consumes the internal bases, so under a pipelined schema the
-     decode moves wholesale into [stage_setup], driven by the index of the
-     tile being prefetched rather than the tile being computed. -- *)
+  (* -- internal-index bases of the tile being staged, decoded from a step
+     counter: the computed step in the classic schema, the prefetched one
+     under a pipelined schema. -- *)
   let decode_internal_bases ~init =
     match s.internals with
     | [] -> []
@@ -279,12 +285,6 @@ let kernel (s : spec) =
           ~counts:(List.map (fun i -> Printf.sprintf "ns_%c" i) ints)
           ~tiles:(List.map (tile_of s) ints)
           ~init
-  in
-  let step_setup =
-    if pipelined then [] else decode_internal_bases ~init:(Var "step")
-  in
-  let stage_setup =
-    if pipelined then decode_internal_bases ~init:(Var stage_step_var) else []
   in
   (* The two-slab rotation: stage writes the half selected by [buf_stage],
      compute reads the half selected by [buf_comp] — disjoint halves of the
@@ -453,6 +453,54 @@ let kernel (s : spec) =
         };
     ]
   in
+  (* -- the block schedule.  Classic: per step, stage, barrier, compute,
+     barrier.  Pipelined: a prologue stages tile 0 into half 0; each step
+     prefetches tile step+1 into the half the running compute doesn't
+     read, so the mid-step barrier disappears and the fence after the
+     prefetch retires the tile staged one step earlier. -- *)
+  let phase ?(async = false) kind body = Phase { kind; async; body } in
+  let step = Var step_var in
+  let steps =
+    if not pipelined then
+      [
+        Step_loop
+          [
+            Uniform (decode_internal_bases ~init:step);
+            phase Stage stage;
+            Fence Barrier;
+            phase Compute compute;
+            Fence Barrier;
+          ];
+      ]
+    else
+      let int_decl name init =
+        Decl { ty = Int; const = true; name; init = Some init }
+      in
+      let prefetch ~stage_step ~buf_stage =
+        [
+          Uniform
+            (int_decl stage_step_var stage_step
+            :: int_decl buf_stage_var buf_stage
+            :: decode_internal_bases ~init:(Var stage_step_var));
+          phase ~async:true Stage stage;
+        ]
+      in
+      [
+        Scoped (prefetch ~stage_step:(Int_lit 0) ~buf_stage:(Int_lit 0));
+        Fence After_prologue;
+        Step_loop
+          [
+            If_next_step
+              (prefetch
+                 ~stage_step:(Add (step, Int_lit 1))
+                 ~buf_stage:(Mod (Var stage_step_var, Int_lit 2)));
+            Fence After_prefetch;
+            Uniform [ int_decl buf_comp_var (Mod (step, Int_lit 2)) ];
+            phase Compute compute;
+            Fence Barrier;
+          ];
+      ]
+  in
   let sf = Tc_gpu.Schema.smem_factor s.schema in
   {
     spec = s;
@@ -467,10 +515,5 @@ let kernel (s : spec) =
     block_setup;
     step_counts;
     thread_init;
-    acc_init;
-    step_setup;
-    stage_setup;
-    stage;
-    compute;
-    store;
+    body = (phase Init acc_init :: steps) @ [ phase Store store ];
   }

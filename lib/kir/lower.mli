@@ -8,13 +8,16 @@
     runtime parameters ([N_i]), exactly as in the string emitter this
     replaces.  All dialect choices are deferred to {!Print}.
 
-    The [spec.schema] field selects the kernel schema.  Under a pipelined
-    schema the SMEM slabs are doubled and rotate between two halves: the
-    staging phase writes the half [buf_stage = stage_step mod 2] for the
-    {e next} tile (its internal bases decoded in the [stage_setup] phase
-    from [stage_step]), while the compute phase reads the half
-    [buf_comp = step mod 2] — so the printers can overlap the two with a
-    single barrier per step (plus the cp.async wait, in CUDA).  The classic
-    schema is bit-identical to what this lowering always produced. *)
+    The [spec.schema] field selects the block schedule ([Ir.kernel.body]).
+    Classic is the synchronous ladder: per step, decode the step's
+    internal bases, stage, barrier, compute, barrier.  Under a pipelined
+    schema the SMEM slabs are doubled and rotate between two halves: a
+    prologue stages tile 0 into half 0, then each step prefetches tile
+    [stage_step = step + 1] (guarded by [step + 1 < num_steps]) into the
+    half [buf_stage = stage_step mod 2] while the compute phase reads the
+    half [buf_comp = step mod 2] — one barrier per step, preceded by the
+    fence that retires the prefetch.  Those three variables are ordinary
+    declarations in the schedule, and only the pipelined Stage phases are
+    marked [async]. *)
 
 val kernel : Ir.spec -> Ir.kernel

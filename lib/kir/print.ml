@@ -8,8 +8,8 @@ let dialect_name = function
   | Opencl -> "OpenCL"
   | C_host -> "C host"
 
-(* [async] is set only while printing the staging phase of a pipelined CUDA
-   kernel: slab stores then print as [__pipeline_memcpy_async] copies. *)
+(* [async] is set only while printing a CUDA phase that {!Lower} marked
+   async: slab stores then print as [__pipeline_memcpy_async] copies. *)
 type ctx = { d : dialect; prec : Precision.t; async : bool; buf : Buffer.t }
 
 let bpf ctx fmt = Printf.bprintf ctx.buf fmt
@@ -140,7 +140,7 @@ let memcpy_async ctx dst da src sa =
 
 let rec stmt ctx n s =
   match s with
-  (* pipelined CUDA staging: a guarded slab store becomes an asynchronous
+  (* async CUDA staging: a guarded slab store becomes an asynchronous
      GMEM→SMEM copy (the guard-false arm zero-fills synchronously, exactly
      like the [Select]'s else branch) *)
   | Assign (Larr (dst, da), Select (c, Index (src, sa), Scalar_zero))
@@ -250,7 +250,56 @@ let params ctx s =
   List.iter (fun i -> bpf ctx ",\n    const int N_%c" i) (all_indices s);
   puts ctx ")\n{\n"
 
-(* ---- GPU dialects: one real thread per (tx, ty), structural barriers ---- *)
+(* ---- the block schedule: one walker, per-dialect phases and fences ---- *)
+
+let fence_lines d f =
+  match (d, f) with
+  | Cuda, Barrier -> [ "__syncthreads();" ]
+  | Cuda, After_prologue -> [ "__pipeline_commit();" ]
+  (* the commit is unconditional so every iteration retires exactly one
+     copy group and [wait_prior(1)] needs no runtime group count *)
+  | Cuda, After_prefetch ->
+      [
+        "__pipeline_commit();"; "__pipeline_wait_prior(1);"; "__syncthreads();";
+      ]
+  | Opencl, (Barrier | After_prologue) -> [ "barrier(CLK_LOCAL_MEM_FENCE);" ]
+  | Opencl, After_prefetch | C_host, _ -> []
+
+(* [phase n p] prints one phase at depth [n]; everything else about the
+   schedule prints the same in every dialect. *)
+let rec schedule ctx ~phase n body =
+  let nested b =
+    schedule ctx ~phase (n + 1) b;
+    ind ctx n;
+    puts ctx "}\n"
+  in
+  List.iter
+    (function
+      | Uniform b -> stmts ctx n b
+      | Phase p -> phase n p
+      | Fence f ->
+          List.iter
+            (fun l ->
+              ind ctx n;
+              puts ctx l;
+              puts ctx "\n")
+            (fence_lines ctx.d f)
+      | Scoped b ->
+          ind ctx n;
+          puts ctx "{\n";
+          nested b
+      | Step_loop b ->
+          ind ctx n;
+          bpf ctx "for (int %s = 0; %s < %s; ++%s) {\n" step_var step_var
+            num_steps_var step_var;
+          nested b
+      | If_next_step b ->
+          ind ctx n;
+          bpf ctx "if (%s + 1 < %s) {\n" step_var num_steps_var;
+          nested b)
+    body
+
+(* ---- GPU dialects: one real thread per (tx, ty), phases inline ---- *)
 
 let gpu_kernel ctx (k : kernel) =
   let s = k.spec in
@@ -284,57 +333,10 @@ let gpu_kernel ctx (k : kernel) =
     k.smem;
   bpf ctx "  %s %s[%d];\n" sc k.acc.a_name k.acc.elems;
   List.iter (fun a -> bpf ctx "  %s %s[%d];\n" sc a.a_name a.elems) k.regs;
-  stmts ctx 1 k.acc_init;
-  let barrier =
-    match ctx.d with
-    | Cuda -> "    __syncthreads();\n"
-    | _ -> "    barrier(CLK_LOCAL_MEM_FENCE);\n"
-  in
-  if not (Schema.pipelined s.schema) then begin
-    bpf ctx "  for (int step = 0; step < %s; ++step) {\n" num_steps_var;
-    stmts ctx 2 k.step_setup;
-    stmts ctx 2 k.stage;
-    puts ctx barrier;
-    stmts ctx 2 k.compute;
-    puts ctx barrier;
-    puts ctx "  }\n"
-  end
-  else begin
-    let async = ctx.d = Cuda in
-    let stage_ctx = { ctx with async } in
-    let print_stage n =
-      stmts ctx n k.stage_setup;
-      stmts stage_ctx n k.stage
-    in
-    (* prologue: stage tile 0 into SMEM half 0 *)
-    puts ctx "  {\n";
-    bpf ctx "    const int %s = 0;\n" stage_step_var;
-    bpf ctx "    const int %s = 0;\n" buf_stage_var;
-    print_stage 2;
-    puts ctx "  }\n";
-    if async then puts ctx "  __pipeline_commit();\n"
-    else (* the barrier, one level shallower *)
-      puts ctx (String.sub barrier 2 (String.length barrier - 2));
-    bpf ctx "  for (int step = 0; step < %s; ++step) {\n" num_steps_var;
-    (* prefetch tile step+1 into the half the current compute doesn't read;
-       the commit is unconditional so every iteration retires exactly one
-       copy group and [wait_prior(1)] needs no runtime group count *)
-    bpf ctx "    if (step + 1 < %s) {\n" num_steps_var;
-    bpf ctx "      const int %s = step + 1;\n" stage_step_var;
-    bpf ctx "      const int %s = %s %% 2;\n" buf_stage_var stage_step_var;
-    print_stage 3;
-    puts ctx "    }\n";
-    if async then begin
-      puts ctx "    __pipeline_commit();\n";
-      puts ctx "    __pipeline_wait_prior(1);\n";
-      puts ctx barrier
-    end;
-    bpf ctx "    const int %s = step %% 2;\n" buf_comp_var;
-    stmts ctx 2 k.compute;
-    puts ctx barrier;
-    puts ctx "  }\n"
-  end;
-  stmts ctx 1 k.store;
+  (* only CUDA has asynchronous GMEM→SMEM copies *)
+  let async_ctx = { ctx with async = ctx.d = Cuda } in
+  schedule ctx 1 k.body ~phase:(fun n p ->
+      stmts (if p.async then async_ctx else ctx) n p.body);
   puts ctx "}\n"
 
 (* ---- C-host dialect: thread grid emulated with loops ---- *)
@@ -345,20 +347,21 @@ let c_kernel ctx (k : kernel) =
   (* the per-thread accumulator tile becomes one block-wide array *)
   let acc_offset = Mul (Var tid_var, Int_lit k.acc.elems) in
   let per_thread = offset_array ~name:k.acc.a_name ~offset:acc_offset in
-  (* every barrier phase runs to completion across the whole emulated
-     thread grid before the next phase starts *)
-  let thread_loop n ?(arrays = []) body =
+  (* every phase runs to completion across the whole emulated thread grid
+     before the next phase starts, which is what makes the fences no-ops *)
+  let thread_loop n { kind; body; _ } =
     ind ctx n;
     bpf ctx "for (int t_y = 0; t_y < %d; ++t_y)\n" (threads_y s);
     ind ctx n;
     bpf ctx "for (int t_x = 0; t_x < %d; ++t_x) {\n" (threads_x s);
     stmts ctx (n + 1) k.thread_init;
-    List.iter
-      (fun a ->
-        ind ctx (n + 1);
-        bpf ctx "%s %s[%d];\n" sc a.a_name a.elems)
-      arrays;
-    stmts ctx (n + 1) body;
+    if kind = Compute then
+      List.iter
+        (fun a ->
+          ind ctx (n + 1);
+          bpf ctx "%s %s[%d];\n" sc a.a_name a.elems)
+        k.regs;
+    stmts ctx (n + 1) (per_thread body);
     ind ctx n;
     puts ctx "}\n"
   in
@@ -382,36 +385,7 @@ let c_kernel ctx (k : kernel) =
   stmts ctx 2 k.block_setup;
   List.iter (fun a -> bpf ctx "    %s %s[%d];\n" sc a.a_name a.elems) k.smem;
   bpf ctx "    %s %s[%d];\n" sc k.acc.a_name (threads s * k.acc.elems);
-  thread_loop 2 (per_thread k.acc_init);
-  if not (Schema.pipelined s.schema) then begin
-    bpf ctx "    for (int step = 0; step < %s; ++step) {\n" num_steps_var;
-    stmts ctx 3 k.step_setup;
-    thread_loop 3 k.stage;
-    thread_loop 3 ~arrays:k.regs (per_thread k.compute);
-    puts ctx "    }\n"
-  end
-  else begin
-    (* two-slab rotation, executed sequentially: the prologue stages tile 0
-       into half 0; each step stages tile step+1 into the half the compute
-       of tile step doesn't read *)
-    puts ctx "    {\n";
-    bpf ctx "      const int %s = 0;\n" stage_step_var;
-    bpf ctx "      const int %s = 0;\n" buf_stage_var;
-    stmts ctx 3 k.stage_setup;
-    thread_loop 3 k.stage;
-    puts ctx "    }\n";
-    bpf ctx "    for (int step = 0; step < %s; ++step) {\n" num_steps_var;
-    bpf ctx "      if (step + 1 < %s) {\n" num_steps_var;
-    bpf ctx "        const int %s = step + 1;\n" stage_step_var;
-    bpf ctx "        const int %s = %s %% 2;\n" buf_stage_var stage_step_var;
-    stmts ctx 4 k.stage_setup;
-    thread_loop 4 k.stage;
-    puts ctx "      }\n";
-    bpf ctx "      const int %s = step %% 2;\n" buf_comp_var;
-    thread_loop 3 ~arrays:k.regs (per_thread k.compute);
-    puts ctx "    }\n"
-  end;
-  thread_loop 2 (per_thread k.store);
+  schedule ctx ~phase:thread_loop 2 k.body;
   puts ctx "  }\n";
   puts ctx "}\n"
 

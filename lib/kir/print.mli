@@ -15,14 +15,19 @@
       which is what lets tests {e execute} generated kernels against
       [Contract_ref].
 
-    The IR's structural barriers (stage → compute inside the step loop) are
-    realized here, per dialect.  Pipelined schemas change the step-loop
-    shape in every dialect: a prologue stages tile 0, each iteration
-    prefetches tile [step+1] into the SMEM half the running compute doesn't
-    read, and the mid-step barrier disappears.  In CUDA the prefetch prints
-    as [__pipeline_memcpy_async] copies with one commit per iteration and a
-    constant [__pipeline_wait_prior(1)]; OpenCL and the C host emulate the
-    same two-slab rotation with synchronous copies. *)
+    All three walk the kernel's block schedule ([Ir.kernel.body]) with one
+    walker; a dialect chooses only how a phase prints (inline on the GPU,
+    inside [t_y]/[t_x] loops on the C host) and what each named fence
+    prints:
+
+    - {b CUDA}: [__syncthreads()] for the barrier, [__pipeline_commit()]
+      after the pipelined prologue, and commit + [__pipeline_wait_prior(1)]
+      + [__syncthreads()] after each prefetch; phases that the lowering
+      marks [async] print their slab stores as [__pipeline_memcpy_async];
+    - {b OpenCL}: [barrier(CLK_LOCAL_MEM_FENCE)] for the barrier and after
+      the prologue, nothing after a prefetch (its copies are synchronous);
+    - {b C host}: nothing — each phase runs to completion across the
+      emulated thread grid. *)
 
 type dialect = Cuda | Opencl | C_host
 

@@ -7,77 +7,6 @@ let value_to_json : Trace.value -> Json.t = function
 let args_to_json args =
   Json.Obj (List.map (fun (k, v) -> (k, value_to_json v)) args)
 
-let value_to_string : Trace.value -> string = function
-  | Trace.Bool b -> string_of_bool b
-  | Trace.Int i -> string_of_int i
-  | Trace.Float f -> Printf.sprintf "%.6g" f
-  | Trace.String s -> s
-
-let args_to_string = function
-  | [] -> ""
-  | args ->
-      "  ("
-      ^ String.concat ", "
-          (List.map (fun (k, v) -> k ^ "=" ^ value_to_string v) args)
-      ^ ")"
-
-let to_text events =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun ev ->
-      match ev with
-      | Trace.Span { name; start_us; dur_us; depth; args; _ } ->
-          Printf.bprintf buf "%s%-*s %10.3f ms @ %.3f ms%s\n"
-            (String.make (2 * depth) ' ')
-            (max 1 (32 - (2 * depth)))
-            name (dur_us /. 1e3) (start_us /. 1e3) (args_to_string args)
-      | Trace.Instant { name; ts_us; args; _ } ->
-          Printf.bprintf buf "* %-30s            @ %.3f ms%s\n" name
-            (ts_us /. 1e3) (args_to_string args)
-      | Trace.Counter { name; ts_us; value; _ } ->
-          Printf.bprintf buf "# %-30s = %-8.6g @ %.3f ms\n" name value
-            (ts_us /. 1e3))
-    events;
-  Buffer.contents buf
-
-let event_to_json ev =
-  match ev with
-  | Trace.Span { name; cat; start_us; dur_us; depth; track; args } ->
-      Json.Obj
-        [
-          ("type", Json.String "span");
-          ("name", Json.String name);
-          ("cat", Json.String cat);
-          ("ts_us", Json.Float start_us);
-          ("dur_us", Json.Float dur_us);
-          ("depth", Json.Int depth);
-          ("track", Json.Int track);
-          ("args", args_to_json args);
-        ]
-  | Trace.Instant { name; cat; ts_us; track; args } ->
-      Json.Obj
-        [
-          ("type", Json.String "instant");
-          ("name", Json.String name);
-          ("cat", Json.String cat);
-          ("ts_us", Json.Float ts_us);
-          ("track", Json.Int track);
-          ("args", args_to_json args);
-        ]
-  | Trace.Counter { name; ts_us; track; value } ->
-      Json.Obj
-        [
-          ("type", Json.String "counter");
-          ("name", Json.String name);
-          ("ts_us", Json.Float ts_us);
-          ("track", Json.Int track);
-          ("value", Json.Float value);
-        ]
-
-let to_jsonl events =
-  String.concat ""
-    (List.map (fun ev -> Json.to_string (event_to_json ev) ^ "\n") events)
-
 (* Each recording domain gets its own Chrome thread: tid = track + 1
    (track numbers are assigned by the deterministic event sequence, see
    {!Trace}), so multi-domain pool traces render as separate, correctly

@@ -1,17 +1,8 @@
-(** Trace exporters: human-readable text, JSON-lines, Chrome [trace_event].
+(** Trace exporter: Chrome [trace_event] JSON.
 
-    All three are pure functions of {!Trace.events} output, so a trace can
-    be exported to several formats (or re-exported after more events are
-    recorded).  Serialization is deterministic given deterministic event
-    timestamps. *)
-
-val to_text : Trace.event list -> string
-(** Indented span tree with durations in milliseconds, plus instants and
-    counter samples, in creation order. *)
-
-val to_jsonl : Trace.event list -> string
-(** One self-describing JSON object per line ([{"type":"span",...}]);
-    every line parses with {!Json.parse}. *)
+    A pure function of {!Trace.events} output, so a trace can be exported
+    (or re-exported after more events are recorded) at any time.
+    Serialization is deterministic given deterministic event timestamps. *)
 
 val to_chrome : Trace.event list -> string
 (** Chrome [trace_event] JSON (the object form, [{"traceEvents": [...]}]) —

@@ -6,9 +6,8 @@
     allocation, no clock read, no locking — so instrumented library code
     is bit-identical in behaviour to uninstrumented code.  When a context
     is active, events are collected in memory under a mutex (sinks are
-    thread-safe) and can be exported through {!Export} as human-readable
-    text, JSON-lines, or Chrome [trace_event] JSON loadable in
-    [chrome://tracing] / Perfetto.
+    thread-safe) and can be exported through {!Export} as Chrome
+    [trace_event] JSON loadable in [chrome://tracing] / Perfetto.
 
     {b Domain safety.}  The ambient context, the ambient request scope
     and the stack of open spans are domain-local ([Domain.DLS]): each

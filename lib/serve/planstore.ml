@@ -175,14 +175,7 @@ let entry_of_json j =
     | None -> Error (Printf.sprintf "unknown device %S" arch_s)
   in
   let* prec_s = Result.bind (J.field "precision" j) J.as_string in
-  let* precision =
-    match prec_s with
-    | "fp64" -> Ok Precision.FP64
-    | "fp32" -> Ok Precision.FP32
-    | "fp16" -> Ok Precision.FP16
-    | "tf32" -> Ok Precision.TF32
-    | s -> Error (Printf.sprintf "unknown precision %S" s)
-  in
+  let* precision = Precision.of_string prec_s in
   let* mapping = Result.bind (J.field "mapping" j) mapping_of_json in
   let* plan =
     (* [Plan.make] recomputes the model cost — deterministic, so the

@@ -86,21 +86,26 @@ let test_conflict_detected () =
      so lanes L and L+16 collide in bank (2L mod 32) -> 2-way *)
   let open Tc_kir.Ir in
   let k = Codegen.lower toy_plan in
-  let strided =
-    {
-      k with
-      stage =
-        [
-          For
-            {
-              var = "l"; start = Var "tid"; bound = Int_lit 512;
-              step = Int_lit 256; unroll = false;
-              body =
-                [ Assign (Larr ("s_A", Mul (Var "l", Int_lit 2)), Scalar_zero) ];
-            };
-        ];
-    }
+  let strided_stage =
+    [
+      For
+        {
+          var = "l"; start = Var "tid"; bound = Int_lit 512;
+          step = Int_lit 256; unroll = false;
+          body =
+            [ Assign (Larr ("s_A", Mul (Var "l", Int_lit 2)), Scalar_zero) ];
+        };
+    ]
   in
+  (* replace every Stage phase of the schedule *)
+  let rec restage = function
+    | Phase ({ kind = Stage; _ } as p) -> Phase { p with body = strided_stage }
+    | Scoped b -> Scoped (List.map restage b)
+    | Step_loop b -> Step_loop (List.map restage b)
+    | If_next_step b -> If_next_step (List.map restage b)
+    | (Uniform _ | Phase _ | Fence _) as b -> b
+  in
+  let strided = { k with body = List.map restage k.body } in
   check Alcotest.int "conflict-free lowering" 1
     (Tc_kir.Check.staging_conflict_ways k);
   check Alcotest.int "2-way conflict detected" 2

@@ -440,21 +440,6 @@ let sample_trace () =
       Trace.with_span ~t "child" (fun () -> ()));
   t
 
-let test_jsonl_well_formed () =
-  let lines =
-    String.split_on_char '\n' (Export.to_jsonl (Trace.events (sample_trace ())))
-    |> List.filter (fun l -> l <> "")
-  in
-  check Alcotest.int "one line per event" 4 (List.length lines);
-  List.iter
-    (fun line ->
-      match Json.parse line with
-      | Ok j ->
-          check Alcotest.bool "has a type field" true
-            (Json.member "type" j <> None)
-      | Error e -> fail (Printf.sprintf "bad JSONL line %S: %s" line e))
-    lines
-
 let test_chrome_schema () =
   let s = Export.to_chrome (Trace.events (sample_trace ())) in
   match Json.parse s with
@@ -492,18 +477,6 @@ let test_chrome_schema () =
           check Alcotest.bool "has instant" true (List.mem "i" phases);
           check Alcotest.bool "has counter" true (List.mem "C" phases)
       | _ -> fail "no traceEvents array")
-
-let test_text_export () =
-  let s = Export.to_text (Trace.events (sample_trace ())) in
-  List.iter
-    (fun needle ->
-      check Alcotest.bool (Printf.sprintf "text mentions %S" needle) true
-        (let ln = String.length needle and ls = String.length s in
-         let rec go i =
-           i + ln <= ls && (String.sub s i ln = needle || go (i + 1))
-         in
-         go 0))
-    [ "root"; "child"; "ping"; "load" ]
 
 (* One request fanned across two domains: the Chrome export must name
    both thread rows and connect the request's spans with flow events. *)
@@ -667,11 +640,9 @@ let () =
         ] );
       ( "export",
         [
-          Alcotest.test_case "jsonl well-formed" `Quick test_jsonl_well_formed;
           Alcotest.test_case "chrome schema" `Quick test_chrome_schema;
           Alcotest.test_case "chrome flows and thread names" `Quick
             test_chrome_flows_and_threads;
-          Alcotest.test_case "text export" `Quick test_text_export;
           Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
         ] );
       ( "explain",

@@ -47,7 +47,7 @@ let planstore_roundtrip =
             QCheck.Test.fail_report (Cogent.Driver.error_to_string e)
       in
       let degraded =
-        match Cogent.Driver.run (Cogent.Ctx.with_budget 1 ctx) problem with
+        match Cogent.Driver.run { ctx with Cogent.Ctx.budget = Some 1 } problem with
         | Ok r -> r
         | Error e ->
             QCheck.Test.fail_report (Cogent.Driver.error_to_string e)
@@ -112,6 +112,41 @@ let test_planstore_skips_corrupt_row () =
     (metric "corrupt_rows");
   (* header line 1, good row line 2, corrupt row line 3 *)
   check (Alcotest.float 0.0) "gauge names the offending line" 3.0
+    (metric "corrupt_line");
+  (* a well-formed row naming a precision no parser accepts is corrupt too *)
+  let rec requad = function
+    | Tc_obs.Json.Obj kvs ->
+        Tc_obs.Json.Obj
+          (List.map
+             (fun (k, v) ->
+               (k, if k = "precision" then Tc_obs.Json.String "quad"
+                   else requad v))
+             kvs)
+    | j -> j
+  in
+  let quad_row =
+    match
+      Tc_obs.Json.parse
+        (List.nth
+           (String.split_on_char '\n'
+              (In_channel.with_open_text (Tc_serve.Planstore.file ~dir)
+                 In_channel.input_all))
+           1)
+    with
+    | Ok j -> Tc_obs.Json.to_string (requad j)
+    | Error m -> fail m
+  in
+  let oc =
+    open_out_gen [ Open_append ] 0o644 (Tc_serve.Planstore.file ~dir)
+  in
+  output_string oc (quad_row ^ "\n");
+  close_out oc;
+  (match Tc_serve.Planstore.load ~dir with
+  | Error m -> fail m
+  | Ok rows -> check Alcotest.int "quad row skipped" 1 (List.length rows));
+  check (Alcotest.float 0.0) "quad row counted" (before +. 3.0)
+    (metric "corrupt_rows");
+  check (Alcotest.float 0.0) "gauge names the quad row" 4.0
     (metric "corrupt_line")
 
 (* ---- budget degradation ---- *)
@@ -127,7 +162,7 @@ let test_budget_degrades_gracefully () =
     full.Cogent.Driver.degraded;
   (* near-zero budget: clamped to one candidate — the heuristic
      top-of-enumeration plan — and flagged *)
-  let r = drive problem (Cogent.Ctx.with_budget 0 ctx) in
+  let r = drive problem { ctx with Cogent.Ctx.budget = Some 0 } in
   check Alcotest.bool "budget-truncated search is degraded" true
     r.Cogent.Driver.degraded;
   check Alcotest.int "exactly one candidate ranked" 1
@@ -204,7 +239,7 @@ let test_dedup_single_generation () =
   | _ -> fail "expected four Ok responses"
 
 let test_degraded_batch () =
-  let s = open_session (Cogent.Ctx.with_budget 0 ctx) in
+  let s = open_session { ctx with Cogent.Ctx.budget = Some 0 } in
   let report =
     Tc_serve.Serve.run s [ Ok (req 1 "ab-ac-cb" [ ('a', 64); ('b', 64); ('c', 64) ]) ]
   in
