@@ -357,6 +357,82 @@ let test_pipeline_suite_golden () =
   check_golden "suite search outcomes" "pipeline_suite.txt"
     (Buffer.contents buf)
 
+(* Odd extents from {3..23} drawn per (entry, target) as the verify
+   benchmark draws them, then the largest is shrunk by 2 until the problem
+   has at most 20000 points. *)
+let verify_sizes (entry : Tc_tccg.Suite.entry) ti =
+  let rng = Random.State.make [| 0; 7; entry.Tc_tccg.Suite.id; ti |] in
+  let sizes =
+    Array.of_list
+      (List.map
+         (fun (i, _) -> (i, 3 + (2 * Random.State.int rng 11)))
+         entry.Tc_tccg.Suite.sizes)
+  in
+  let product () = Array.fold_left (fun acc (_, n) -> acc * n) 1 sizes in
+  while product () > 20_000 do
+    let big = ref 0 in
+    Array.iteri (fun k (_, n) -> if n > snd sizes.(!big) then big := k) sizes;
+    let i, n = sizes.(!big) in
+    sizes.(!big) <- (i, n - 2)
+  done;
+  Array.to_list sizes
+
+(* The simulator pinned bit-exactly suite-wide: for every TCCG entry on
+   every benchmark target, the measured driver's top-8 ranked mappings
+   with their boundary-exact transactions (without and with the L2
+   discount) and the simulated time and GFLOPS under every feasible
+   schema; then the interpreter's transaction counters for the plan the
+   driver selects at verify-style odd extents.  Every float in %h. *)
+let test_sim_suite_golden () =
+  let module Sim = Tc_sim.Simkernel in
+  let buf = Buffer.create 262144 in
+  let tx (t : Cost.breakdown) =
+    Printf.bprintf buf " %h %h %h" t.Cost.lhs t.Cost.rhs t.Cost.out
+  in
+  List.iter
+    (fun entry ->
+      let problem = Tc_tccg.Suite.problem entry in
+      List.iteri
+        (fun ti (arch, precision) ->
+          let ctx = Ctx.make ~arch ~precision ~measure:Sim.gflops () in
+          let target =
+            Printf.sprintf "%s %s/%s" entry.Tc_tccg.Suite.name arch.Arch.name
+              (Precision.to_string precision)
+          in
+          let d = Driver.run_exn ctx problem in
+          List.iter
+            (fun (m, _) ->
+              Printf.bprintf buf "%s %s tx" target
+                (Format.asprintf "%a" Mapping.pp m);
+              tx (Sim.transactions_exact precision problem m);
+              Buffer.add_string buf " l2";
+              tx (Sim.transactions_exact ~arch precision problem m);
+              let plan = Plan.make ~problem ~mapping:m ~arch ~precision in
+              List.iter
+                (fun sc ->
+                  let r = Sim.run (Plan.with_schema sc plan) in
+                  Printf.bprintf buf " | %s %h %h" (Schema.to_string sc)
+                    r.Sim.time_s r.Sim.gflops)
+                (Plan.feasible_schemas ~arch ~precision m);
+              Buffer.add_char buf '\n')
+            (List.filteri (fun k _ -> k < 8) d.Driver.ranked);
+          let sizes = verify_sizes entry ti in
+          let odd =
+            Problem.of_string_exn entry.Tc_tccg.Suite.expr ~sizes
+          in
+          let plan = (Driver.run_exn ctx odd).Driver.plan in
+          let c = Interp.measure plan in
+          Printf.bprintf buf "%s odd %s %s %s measured %h %h %h %h\n" target
+            (String.concat ","
+               (List.map (fun (i, n) -> Printf.sprintf "%c=%d" i n) sizes))
+            (Schema.to_string plan.Plan.schema)
+            (Format.asprintf "%a" Mapping.pp plan.Plan.mapping)
+            c.Interp.tx_lhs c.Interp.tx_rhs c.Interp.tx_out
+            c.Interp.store_tx_block_max)
+        bench_targets)
+    Tc_tccg.Suite.all;
+  check_golden "suite simulator outputs" "sim_suite.txt" (Buffer.contents buf)
+
 let streamed_matches_legacy ?budget () =
   QCheck.Test.make ~count:40
     ~name:
@@ -1204,6 +1280,8 @@ let () =
           Gen.to_alcotest (streamed_matches_legacy ~budget:3 ());
           Alcotest.test_case "golden suite search outcomes" `Quick
             test_pipeline_suite_golden;
+          Alcotest.test_case "golden suite simulator outputs" `Quick
+            test_sim_suite_golden;
         ] );
       ( "prune",
         [
