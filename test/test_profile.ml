@@ -84,6 +84,42 @@ let test_txcount_non_unit_first_stride () =
   check_sweep "stride 2, masked" 4 ~width:32 ~ept:16
     [| axis 4 2 2; axis 2 2 8 |]
 
+(* The closed form's branches, each on a sweep whose rows cannot share a
+   segment, and the sweeps that must fall back to the row walk because
+   the closed form would miscount them. *)
+let test_txcount_closed_form () =
+  (* rows of 8 pack whole into waves of 32: three in-range rows of two
+     lines each, the fourth masked *)
+  check_sweep "row length divides the wave" 6 ~width:32 ~ept:4
+    [| axis 8 8 1; axis 4 3 100 |];
+  (* every row of 16 starts a wave of 8: 13 in-range elements split 8 + 5,
+     two lines each, on three rows *)
+  check_sweep "wave divides the row length" 12 ~width:8 ~ept:4
+    [| axis 16 13 1; axis 3 3 40 |];
+  (* the second axis is dense in address, so the first two merge into rows
+     of 16 whose in-range part is a 12-element prefix *)
+  check_sweep "merged dense prefix, partial last cut" 6 ~width:32 ~ept:4
+    [| axis 4 4 1; axis 4 3 4; axis 2 2 64 |];
+  (* a non-unit first stride leaves rows of one element, none adjacent *)
+  check_sweep "rows of one element" 8 ~width:32 ~ept:16
+    [| axis 4 4 2; axis 2 2 16 |]
+
+let test_txcount_walk_fallbacks () =
+  (* stride 2 then 7: addresses 6 and 7 are adjacent across the rows *)
+  check_sweep "non-unit first stride" 7 ~width:32 ~ept:16
+    [| axis 4 4 2; axis 2 2 7 |];
+  (* rows of 12 in waves of 5 start at every offset of a wave *)
+  check_sweep "neither length divides the other" 22 ~width:5 ~ept:2
+    [| axis 12 12 1; axis 3 3 100 |];
+  (* each row's two in-range elements continue the previous row's *)
+  check_sweep "next stride equals the in-range prefix" 2 ~width:16 ~ept:4
+    [| axis 4 2 1; axis 3 3 2 |];
+  (* a store whose thread order puts the layout's third index before its
+     second: at a boundary cut of 1 on the former, the two in-range rows
+     are adjacent in address and share one segment *)
+  check_sweep "non-monotone thread order" 1 ~width:16 ~ept:16
+    [| axis 4 4 1; axis 2 1 8; axis 2 2 4 |]
+
 (* The row walk equals the element-by-element oracle over random axis
    sets: 0-4 axes, tiles 1-9, cuts from -1 to tile+1 (fully masked to
    past the tile), strides 0, 1, dense (the product of the tiles before)
@@ -107,6 +143,35 @@ let sweep_case_gen =
   let+ axes = axes 0 1 [] in
   (width, ept, axes)
 
+(* Sweeps as the kernels issue them: tiles from the enumerator's range,
+   each axis of a tensor laid out densely (stride = product of the
+   extents before it), cut = the tile or the extent's remainder, the axes
+   in layout order or shuffled (a store's thread order), waves a product
+   of tiles, and the precisions' elements per transaction. *)
+let realistic_sweep_gen =
+  let open QCheck.Gen in
+  let tiles = [ 1; 2; 3; 4; 6; 8; 12; 16; 32 ] in
+  let* n = int_range 1 4 in
+  let rec axes k stride acc =
+    if k = n then return (List.rev acc)
+    else
+      let* tile = oneofl tiles in
+      let* full = int_range 0 3 in
+      let* rem = int_range 0 (tile - 1) in
+      let extent = max 1 ((tile * full) + rem) in
+      let* boundary = bool in
+      let cut =
+        if (boundary || full = 0) && extent mod tile > 0 then extent mod tile
+        else tile
+      in
+      axes (k + 1) (stride * extent) ({ Txcount.tile; cut; stride } :: acc)
+  in
+  let* axes = axes 0 1 [] in
+  let* axes = frequency [ (3, return axes); (1, shuffle_l axes) ] in
+  let* width = list_size (int_range 1 3) (oneofl tiles) in
+  let* ept = oneofl [ 16; 32; 64 ] in
+  return (List.fold_left ( * ) 1 width, ept, Array.of_list axes)
+
 let sweep_case_print (width, ept, axes) =
   Printf.sprintf "width %d ept %d [%s]" width ept
     (String.concat "; "
@@ -120,6 +185,12 @@ let sweep_case_print (width, ept, axes) =
 let prop_sweep_eq_ref =
   QCheck.Test.make ~count:3000 ~name:"row walk == element walk"
     (QCheck.make ~print:sweep_case_print sweep_case_gen)
+    (fun (width, ept, axes) ->
+      sweep ~width ~ept axes = Gen.staged_sweep_ref ~width ~ept axes)
+
+let prop_realistic_sweep_eq_ref =
+  QCheck.Test.make ~count:3000 ~name:"staged sweep == element walk (kernel shapes)"
+    (QCheck.make ~print:sweep_case_print realistic_sweep_gen)
     (fun (width, ept, axes) ->
       sweep ~width ~ept axes = Gen.staged_sweep_ref ~width ~ept axes)
 
@@ -490,7 +561,11 @@ let () =
             test_txcount_masked_tail_boundary;
           Alcotest.test_case "non-unit first-axis stride" `Quick
             test_txcount_non_unit_first_stride;
+          Alcotest.test_case "closed form" `Quick test_txcount_closed_form;
+          Alcotest.test_case "row-walk fallbacks" `Quick
+            test_txcount_walk_fallbacks;
           Gen.to_alcotest prop_sweep_eq_ref;
+          Gen.to_alcotest prop_realistic_sweep_eq_ref;
         ] );
       ( "cross-validation",
         [
