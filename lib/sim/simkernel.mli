@@ -84,7 +84,9 @@ type race = {
 
 val race : Cogent.Plan.t -> race
 (** Simulate [Plan.with_schema sc plan] once for every feasible schema
-    [sc] of the plan's mapping (the plan's own schema is one of them). *)
+    [sc] of the plan's mapping (the plan's own schema is one of them).
+    The mapping's transactions do not depend on the schema, so they are
+    counted once for all lanes; each lane equals [run] of its plan. *)
 
 val race_of_lanes : (Tc_gpu.Schema.t * result) list -> race
 (** The decision behind {!race}, over lanes already simulated.
