@@ -68,6 +68,17 @@ let staged_tests =
     let plan = selected_plan Cogent.Ctx.default problem in
     fun () -> ignore (Tc_sim.Simkernel.run plan)
   in
+  (* The lanes serve races per request: every feasible schema of the
+     A100/fp16 plan, sharing one traffic count. *)
+  let simulate_race problem =
+    let plan =
+      selected_plan
+        (Cogent.Ctx.make ~arch:Tc_gpu.Arch.a100
+           ~precision:Tc_gpu.Precision.FP16 ())
+        problem
+    in
+    fun () -> ignore (Tc_sim.Simkernel.race plan)
+  in
   let interp_execute (problem, _, lhs, rhs) =
     let plan = selected_plan Cogent.Ctx.default problem in
     fun () -> ignore (Cogent.Interp.execute plan ~lhs ~rhs)
@@ -100,6 +111,8 @@ let staged_tests =
     Test.make ~name:"emit-pipelined/sd2_1"
       (Staged.stage (emit_pipelined problem_sd2));
     Test.make ~name:"simulate/sd2_1" (Staged.stage (simulate problem_sd2));
+    Test.make ~name:"simulate-race/sd2_1"
+      (Staged.stage (simulate_race problem_sd2));
     Test.make ~name:"interp-execute/gemm64"
       (Staged.stage (interp_execute gemm64));
     Test.make ~name:"interp-execute/odd" (Staged.stage (interp_execute eq1_odd));
