@@ -42,9 +42,24 @@ val staged_sweep : width:int -> ept:int -> axis array -> int
     element address [sum (local * stride)] relative to the tile base
     (bases are line-aligned, so only address deltas matter).
 
-    The count is the one an element-by-element walk of that sweep gives,
-    but the walk goes by rows of the first axis: with a unit first-axis
-    stride, each row's in-range prefix is one address run, split only at
-    wave boundaries, and a masked tail or masked row costs O(1).  A
-    non-unit first-axis stride falls back to one step per in-range
-    element. *)
+    The count is the one an element-by-element walk of that sweep gives.
+    Most sweeps take a closed form in O(#axes): the leading axes that are
+    dense in address (a unit first stride, each next stride equal to the
+    row length so far, every cut before it full) merge into rows of
+    length [L] whose in-range part is a contiguous prefix of [c]
+    elements (rows of one element when the first stride is not 1).  If
+    the next stride exceeds [c] and each later stride is at least the
+    previous stride times its cut, every in-range row starts more than
+    [c] addresses after the previous in-range row, so no row continues
+    another's segment and all in-range rows cost the same.  The count is
+    then [prod cut] over the remaining axes times [ceil(c / ept)] when
+    [L] divides [width] (rows pack whole into waves), or times
+    [floor(c / width) * ceil(width / ept) + ceil((c mod width) / ept)]
+    when [width] divides [L] (every row starts a wave).
+
+    Every other sweep (interleaved or touching rows, or row lengths that
+    straddle waves at varying offsets) is walked by rows of the first
+    axis: with a unit first-axis stride, each row's in-range prefix is
+    one address run, split only at wave boundaries, and a masked tail or
+    masked row costs O(1); a non-unit first-axis stride takes one step
+    per in-range element. *)
