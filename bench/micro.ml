@@ -89,6 +89,30 @@ let staged_tests =
     let plan = selected_plan Cogent.Ctx.default problem in
     fun () -> ignore (Cogent.Interp.measure plan)
   in
+  (* One plan-store row as [Planstore.load] decodes it: the stored line
+     of an A100/fp16 plan, parsed, then decoded (plan cost recomputed). *)
+  let planstore_row problem =
+    let open Tc_obs in
+    let ctx =
+      Cogent.Ctx.make ~arch:Tc_gpu.Arch.a100 ~precision:Tc_gpu.Precision.FP16
+        ()
+    in
+    let line =
+      Json.to_string
+        (Json.Obj
+           [
+             ("key", Json.String (Cogent.Cache.key ctx problem));
+             ( "entry",
+               Tc_serve.Planstore.entry_to_json
+                 (Cogent.Driver.run_exn ctx problem) );
+           ])
+    in
+    fun () ->
+      ignore
+        (Result.bind (Json.parse line) (fun j ->
+             Result.bind (Json.field "entry" j)
+               Tc_serve.Planstore.entry_of_json))
+  in
   let contract_ref =
     let _, info, lhs, rhs = gemm64 in
     fun () ->
@@ -118,6 +142,8 @@ let staged_tests =
     Test.make ~name:"interp-execute/odd" (Staged.stage (interp_execute eq1_odd));
     Test.make ~name:"interp-measure/odd" (Staged.stage (interp_measure eq1_odd));
     Test.make ~name:"contract-ref/gemm64" (Staged.stage contract_ref);
+    Test.make ~name:"planstore-row/decode"
+      (Staged.stage (planstore_row problem_sd2));
     Test.make ~name:"generate-end-to-end/eq1" (Staged.stage (full problem_eq1));
     Test.make ~name:"generate-end-to-end/sd2_1" (Staged.stage (full problem_sd2));
   ]

@@ -96,6 +96,7 @@ let sample_of_json j =
 let load ~dir =
   Tc_obs.Jsonl.load ~kind:"audit ledger" ~row:"audit row"
     ~metrics:"cogent.audit.ledger" ~schema (file ~dir) sample_of_json
+  |> Result.map (List.map fst)
 
 let save ~dir samples =
-  Tc_obs.Jsonl.save ~schema (file ~dir) sample_to_json samples
+  ignore (Tc_obs.Jsonl.save ~schema (file ~dir) sample_to_json samples)

@@ -4,8 +4,7 @@ type t = { info : Classify.info; sizes : Sizes.t }
 
 let ( let* ) = Result.bind
 
-let make ast sizes =
-  let* info = Classify.analyse ast in
+let of_info info sizes =
   let missing =
     List.filter
       (fun i -> Sizes.extent_opt sizes i = None)
@@ -18,13 +17,22 @@ let make ast sizes =
         (Printf.sprintf "no extent given for index(es) %s"
            (Index.list_to_string l))
 
+let make ast sizes =
+  let* info = Classify.analyse ast in
+  of_info info sizes
+
 let make_exn ast sizes =
   match make ast sizes with Ok t -> t | Error e -> invalid_arg e
 
-let of_string s ~sizes =
+let analyse s =
   match Parser.parse s with
   | Error e -> Error (Format.asprintf "%a" Parser.pp_error e)
-  | Ok ast -> make ast (Sizes.of_list sizes)
+  | Ok ast -> Classify.analyse ast
+
+let of_string s ~sizes =
+  let sizes = Sizes.of_list sizes in
+  let* info = analyse s in
+  of_info info sizes
 
 let of_string_exn s ~sizes =
   match of_string s ~sizes with Ok t -> t | Error e -> invalid_arg e

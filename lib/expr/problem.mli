@@ -11,8 +11,18 @@ val make : Ast.t -> Sizes.t -> (t, string) result
 
 val make_exn : Ast.t -> Sizes.t -> t
 
+val analyse : string -> (Classify.info, string) result
+(** Parses either concrete syntax and classifies the contraction. *)
+
+val of_info : Classify.info -> Sizes.t -> (t, string) result
+(** {!make} for an already-classified contraction: checks only that
+    [sizes] covers every index, so callers holding many problems of one
+    contraction can share its [info]. *)
+
 val of_string : string -> sizes:(Index.t * int) list -> (t, string) result
-(** Parses either concrete syntax, then behaves like {!make}. *)
+(** {!analyse}, then {!of_info}.
+    @raise Invalid_argument when [sizes] has duplicates or non-positive
+    extents ({!Sizes.of_list}). *)
 
 val of_string_exn : string -> sizes:(Index.t * int) list -> t
 

@@ -5,9 +5,10 @@
     deterministic: object fields are emitted in the order given, floats use
     the shortest ["%g"] rendering that parses back to the same value (so
     serialize/parse round-trips), and strings are escaped per RFC 8259.  The
-    parser accepts exactly the JSON this module (and any standard writer)
-    produces; it exists so tests can validate exported traces and metrics
-    without external tooling. *)
+    parser accepts the JSON this module (and any standard writer)
+    produces; it reads every request line, plan-store row and ledger row,
+    and lets tests validate exported traces and metrics without external
+    tooling. *)
 
 type t =
   | Null
@@ -25,8 +26,12 @@ val to_string_pretty : t -> string
 (** Two-space indented rendering, for humans. *)
 
 val parse : string -> (t, string) result
-(** Parse one JSON value; trailing garbage is an error.  Numbers without
-    [.], [e] or [E] parse as [Int], everything else as [Float]. *)
+(** Parse one JSON value in one pass; trailing garbage is an error.
+    Numbers without [.], [e] or [E] parse as [Int] (as [Float] past the
+    int range), everything else as [Float].  [\u] escapes decode to
+    UTF-8, a high surrogate followed by an escaped low one as one code
+    point.  Never raises: malformed input is [Error "WHAT at offset N"]
+    ("unexpected end of input", "bad \\u escape", ...). *)
 
 val member : string -> t -> t option
 (** [member k (Obj ...)] is the value bound to the first occurrence of [k];

@@ -18,14 +18,11 @@ let as_index s =
 let binding_to_json (b : Cogent.Mapping.binding) =
   J.List [ J.String (Index.to_string b.Cogent.Mapping.index); J.Int b.tile ]
 
-let binding_of_json j =
-  let* l = J.as_list j in
-  match l with
-  | [ i; t ] ->
-      let* s = J.as_string i in
-      let* index = as_index s in
-      let* tile = J.as_int t in
-      Ok { Cogent.Mapping.index; tile }
+let binding_of_json = function
+  | J.List [ J.String s; J.Int tile ] -> (
+      match as_index s with
+      | Ok index -> Ok { Cogent.Mapping.index; tile }
+      | Error e -> Error e)
   | _ -> Error "binding must be [index, tile]"
 
 let bindings_to_json bs = J.List (List.map binding_to_json bs)
@@ -45,20 +42,33 @@ let mapping_to_json (m : Cogent.Mapping.t) =
       ("grid", J.String (Index.list_to_string m.grid));
     ]
 
+let grid_of_json j =
+  let* s = J.as_string j in
+  if String.for_all Index.is_valid s then
+    Ok (List.init (String.length s) (String.get s))
+  else Error (Printf.sprintf "bad grid %S" s)
+
+(* Nine mappings per row: matching the six decoded parts at once
+   allocates no closure per part, as a chain of binds would. *)
 let mapping_of_json j =
   let part name = Result.bind (J.field name j) bindings_of_json in
-  let* tbx = part "tbx" in
-  let* regx = part "regx" in
-  let* tby = part "tby" in
-  let* regy = part "regy" in
-  let* tbk = part "tbk" in
-  let* grid_s = Result.bind (J.field "grid" j) J.as_string in
-  let* grid =
-    J.map_result
-      (fun c -> as_index (String.make 1 c))
-      (List.init (String.length grid_s) (String.get grid_s))
-  in
-  Ok { Cogent.Mapping.tbx; regx; tby; regy; tbk; grid }
+  match
+    ( part "tbx",
+      part "regx",
+      part "tby",
+      part "regy",
+      part "tbk",
+      Result.bind (J.field "grid" j) grid_of_json )
+  with
+  | Ok tbx, Ok regx, Ok tby, Ok regy, Ok tbk, Ok grid ->
+      Ok { Cogent.Mapping.tbx; regx; tby; regy; tbk; grid }
+  | (Error e, _, _, _, _, _)
+  | (_, Error e, _, _, _, _)
+  | (_, _, Error e, _, _, _)
+  | (_, _, _, Error e, _, _)
+  | (_, _, _, _, Error e, _)
+  | (_, _, _, _, _, Error e) ->
+      Error e
 
 (* ---- prune-stats codec ---- *)
 
@@ -153,7 +163,36 @@ let entry_to_json (r : Cogent.Driver.t) =
       ("bound_aborted", J.Int r.bound_aborted);
     ]
 
-let entry_of_json j =
+(* What the rows of one load share: the classified contraction of each
+   distinct ["expr"] (parsed and classified once), and one copy of each
+   distinct mapping (a store of 2048 rows holds ~18.4k mappings, ~2.3k of
+   them distinct).  Every check still runs per row. *)
+module Mappings = Hashtbl.Make (struct
+  type t = Cogent.Mapping.t
+
+  let equal = ( = )
+
+  (* The default hash stops after 10 meaningful words, too few to tell
+     apart mappings that differ past their first bindings. *)
+  let hash = Hashtbl.hash_param 50 200
+end)
+
+type memo = {
+  infos : (string, (Classify.info, string) result) Hashtbl.t;
+  mappings : Cogent.Mapping.t Mappings.t;
+}
+
+let memo () = { infos = Hashtbl.create 16; mappings = Mappings.create 16 }
+
+let shared_mapping memo j =
+  let* m = mapping_of_json j in
+  match Mappings.find_opt memo.mappings m with
+  | Some m -> Ok m
+  | None ->
+      Mappings.add memo.mappings m m;
+      Ok m
+
+let decode_entry memo j =
   let* expr = Result.bind (J.field "expr" j) J.as_string in
   let* sizes_j = J.field "sizes" j in
   let* sizes =
@@ -167,7 +206,20 @@ let entry_of_json j =
           kvs
     | _ -> Error "field \"sizes\" must be an object"
   in
-  let* problem = Problem.of_string expr ~sizes in
+  let* sizes =
+    match Sizes.of_list sizes with
+    | s -> Ok s
+    | exception Invalid_argument m -> Error m
+  in
+  let* info =
+    match Hashtbl.find_opt memo.infos expr with
+    | Some info -> info
+    | None ->
+        let info = Problem.analyse expr in
+        Hashtbl.add memo.infos expr info;
+        info
+  in
+  let* problem = Problem.of_info info sizes in
   let* arch_s = Result.bind (J.field "arch" j) J.as_string in
   let* arch =
     match Arch.by_name arch_s with
@@ -176,7 +228,7 @@ let entry_of_json j =
   in
   let* prec_s = Result.bind (J.field "precision" j) J.as_string in
   let* precision = Precision.of_string prec_s in
-  let* mapping = Result.bind (J.field "mapping" j) mapping_of_json in
+  let* mapping = Result.bind (J.field "mapping" j) (shared_mapping memo) in
   let* plan =
     (* [Plan.make] recomputes the model cost — deterministic, so the
        reloaded entry is bit-identical to the one that was saved. *)
@@ -206,7 +258,7 @@ let entry_of_json j =
         let* l = J.as_list row in
         match l with
         | [ m; c ] ->
-            let* m = mapping_of_json m in
+            let* m = shared_mapping memo m in
             let* c = J.as_float c in
             Ok (m, c)
         | _ -> Error "ranked row must be [mapping, cost]")
@@ -232,18 +284,76 @@ let entry_of_json j =
       bound_aborted;
     }
 
+let entry_of_json j = decode_entry (memo ()) j
+
 (* ---- store I/O ---- *)
 
-let row_of_json j =
+type origin = (string, Cogent.Driver.t * Tc_obs.Jsonl.span) Hashtbl.t
+
+(* A row missing a field added since it was written decoded leniently;
+   only an encode gives it that field. *)
+let current_fields = [ "kernel_schema"; "bound_aborted" ]
+
+let row_of_json memo j =
   let* k = Result.bind (J.field "key" j) J.as_string in
-  let* entry = Result.bind (J.field "entry" j) entry_of_json in
-  Ok (k, entry)
+  let* e = J.field "entry" j in
+  let* entry = decode_entry memo e in
+  Ok (k, entry, List.for_all (fun f -> J.member f e <> None) current_fields)
 
-let load ~dir =
-  Tc_obs.Jsonl.load ~kind:"plan store" ~row:"plan-store row"
-    ~metrics:"cogent.serve.planstore" ~schema (file ~dir) row_of_json
+let add_counter name n =
+  Tc_obs.Metrics.incr ~by:n
+    (Tc_obs.Metrics.counter ("cogent.serve.planstore." ^ name))
 
-let save ~dir rows =
-  Tc_obs.Jsonl.save ~schema (file ~dir)
-    (fun (k, r) -> J.Obj [ ("key", J.String k); ("entry", entry_to_json r) ])
-    rows
+let read ~dir =
+  Tc_obs.Trace.with_span "planstore.load" @@ fun () ->
+  let* rows =
+    Tc_obs.Jsonl.load ~kind:"plan store" ~row:"plan-store row"
+      ~metrics:"cogent.serve.planstore" ~schema (file ~dir)
+      (row_of_json (memo ()))
+  in
+  (* A duplicated key keeps its first row, as [Cache.install] does. *)
+  let origin = Hashtbl.create (List.length rows) in
+  List.iter
+    (fun ((k, r, current), span) ->
+      if current && not (Hashtbl.mem origin k) then
+        Hashtbl.add origin k (r, span))
+    rows;
+  Tc_obs.Trace.add_args
+    [
+      ("rows", Tc_obs.Trace.Int (List.length rows));
+      ( "bytes",
+        Tc_obs.Trace.Int
+          (List.fold_left
+             (fun b (_, sp) -> b + sp.Tc_obs.Jsonl.length + 1)
+             0 rows) );
+    ];
+  Ok (List.map (fun ((k, r, _), _) -> (k, r)) rows, origin)
+
+let load ~dir = Result.map fst (read ~dir)
+
+let save ?(origin = Hashtbl.create 0) ~dir rows =
+  Tc_obs.Trace.with_span "planstore.save" @@ fun () ->
+  (* Copy a row only when the cache still holds the very entry decoded
+     from it: a loaded entry is never replaced, so its bytes still
+     describe it. *)
+  let copy (k, r) =
+    match Hashtbl.find_opt origin k with
+    | Some (loaded, span) when loaded == r -> Some span
+    | _ -> None
+  in
+  let w =
+    Tc_obs.Jsonl.save ~schema ~copy (file ~dir)
+      (fun (k, r) -> J.Obj [ ("key", J.String k); ("entry", entry_to_json r) ])
+      rows
+  in
+  let encoded = w.Tc_obs.Jsonl.rows - w.copied in
+  add_counter "rows_copied" w.copied;
+  add_counter "rows_encoded" encoded;
+  Tc_obs.Trace.add_args
+    Tc_obs.Trace.
+      [
+        ("rows", Int w.rows);
+        ("bytes", Int w.bytes);
+        ("copied", Int w.copied);
+        ("encoded", Int encoded);
+      ]

@@ -72,7 +72,7 @@ type report = {
 type session = {
   ctx : Cogent.Ctx.t;
   cache : Cogent.Cache.t;
-  store : string option;
+  store : (string * Planstore.origin) option;
   loaded : int;
   audit : Audit.collector option;
 }
@@ -82,18 +82,26 @@ let open_session ?store ?audit ?flight_capacity ctx =
   Option.iter (fun n -> Tc_obs.Flightrec.set_capacity n) flight_capacity;
   let cache = Cogent.Cache.create () in
   match store with
-  | None -> Ok { ctx; cache; store; loaded = 0; audit }
+  | None -> Ok { ctx; cache; store = None; loaded = 0; audit }
   | Some dir -> (
-      match Planstore.load ~dir with
+      match Planstore.read ~dir with
       | Error m -> Error m
-      | Ok rows ->
+      | Ok (rows, origin) ->
           List.iter (fun (k, r) -> Cogent.Cache.install cache k r) rows;
-          Ok { ctx; cache; store; loaded = List.length rows; audit })
+          Ok
+            {
+              ctx;
+              cache;
+              store = Some (dir, origin);
+              loaded = List.length rows;
+              audit;
+            })
 
 let close_session s =
   match s.store with
   | None -> ()
-  | Some dir -> Planstore.save ~dir (Cogent.Cache.entries s.cache)
+  | Some (dir, origin) ->
+      Planstore.save ~origin ~dir (Cogent.Cache.entries s.cache)
 
 (* Request ids as they appear everywhere observable: span/flight-recorder
    attribution and the per-request entries of the JSON report. *)

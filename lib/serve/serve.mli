@@ -111,7 +111,9 @@ val open_session :
     unreadable or wrong-schema store. *)
 
 val close_session : session -> unit
-(** Flush every cached plan back to the store (no-op without one). *)
+(** Flush every cached plan back to the store (no-op without one): the
+    rows loaded at open are copied from the file as they were read, and
+    only plans this session generated are encoded ({!Planstore.save}). *)
 
 val run : session -> (Request.t, int * string) result list -> report
 (** Serve one workload (the shape {!Request.load_file} returns); parse

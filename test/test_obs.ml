@@ -534,6 +534,200 @@ let eq1 =
   Tc_expr.Problem.of_string_exn "abcd-aebf-dfce"
     ~sizes:[ ('a', 48); ('b', 48); ('c', 48); ('d', 48); ('e', 32); ('f', 32) ]
 
+(* Trees compared with floats by their bits, so -0.0, infinities and
+   the last ulp all count. *)
+let rec same_json a b =
+  match (a, b) with
+  | Json.Float x, Json.Float y -> Printf.sprintf "%h" x = Printf.sprintf "%h" y
+  | Json.List xs, Json.List ys ->
+      List.length xs = List.length ys && List.for_all2 same_json xs ys
+  | Json.Obj xs, Json.Obj ys ->
+      List.length xs = List.length ys
+      && List.for_all2 (fun (k, x) (l, y) -> k = l && same_json x y) xs ys
+  | _ -> a = b
+
+(* Random trees: strings of arbitrary bytes (quotes, backslashes,
+   control characters, UTF-8), ints up to the extremes, and floats from
+   random bits (NaN, which renders as null, excepted). *)
+let json_gen =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (0 -- 10) in
+  let int_g =
+    oneof
+      [ small_signed_int; int; oneofl [ min_int; max_int; min_int + 1; -1; 0 ] ]
+  in
+  let float_g =
+    oneof
+      [
+        map
+          (fun b ->
+            let f = Int64.float_of_bits b in
+            if Float.is_nan f then 0.5 else f)
+          ui64;
+        float_range (-1e6) 1e6;
+        oneofl
+          [ 0.0; -0.0; infinity; neg_infinity; 5e-324; max_float; 0.1; 1e21 ];
+      ]
+  in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) int_g;
+        map (fun f -> Json.Float f) float_g;
+        map (fun s -> Json.String s) str;
+      ]
+  in
+  sized_size (0 -- 30)
+  @@ fix (fun self n ->
+         if n <= 1 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               ( 1,
+                 map (fun l -> Json.List l) (list_size (0 -- 4) (self (n / 3)))
+               );
+               ( 1,
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (0 -- 4) (pair str (self (n / 3)))) );
+             ])
+
+let json_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"Json.parse (to_string j) = Ok j"
+    (QCheck.make ~print:Json.to_string json_gen)
+    (fun j ->
+      match Json.parse (Json.to_string j) with
+      | Ok j' -> same_json j j'
+      | Error m -> QCheck.Test.fail_report m)
+
+(* \u escapes, surrogate pairs for code points past the BMP, decode to
+   the code points' UTF-8. *)
+let json_unicode_escapes =
+  QCheck.Test.make ~count:300
+    ~name:"Json.parse decodes \\u escapes and surrogate pairs"
+    QCheck.(
+      make
+        Gen.(
+          list_size (0 -- 8)
+            (oneof [ int_range 0 0xD7FF; int_range 0xE000 0x10FFFF ])))
+    (fun codes ->
+      let lit = Buffer.create 64 and utf8 = Buffer.create 64 in
+      Buffer.add_char lit '"';
+      List.iter
+        (fun c ->
+          Buffer.add_utf_8_uchar utf8 (Uchar.of_int c);
+          if c < 0x10000 then Printf.bprintf lit "\\u%04x" c
+          else
+            let c = c - 0x10000 in
+            Printf.bprintf lit "\\u%04X\\u%04x" (0xD800 lor (c lsr 10))
+              (0xDC00 lor (c land 0x3FF)))
+        codes;
+      Buffer.add_char lit '"';
+      Json.parse (Buffer.contents lit)
+      = Ok (Json.String (Buffer.contents utf8)))
+
+(* Byte-level mutations: replace, insert or delete a byte, truncate,
+   insert a hostile snippet, or replace one run of digits. *)
+let snippets =
+  [|
+    "\\u"; "\\uZZZZ"; "\\uD800"; "\\uDBFF\\u0041"; "\\uD800\\uZZ"; "\\";
+    "-"; "1e999"; "99999999999999999999"; "\"a\":1,"; "null"; "[]"; "{}";
+  |]
+
+let numbers =
+  [| "0"; "-1"; "1"; "4611686018427387903"; "99999999999999999999"; "1.5" |]
+
+let replace_digit_run s k by =
+  let n = String.length s in
+  let rec run i seen =
+    if i >= n then s
+    else if s.[i] >= '0' && s.[i] <= '9' then begin
+      let j = ref i in
+      while !j < n && s.[!j] >= '0' && s.[!j] <= '9' do incr j done;
+      if seen = k then String.sub s 0 i ^ by ^ String.sub s !j (n - !j)
+      else run !j (seen + 1)
+    end
+    else run (i + 1) seen
+  in
+  run 0 0
+
+let mutate base edits =
+  List.fold_left
+    (fun s (op, at, c) ->
+      let n = String.length s in
+      let pos = if n = 0 then 0 else at mod n in
+      match op with
+      | 0 when n > 0 -> String.mapi (fun i d -> if i = pos then c else d) s
+      | 1 -> String.sub s 0 pos ^ String.make 1 c ^ String.sub s pos (n - pos)
+      | 2 when n > 0 ->
+          String.sub s 0 pos ^ String.sub s (pos + 1) (n - pos - 1)
+      | 3 -> String.sub s 0 pos
+      | 4 ->
+          String.sub s 0 pos
+          ^ snippets.(Char.code c mod Array.length snippets)
+          ^ String.sub s pos (n - pos)
+      | 5 ->
+          replace_digit_run s (at mod 128)
+            numbers.(Char.code c mod Array.length numbers)
+      | _ -> s)
+    base edits
+
+let mutated_gen bases =
+  let open QCheck.Gen in
+  let byte =
+    oneof
+      [
+        char;
+        oneofl (List.of_seq (String.to_seq "0123456789-.eE\"\\[]{},:uabcdef "));
+      ]
+  in
+  pair (oneofl bases) (list_size (1 -- 4) (triple (int_bound 5) nat byte))
+  |> map (fun (base, edits) -> mutate base edits)
+
+(* Stored rows of a classic V100/fp64 plan and a pipelined A100/fp16
+   one, exactly as the plan store writes them. *)
+let planstore_rows =
+  List.map
+    (fun (arch, precision) ->
+      let ctx = Cogent.Ctx.make ~arch ~precision () in
+      let d = Cogent.Driver.run_exn ctx eq1 in
+      Json.to_string
+        (Json.Obj
+           [
+             ("key", Json.String (Cogent.Cache.key ctx eq1));
+             ("entry", Tc_serve.Planstore.entry_to_json d);
+           ]))
+    [
+      (Tc_gpu.Arch.v100, Tc_gpu.Precision.FP64);
+      (Tc_gpu.Arch.a100, Tc_gpu.Precision.FP16);
+    ]
+
+let request_lines =
+  [
+    {|{"expr":"abc-bda-dc","sizes":"a=312,b=312,c=312,d=296"}|};
+    {|{"expr":"ab-ac-cb","sizes":"a=64,b=64,c=64","arch":"a100","precision":"fp16"}|};
+    {|{"expr":"C[a,b] = A[a,c] * B[c,b]","sizes":"a=2305843009213693953,b=4,c=4"}|};
+  ]
+
+let never_raises =
+  QCheck.Test.make ~count:2000
+    ~name:"mutated rows and requests never make parse or entry_of_json raise"
+    (QCheck.make ~print:Fun.id (mutated_gen (planstore_rows @ request_lines)))
+    (fun line ->
+      (match Json.parse line with
+      | Ok j ->
+          ignore (Tc_serve.Planstore.entry_of_json j);
+          Option.iter
+            (fun e -> ignore (Tc_serve.Planstore.entry_of_json e))
+            (Json.member "entry" j)
+      | Error _ -> ());
+      true)
+
+
+
 let test_driver_trace () =
   let t = Trace.make ~clock:(ticker ()) () in
   (match Cogent.Driver.run Cogent.Ctx.default ~trace:t eq1 with
@@ -644,6 +838,9 @@ let () =
           Alcotest.test_case "chrome flows and thread names" `Quick
             test_chrome_flows_and_threads;
           Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
+          Gen.to_alcotest json_roundtrip;
+          Gen.to_alcotest json_unicode_escapes;
+          Gen.to_alcotest never_raises;
         ] );
       ( "explain",
         [

@@ -548,8 +548,7 @@ let bits x = Marshal.to_string x []
 (* Serve the 48 TCCG entries on [ctx]'s device through a fresh store;
    returns the report and the served plans, exactly as the session cached
    them. *)
-let serve_tccg ?audit ctx =
-  let dir = fresh_dir () in
+let serve_tccg ?audit ?(dir = fresh_dir ()) ctx =
   let s =
     match Tc_serve.Serve.open_session ~store:dir ?audit ctx with
     | Ok s -> s
@@ -688,6 +687,235 @@ let test_ledger_follows_serve () =
     (List.combine Tc_tccg.Suite.all report.Tc_serve.Serve.responses)
     samples
 
+(* ---- verbatim rows ---- *)
+
+module J = Tc_obs.Json
+module Planstore = Tc_serve.Planstore
+
+let store_text dir =
+  In_channel.with_open_bin (Planstore.file ~dir) In_channel.input_all
+
+let header = J.to_string (J.Obj [ ("schema", J.String Planstore.schema) ])
+
+(* A store file holding exactly these row lines. *)
+let write_store dir lines =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  Out_channel.with_open_bin (Planstore.file ~dir) (fun oc ->
+      List.iter (fun l -> output_string oc (l ^ "\n")) (header :: lines))
+
+let row_line k r =
+  J.to_string
+    (J.Obj [ ("key", J.String k); ("entry", Planstore.entry_to_json r) ])
+
+let store_counter name =
+  Option.value ~default:0.0
+    (Tc_obs.Metrics.value Tc_obs.Metrics.global
+       ("cogent.serve.planstore." ^ name))
+
+(* Rows the store copied and encoded while [f] ran. *)
+let copied_encoded f =
+  let c = store_counter "rows_copied" and e = store_counter "rows_encoded" in
+  f ();
+  ( int_of_float (store_counter "rows_copied" -. c),
+    int_of_float (store_counter "rows_encoded" -. e) )
+
+(* One session lifetime that serves nothing: load, then save. *)
+let reopen dir = Tc_serve.Serve.close_session (open_session ~store:dir ctx)
+
+let drive_expr expr sizes = drive (Problem.of_string_exn expr ~sizes) ctx
+
+(* A store written by this version and saved again unchanged is
+   byte-identical, every row copied, on a device with pipelined schemas
+   and on one without. *)
+let test_verbatim_suite_store () =
+  List.iter
+    (fun (arch, precision) ->
+      let name =
+        arch.Tc_gpu.Arch.name ^ "/" ^ Tc_gpu.Precision.to_string precision
+      in
+      let ctx =
+        Cogent.Ctx.make ~arch ~precision ~measure:Tc_sim.Simkernel.gflops ()
+      in
+      let dir = fresh_dir () in
+      let _, rows = serve_tccg ~dir ctx in
+      let cold = store_text dir in
+      let copied, encoded = copied_encoded (fun () -> reopen dir) in
+      check Alcotest.string (name ^ ": saved again byte-identical") cold
+        (store_text dir);
+      check Alcotest.int (name ^ ": every row copied") (List.length rows)
+        copied;
+      check Alcotest.int (name ^ ": no row encoded") 0 encoded)
+    [
+      (Tc_gpu.Arch.a100, Tc_gpu.Precision.FP16);
+      (Tc_gpu.Arch.v100, Tc_gpu.Precision.FP64);
+    ]
+
+(* Three lifetimes, the second adding a row: every reload decodes the
+   same [Driver.t] values, and the file is what encoding every row today
+   writes.  The load and save spans carry their row counts. *)
+let test_verbatim_lifetimes () =
+  let dir = fresh_dir () in
+  let lifetime items =
+    let s = open_session ~store:dir ctx in
+    ignore (Tc_serve.Serve.run s items);
+    Tc_serve.Serve.close_session s;
+    match Planstore.load ~dir with Ok rows -> rows | Error m -> fail m
+  in
+  let first =
+    lifetime [ Ok (req 1 "ab-ac-cb" [ ('a', 64); ('b', 64); ('c', 64) ]) ]
+  in
+  let trace = Tc_obs.Trace.make ~clock:(fun () -> 0.0) () in
+  let second =
+    Tc_obs.Trace.with_installed trace (fun () ->
+        lifetime
+          [
+            Ok
+              (req 2 "abc-bda-dc"
+                 [ ('a', 32); ('b', 32); ('c', 32); ('d', 32) ]);
+          ])
+  in
+  let third = lifetime [] in
+  check Alcotest.int "the second lifetime added a row" 2 (List.length second);
+  check Alcotest.bool "the first row decodes the same after two saves" true
+    (first = List.filter (fun (k, _) -> List.mem_assoc k first) second);
+  check Alcotest.bool "the third lifetime decodes the same rows" true
+    (second = third);
+  let fresh = fresh_dir () in
+  Planstore.save ~dir:fresh third;
+  check Alcotest.string "the file is a fresh encode of its rows"
+    (store_text fresh) (store_text dir);
+  let span name =
+    List.find_map
+      (function
+        | Tc_obs.Trace.Span { name = n; args; _ } when n = name -> Some args
+        | _ -> None)
+      (Tc_obs.Trace.events trace)
+  in
+  let arg args k =
+    match List.assoc_opt k args with
+    | Some (Tc_obs.Trace.Int n) -> n
+    | _ -> fail ("span arg " ^ k)
+  in
+  (match span "planstore.load" with
+  | Some args ->
+      check Alcotest.int "load span rows" 1 (arg args "rows");
+      check Alcotest.bool "load span bytes" true (arg args "bytes" > 0)
+  | None -> fail "no planstore.load span");
+  match span "planstore.save" with
+  | Some args ->
+      check (Alcotest.list Alcotest.int) "save span rows, copied, encoded"
+        [ 2; 1; 1 ]
+        (List.map (arg args) [ "rows"; "copied"; "encoded" ]);
+      check Alcotest.int "save span bytes" (String.length (store_text dir))
+        (arg args "bytes")
+  | None -> fail "no planstore.save span"
+
+(* A duplicated key keeps its first row in the cache, as
+   [Cache.install] does, and in the file, copied as it was written:
+   hand-formatted rows are not renormalised. *)
+let test_verbatim_duplicate_key () =
+  let a = drive_expr "ab-ac-cb" [ ('a', 64); ('b', 64); ('c', 64) ] in
+  let b = drive_expr "ab-ac-cb" [ ('a', 128); ('b', 128); ('c', 128) ] in
+  let spaced =
+    Printf.sprintf "{ \"key\": \"k\",  \"entry\": %s }"
+      (J.to_string (Planstore.entry_to_json a))
+  in
+  let dir = fresh_dir () in
+  write_store dir [ spaced; row_line "k" b ];
+  (match Planstore.read ~dir with
+  | Error m -> fail m
+  | Ok (rows, _) ->
+      let cache = Cogent.Cache.create () in
+      List.iter (fun (k, r) -> Cogent.Cache.install cache k r) rows;
+      check Alcotest.bool "the cache keeps the first row" true
+        (Cogent.Cache.entries cache = [ ("k", a) ]));
+  let copied, encoded = copied_encoded (fun () -> reopen dir) in
+  check Alcotest.string "the file keeps the first row, as written"
+    (header ^ "\n" ^ spaced ^ "\n")
+    (store_text dir);
+  check (Alcotest.pair Alcotest.int Alcotest.int) "copied, encoded" (1, 0)
+    (copied, encoded)
+
+(* A row written before kernel schemas and the bound-abort counter
+   decodes leniently and is upgraded by the next save. *)
+let test_verbatim_upgrades_legacy_row () =
+  let a = drive_expr "ab-ac-cb" [ ('a', 64); ('b', 64); ('c', 64) ] in
+  let legacy =
+    match Planstore.entry_to_json a with
+    | J.Obj kvs ->
+        J.to_string
+          (J.Obj
+             [
+               ("key", J.String "k");
+               ( "entry",
+                 J.Obj
+                   (List.filter
+                      (fun (f, _) ->
+                        f <> "kernel_schema" && f <> "bound_aborted")
+                      kvs) );
+             ])
+    | _ -> fail "entry is not an object"
+  in
+  let dir = fresh_dir () in
+  write_store dir [ legacy ];
+  let loaded =
+    match Planstore.load ~dir with
+    | Ok [ ("k", r) ] -> r
+    | Ok _ -> fail "expected one row"
+    | Error m -> fail m
+  in
+  let copied, encoded = copied_encoded (fun () -> reopen dir) in
+  check Alcotest.string "the legacy row is re-encoded"
+    (header ^ "\n" ^ row_line "k" loaded ^ "\n")
+    (store_text dir);
+  check (Alcotest.pair Alcotest.int Alcotest.int) "copied, encoded" (0, 1)
+    (copied, encoded);
+  match J.parse (List.nth (String.split_on_char '\n' (store_text dir)) 1) with
+  | Ok j ->
+      let entry = Option.get (J.member "entry" j) in
+      check Alcotest.bool "the saved row names its schema and bound aborts" true
+        (J.member "kernel_schema" entry <> None
+        && J.member "bound_aborted" entry <> None)
+  | Error m -> fail m
+
+(* A corrupt row is counted at load, dropped by the next save, and the
+   reload after that counts nothing. *)
+let test_verbatim_drops_corrupt_row () =
+  let a = drive_expr "ab-ac-cb" [ ('a', 64); ('b', 64); ('c', 64) ] in
+  let dir = fresh_dir () in
+  write_store dir
+    [ row_line "good" a; "{\"key\":\"bad\",\"entry\":{\"expr\":" ];
+  let before = store_counter "corrupt_rows" in
+  reopen dir;
+  check (Alcotest.float 0.0) "the corrupt row is counted" (before +. 1.0)
+    (store_counter "corrupt_rows");
+  check Alcotest.string "the save keeps only the good row"
+    (header ^ "\n" ^ row_line "good" a ^ "\n")
+    (store_text dir);
+  reopen dir;
+  check (Alcotest.float 0.0) "the reload counts no corrupt row" (before +. 1.0)
+    (store_counter "corrupt_rows")
+
+(* A store file another writer replaced between load and save no longer
+   holds the loaded rows' bytes: every row is encoded from the cache. *)
+let test_verbatim_replaced_file () =
+  let a = drive_expr "ab-ac-cb" [ ('a', 64); ('b', 64); ('c', 64) ] in
+  let b =
+    drive_expr "abc-bda-dc" [ ('a', 32); ('b', 32); ('c', 32); ('d', 32) ]
+  in
+  let dir = fresh_dir () in
+  Planstore.save ~dir [ ("a", a); ("b", b) ];
+  let encoded_text = store_text dir in
+  let s = open_session ~store:dir ctx in
+  write_store dir [ row_line "b" b; row_line "a" a ];
+  let copied, encoded =
+    copied_encoded (fun () -> Tc_serve.Serve.close_session s)
+  in
+  check Alcotest.string "re-encoded from the cache" encoded_text
+    (store_text dir);
+  check (Alcotest.pair Alcotest.int Alcotest.int) "copied, encoded" (0, 2)
+    (copied, encoded)
+
 let () =
   Alcotest.run "serve"
     [
@@ -700,6 +928,18 @@ let () =
             test_planstore_rejects_wrong_schema;
           Alcotest.test_case "corrupt trailing row skipped" `Quick
             test_planstore_skips_corrupt_row;
+          Alcotest.test_case "verbatim: TCCG store saved again unchanged"
+            `Quick test_verbatim_suite_store;
+          Alcotest.test_case "verbatim: three lifetimes decode the same"
+            `Quick test_verbatim_lifetimes;
+          Alcotest.test_case "verbatim: duplicated key keeps its first row"
+            `Quick test_verbatim_duplicate_key;
+          Alcotest.test_case "verbatim: legacy row upgraded on save" `Quick
+            test_verbatim_upgrades_legacy_row;
+          Alcotest.test_case "verbatim: corrupt row dropped on save" `Quick
+            test_verbatim_drops_corrupt_row;
+          Alcotest.test_case "verbatim: replaced file re-encoded" `Quick
+            test_verbatim_replaced_file;
         ] );
       ( "engine",
         [
