@@ -36,7 +36,7 @@ let run () =
       | Ok o ->
           Printf.printf "  req-%03d  %-18s -> %-6s  cogent %8.3f ms, ttgt %8.3f ms\n"
             r.Tc_serve.Serve.id r.Tc_serve.Serve.expr
-            (Tc_serve.Serve.engine_name o.Tc_serve.Serve.engine)
+            (Tc_audit.Audit.engine_name o.Tc_serve.Serve.engine)
             (o.Tc_serve.Serve.cogent_time_s *. 1e3)
             (o.Tc_serve.Serve.ttgt_time_s *. 1e3)
       | Error e ->

@@ -575,7 +575,7 @@ let serve_cmd =
           | Ok o ->
               Format.printf "req-%03d  %-24s -> %-6s  %10.3f ms  %8.0f GFLOPS%s%s@."
                 r.Tc_serve.Serve.id r.Tc_serve.Serve.expr
-                (Tc_serve.Serve.engine_name o.Tc_serve.Serve.engine)
+                (Tc_audit.Audit.engine_name o.Tc_serve.Serve.engine)
                 (o.Tc_serve.Serve.predicted_s *. 1e3)
                 o.Tc_serve.Serve.gflops
                 (if o.Tc_serve.Serve.cached then "  [cached]" else "")

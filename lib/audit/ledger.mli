@@ -11,9 +11,6 @@
     a saved ledger is byte-identical across worker-domain counts and
     cold/warm store replays — CI diffs the files directly. *)
 
-val schema : string
-(** ["cogent-audit/1"]. *)
-
 val file : dir:string -> string
 (** [dir/audit.jsonl]. *)
 

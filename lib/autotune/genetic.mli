@@ -48,14 +48,12 @@ val fitness :
   ?quality:float -> Arch.t -> Precision.t -> Problem.t -> Cogent.Mapping.t
   -> float
 (** Simulated GFLOPS of one configuration, scaled by the code-quality
-    factor (see {!tc_quality_factor}); 0 for hardware-infeasible points. *)
-
-val tc_quality_factor : float
-(** Residual code-quality gap of the polyhedral generator's kernels versus
-    COGENT's hand-shaped schema (index-arithmetic overhead, less precise
-    unrolling), applied as a multiplier on simulated throughput for
-    autotuned candidates; the structural gap — no register tiling — is in
-    {!Space} itself.  See DESIGN.md substitutions. *)
+    factor [quality]; 0 for hardware-infeasible points.  [quality]
+    defaults to 0.9, the residual code-quality gap of the polyhedral
+    generator's kernels versus COGENT's hand-shaped schema
+    (index-arithmetic overhead, less precise unrolling); the structural
+    gap — no register tiling — is in {!Space} itself.  See DESIGN.md
+    substitutions. *)
 
 val tune :
   ?params:params -> ?quality:float

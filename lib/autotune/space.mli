@@ -22,9 +22,6 @@ type gene = { index : Index.t; dim : dim; tile : int }
 
 type genome = { externals : gene list; internals : gene list }
 
-val tile_menu : int list
-(** [{1; 2; 4; 8; 16; 32}]. *)
-
 val random : Random.State.t -> Problem.t -> genome
 val mutate : Random.State.t -> Problem.t -> genome -> genome
 (** Re-samples one gene (dimension and/or tile). *)

@@ -51,7 +51,3 @@ val make :
 val install_jobs : t -> unit
 (** Apply {!t.jobs} to the process-global pool
     ({!Tc_par.Pool.set_default_jobs}); no-op when [jobs] is [None]. *)
-
-val pp : Format.formatter -> t -> unit
-(** One-line summary, e.g.
-    [V100 fp64 refine=8 measured jobs=default budget=unlimited]. *)

@@ -1,15 +1,17 @@
 (** Configuration enumeration (Algorithm 2 of the paper).
 
-    For each target thread-block dimension size in {!targets_tb} and each
-    rotation of the candidate index order, external indices of the lhs input
-    are greedily packed onto [TB_x] (always starting with the output's FVI),
-    then leftover lhs externals onto [REG_x]; the rhs input's externals are
-    packed the same way onto [TB_y]/[REG_y] (starting with the rhs FVI when
-    it is external); internal indices are packed onto the serial [TB_k]
-    dimension.  A full configuration is an element of the Cartesian product
-    of the three partial configurations ({!Candidates} exposes that
-    product); externals left over on either side fall through to the grid
-    with tile size 1.
+    For each target thread-block dimension size in [{4; 8; 16}] (§IV-A3)
+    and each rotation of the candidate index order, external indices of
+    the lhs input are greedily packed onto [TB_x] (always starting with
+    the output's FVI), then leftover lhs externals onto [REG_x] (register
+    targets [{1; 2; 4; 6; 8}]: the paper's [{2; 4; 6; 8}] plus 1, no
+    register tiling along that axis, needed when an input has no leftover
+    external index); the rhs input's externals are packed the same way
+    onto [TB_y]/[REG_y] (starting with the rhs FVI when it is external);
+    internal indices are packed onto the serial [TB_k] dimension.  A full
+    configuration is an element of the Cartesian product of the three
+    partial configurations ({!Candidates} exposes that product); externals
+    left over on either side fall through to the grid with tile size 1.
 
     Deviation from the paper (documented in DESIGN.md): when a side's
     indices are too small to reach even the smallest target (tiny tensors),
@@ -18,14 +20,6 @@
     configuration. *)
 
 open Tc_expr
-
-val targets_tb : int list
-(** Thread-block dimension targets, [{4; 8; 16}] (§IV-A3). *)
-
-val targets_reg : int list
-(** Register-tile dimension targets, [{1; 2; 4; 6; 8}] — the paper's
-    [{2; 4; 6; 8}] plus 1 (no register tiling along that axis), needed when
-    an input has no leftover external index. *)
 
 val pack_greedy :
   target:int ->

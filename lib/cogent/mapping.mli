@@ -58,9 +58,6 @@ val num_blocks : Problem.t -> t -> int
 val num_steps : Problem.t -> t -> int
 (** [prod over internals of ceil(N_i / tile_i)]. *)
 
-val blocks_per_index : Problem.t -> t -> (Index.t * int) list
-(** Per-external block counts, output order — the grid decomposition. *)
-
 val validate : Problem.t -> t -> (unit, string) result
 (** Checks structural well-formedness: every external in exactly one of
     tbx/regx/tby/regy/grid and on the correct side, every internal exactly

@@ -47,7 +47,6 @@ val feasible_schemas :
     candidate. *)
 
 val threads_x : t -> int
-val threads_y : t -> int
 val threads_per_block : t -> int
 
 val smem_bytes : t -> int

@@ -21,7 +21,6 @@ type reason =
   | Uncoalesced_lhs  (** lhs FVI tile too small for coalesced loads *)
   | Uncoalesced_rhs
 
-val pp_reason : Format.formatter -> reason -> unit
 val reason_to_string : reason -> string
 
 val reason_slug : reason -> string

@@ -3,15 +3,6 @@ open Tc_tensor
 type role = External | Internal
 type operand = Out | Lhs | Rhs
 
-let pp_role fmt = function
-  | External -> Format.pp_print_string fmt "external"
-  | Internal -> Format.pp_print_string fmt "internal"
-
-let pp_operand fmt = function
-  | Out -> Format.pp_print_string fmt "C"
-  | Lhs -> Format.pp_print_string fmt "A"
-  | Rhs -> Format.pp_print_string fmt "B"
-
 type info = {
   expr : Ast.t;
   original : Ast.t;

@@ -19,8 +19,6 @@ type role = External | Internal
 
 type operand = Out | Lhs | Rhs
 
-val pp_role : Format.formatter -> role -> unit
-val pp_operand : Format.formatter -> operand -> unit
 
 type info = {
   expr : Ast.t;  (** canonicalized: [expr.lhs] contains the output FVI *)

@@ -1,5 +1,3 @@
-open Tc_tensor
-
 type t = int
 
 let slot i = Char.code i - Char.code 'a'
@@ -32,4 +30,3 @@ let fold f s acc =
   go 0 acc
 
 let to_list s = List.rev (fold (fun i acc -> i :: acc) s [])
-let pp fmt s = Index.list_pp fmt (to_list s)

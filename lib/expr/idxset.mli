@@ -22,7 +22,6 @@ val slot : Index.t -> int
 
 val empty : t
 val is_empty : t -> bool
-val singleton : Index.t -> t
 val add : Index.t -> t -> t
 val remove : Index.t -> t -> t
 val mem : Index.t -> t -> bool
@@ -37,11 +36,5 @@ val subset : t -> t -> bool
 val disjoint : t -> t -> bool
 val cardinal : t -> int
 
-val fold : (Index.t -> 'a -> 'a) -> t -> 'a -> 'a
-(** Folds in ascending index order. *)
-
 val to_list : t -> Index.t list
 (** Members in ascending order. *)
-
-val pp : Format.formatter -> t -> unit
-(** Compact TCCG form, e.g. [abce]. *)

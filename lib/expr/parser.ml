@@ -134,8 +134,3 @@ let parse_einstein s =
 
 let parse s =
   if String.contains s '=' then parse_einstein s else parse_tccg s
-
-let parse_exn s =
-  match parse s with
-  | Ok t -> t
-  | Error e -> invalid_arg (Format.asprintf "%a" pp_error e)

@@ -17,9 +17,3 @@ val pp_error : Format.formatter -> error -> unit
 val parse : string -> (Ast.t, error) result
 (** Auto-detects the syntax: input containing ['='] is parsed as the
     Einstein form, otherwise as the TCCG form. *)
-
-val parse_tccg : string -> (Ast.t, error) result
-val parse_einstein : string -> (Ast.t, error) result
-
-val parse_exn : string -> Ast.t
-(** @raise Invalid_argument with a rendered error on parse failure. *)

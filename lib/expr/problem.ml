@@ -4,6 +4,14 @@ type t = { info : Classify.info; sizes : Sizes.t }
 
 let ( let* ) = Result.bind
 
+let volume info sizes =
+  List.fold_left
+    (fun acc i -> acc *. float_of_int (Sizes.extent sizes i))
+    1.0
+    (Classify.all_indices info)
+
+let max_volume = Float.ldexp 1.0 53
+
 let of_info info sizes =
   let missing =
     List.filter
@@ -11,6 +19,12 @@ let of_info info sizes =
       (Classify.all_indices info)
   in
   match missing with
+  | [] when volume info sizes > max_volume ->
+      Error
+        (Printf.sprintf
+           "iteration space too large: the product of all extents (%.3g) \
+            exceeds 2^53"
+           (volume info sizes))
   | [] -> Ok { info; sizes }
   | l ->
       Error
@@ -41,19 +55,13 @@ let info t = t.info
 let sizes t = t.sizes
 let extent t i = Sizes.extent t.sizes i
 
-let flops t =
-  List.fold_left
-    (fun acc i -> acc *. float_of_int (extent t i))
-    2.0
-    (Classify.all_indices t.info)
+let flops t = 2.0 *. volume t.info t.sizes
 
 let shape_of t indices = Shape.of_indices ~sizes:t.sizes indices
 let out_shape t = shape_of t t.info.Classify.expr.Ast.out.Ast.indices
 let lhs_shape t = shape_of t t.info.Classify.expr.Ast.lhs.Ast.indices
 let rhs_shape t = shape_of t t.info.Classify.expr.Ast.rhs.Ast.indices
 let out_elems t = Shape.numel (out_shape t)
-let lhs_elems t = Shape.numel (lhs_shape t)
-let rhs_elems t = Shape.numel (rhs_shape t)
 
 let pp fmt t =
   Format.fprintf fmt "@[<h>%a with %a@]" Ast.pp t.info.Classify.original

@@ -15,9 +15,21 @@ val analyse : string -> (Classify.info, string) result
 (** Parses either concrete syntax and classifies the contraction. *)
 
 val of_info : Classify.info -> Sizes.t -> (t, string) result
-(** {!make} for an already-classified contraction: checks only that
-    [sizes] covers every index, so callers holding many problems of one
-    contraction can share its [info]. *)
+(** {!make} for an already-classified contraction, so callers holding many
+    problems of one contraction can share its [info].  The one place
+    extents are bound to a contraction; it checks that [sizes] covers
+    every index and that the iteration space — the product of all
+    extents, formed in float — does not exceed 2^53.
+
+    The bound keeps every count derived from a problem exact.  Each
+    native-int product the planner, simulator and serving path form (a
+    tensor volume, [Plan.num_blocks], a step count, a tile sweep)
+    multiplies extents, or per-index quantities no larger than an extent
+    (tiles, block counts), over a subset of the indices: it is no larger
+    than the iteration space, far below [max_int] (2^62 - 1) even after a
+    byte-size factor.  FLOPs and padded FMA counts are formed in float,
+    where integers are exact up to 2^53.  Above the bound an int product
+    can wrap, and the predicted time and GFLOPS mean nothing. *)
 
 val of_string : string -> sizes:(Index.t * int) list -> (t, string) result
 (** {!analyse}, then {!of_info}.
@@ -43,7 +55,5 @@ val lhs_shape : t -> Shape.t
 val rhs_shape : t -> Shape.t
 
 val out_elems : t -> int
-val lhs_elems : t -> int
-val rhs_elems : t -> int
 
 val pp : Format.formatter -> t -> unit

@@ -55,10 +55,6 @@ type applied = {
   slow_extent : int;
 }
 
-let pp_applied fmt a =
-  Format.fprintf fmt "%c -> %c:%d x %c:%d" a.original a.original a.fast_extent
-    a.slow a.slow_extent
-
 let auto ?(fast = 16) problem =
   (* A side is register-starved when it has a single external index: the
      thread-block dimension consumes it and nothing is left to

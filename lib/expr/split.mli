@@ -1,4 +1,4 @@
-(** Dimension splitting (the inverse of {!Fuse}).
+(** Dimension splitting.
 
     §IV of the paper lists "splitting each dimension into multiple
     dimensions" as a search-space extension that "helps ensure that there
@@ -31,8 +31,6 @@ type applied = {
   slow : Index.t;
   slow_extent : int;
 }
-
-val pp_applied : Format.formatter -> applied -> unit
 
 val auto : ?fast:int -> Problem.t -> Problem.t * applied list
 (** Heuristic used by the generator on register-starved contractions: for

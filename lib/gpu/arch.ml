@@ -164,9 +164,3 @@ let tensor_gflops t = function
   | Precision.FP16 -> t.tensor_gflops_fp16
   | Precision.TF32 -> t.tensor_gflops_tf32
   | Precision.FP32 | Precision.FP64 -> 0.0
-
-let pp fmt t =
-  Format.fprintf fmt
-    "%s: %d SMs, %.0f/%.0f GFLOPS (DP/SP), %.0f GB/s, %d KB smem/block"
-    t.name t.sms t.peak_gflops_fp64 t.peak_gflops_fp32 t.dram_bw_gbs
-    (t.smem_per_block / 1024)

@@ -77,5 +77,3 @@ val peak_gflops : t -> Precision.t -> float
 val tensor_gflops : t -> Precision.t -> float
 (** Dense MMA peak for a tensor-core precision; 0 when the device has no
     tensor cores or the precision is not MMA-accelerated. *)
-
-val pp : Format.formatter -> t -> unit

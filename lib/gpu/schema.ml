@@ -13,7 +13,6 @@ let of_string s =
   | _ -> None
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
-let equal a b = a = b
 let all = [ Classic; Pipelined; Pipelined_mma ]
 let smem_factor = function Classic -> 1 | Pipelined | Pipelined_mma -> 2
 let extra_regs = function Classic -> 0 | Pipelined -> 8 | Pipelined_mma -> 16

@@ -21,7 +21,6 @@ val of_string : string -> t option
 (** Case-insensitive; accepts the aliases [sync], [async], [mma], [tensor]. *)
 
 val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool
 
 val all : t list
 (** Every schema, declaration order — [Classic] first, so ties in a

@@ -60,10 +60,8 @@ val recorded : t -> int
 
 val clear : t -> unit
 
-val to_jsonl : entry list -> string
-(** One self-describing JSON object per line; optional fields are
-    omitted, every line parses with {!Json.parse}. *)
-
 val dump : path:string -> t -> unit
-(** Write {!to_jsonl} of {!entries} to [path] — what
-    [cogent serve --flight-dump FILE] and the CI gate artifacts use. *)
+(** Write {!entries} to [path] as JSONL — one self-describing JSON object
+    per line, optional fields omitted, every line parseable with
+    {!Json.parse}.  This is what [cogent serve --flight-dump FILE] and the
+    CI gate artifacts use. *)

@@ -87,8 +87,6 @@ let render ~indent j =
 
 let to_string j = render ~indent:false j
 let to_string_pretty j = render ~indent:true j
-let pp fmt j = Format.pp_print_string fmt (to_string j)
-
 (* ---- parsing ---- *)
 
 exception Bad of string

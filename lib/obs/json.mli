@@ -40,8 +40,6 @@ val member : string -> t -> t option
 val to_float : t -> float option
 (** Numeric accessor: [Int] and [Float] both convert. *)
 
-val pp : Format.formatter -> t -> unit
-
 (** {1 Decoding}
 
     The accessors every row codec (plan store, audit ledger, bench

@@ -242,35 +242,6 @@ let to_prometheus items =
     items;
   Buffer.contents buf
 
-let to_json items =
-  Json.Obj
-    (List.map
-       (function
-         | Counter_v { name; value } ->
-             (name, Json.Obj [ ("type", Json.String "counter");
-                               ("value", Json.Float value) ])
-         | Gauge_v { name; value } ->
-             (name, Json.Obj [ ("type", Json.String "gauge");
-                               ("value", Json.Float value) ])
-         | Histogram_v { name; count; sum; buckets } ->
-             ( name,
-               Json.Obj
-                 [
-                   ("type", Json.String "histogram");
-                   ("count", Json.Int count);
-                   ("sum", Json.Float sum);
-                   ( "buckets",
-                     Json.List
-                       (List.map
-                          (fun (bound, c) ->
-                            Json.Obj
-                              [
-                                ("le", Json.Float bound); ("count", Json.Int c);
-                              ])
-                          buckets) );
-                 ] ))
-       items)
-
 let pp fmt items =
   Format.fprintf fmt "@[<v>";
   List.iteri

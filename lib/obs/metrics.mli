@@ -68,12 +68,9 @@ val quantile : item -> float -> float option
     function of the snapshot, hence deterministic whenever the recorded
     counts are.  [None] for non-histograms and empty histograms. *)
 
-val summary_points : float list
-(** The standard latency summary quantiles: [0.5; 0.9; 0.99]. *)
-
 val quantile_summary : item -> (float * float) list
-(** [(q, quantile item q)] for every {!summary_points} entry; [[]] for
-    non-histograms and empty histograms. *)
+(** [(q, quantile item q)] for the standard quantiles [0.5; 0.9; 0.99];
+    [[]] for non-histograms and empty histograms. *)
 
 val to_prometheus : item list -> string
 (** Prometheus text exposition (version 0.0.4) of a snapshot: one
@@ -86,8 +83,6 @@ val to_prometheus : item list -> string
     snapshot is.  Wall-clock-derived instruments are named with a
     [wall] component so deterministic consumers (the CI replay gate)
     can filter them out. *)
-
-val to_json : item list -> Json.t
 
 val pp : Format.formatter -> item list -> unit
 (** Human-readable table; histograms include their {!quantile_summary}

@@ -282,5 +282,3 @@ let events t =
   locked t (fun () ->
       List.sort (fun (a, _) (b, _) -> Int.compare a b) t.recorded
       |> List.map snd)
-
-let clear t = locked t (fun () -> t.recorded <- [])

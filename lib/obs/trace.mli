@@ -135,6 +135,3 @@ val counter : ?t:t -> string -> float -> unit
 val events : t -> event list
 (** All completed events in deterministic creation order (spans ordered by
     their begin time, before any children). *)
-
-val clear : t -> unit
-(** Drop recorded events; open spans and the clock epoch survive. *)

@@ -111,6 +111,8 @@ let default_jobs () =
   Mutex.unlock admin;
   j
 
+(* The process-global pool, created on first use: every [?pool]-less call
+   shares it, which keeps the total domain count bounded. *)
 let default () =
   Mutex.lock admin;
   let p =

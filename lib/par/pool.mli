@@ -47,11 +47,6 @@ val shutdown : t -> unit
 (** Stop and join the worker domains.  Idempotent.  Maps on a shut-down
     pool run sequentially. *)
 
-val default : unit -> t
-(** The process-global pool, created on first use with {!default_jobs}
-    workers.  Every [?pool]-less call in the code base shares it, which
-    keeps the total domain count bounded. *)
-
 val default_jobs : unit -> int
 (** The job count the default pool has (or would be created with):
     {!set_default_jobs}'s value if called, else [COGENT_JOBS] from the

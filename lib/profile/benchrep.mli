@@ -36,9 +36,6 @@ type doc = {
   entries : entry list;
 }
 
-val schema : string
-(** ["cogent-bench/1"]. *)
-
 val filename : string -> string
 (** [filename target] is ["BENCH_<target>.json"]. *)
 

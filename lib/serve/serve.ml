@@ -3,8 +3,6 @@ module Audit = Tc_audit.Audit
 
 type engine = Audit.engine = Cogent_kernel | Ttgt_pipeline
 
-let engine_name = Audit.engine_name
-
 type error =
   | Bad_request of string
   | Generation of Cogent.Driver.error
@@ -35,11 +33,11 @@ type outcome = {
    devices without async copies) keep the historical "cogent" label. *)
 let outcome_strategy o =
   match o.engine with
-  | Ttgt_pipeline -> engine_name Ttgt_pipeline
+  | Ttgt_pipeline -> Audit.engine_name Ttgt_pipeline
   | Cogent_kernel ->
       if Schema.pipelined o.schema then
-        engine_name Cogent_kernel ^ "-" ^ Schema.to_string o.schema
-      else engine_name Cogent_kernel
+        Audit.engine_name Cogent_kernel ^ "-" ^ Schema.to_string o.schema
+      else Audit.engine_name Cogent_kernel
 
 type response = {
   id : int;

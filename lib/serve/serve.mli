@@ -20,9 +20,6 @@
 
 type engine = Tc_audit.Audit.engine = Cogent_kernel | Ttgt_pipeline
 
-val engine_name : engine -> string
-(** ["cogent"] / ["ttgt"]. *)
-
 type error =
   | Bad_request of string  (** malformed JSONL line, expression or sizes *)
   | Generation of Cogent.Driver.error  (** the plan search failed *)

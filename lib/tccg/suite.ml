@@ -9,8 +9,6 @@ let group_to_string = function
   | Ccsd_t_sd1 -> "CCSD(T) SD1"
   | Ccsd_t_sd2 -> "CCSD(T) SD2"
 
-let pp_group fmt g = Format.pp_print_string fmt (group_to_string g)
-
 type entry = {
   id : int;
   name : string;

@@ -21,7 +21,6 @@ open Tc_expr
 type group = Ml | Ao_mo | Ccsd | Ccsd_t_sd1 | Ccsd_t_sd2
 
 val group_to_string : group -> string
-val pp_group : Format.formatter -> group -> unit
 
 type entry = {
   id : int;  (** 1-based position, matching the paper's figures *)

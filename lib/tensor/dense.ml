@@ -72,10 +72,6 @@ let random ?(seed = 42) shape =
   done;
   t
 
-let fill t v = Array.fill t.data 0 (Array.length t.data) v
-
-let copy t = { t with data = Array.copy t.data }
-
 let check_same_shape a b =
   if not (Shape.equal a.shape b.shape) then
     invalid_arg "Dense: shape mismatch"
@@ -99,14 +95,3 @@ let max_abs_diff a b =
 
 let equal_approx ?(tol = 1e-9) a b =
   Shape.equal a.shape b.shape && max_abs_diff a b <= tol
-
-let pp fmt t =
-  let n = numel t in
-  let preview = min n 8 in
-  Format.fprintf fmt "@[<h>tensor %a {" Shape.pp t.shape;
-  for i = 0 to preview - 1 do
-    if i > 0 then Format.fprintf fmt ", ";
-    Format.fprintf fmt "%g" t.data.(i)
-  done;
-  if n > preview then Format.fprintf fmt ", ...";
-  Format.fprintf fmt "}@]"

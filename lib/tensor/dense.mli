@@ -35,17 +35,11 @@ val unsafe_get : t -> int -> float
 
 val unsafe_set : t -> int -> float -> unit
 
-val linear_offset : t -> int array -> int
-(** Linear offset of a multi-index; bounds-checked. *)
-
 val init : Shape.t -> (int array -> float) -> t
 (** [init shape f] fills each position [pos] with [f pos]. *)
 
 val random : ?seed:int -> Shape.t -> t
 (** Deterministically pseudo-random entries in [(-1, 1)]. *)
-
-val fill : t -> float -> unit
-val copy : t -> t
 
 val map2 : (float -> float -> float) -> t -> t -> t
 (** Pointwise combination. @raise Invalid_argument on shape mismatch. *)
@@ -61,6 +55,3 @@ val equal_approx : ?tol:float -> t -> t -> bool
 val iteri : t -> (int array -> float -> unit) -> unit
 (** Iterates in linear-offset order; the position array is reused between
     calls and must not be stashed. *)
-
-val pp : Format.formatter -> t -> unit
-(** Shape plus a short element preview; meant for debugging. *)

@@ -17,33 +17,6 @@ let gemm ~m ~n ~k ~a ~b ~c =
     done
   done
 
-let gemm_blocked ?(block = 48) ~m ~n ~k ~a ~b ~c () =
-  check ~m ~n ~k ~a ~b ~c;
-  let jb = ref 0 in
-  while !jb < n do
-    let jmax = min (!jb + block) n in
-    let lb = ref 0 in
-    while !lb < k do
-      let lmax = min (!lb + block) k in
-      let ib = ref 0 in
-      while !ib < m do
-        let imax = min (!ib + block) m in
-        for j = !jb to jmax - 1 do
-          for l = !lb to lmax - 1 do
-            let blj = b.(l + (k * j)) in
-            let a_col = m * l and c_col = m * j in
-            for i = !ib to imax - 1 do
-              c.(i + c_col) <- c.(i + c_col) +. (a.(i + a_col) *. blj)
-            done
-          done
-        done;
-        ib := !ib + block
-      done;
-      lb := !lb + block
-    done;
-    jb := !jb + block
-  done
-
 let matmul a b =
   let sa = Dense.shape a and sb = Dense.shape b in
   if Shape.rank sa <> 2 || Shape.rank sb <> 2 then

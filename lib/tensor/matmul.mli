@@ -11,12 +11,6 @@ val gemm :
     [B] is [k x n] and [C] is [m x n], all column-major.
     @raise Invalid_argument if an array is too small. *)
 
-val gemm_blocked :
-  ?block:int ->
-  m:int -> n:int -> k:int -> a:float array -> b:float array -> c:float array
-  -> unit -> unit
-(** Cache-blocked variant with identical semantics; [block] defaults to 48. *)
-
 val matmul : Dense.t -> Dense.t -> Dense.t
 (** [matmul a b] multiplies two rank-2 tensors [a : (i, k)] and [b : (k', j)]
     where the contraction runs over [a]'s second and [b]'s first axis; the

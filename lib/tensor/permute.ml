@@ -49,87 +49,3 @@ let permute ~dst_indices t =
     bump 0
   done;
   out
-
-let permute_blocked ?(block = 32) ~dst_indices t =
-  let src_shape = Dense.shape t in
-  check_permutation (Shape.indices src_shape) dst_indices;
-  if is_identity ~src:(Shape.indices src_shape) ~dst:dst_indices then
-    Dense.copy t
-  else begin
-    let dst_shape =
-      Shape.make
-        (List.map (fun i -> (i, Shape.extent src_shape i)) dst_indices)
-    in
-    let out = Dense.create dst_shape in
-    let src = Dense.unsafe_data t and dst = Dense.unsafe_data out in
-    (* Tile over the two conflicting FVIs: the source FVI (contiguous reads)
-       and the destination FVI (contiguous writes).  All other axes are
-       traversed with an odometer. *)
-    let sfvi = Shape.fvi src_shape and dfvi = List.hd dst_indices in
-    if Index.equal sfvi dfvi then
-      (* FVI preserved: the naive loop already streams both sides. *)
-      let o = permute ~dst_indices t in
-      Array.blit (Dense.unsafe_data o) 0 dst 0 (Array.length dst)
-    else begin
-      let n_s = Shape.extent src_shape sfvi
-      and n_d = Shape.extent src_shape dfvi in
-      let s_src_stride = 1 (* stride of sfvi in source *)
-      and d_src_stride = Shape.stride src_shape dfvi in
-      let s_dst_stride = Shape.stride dst_shape sfvi
-      and d_dst_stride = 1 in
-      (* Remaining axes, described by (extent, src stride, dst stride). *)
-      let rest =
-        List.filter_map
-          (fun i ->
-            if Index.equal i sfvi || Index.equal i dfvi then None
-            else
-              Some
-                ( Shape.extent src_shape i,
-                  Shape.stride src_shape i,
-                  Shape.stride dst_shape i ))
-          (Shape.indices src_shape)
-      in
-      let rest = Array.of_list rest in
-      let rrank = Array.length rest in
-      let pos = Array.make rrank 0 in
-      let continue = ref true in
-      while !continue do
-        let base_src = ref 0 and base_dst = ref 0 in
-        Array.iteri
-          (fun k p ->
-            let _, ss, ds = rest.(k) in
-            base_src := !base_src + (p * ss);
-            base_dst := !base_dst + (p * ds))
-          pos;
-        (* 2-D tiled copy of the (sfvi, dfvi) plane at this base. *)
-        let bs = ref 0 in
-        while !bs < n_s do
-          let bd = ref 0 in
-          while !bd < n_d do
-            for s = !bs to min (!bs + block) n_s - 1 do
-              for d = !bd to min (!bd + block) n_d - 1 do
-                dst.(!base_dst + (s * s_dst_stride) + (d * d_dst_stride)) <-
-                  src.(!base_src + (s * s_src_stride) + (d * d_src_stride))
-              done
-            done;
-            bd := !bd + block
-          done;
-          bs := !bs + block
-        done;
-        (* advance odometer over the remaining axes *)
-        let rec bump k =
-          if k >= rrank then continue := false
-          else begin
-            pos.(k) <- pos.(k) + 1;
-            let n, _, _ = rest.(k) in
-            if pos.(k) = n then begin
-              pos.(k) <- 0;
-              bump (k + 1)
-            end
-          end
-        in
-        bump 0
-      done
-    end;
-    out
-  end

@@ -10,11 +10,6 @@ val permute : dst_indices:Index.t list -> Dense.t -> Dense.t
     @raise Invalid_argument if [dst_indices] is not a permutation of the
     indices of [t]. *)
 
-val permute_blocked : ?block:int -> dst_indices:Index.t list -> Dense.t -> Dense.t
-(** Same result as {!permute}, computed with 2-D tiling over the source and
-    destination FVIs to reduce strided traffic — mirrors the structure of the
-    cuTT/HPTT family of transpose kernels.  [block] defaults to 32. *)
-
 val is_identity : src:Index.t list -> dst:Index.t list -> bool
 (** True iff the permutation from [src] order to [dst] order is the
     identity (no data movement needed). *)

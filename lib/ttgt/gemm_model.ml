@@ -8,6 +8,8 @@ type result = {
   efficiency : float;
 }
 
+(* Calibration: the fraction of peak a large square GEMM reaches
+   (cuBLAS-like). *)
 let peak_fraction_large_square = 0.82
 
 (* Register/smem blocking a cuBLAS-class GEMM uses; drives the traffic

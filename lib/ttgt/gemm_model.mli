@@ -20,7 +20,3 @@ type result = {
 
 val run : Arch.t -> Precision.t -> m:int -> n:int -> k:int -> result
 (** [run arch prec ~m ~n ~k] models [C(m x n) += A(m x k) * B(k x n)]. *)
-
-val peak_fraction_large_square : float
-(** Calibration: fraction of peak a large square GEMM reaches (cuBLAS-like,
-    ~0.82). *)

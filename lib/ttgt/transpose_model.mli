@@ -22,7 +22,3 @@ val run :
     [src] into layout [dst].  An identity permutation costs nothing.
     @raise Invalid_argument if [dst] is not a permutation of [src] or an
     extent is missing. *)
-
-val base_efficiency : float
-(** Fraction of peak bandwidth a well-tiled transpose with large FVIs on
-    both sides reaches (~0.65, matching published cuTT results). *)

@@ -1,5 +1,4 @@
 open Tc_tensor
-open Tc_gpu
 open Tc_expr
 
 type permute_step = { operand : string; src : Index.t list; dst : Index.t list }
@@ -237,35 +236,3 @@ let execute ?optimize problem ~lhs ~rhs =
   Matmul.gemm ~m:t.m ~n:t.n ~k:t.k ~a:(Dense.unsafe_data ta)
     ~b:(Dense.unsafe_data tb) ~c:(Dense.unsafe_data tc);
   Permute.permute ~dst_indices:info.Classify.externals tc
-
-let emit_cuda precision t =
-  let buf = Buffer.create 4096 in
-  Printf.bprintf buf
-    "// TTGT pipeline for %s (TAL_SH-style lowering)\n\
-     // GEMM: m = %d (%s), n = %d (%s), k = %d (%s)%s\n\
-     // between the permutations below, call cublas%cgemm(handle,\n\
-     //   CUBLAS_OP_N, CUBLAS_OP_N, m, n, k, &one, TA, m, TB, k, &one, TC, m)\n\n"
-    (Ast.tccg_string (Problem.info t.problem).Classify.original)
-    t.m
-    (Index.list_to_string t.m_order)
-    t.n
-    (Index.list_to_string t.n_order)
-    t.k
-    (Index.list_to_string t.k_order)
-    (if t.swapped_output then " (operands exchanged: computes C^T)" else "")
-    (match precision with
-    | Precision.FP64 -> 'D'
-    | Precision.FP32 | Precision.TF32 -> 'S'
-    | Precision.FP16 -> 'H');
-  if t.permutes = [] then
-    Buffer.add_string buf
-      "// no permutations required: operands are GEMM-compatible in place\n"
-  else
-    List.iter
-      (fun p ->
-        Printf.bprintf buf "// --- permute %s: %s -> %s ---\n%s\n" p.operand
-          (Index.list_to_string p.src)
-          (Index.list_to_string p.dst)
-          (Transpose_gen.emit ~precision ~src:p.src ~dst:p.dst))
-      t.permutes;
-  Buffer.contents buf

@@ -61,9 +61,3 @@ val execute : ?optimize:bool -> Problem.t -> lhs:Dense.t -> rhs:Dense.t -> Dense
     host tensors (planned under {!Cogent.Ctx.default} — the variant choice
     is device-independent); used to validate the lowering against the
     direct reference contraction. *)
-
-val emit_cuda : Precision.t -> t -> string
-(** CUDA source for the pipeline: one {!Transpose_gen} kernel (plus
-    launcher) per required permutation, and a driver comment giving the
-    cuBLAS GEMM call (dimensions and operand order) the runtime issues
-    between them. *)

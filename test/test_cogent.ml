@@ -1209,18 +1209,23 @@ let test_cache_size_class () =
   (* 48 -> 64 (ties round down: 32 vs 64 equidistant? 48-32=16, 64-48=16 -> down), 65 -> 64, 96 -> 64 (96-64=32, 128-96=32 -> down) *)
   check Alcotest.string "rounded extents" "a:32,b:64,c:64" (Cache.size_class p)
 
-(* Doubling past 2^61 overflows an OCaml int: extents above it must round
-   to 2^61 instead of looping forever. *)
+(* Doubling past 2^61 overflows an OCaml int, so the key's power-of-two
+   rounding must not see such extents: a problem's iteration space is at
+   most 2^53, and the largest extent it admits rounds and terminates. *)
 let test_cache_key_huge_extents () =
+  let sizes a = [ ('a', a); ('b', 1); ('c', 1) ] in
   let key a =
-    Cache.key Ctx.default
-      (Problem.of_string_exn "ab-ac-cb" ~sizes:[ ('a', a); ('b', 4); ('c', 4) ])
+    Cache.key Ctx.default (Problem.of_string_exn "ab-ac-cb" ~sizes:(sizes a))
   in
-  let top = 1 lsl 61 in
-  let want = Printf.sprintf "ab-ac-cb|V100|fp64|a:%d,b:4,c:4" top in
-  check Alcotest.string "2^61 + 1" want (key (top + 1));
-  check Alcotest.string "max_int" want (key max_int);
-  check Alcotest.string "2^61 itself" want (key top)
+  let top = 1 lsl 53 in
+  let want = Printf.sprintf "ab-ac-cb|V100|fp64|a:%d,b:1,c:1" top in
+  check Alcotest.string "2^53 itself" want (key top);
+  check Alcotest.string "2^53 - 1" want (key (top - 1));
+  List.iter
+    (fun (name, a) ->
+      check Alcotest.bool name true
+        (Result.is_error (Problem.of_string "ab-ac-cb" ~sizes:(sizes a))))
+    [ ("2^61 + 1 rejected", (1 lsl 61) + 1); ("max_int rejected", max_int) ]
 
 let test_cache_clear () =
   let cache = Cache.create () in

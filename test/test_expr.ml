@@ -172,121 +172,6 @@ let test_sizes_uniform_covers () =
   check Alcotest.bool "covers" true (Sizes.covers s [ 'a'; 'b' ]);
   check Alcotest.bool "does not cover c" false (Sizes.covers s [ 'c' ])
 
-(* ---- Fuse ---- *)
-
-let fuse_problem =
-  Problem.of_string_exn "abc-abd-dc"
-    ~sizes:[ ('a', 3); ('b', 4); ('c', 5); ('d', 6) ]
-
-let test_fusable_pairs () =
-  (* a,b live in {C, A} and are adjacent in both *)
-  check Alcotest.bool "a,b fusable" true
-    (List.mem ('a', 'b') (Fuse.fusable_pairs fuse_problem));
-  (* c and d live in different tensor pairs *)
-  check Alcotest.bool "c,d not fusable" false
-    (List.mem ('c', 'd') (Fuse.fusable_pairs fuse_problem))
-
-let test_fuse_pair () =
-  match Fuse.fuse_pair fuse_problem ('a', 'b') with
-  | Error e -> fail e
-  | Ok fused ->
-      check Alcotest.int "merged extent" 12 (Problem.extent fused 'a');
-      check Alcotest.bool "b gone" true
-        (not (List.mem 'b' (Classify.all_indices (Problem.info fused))));
-      check (Alcotest.float 1e-6) "same flops" (Problem.flops fuse_problem)
-        (Problem.flops fused)
-
-let test_fuse_pair_rejects () =
-  match Fuse.fuse_pair fuse_problem ('c', 'd') with
-  | Error _ -> ()
-  | Ok _ -> fail "non-fusable pair accepted"
-
-let test_fuse_all_chain () =
-  (* a,b,c all in {C, A}, in the same order: the chain collapses to one *)
-  let p =
-    Problem.of_string_exn "abcd-abce-ed"
-      ~sizes:[ ('a', 2); ('b', 3); ('c', 4); ('d', 5); ('e', 6) ]
-  in
-  let fused, groups = Fuse.fuse_all p in
-  check Alcotest.bool "not identity" false (Fuse.is_identity groups);
-  check Alcotest.int "one group" 1 (List.length groups);
-  let g = List.hd groups in
-  check Alcotest.char "representative a" 'a' g.Fuse.representative;
-  check Alcotest.int "extent 2*3*4" 24 g.Fuse.extent;
-  check Alcotest.int "fused is a GEMM" 2
-    (List.length (Problem.info fused).Classify.externals)
-
-let test_fuse_all_identity () =
-  let p = Problem.of_string_exn "ab-ac-cb" ~sizes:[ ('a', 4); ('b', 4); ('c', 4) ] in
-  let fused, groups = Fuse.fuse_all p in
-  check Alcotest.bool "identity" true (Fuse.is_identity groups);
-  check (Alcotest.float 1e-6) "unchanged" (Problem.flops p) (Problem.flops fused)
-
-(* Fusion is a relabeling of the same memory: contracting reinterpreted
-   tensors yields the bit-identical flat output. *)
-let test_fuse_preserves_memory () =
-  let p = fuse_problem in
-  let fused, _ = Fuse.fuse_all p in
-  let a = Dense.random ~seed:51 (Problem.lhs_shape p) in
-  let b = Dense.random ~seed:52 (Problem.rhs_shape p) in
-  let reinterpret shape t =
-    let out = Dense.create shape in
-    Array.blit (Dense.unsafe_data t) 0 (Dense.unsafe_data out) 0
-      (Dense.numel t);
-    out
-  in
-  let fa = reinterpret (Problem.lhs_shape fused) a in
-  let fb = reinterpret (Problem.rhs_shape fused) b in
-  let orig =
-    Contract_ref.contract
-      ~out_indices:(Problem.info p).Classify.externals a b
-  in
-  let via_fused =
-    Contract_ref.contract
-      ~out_indices:(Problem.info fused).Classify.externals fa fb
-  in
-  check Alcotest.int "same output volume" (Dense.numel orig)
-    (Dense.numel via_fused);
-  let da = Dense.unsafe_data orig and db = Dense.unsafe_data via_fused in
-  check Alcotest.bool "flat outputs identical" true
-    (Array.for_all2 (fun x y -> Float.abs (x -. y) < 1e-12) da db)
-
-let fuse_preserves_flops =
-  QCheck.Test.make ~count:100 ~name:"fusion preserves arithmetic work"
-    Gen.case_arbitrary (fun c ->
-      let fused, _ = Fuse.fuse_all c.Gen.problem in
-      Float.abs (Problem.flops fused -. Problem.flops c.Gen.problem) < 0.5)
-
-let fuse_contraction_agrees =
-  QCheck.Test.make ~count:100
-    ~name:"contraction of reinterpreted fused tensors is bit-identical"
-    Gen.case_arbitrary (fun c ->
-      let fused, _ = Fuse.fuse_all c.Gen.problem in
-      let reinterpret shape t =
-        let out = Dense.create shape in
-        Array.blit (Dense.unsafe_data t) 0 (Dense.unsafe_data out) 0
-          (Dense.numel t);
-        out
-      in
-      (* the fused lhs/rhs shapes describe the canonical (possibly swapped)
-         operands; reinterpret accordingly *)
-      let info = Problem.info c.Gen.problem in
-      let a, b =
-        if info.Classify.swapped then (c.Gen.rhs, c.Gen.lhs)
-        else (c.Gen.lhs, c.Gen.rhs)
-      in
-      let fa = reinterpret (Problem.lhs_shape fused) a in
-      let fb = reinterpret (Problem.rhs_shape fused) b in
-      let orig = Gen.reference c in
-      let via =
-        Contract_ref.contract
-          ~out_indices:(Problem.info fused).Classify.externals fa fb
-      in
-      Dense.numel orig = Dense.numel via
-      && Array.for_all2
-           (fun x y -> Float.abs (x -. y) < 1e-12)
-           (Dense.unsafe_data orig) (Dense.unsafe_data via))
-
 (* ---- Split ---- *)
 
 let ttm_problem =
@@ -467,18 +352,6 @@ let () =
           Alcotest.test_case "parse" `Quick test_sizes_parse;
           Alcotest.test_case "parse errors" `Quick test_sizes_parse_errors;
           Alcotest.test_case "uniform/covers" `Quick test_sizes_uniform_covers;
-        ] );
-      ( "fuse",
-        [
-          Alcotest.test_case "fusable pairs" `Quick test_fusable_pairs;
-          Alcotest.test_case "fuse one pair" `Quick test_fuse_pair;
-          Alcotest.test_case "rejects non-fusable" `Quick test_fuse_pair_rejects;
-          Alcotest.test_case "chain fusion" `Quick test_fuse_all_chain;
-          Alcotest.test_case "identity fusion" `Quick test_fuse_all_identity;
-          Alcotest.test_case "fusion preserves memory" `Quick
-            test_fuse_preserves_memory;
-          Gen.to_alcotest fuse_preserves_flops;
-          Gen.to_alcotest fuse_contraction_agrees;
         ] );
       ( "split",
         [

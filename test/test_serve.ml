@@ -524,21 +524,57 @@ let test_request_parsing () =
   | Error _ -> ()
   | Ok _ -> fail "non-JSON line must be rejected"
 
-(* An extent above 2^61, where doubling overflows, must not loop in the
-   cache key's power-of-two rounding: the line gets exactly one answer. *)
-let test_hostile_extent_answers () =
-  let line = {|{"expr":"ab-ac-cb","sizes":"a=2305843009213693953,b=4,c=4"}|} in
-  let item = Tc_serve.Request.of_line ~default:ctx ~id:1 line in
-  (match item with Ok _ -> () | Error m -> fail m);
-  let report =
-    Tc_serve.Serve.run (open_session ctx)
-      [ Result.map_error (fun m -> (1, m)) item ]
+(* Serve JSONL lines in one batch; the results in request order. *)
+let serve_lines lines =
+  let items =
+    List.mapi
+      (fun k line ->
+        Result.map_error
+          (fun m -> (k + 1, m))
+          (Tc_serve.Request.of_line ~default:ctx ~id:(k + 1) line))
+      lines
   in
-  match report.Tc_serve.Serve.responses with
-  | [ { Tc_serve.Serve.result = Ok _; _ } ] -> ()
-  | [ { Tc_serve.Serve.result = Error e; _ } ] ->
-      fail (Tc_serve.Serve.error_to_string e)
+  List.iter (function Ok _ -> () | Error (_, m) -> fail m) items;
+  let report = Tc_serve.Serve.run (open_session ctx) items in
+  List.map (fun r -> r.Tc_serve.Serve.result) report.Tc_serve.Serve.responses
+
+(* An extent above 2^61, where doubling overflows, must not loop in the
+   cache key's power-of-two rounding: the line gets exactly one answer,
+   a bad request, since its iteration space (2^65) is above 2^53. *)
+let test_hostile_extent_answers () =
+  match
+    serve_lines [ {|{"expr":"ab-ac-cb","sizes":"a=2305843009213693953,b=4,c=4"}|} ]
+  with
+  | [ Error (Tc_serve.Serve.Bad_request _) ] -> ()
+  | [ Ok _ ] -> fail "a 2^65 iteration space was answered"
+  | [ Error e ] -> fail (Tc_serve.Serve.error_to_string e)
   | _ -> fail "expected exactly one response"
+
+(* An iteration space above 2^53 wraps native-int counts and is refused;
+   one of exactly 2^53 is still answered. *)
+let test_volume_bound () =
+  let results =
+    serve_lines
+      [
+        {|{"expr":"abcdefgh-aibcd-iefgh","sizes":"a=1000,b=1000,c=1000,d=1000,e=1000,f=1000,g=1000,h=1000,i=1000"}|};
+        {|{"expr":"ab-ac-cb","sizes":"a=3037000500,b=3037000500,c=4"}|};
+        {|{"expr":"ab-ac-cb","sizes":"a=2251799813685248,b=2,c=2"}|};
+      ]
+  in
+  match results with
+  | [
+   Error (Tc_serve.Serve.Bad_request _);
+   Error (Tc_serve.Serve.Bad_request _);
+   Ok _;
+  ] ->
+      ()
+  | _ ->
+      fail
+        (String.concat "; "
+           (List.map
+              (function
+                | Ok _ -> "Ok" | Error e -> Tc_serve.Serve.error_to_string e)
+              results))
 
 (* ---- the schema race behind every consumer ---- *)
 
@@ -668,7 +704,7 @@ let test_ledger_follows_serve () =
       | Ok o ->
           let plan = (List.assoc o.Serve.key served).Cogent.Driver.plan in
           same "ledger strategy is serve's engine"
-            (Serve.engine_name o.Serve.engine) smp.Audit.strategy;
+            (Audit.engine_name o.Serve.engine) smp.Audit.strategy;
           same "served prediction is the ledger's" o.Serve.predicted_s
             (match o.Serve.engine with
             | Serve.Cogent_kernel -> smp.Audit.pred_cogent_s
@@ -958,6 +994,8 @@ let () =
           Alcotest.test_case "request parsing" `Quick test_request_parsing;
           Alcotest.test_case "extent above 2^61 gets one answer" `Quick
             test_hostile_extent_answers;
+          Alcotest.test_case "iteration space above 2^53 is a bad request"
+            `Quick test_volume_bound;
         ] );
       ( "race",
         [

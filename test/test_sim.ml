@@ -190,13 +190,18 @@ let test_l2_never_below_cold_traffic () =
   check Alcotest.bool "at least one cold pass" true
     (cached.Cost.lhs >= cold_lhs -. 1.0)
 
-(* A tensor too large for native-int byte arithmetic: (2^61 + 1) x 4
-   doubles is 2^66 bytes, far beyond L2, so A gets no reload credit; the
-   16-element B, reloaded by every block, keeps its own. *)
+(* The largest problem a contraction admits (a 2^53 iteration space): its
+   2^51 x 8-byte A is far beyond L2, so A gets no reload credit; the
+   16-element B, reloaded by every block, keeps its own.  A (2^61 + 1) x 4
+   A, whose 2^66 bytes would wrap native-int arithmetic, is refused. *)
 let test_l2_hostile_extent () =
+  check Alcotest.bool "2^65 iteration space refused" true
+    (Result.is_error
+       (Problem.of_string "ab-ac-cb"
+          ~sizes:[ ('a', 2305843009213693953); ('b', 4); ('c', 4) ]));
   let p =
     Problem.of_string_exn "ab-ac-cb"
-      ~sizes:[ ('a', 2305843009213693953); ('b', 4); ('c', 4) ]
+      ~sizes:[ ('a', 1 lsl 49); ('b', 4); ('c', 4) ]
   in
   let m = { gemm_mapping with Mapping.tby = [ b 'b' 4 ]; tbk = [ b 'c' 4 ] } in
   let raw = Simkernel.transactions_exact Precision.FP64 p m in
