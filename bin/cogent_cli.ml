@@ -533,8 +533,7 @@ let bench_cmd =
 (* ---- serve ---- *)
 
 let serve_cmd =
-  let run harness requests store device budget json flight_dump audit_ledger
-      flight_size =
+  let run harness requests store device budget json flight_dump audit_ledger =
     harness @@ fun () ->
     let t0 = Sys.time () in
     let ctx = mk_ctx ?budget device in
@@ -547,8 +546,7 @@ let serve_cmd =
     let audit = Option.map (fun _ -> Tc_audit.Audit.collector ()) audit_ledger in
     let session =
       or_die
-        (Tc_serve.Serve.open_session ?store ?audit
-           ?flight_capacity:flight_size ctx)
+        (Tc_serve.Serve.open_session ?store ?audit ctx)
     in
     let report =
       Fun.protect
@@ -641,18 +639,13 @@ let serve_cmd =
                  the audit subcommand.  The ledger is deterministic: \
                  byte-identical at any --jobs and across cold/warm stores.")
   in
-  let flight_size =
-    Arg.(value & opt (some int) None & info [ "flight-size" ] ~docv:"N"
-           ~doc:"Resize the flight-recorder ring to the last $(docv) \
-                 requests (default 128).")
-  in
   Cmd.v
     (Cmd.info "serve" ~version
        ~doc:"Serve a batched workload of contraction requests: dedup by \
              plan key, search in parallel, dispatch each request to the \
              COGENT kernel or the TTGT pipeline by predicted time")
     Term.(const run $ harness_term ~trace:true $ requests $ store $ device_term
-          $ budget_arg $ json $ flight_dump $ audit_ledger $ flight_size)
+          $ budget_arg $ json $ flight_dump $ audit_ledger)
 
 (* ---- audit ---- *)
 

@@ -311,8 +311,8 @@ let entries samples =
       })
     (group_keys samples)
 
-let doc ?(wall_s = 0.0) ?(jobs = 0) samples =
-  { Benchrep.target = "audit"; wall_s; jobs; entries = entries samples }
+let doc samples =
+  { Benchrep.target = "audit"; wall_s = 0.0; jobs = 0; entries = entries samples }
 
 let tolerances =
   let t metric rel direction = { Benchrep.metric; rel; direction } in

@@ -170,9 +170,9 @@ val entries : sample list -> Tc_profile.Benchrep.entry list
     - ["regret"]: [requests] (samples with positive regret), [rate],
       [total_ms], [max_ms], [p99_ms]. *)
 
-val doc : ?wall_s:float -> ?jobs:int -> sample list -> Tc_profile.Benchrep.doc
+val doc : sample list -> Tc_profile.Benchrep.doc
 (** {!entries} wrapped as a cogent-bench/1 document (target ["audit"]).
-    [wall_s]/[jobs] default to 0 so [cogent audit --json] output is a pure
+    [wall_s] and [jobs] are 0 so [cogent audit --json] output is a pure
     function of the ledger — byte-identical across job counts and
     cold/warm replays. *)
 

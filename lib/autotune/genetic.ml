@@ -41,7 +41,7 @@ let compile_time_s = 4.0
 let bench_repetitions = 3.0
 let run_timeout_s = 1.0
 
-let fitness ?(quality = tc_quality_factor) arch prec problem mapping =
+let fitness arch prec problem mapping =
   match Cogent.Mapping.validate problem mapping with
   | Error _ -> 0.0
   | Ok () ->
@@ -50,7 +50,7 @@ let fitness ?(quality = tc_quality_factor) arch prec problem mapping =
       in
       let r = Tc_sim.Simkernel.run plan in
       if Float.is_finite r.Tc_sim.Simkernel.gflops then
-        quality *. r.Tc_sim.Simkernel.gflops
+        tc_quality_factor *. r.Tc_sim.Simkernel.gflops
       else 0.0
 
 let runtime_s arch prec problem mapping =
@@ -63,13 +63,13 @@ let runtime_s arch prec problem mapping =
 
 module MMap = Map.Make (Cogent.Mapping)
 
-let tune ?(params = default_params) ?quality ?eval arch prec problem =
+let tune ?(params = default_params) ?eval arch prec problem =
   let eval =
     match eval with
     | Some f -> f
     | None ->
         fun mapping ->
-          ( fitness ?quality arch prec problem mapping,
+          ( fitness arch prec problem mapping,
             runtime_s arch prec problem mapping )
   in
   let st = Random.State.make [| params.seed |] in

@@ -44,24 +44,23 @@ type result = {
           "total tuning time ~8514 seconds" *)
 }
 
+val tc_quality_factor : float
+(** 0.9: the residual code-quality gap of the polyhedral generator's
+    kernels versus COGENT's hand-shaped schema (index-arithmetic overhead,
+    less precise unrolling); the structural gap — no register tiling — is
+    in {!Space} itself.  See DESIGN.md substitutions. *)
+
 val fitness :
-  ?quality:float -> Arch.t -> Precision.t -> Problem.t -> Cogent.Mapping.t
-  -> float
-(** Simulated GFLOPS of one configuration, scaled by the code-quality
-    factor [quality]; 0 for hardware-infeasible points.  [quality]
-    defaults to 0.9, the residual code-quality gap of the polyhedral
-    generator's kernels versus COGENT's hand-shaped schema
-    (index-arithmetic overhead, less precise unrolling); the structural
-    gap — no register tiling — is in {!Space} itself.  See DESIGN.md
-    substitutions. *)
+  Arch.t -> Precision.t -> Problem.t -> Cogent.Mapping.t -> float
+(** Simulated GFLOPS of one configuration, scaled by
+    {!tc_quality_factor}; 0 for hardware-infeasible points. *)
 
 val tune :
-  ?params:params -> ?quality:float
-  -> ?eval:(Cogent.Mapping.t -> float * float)
+  ?params:params -> ?eval:(Cogent.Mapping.t -> float * float)
   -> Arch.t -> Precision.t -> Problem.t -> result
 (** Runs the tuner.  [eval mapping] must return [(gflops, runtime_s)] for
-    one candidate; it defaults to the simulator-backed {!fitness} (scaled
-    by [quality]) paired with the simulated runtime, and exists so tests
+    one candidate; it defaults to the simulator-backed {!fitness} paired
+    with the simulated runtime, and exists so tests
     can count or stub evaluations.  It must be pure: calls are memoized
     per mapping and may run concurrently on the domain pool.  Candidate
     generation (the [seed]-derived RNG stream) stays sequential, so the

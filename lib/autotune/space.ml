@@ -1,7 +1,7 @@
 open Tc_tensor
 open Tc_expr
 
-type dim = Tbx | Tby | Regx | Regy | Grid
+type dim = Tbx | Tby | Grid
 
 type gene = { index : Index.t; dim : dim; tile : int }
 type genome = { externals : gene list; internals : gene list }
@@ -80,7 +80,6 @@ let crossover st a b =
   }
 
 let decode problem g =
-  let info = Problem.info problem in
   let select d =
     List.filter_map
       (fun gene ->
@@ -92,9 +91,9 @@ let decode problem g =
   let mapping =
     {
       Cogent.Mapping.tbx = select Tbx;
-      regx = select Regx;
+      regx = [];
       tby = select Tby;
-      regy = select Regy;
+      regy = [];
       tbk =
         List.map
           (fun gene -> { Cogent.Mapping.index = gene.index; tile = gene.tile })
@@ -105,7 +104,6 @@ let decode problem g =
           g.externals;
     }
   in
-  ignore info;
   match Cogent.Mapping.validate problem mapping with
   | Ok () -> Some mapping
   | Error _ -> None

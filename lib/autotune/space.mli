@@ -15,7 +15,9 @@
 open Tc_tensor
 open Tc_expr
 
-type dim = Tbx | Tby | Regx | Regy | Grid
+type dim = Tbx | Tby | Grid
+(** No register dimensions: TC's polyhedral mapper did not register-tile,
+    so a decoded mapping's [regx] and [regy] are always empty. *)
 
 type gene = { index : Index.t; dim : dim; tile : int }
 (** For internal indices [dim] is ignored (always the serial TBk). *)

@@ -145,7 +145,7 @@ let add_cuda_main buf (kernel : Tc_kir.Ir.kernel) plan =
 (* The whole unit is assembled in one buffer, piece after piece, with a
    blank line between the header, any note, the kernel and the launcher or
    main. *)
-let emit ?name ?(dialect = Cuda) ?(standalone = false) plan =
+let emit ?(dialect = Cuda) ?(standalone = false) plan =
   if standalone && dialect = Opencl then
     invalid_arg "Codegen.emit: no standalone form for the OpenCL dialect";
   let buf = Buffer.create 8192 in
@@ -155,9 +155,9 @@ let emit ?name ?(dialect = Cuda) ?(standalone = false) plan =
       if standalone then puts "#include <cstdio>\n#include <cuda_runtime.h>\n\n";
       add_header buf plan;
       puts "\n";
-      let kernel = add_kernel buf ?name dialect plan in
+      let kernel = add_kernel buf dialect plan in
       puts "\n";
-      add_launcher buf ?name plan;
+      add_launcher buf plan;
       if standalone then add_cuda_main buf kernel plan
   | Opencl ->
       let m = plan.Plan.mapping in
@@ -169,12 +169,12 @@ let emit ?name ?(dialect = Cuda) ?(standalone = false) plan =
          // (representative size: %d blocks)\n\n"
         (Mapping.size_tbx m) (Mapping.size_tby m) (Mapping.size_tbx m)
         (Mapping.size_tby m) (Plan.num_blocks plan);
-      ignore (add_kernel buf ?name dialect plan)
+      ignore (add_kernel buf dialect plan)
   | C_host when standalone ->
       puts "#include <stdio.h>\n#include <stdlib.h>\n\n";
       add_header buf plan;
       puts "\n";
-      let kernel = add_kernel buf ?name dialect plan in
+      let kernel = add_kernel buf dialect plan in
       puts "\n";
       Tc_kir.Print.c_main buf kernel
   | C_host ->
@@ -186,5 +186,5 @@ let emit ?name ?(dialect = Cuda) ?(standalone = false) plan =
          // emulated threads — so this translation unit compiles with any\n\
          // C/C++ compiler and computes the contraction on the CPU.\n\n"
         (Plan.num_blocks plan) (Plan.threads_per_block plan);
-      ignore (add_kernel buf ?name dialect plan));
+      ignore (add_kernel buf dialect plan));
   Buffer.contents buf

@@ -47,9 +47,9 @@ val emit_launcher : ?name:string -> Plan.t -> string
 (** An [extern "C"] host function computing the grid decomposition and
     launching the kernel. *)
 
-val emit :
-  ?name:string -> ?dialect:dialect -> ?standalone:bool -> Plan.t -> string
-(** A complete translation unit: the header comment, then per dialect
+val emit : ?dialect:dialect -> ?standalone:bool -> Plan.t -> string
+(** A complete translation unit whose kernel is named {!kernel_name}:
+    the header comment, then per dialect
     {ul
     {- [Cuda] (the default): the kernel and its launcher — a compilable
        [.cu] file given CUDA headers;}

@@ -218,30 +218,19 @@ let generate_one (ctx : Ctx.t) ~topk problem =
 
 let default_topk = 8
 
-let run ctx ?(auto_split = false) ?(topk = default_topk) ?trace problem =
-  let body () =
-    let base = generate_one ctx ~topk problem in
-    if not auto_split then base
-    else
-      match (Tc_expr.Split.auto problem, ctx.Ctx.measure, base) with
-      | (split_problem, _ :: _), Some run, Ok base_t -> (
-          match generate_one ctx ~topk split_problem with
-          | Error _ -> base
-          | Ok split_t ->
-              if run split_t.plan > run base_t.plan then Ok split_t else base)
-      | _ -> base
-  in
-  match trace with
-  | None -> body ()
-  | Some t -> Tc_obs.Trace.with_installed t body
+let run ctx ?(auto_split = false) ?(topk = default_topk) problem =
+  let base = generate_one ctx ~topk problem in
+  if not auto_split then base
+  else
+    match (Tc_expr.Split.auto problem, ctx.Ctx.measure, base) with
+    | (split_problem, _ :: _), Some run, Ok base_t -> (
+        match generate_one ctx ~topk split_problem with
+        | Error _ -> base
+        | Ok split_t ->
+            if run split_t.plan > run base_t.plan then Ok split_t else base)
+    | _ -> base
 
-let run_exn ctx ?auto_split ?topk ?trace problem =
-  match run ctx ?auto_split ?topk ?trace problem with
+let run_exn ctx ?auto_split ?topk problem =
+  match run ctx ?auto_split ?topk problem with
   | Ok t -> t
   | Error e -> invalid_arg ("Driver.run_exn: " ^ error_to_string e)
-
-let top_plans ?(n = 5) t =
-  List.filteri (fun k _ -> k < n) t.ranked
-  |> List.map (fun (mapping, _) ->
-         Plan.make ~problem:t.plan.Plan.problem ~mapping ~arch:t.plan.Plan.arch
-           ~precision:t.plan.Plan.precision)

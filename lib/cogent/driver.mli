@@ -5,7 +5,10 @@
     contraction at a representative problem size and a {!Ctx.t} naming
     the target device, precision and selection policy, {!run} produces
     the best kernel plan together with the search statistics the paper
-    reports (§IV-A3).  {!Codegen.emit} turns the plan into source. *)
+    reports (§IV-A3).  {!Codegen.emit} turns the plan into source.  It is
+    the one front door: every CLI subcommand that plans ([gen], [plan],
+    [bench], [explain], [profile], and [serve] through {!Cache}) goes
+    through {!run}. *)
 
 open Tc_expr
 
@@ -46,8 +49,7 @@ val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
 val run :
-  Ctx.t -> ?auto_split:bool -> ?topk:int -> ?trace:Tc_obs.Trace.t
-  -> Problem.t -> (t, error) result
+  Ctx.t -> ?auto_split:bool -> ?topk:int -> Problem.t -> (t, error) result
 (** Per the paper's methodology, the model ranks the pruned space and the
     top [ctx.refine] candidates (default 8) are then benchmarked with
     [ctx.measure] to select the final kernel; [refine = 1] gives pure
@@ -69,20 +71,12 @@ val run :
     pure relabeling of the same memory, so the winning plan's kernel
     applies to the original data unchanged.
 
-    [trace] installs the given {!Tc_obs.Trace} context for the duration of
-    the call (restoring any previous one), so every stage — the fused
-    candidate pipeline ([driver.pipeline]), measured refinement, and
-    anything they call — records spans into it.  Without [trace] (and with
-    no ambient context installed) instrumentation is inert and the result
-    is identical. *)
+    Every stage — the fused candidate pipeline ([driver.pipeline]),
+    measured refinement, and anything they call — records spans into the
+    ambient {!Tc_obs.Trace} context; trace a call by running it under
+    [Tc_obs.Trace.with_installed].  With no context installed
+    instrumentation is inert and the result is identical. *)
 
-val run_exn :
-  Ctx.t -> ?auto_split:bool -> ?topk:int -> ?trace:Tc_obs.Trace.t
-  -> Problem.t -> t
+val run_exn : Ctx.t -> ?auto_split:bool -> ?topk:int -> Problem.t -> t
 (** {!run}, raising [Invalid_argument "Driver.run_exn: <error>"] on an
     error. *)
-
-val top_plans : ?n:int -> t -> Plan.t list
-(** The [n] (default 5) lowest-cost plans, e.g. to auto-tune among a model-
-    selected shortlist as §VI suggests — capped by the retained [ranked]
-    prefix (pass [run ~topk] to retain more). *)

@@ -26,19 +26,6 @@ type counters = {
   mutable steps : int;
 }
 
-let create_counters () =
-  {
-    tx_lhs = 0.0;
-    tx_rhs = 0.0;
-    tx_out = 0.0;
-    smem_bytes = 0.0;
-    fma_padded = 0.0;
-    fma_useful = 0.0;
-    store_tx_block_max = 0.0;
-    blocks = 0;
-    steps = 0;
-  }
-
 (* One axis as a walk sees it: its tile and extent, its stride in the
    tensor being walked, and where its chunk coordinate lives — slot
    [slot] of the block coordinates when [block], else of the step (TB_k)
@@ -125,12 +112,13 @@ let schedule (plan : Plan.t) =
 
 (* Replay the emitted schedule's memory accesses block by block and tally
    hardware counters.  The walk is value-independent (addresses and guards
-   only depend on the plan), so [execute] runs it once next to the data
-   pass.  Loads follow the cooperative padded sweep of the generated CUDA
-   (operand layout order, waves of [threads] lanes, guards masking
-   out-of-range lanes); stores are one wave of the whole thread block per
+   only depend on the plan), so it never touches tensor data.  Loads
+   follow the cooperative padded sweep of the generated CUDA (operand
+   layout order, waves of [threads] lanes, guards masking out-of-range
+   lanes); stores are one wave of the whole thread block per
    register coordinate; both are costed with {!Txcount.staged_sweep}. *)
-let measure_into (c : counters) s =
+let measure (plan : Plan.t) =
+  let s = schedule plan in
   let mapping = s.plan.Plan.mapping and prec = s.plan.Plan.precision in
   let width = Mapping.threads_per_block mapping
   and ept = Tc_gpu.Precision.elems_per_transaction prec in
@@ -160,6 +148,19 @@ let measure_into (c : counters) s =
   in
   let num_blocks = product s.block_radices
   and num_steps = product s.step_radices in
+  let c =
+    {
+      tx_lhs = 0.0;
+      tx_rhs = 0.0;
+      tx_out = 0.0;
+      smem_bytes = 0.0;
+      fma_padded = 0.0;
+      fma_useful = 0.0;
+      store_tx_block_max = 0.0;
+      blocks = num_blocks;
+      steps = num_steps;
+    }
+  in
   for block = 0 to num_blocks - 1 do
     decompose_into bcoords block s.block_radices;
     let xcount = float_of_int (cuts s.tbx * cuts s.regx)
@@ -177,12 +178,6 @@ let measure_into (c : counters) s =
     c.tx_out <- c.tx_out +. block_tx;
     if block_tx > c.store_tx_block_max then c.store_tx_block_max <- block_tx
   done;
-  c.blocks <- c.blocks + num_blocks;
-  c.steps <- c.steps + num_steps
-
-let measure (plan : Plan.t) =
-  let c = create_counters () in
-  measure_into c (schedule plan);
   c
 
 let tiles = Array.map (fun d -> d.tile)
@@ -240,9 +235,8 @@ let stage slab sstr data dims cuts bcoords scoords =
   in
   copy (Array.length dims - 1) 0 !src
 
-let execute ?counters (plan : Plan.t) ~lhs ~rhs =
+let execute (plan : Plan.t) ~lhs ~rhs =
   let s = schedule plan in
-  Option.iter (fun c -> measure_into c s) counters;
   let problem = plan.Plan.problem in
   (* Resolve the canonicalization swap: [a] is the canonical lhs. *)
   let a, b =

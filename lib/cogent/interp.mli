@@ -42,24 +42,19 @@ type counters = {
 }
 (** Ground-truth hardware counters for one execution of the emitted
     schedule — the measured side of what {!Cost.estimate} and
-    {!Tc_sim.Simkernel.transactions_exact} predict.  Fields accumulate, so
-    one record can sink several executions. *)
+    {!Tc_sim.Simkernel.transactions_exact} predict. *)
 
-val create_counters : unit -> counters
-
-val execute :
-  ?counters:counters -> Plan.t -> lhs:Dense.t -> rhs:Dense.t -> Dense.t
+val execute : Plan.t -> lhs:Dense.t -> rhs:Dense.t -> Dense.t
 (** [execute plan ~lhs ~rhs] contracts the tensors given {e as written} in
     the original expression (any lhs/rhs canonicalization swap is resolved
     internally) and returns the output tensor in its declared layout.
-    When [counters] is given, the exact memory-access sequence of the
-    emitted schedule is replayed alongside the data pass and tallied into
-    it (the replay is value-independent, so it runs once per execution).
+    The hardware counters of the same schedule are {!measure}'s: the
+    access replay does not depend on tensor values.
     @raise Invalid_argument if a tensor's shape does not match the plan's
     problem. *)
 
 val measure : Plan.t -> counters
 (** [measure plan] is the counter-only replay: the same per-(block, step)
-    schedule walk [execute ~counters] performs, without allocating or
-    touching tensor data — usable at full TCCG problem sizes where a data
+    schedule walk {!execute} performs, without allocating or touching
+    tensor data — usable at full TCCG problem sizes where a data
     execution would be prohibitive. *)

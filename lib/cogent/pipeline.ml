@@ -361,7 +361,7 @@ let search ?(performance = true) ?budget ~topk arch prec problem =
     (tally, kept, aborted, heap, List.rev fed_rev)
   in
   let primary_tally, primary_kept, primary_aborted, primary_heap, primary_fed =
-    pass (Prune.checker ~performance arch prec problem) ~tallying:true
+    pass (Prune.checker ~performance arch problem) ~tallying:true
   in
   let kept, aborted, heap, fed, relaxed, relax_attempts =
     if primary_kept > 0 then
@@ -375,7 +375,7 @@ let search ?(performance = true) ?budget ~topk arch prec problem =
         | [] -> (0, 0, primary_heap, [], true, n)
         | classes :: rest -> (
             match
-              pass (Prune.checker_of_classes classes arch prec problem)
+              pass (Prune.checker_of_classes classes arch problem)
                 ~tallying:false
             with
             | _, 0, _, _, _ -> try_relax (n + 1) rest

@@ -20,7 +20,8 @@
     or, under a budget, for the fed survivors — never per heap entrant.
 
     The materialized reference — enumerate every configuration, filter
-    it with {!Prune.check}, cost and sort the survivors — lives in
+    it with the mapping-level form of {!Prune.verdict}, cost and sort the
+    survivors — lives in
     [test/oracle.ml].  Property tests in [test/test_cogent.ml] lock, on
     the four benchmark targets, with and without the performance rules:
 

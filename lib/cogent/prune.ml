@@ -98,11 +98,6 @@ let all_classes =
    [checker]: FVI thresholds, the block floor and class membership. *)
 type checker = {
   arch : Arch.t;
-  prec : Precision.t;
-  problem : Problem.t;
-  out_fvi : Tc_tensor.Index.t;
-  lhs_fvi : Tc_tensor.Index.t;
-  rhs_fvi : Tc_tensor.Index.t;
   out_fvi_min : int;  (* min (extent out_fvi) min_fvi_tile *)
   lhs_fvi_min : int;
   rhs_fvi_min : int;
@@ -115,16 +110,11 @@ type checker = {
   chk_in : bool;
 }
 
-let checker_of_classes classes arch prec problem =
+let checker_of_classes classes arch problem =
   let info = Problem.info problem in
   let fvi_min f = min (Problem.extent problem f) min_fvi_tile in
   {
     arch;
-    prec;
-    problem;
-    out_fvi = info.Classify.out_fvi;
-    lhs_fvi = info.Classify.lhs_fvi;
-    rhs_fvi = info.Classify.rhs_fvi;
     out_fvi_min = fvi_min info.Classify.out_fvi;
     lhs_fvi_min = fvi_min info.Classify.lhs_fvi;
     rhs_fvi_min = fvi_min info.Classify.rhs_fvi;
@@ -138,9 +128,9 @@ let checker_of_classes classes arch prec problem =
     chk_in = List.mem Perf_coalescing_in classes;
   }
 
-let checker ?(performance = true) arch prec problem =
+let checker ?(performance = true) arch problem =
   checker_of_classes (if performance then all_classes else [ Hardware ])
-    arch prec problem
+    arch problem
 
 (* [Occupancy.calculate]'s active warps per SM as int arithmetic: -1 for
    a request it calls [Invalid], 0 when one block over-subscribes the SM
@@ -215,20 +205,6 @@ let verdict c ~threads ~smem ~regs ~blocks ~out_tile ~lhs_tile ~rhs_tile =
 let reasons = Array.of_list all_reasons
 let reason_of_index k = reasons.(k)
 let num_reasons = Array.length reasons
-
-let check c mapping =
-  let tile = Mapping.tile_of mapping in
-  match
-    verdict c
-      ~threads:(Mapping.threads_per_block mapping)
-      ~smem:(smem_bytes c.prec mapping)
-      ~regs:(regs_per_thread c.prec mapping)
-      ~blocks:(Mapping.num_blocks c.problem mapping)
-      ~out_tile:(tile c.out_fvi) ~lhs_tile:(tile c.lhs_fvi)
-      ~rhs_tile:(tile c.rhs_fvi)
-  with
-  | -1 -> Ok ()
-  | k -> Error (reason_of_index k)
 
 type stats = {
   enumerated : int;

@@ -85,23 +85,18 @@ val pp_stats : Format.formatter -> stats -> unit
     The planner ({!Pipeline}) checks candidates without materializing
     them.  A {!checker} hoists everything per-problem out of the hot loop
     (FVI thresholds, block floor, class membership); {!verdict} is then
-    one allocation-free int function of the candidate's sizes.  It is the
-    only implementation of the rules: {!check} calls it too. *)
+    one allocation-free int function of the candidate's sizes, and the
+    only implementation of the rules. *)
 
 type checker
 (** Per-problem constraint context for one class set. *)
 
-val checker : ?performance:bool -> Arch.t -> Precision.t -> Problem.t -> checker
+val checker : ?performance:bool -> Arch.t -> Problem.t -> checker
 (** Checker for the primary pass: all classes, or [Hardware] only when
     [performance:false] (the ablation hook for what §IV-A2's rules buy). *)
 
-val checker_of_classes :
-  klass list -> Arch.t -> Precision.t -> Problem.t -> checker
+val checker_of_classes : klass list -> Arch.t -> Problem.t -> checker
 (** Checker for an explicit class set (the relaxation passes). *)
-
-val check : checker -> Mapping.t -> (unit, reason) result
-(** First violated constraint of the checker's classes, hardware
-    constraints first — the {!verdict} on the mapping's sizes. *)
 
 val verdict :
   checker ->
@@ -114,7 +109,7 @@ val verdict :
   rhs_tile:int ->
   int
 (** First violated constraint of the checker's classes, as its
-    {!reason_index}, in the rule order of {!check}; [-1] means the
+    {!reason_index}, hardware constraints first; [-1] means the
     candidate survives.  The arguments are the candidate's
     [Mapping.threads_per_block], {!smem_bytes}, {!regs_per_thread} (not
     clamped), [Mapping.num_blocks] and the tiles of the output, lhs and

@@ -23,16 +23,15 @@ type t = {
 let analyze (ctx : Ctx.t) ?(top = 3) problem =
   let arch = ctx.Ctx.arch and precision = ctx.Ctx.precision in
   Tc_obs.Trace.with_span "explain.analyze" @@ fun () ->
-  (* The streaming search retains exactly the [top] cheapest survivors —
-     same stats and prefix as the materialized phases it replaced. *)
-  let o = Pipeline.search ~topk:(max 1 top) arch precision problem in
-  let stats = o.Pipeline.stats in
-  match o.Pipeline.ranked with
-  | [] -> Error (Driver.No_viable_mapping stats)
-  | ranked ->
+  let top = max 1 top in
+  (* The planner's own search: [ranked] holds at least the [top] cheapest
+     survivors, under the context's budget and refinement. *)
+  match Driver.run ctx ~topk:top problem with
+  | Error e -> Error e
+  | Ok d ->
       let candidates =
-        List.mapi
-          (fun k (mapping, _) ->
+        List.filteri (fun k _ -> k < top) d.Driver.ranked
+        |> List.mapi (fun k (mapping, _) ->
             let plan = Plan.make ~problem ~mapping ~arch ~precision in
             (* The schema race for this mapping, priced by the same
                simulator: [sim] is its classic lane. *)
@@ -45,15 +44,14 @@ let analyze (ctx : Ctx.t) ?(top = 3) problem =
               sim = race.Tc_sim.Simkernel.classic;
               pipelined = race.Tc_sim.Simkernel.pipelined;
             })
-          ranked
       in
       Ok
         {
           problem;
           arch;
           precision;
-          naive_space = Enumerate.naive_space_size problem;
-          stats;
+          naive_space = d.Driver.naive_space;
+          stats = d.Driver.prune_stats;
           candidates;
         }
 

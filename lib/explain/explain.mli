@@ -1,6 +1,6 @@
 (** Cost-model explainability: why the generator picked what it picked.
 
-    [analyze] re-runs the configuration search for a contraction and keeps
+    [analyze] plans a contraction through {!Cogent.Driver.run} and keeps
     the evidence the paper's argument rests on (§IV–§V): the per-rule
     pruning audit, the Algorithm-3 DRAM charge sheet of each surviving
     candidate (transactions per tensor, contiguous-run lengths, coalescing
@@ -36,13 +36,13 @@ type t = {
 }
 
 val analyze : Ctx.t -> ?top:int -> Problem.t -> (t, Driver.error) result
-(** Run the streaming configuration search under the context's device and
-    precision and explain the [top] (default 3) candidates
-    ({!Cogent.Ctx.default} is V100/FP64 — the historical optional-argument
-    entry point is gone).  [Error] is [Driver.No_viable_mapping stats]
-    when no hardware-feasible configuration exists — the stats carry the
-    per-rule pruning audit so callers can print {i why} (see
-    [cogent explain]). *)
+(** Plan [problem] with [Driver.run ctx ~topk:top] and explain the first
+    [top] (default 3, at least 1) mappings of its model ranking, with its
+    prune stats and naive space — the same search, budget and refinement
+    every other entry point runs.  [Error] is the driver's: e.g.
+    [Driver.No_viable_mapping stats] when no hardware-feasible
+    configuration exists — the stats carry the per-rule pruning audit so
+    callers can print {i why} (see [cogent explain]). *)
 
 val render : t -> string
 (** The full human-readable report (what [cogent explain] prints). *)

@@ -55,7 +55,10 @@ type applied = {
   slow_extent : int;
 }
 
-let auto ?(fast = 16) problem =
+(* The extent of the fast part [auto] splits off. *)
+let fast = 16
+
+let auto problem =
   (* A side is register-starved when it has a single external index: the
      thread-block dimension consumes it and nothing is left to
      register-tile. *)

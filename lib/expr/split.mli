@@ -32,10 +32,10 @@ type applied = {
   slow_extent : int;
 }
 
-val auto : ?fast:int -> Problem.t -> Problem.t * applied list
+val auto : Problem.t -> Problem.t * applied list
 (** Heuristic used by the generator on register-starved contractions: for
     each input whose side has exactly one external index with extent at
-    least [2 * fast] and divisible by [fast] (default 16), split it so the
-    fast part can feed the thread-block dimension and the slow part the
-    register tile.  Returns the (possibly unchanged) problem and what was
+    least 32 and divisible by 16, split it so a fast part of extent 16 can
+    feed the thread-block dimension and the slow part the register
+    tile.  Returns the (possibly unchanged) problem and what was
     applied. *)

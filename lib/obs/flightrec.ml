@@ -10,7 +10,7 @@ type entry = {
 
 type t = {
   lock : Mutex.t;
-  mutable slots : entry option array;
+  slots : entry option array;
       (* slot for record [seq] is [seq mod capacity] *)
   mutable next_seq : int;
 }
@@ -38,27 +38,13 @@ let record ?(recorder = global) ?(key = "") ?(expr = "") ?strategy ?error
       recorder.slots.(seq mod capacity recorder) <-
         Some { seq; request; key; expr; strategy; error; timings })
 
-let entries_unlocked t =
-  let cap = capacity t in
-  let first = max 0 (t.next_seq - cap) in
-  List.filter_map
-    (fun seq -> t.slots.(seq mod cap))
-    (List.init (t.next_seq - first) (fun k -> first + k))
-
-let entries t = locked t (fun () -> entries_unlocked t)
-
-let set_capacity ?(recorder = global) n =
-  let n = max 1 n in
-  locked recorder (fun () ->
-      if n <> capacity recorder then begin
-        (* Re-home the retained suffix oldest-first: on a shrink, newer
-           entries land on the same slots last and win, so the ring keeps
-           exactly the most recent [n] records and [seq] numbering (hence
-           the eviction-gap story) is undisturbed. *)
-        let retained = entries_unlocked recorder in
-        recorder.slots <- Array.make n None;
-        List.iter (fun e -> recorder.slots.(e.seq mod n) <- Some e) retained
-      end)
+let entries t =
+  locked t (fun () ->
+      let cap = capacity t in
+      let first = max 0 (t.next_seq - cap) in
+      List.filter_map
+        (fun seq -> t.slots.(seq mod cap))
+        (List.init (t.next_seq - first) (fun k -> first + k)))
 
 let recorded t = locked t (fun () -> t.next_seq)
 

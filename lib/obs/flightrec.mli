@@ -34,11 +34,6 @@ val global : t
 
 val capacity : t -> int
 
-val set_capacity : ?recorder:t -> int -> unit
-(** Resize the ring (min 1; default recorder: {!global}) while keeping the
-    most recent [min n (List.length (entries t))] entries and the [seq]
-    numbering.  How [cogent serve --flight-size N] sizes the recorder. *)
-
 val record :
   ?recorder:t ->
   ?key:string ->

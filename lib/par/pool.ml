@@ -143,12 +143,12 @@ let set_default_jobs j =
 
 (* ---- parallel map ---- *)
 
-let mapi ?pool f xs =
+let map ?pool f xs =
   let pool = match pool with Some p -> p | None -> default () in
   match xs with
   | [] -> []
-  | [ x ] -> [ f 0 x ]
-  | xs when pool.jobs <= 1 || pool.shut -> List.mapi f xs
+  | [ x ] -> [ f x ]
+  | xs when pool.jobs <= 1 || pool.shut -> List.map f xs
   | xs ->
       let items = Array.of_list xs in
       let n = Array.length items in
@@ -171,7 +171,7 @@ let mapi ?pool f xs =
           let i = Atomic.fetch_and_add next 1 in
           if i >= n then continue_ := false
           else begin
-            (try results.(i) <- Some (f i items.(i))
+            (try results.(i) <- Some (f items.(i))
              with e -> failures.(i) <- Some (e, Printexc.get_raw_backtrace ()));
             incr ran;
             Mutex.lock m;
@@ -219,8 +219,6 @@ let mapi ?pool f xs =
         (Array.map
            (function Some v -> v | None -> assert false (* all completed *))
            results)
-
-let map ?pool f xs = mapi ?pool (fun _ x -> f x) xs
 
 let map_fold ?pool ~map:f ~fold ~init xs =
   List.fold_left fold init (map ?pool f xs)

@@ -7,7 +7,7 @@
     repository relies on:
 
     {ul
-    {- {b Determinism}: {!map}/{!mapi} are order-preserving and
+    {- {b Determinism}: {!map} is order-preserving and
        {!fold_best} reduces in index order, so as long as the per-item
        function is pure, results are bit-identical for every job count —
        parallelism changes wall time, never output.}
@@ -59,8 +59,6 @@ val set_default_jobs : int -> unit
 
 val map : ?pool:t -> ('a -> 'b) -> 'a list -> 'b list
 (** Order-preserving parallel [List.map].  See the module contract. *)
-
-val mapi : ?pool:t -> (int -> 'a -> 'b) -> 'a list -> 'b list
 
 val map_fold :
   ?pool:t ->

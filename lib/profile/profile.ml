@@ -34,7 +34,7 @@ let sim_bound = 0.0
 
 (* Relative-error bound for the Algorithm-3 estimate against measured
    transactions; EXPERIMENTS.md has the observed errors behind it. *)
-let default_cost_bound = 0.5
+let cost_bound = 0.5
 
 let signed_error ~measured p =
   (p -. measured) /. Float.max (Float.abs measured) 1.0
@@ -146,7 +146,7 @@ let build_timeline (plan : Plan.t) (sim : Tc_sim.Simkernel.result) counters =
           (fun () -> ()));
   Trace.events tr
 
-let profile ?(cost_bound = default_cost_bound) (plan : Plan.t) =
+let profile (plan : Plan.t) =
   let problem = plan.Plan.problem in
   let mapping = plan.Plan.mapping in
   let prec = plan.Plan.precision in

@@ -16,8 +16,8 @@
       {e exactly} (a zero bound) — both sides count the same
       {!Cogent.Txcount} convention, so any gap is a bug in the pattern
       combinatorics;
-    - the {e cost model} must stay within [cost_bound] relative error
-      (default 0.5, see EXPERIMENTS.md for the observed errors; it
+    - the {e cost model} must stay within a 0.5 relative error
+      ([cost_bound], see EXPERIMENTS.md for the observed errors; it
       deliberately overcharges boundary tiles to stay cheap
       enough for millions of rankings); rows beyond the bound are
       flagged in the rendered report and in the JSON.
@@ -64,7 +64,7 @@ type t = {
   timeline : Tc_obs.Trace.event list;
 }
 
-val profile : ?cost_bound:float -> Plan.t -> t
+val profile : Plan.t -> t
 (** Measure, predict and cross-validate one plan.  Pure and
     deterministic; cost grows with [blocks * steps * tile volume] (full
     TCCG sizes take well under a second). *)

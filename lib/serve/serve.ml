@@ -75,9 +75,8 @@ type session = {
   audit : Audit.collector option;
 }
 
-let open_session ?store ?audit ?flight_capacity ctx =
+let open_session ?store ?audit ctx =
   Cogent.Ctx.install_jobs ctx;
-  Option.iter (fun n -> Tc_obs.Flightrec.set_capacity n) flight_capacity;
   let cache = Cogent.Cache.create () in
   match store with
   | None -> Ok { ctx; cache; store = None; loaded = 0; audit }

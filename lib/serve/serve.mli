@@ -96,16 +96,14 @@ type session
 val open_session :
   ?store:string ->
   ?audit:Tc_audit.Audit.collector ->
-  ?flight_capacity:int ->
   Cogent.Ctx.t ->
   (session, string) result
 (** [store] names a {!Planstore} directory; its entries pre-populate the
     cache.  [audit] attaches an accuracy-ledger collector: {!run} then
     also measures every distinct plan's ground-truth counters (inside the
     generation fan-out) and appends one {!Tc_audit.Audit.sample} per
-    successful request, in request order.  [flight_capacity] resizes the
-    global {!Tc_obs.Flightrec} ring (default stays 128).  [Error] on an
-    unreadable or wrong-schema store. *)
+    successful request, in request order.  [Error] on an unreadable or
+    wrong-schema store. *)
 
 val close_session : session -> unit
 (** Flush every cached plan back to the store (no-op without one): the

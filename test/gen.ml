@@ -88,6 +88,15 @@ let reference c =
 let plan_of ctx problem =
   (Cogent.Driver.run_exn ctx problem).Cogent.Driver.plan
 
+(* The [n] lowest-cost plans of a driver result (capped by its retained
+   [ranked] prefix). *)
+let top_plans ~n (r : Cogent.Driver.t) =
+  let p = r.Cogent.Driver.plan in
+  List.filteri (fun k _ -> k < n) r.Cogent.Driver.ranked
+  |> List.map (fun (mapping, _) ->
+         Cogent.Plan.make ~problem:p.Cogent.Plan.problem ~mapping
+           ~arch:p.Cogent.Plan.arch ~precision:p.Cogent.Plan.precision)
+
 (* The same mapping on A100/fp16 under every schema the planner admits for
    it (classic, pipelined, pipelined-MMA), so the execution and counting
    properties see each kernel schema the driver can pick. *)

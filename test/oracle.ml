@@ -2,7 +2,7 @@
    [Cogent.Pipeline.search] is checked against: enumerate every
    configuration into a list (Algorithm 2), filter it with the §IV-A rules
    and the relaxation ladder, then cost and sort every survivor
-   (Algorithm 3).  The rules come from [Prune.check], the costs from
+   (Algorithm 3).  The rules come from [check] below, the costs from
    [Cost.total]; with the planner it shares only Algorithm 2's per-side
    packings ([Enumerate]), not its product, tables, tallies or heap. *)
 
@@ -69,15 +69,33 @@ let candidates problem =
                 List.init (Candidates.num_tbk c) (fun k ->
                     Candidates.mapping c x y k)))))
 
+(* The first rule of [checker]'s classes a materialized mapping violates:
+   [Prune.verdict] on the sizes the planner reads from its tables. *)
+let check checker prec problem m =
+  let info = Problem.info problem in
+  let tile = Mapping.tile_of m in
+  match
+    Prune.verdict checker
+      ~threads:(Mapping.threads_per_block m)
+      ~smem:(Prune.smem_bytes prec m)
+      ~regs:(Prune.regs_per_thread prec m)
+      ~blocks:(Mapping.num_blocks problem m)
+      ~out_tile:(tile info.Classify.out_fvi)
+      ~lhs_tile:(tile info.Classify.lhs_fvi)
+      ~rhs_tile:(tile info.Classify.rhs_fvi)
+  with
+  | -1 -> Ok ()
+  | k -> Error (Prune.reason_of_index k)
+
 (* Keep the configurations passing every rule; when none do, walk the
    relaxation ladder.  Reject tallies count the primary pass only. *)
 let filter ?(performance = true) arch prec problem mappings =
   let tally = Array.make Prune.num_reasons 0 in
-  let primary = Prune.checker ~performance arch prec problem in
+  let primary = Prune.checker ~performance arch problem in
   let strict =
     List.filter
       (fun m ->
-        match Prune.check primary m with
+        match check primary prec problem m with
         | Ok () -> true
         | Error r ->
             let k = Prune.reason_index r in
@@ -91,8 +109,10 @@ let filter ?(performance = true) arch prec problem mappings =
       let rec try_relax n = function
         | [] -> ([], true, n)
         | classes :: rest -> (
-            let c = Prune.checker_of_classes classes arch prec problem in
-            match List.filter (fun m -> Prune.check c m = Ok ()) mappings with
+            let c = Prune.checker_of_classes classes arch problem in
+            match
+              List.filter (fun m -> check c prec problem m = Ok ()) mappings
+            with
             | [] -> try_relax (n + 1) rest
             | l -> (l, true, n + 1))
       in

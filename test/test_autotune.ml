@@ -57,17 +57,6 @@ let space_plans_execute_correctly =
           in
           Tc_tensor.Dense.equal_approx ~tol:1e-9 (Gen.reference c) got)
 
-let test_space_has_no_register_dims () =
-  let st = Random.State.make [| 3 |] in
-  for _ = 1 to 50 do
-    let g = Space.random st sd2_small in
-    List.iter
-      (fun gene ->
-        if gene.Space.dim = Space.Regx || gene.Space.dim = Space.Regy then
-          Alcotest.fail "TC-era space must not register-tile")
-      g.Space.externals
-  done
-
 let test_space_size_positive () =
   check Alcotest.bool "positive" true (Space.size sd2_small > 1000.0)
 
@@ -145,11 +134,15 @@ let test_fitness_zero_for_infeasible () =
 
 let test_quality_factor_applied () =
   let m = Tuner.untuned_mapping sd2_small in
-  let full = Genetic.fitness ~quality:1.0 Arch.v100 Precision.FP32 sd2_small m in
-  let scaled =
-    Genetic.fitness ~quality:0.5 Arch.v100 Precision.FP32 sd2_small m
+  let plan =
+    Cogent.Plan.make ~problem:sd2_small ~mapping:m ~arch:Arch.v100
+      ~precision:Precision.FP32
   in
-  check (Alcotest.float 1e-9) "scaling" (full /. 2.0) scaled
+  let gflops = (Tc_sim.Simkernel.run plan).Tc_sim.Simkernel.gflops in
+  check Alcotest.bool "feasible" true (gflops > 0.0);
+  check (Alcotest.float 1e-9) "scaling"
+    (Genetic.tc_quality_factor *. gflops)
+    (Genetic.fitness Arch.v100 Precision.FP32 sd2_small m)
 
 (* ---- Tuner facade ---- *)
 
@@ -194,8 +187,6 @@ let () =
           Gen.to_alcotest space_decodes_valid;
           Gen.to_alcotest mutation_stays_valid;
           Gen.to_alcotest space_plans_execute_correctly;
-          Alcotest.test_case "no register dimensions" `Quick
-            test_space_has_no_register_dims;
           Alcotest.test_case "space size" `Quick test_space_size_positive;
         ] );
       ( "genetic",

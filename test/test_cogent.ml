@@ -471,8 +471,7 @@ let verdict_matches_occupancy =
     Gen.rule_case_arbitrary (fun c ->
       let occ, expected = Gen.verdict_ref c in
       let checker =
-        Prune.checker_of_classes c.Gen.r_classes c.Gen.r_arch Precision.FP64
-          c.Gen.r_problem
+        Prune.checker_of_classes c.Gen.r_classes c.Gen.r_arch c.Gen.r_problem
       in
       let got =
         Prune.verdict checker ~threads:c.Gen.r_threads ~smem:c.Gen.r_smem
@@ -508,6 +507,10 @@ let test_prune_reason_codes () =
   check Alcotest.int "num_reasons" (List.length Prune.all_reasons)
     Prune.num_reasons
 
+(* Every rule on V100 at fp64. *)
+let v100_check p m =
+  Oracle.check (Prune.checker Arch.v100 p) Precision.FP64 p m
+
 let test_prune_smem_overflow () =
   (* (16*8 + 16*8) * 32 * 8B = 64 KB > 48 KB *)
   let p =
@@ -526,7 +529,7 @@ let test_prune_smem_overflow () =
   in
   check Alcotest.int "smem bytes" (((16 * 1) + (16 * 1)) * 256 * 8)
     (Prune.smem_bytes Precision.FP64 m);
-  match Prune.check (Prune.checker Arch.v100 Precision.FP64 p) m with
+  match v100_check p m with
   | Error Prune.Smem_overflow -> ()
   | Error r -> fail (Prune.reason_to_string r)
   | Ok () -> fail "smem overflow accepted"
@@ -546,14 +549,14 @@ let test_prune_too_many_threads () =
       grid = [];
     }
   in
-  match Prune.check (Prune.checker Arch.v100 Precision.FP64 p) m with
+  match v100_check p m with
   | Error Prune.Too_many_threads -> ()
   | _ -> fail "4096 threads accepted"
 
 let test_prune_uncoalesced () =
   (* tiny tile on the output FVI breaks store coalescing *)
   let m = { eq1_mapping with Mapping.tbx = [ b 'a' 2 ]; regx = [ b 'b' 8 ] } in
-  match Prune.check (Prune.checker Arch.v100 Precision.FP64 eq1) m with
+  match v100_check eq1 m with
   | Error Prune.Uncoalesced_out -> ()
   | Error r -> fail (Prune.reason_to_string r)
   | Ok () -> fail "uncoalesced store accepted"
@@ -575,10 +578,9 @@ let test_prune_filter_stats () =
   check Alcotest.int "kept" (List.length o.Pipeline.ranked) stats.Prune.kept;
   check Alcotest.bool "something pruned" true (stats.Prune.kept < stats.Prune.enumerated);
   check Alcotest.bool "not relaxed" false stats.Prune.relaxed;
-  let checker = Prune.checker Arch.v100 Precision.FP64 eq1 in
   List.iter
     (fun (m, _) ->
-      match Prune.check checker m with
+      match v100_check eq1 m with
       | Ok () -> ()
       | Error r -> fail (Prune.reason_to_string r))
     o.Pipeline.ranked
@@ -1159,8 +1161,11 @@ let test_driver_auto_split () =
 
 let test_driver_top_plans () =
   let r = Driver.run_exn Ctx.default eq1 in
-  check Alcotest.int "default 5" 5 (List.length (Driver.top_plans r));
-  check Alcotest.int "n=2" 2 (List.length (Driver.top_plans ~n:2 r))
+  check Alcotest.int "n=5" 5 (List.length (Gen.top_plans ~n:5 r));
+  check Alcotest.int "n=2" 2 (List.length (Gen.top_plans ~n:2 r));
+  check Alcotest.bool "ranked order" true
+    (List.map (fun p -> p.Plan.mapping) (Gen.top_plans ~n:5 r)
+    = List.filteri (fun k _ -> k < 5) (List.map fst r.Driver.ranked))
 
 let test_driver_cuda_source () =
   let r = Driver.run_exn Ctx.default eq1 in

@@ -22,8 +22,8 @@ let operands problem =
   let rhs = Dense.random ~seed:12 (shape_of orig.Ast.rhs.Ast.indices) in
   (lhs, rhs, Contract_ref.contract ~out_indices:info.Classify.externals lhs rhs)
 
-let check_plan ?counters plan ~lhs ~rhs ~expected =
-  let got = Interp.execute ?counters plan ~lhs ~rhs in
+let check_plan plan ~lhs ~rhs ~expected =
+  let got = Interp.execute plan ~lhs ~rhs in
   if not (Dense.equal_approx ~tol:1e-9 expected got) then
     fail
       (Format.asprintf "interp mismatch (%.3e) for %a"
@@ -177,8 +177,8 @@ let test_every_schema () =
   Alcotest.(check int) "schemas admitted" 3 (List.length plans);
   List.iter
     (fun plan ->
-      let counters = Interp.create_counters () in
-      check_plan ~counters plan ~lhs ~rhs ~expected;
+      check_plan plan ~lhs ~rhs ~expected;
+      let counters = Interp.measure plan in
       let e =
         Tc_sim.Simkernel.transactions_exact plan.Plan.precision problem mapping
       in
@@ -232,7 +232,7 @@ let interp_matches_reference_on_ranked_plans =
     Gen.case_arbitrary (fun c ->
       let r = Driver.run_exn Ctx.default c.Gen.problem in
       let expected = Gen.reference c in
-      let plans = Driver.top_plans ~n:4 r in
+      let plans = Gen.top_plans ~n:4 r in
       List.for_all
         (fun plan ->
           Dense.equal_approx ~tol:1e-9 expected

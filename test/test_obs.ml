@@ -322,36 +322,6 @@ let test_flightrec_ring () =
   check Alcotest.int "clear empties the ring" 0
     (List.length (Flightrec.entries r))
 
-(* Resizing keeps the newest retained entries (in order) and the running
-   sequence numbers; shrink drops the oldest first. *)
-let test_flightrec_set_capacity () =
-  let r = Flightrec.create ~capacity:4 () in
-  for i = 0 to 5 do
-    Flightrec.record ~recorder:r (Printf.sprintf "req-%03d" i)
-  done;
-  Flightrec.set_capacity ~recorder:r 2;
-  check Alcotest.int "shrunk capacity" 2 (Flightrec.capacity r);
-  check (Alcotest.list Alcotest.int) "shrink keeps the newest" [ 4; 5 ]
-    (List.map (fun e -> e.Flightrec.seq) (Flightrec.entries r));
-  Flightrec.set_capacity ~recorder:r 6;
-  check Alcotest.int "regrown capacity" 6 (Flightrec.capacity r);
-  check (Alcotest.list Alcotest.int) "grow retains entries" [ 4; 5 ]
-    (List.map (fun e -> e.Flightrec.seq) (Flightrec.entries r));
-  Flightrec.record ~recorder:r "req-006";
-  check (Alcotest.list Alcotest.int) "sequence numbers continue" [ 4; 5; 6 ]
-    (List.map (fun e -> e.Flightrec.seq) (Flightrec.entries r));
-  check Alcotest.int "recorded still counts everything" 7
-    (Flightrec.recorded r);
-  (* same-size set is a no-op, not a clear *)
-  Flightrec.set_capacity ~recorder:r 6;
-  check Alcotest.int "same-size set keeps entries" 3
-    (List.length (Flightrec.entries r));
-  (* values below 1 clamp instead of raising *)
-  Flightrec.set_capacity ~recorder:r 0;
-  check Alcotest.int "clamped to 1" 1 (Flightrec.capacity r);
-  check (Alcotest.list Alcotest.int) "newest entry survives the clamp" [ 6 ]
-    (List.map (fun e -> e.Flightrec.seq) (Flightrec.entries r))
-
 let test_flightrec_dump () =
   let r = Flightrec.create ~capacity:8 () in
   Flightrec.record ~recorder:r ~key:"k1" ~expr:"ab-ac-cb" ~strategy:"cogent"
@@ -528,7 +498,7 @@ let test_json_roundtrip () =
   | Ok j' -> check Alcotest.bool "roundtrip equal" true (j = j')
   | Error e -> fail ("roundtrip parse failed: " ^ e)
 
-(* ---- Driver ?trace and explain golden ---- *)
+(* ---- Driver tracing and explain ---- *)
 
 let eq1 =
   Tc_expr.Problem.of_string_exn "abcd-aebf-dfce"
@@ -730,7 +700,9 @@ let never_raises =
 
 let test_driver_trace () =
   let t = Trace.make ~clock:(ticker ()) () in
-  (match Cogent.Driver.run Cogent.Ctx.default ~trace:t eq1 with
+  (match
+     Trace.with_installed t (fun () -> Cogent.Driver.run Cogent.Ctx.default eq1)
+   with
   | Ok _ -> ()
   | Error e -> fail (Cogent.Driver.error_to_string e));
   let names =
@@ -747,13 +719,6 @@ let test_driver_trace () =
   match Json.parse (Export.to_chrome (Trace.events t)) with
   | Ok _ -> ()
   | Error e -> fail ("driver trace not valid chrome JSON: " ^ e)
-
-let test_driver_trace_no_leak () =
-  (* ?trace must not leave an ambient context installed. *)
-  let t = Trace.make ~clock:(ticker ()) () in
-  ignore (Cogent.Driver.run Cogent.Ctx.default ~trace:t eq1);
-  check Alcotest.bool "no ambient context after generate" true
-    (Trace.installed () = None)
 
 let golden_path file =
   let beside_exe =
@@ -793,6 +758,47 @@ let test_explain_json () =
       | Some (Json.List [ _ ]) -> ()
       | _ -> fail "expected exactly one candidate with ~top:1")
 
+(* Explain plans through the driver: on every TCCG entry its candidates
+   are the first three mappings of [Driver.run]'s ranking, with the same
+   prune stats and naive space, under the CLI's measured context. *)
+let test_explain_is_driver_prefix () =
+  List.iter
+    (fun (arch, precision) ->
+      let ctx =
+        Cogent.Ctx.make ~arch ~precision ~measure:Tc_sim.Simkernel.gflops ()
+      in
+      List.iter
+        (fun e ->
+          let problem = Tc_tccg.Suite.problem e in
+          let name =
+            Printf.sprintf "%s on %s/%s" e.Tc_tccg.Suite.name
+              arch.Tc_gpu.Arch.name
+              (Tc_gpu.Precision.to_string precision)
+          in
+          match
+            ( Tc_explain.Explain.analyze ctx ~top:3 problem,
+              Cogent.Driver.run ctx problem )
+          with
+          | Ok x, Ok d ->
+              check Alcotest.bool (name ^ ": first 3 ranked") true
+                (List.map
+                   (fun c -> c.Tc_explain.Explain.plan.Cogent.Plan.mapping)
+                   x.Tc_explain.Explain.candidates
+                = List.filteri (fun k _ -> k < 3)
+                    (List.map fst d.Cogent.Driver.ranked));
+              check Alcotest.bool (name ^ ": prune stats") true
+                (x.Tc_explain.Explain.stats = d.Cogent.Driver.prune_stats);
+              check Alcotest.bool (name ^ ": naive space") true
+                (x.Tc_explain.Explain.naive_space
+                = d.Cogent.Driver.naive_space)
+          | Error err, _ | _, Error err ->
+              fail (name ^ ": " ^ Cogent.Driver.error_to_string err))
+        Tc_tccg.Suite.all)
+    [
+      (Tc_gpu.Arch.v100, Tc_gpu.Precision.FP64);
+      (Tc_gpu.Arch.a100, Tc_gpu.Precision.FP16);
+    ]
+
 let () =
   Alcotest.run "obs"
     [
@@ -827,8 +833,6 @@ let () =
         [
           Alcotest.test_case "ring retains the newest entries" `Quick
             test_flightrec_ring;
-          Alcotest.test_case "set_capacity preserves the newest entries"
-            `Quick test_flightrec_set_capacity;
           Alcotest.test_case "dump is well-formed JSONL" `Quick
             test_flightrec_dump;
         ] );
@@ -845,7 +849,8 @@ let () =
       ( "explain",
         [
           Alcotest.test_case "driver ?trace" `Quick test_driver_trace;
-          Alcotest.test_case "no context leak" `Quick test_driver_trace_no_leak;
+          Alcotest.test_case "driver's ranked prefix (TCCG)" `Quick
+            test_explain_is_driver_prefix;
           Alcotest.test_case "golden report" `Quick test_explain_golden;
           Alcotest.test_case "json report" `Quick test_explain_json;
         ] );

@@ -15,7 +15,7 @@ let with_pool jobs f =
   let p = Pool.create ~jobs () in
   Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
 
-(* ---- map/mapi: order preservation and sequential degradation ---- *)
+(* ---- map: order preservation and sequential degradation ---- *)
 
 let test_map_ordering () =
   with_pool 4 @@ fun p ->
@@ -23,9 +23,6 @@ let test_map_ordering () =
   let f x = (x * 37) mod 101 in
   check (Alcotest.list Alcotest.int) "map preserves input order" (List.map f xs)
     (Pool.map ~pool:p f xs);
-  check (Alcotest.list Alcotest.string) "mapi sees the right indices"
-    (List.mapi (fun i x -> Printf.sprintf "%d:%c" i x) [ 'a'; 'b'; 'c' ])
-    (Pool.mapi ~pool:p (fun i x -> Printf.sprintf "%d:%c" i x) [ 'a'; 'b'; 'c' ]);
   check (Alcotest.list Alcotest.int) "empty list" []
     (Pool.map ~pool:p (fun _ -> fail "called on empty input") [])
 

@@ -247,8 +247,10 @@ let prop_measured_eq_exact =
     ~name:"Interp.measure == Simkernel.transactions_exact (no-L2)"
     Gen.case_arbitrary agree_case
 
-(* execute ?counters must tally exactly what the standalone replay does,
-   and fields must accumulate across executions. *)
+(* The data walk and the counter walk cover the same schedule: on odd
+   extents with register tiles, [execute] computes the reference result
+   and [measure] counts every block, every step and each in-range FMA
+   exactly once. *)
 let test_execute_counters () =
   let problem =
     Problem.of_string_exn "abcd-aebf-dfce"
@@ -279,21 +281,20 @@ let test_execute_counters () =
   let rhs =
     Tc_tensor.Dense.random ~seed:12 (shape_of orig.Ast.rhs.Ast.indices)
   in
-  let c = Interp.create_counters () in
-  ignore (Interp.execute ~counters:c plan ~lhs ~rhs);
+  let got = Interp.execute plan ~lhs ~rhs in
+  let want =
+    Tc_tensor.Contract_ref.contract ~out_indices:info.Tc_expr.Classify.externals
+      lhs rhs
+  in
+  check Alcotest.bool "execute matches the reference" true
+    (Tc_tensor.Dense.equal_approx ~tol:1e-9 want got);
   let m = Interp.measure plan in
-  let eq what a b = check (Alcotest.float 0.0) what a b in
-  eq "tx_lhs" m.Interp.tx_lhs c.Interp.tx_lhs;
-  eq "tx_rhs" m.Interp.tx_rhs c.Interp.tx_rhs;
-  eq "tx_out" m.Interp.tx_out c.Interp.tx_out;
-  eq "smem_bytes" m.Interp.smem_bytes c.Interp.smem_bytes;
-  eq "fma_padded" m.Interp.fma_padded c.Interp.fma_padded;
-  eq "fma_useful" m.Interp.fma_useful c.Interp.fma_useful;
-  eq "store_tx_block_max" m.Interp.store_tx_block_max c.Interp.store_tx_block_max;
-  check Alcotest.int "blocks" m.Interp.blocks c.Interp.blocks;
-  ignore (Interp.execute ~counters:c plan ~lhs ~rhs);
-  eq "tx_lhs accumulates" (2.0 *. m.Interp.tx_lhs) c.Interp.tx_lhs;
-  check Alcotest.int "steps accumulate" (2 * m.Interp.steps) c.Interp.steps
+  check Alcotest.int "blocks" (Plan.num_blocks plan) m.Interp.blocks;
+  check Alcotest.int "steps" (Plan.num_steps plan) m.Interp.steps;
+  check (Alcotest.float 0.0) "useful FMAs" (Problem.flops problem /. 2.0)
+    m.Interp.fma_useful;
+  check Alcotest.bool "measure is a pure function of the plan" true
+    (m = Interp.measure plan)
 
 (* ---- the profiler on the DESIGN eq1 contraction ---- *)
 

@@ -476,32 +476,6 @@ let test_audit_cold_warm_identical () =
   check Alcotest.int "both batches sampled everything" 2 (List.length cold);
   check Alcotest.bool "cold and warm samples are identical" true (cold = warm)
 
-let test_flight_capacity_option () =
-  Tc_obs.Flightrec.clear Tc_obs.Flightrec.global;
-  let restore () = Tc_obs.Flightrec.set_capacity 128 in
-  Fun.protect ~finally:restore @@ fun () ->
-  let s =
-    match Tc_serve.Serve.open_session ~flight_capacity:2 ctx with
-    | Ok s -> s
-    | Error m -> fail m
-  in
-  let items =
-    [
-      Ok (req 1 "ab-ac-cb" [ ('a', 64); ('b', 64); ('c', 64) ]);
-      Ok (req 2 "ab-ac-cb" [ ('a', 64); ('b', 64); ('c', 64) ]);
-      Ok (req 3 "ab-ac-cb" [ ('a', 64); ('b', 64); ('c', 64) ]);
-    ]
-  in
-  ignore (Tc_serve.Serve.run s items);
-  check Alcotest.int "ring resized" 2
-    (Tc_obs.Flightrec.capacity Tc_obs.Flightrec.global);
-  check (Alcotest.list Alcotest.string) "only the newest requests retained"
-    [ "req-002"; "req-003" ]
-    (List.map
-       (fun e -> e.Tc_obs.Flightrec.request)
-       (Tc_obs.Flightrec.entries Tc_obs.Flightrec.global));
-  Tc_obs.Flightrec.clear Tc_obs.Flightrec.global
-
 (* ---- request parsing ---- *)
 
 let test_request_parsing () =
@@ -1016,7 +990,5 @@ let () =
             test_audit_hook;
           Alcotest.test_case "audit samples identical cold vs warm" `Quick
             test_audit_cold_warm_identical;
-          Alcotest.test_case "flight_capacity resizes the global ring" `Quick
-            test_flight_capacity_option;
         ] );
     ]

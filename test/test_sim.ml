@@ -288,7 +288,7 @@ let sim_finite_on_pruned_configs =
           && s.Simkernel.gflops >= 0.0
           && s.Simkernel.gflops
              <= Arch.peak_gflops Arch.v100 Precision.FP64)
-        (Driver.top_plans ~n:3 r))
+        (Gen.top_plans ~n:3 r))
 
 let () =
   Alcotest.run "sim"
