@@ -18,7 +18,9 @@ let arch = Arch.v100
 let prec = Precision.FP64
 
 let plan_of problem mapping =
-  Cogent.Plan.make ~problem ~mapping ~arch ~precision:prec
+  match Cogent.Plan.make ~problem ~mapping ~arch ~precision:prec with
+  | Ok plan -> plan
+  | Error e -> failwith e
 
 (* Studies 1 and 2 sweep *every* surviving configuration (oracle search,
    rank correlation): the planner's search with a heap as large as the

@@ -360,11 +360,11 @@ let plan_cmd =
     List.iteri
       (fun k (m, cost) ->
         if k < top then
-          let plan =
-            Cogent.Plan.make ~problem ~mapping:m ~arch ~precision
-          in
-          Format.printf "  #%-2d cost %.3e  sim %7.0f GFLOPS  %a@." (k + 1)
-            cost (Tc_sim.Simkernel.gflops plan) Cogent.Mapping.pp m)
+          match Cogent.Plan.make ~problem ~mapping:m ~arch ~precision with
+          | Ok plan ->
+              Format.printf "  #%-2d cost %.3e  sim %7.0f GFLOPS  %a@." (k + 1)
+                cost (Tc_sim.Simkernel.gflops plan) Cogent.Mapping.pp m
+          | Error e -> Format.printf "  #%-2d %s@." (k + 1) e)
       r.Cogent.Driver.ranked
   in
   let top =

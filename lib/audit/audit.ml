@@ -84,9 +84,9 @@ let regret ~ctx ~own d (plan : Cogent.Plan.t) =
   match
     Cogent.Plan.make ~problem:own ~mapping:plan.Cogent.Plan.mapping
       ~arch:plan.Cogent.Plan.arch ~precision:plan.Cogent.Plan.precision
-    |> Cogent.Plan.with_schema d.schema
   with
-  | own_plan ->
+  | Ok own_plan ->
+      let own_plan = Cogent.Plan.with_schema d.schema own_plan in
       let oc = (Tc_sim.Simkernel.run own_plan).Tc_sim.Simkernel.time_s in
       let ot = (Tc_ttgt.Ttgt.run_ctx ctx own).Tc_ttgt.Ttgt.time_s in
       let regret =
@@ -95,7 +95,7 @@ let regret ~ctx ~own d (plan : Cogent.Plan.t) =
         | Ttgt_pipeline -> Float.max 0.0 (ot -. oc)
       in
       (oc, ot, regret, false)
-  | exception Invalid_argument _ ->
+  | Error _ ->
       (* The cached mapping does not survive re-planning at the request's
          own extents; fall back to the representative's numbers, where the
          chosen side is the minimum and regret is 0 by construction. *)

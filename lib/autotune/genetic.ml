@@ -42,22 +42,18 @@ let bench_repetitions = 3.0
 let run_timeout_s = 1.0
 
 let fitness arch prec problem mapping =
-  match Cogent.Mapping.validate problem mapping with
+  match Cogent.Plan.make ~problem ~mapping ~arch ~precision:prec with
   | Error _ -> 0.0
-  | Ok () ->
-      let plan =
-        Cogent.Plan.make ~problem ~mapping ~arch ~precision:prec
-      in
+  | Ok plan ->
       let r = Tc_sim.Simkernel.run plan in
       if Float.is_finite r.Tc_sim.Simkernel.gflops then
         tc_quality_factor *. r.Tc_sim.Simkernel.gflops
       else 0.0
 
 let runtime_s arch prec problem mapping =
-  match Cogent.Mapping.validate problem mapping with
+  match Cogent.Plan.make ~problem ~mapping ~arch ~precision:prec with
   | Error _ -> 0.0
-  | Ok () ->
-      let plan = Cogent.Plan.make ~problem ~mapping ~arch ~precision:prec in
+  | Ok plan ->
       let t = (Tc_sim.Simkernel.run plan).Tc_sim.Simkernel.time_s in
       if Float.is_finite t then t else 0.0
 

@@ -6,9 +6,10 @@ open Tc_expr
 type slot = Ready of Driver.t | In_flight
 
 type t = {
-  lock : Mutex.t;  (* guards [table], [hits] and [misses] *)
+  lock : Mutex.t;  (* guards [table], [ready], [hits] and [misses] *)
   cond : Condition.t;  (* signalled when an in-flight slot resolves *)
   table : (string, slot) Hashtbl.t;
+  mutable ready : int;  (* [Ready] slots in [table] *)
   mutable hits : int;
   mutable misses : int;
 }
@@ -18,6 +19,7 @@ let create () =
     lock = Mutex.create ();
     cond = Condition.create ();
     table = Hashtbl.create 32;
+    ready = 0;
     hits = 0;
     misses = 0;
   }
@@ -25,6 +27,16 @@ let create () =
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+
+(* Every write to [table] goes through [set] (under the lock), so [ready]
+   stays the number of [Ready] slots and {!stats} never walks the table. *)
+let ready_in = function Some (Ready _) -> 1 | Some In_flight | None -> 0
+
+let set t k slot =
+  t.ready <- t.ready - ready_in (Hashtbl.find_opt t.table k) + ready_in slot;
+  match slot with
+  | Some s -> Hashtbl.replace t.table k s
+  | None -> Hashtbl.remove t.table k
 
 (* Nearest power of two; extents above 2^61, the largest power of two an
    [int] holds, round to 2^61 (doubling past it would overflow). *)
@@ -83,7 +95,7 @@ let find_or_generate_ctx t ctx problem =
         Condition.wait t.cond t.lock;
         claim ()
     | None ->
-        Hashtbl.add t.table k In_flight;
+        set t k (Some In_flight);
         t.misses <- t.misses + 1;
         `Generate
   in
@@ -109,9 +121,7 @@ let find_or_generate_ctx t ctx problem =
          so a later call can retry — errors are never cached. *)
       let resolve slot =
         locked t (fun () ->
-            (match slot with
-            | Some r -> Hashtbl.replace t.table k (Ready r)
-            | None -> Hashtbl.remove t.table k);
+            set t k (Option.map (fun r -> Ready r) slot);
             Condition.broadcast t.cond)
       in
       match
@@ -131,7 +141,7 @@ let find_or_generate_ctx t ctx problem =
 
 let install t k r =
   locked t (fun () ->
-      if not (Hashtbl.mem t.table k) then Hashtbl.add t.table k (Ready r))
+      if not (Hashtbl.mem t.table k) then set t k (Some (Ready r)))
 
 let entries t =
   locked t (fun () ->
@@ -150,16 +160,11 @@ let mem t k =
 type stats = { entries : int; hits : int; misses : int }
 
 let stats t =
-  locked t (fun () ->
-      let ready =
-        Hashtbl.fold
-          (fun _ slot n -> match slot with Ready _ -> n + 1 | In_flight -> n)
-          t.table 0
-      in
-      { entries = ready; hits = t.hits; misses = t.misses })
+  locked t (fun () -> { entries = t.ready; hits = t.hits; misses = t.misses })
 
 let clear t =
   locked t (fun () ->
       Hashtbl.reset t.table;
+      t.ready <- 0;
       t.hits <- 0;
       t.misses <- 0)

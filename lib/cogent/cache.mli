@@ -54,7 +54,9 @@ val mem : t -> string -> bool
 type stats = { entries : int; hits : int; misses : int }
 
 val stats : t -> stats
-(** [misses] counts generations actually started (single-flight waiters
+(** [entries] counts completed slots (in-flight generations excluded) and
+    is kept as a running count, so [stats] costs O(1) at any cache size.
+    [misses] counts generations actually started (single-flight waiters
     count as [hits]). *)
 
 val clear : t -> unit

@@ -98,7 +98,13 @@ let generate_one (ctx : Ctx.t) ~topk problem =
   match outcome.Pipeline.ranked with
   | [] -> Error (No_viable_mapping prune_stats)
   | (top, _) :: _ as ranked ->
-      let plan_of mapping = Plan.make ~problem ~mapping ~arch ~precision in
+      (* Every ranked mapping was enumerated for [problem], so [Plan.make]
+         accepts it; a rejection would be a planner bug, reported as a
+         typed error like any other bad problem. *)
+      let plan_of mapping =
+        Plan.make ~problem ~mapping ~arch ~precision
+        |> Result.map_error (fun m -> Bad_problem m)
+      in
       let forced = ctx.Ctx.schema in
       (* Kernel schemas a candidate is raced under: the forced one (when
          feasible for this mapping), or every feasible schema —
@@ -118,14 +124,14 @@ let generate_one (ctx : Ctx.t) ~topk problem =
          that overflow SMEM on every candidate. *)
       let model_pick () =
         match forced with
-        | None -> Ok (plan_of top)
+        | None -> plan_of top
         | Some s -> (
             match
               List.find_opt
                 (fun (m, _) -> Plan.schema_feasible ~arch ~precision ~mapping:m s)
                 ranked
             with
-            | Some (m, _) -> Ok (Plan.with_schema s (plan_of m))
+            | Some (m, _) -> Result.map (Plan.with_schema s) (plan_of m)
             | None ->
                 Error
                   (Infeasible_schema
@@ -151,15 +157,25 @@ let generate_one (ctx : Ctx.t) ~topk problem =
         | Some run ->
             (* One plan per refined mapping (validated and costed once);
                its schema lanes are derived from it. *)
-            let candidates =
-              List.filteri (fun k _ -> k < max 1 ctx.Ctx.refine) ranked
-              |> List.concat_map (fun (m, _) ->
-                     match schemas_of m with
-                     | [] -> []
-                     | schemas ->
-                         let p = plan_of m in
-                         List.map (fun s -> Plan.with_schema s p) schemas)
+            let rec lanes acc = function
+              | [] -> Ok (List.concat (List.rev acc))
+              | (m, _) :: rest -> (
+                  match schemas_of m with
+                  | [] -> lanes acc rest
+                  | schemas -> (
+                      match plan_of m with
+                      | Error e -> Error e
+                      | Ok p ->
+                          lanes
+                            (List.map (fun s -> Plan.with_schema s p) schemas
+                            :: acc)
+                            rest))
             in
+            match
+              lanes [] (List.filteri (fun k _ -> k < max 1 ctx.Ctx.refine) ranked)
+            with
+            | Error e -> Error e
+            | Ok candidates ->
             Trace.with_span "driver.refine"
               ~args:
                 (if traced then

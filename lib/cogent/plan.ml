@@ -55,11 +55,11 @@ let feasible_schemas ~arch ~precision mapping =
   List.filter (schema_feasible ~arch ~precision ~mapping) Schema.all
 
 let make ~problem ~mapping ~arch ~precision =
-  (match Mapping.validate problem mapping with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Plan.make: invalid mapping: " ^ e));
-  let cost = Cost.total precision problem mapping in
-  { problem; mapping; arch; precision; schema = Schema.Classic; cost }
+  match Mapping.validate problem mapping with
+  | Error e -> Error ("Plan.make: invalid mapping: " ^ e)
+  | Ok () ->
+      let cost = Cost.total precision problem mapping in
+      Ok { problem; mapping; arch; precision; schema = Schema.Classic; cost }
 
 let with_schema schema t =
   (match

@@ -20,9 +20,11 @@ type t = {
 
 val make :
   problem:Problem.t -> mapping:Mapping.t -> arch:Arch.t
-  -> precision:Precision.t -> t
+  -> precision:Precision.t -> (t, string) result
 (** Computes the model cost; the schema is [Classic] (use {!with_schema}).
-    @raise Invalid_argument if the mapping fails {!Mapping.validate}. *)
+    [Error] when the mapping fails {!Mapping.validate} for [problem] — the
+    serving layer meets this whenever a request's own extents are smaller
+    than a cached mapping's tiles, so it is a value, not an exception. *)
 
 val with_schema : Schema.t -> t -> t
 (** The same plan under another kernel schema (the model cost — DRAM

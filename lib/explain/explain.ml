@@ -28,32 +28,42 @@ let analyze (ctx : Ctx.t) ?(top = 3) problem =
      survivors, under the context's budget and refinement. *)
   match Driver.run ctx ~topk:top problem with
   | Error e -> Error e
-  | Ok d ->
-      let candidates =
-        List.filteri (fun k _ -> k < top) d.Driver.ranked
-        |> List.mapi (fun k (mapping, _) ->
-            let plan = Plan.make ~problem ~mapping ~arch ~precision in
-            (* The schema race for this mapping, priced by the same
-               simulator: [sim] is its classic lane. *)
-            let race = Tc_sim.Simkernel.race plan in
-            {
-              rank = k + 1;
-              plan;
-              cost = Cost.explain precision problem mapping;
-              occupancy = Plan.occupancy plan;
-              sim = race.Tc_sim.Simkernel.classic;
-              pipelined = race.Tc_sim.Simkernel.pipelined;
-            })
+  | Ok d -> (
+      (* The driver ranked these mappings for [problem], so [Plan.make]
+         accepts each; a rejection is reported like the driver's own. *)
+      let rec explain rank = function
+        | [] -> Ok []
+        | (mapping, _) :: rest -> (
+            match Plan.make ~problem ~mapping ~arch ~precision with
+            | Error m -> Error (Driver.Bad_problem m)
+            | Ok plan ->
+                (* The schema race for this mapping, priced by the same
+                   simulator: [sim] is its classic lane. *)
+                let race = Tc_sim.Simkernel.race plan in
+                let c =
+                  {
+                    rank;
+                    plan;
+                    cost = Cost.explain precision problem mapping;
+                    occupancy = Plan.occupancy plan;
+                    sim = race.Tc_sim.Simkernel.classic;
+                    pipelined = race.Tc_sim.Simkernel.pipelined;
+                  }
+                in
+                Result.map (List.cons c) (explain (rank + 1) rest))
       in
-      Ok
-        {
-          problem;
-          arch;
-          precision;
-          naive_space = d.Driver.naive_space;
-          stats = d.Driver.prune_stats;
-          candidates;
-        }
+      match explain 1 (List.filteri (fun k _ -> k < top) d.Driver.ranked) with
+      | Error e -> Error e
+      | Ok candidates ->
+          Ok
+            {
+              problem;
+              arch;
+              precision;
+              naive_space = d.Driver.naive_space;
+              stats = d.Driver.prune_stats;
+              candidates;
+            })
 
 let pct x = 100.0 *. x
 

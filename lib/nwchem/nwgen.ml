@@ -87,7 +87,10 @@ let plan ?(arch = Arch.v100) ?(precision = Precision.FP64) problem =
     else if tb > 4 then fit (tb / 2) reg tbk
     else if reg > 1 then fit tb (reg / 2) tbk
     else if tbk > 1 then fit tb reg (tbk / 2)
-    else m (* smallest recipe; let Plan.make surface any residual issue *)
+    else m (* smallest recipe *)
   in
-  let m = fit 16 4 16 in
-  Plan.make ~problem ~mapping:m ~arch ~precision
+  (* The recipe maps every index once, on its side, with tiles clamped to
+     the extents, so [Plan.make] accepts it for [problem]. *)
+  match Plan.make ~problem ~mapping:(fit 16 4 16) ~arch ~precision with
+  | Ok plan -> plan
+  | Error e -> invalid_arg ("Nwgen.plan: " ^ e)

@@ -229,13 +229,9 @@ let decode_entry memo j =
   let* prec_s = Result.bind (J.field "precision" j) J.as_string in
   let* precision = Precision.of_string prec_s in
   let* mapping = Result.bind (J.field "mapping" j) (shared_mapping memo) in
-  let* plan =
-    (* [Plan.make] recomputes the model cost — deterministic, so the
-       reloaded entry is bit-identical to the one that was saved. *)
-    match Cogent.Plan.make ~problem ~mapping ~arch ~precision with
-    | p -> Ok p
-    | exception Invalid_argument m -> Error m
-  in
+  (* [Plan.make] recomputes the model cost — deterministic, so the
+     reloaded entry is bit-identical to the one that was saved. *)
+  let* plan = Cogent.Plan.make ~problem ~mapping ~arch ~precision in
   (* Lenient: rows written before kernel schemas existed lack the tag and
      load as classic; a present tag must name a schema still feasible for
      the row's mapping (feasibility is recomputed, like the cost). *)

@@ -68,7 +68,8 @@ let load_file ~default path =
           in
           Ok (go 1 []))
 
-let problem t = Problem.of_string t.expr ~sizes:(Sizes.to_list t.sizes)
+let problem t =
+  Result.bind (Problem.analyse t.expr) (fun info -> Problem.of_info info t.sizes)
 
 let ctx ~default t =
   { default with Cogent.Ctx.arch = t.arch; precision = t.precision }

@@ -31,7 +31,8 @@ val load_file :
     [Error] is an unreadable file. *)
 
 val problem : t -> (Problem.t, string) result
-(** Parse the contraction and bind the extents. *)
+(** Parse the contraction ({!Tc_expr.Problem.analyse}) and bind the extents
+    ({!Tc_expr.Problem.of_info}). *)
 
 val ctx : default:Cogent.Ctx.t -> t -> Cogent.Ctx.t
 (** The session context with this request's device and precision. *)

@@ -67,32 +67,42 @@ type report = {
   notices : string list;
 }
 
+(* [infos] and [dispatches] hold the per-session work a request does not
+   need to repeat: the analysis of an expression string (extents are bound
+   per request with [Problem.of_info]) and the dispatch decision of a
+   cached plan.  Both are written only by [run]'s sequential loops. *)
 type session = {
   ctx : Cogent.Ctx.t;
   cache : Cogent.Cache.t;
   store : (string * Planstore.origin) option;
   loaded : int;
   audit : Audit.collector option;
+  infos : (string, Tc_expr.Classify.info) Hashtbl.t;
+  dispatches : (string, Audit.dispatch) Hashtbl.t;
 }
 
 let open_session ?store ?audit ctx =
   Cogent.Ctx.install_jobs ctx;
   let cache = Cogent.Cache.create () in
+  let session store loaded =
+    {
+      ctx;
+      cache;
+      store;
+      loaded;
+      audit;
+      infos = Hashtbl.create 64;
+      dispatches = Hashtbl.create 64;
+    }
+  in
   match store with
-  | None -> Ok { ctx; cache; store = None; loaded = 0; audit }
+  | None -> Ok (session None 0)
   | Some dir -> (
       match Planstore.read ~dir with
       | Error m -> Error m
       | Ok (rows, origin) ->
           List.iter (fun (k, r) -> Cogent.Cache.install cache k r) rows;
-          Ok
-            {
-              ctx;
-              cache;
-              store = Some (dir, origin);
-              loaded = List.length rows;
-              audit;
-            })
+          Ok (session (Some (dir, origin)) (List.length rows)))
 
 let close_session s =
   match s.store with
@@ -103,6 +113,34 @@ let close_session s =
 (* Request ids as they appear everywhere observable: span/flight-recorder
    attribution and the per-request entries of the JSON report. *)
 let request_label id = Printf.sprintf "req-%03d" id
+
+(* [Request.problem] with the analysis memoized per expression string.
+   Only successes are kept, so a stream of malformed expressions cannot
+   grow the table, and every error is the one [Request.problem] gives. *)
+let problem session (req : Request.t) =
+  let info =
+    match Hashtbl.find_opt session.infos req.Request.expr with
+    | Some info -> Ok info
+    | None ->
+        let r = Tc_expr.Problem.analyse req.Request.expr in
+        Result.iter (Hashtbl.add session.infos req.Request.expr) r;
+        r
+  in
+  Result.bind info (fun info -> Tc_expr.Problem.of_info info req.Request.sizes)
+
+(* [Audit.dispatch ctx plan] reads the plan and the context's device and
+   precision (the TTGT estimate), and the plan filed under a key never
+   changes once cached ([Cache.install] and generation both keep the first
+   plan).  The key names the contraction, device, precision and any forced
+   schema, and every other context field is the session's, so one
+   decision per key is exactly what a fresh call would return. *)
+let dispatch session ctx k plan =
+  match Hashtbl.find_opt session.dispatches k with
+  | Some d -> d
+  | None ->
+      let d = Audit.dispatch ctx plan in
+      Hashtbl.add session.dispatches k d;
+      d
 
 (* Per-request telemetry instruments.  [predicted_seconds] records model
    predictions — a pure function of the workload, so its exposition (and
@@ -151,7 +189,7 @@ let run session items =
               Tc_obs.Trace.with_request ~id:rid
                 ~attrs:[ ("expr", Tc_obs.Trace.String req.Request.expr) ]
                 "serve.parse"
-                (fun () -> Request.problem req)
+                (fun () -> problem session req)
             with
             | Error m ->
                 Tc_obs.Flightrec.record ~expr:req.Request.expr
@@ -291,7 +329,7 @@ let run session items =
                   Error e
               | Some (Ok r) ->
                   let plan = r.Cogent.Driver.plan in
-                  let d = Audit.dispatch ctx plan in
+                  let d = dispatch session ctx k plan in
                   let race = d.Audit.race in
                   let outcome =
                     {

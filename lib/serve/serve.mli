@@ -13,6 +13,13 @@
     outcome, the dispatch regret and the audit sample all read that one
     decision.
 
+    A hit pays only for what depends on its own extents (regret, the
+    flight entry, the metrics).  The session computes the dispatch once
+    per plan key and analyses each expression string once
+    ({!Tc_expr.Problem.analyse}), binding each request's extents with
+    {!Tc_expr.Problem.of_info}; both memos are pure functions of their
+    key, so answers are the ones a fresh session gives.
+
     Degradation ladder: a {!Cogent.Ctx.t.budget} falls generation back to
     the heuristic top-of-enumeration plan (flagged per request); a failed
     search or malformed request yields a typed {!error} for that request
@@ -92,6 +99,8 @@ type report = {
 }
 
 type session
+(** Not safe to share between domains: call {!run} on a session from one
+    domain at a time (the plan searches inside it fan out on the pool). *)
 
 val open_session :
   ?store:string ->

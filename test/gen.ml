@@ -94,15 +94,16 @@ let top_plans ~n (r : Cogent.Driver.t) =
   let p = r.Cogent.Driver.plan in
   List.filteri (fun k _ -> k < n) r.Cogent.Driver.ranked
   |> List.map (fun (mapping, _) ->
-         Cogent.Plan.make ~problem:p.Cogent.Plan.problem ~mapping
-           ~arch:p.Cogent.Plan.arch ~precision:p.Cogent.Plan.precision)
+         Result.get_ok
+           (Cogent.Plan.make ~problem:p.Cogent.Plan.problem ~mapping
+              ~arch:p.Cogent.Plan.arch ~precision:p.Cogent.Plan.precision))
 
 (* The same mapping on A100/fp16 under every schema the planner admits for
    it (classic, pipelined, pipelined-MMA), so the execution and counting
    properties see each kernel schema the driver can pick. *)
 let schema_plans problem mapping =
   let arch = Tc_gpu.Arch.a100 and precision = Tc_gpu.Precision.FP16 in
-  let plan = Cogent.Plan.make ~problem ~mapping ~arch ~precision in
+  let plan = Result.get_ok (Cogent.Plan.make ~problem ~mapping ~arch ~precision) in
   List.map
     (fun schema -> Cogent.Plan.with_schema schema plan)
     (Cogent.Plan.feasible_schemas ~arch ~precision mapping)

@@ -49,8 +49,9 @@ let space_plans_execute_correctly =
       | None -> false
       | Some mapping ->
           let plan =
-            Cogent.Plan.make ~problem:c.Gen.problem ~mapping
-              ~arch:Tc_gpu.Arch.v100 ~precision:Tc_gpu.Precision.FP64
+            Result.get_ok
+              (Cogent.Plan.make ~problem:c.Gen.problem ~mapping
+                 ~arch:Tc_gpu.Arch.v100 ~precision:Tc_gpu.Precision.FP64)
           in
           let got =
             Cogent.Interp.execute plan ~lhs:c.Gen.lhs ~rhs:c.Gen.rhs
@@ -135,8 +136,9 @@ let test_fitness_zero_for_infeasible () =
 let test_quality_factor_applied () =
   let m = Tuner.untuned_mapping sd2_small in
   let plan =
-    Cogent.Plan.make ~problem:sd2_small ~mapping:m ~arch:Arch.v100
-      ~precision:Precision.FP32
+    Result.get_ok
+      (Cogent.Plan.make ~problem:sd2_small ~mapping:m ~arch:Arch.v100
+         ~precision:Precision.FP32)
   in
   let gflops = (Tc_sim.Simkernel.run plan).Tc_sim.Simkernel.gflops in
   check Alcotest.bool "feasible" true (gflops > 0.0);

@@ -407,7 +407,9 @@ let test_sim_suite_golden () =
               tx (Sim.transactions_exact precision problem m);
               Buffer.add_string buf " l2";
               tx (Sim.transactions_exact ~arch precision problem m);
-              let plan = Plan.make ~problem ~mapping:m ~arch ~precision in
+              let plan =
+                Result.get_ok (Plan.make ~problem ~mapping:m ~arch ~precision)
+              in
               List.iter
                 (fun sc ->
                   let r = Sim.run (Plan.with_schema sc plan) in
@@ -706,8 +708,9 @@ let codegen_deterministic =
 
 let test_plan_derived () =
   let plan =
-    Plan.make ~problem:eq1 ~mapping:eq1_mapping ~arch:Arch.v100
-      ~precision:Precision.FP64
+    Result.get_ok
+      (Plan.make ~problem:eq1 ~mapping:eq1_mapping ~arch:Arch.v100
+         ~precision:Precision.FP64)
   in
   check Alcotest.int "threads" 256 (Plan.threads_per_block plan);
   check Alcotest.int "smem" (128 * 8 * 8) (Plan.smem_bytes plan);
@@ -723,8 +726,8 @@ let test_plan_rejects_invalid () =
       ~mapping:{ eq1_mapping with Mapping.tbk = [] }
       ~arch:Arch.v100 ~precision:Precision.FP64
   with
-  | exception Invalid_argument _ -> ()
-  | _ -> fail "invalid mapping accepted"
+  | Error _ -> ()
+  | Ok _ -> fail "invalid mapping accepted"
 
 (* ---- Kernel schemas ---- *)
 
@@ -745,11 +748,12 @@ let test_schema_smem_boundary () =
     }
   in
   let plan extent depth =
-    Plan.make
-      ~problem:
-        (Problem.of_string_exn "ab-ac-cb"
-           ~sizes:[ ('a', 64); ('b', 64); ('c', extent) ])
-      ~mapping:(mapping depth) ~arch:Arch.a100 ~precision:Precision.FP64
+    Result.get_ok
+      (Plan.make
+         ~problem:
+           (Problem.of_string_exn "ab-ac-cb"
+              ~sizes:[ ('a', 64); ('b', 64); ('c', extent) ])
+         ~mapping:(mapping depth) ~arch:Arch.a100 ~precision:Precision.FP64)
   in
   let at = plan 96 48 in
   check Alcotest.int "classic smem" 24576 (Plan.smem_bytes at);
@@ -800,8 +804,9 @@ let test_schema_forced_infeasible () =
 (* ---- Codegen ---- *)
 
 let gemm_plan =
-  Plan.make ~problem:gemm_like ~mapping:gemm_mapping ~arch:Arch.v100
-    ~precision:Precision.FP64
+  Result.get_ok
+    (Plan.make ~problem:gemm_like ~mapping:gemm_mapping ~arch:Arch.v100
+       ~precision:Precision.FP64)
 
 let test_codegen_golden () =
   check_golden "golden kernel" "ab_ac_cb.cu" (Codegen.emit gemm_plan)
@@ -819,8 +824,9 @@ let test_codegen_golden_c () =
    rotation in all three dialects. *)
 let pipelined_plan =
   Plan.with_schema Schema.Pipelined
-    (Plan.make ~problem:gemm_like ~mapping:gemm_mapping ~arch:Arch.a100
-       ~precision:Precision.FP64)
+    (Result.get_ok
+       (Plan.make ~problem:gemm_like ~mapping:gemm_mapping ~arch:Arch.a100
+          ~precision:Precision.FP64))
 
 let test_codegen_golden_pipelined () =
   check_golden "golden pipelined kernel" "ab_ac_cb_pipelined.cu"
@@ -838,8 +844,9 @@ let test_codegen_golden_pipelined_c () =
    [half] scalar type, the fp16 [0.0f] zero and the MMA compute comment. *)
 let mma_plan =
   Plan.with_schema Schema.Pipelined_mma
-    (Plan.make ~problem:gemm_like ~mapping:gemm_mapping ~arch:Arch.a100
-       ~precision:Precision.FP16)
+    (Result.get_ok
+       (Plan.make ~problem:gemm_like ~mapping:gemm_mapping ~arch:Arch.a100
+          ~precision:Precision.FP16))
 
 let test_codegen_golden_mma () =
   check_golden "golden MMA kernel" "ab_ac_cb_mma.cu" (Codegen.emit mma_plan)
@@ -926,8 +933,9 @@ let test_codegen_opencl_structure () =
 
 let test_codegen_opencl_fp32_no_pragma () =
   let plan =
-    Plan.make ~problem:gemm_like ~mapping:gemm_mapping ~arch:Arch.v100
-      ~precision:Precision.FP32
+    Result.get_ok
+      (Plan.make ~problem:gemm_like ~mapping:gemm_mapping ~arch:Arch.v100
+         ~precision:Precision.FP32)
   in
   let src = Codegen.emit_kernel ~dialect:Codegen.Opencl plan in
   check Alcotest.bool "no fp64 pragma in fp32 kernels" false
@@ -935,8 +943,9 @@ let test_codegen_opencl_fp32_no_pragma () =
 
 let test_codegen_structure () =
   let eq1_plan =
-    Plan.make ~problem:eq1 ~mapping:eq1_mapping ~arch:Arch.v100
-      ~precision:Precision.FP64
+    Result.get_ok
+      (Plan.make ~problem:eq1 ~mapping:eq1_mapping ~arch:Arch.v100
+         ~precision:Precision.FP64)
   in
   let src = Codegen.emit eq1_plan in
   let has needle =
@@ -961,8 +970,9 @@ let test_codegen_structure () =
 
 let test_codegen_fp32 () =
   let plan =
-    Plan.make ~problem:gemm_like ~mapping:gemm_mapping ~arch:Arch.v100
-      ~precision:Precision.FP32
+    Result.get_ok
+      (Plan.make ~problem:gemm_like ~mapping:gemm_mapping ~arch:Arch.v100
+         ~precision:Precision.FP32)
   in
   let src = Codegen.emit_kernel plan in
   check Alcotest.bool "uses float" true
@@ -1117,7 +1127,8 @@ let test_driver_refine_measurement_count () =
         List.filter (fun p -> Mapping.equal p.Plan.mapping m) !seen
       in
       let cost =
-        (Plan.make ~problem:eq1 ~mapping:m ~arch ~precision).Plan.cost
+        (Result.get_ok (Plan.make ~problem:eq1 ~mapping:m ~arch ~precision))
+          .Plan.cost
       in
       let names l = List.sort compare (List.map Schema.to_string l) in
       check

@@ -293,8 +293,9 @@ let test_mma_kernel_compiles () =
   in
   let plan =
     Cogent.Plan.with_schema Schema.Pipelined_mma
-      (Cogent.Plan.make ~problem ~mapping ~arch:Arch.a100
-         ~precision:Precision.FP16)
+      (Result.get_ok
+         (Cogent.Plan.make ~problem ~mapping ~arch:Arch.a100
+            ~precision:Precision.FP16))
   in
   check_kernel ~shim:cuda_shim plan "ab-ac-cb (fp16 MMA)"
 
@@ -365,8 +366,9 @@ let test_adversarial_mappings_compile () =
   List.iteri
     (fun k m ->
       let plan =
-        Cogent.Plan.make ~problem ~mapping:m ~arch:Arch.v100
-          ~precision:Precision.FP64
+        Result.get_ok
+          (Cogent.Plan.make ~problem ~mapping:m ~arch:Arch.v100
+             ~precision:Precision.FP64)
       in
       check_kernel ~shim:cuda_shim plan (Printf.sprintf "adversarial %d" k))
     mappings

@@ -34,7 +34,8 @@ let run_case ~expr ~sizes ~mapping =
   let problem = Problem.of_string_exn expr ~sizes in
   let lhs, rhs, expected = operands problem in
   check_plan ~lhs ~rhs ~expected
-    (Plan.make ~problem ~mapping ~arch:Arch.v100 ~precision:Precision.FP64)
+    (Result.get_ok
+       (Plan.make ~problem ~mapping ~arch:Arch.v100 ~precision:Precision.FP64))
 
 let test_gemm_exact_tiles () =
   run_case ~expr:"ab-ac-cb" ~sizes:[ ('a', 16); ('b', 16); ('c', 8) ]
@@ -193,17 +194,18 @@ let test_shape_mismatch_rejected () =
     Problem.of_string_exn "ab-ac-cb" ~sizes:[ ('a', 4); ('b', 4); ('c', 4) ]
   in
   let plan =
-    Plan.make ~problem
-      ~mapping:
-        {
-          Mapping.tbx = [ b 'a' 4 ];
-          regx = [];
-          tby = [ b 'b' 4 ];
-          regy = [];
-          tbk = [ b 'c' 4 ];
-          grid = [];
-        }
-      ~arch:Arch.v100 ~precision:Precision.FP64
+    Result.get_ok
+      (Plan.make ~problem
+         ~mapping:
+           {
+             Mapping.tbx = [ b 'a' 4 ];
+             regx = [];
+             tby = [ b 'b' 4 ];
+             regy = [];
+             tbk = [ b 'c' 4 ];
+             grid = [];
+           }
+         ~arch:Arch.v100 ~precision:Precision.FP64)
   in
   let bad = Dense.create (Shape.make [ ('a', 4); ('c', 5) ]) in
   let rhs = Dense.create (Shape.make [ ('c', 4); ('b', 4) ]) in
@@ -247,7 +249,9 @@ let interp_precision_independent =
       let mapping = (Gen.plan_of Ctx.default c.Gen.problem).Plan.mapping in
       let run precision =
         let plan =
-          Plan.make ~problem:c.Gen.problem ~mapping ~arch:Arch.v100 ~precision
+          Result.get_ok
+            (Plan.make ~problem:c.Gen.problem ~mapping ~arch:Arch.v100
+               ~precision)
         in
         Interp.execute plan ~lhs:c.Gen.lhs ~rhs:c.Gen.rhs
       in

@@ -25,7 +25,8 @@ let toy_plan =
       grid = [];
     }
   in
-  Plan.make ~problem ~mapping ~arch:Arch.v100 ~precision:Precision.FP64
+  Result.get_ok
+    (Plan.make ~problem ~mapping ~arch:Arch.v100 ~precision:Precision.FP64)
 
 let has_sub src needle =
   let ln = String.length needle and ls = String.length src in

@@ -288,6 +288,58 @@ let test_cache_single_flight () =
         rest
   | _ -> assert false
 
+(* [Cache.stats] keeps [entries] as a running count instead of walking
+   the table: after every way a slot changes it must still equal the
+   number of completed slots, which [Cache.entries] lists. *)
+let test_cache_stats_counts_ready () =
+  let problem a =
+    Tc_expr.Problem.of_string_exn "ab-ac-cb"
+      ~sizes:[ ('a', a); ('b', 64); ('c', 64) ]
+  in
+  let ctx = Cogent.Ctx.make ~measure:Tc_sim.Simkernel.gflops () in
+  let cache = Cogent.Cache.create () in
+  let agree what expected =
+    let ready = List.length (Cogent.Cache.entries cache) in
+    check Alcotest.int (what ^ ": ready slots") expected ready;
+    check Alcotest.int (what ^ ": stats entries") ready
+      (Cogent.Cache.stats cache).Cogent.Cache.entries
+  in
+  let generate ctx p = ignore (Cogent.Cache.find_or_generate_ctx cache ctx p) in
+  agree "empty" 0;
+  let installed =
+    match Cogent.Driver.run ctx (problem 8) with
+    | Ok r -> r
+    | Error e -> fail (Cogent.Driver.error_to_string e)
+  in
+  Cogent.Cache.install cache "installed" installed;
+  Cogent.Cache.install cache "installed" installed;
+  agree "install (twice, first wins)" 1;
+  generate ctx (problem 16);
+  generate ctx (problem 16);
+  agree "one generation, one hit" 2;
+  (* a forced schema no fp64 mapping admits: the search returns an error *)
+  generate (Cogent.Ctx.make ~schema:Tc_gpu.Schema.Pipelined_mma ()) (problem 32);
+  (* a measure that raises: the generation crashes *)
+  (try generate (Cogent.Ctx.make ~measure:(fun _ -> failwith "boom") ())
+         (problem 32)
+   with Failure _ -> ());
+  agree "failed generations remove their slot" 2;
+  check Alcotest.int "both failures started a generation" 3
+    (Cogent.Cache.stats cache).Cogent.Cache.misses;
+  (* four domains race over the same three keys, in rotated orders *)
+  let keys = [ problem 16; problem 128; problem 256 ] in
+  List.init 4 (fun d ->
+      Domain.spawn (fun () ->
+          List.iteri
+            (fun k _ -> generate ctx (List.nth keys ((k + d) mod 3)))
+            keys))
+  |> List.iter Domain.join;
+  agree "racing domains" 4;
+  Cogent.Cache.clear cache;
+  agree "clear" 0;
+  generate ctx (problem 16);
+  agree "generation after clear" 1
+
 let test_autotune_deterministic_across_jobs () =
   let problem =
     Tc_expr.Problem.of_string_exn "ab-ac-cb"
@@ -347,5 +399,7 @@ let () =
         [
           Alcotest.test_case "single-flight generation under racing domains"
             `Quick test_cache_single_flight;
+          Alcotest.test_case "stats entries count ready slots" `Quick
+            test_cache_stats_counts_ready;
         ] );
     ]

@@ -212,7 +212,8 @@ let sample_mappings problem =
 let agree_case (c : Gen.case) =
   let problem = c.Gen.problem in
   let plans mapping =
-    Plan.make ~problem ~mapping ~arch:Arch.v100 ~precision:Precision.FP64
+    Result.get_ok
+      (Plan.make ~problem ~mapping ~arch:Arch.v100 ~precision:Precision.FP64)
     :: Gen.schema_plans problem mapping
   in
   List.iter
@@ -268,7 +269,8 @@ let test_execute_counters () =
     }
   in
   let plan =
-    Plan.make ~problem ~mapping ~arch:Arch.v100 ~precision:Precision.FP64
+    Result.get_ok
+      (Plan.make ~problem ~mapping ~arch:Arch.v100 ~precision:Precision.FP64)
   in
   let info = Problem.info problem in
   let orig = info.Tc_expr.Classify.original in

@@ -476,6 +476,88 @@ let test_audit_cold_warm_identical () =
   check Alcotest.int "both batches sampled everything" 2 (List.length cold);
   check Alcotest.bool "cold and warm samples are identical" true (cold = warm)
 
+(* A session computes each key's dispatch once and analyses each
+   expression once.  Neither memo may change an answer: serve a batch in
+   which every key appears several times, then the same lines reversed in
+   a second [run] on the same session, and compare every response and
+   audit sample with a fresh session serving that line alone.  Only
+   [cached] may differ (the memo session has seen the key before).  Bad
+   lines repeat too: an unparsable expression, and a valid expression
+   (analysed and memoized by earlier lines) that lacks an extent. *)
+let test_memo_changes_no_answer () =
+  let on arch precision r = { r with Tc_serve.Request.arch; precision } in
+  let gemm id = req id "ab-ac-cb" [ ('a', 64); ('b', 64); ('c', 64) ] in
+  let sd2 id =
+    on Tc_gpu.Arch.a100 Tc_gpu.Precision.FP16
+      (req id "abcd-aebf-dfce"
+         [ ('a', 16); ('b', 16); ('c', 16); ('d', 16); ('e', 8); ('f', 8) ])
+  in
+  let perm id =
+    on Tc_gpu.Arch.p100 Tc_gpu.Precision.FP32
+      (req id "abc-bda-dc" [ ('a', 32); ('b', 32); ('c', 32); ('d', 32) ])
+  in
+  let unparsable id = req id "definitely not a contraction" [ ('a', 4) ] in
+  let no_extent id = req id "ab-ac-cb" [ ('a', 64); ('b', 64) ] in
+  let batch =
+    List.mapi
+      (fun k line -> Ok (line (k + 1)))
+      [
+        gemm; sd2; unparsable; perm; gemm; no_extent; sd2; unparsable; perm;
+        gemm; no_extent; sd2;
+      ]
+  in
+  let serve s items = (Tc_serve.Serve.run s items).Tc_serve.Serve.responses in
+  let audit = Tc_audit.Audit.collector () in
+  let s =
+    match Tc_serve.Serve.open_session ~audit ctx with
+    | Ok s -> s
+    | Error m -> fail m
+  in
+  (* in two steps: the operands of [@] are evaluated right to left *)
+  let first_run = serve s batch in
+  let responses = first_run @ serve s (List.rev batch) in
+  let samples = Tc_audit.Audit.samples audit in
+  let alone item =
+    let audit = Tc_audit.Audit.collector () in
+    match Tc_serve.Serve.open_session ~audit ctx with
+    | Error m -> fail m
+    | Ok s -> (
+        match serve s [ item ] with
+        | [ r ] -> (r.Tc_serve.Serve.result, Tc_audit.Audit.samples audit)
+        | _ -> fail "expected one response")
+  in
+  let result = function
+    | Ok o -> Ok { o with Tc_serve.Serve.cached = false }
+    | Error e -> Error (Tc_serve.Serve.error_to_string e)
+  in
+  let expected = List.map alone (batch @ List.rev batch) in
+  List.iter2
+    (fun r (fresh, _) ->
+      let name = Printf.sprintf "req-%03d" r.Tc_serve.Serve.id in
+      check Alcotest.bool (name ^ " answers as if alone") true
+        (result r.Tc_serve.Serve.result = result fresh))
+    responses expected;
+  check Alcotest.int "every well-formed line was sampled" 16
+    (List.length samples);
+  check Alcotest.bool "every sample is the fresh session's" true
+    (samples = List.concat_map snd expected);
+  let errors =
+    List.filter_map
+      (fun r ->
+        match r.Tc_serve.Serve.result with
+        | Error e -> Some (r.Tc_serve.Serve.id, Tc_serve.Serve.error_to_string e)
+        | Ok _ -> None)
+      responses
+  in
+  List.iter
+    (fun id ->
+      match List.filter (fun (i, _) -> i = id) errors with
+      | [ (_, first); (_, again) ] ->
+          check Alcotest.string "a repeated bad line gives the same error"
+            first again
+      | _ -> fail "expected each bad line to fail in both runs")
+    [ 3; 6; 8; 11 ]
+
 (* ---- request parsing ---- *)
 
 let test_request_parsing () =
@@ -691,6 +773,7 @@ let test_ledger_follows_serve () =
             (Tc_sim.Simkernel.run
                (Cogent.Plan.make ~problem:(Tc_tccg.Suite.problem e)
                   ~mapping:plan.Cogent.Plan.mapping ~arch ~precision
+               |> Result.get_ok
                |> Cogent.Plan.with_schema o.Serve.schema))
               .Tc_sim.Simkernel.time_s
             smp.Audit.own_cogent_s)
@@ -965,6 +1048,8 @@ let () =
             test_degraded_batch;
           Alcotest.test_case "warm restart regenerates nothing" `Quick
             test_warm_restart_regenerates_nothing;
+          Alcotest.test_case "memos change no answer" `Quick
+            test_memo_changes_no_answer;
           Alcotest.test_case "request parsing" `Quick test_request_parsing;
           Alcotest.test_case "extent above 2^61 gets one answer" `Quick
             test_hostile_extent_answers;

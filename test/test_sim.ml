@@ -21,7 +21,7 @@ let gemm_mapping =
   }
 
 let plan ?(arch = Arch.v100) ?(prec = Precision.FP64) problem mapping =
-  Plan.make ~problem ~mapping ~arch ~precision:prec
+  Result.get_ok (Plan.make ~problem ~mapping ~arch ~precision:prec)
 
 let test_result_consistency () =
   let p = gemm_problem 512 512 in
