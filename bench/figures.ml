@@ -274,10 +274,9 @@ let schemas () =
         let entry =
           bench_entry ~name:e.Tc_tccg.Suite.name ~expr:e.Tc_tccg.Suite.expr
             arch prec
-            ([
-               plan_strategy "classic"
-                 (Cogent.Plan.with_schema Schema.Classic plan);
-             ]
+            ((match Cogent.Plan.with_schema Schema.Classic plan with
+             | Ok classic -> [ plan_strategy "classic" classic ]
+             | Error _ -> [])
             @ (match piped with
               | None -> []
               | Some (sc, g) ->

@@ -68,6 +68,35 @@ let staged_tests =
     let plan = selected_plan Cogent.Ctx.default problem in
     fun () -> ignore (Tc_sim.Simkernel.run plan)
   in
+  (* A served request's own extents: sd2_1's contraction with every
+     extent jittered inside its size class and off the tile grid, the
+     pricing serve runs per hit under the served schema. *)
+  let own_sd2 =
+    Tc_expr.Problem.of_info
+      (Tc_expr.Problem.info problem_sd2)
+      (Tc_expr.Sizes.of_list
+         [
+           ('a', 19); ('b', 13); ('c', 21); ('d', 61); ('e', 53); ('f', 41);
+           ('g', 57);
+         ])
+    |> Result.get_ok
+  in
+  let simulate_own () =
+    let plan = selected_plan Cogent.Ctx.default problem_sd2 in
+    let mapping = plan.Cogent.Plan.mapping in
+    assert (Cogent.Mapping.fits own_sd2 mapping);
+    fun () ->
+      ignore
+        (Tc_sim.Simkernel.simulate ~arch:plan.Cogent.Plan.arch
+           ~precision:plan.Cogent.Plan.precision ~schema:plan.Cogent.Plan.schema
+           own_sd2 mapping)
+  in
+  let regret_own () =
+    let ctx = Cogent.Ctx.default in
+    let plan = selected_plan ctx problem_sd2 in
+    let d = Tc_audit.Audit.dispatch ctx plan in
+    fun () -> ignore (Tc_audit.Audit.regret ~ctx ~own:own_sd2 d plan)
+  in
   (* The lanes serve races per request: every feasible schema of the
      A100/fp16 plan, sharing one traffic count. *)
   let simulate_race problem =
@@ -137,6 +166,8 @@ let staged_tests =
     Test.make ~name:"simulate/sd2_1" (Staged.stage (simulate problem_sd2));
     Test.make ~name:"simulate-race/sd2_1"
       (Staged.stage (simulate_race problem_sd2));
+    Test.make ~name:"simulate/own-extents" (Staged.stage (simulate_own ()));
+    Test.make ~name:"audit-regret/own" (Staged.stage (regret_own ()));
     Test.make ~name:"interp-execute/gemm64"
       (Staged.stage (interp_execute gemm64));
     Test.make ~name:"interp-execute/odd" (Staged.stage (interp_execute eq1_odd));

@@ -79,27 +79,29 @@ let dispatch ctx (plan : Cogent.Plan.t) =
 (* ---- sampling ---- *)
 
 let regret ~ctx ~own d (plan : Cogent.Plan.t) =
-  (* The own-extent kernel runs under the served schema; feasibility only
-     depends on mapping, arch and precision, which are unchanged. *)
-  match
-    Cogent.Plan.make ~problem:own ~mapping:plan.Cogent.Plan.mapping
-      ~arch:plan.Cogent.Plan.arch ~precision:plan.Cogent.Plan.precision
-  with
-  | Ok own_plan ->
-      let own_plan = Cogent.Plan.with_schema d.schema own_plan in
-      let oc = (Tc_sim.Simkernel.run own_plan).Tc_sim.Simkernel.time_s in
-      let ot = (Tc_ttgt.Ttgt.run_ctx ctx own).Tc_ttgt.Ttgt.time_s in
-      let regret =
-        match d.engine with
-        | Cogent_kernel -> Float.max 0.0 (oc -. ot)
-        | Ttgt_pipeline -> Float.max 0.0 (ot -. oc)
-      in
-      (oc, ot, regret, false)
-  | Error _ ->
-      (* The cached mapping does not survive re-planning at the request's
-         own extents; fall back to the representative's numbers, where the
-         chosen side is the minimum and regret is 0 by construction. *)
-      (d.cogent_s, d.ttgt_s, 0.0, true)
+  let mapping = plan.Cogent.Plan.mapping in
+  if Cogent.Mapping.fits own mapping then begin
+    (* The own-extent kernel runs under the served schema, which the race
+       found feasible: feasibility depends only on mapping, arch and
+       precision, which are unchanged. *)
+    let oc =
+      (Tc_sim.Simkernel.simulate ~arch:plan.Cogent.Plan.arch
+         ~precision:plan.Cogent.Plan.precision ~schema:d.schema own mapping)
+        .Tc_sim.Simkernel.time_s
+    in
+    let ot = (Tc_ttgt.Ttgt.run_ctx ctx own).Tc_ttgt.Ttgt.time_s in
+    let regret =
+      match d.engine with
+      | Cogent_kernel -> Float.max 0.0 (oc -. ot)
+      | Ttgt_pipeline -> Float.max 0.0 (ot -. oc)
+    in
+    (oc, ot, regret, false)
+  end
+  else
+    (* The cached mapping does not fit the request's own extents; fall
+       back to the representative's numbers, where the chosen side is the
+       minimum and regret is 0 by construction. *)
+    (d.cogent_s, d.ttgt_s, 0.0, true)
 
 let dispatch_regret ~ctx ~own plan = regret ~ctx ~own (dispatch ctx plan) plan
 

@@ -43,8 +43,9 @@ type sample = {
   own_cogent_s : float;  (** served schema at the request's extents *)
   own_ttgt_s : float;  (** TTGT prediction at the request's extents *)
   own_approx : bool;
-      (** the cached mapping could not be re-planned at the request's
-          extents; own times fell back to the representative's (regret 0) *)
+      (** the cached mapping does not fit the request's extents
+          ({!Cogent.Mapping.fits}); own times fell back to the
+          representative's (regret 0) *)
   regret_s : float;
       (** [max 0 (chosen - alternative)] on the request's own problem *)
   model_cost : float;  (** Algorithm-3 total (the ranking quantity) *)
@@ -102,8 +103,9 @@ val regret :
   float * float * float * bool
 (** [regret ~ctx ~own d plan] evaluates both engines at the request's own
     extents: [(own_cogent_s, own_ttgt_s, regret_s, own_approx)].  The
-    chosen side is [d]'s engine and the own-extent kernel runs under
-    [d]'s schema, so regret is 0 when [own] is the representative
+    chosen side is [d]'s engine and the own-extent kernel is priced by
+    {!Tc_sim.Simkernel.simulate} under [d]'s schema (no plan, so no model
+    cost, is built), so regret is 0 when [own] is the representative
     problem.  [d] must be [dispatch ctx plan]. *)
 
 val dispatch_regret :

@@ -46,26 +46,49 @@ let round_pow2 n =
   let lo = max 1 (hi / 2) in
   if n - lo <= hi - n then lo else hi
 
+(* The key is built in one buffer, digits included: it is formed once per
+   served request. *)
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+
+let add_size_class b problem =
+  List.iteri
+    (fun k i ->
+      if k > 0 then Buffer.add_char b ',';
+      Buffer.add_char b i;
+      Buffer.add_char b ':';
+      add_digits b (round_pow2 (Problem.extent problem i)))
+    (Classify.all_indices (Problem.info problem))
+
 let size_class problem =
-  let info = Problem.info problem in
-  String.concat ","
-    (List.map
-       (fun i ->
-         Printf.sprintf "%c:%d" i (round_pow2 (Problem.extent problem i)))
-       (Classify.all_indices info))
+  let b = Buffer.create 32 in
+  add_size_class b problem;
+  Buffer.contents b
 
 let key (ctx : Ctx.t) problem =
-  Printf.sprintf "%s|%s|%s|%s%s"
-    (Ast.tccg_string (Problem.info problem).Classify.original)
-    ctx.Ctx.arch.Arch.name
-    (Precision.to_string ctx.Ctx.precision)
-    (size_class problem)
-    (* A forced kernel schema changes what the search returns, so it is
-       part of the identity; auto-raced contexts keep the historical key
-       (and stay compatible with stores written before schemas existed). *)
-    (match ctx.Ctx.schema with
-    | None -> ""
-    | Some s -> "|" ^ Schema.to_string s)
+  let e = (Problem.info problem).Classify.original in
+  let b = Buffer.create 96 in
+  List.iter (Buffer.add_char b) e.Ast.out.Ast.indices;
+  Buffer.add_char b '-';
+  List.iter (Buffer.add_char b) e.Ast.lhs.Ast.indices;
+  Buffer.add_char b '-';
+  List.iter (Buffer.add_char b) e.Ast.rhs.Ast.indices;
+  Buffer.add_char b '|';
+  Buffer.add_string b ctx.Ctx.arch.Arch.name;
+  Buffer.add_char b '|';
+  Buffer.add_string b (Precision.to_string ctx.Ctx.precision);
+  Buffer.add_char b '|';
+  add_size_class b problem;
+  (* A forced kernel schema changes what the search returns, so it is
+     part of the identity; auto-raced contexts keep the historical key
+     (and stay compatible with stores written before schemas existed). *)
+  (match ctx.Ctx.schema with
+  | None -> ()
+  | Some s ->
+      Buffer.add_char b '|';
+      Buffer.add_string b (Schema.to_string s));
+  Buffer.contents b
 
 let hit_counter () = Tc_obs.Metrics.counter "cogent.cache.hits"
 let miss_counter () = Tc_obs.Metrics.counter "cogent.cache.misses"

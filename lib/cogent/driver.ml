@@ -105,6 +105,10 @@ let generate_one (ctx : Ctx.t) ~topk problem =
         Plan.make ~problem ~mapping ~arch ~precision
         |> Result.map_error (fun m -> Bad_problem m)
       in
+      let with_schema s p =
+        Plan.with_schema s p
+        |> Result.map_error (fun m -> Infeasible_schema (s, m))
+      in
       let forced = ctx.Ctx.schema in
       (* Kernel schemas a candidate is raced under: the forced one (when
          feasible for this mapping), or every feasible schema —
@@ -131,7 +135,7 @@ let generate_one (ctx : Ctx.t) ~topk problem =
                 (fun (m, _) -> Plan.schema_feasible ~arch ~precision ~mapping:m s)
                 ranked
             with
-            | Some (m, _) -> Result.map (Plan.with_schema s) (plan_of m)
+            | Some (m, _) -> Result.bind (plan_of m) (with_schema s)
             | None ->
                 Error
                   (Infeasible_schema
@@ -158,7 +162,7 @@ let generate_one (ctx : Ctx.t) ~topk problem =
             (* One plan per refined mapping (validated and costed once);
                its schema lanes are derived from it. *)
             let rec lanes acc = function
-              | [] -> Ok (List.concat (List.rev acc))
+              | [] -> Ok (List.rev acc)
               | (m, _) :: rest -> (
                   match schemas_of m with
                   | [] -> lanes acc rest
@@ -166,10 +170,14 @@ let generate_one (ctx : Ctx.t) ~topk problem =
                       match plan_of m with
                       | Error e -> Error e
                       | Ok p ->
-                          lanes
-                            (List.map (fun s -> Plan.with_schema s p) schemas
-                            :: acc)
-                            rest))
+                          let rec raced acc = function
+                            | [] -> lanes acc rest
+                            | s :: tl -> (
+                                match with_schema s p with
+                                | Ok q -> raced (q :: acc) tl
+                                | Error e -> Error e)
+                          in
+                          raced acc schemas))
             in
             match
               lanes [] (List.filteri (fun k _ -> k < max 1 ctx.Ctx.refine) ranked)

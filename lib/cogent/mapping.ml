@@ -20,25 +20,25 @@ let size_regy t = prod_tiles t.regy
 let size_tbk t = prod_tiles t.tbk
 let threads_per_block t = size_tbx t * size_tby t
 
+(* Searched without allocating: [tile_of] runs for every tensor axis of
+   every simulated request. *)
+let rec binding_tile i = function
+  | [] -> raise_notrace Not_found
+  | b :: tl -> if Index.equal b.index i then b.tile else binding_tile i tl
+
 let tile_of t i =
-  let find l = List.find_opt (fun b -> Index.equal b.index i) l in
-  match find t.tbx with
-  | Some b -> b.tile
-  | None -> (
-      match find t.regx with
-      | Some b -> b.tile
-      | None -> (
-          match find t.tby with
-          | Some b -> b.tile
-          | None -> (
-              match find t.regy with
-              | Some b -> b.tile
-              | None -> (
-                  match find t.tbk with
-                  | Some b -> b.tile
-                  | None ->
-                      if List.exists (Index.equal i) t.grid then 1
-                      else raise Not_found))))
+  try binding_tile i t.tbx
+  with Not_found -> (
+    try binding_tile i t.regx
+    with Not_found -> (
+      try binding_tile i t.tby
+      with Not_found -> (
+        try binding_tile i t.regy
+        with Not_found -> (
+          try binding_tile i t.tbk
+          with Not_found ->
+            if List.exists (Index.equal i) t.grid then 1
+            else raise Not_found))))
 
 let smem_elems t =
   ((size_tbx t * size_regx t) + (size_tby t * size_regy t)) * size_tbk t
@@ -65,54 +65,50 @@ let num_steps problem t =
 
 let bindings_indices l = List.map (fun b -> b.index) l
 
-let validate problem t =
+(* The first structural rule [t] breaks for [problem], or a binding whose
+   tile leaves [1, extent]: a value, so a caller that only asks whether
+   the mapping fits builds no message.  Index lists are a handful long, so
+   membership is a list scan. *)
+type fault = Rule of string | Tile of binding
+
+let fault problem t =
   let info = Problem.info problem in
+  let mem i l = List.exists (Index.equal i) l in
+  let within a b = List.for_all (fun i -> mem i b) a in
   let x_side = bindings_indices t.tbx @ bindings_indices t.regx in
   let y_side = bindings_indices t.tby @ bindings_indices t.regy in
   let mapped_ext = x_side @ y_side @ t.grid in
   let internal_mapped = bindings_indices t.tbk in
-  let check cond msg = if cond then Ok () else Error msg in
-  let ( let* ) = Result.bind in
-  let* () = check (Index.distinct mapped_ext) "an external index is mapped twice" in
-  let* () =
-    check
-      (Index.Set.equal
-         (Index.Set.of_list mapped_ext)
-         (Index.Set.of_list info.Classify.externals))
-      "mapped externals differ from the contraction's externals"
-  in
-  let* () = check (Index.distinct internal_mapped) "an internal index is mapped twice" in
-  let* () =
-    check
-      (Index.Set.equal
-         (Index.Set.of_list internal_mapped)
-         (Index.Set.of_list info.Classify.internals))
-      "tbk must hold exactly the internal indices"
-  in
-  let lhs_ext = Index.Set.of_list info.Classify.lhs_externals in
-  let rhs_ext = Index.Set.of_list info.Classify.rhs_externals in
-  let* () =
-    check
-      (List.for_all (fun i -> Index.Set.mem i lhs_ext) x_side)
-      "an X-side index is not an external of the lhs input"
-  in
-  let* () =
-    check
-      (List.for_all (fun i -> Index.Set.mem i rhs_ext) y_side)
-      "a Y-side index is not an external of the rhs input"
-  in
-  let all_bindings = t.tbx @ t.regx @ t.tby @ t.regy @ t.tbk in
-  let bad_tile =
-    List.find_opt
-      (fun b -> b.tile < 1 || b.tile > Problem.extent problem b.index)
-      all_bindings
-  in
-  match bad_tile with
-  | Some b ->
+  let externals = info.Classify.externals in
+  let internals = info.Classify.internals in
+  if not (Index.distinct mapped_ext) then
+    Some (Rule "an external index is mapped twice")
+  else if not (within mapped_ext externals && within externals mapped_ext) then
+    Some (Rule "mapped externals differ from the contraction's externals")
+  else if not (Index.distinct internal_mapped) then
+    Some (Rule "an internal index is mapped twice")
+  else if
+    not (within internal_mapped internals && within internals internal_mapped)
+  then Some (Rule "tbk must hold exactly the internal indices")
+  else if not (within x_side info.Classify.lhs_externals) then
+    Some (Rule "an X-side index is not an external of the lhs input")
+  else if not (within y_side info.Classify.rhs_externals) then
+    Some (Rule "a Y-side index is not an external of the rhs input")
+  else
+    let bad b = b.tile < 1 || b.tile > Problem.extent problem b.index in
+    List.find_map (List.find_opt bad) [ t.tbx; t.regx; t.tby; t.regy; t.tbk ]
+    |> Option.map (fun b -> Tile b)
+
+let validate problem t =
+  match fault problem t with
+  | None -> Ok ()
+  | Some (Rule msg) -> Error msg
+  | Some (Tile b) ->
       Error
         (Printf.sprintf "tile %d of index %c outside [1, %d]" b.tile b.index
            (Problem.extent problem b.index))
-  | None -> Ok ()
+
+let fits problem t = Option.is_none (fault problem t)
 
 let compare_bindings a b =
   match List.compare_lengths a b with

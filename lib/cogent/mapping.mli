@@ -66,6 +66,11 @@ val validate : Problem.t -> t -> (unit, string) result
     not of executability — the TC-like autotuner explores configurations
     without it.) *)
 
+val fits : Problem.t -> t -> bool
+(** [fits problem t] is [validate problem t = Ok ()], without building
+    the error message: the serving layer asks it once per request, and a
+    request whose extents are smaller than a cached tile is routine. *)
+
 val equal : t -> t -> bool
 val compare : t -> t -> int
 

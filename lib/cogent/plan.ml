@@ -62,34 +62,42 @@ let make ~problem ~mapping ~arch ~precision =
       Ok { problem; mapping; arch; precision; schema = Schema.Classic; cost }
 
 let with_schema schema t =
-  (match
-     schema_error ~arch:t.arch ~precision:t.precision ~mapping:t.mapping
-       schema
-   with
-  | None -> ()
-  | Some e -> invalid_arg ("Plan.with_schema: " ^ e));
-  { t with schema }
+  match
+    schema_error ~arch:t.arch ~precision:t.precision ~mapping:t.mapping schema
+  with
+  | None -> Ok { t with schema }
+  | Some e -> Error ("Plan.with_schema: " ^ e)
 
 let threads_x t = Mapping.size_tbx t.mapping
 let threads_y t = Mapping.size_tby t.mapping
 let threads_per_block t = Mapping.threads_per_block t.mapping
 
+let kernel_smem_bytes ~precision ~schema mapping =
+  Schema.smem_factor schema * Prune.smem_bytes precision mapping
+
+let kernel_regs ~precision ~schema mapping =
+  Prune.regs_per_thread precision mapping + Schema.extra_regs schema
+
+let kernel_occupancy ~arch ~precision ~schema mapping =
+  Occupancy.calculate arch
+    {
+      Occupancy.threads_per_block = Mapping.threads_per_block mapping;
+      smem_per_block = kernel_smem_bytes ~precision ~schema mapping;
+      regs_per_thread = min 255 (kernel_regs ~precision ~schema mapping);
+    }
+
 let smem_bytes t =
-  Schema.smem_factor t.schema * Prune.smem_bytes t.precision t.mapping
+  kernel_smem_bytes ~precision:t.precision ~schema:t.schema t.mapping
 
 let regs_per_thread t =
-  Prune.regs_per_thread t.precision t.mapping + Schema.extra_regs t.schema
+  kernel_regs ~precision:t.precision ~schema:t.schema t.mapping
 
 let num_blocks t = Mapping.num_blocks t.problem t.mapping
 let num_steps t = Mapping.num_steps t.problem t.mapping
 
 let occupancy t =
-  Occupancy.calculate t.arch
-    {
-      Occupancy.threads_per_block = threads_per_block t;
-      smem_per_block = smem_bytes t;
-      regs_per_thread = min 255 (regs_per_thread t);
-    }
+  kernel_occupancy ~arch:t.arch ~precision:t.precision ~schema:t.schema
+    t.mapping
 
 let flops t = Problem.flops t.problem
 

@@ -26,15 +26,14 @@ val make :
     serving layer meets this whenever a request's own extents are smaller
     than a cached mapping's tiles, so it is a value, not an exception. *)
 
-val with_schema : Schema.t -> t -> t
+val with_schema : Schema.t -> t -> (t, string) result
 (** The same plan under another kernel schema (the model cost — DRAM
     transactions — is schema-independent; only the simulator's timing
-    distinguishes them).
-    @raise Invalid_argument if the schema is infeasible for the
-    configuration: MMA on a non-tensor-core precision, a pipelined schema
-    on a device without async copies, double-buffered slabs above the
-    block shared-memory budget, or a macro-tile that doesn't divide into
-    MMA fragments. *)
+    distinguishes them).  [Error] says why the schema is infeasible for
+    the configuration: MMA on a non-tensor-core precision, a pipelined
+    schema on a device without async copies, double-buffered slabs above
+    the block shared-memory budget, or a macro-tile that doesn't divide
+    into MMA fragments. *)
 
 val schema_feasible :
   arch:Arch.t -> precision:Precision.t -> mapping:Mapping.t -> Schema.t
@@ -58,6 +57,16 @@ val smem_bytes : t -> int
 val regs_per_thread : t -> int
 (** Per-thread register estimate including the schema's bookkeeping
     registers ({!Tc_gpu.Schema.extra_regs}). *)
+
+val kernel_regs : precision:Precision.t -> schema:Schema.t -> Mapping.t -> int
+(** {!regs_per_thread} of a plan with these fields. *)
+
+val kernel_occupancy :
+  arch:Arch.t -> precision:Precision.t -> schema:Schema.t -> Mapping.t
+  -> Occupancy.result
+(** {!occupancy} of a plan with these fields: neither depends on the
+    problem or the model cost, so the simulator prices a mapping at any
+    extents without building a plan. *)
 
 val num_blocks : t -> int
 val num_steps : t -> int

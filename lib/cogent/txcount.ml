@@ -1,4 +1,5 @@
 type axis = { tile : int; cut : int; stride : int }
+type boundary = { axis : axis; full : int; rem : int }
 
 (* State of one sweep walk: transactions so far, the open coalescing
    segment (length and last address touched), and the next position's
@@ -160,4 +161,127 @@ let staged_sweep ~width ~ept axes =
     let width = max 1 width and ept = max 1 ept in
     let tx = closed_form ~width ~ept axes in
     if tx >= 0 then tx else walk ~width ~ept ~elems axes
+  end
+
+(* Sums of counts stay exact in a float below 2^53; [exact_mul] is -1 once a
+   product of non-negative factors would pass it. *)
+let exact_max = 1 lsl 53
+
+let exact_mul a b =
+  if a lor b < 1 lsl 26 then if a < 0 || b < 0 then -1 else a * b
+  else if a < 0 || b < 0 || (b > 0 && a > exact_max / b) then -1
+  else a * b
+
+(* The cuts an axis takes over its patterns, as [staged_sweep] clips them
+   to the tile: [full] instances at [axis.cut], one more at [rem]. *)
+let full_cut b = min b.axis.cut b.axis.tile
+let rem_cut b = min b.rem b.axis.tile
+
+let largest_cut b =
+  if b.full = 0 then rem_cut b
+  else if b.rem = 0 then full_cut b
+  else max (full_cut b) (rem_cut b)
+
+(* Summed over the patterns, an axis whose sweep factor is its cut
+   contributes [sum of count * cut], and one that leaves the sweep
+   unchanged contributes [sum of count]. *)
+let cut_sum b =
+  let f = exact_mul b.full (full_cut b) in
+  if f < 0 || b.rem = 0 then f
+  else if f > exact_max - rem_cut b then -1
+  else f + rem_cut b
+
+let count_sum b = if b.rem > 0 then b.full + 1 else b.full
+
+(* [closed_form]'s price of a row prefix of [x] in-range elements, where
+   [whole] says rows pack whole into waves. *)
+let row_price ~whole ~width ~ept x =
+  let lines k = (k + ept - 1) / ept in
+  if whole then lines x else (x / width * lines width) + lines (x mod width)
+
+(* When every pattern's sweep has one [closed_form] shape, the weighted
+   sum factors axis by axis.  Patterns choose the cut of each axis
+   independently, [closed_form] runs on the same merged prefix for all of
+   them, and its stride conditions only tighten as cuts grow, so it is
+   enough to check them at each axis's largest cut.  The shape is shared
+   when every merged axis but the last takes only its full tile (an axis
+   with a partial choice ends the merge: with it the prefix stops being
+   full, without it the next stride decides, as at the largest cut).
+   Then a pattern costs [rows * g c]: [g] prices the merged prefix of [c]
+   in-range elements, and [rows] is the product of the outer cuts.  The
+   sum is the product over unit-tile axes of their counts, the merged
+   prefix's [sum of count * g c] and the outer axes' [sum of count * cut]. *)
+let boundary_sum ~width ~ept bs =
+  let width = max 1 width and ept = max 1 ept in
+  let n = Array.length bs in
+  let bad = ref false and empty = ref false and tiles = ref 1 in
+  for k = 0 to n - 1 do
+    let b = bs.(k) in
+    if b.axis.tile < 1 || b.axis.cut < 1 || b.full < 0 || b.rem < 0 then
+      bad := true
+    else begin
+      if b.full = 0 && b.rem = 0 then empty := true;
+      tiles := exact_mul !tiles b.axis.tile
+    end
+  done;
+  if !bad || !tiles < 0 then -1
+  else if !empty then 0
+  else begin
+    (* The merged prefix, over the sweep's axes (unit tiles dropped) at
+       their largest cuts; [last] is its last axis. *)
+    let len = ref 1 and c = ref 1 and last = ref (-1) and k = ref 0 in
+    while !k < n do
+      let b = bs.(!k) in
+      if b.axis.tile = 1 then incr k
+      else if !c = !len && b.axis.stride = !len then begin
+        c := !len * largest_cut b;
+        len := !len * b.axis.tile;
+        last := !k;
+        incr k
+      end
+      else k := n
+    done;
+    let len = !len and last = !last in
+    let whole = width mod len = 0 in
+    if not (whole || len mod width = 0) then -1
+    else begin
+      let need = ref (!c + 1) and prefix = ref 1 and acc = ref 1 in
+      for k = 0 to n - 1 do
+        let b = bs.(k) in
+        let factor =
+          if b.axis.tile = 1 then count_sum b
+          else if k < last then
+            if
+              (b.full > 0 && full_cut b < b.axis.tile)
+              || (b.rem > 0 && rem_cut b < b.axis.tile)
+            then -1
+            else begin
+              prefix := !prefix * b.axis.tile;
+              count_sum b
+            end
+          else if k = last then begin
+            let g x = row_price ~whole ~width ~ept (!prefix * x) in
+            let f =
+              if b.full = 0 then 0 else exact_mul b.full (g (full_cut b))
+            in
+            let r = if b.rem = 0 then 0 else g (rem_cut b) in
+            if f < 0 || f > exact_max - r then -1 else f + r
+          end
+          else begin
+            let cut = largest_cut b in
+            if
+              b.axis.stride < !need
+              || b.axis.stride lor cut >= 1 lsl 31
+                 && b.axis.stride > max_int / cut
+            then -1
+            else begin
+              need := b.axis.stride * cut;
+              cut_sum b
+            end
+          end
+        in
+        acc := exact_mul !acc factor
+      done;
+      !acc
+    end
   end

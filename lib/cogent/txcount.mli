@@ -63,3 +63,33 @@ val staged_sweep : width:int -> ept:int -> axis array -> int
     one address run, split only at wave boundaries, and a masked tail or
     masked row costs O(1); a non-unit first-axis stride takes one step
     per in-range element. *)
+
+type boundary = { axis : axis; full : int; rem : int }
+(** One axis of a tiled tensor and its boundary patterns: [full]
+    instances are swept at [axis.cut] and, when [rem > 0], one boundary
+    instance at cut [rem]. *)
+
+val boundary_sum : width:int -> ept:int -> boundary array -> int
+(** [boundary_sum ~width ~ept bs] is the sum, over every full/partial
+    boundary pattern of [bs] (each axis takes its full or, when
+    [rem > 0], its partial cut; an axis with neither admits no pattern),
+    of the product of the instance counts ([full] for a full axis, 1 for
+    a partial one) times {!staged_sweep} of the pattern's axes — in
+    closed form, or [-1] when the closed form does not apply.
+
+    It applies when every pattern's sweep takes {!staged_sweep}'s closed
+    form with one shape: the same merged leading prefix (every merged
+    axis before the last takes only its full tile) and the stride
+    conditions holding at each axis's largest cut (they then hold at
+    every smaller one).  The sum then factors per axis: a unit-tile axis
+    contributes its instance count, the merged prefix
+    [full * g (P * cut) + g (P * rem)] ([g] prices an in-range row prefix,
+    [P] the prefix's full tiles before its last axis), and every outer
+    axis [full * cut + rem].  All terms are integers; the result is
+    [-1] rather than a product above 2^53, so it equals the float sum of
+    the per-pattern enumeration bit for bit. *)
+
+val exact_mul : int -> int -> int
+(** [exact_mul a b] is [a * b] for non-negative [a] and [b], or [-1] when either
+    is negative or the product would pass 2^53: the bound below which a
+    float sum of such counts is exact. *)

@@ -242,10 +242,7 @@ let decode_entry memo j =
         let* s = J.as_string v in
         match Schema.of_string s with
         | None -> Error (Printf.sprintf "unknown kernel schema %S" s)
-        | Some sc -> (
-            match Cogent.Plan.with_schema sc plan with
-            | p -> Ok p
-            | exception Invalid_argument m -> Error m))
+        | Some sc -> Cogent.Plan.with_schema sc plan)
   in
   let* ranked_l = Result.bind (J.field "ranked" j) J.as_list in
   let* ranked =

@@ -61,57 +61,53 @@ let loop_overhead = 2.0
 
 let ceil_div a b = (a + b - 1) / b
 
-(* The tiled axes of one tensor, as arrays built once per call: along axis
-   [k] of [extent.(k)] elements there are [full.(k)] full tiles of size
-   [tile.(k)] and, when [rem.(k) > 0], one boundary tile of [rem.(k)]
-   elements. *)
-type axes = {
-  tile : int array;
-  extent : int array;
-  full : int array;
-  rem : int array;
-}
+let no_axis =
+  { Txcount.axis = { tile = 1; cut = 1; stride = 1 }; full = 0; rem = 0 }
 
-let axes_of problem mapping indices =
-  let idx = Array.of_list indices in
-  let tile = Array.map (Mapping.tile_of mapping) idx in
-  let extent = Array.map (Problem.extent problem) idx in
-  {
-    tile;
-    extent;
-    full = Array.mapi (fun k e -> e / tile.(k)) extent;
-    rem = Array.mapi (fun k e -> e mod tile.(k)) extent;
-  }
+(* The tiled axes of one tensor, in its layout order (first axis
+   contiguous): along an axis of [extent] elements there are [full] full
+   tiles of [tile] elements and, when [rem > 0], one boundary tile of
+   [rem].  The axis stride is the dense layout's, and a full tile sweeps
+   its whole tile. *)
+let boundaries problem mapping indices =
+  let bs = Array.make (List.length indices) no_axis in
+  let rec fill k stride = function
+    | [] -> ()
+    | i :: tl ->
+        let e = Problem.extent problem i and tile = Mapping.tile_of mapping i in
+        bs.(k) <-
+          {
+            Txcount.axis = { tile; cut = tile; stride };
+            full = e / tile;
+            rem = e mod tile;
+          };
+        fill (k + 1) (stride * e) tl
+  in
+  fill 0 1 indices;
+  bs
 
-(* Element strides of a densely laid-out tensor with these axes, in their
-   order (first axis contiguous). *)
-let dense_strides ax =
-  let n = Array.length ax.extent in
-  let stride = Array.make n 1 in
-  for k = 1 to n - 1 do
-    stride.(k) <- stride.(k - 1) * ax.extent.(k - 1)
-  done;
-  stride
-
-(* Visit every full/partial boundary pattern of [axes] — first axis
+(* Visit every full/partial boundary pattern of [bs] — first axis
    fastest, full before partial — with the number of staged instances of
    that shape and, per axis, whether its cut is partial.  The count
-   multiplies the full-tile counts from the last axis to the first. *)
-let iter_patterns axes f =
-  let n = Array.length axes.tile in
-  let first k = axes.full.(k) = 0 in
+   multiplies the full-tile counts from the last axis to the first.  This
+   is the general case; {!Txcount.boundary_sum} sums most tensors in
+   closed form without it. *)
+let iter_patterns (bs : Txcount.boundary array) f =
+  let n = Array.length bs in
+  let first k = bs.(k).full = 0 in
   let partial = Array.init n first in
-  if Array.for_all2 (fun p r -> (not p) || r > 0) partial axes.rem then begin
+  if Array.for_all2 (fun p b -> (not p) || b.Txcount.rem > 0) partial bs
+  then begin
     let count () =
       let cnt = ref 1.0 in
       for k = n - 1 downto 0 do
-        if not partial.(k) then cnt := !cnt *. float_of_int axes.full.(k)
+        if not partial.(k) then cnt := !cnt *. float_of_int bs.(k).full
       done;
       !cnt
     in
     let rec next k =
       if k = n then false
-      else if (not partial.(k)) && axes.rem.(k) > 0 then begin
+      else if (not partial.(k)) && bs.(k).rem > 0 then begin
         partial.(k) <- true;
         true
       end
@@ -126,6 +122,9 @@ let iter_patterns axes f =
     done
   end
 
+let cut_of (b : Txcount.boundary) partial =
+  if partial then { b.axis with Txcount.cut = b.rem } else b.axis
+
 (* Transactions to load every staged instance of one input tensor, counted
    with the shared convention of {!Cogent.Txcount}: per boundary pattern,
    the padded cooperative sweep the emitted kernel executes (operand
@@ -135,78 +134,98 @@ let iter_patterns axes f =
    tensor re-load the same slab (the foreign-block multiplier of the
    caller). *)
 let load_transactions ~ept ~width problem mapping indices =
-  let ax = axes_of problem mapping indices in
-  let n = Array.length ax.tile in
-  let stride = dense_strides ax in
-  let full =
-    Array.mapi
-      (fun k t -> { Txcount.tile = t; cut = t; stride = stride.(k) })
-      ax.tile
-  in
-  let part = Array.mapi (fun k a -> { a with Txcount.cut = ax.rem.(k) }) full in
-  let cur = Array.copy full in
-  let acc = ref 0.0 in
-  iter_patterns ax (fun cnt partial ->
-      for k = 0 to n - 1 do
-        cur.(k) <- (if partial.(k) then part.(k) else full.(k))
-      done;
-      acc := !acc +. (cnt *. float_of_int (Txcount.staged_sweep ~width ~ept cur)));
-  !acc
+  let bs = boundaries problem mapping indices in
+  let tx = Txcount.boundary_sum ~width ~ept bs in
+  if tx >= 0 then float_of_int tx
+  else begin
+    let cur = Array.map (fun b -> b.Txcount.axis) bs in
+    let acc = ref 0.0 in
+    iter_patterns bs (fun cnt partial ->
+        Array.iteri (fun k b -> cur.(k) <- cut_of b partial.(k)) bs;
+        acc :=
+          !acc +. (cnt *. float_of_int (Txcount.staged_sweep ~width ~ept cur)));
+    !acc
+  end
 
 (* Transactions to store the output: one warp-synchronous wave of the full
    TBx*TBy thread grid per in-range register coordinate.  Threads enumerate
    the tbx bindings (fastest) then the tby bindings, address the output in
    its declared layout, and out-of-range threads are masked by the store
-   guard — the same {!Cogent.Txcount} walk the interpreter measures. *)
+   guard — the same {!Cogent.Txcount} walk the interpreter measures.
+
+   A pattern costs [count * reg_coords * wave]: the wave depends only on
+   the thread axes' cuts and [reg_coords] only on the register axes', so
+   when the thread axes are distinct and their sweeps sum in closed form,
+   the sum over patterns is that sum times [full * tile + rem] per
+   register axis and [full + 1] (or [full] without a boundary tile) per
+   other axis. *)
 let store_transactions ~ept problem mapping =
   let externals = (Problem.info problem).Classify.externals in
-  let ax = axes_of problem mapping externals in
-  let bound l i = List.exists (fun b -> Index.equal b.Mapping.index i) l in
-  let reg =
-    Array.of_list
-      (List.map
-         (fun i ->
-           (not (bound mapping.Mapping.tbx i || bound mapping.Mapping.tby i))
-           && (bound mapping.Mapping.regx i || bound mapping.Mapping.regy i))
-         externals)
-  in
-  let stride = dense_strides ax in
+  let bs = boundaries problem mapping externals in
   let width = Mapping.threads_per_block mapping in
-  let threads = Array.of_list (mapping.Mapping.tbx @ mapping.Mapping.tby) in
-  (* Each thread axis is an external axis [ext.(t)] of the output and
-     takes its cut and its stride (the externals are the output's indices
-     in layout order). *)
   let rec position k i = function
-    | [] -> raise Not_found
+    | [] -> -1
     | j :: tl -> if Index.equal i j then k else position (k + 1) i tl
   in
-  let ext = Array.map (fun b -> position 0 b.Mapping.index externals) threads in
-  let thread_axis cut t b =
-    {
-      Txcount.tile = b.Mapping.tile;
-      cut = cut.(ext.(t));
-      stride = stride.(ext.(t));
-    }
+  (* Each thread axis is an external axis [ext.(t)] of the output and
+     takes its cut, boundary and stride (the externals are the output's
+     indices in layout order); [role] marks every external as a thread
+     axis (2), else a register axis (1), else neither (0). *)
+  let threads = mapping.Mapping.tbx @ mapping.Mapping.tby in
+  let ext = Array.make (List.length threads) 0 in
+  let tb = Array.make (List.length threads) no_axis in
+  let role = Array.make (Array.length bs) 0 in
+  let distinct = ref true in
+  List.iteri
+    (fun t (b : Mapping.binding) ->
+      let k = position 0 b.Mapping.index externals in
+      if k < 0 then raise Not_found;
+      let o = bs.(k) in
+      ext.(t) <- k;
+      tb.(t) <- { o with Txcount.axis = { o.axis with tile = b.Mapping.tile } };
+      if role.(k) = 2 then distinct := false;
+      role.(k) <- 2)
+    threads;
+  let mark_reg (b : Mapping.binding) =
+    let k = position 0 b.Mapping.index externals in
+    if k >= 0 && role.(k) = 0 then role.(k) <- 1
   in
-  let full = Array.mapi (thread_axis ax.tile) threads in
-  let part = Array.mapi (thread_axis ax.rem) threads in
-  let cur = Array.copy full in
-  let acc = ref 0.0 in
-  iter_patterns ax (fun cnt partial ->
+  List.iter mark_reg mapping.Mapping.regx;
+  List.iter mark_reg mapping.Mapping.regy;
+  let closed =
+    if not !distinct then -1
+    else begin
+      let acc = ref (Txcount.boundary_sum ~width ~ept tb) in
       Array.iteri
-        (fun t k ->
-          cur.(t) <- (if partial.(k) then part.(t) else full.(t)))
-        ext;
-      let wave = Txcount.staged_sweep ~width ~ept cur in
-      let reg_coords = ref 1 in
-      Array.iteri
-        (fun k r ->
-          if r then
-            reg_coords :=
-              !reg_coords * if partial.(k) then ax.rem.(k) else ax.tile.(k))
-        reg;
-      acc := !acc +. (cnt *. float_of_int !reg_coords *. float_of_int wave));
-  !acc
+        (fun k (b : Txcount.boundary) ->
+          match role.(k) with
+          | 1 -> acc := Txcount.exact_mul !acc ((b.full * b.axis.tile) + b.rem)
+          | 0 ->
+              acc :=
+                Txcount.exact_mul !acc (if b.rem > 0 then b.full + 1 else b.full)
+          | _ -> ())
+        bs;
+      !acc
+    end
+  in
+  if closed >= 0 then float_of_int closed
+  else begin
+    let cur = Array.map (fun b -> b.Txcount.axis) tb in
+    let acc = ref 0.0 in
+    iter_patterns bs (fun cnt partial ->
+        Array.iteri (fun t k -> cur.(t) <- cut_of tb.(t) partial.(k)) ext;
+        let wave = Txcount.staged_sweep ~width ~ept cur in
+        let reg_coords = ref 1 in
+        Array.iteri
+          (fun k r ->
+            if r = 1 then
+              reg_coords :=
+                !reg_coords
+                * if partial.(k) then bs.(k).rem else bs.(k).axis.tile)
+          role;
+        acc := !acc +. (cnt *. float_of_int !reg_coords *. float_of_int wave));
+    !acc
+  end
 
 (* DRAM-equivalent transactions for one input tensor: when the whole
    tensor fits comfortably in L2, only the first pass is served by DRAM
@@ -262,27 +281,26 @@ let transactions_exact ?arch prec problem mapping =
 
 (* ---- timing ---- *)
 
-(* The mapping's DRAM-equivalent traffic: it does not depend on the
-   schema, so a race prices it once for all its lanes. *)
-let traffic (plan : Plan.t) =
-  transactions_exact ~arch:plan.Plan.arch plan.Plan.precision plan.Plan.problem
-    plan.Plan.mapping
-
-let run_with tx (plan : Plan.t) =
-  let arch = plan.Plan.arch in
-  let prec = plan.Plan.precision in
-  let problem = plan.Plan.problem in
-  let mapping = plan.Plan.mapping in
+(* The kernel's time under [schema] given its DRAM-equivalent traffic
+   [tx], which does not depend on the schema, so a race prices it once for
+   all its lanes. *)
+let price tx ~arch ~precision:prec ~schema problem mapping =
   let transactions = tx.Cost.lhs +. tx.Cost.rhs +. tx.Cost.out in
   let bytes = transactions *. float_of_int arch.Arch.transaction_bytes in
-  let occ_result = Plan.occupancy plan in
+  let occ_result =
+    Plan.kernel_occupancy ~arch ~precision:prec ~schema mapping
+  in
   let occ = occ_result.Occupancy.occupancy in
-  let blocks = Plan.num_blocks plan in
+  let blocks = Mapping.num_blocks problem mapping in
   let act = max 1 occ_result.Occupancy.active_blocks_per_sm in
   let concurrency =
     min 1.0 (float_of_int blocks /. float_of_int (act * arch.Arch.sms))
   in
-  if occ <= 0.0 || Plan.regs_per_thread plan > arch.Arch.regs_per_thread_max
+  let threads = Mapping.threads_per_block mapping in
+  if
+    occ <= 0.0
+    || Plan.kernel_regs ~precision:prec ~schema mapping
+       > arch.Arch.regs_per_thread_max
   then
     {
       time_s = infinity;
@@ -309,11 +327,8 @@ let run_with tx (plan : Plan.t) =
   else begin
     (* Blocks smaller than a warp waste lanes on every access and issue. *)
     let warp_eff =
-      min 1.0
-        (float_of_int (Plan.threads_per_block plan)
-        /. float_of_int arch.Arch.warp_size)
+      min 1.0 (float_of_int threads /. float_of_int arch.Arch.warp_size)
     in
-    let schema = plan.Plan.schema in
     let mem_sat =
       if Schema.pipelined schema then mem_sat_occupancy_async
       else mem_sat_occupancy
@@ -327,10 +342,10 @@ let run_with tx (plan : Plan.t) =
     let ry = float_of_int (Mapping.size_regy mapping) in
     let padded_flops =
       2.0
-      *. float_of_int (Plan.threads_per_block plan)
+      *. float_of_int threads
       *. rx *. ry
       *. float_of_int (Mapping.size_tbk mapping)
-      *. float_of_int (Plan.num_steps plan)
+      *. float_of_int (Mapping.num_steps problem mapping)
       *. float_of_int blocks
     in
     (* Vectorized (128-bit) SMEM loads feed the outer product, so register
@@ -403,7 +418,15 @@ let run_with tx (plan : Plan.t) =
     result
   end
 
-let run plan = run_with (traffic plan) plan
+let simulate ~arch ~precision ~schema problem mapping =
+  price
+    (transactions_exact ~arch precision problem mapping)
+    ~arch ~precision ~schema problem mapping
+
+let run (plan : Plan.t) =
+  simulate ~arch:plan.Plan.arch ~precision:plan.Plan.precision
+    ~schema:plan.Plan.schema plan.Plan.problem plan.Plan.mapping
+
 let gflops plan = (run plan).gflops
 
 type race = {
@@ -437,10 +460,12 @@ let race_of_lanes lanes =
   { lanes; classic; pipelined; chosen }
 
 let race (plan : Plan.t) =
-  let tx = traffic plan in
-  Plan.feasible_schemas ~arch:plan.Plan.arch ~precision:plan.Plan.precision
-    plan.Plan.mapping
-  |> List.map (fun sc -> (sc, run_with tx (Plan.with_schema sc plan)))
+  let arch = plan.Plan.arch and precision = plan.Plan.precision in
+  let problem = plan.Plan.problem and mapping = plan.Plan.mapping in
+  let tx = transactions_exact ~arch precision problem mapping in
+  Plan.feasible_schemas ~arch ~precision mapping
+  |> List.map (fun schema ->
+         (schema, price tx ~arch ~precision ~schema problem mapping))
   |> race_of_lanes
 
 let lane r sc = List.assoc sc r.lanes

@@ -62,6 +62,16 @@ val run : Cogent.Plan.t -> result
 (** Simulate one kernel execution of the plan at its problem's
     representative size. *)
 
+val simulate :
+  arch:Tc_gpu.Arch.t -> precision:Tc_gpu.Precision.t -> schema:Tc_gpu.Schema.t
+  -> Tc_expr.Problem.t -> Cogent.Mapping.t -> result
+(** [simulate ~arch ~precision ~schema problem mapping] prices the kernel
+    of [mapping] under [schema] at [problem]'s extents without building a
+    {!Cogent.Plan.t}, so no model cost is computed: [run plan] is
+    [simulate] of the plan's fields.  The mapping must fit the problem
+    ({!Cogent.Mapping.fits}) and the schema be feasible for it; the
+    serving layer prices a request's own extents this way. *)
+
 val gflops : Cogent.Plan.t -> float
 (** [(run plan).gflops]. *)
 
@@ -83,10 +93,10 @@ type race = {
 }
 
 val race : Cogent.Plan.t -> race
-(** Simulate [Plan.with_schema sc plan] once for every feasible schema
-    [sc] of the plan's mapping (the plan's own schema is one of them).
-    The mapping's transactions do not depend on the schema, so they are
-    counted once for all lanes; each lane equals [run] of its plan. *)
+(** Simulate the plan under every feasible schema of its mapping (the
+    plan's own schema is one of them).  The mapping's transactions do not
+    depend on the schema, so they are counted once for all lanes; each
+    lane equals {!simulate} under its schema. *)
 
 val race_of_lanes : (Tc_gpu.Schema.t * result) list -> race
 (** The decision behind {!race}, over lanes already simulated.

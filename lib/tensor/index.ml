@@ -20,6 +20,7 @@ let list_of_string s =
 
 let list_to_string l = String.init (List.length l) (List.nth l)
 
-let distinct l =
-  let s = Set.of_list l in
-  Set.cardinal s = List.length l
+(* Index lists are a handful long: a scan beats building a set. *)
+let rec distinct = function
+  | [] -> true
+  | i :: tl -> (not (List.exists (equal i) tl)) && distinct tl

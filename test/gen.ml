@@ -105,8 +105,27 @@ let schema_plans problem mapping =
   let arch = Tc_gpu.Arch.a100 and precision = Tc_gpu.Precision.FP16 in
   let plan = Result.get_ok (Cogent.Plan.make ~problem ~mapping ~arch ~precision) in
   List.map
-    (fun schema -> Cogent.Plan.with_schema schema plan)
+    (fun schema -> Result.get_ok (Cogent.Plan.with_schema schema plan))
     (Cogent.Plan.feasible_schemas ~arch ~precision mapping)
+
+(* The device/precision pairs the serving benchmark requests. *)
+let perf_targets =
+  Tc_gpu.[ (Arch.p100, Precision.FP64); (Arch.v100, Precision.FP64);
+           (Arch.v100, Precision.FP32); (Arch.a100, Precision.FP16) ]
+
+(* [n] problems at a served request's own extents: the representative's
+   contraction with every extent P drawn from (3P/4, 3P/2], the jitter a
+   plan-cache size class admits; where an own extent falls below a cached
+   tile, the cached mapping does not fit. *)
+let jittered ~n st problem =
+  let info = Problem.info problem in
+  List.init n (fun _ ->
+      Classify.all_indices info
+      |> List.map (fun i ->
+             let p = Problem.extent problem i in
+             let lo = 3 * p / 4 and hi = 3 * p / 2 in
+             (i, lo + 1 + Random.State.int st (max 1 (hi - lo))))
+      |> Sizes.of_list |> Problem.of_info info |> Result.get_ok)
 
 (* Oracle for [Cogent.Txcount.staged_sweep]: the convention walked one
    padded-tile position at a time (odometer over every axis, first axis

@@ -147,3 +147,68 @@ let search ?performance ?budget ~topk arch prec problem =
     | Some _ -> ranked
   in
   (ranked, stats, degraded)
+
+(* Every full/partial boundary pattern of a tiled sweep, summed one by one:
+   each axis takes its full cut ([full] instances) or, when [rem > 0], its
+   partial one (one instance); a pattern adds its instance count times
+   [Txcount.staged_sweep] of its axes.  The sum [Txcount.boundary_sum]
+   forms in closed form, as the simulator summed it before. *)
+let boundary_enumeration ~width ~ept (bs : Txcount.boundary array) =
+  let n = Array.length bs in
+  let rec go k cnt axes =
+    if k < 0 then cnt *. float_of_int (Txcount.staged_sweep ~width ~ept axes)
+    else
+      let b = bs.(k) in
+      let with_cut cut =
+        let axes = Array.copy axes in
+        axes.(k) <- { b.Txcount.axis with Txcount.cut };
+        axes
+      in
+      (if b.Txcount.full > 0 then
+         go (k - 1) (cnt *. float_of_int b.Txcount.full)
+           (with_cut b.Txcount.axis.Txcount.cut)
+       else 0.0)
+      +. if b.Txcount.rem > 0 then go (k - 1) cnt (with_cut b.Txcount.rem) else 0.0
+  in
+  go (n - 1) 1.0 (Array.map (fun b -> b.Txcount.axis) bs)
+
+(* The dispatch regret as serving priced it by building a plan at the
+   request's own extents: [Plan.make] (which validates the mapping and
+   computes the model cost), the served schema, [Simkernel.run]. *)
+let regret ~ctx ~own (d : Tc_audit.Audit.dispatch) (plan : Plan.t) =
+  match
+    Plan.make ~problem:own ~mapping:plan.Plan.mapping ~arch:plan.Plan.arch
+      ~precision:plan.Plan.precision
+  with
+  | Ok own_plan ->
+      let own_plan = Result.get_ok (Plan.with_schema d.Tc_audit.Audit.schema own_plan) in
+      let oc = (Tc_sim.Simkernel.run own_plan).Tc_sim.Simkernel.time_s in
+      let ot = (Tc_ttgt.Ttgt.run_ctx ctx own).Tc_ttgt.Ttgt.time_s in
+      let regret =
+        match d.Tc_audit.Audit.engine with
+        | Tc_audit.Audit.Cogent_kernel -> Float.max 0.0 (oc -. ot)
+        | Tc_audit.Audit.Ttgt_pipeline -> Float.max 0.0 (ot -. oc)
+      in
+      (oc, ot, regret, false)
+  | Error _ -> (d.Tc_audit.Audit.cogent_s, d.Tc_audit.Audit.ttgt_s, 0.0, true)
+
+(* The plan-cache key as it was formatted with [Printf]; stored plan-store
+   rows are keyed by these bytes. *)
+let cache_key (ctx : Ctx.t) problem =
+  Printf.sprintf "%s|%s|%s|%s%s"
+    (Ast.tccg_string (Problem.info problem).Classify.original)
+    ctx.Ctx.arch.Tc_gpu.Arch.name
+    (Tc_gpu.Precision.to_string ctx.Ctx.precision)
+    (String.concat ","
+       (List.map
+          (fun i ->
+            Printf.sprintf "%c:%d" i
+              (let n = Problem.extent problem i in
+               let rec go p = if p >= n || p > max_int / 2 then p else go (2 * p) in
+               let hi = go 1 in
+               let lo = max 1 (hi / 2) in
+               if n - lo <= hi - n then lo else hi))
+          (Classify.all_indices (Problem.info problem))))
+    (match ctx.Ctx.schema with
+    | None -> ""
+    | Some s -> "|" ^ Tc_gpu.Schema.to_string s)

@@ -109,10 +109,11 @@ let test_regret_zero_on_representative_every_schema () =
       List.iter
         (fun sc ->
           let what = name ^ "/" ^ Tc_gpu.Schema.to_string sc in
-          let p = Cogent.Plan.with_schema sc plan in
+          let p = Result.get_ok (Cogent.Plan.with_schema sc plan) in
           let oc, ot, regret, approx = Audit.dispatch_regret ~ctx ~own:problem p in
           let served =
-            Cogent.Plan.with_schema (Audit.dispatch ctx p).Audit.schema plan
+            Result.get_ok
+              (Cogent.Plan.with_schema (Audit.dispatch ctx p).Audit.schema plan)
           in
           check (Alcotest.float 0.0) (what ^ ": regret") 0.0 regret;
           check Alcotest.bool (what ^ ": own cogent time is the served schema's")
@@ -124,6 +125,39 @@ let test_regret_zero_on_representative_every_schema () =
           check Alcotest.bool (what ^ ": no fallback") false approx)
         schemas)
     [ "ccsd_1"; "ccsd_9" ]
+
+(* Pricing the own extents without building a plan changes no regret:
+   every TCCG entry on every served target, at jittered own extents, both
+   where the cached mapping fits and where it falls back ([own_approx]),
+   equals the definition that built a plan at the own extents. *)
+let test_regret_is_plan_built_regret () =
+  let st = Random.State.make [| 0x5eed |] in
+  let fits = ref 0 and approx = ref 0 in
+  let bits (oc, ot, regret, ap) = Printf.sprintf "%h %h %h %b" oc ot regret ap in
+  List.iter
+    (fun (arch, precision) ->
+      let ctx = Cogent.Ctx.make ~arch ~precision () in
+      List.iter
+        (fun e ->
+          let problem = Tc_tccg.Suite.problem e in
+          let plan = (Cogent.Driver.run_exn ctx problem).Cogent.Driver.plan in
+          let d = Audit.dispatch ctx plan in
+          List.iter
+            (fun own ->
+              let r = Audit.regret ~ctx ~own d plan in
+              let _, _, _, ap = r in
+              incr (if ap then approx else fits);
+              check Alcotest.string
+                (Printf.sprintf "%s %s/%s" e.Tc_tccg.Suite.name
+                   arch.Tc_gpu.Arch.name
+                   (Tc_gpu.Precision.to_string precision))
+                (bits (Oracle.regret ~ctx ~own d plan))
+                (bits r))
+            (Gen.jittered ~n:4 st problem))
+        Tc_tccg.Suite.all)
+    Gen.perf_targets;
+  check Alcotest.bool "fitting requests priced" true (!fits > 100);
+  check Alcotest.bool "own_approx requests covered" true (!approx > 100)
 
 (* ---- collector ---- *)
 
@@ -363,6 +397,8 @@ let () =
             test_dispatch_regret_on_own_extents;
           Alcotest.test_case "regret 0 on the representative, every schema"
             `Quick test_regret_zero_on_representative_every_schema;
+          Alcotest.test_case "regret equals the plan-built definition" `Quick
+            test_regret_is_plan_built_regret;
           Alcotest.test_case "collector keeps insertion order" `Quick
             test_collector_order;
         ] );

@@ -412,7 +412,7 @@ let test_sim_suite_golden () =
               in
               List.iter
                 (fun sc ->
-                  let r = Sim.run (Plan.with_schema sc plan) in
+                  let r = Sim.run (Result.get_ok (Plan.with_schema sc plan)) in
                   Printf.bprintf buf " | %s %h %h" (Schema.to_string sc)
                     r.Sim.time_s r.Sim.gflops)
                 (Plan.feasible_schemas ~arch ~precision m);
@@ -757,7 +757,7 @@ let test_schema_smem_boundary () =
   in
   let at = plan 96 48 in
   check Alcotest.int "classic smem" 24576 (Plan.smem_bytes at);
-  let piped = Plan.with_schema Schema.Pipelined at in
+  let piped = Result.get_ok (Plan.with_schema Schema.Pipelined at) in
   check Alcotest.int "pipelined smem doubles" 49152 (Plan.smem_bytes piped);
   check Alcotest.bool "2x slabs exactly fill the block budget" true
     (Plan.smem_bytes piped = Arch.a100.Arch.smem_per_block);
@@ -768,8 +768,8 @@ let test_schema_smem_boundary () =
     (Plan.schema_feasible ~arch:Arch.a100 ~precision:Precision.FP64
        ~mapping:(mapping 50) Schema.Pipelined);
   match Plan.with_schema Schema.Pipelined over with
-  | exception Invalid_argument _ -> ()
-  | _ -> fail "double-buffered slabs above the SMEM budget accepted"
+  | Error _ -> ()
+  | Ok _ -> fail "double-buffered slabs above the SMEM budget accepted"
 
 let test_schema_feasibility () =
   check Alcotest.bool "no async copies: classic only" true
@@ -823,10 +823,11 @@ let test_codegen_golden_c () =
    copies.  The golden files lock the cp.async prologue and the two-slab
    rotation in all three dialects. *)
 let pipelined_plan =
-  Plan.with_schema Schema.Pipelined
-    (Result.get_ok
+  Result.get_ok
+    (Result.bind
        (Plan.make ~problem:gemm_like ~mapping:gemm_mapping ~arch:Arch.a100
-          ~precision:Precision.FP64))
+          ~precision:Precision.FP64)
+       (Plan.with_schema Schema.Pipelined))
 
 let test_codegen_golden_pipelined () =
   check_golden "golden pipelined kernel" "ab_ac_cb_pipelined.cu"
@@ -843,10 +844,11 @@ let test_codegen_golden_pipelined_c () =
 (* The tensor-core schema at half precision: the golden that locks the
    [half] scalar type, the fp16 [0.0f] zero and the MMA compute comment. *)
 let mma_plan =
-  Plan.with_schema Schema.Pipelined_mma
-    (Result.get_ok
+  Result.get_ok
+    (Result.bind
        (Plan.make ~problem:gemm_like ~mapping:gemm_mapping ~arch:Arch.a100
-          ~precision:Precision.FP16))
+          ~precision:Precision.FP16)
+       (Plan.with_schema Schema.Pipelined_mma))
 
 let test_codegen_golden_mma () =
   check_golden "golden MMA kernel" "ab_ac_cb_mma.cu" (Codegen.emit mma_plan)
@@ -874,7 +876,7 @@ let test_codegen_suite_digests () =
                   Plan.schema_feasible ~arch ~precision
                     ~mapping:plan.Plan.mapping s
                 then
-                  let p = Plan.with_schema s plan in
+                  let p = Result.get_ok (Plan.with_schema s plan) in
                   let name = Schema.to_string s in
                   [
                     ("cuda-" ^ name, Codegen.emit p);
@@ -1225,6 +1227,28 @@ let test_cache_size_class () =
   (* 48 -> 64 (ties round down: 32 vs 64 equidistant? 48-32=16, 64-48=16 -> down), 65 -> 64, 96 -> 64 (96-64=32, 128-96=32 -> down) *)
   check Alcotest.string "rounded extents" "a:32,b:64,c:64" (Cache.size_class p)
 
+(* The key is built without [Printf] but must keep the bytes stored
+   plan-store rows are keyed by: every TCCG entry, at its own and at
+   jittered extents, on every served target, with and without a forced
+   schema. *)
+let test_cache_key_bytes () =
+  let st = Random.State.make [| 0x5eed |] in
+  List.iter
+    (fun (arch, precision) ->
+      List.iter
+        (fun ctx ->
+          List.iter
+            (fun e ->
+              let p = Tc_tccg.Suite.problem e in
+              List.iter
+                (fun q ->
+                  check Alcotest.string "key bytes" (Oracle.cache_key ctx q)
+                    (Cache.key ctx q))
+                (p :: Gen.jittered ~n:2 st p))
+            Tc_tccg.Suite.all)
+        [ Ctx.make ~arch ~precision (); Ctx.make ~arch ~precision ~schema:Schema.Pipelined () ])
+    Gen.perf_targets
+
 (* Doubling past 2^61 overflows an OCaml int, so the key's power-of-two
    rounding must not see such extents: a problem's iteration space is at
    most 2^53, and the largest extent it admits rounds and terminates. *)
@@ -1387,6 +1411,7 @@ let () =
           Alcotest.test_case "hits and misses" `Quick test_cache_hits_and_misses;
           Alcotest.test_case "discriminates keys" `Quick test_cache_discriminates;
           Alcotest.test_case "size class" `Quick test_cache_size_class;
+          Alcotest.test_case "key bytes" `Quick test_cache_key_bytes;
           Alcotest.test_case "key terminates on huge extents" `Quick
             test_cache_key_huge_extents;
           Alcotest.test_case "clear" `Quick test_cache_clear;

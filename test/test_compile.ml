@@ -292,10 +292,11 @@ let test_mma_kernel_compiles () =
     }
   in
   let plan =
-    Cogent.Plan.with_schema Schema.Pipelined_mma
-      (Result.get_ok
+    Result.get_ok
+      (Result.bind
          (Cogent.Plan.make ~problem ~mapping ~arch:Arch.a100
-            ~precision:Precision.FP16))
+            ~precision:Precision.FP16)
+         (Cogent.Plan.with_schema Schema.Pipelined_mma))
   in
   check_kernel ~shim:cuda_shim plan "ab-ac-cb (fp16 MMA)"
 
@@ -328,7 +329,7 @@ let prop_pipelined_matches_classic =
                  ~mapping:plan.Cogent.Plan.mapping Schema.Pipelined)
           then true
           else
-            let piped = Cogent.Plan.with_schema Schema.Pipelined plan in
+            let piped = Result.get_ok (Cogent.Plan.with_schema Schema.Pipelined plan) in
             c_host_output cc plan "classic"
             = c_host_output cc piped "pipelined")
 

@@ -118,8 +118,8 @@ let test_conflict_detected () =
    bank-conflict-free, and the CUDA text must carry the cp.async
    prologue/rotation structure. *)
 let toy_pipelined =
-  Plan.with_schema Schema.Pipelined
-    { toy_plan with Plan.arch = Arch.a100 }
+  Result.get_ok
+    (Plan.with_schema Schema.Pipelined { toy_plan with Plan.arch = Arch.a100 })
 
 let test_pipelined_resources () =
   let k = Codegen.lower toy_pipelined in

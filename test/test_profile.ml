@@ -194,6 +194,139 @@ let prop_realistic_sweep_eq_ref =
     (fun (width, ept, axes) ->
       sweep ~width ~ept axes = Gen.staged_sweep_ref ~width ~ept axes)
 
+(* ---- the closed-form boundary sum ---- *)
+
+let boundary tile cut stride ~full ~rem = { Txcount.axis = axis tile cut stride; full; rem }
+
+(* A tensor's axes as the simulator tiles them: each of [extent] elements
+   in layout order with dense strides, a full tile sweeping [cut] (the
+   tile for a load, the index's whole tile for a store's thread axis),
+   [extent / cut] full instances and a boundary of [extent mod cut]. *)
+let tiled axes =
+  let stride = ref 1 in
+  Array.map
+    (fun (tile, cut, extent) ->
+      let b = boundary tile cut !stride ~full:(extent / cut) ~rem:(extent mod cut) in
+      stride := !stride * extent;
+      b)
+    axes
+
+let boundary_agrees what ~width ~ept bs =
+  let closed = Txcount.boundary_sum ~width ~ept bs in
+  let walked = Oracle.boundary_enumeration ~width ~ept bs in
+  if closed >= 0 then
+    check Alcotest.string what (Printf.sprintf "%h" walked)
+      (Printf.sprintf "%h" (float_of_int closed));
+  closed
+
+(* One case per branch the closed form takes, each checked against the
+   per-pattern enumeration; a case the closed form must decline is
+   checked to do so. *)
+let test_boundary_sum_branches () =
+  let closed what ~width ~ept axes =
+    if boundary_agrees what ~width ~ept (tiled axes) < 0 then
+      fail (what ^ ": no closed form")
+  in
+  closed "tile > extent" ~width:64 ~ept:16 [| (16, 16, 40); (8, 8, 5) |];
+  closed "tile > extent, first axis" ~width:64 ~ept:16 [| (16, 16, 11); (1, 1, 9) |];
+  closed "tile = extent" ~width:64 ~ept:16 [| (16, 16, 16); (4, 4, 9) |];
+  closed "unit tiles" ~width:64 ~ept:16 [| (1, 1, 5); (16, 16, 40); (1, 1, 7) |];
+  closed "rows pack whole into waves (len mod width <> 0)" ~width:256 ~ept:16
+    [| (16, 16, 50); (4, 4, 9) |];
+  closed "every row starts a wave (width mod len <> 0)" ~width:8 ~ept:4
+    [| (16, 16, 45); (3, 3, 7) |];
+  closed "merged prefix" ~width:64 ~ept:16 [| (4, 4, 4); (8, 8, 21); (2, 2, 5) |];
+  closed "store thread axis cut past its tile" ~width:32 ~ept:16
+    [| (16, 64, 100); (2, 2, 9) |];
+  (* The largest iteration space [Problem.of_info] admits: 2^53. *)
+  closed "largest extents" ~width:256 ~ept:16
+    [| (16, 16, 1 lsl 27); (16, 16, 1 lsl 26) |];
+  closed "largest extents, misaligned" ~width:256 ~ept:16
+    [| (16, 16, (1 lsl 27) - 1); (6, 6, (1 lsl 26) - 3) |];
+  let declined what ~width ~ept bs =
+    check Alcotest.int what (-1) (boundary_agrees what ~width ~ept bs)
+  in
+  declined "neither length divides the other" ~width:5 ~ept:2
+    (tiled [| (12, 12, 30); (3, 3, 7) |]);
+  declined "a sum past 2^53" ~width:256 ~ept:1
+    (tiled [| (16, 16, 1 lsl 30); (16, 16, 1 lsl 30) |]);
+  declined "a partial axis inside the merged prefix" ~width:64 ~ept:16
+    [| boundary 4 4 1 ~full:1 ~rem:2; boundary 4 4 4 ~full:2 ~rem:0 |]
+
+(* Boundary sets of 0-4 axes: tiles from the enumerator's range, extents
+   below, at and past the tile up to the 2^53 iteration-space bound,
+   loads (cut = tile) and store thread axes (cut a multiple of the tile),
+   dense strides in layout order or shuffled, and waves that divide, are
+   divided by or are unrelated to the merged row length. *)
+let boundary_case_gen =
+  let open QCheck.Gen in
+  let tiles = [ 1; 2; 3; 4; 6; 8; 12; 16; 32 ] in
+  let* n = int_range 0 4 in
+  let* huge = frequency [ (9, return false); (1, return true) ] in
+  let* axes =
+    list_repeat n
+      (let* tile = oneofl tiles in
+       let* cut = frequency [ (4, return tile); (1, map (( * ) tile) (int_range 2 3)) ] in
+       let+ extent =
+         if huge then int_range 1 (1 lsl (53 / max 1 n))
+         else
+           frequency
+             [
+               (2, int_range 1 cut);
+               (1, return cut);
+               (4, int_range 1 (4 * cut));
+               (1, map (( * ) cut) (int_range 1 5));
+             ]
+       in
+       (tile, cut, extent))
+  in
+  let bs = tiled (Array.of_list axes) in
+  let* bs = frequency [ (3, return bs); (1, map Array.of_list (shuffle_l (Array.to_list bs))) ] in
+  let* width =
+    frequency
+      [
+        (3, map (List.fold_left ( * ) 1) (list_size (int_range 1 3) (oneofl tiles)));
+        (1, int_range 1 64);
+      ]
+  in
+  let+ ept = oneofl [ 1; 2; 4; 16; 32; 64 ] in
+  (width, ept, bs)
+
+let boundary_case_print (width, ept, bs) =
+  Printf.sprintf "width %d ept %d [%s]" width ept
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (fun (b : Txcount.boundary) ->
+               Printf.sprintf "tile %d cut %d stride %d full %d rem %d"
+                 b.axis.Txcount.tile b.axis.cut b.axis.stride b.full b.rem)
+             bs)))
+
+let prop_boundary_sum_eq_enumeration =
+  QCheck.Test.make ~count:3000
+    ~name:"closed-form boundary sum == per-pattern enumeration"
+    (QCheck.make ~print:boundary_case_print boundary_case_gen)
+    (fun (width, ept, bs) ->
+      let closed = Txcount.boundary_sum ~width ~ept bs in
+      closed < 0
+      || Printf.sprintf "%h" (float_of_int closed)
+         = Printf.sprintf "%h" (Oracle.boundary_enumeration ~width ~ept bs))
+
+(* The generator exercises the closed form, not only its declines. *)
+let test_boundary_sum_coverage () =
+  let st = Random.State.make [| 0x5eed |] in
+  let cases = List.init 3000 (fun _ -> boundary_case_gen st) in
+  let closed =
+    List.filter
+      (fun (width, ept, bs) -> Txcount.boundary_sum ~width ~ept bs >= 0)
+      cases
+  in
+  check Alcotest.bool
+    (Printf.sprintf "most sampled sums are closed (%d of %d)"
+       (List.length closed) (List.length cases))
+    true
+    (2 * List.length closed > List.length cases)
+
 (* ---- measured counters == simulator-exact prediction ---- *)
 
 (* A spread of enumerated configurations for a problem: with Gen's extents
@@ -569,6 +702,11 @@ let () =
             test_txcount_walk_fallbacks;
           Gen.to_alcotest prop_sweep_eq_ref;
           Gen.to_alcotest prop_realistic_sweep_eq_ref;
+          Alcotest.test_case "boundary sum branches" `Quick
+            test_boundary_sum_branches;
+          Gen.to_alcotest prop_boundary_sum_eq_enumeration;
+          Alcotest.test_case "boundary sum coverage" `Quick
+            test_boundary_sum_coverage;
         ] );
       ( "cross-validation",
         [

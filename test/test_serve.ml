@@ -701,7 +701,7 @@ let test_race_shared_by_consumers () =
                 (fun (sc, r) ->
                   same
                     ("lane " ^ Tc_gpu.Schema.to_string sc)
-                    (Tc_sim.Simkernel.run (Cogent.Plan.with_schema sc plan))
+                    (Tc_sim.Simkernel.run (Result.get_ok (Cogent.Plan.with_schema sc plan)))
                     r)
                 race.Tc_sim.Simkernel.lanes;
               same "served schema" (fst race.Tc_sim.Simkernel.chosen)
@@ -774,7 +774,8 @@ let test_ledger_follows_serve () =
                (Cogent.Plan.make ~problem:(Tc_tccg.Suite.problem e)
                   ~mapping:plan.Cogent.Plan.mapping ~arch ~precision
                |> Result.get_ok
-               |> Cogent.Plan.with_schema o.Serve.schema))
+               |> Cogent.Plan.with_schema o.Serve.schema
+               |> Result.get_ok))
               .Tc_sim.Simkernel.time_s
             smp.Audit.own_cogent_s)
     (List.combine Tc_tccg.Suite.all report.Tc_serve.Serve.responses)

@@ -225,8 +225,59 @@ let test_race_lanes_are_runs () =
   List.iter
     (fun (sc, r) ->
       check Alcotest.bool (Schema.to_string sc) true
-        (r = Simkernel.run (Plan.with_schema sc p)))
+        (r = Simkernel.run (Result.get_ok (Plan.with_schema sc p))))
     race.Simkernel.lanes
+
+(* Every field of a simulation, floats by their bits. *)
+let result_bits (r : Simkernel.result) =
+  let d = r.Simkernel.detail in
+  String.concat " "
+    (Format.asprintf "%a" Simkernel.pp_bound r.Simkernel.bound
+    :: List.map (Printf.sprintf "%h")
+         [
+           r.Simkernel.time_s; r.gflops; r.transactions; r.bytes; r.mem_time_s;
+           r.compute_time_s; r.occupancy; r.concurrency; d.Simkernel.tx_lhs;
+           d.tx_rhs; d.tx_out; d.mem_eff; d.comp_eff; d.warp_eff; d.ilp_eff;
+           d.launch_s;
+         ])
+
+(* Pricing a mapping without a plan is the plan's simulation bit for bit:
+   every TCCG entry's plan on every served target, under each feasible
+   schema, at jittered own extents where the mapping fits. *)
+let test_simulate_is_run () =
+  let st = Random.State.make [| 0x5eed |] in
+  let priced = ref 0 in
+  List.iter
+    (fun (arch, precision) ->
+      let ctx = Ctx.make ~arch ~precision () in
+      List.iter
+        (fun e ->
+          let rep = (Driver.run_exn ctx (Tc_tccg.Suite.problem e)).Driver.plan in
+          let mapping = rep.Plan.mapping in
+          List.iter
+            (fun own ->
+              match Plan.make ~problem:own ~mapping ~arch ~precision with
+              | Error _ -> ()
+              | Ok plan ->
+                  List.iter
+                    (fun schema ->
+                      incr priced;
+                      check Alcotest.string
+                        (Printf.sprintf "%s %s/%s %s" e.Tc_tccg.Suite.name
+                           arch.Arch.name
+                           (Precision.to_string precision)
+                           (Schema.to_string schema))
+                        (result_bits
+                           (Simkernel.run
+                              (Result.get_ok (Plan.with_schema schema plan))))
+                        (result_bits
+                           (Simkernel.simulate ~arch ~precision ~schema own
+                              mapping)))
+                    (Plan.feasible_schemas ~arch ~precision mapping))
+            (Gen.jittered ~n:4 st (Tc_tccg.Suite.problem e)))
+        Tc_tccg.Suite.all)
+    Gen.perf_targets;
+  check Alcotest.bool "own extents priced" true (!priced > 500)
 
 (* The schema race's tie rules, on lanes with hand-set times: the earlier
    of two equally fast pipelined lanes is the best pipelined one, and
@@ -319,6 +370,8 @@ let () =
             test_l2_hostile_extent;
           Alcotest.test_case "race lanes are the lanes' runs" `Quick
             test_race_lanes_are_runs;
+          Alcotest.test_case "simulate is the plan's run at own extents" `Quick
+            test_simulate_is_run;
           Alcotest.test_case "schema race tie rules" `Quick test_race_ties;
           Gen.to_alcotest sim_finite_on_pruned_configs;
         ] );
