@@ -30,8 +30,8 @@ let tccg_subset =
     ]
 
 (* One suite = one (arch, precision) sweep over a fixed entry list.  The
-   plan searches and counter replays fan out on the pool (Audit.sample is
-   a pure model evaluation); sample order is entry order regardless. *)
+   plan searches and evidence builds fan out on the pool (each a pure
+   model evaluation); sample order is entry order regardless. *)
 let tccg_suite ~suite ~arch ~precision entries =
   let ctx =
     Cogent.Ctx.make ~arch ~precision ~measure:Tc_sim.Simkernel.gflops ()
@@ -50,7 +50,7 @@ let tccg_suite ~suite ~arch ~precision entries =
                ~degraded:r.Cogent.Driver.degraded ~dispatch
                ~regret:
                  (Audit.regret ~ctx ~own:plan.Cogent.Plan.problem dispatch plan)
-               plan))
+               (Tc_profile.Evidence.make ~measure:true plan)))
     entries
   |> List.filter_map Fun.id
 

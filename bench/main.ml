@@ -1,7 +1,8 @@
 (* Benchmark harness entry point.
 
-   With no argument, regenerates every figure of the paper plus the pruning
-   statistics and the code-generation micro-benchmarks.  Individual targets:
+   With no argument, runs the code-generation micro-benchmarks, then
+   regenerates every figure of the paper plus the pruning statistics.
+   Individual targets:
 
      dune exec bench/main.exe -- fig4|fig5|fig6|fig7|fig8|prunestats|ablation|serve|accuracy|micro
 
@@ -76,7 +77,12 @@ let run_targets names =
   let trace = Tc_obs.Trace.make () in
   Tc_obs.Trace.install trace;
   (match names with
-  | [] -> List.iter (fun (name, f) -> timed name f) targets
+  | [] ->
+      (* micro times host code, so it runs first, on a small heap: after
+         the figures ~90 MB stay live and its stages read 5x slower than
+         in a standalone [micro] run. *)
+      let micro, figures = List.partition (fun (n, _) -> n = "micro") targets in
+      List.iter (fun (name, f) -> timed name f) (micro @ figures)
   | names ->
       List.iter
         (fun name ->

@@ -3,7 +3,12 @@ open Tc_expr
 module Metrics = Tc_obs.Metrics
 module Benchrep = Tc_profile.Benchrep
 
-type tx = { lhs : float; rhs : float; out : float }
+type regret = {
+  own_cogent_s : float;
+  own_ttgt_s : float;
+  regret_s : float;
+  own_approx : bool;
+}
 
 type sample = {
   suite : string;
@@ -16,18 +21,14 @@ type sample = {
   degraded : bool;
   pred_cogent_s : float;
   pred_ttgt_s : float;
-  own_cogent_s : float;
-  own_ttgt_s : float;
-  own_approx : bool;
-  regret_s : float;
+  own : regret;
   model_cost : float;
-  model_tx : tx;
-  exact_tx : tx;
-  measured_tx : tx;
-  sim_time_s : float;
+  model_tx : Cogent.Cost.breakdown;
+  exact_tx : Cogent.Cost.breakdown;
+  measured_tx : Cogent.Cost.breakdown;
 }
 
-let tx_total t = t.lhs +. t.rhs +. t.out
+let tx_total (t : Cogent.Cost.breakdown) = t.lhs +. t.rhs +. t.out
 
 let tx_signed_err s =
   Tc_profile.Profile.signed_error ~measured:(tx_total s.measured_tx)
@@ -90,61 +91,47 @@ let regret ~ctx ~own d (plan : Cogent.Plan.t) =
         .Tc_sim.Simkernel.time_s
     in
     let ot = (Tc_ttgt.Ttgt.run_ctx ctx own).Tc_ttgt.Ttgt.time_s in
-    let regret =
+    let regret_s =
       match d.engine with
       | Cogent_kernel -> Float.max 0.0 (oc -. ot)
       | Ttgt_pipeline -> Float.max 0.0 (ot -. oc)
     in
-    (oc, ot, regret, false)
+    { own_cogent_s = oc; own_ttgt_s = ot; regret_s; own_approx = false }
   end
   else
     (* The cached mapping does not fit the request's own extents; fall
        back to the representative's numbers, where the chosen side is the
        minimum and regret is 0 by construction. *)
-    (d.cogent_s, d.ttgt_s, 0.0, true)
+    {
+      own_cogent_s = d.cogent_s;
+      own_ttgt_s = d.ttgt_s;
+      regret_s = 0.0;
+      own_approx = true;
+    }
 
 let dispatch_regret ~ctx ~own plan = regret ~ctx ~own (dispatch ctx plan) plan
 
-let breakdown_tx (b : Cogent.Cost.breakdown) =
-  { lhs = b.Cogent.Cost.lhs; rhs = b.rhs; out = b.out }
-
-let sample ~suite ~request ~key ?measured ~degraded ~dispatch:d ~regret
-    (plan : Cogent.Plan.t) =
-  let problem = plan.Cogent.Plan.problem in
-  let mapping = plan.Cogent.Plan.mapping in
-  let prec = plan.Cogent.Plan.precision in
-  let own_cogent_s, own_ttgt_s, regret_s, own_approx = regret in
-  let measured =
-    match measured with
-    | Some c -> c
-    | None -> Cogent.Interp.measure plan
-  in
+let sample ~suite ~request ~key ~degraded ~dispatch:d ~regret
+    (e : Tc_profile.Evidence.t) =
+  let plan = e.Tc_profile.Evidence.plan in
   {
     suite;
     request;
     key;
-    expr = Ast.tccg_string (Problem.info problem).Classify.original;
+    expr =
+      Ast.tccg_string
+        (Problem.info plan.Cogent.Plan.problem).Classify.original;
     arch = plan.Cogent.Plan.arch.Arch.name;
-    precision = Precision.to_string prec;
+    precision = Precision.to_string plan.Cogent.Plan.precision;
     strategy = engine_name d.engine;
     degraded;
     pred_cogent_s = d.cogent_s;
     pred_ttgt_s = d.ttgt_s;
-    own_cogent_s;
-    own_ttgt_s;
-    own_approx;
-    regret_s;
+    own = regret;
     model_cost = plan.Cogent.Plan.cost;
-    model_tx = breakdown_tx (Cogent.Cost.transactions prec problem mapping);
-    exact_tx =
-      breakdown_tx (Tc_sim.Simkernel.transactions_exact prec problem mapping);
-    measured_tx =
-      {
-        lhs = measured.Cogent.Interp.tx_lhs;
-        rhs = measured.Cogent.Interp.tx_rhs;
-        out = measured.Cogent.Interp.tx_out;
-      };
-    sim_time_s = d.cogent_s;
+    model_tx = Tc_profile.Evidence.model_tx e;
+    exact_tx = e.Tc_profile.Evidence.exact;
+    measured_tx = Tc_profile.Evidence.measured_tx e;
   }
 
 (* ---- collecting ---- *)
@@ -238,9 +225,9 @@ type group_stats = {
 let group_stats group =
   let n = List.length group in
   let errs = List.map tx_rel_err group in
-  let regrets_ms = List.map (fun s -> s.regret_s *. 1e3) group in
+  let regrets_ms = List.map (fun s -> s.own.regret_s *. 1e3) group in
   let fsum l = List.fold_left ( +. ) 0.0 l in
-  let regret_requests = count (fun s -> s.regret_s > 0.0) group in
+  let regret_requests = count (fun s -> s.own.regret_s > 0.0) group in
   {
     n;
     to_cogent = count (fun s -> String.equal s.strategy "cogent") group;
@@ -370,10 +357,10 @@ let render samples =
           p "  %-10s %-18s %-8s %12.3f %12.3f %10s%s%s\n" s.request s.expr
             s.strategy
             (pred_chosen_s s *. 1e3)
-            (s.regret_s *. 1e3)
+            (s.own.regret_s *. 1e3)
             (pct (tx_rel_err s))
             (if s.degraded then "  [degraded]" else "")
-            (if s.own_approx then "  [own-approx]" else ""))
+            (if s.own.own_approx then "  [own-approx]" else ""))
         group)
     (group_keys samples);
   Buffer.contents buf

@@ -6,9 +6,8 @@
     same record, so the ledger holds exactly the decision serve made.
 
     This module records one structured {!sample} per executed plan — the
-    Algorithm-3 cost, the analytical
-    {!Tc_sim.Simkernel.transactions_exact} counters, the
-    {!Cogent.Interp.measure} ground truth, both engines' predicted times
+    Algorithm-3 cost and the analytical and measured transaction counts of
+    the plan's {!Tc_profile.Evidence.t}, both engines' predicted times
     on the plan's representative problem {e and} on the request's own
     problem — and aggregates them into per-(suite, arch, precision)
     calibration tables plus a {b dispatch regret} account: requests where
@@ -26,8 +25,18 @@
     count and across cold/warm stores (CI-enforced alongside the serve
     replay gate). *)
 
-type tx = { lhs : float; rhs : float; out : float }
-(** DRAM transactions per tensor (load A, load B, store C). *)
+type regret = {
+  own_cogent_s : float;  (** served schema at the request's extents *)
+  own_ttgt_s : float;  (** TTGT prediction at the request's extents *)
+  regret_s : float;
+      (** [max 0 (chosen - alternative)] on the request's own problem *)
+  own_approx : bool;
+      (** the cached mapping does not fit the request's extents
+          ({!Cogent.Mapping.fits}); own times fell back to the
+          representative's (regret 0) *)
+}
+(** What the dispatch decision would have cost at the request's own
+    extents. *)
 
 type sample = {
   suite : string;  (** producer: ["serve"], ["fig4"], ["eq1"], ... *)
@@ -40,22 +49,16 @@ type sample = {
   degraded : bool;  (** plan came from a budget-truncated search *)
   pred_cogent_s : float;  (** served COGENT lane, representative problem *)
   pred_ttgt_s : float;  (** TTGT model prediction, representative problem *)
-  own_cogent_s : float;  (** served schema at the request's extents *)
-  own_ttgt_s : float;  (** TTGT prediction at the request's extents *)
-  own_approx : bool;
-      (** the cached mapping does not fit the request's extents
-          ({!Cogent.Mapping.fits}); own times fell back to the
-          representative's (regret 0) *)
-  regret_s : float;
-      (** [max 0 (chosen - alternative)] on the request's own problem *)
+  own : regret;  (** the dispatch priced at the request's own extents *)
   model_cost : float;  (** Algorithm-3 total (the ranking quantity) *)
-  model_tx : tx;  (** Algorithm-3 per-tensor estimate *)
-  exact_tx : tx;  (** boundary-exact analytical counters (no-L2 mode) *)
-  measured_tx : tx;  (** {!Cogent.Interp.measure} ground truth *)
-  sim_time_s : float;  (** [pred_cogent_s] (kept for the ledger schema) *)
+  model_tx : Cogent.Cost.breakdown;  (** Algorithm-3 per-tensor estimate *)
+  exact_tx : Cogent.Cost.breakdown;
+      (** boundary-exact analytical counters (no-L2 mode) *)
+  measured_tx : Cogent.Cost.breakdown;
+      (** {!Cogent.Interp.measure} ground truth *)
 }
 
-val tx_total : tx -> float
+val tx_total : Cogent.Cost.breakdown -> float
 
 val tx_rel_err : sample -> float
 (** Relative error of the Algorithm-3 total against the measured total:
@@ -96,23 +99,16 @@ val dispatch : Cogent.Ctx.t -> Cogent.Plan.t -> dispatch
     system. *)
 
 val regret :
-  ctx:Cogent.Ctx.t ->
-  own:Tc_expr.Problem.t ->
-  dispatch ->
-  Cogent.Plan.t ->
-  float * float * float * bool
+  ctx:Cogent.Ctx.t -> own:Tc_expr.Problem.t -> dispatch -> Cogent.Plan.t ->
+  regret
 (** [regret ~ctx ~own d plan] evaluates both engines at the request's own
-    extents: [(own_cogent_s, own_ttgt_s, regret_s, own_approx)].  The
-    chosen side is [d]'s engine and the own-extent kernel is priced by
-    {!Tc_sim.Simkernel.simulate} under [d]'s schema (no plan, so no model
-    cost, is built), so regret is 0 when [own] is the representative
-    problem.  [d] must be [dispatch ctx plan]. *)
+    extents.  The chosen side is [d]'s engine and the own-extent kernel is
+    priced by {!Tc_sim.Simkernel.simulate} under [d]'s schema (no plan, so
+    no model cost, is built), so regret is 0 when [own] is the
+    representative problem.  [d] must be [dispatch ctx plan]. *)
 
 val dispatch_regret :
-  ctx:Cogent.Ctx.t ->
-  own:Tc_expr.Problem.t ->
-  Cogent.Plan.t ->
-  float * float * float * bool
+  ctx:Cogent.Ctx.t -> own:Tc_expr.Problem.t -> Cogent.Plan.t -> regret
 (** [dispatch_regret ~ctx ~own plan] is
     [regret ~ctx ~own (dispatch ctx plan) plan]. *)
 
@@ -120,17 +116,16 @@ val sample :
   suite:string ->
   request:string ->
   key:string ->
-  ?measured:Cogent.Interp.counters ->
   degraded:bool ->
   dispatch:dispatch ->
-  regret:float * float * float * bool ->
-  Cogent.Plan.t ->
+  regret:regret ->
+  Tc_profile.Evidence.t ->
   sample
-(** Record one plan's dispatch [d] and its {!regret}: no time is
-    predicted here.  Adds the Algorithm-3 and exact transaction counters
-    and — unless [measured] is supplied (the serving layer computes it
-    once per distinct key, inside the pooled generation fan-out) — the
-    interpreter's counter-only replay. *)
+(** Project one plan's measured {!Tc_profile.Evidence.t} (its transaction
+    counts), its dispatch [d] and its {!regret} into a ledger row: nothing
+    is predicted or measured here.
+    @raise Invalid_argument when the evidence was built without
+    [~measure:true]. *)
 
 (** {1 Collecting} *)
 

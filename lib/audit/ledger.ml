@@ -10,19 +10,14 @@ let num name j = Result.bind (J.field name j) J.as_float
 
 (* ---- sample codec ---- *)
 
-let tx_to_json (t : Audit.tx) =
-  J.Obj
-    [
-      ("lhs", J.Float t.Audit.lhs);
-      ("rhs", J.Float t.Audit.rhs);
-      ("out", J.Float t.Audit.out);
-    ]
+let tx_to_json (t : Cogent.Cost.breakdown) =
+  J.Obj [ ("lhs", J.Float t.lhs); ("rhs", J.Float t.rhs); ("out", J.Float t.out) ]
 
 let tx_of_json j =
   let* lhs = num "lhs" j in
   let* rhs = num "rhs" j in
   let* out = num "out" j in
-  Ok { Audit.lhs; rhs; out }
+  Ok { Cogent.Cost.lhs; rhs; out }
 
 let sample_to_json (s : Audit.sample) =
   J.Obj
@@ -37,15 +32,16 @@ let sample_to_json (s : Audit.sample) =
       ("degraded", J.Bool s.degraded);
       ("pred_cogent_s", J.Float s.pred_cogent_s);
       ("pred_ttgt_s", J.Float s.pred_ttgt_s);
-      ("own_cogent_s", J.Float s.own_cogent_s);
-      ("own_ttgt_s", J.Float s.own_ttgt_s);
-      ("own_approx", J.Bool s.own_approx);
-      ("regret_s", J.Float s.regret_s);
+      ("own_cogent_s", J.Float s.own.own_cogent_s);
+      ("own_ttgt_s", J.Float s.own.own_ttgt_s);
+      ("own_approx", J.Bool s.own.own_approx);
+      ("regret_s", J.Float s.own.regret_s);
       ("model_cost", J.Float s.model_cost);
       ("model_tx", tx_to_json s.model_tx);
       ("exact_tx", tx_to_json s.exact_tx);
       ("measured_tx", tx_to_json s.measured_tx);
-      ("sim_time_s", J.Float s.sim_time_s);
+      (* Kept so rows stay byte-stable; it always equals [pred_cogent_s]. *)
+      ("sim_time_s", J.Float s.pred_cogent_s);
     ]
 
 let sample_of_json j =
@@ -67,7 +63,6 @@ let sample_of_json j =
   let* model_tx = Result.bind (J.field "model_tx" j) tx_of_json in
   let* exact_tx = Result.bind (J.field "exact_tx" j) tx_of_json in
   let* measured_tx = Result.bind (J.field "measured_tx" j) tx_of_json in
-  let* sim_time_s = num "sim_time_s" j in
   Ok
     {
       Audit.suite;
@@ -80,15 +75,11 @@ let sample_of_json j =
       degraded;
       pred_cogent_s;
       pred_ttgt_s;
-      own_cogent_s;
-      own_ttgt_s;
-      own_approx;
-      regret_s;
+      own = { own_cogent_s; own_ttgt_s; own_approx; regret_s };
       model_cost;
       model_tx;
       exact_tx;
       measured_tx;
-      sim_time_s;
     }
 
 (* ---- I/O ---- *)

@@ -5,7 +5,9 @@
     written atomically and loaded tolerantly — a corrupt row is skipped
     and counted on [cogent.audit.ledger.corrupt_rows] /
     [cogent.audit.ledger.corrupt_line].  A missing directory loads as
-    empty; a wrong or missing schema header is an error.
+    empty; a wrong or missing schema header is an error.  Rows still
+    carry the retired [sim_time_s] key (always [pred_cogent_s]); loading
+    ignores it.
 
     Samples are deterministic model output appended in request order, so
     a saved ledger is byte-identical across worker-domain counts and

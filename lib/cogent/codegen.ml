@@ -14,13 +14,13 @@ let kernel_name (plan : Plan.t) =
 
 (* ---- lowering onto the kernel IR ---- *)
 
-let spec_of_plan ?name (plan : Plan.t) : Tc_kir.Ir.spec =
+let spec_of_plan (plan : Plan.t) : Tc_kir.Ir.spec =
   let info = Problem.info plan.Plan.problem in
   let m = plan.Plan.mapping in
   let b { Mapping.index; tile } = { Tc_kir.Ir.index; tile } in
   let all_idx = Classify.all_indices info in
   {
-    Tc_kir.Ir.name = Option.value name ~default:(kernel_name plan);
+    Tc_kir.Ir.name = kernel_name plan;
     precision = plan.Plan.precision;
     schema = plan.Plan.schema;
     lhs = info.Classify.expr.Ast.lhs.Ast.indices;
@@ -38,7 +38,7 @@ let spec_of_plan ?name (plan : Plan.t) : Tc_kir.Ir.spec =
       List.map (fun i -> (i, Problem.extent plan.Plan.problem i)) all_idx;
   }
 
-let lower ?name plan = Tc_kir.Lower.kernel (spec_of_plan ?name plan)
+let lower plan = Tc_kir.Lower.kernel (spec_of_plan plan)
 
 (* ---- translation-unit pieces, each appended to the caller's buffer ---- *)
 
@@ -46,24 +46,24 @@ let bpf = Printf.bprintf
 
 (* Lower, cross-validate and print the kernel of one dialect into [buf]:
    every emitter lowers through here, exactly once per call. *)
-let add_kernel buf ?name dialect plan =
-  let kernel = lower ?name plan in
+let add_kernel buf dialect plan =
+  let kernel = lower plan in
   (* the IR must account for exactly the resources the plan predicted *)
   Tc_kir.Check.cross_validate ~expected_smem:(Plan.smem_bytes plan)
     ~expected_regs:(Plan.regs_per_thread plan) kernel;
   Tc_kir.Print.kernel buf dialect kernel;
   kernel
 
-let emit_kernel ?name ?(dialect = Cuda) plan =
+let emit_kernel ?(dialect = Cuda) plan =
   let buf = Buffer.create 8192 in
-  ignore (add_kernel buf ?name dialect plan);
+  ignore (add_kernel buf dialect plan);
   Buffer.contents buf
 
-let add_launcher buf ?name (plan : Plan.t) =
+let add_launcher buf (plan : Plan.t) =
   let info = Problem.info plan.Plan.problem in
   let scalar = Precision.cuda_type plan.Plan.precision in
   let tile_of = Mapping.tile_of plan.Plan.mapping in
-  let kname = Option.value name ~default:(kernel_name plan) in
+  let kname = kernel_name plan in
   let all_ext = info.Classify.externals in
   let all_idx = Classify.all_indices info in
   let m = plan.Plan.mapping in
@@ -80,11 +80,6 @@ let add_launcher buf ?name (plan : Plan.t) =
   bpf buf "  %s<<<(unsigned)blocks, block, 0, stream>>>(d_C, d_A, d_B" kname;
   List.iter (fun i -> bpf buf ", N_%c" i) all_idx;
   bpf buf ");\n}\n"
-
-let emit_launcher ?name plan =
-  let buf = Buffer.create 1024 in
-  add_launcher buf ?name plan;
-  Buffer.contents buf
 
 let add_header buf plan =
   let info = Problem.info plan.Plan.problem in

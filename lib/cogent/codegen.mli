@@ -10,8 +10,6 @@
     [Tc_kir.Print] dialect renders it, and [Tc_kir.Check.cross_validate]
     asserts at emission time that the shared-memory footprint and register
     estimate derived from the IR match the plan's predictions.
-    {!emit_kernel} and {!emit_launcher} are the pieces {!Variants.emit}
-    assembles into a multi-version unit.
 
     Tile sizes, thread-block shape and shared-memory footprints are baked in
     as compile-time constants (they define the configuration); tensor
@@ -27,25 +25,21 @@ val kernel_name : Plan.t -> string
 (** A C identifier derived from the TCCG string of the contraction,
     e.g. ["cogent_abcd_aebf_dfce"]. *)
 
-val spec_of_plan : ?name:string -> Plan.t -> Tc_kir.Ir.spec
+val spec_of_plan : Plan.t -> Tc_kir.Ir.spec
 (** The self-contained lowering input extracted from a plan: operand
     layouts, index classes, mapping bindings and representative extents. *)
 
-val lower : ?name:string -> Plan.t -> Tc_kir.Ir.kernel
+val lower : Plan.t -> Tc_kir.Ir.kernel
 (** [Plan.t → Tc_kir.kernel]: the single encoding of Algorithm 1
     ([Tc_kir.Lower.kernel ∘ spec_of_plan]). *)
 
-val emit_kernel : ?name:string -> ?dialect:dialect -> Plan.t -> string
+val emit_kernel : ?dialect:dialect -> Plan.t -> string
 (** The kernel definition only ([__global__] CUDA by default; with
     [~dialect:Opencl] an OpenCL [__kernel] using [__local] staging and
     [barrier] synchronization; with [~dialect:C_host] plain C that emulates
     the thread grid with loops and runs on the CPU).
     @raise Invalid_argument if the IR-derived resource footprint disagrees
     with the plan (see [Tc_kir.Check.cross_validate]). *)
-
-val emit_launcher : ?name:string -> Plan.t -> string
-(** An [extern "C"] host function computing the grid decomposition and
-    launching the kernel. *)
 
 val emit : ?dialect:dialect -> ?standalone:bool -> Plan.t -> string
 (** A complete translation unit whose kernel is named {!kernel_name}:

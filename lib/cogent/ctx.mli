@@ -4,7 +4,7 @@
     policy into one value that a calling runtime (the CLI, the
     {!Tc_serve} engine, a library embedder) builds once and threads
     everywhere: {!Driver.run}, {!Cache.find_or_generate_ctx},
-    {!Variants.generate_ctx}, [Ttgt.plan_ctx].  It is the only way to
+    [Ttgt.plan_ctx].  It is the only way to
     pass these choices; no entry point repeats them as optional
     arguments. *)
 

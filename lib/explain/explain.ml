@@ -2,14 +2,9 @@ open Tc_gpu
 open Tc_expr
 open Cogent
 
-type candidate = {
-  rank : int;
-  plan : Plan.t;
-  cost : Cost.explanation;
-  occupancy : Occupancy.result;
-  sim : Tc_sim.Simkernel.result;
-  pipelined : (Schema.t * Tc_sim.Simkernel.result) option;
-}
+module Evidence = Tc_profile.Evidence
+
+type candidate = { rank : int; evidence : Evidence.t }
 
 type t = {
   problem : Problem.t;
@@ -37,19 +32,7 @@ let analyze (ctx : Ctx.t) ?(top = 3) problem =
             match Plan.make ~problem ~mapping ~arch ~precision with
             | Error m -> Error (Driver.Bad_problem m)
             | Ok plan ->
-                (* The schema race for this mapping, priced by the same
-                   simulator: [sim] is its classic lane. *)
-                let race = Tc_sim.Simkernel.race plan in
-                let c =
-                  {
-                    rank;
-                    plan;
-                    cost = Cost.explain precision problem mapping;
-                    occupancy = Plan.occupancy plan;
-                    sim = race.Tc_sim.Simkernel.classic;
-                    pipelined = race.Tc_sim.Simkernel.pipelined;
-                  }
-                in
+                let c = { rank; evidence = Evidence.make ~measure:false plan } in
                 Result.map (List.cons c) (explain (rank + 1) rest))
       in
       match explain 1 (List.filteri (fun k _ -> k < top) d.Driver.ranked) with
@@ -105,9 +88,11 @@ let render t =
     (List.length t.candidates) s.Prune.kept;
   List.iter
     (fun c ->
-      let p = c.plan in
+      let e = c.evidence in
+      let p = e.Evidence.plan in
+      let occupancy = Plan.occupancy p in
       Format.fprintf fmt "@.#%d  model cost %.3e transactions (%.3e bytes)@."
-        c.rank p.Plan.cost c.cost.Cost.total_bytes;
+        c.rank p.Plan.cost e.Evidence.cost.Cost.total_bytes;
       Format.fprintf fmt "    mapping     %a@." Mapping.pp p.Plan.mapping;
       Format.fprintf fmt
         "    launch      %d threads/block, %d blocks, %d steps, %d B smem, \
@@ -115,8 +100,8 @@ let render t =
         (Plan.threads_per_block p) (Plan.num_blocks p) (Plan.num_steps p)
         (Plan.smem_bytes p) (Plan.regs_per_thread p);
       Format.fprintf fmt "    occupancy   %.2f (limiter: %a)@."
-        c.occupancy.Occupancy.occupancy Occupancy.pp_limiter
-        c.occupancy.Occupancy.limiter;
+        occupancy.Occupancy.occupancy Occupancy.pp_limiter
+        occupancy.Occupancy.limiter;
       Format.fprintf fmt "    DRAM charges per tensor@.";
       List.iter
         (fun ch ->
@@ -124,8 +109,9 @@ let render t =
             "      %s  %10.3e tx  %10.3e B  run %4d  coalescing %3.0f%%@."
             ch.Cost.tensor ch.Cost.transactions ch.Cost.bytes ch.Cost.run
             (pct ch.Cost.coalescing))
-        c.cost.Cost.charges;
-      let sim = c.sim in
+        e.Evidence.cost.Cost.charges;
+      (* The race's classic lane against its fastest pipelined one. *)
+      let sim = e.Evidence.race.Tc_sim.Simkernel.classic in
       Format.fprintf fmt
         "    simulated   %.0f GFLOPS, %a (mem %.3f ms, compute %.3f ms)@."
         sim.Tc_sim.Simkernel.gflops Tc_sim.Simkernel.pp_bound
@@ -142,7 +128,7 @@ let render t =
         d.Tc_sim.Simkernel.tx_out;
       (* Only on devices with async copies, so classic-only reports are
          unchanged. *)
-      match c.pipelined with
+      match e.Evidence.race.Tc_sim.Simkernel.pipelined with
       | None -> ()
       | Some (sc, r) ->
           let ratio =
@@ -170,8 +156,10 @@ let charge_to_json (ch : Cost.tensor_charge) =
     ]
 
 let candidate_to_json c =
-  let p = c.plan in
-  let sim = c.sim in
+  let e = c.evidence in
+  let p = e.Evidence.plan in
+  let occupancy = Plan.occupancy p in
+  let sim = e.Evidence.race.Tc_sim.Simkernel.classic in
   let d = sim.Tc_sim.Simkernel.detail in
   Tc_obs.Json.Obj
     ([
@@ -179,17 +167,19 @@ let candidate_to_json c =
       ( "mapping",
         Tc_obs.Json.String (Format.asprintf "%a" Mapping.pp p.Plan.mapping) );
       ("model_cost", Tc_obs.Json.Float p.Plan.cost);
-      ("charges", Tc_obs.Json.List (List.map charge_to_json c.cost.Cost.charges));
-      ("steps", Tc_obs.Json.Int c.cost.Cost.steps);
-      ("blocks", Tc_obs.Json.Int c.cost.Cost.blocks);
+      ( "charges",
+        Tc_obs.Json.List (List.map charge_to_json e.Evidence.cost.Cost.charges)
+      );
+      ("steps", Tc_obs.Json.Int e.Evidence.cost.Cost.steps);
+      ("blocks", Tc_obs.Json.Int e.Evidence.cost.Cost.blocks);
       ("threads_per_block", Tc_obs.Json.Int (Plan.threads_per_block p));
       ("smem_bytes", Tc_obs.Json.Int (Plan.smem_bytes p));
       ("regs_per_thread", Tc_obs.Json.Int (Plan.regs_per_thread p));
-      ("occupancy", Tc_obs.Json.Float c.occupancy.Occupancy.occupancy);
+      ("occupancy", Tc_obs.Json.Float occupancy.Occupancy.occupancy);
       ( "occupancy_limiter",
         Tc_obs.Json.String
           (Format.asprintf "%a" Occupancy.pp_limiter
-             c.occupancy.Occupancy.limiter) );
+             occupancy.Occupancy.limiter) );
       ("sim_gflops", Tc_obs.Json.Float sim.Tc_sim.Simkernel.gflops);
       ( "sim_bound",
         Tc_obs.Json.String
@@ -208,7 +198,7 @@ let candidate_to_json c =
           ] );
     ]
     @
-    match c.pipelined with
+    match e.Evidence.race.Tc_sim.Simkernel.pipelined with
     | None -> []
     | Some (sc, r) ->
         [

@@ -16,14 +16,10 @@ open Cogent
 
 type candidate = {
   rank : int;  (** 1-based position in the model ranking *)
-  plan : Plan.t;
-  cost : Cost.explanation;  (** Algorithm-3 charge sheet *)
-  occupancy : Occupancy.result;
-  sim : Tc_sim.Simkernel.result;  (** simulator verdict incl. roofline *)
-  pipelined : (Schema.t * Tc_sim.Simkernel.result) option;
-      (** fastest feasible pipelined/MMA variant of the same mapping, for
-          the overlap-vs-classic comparison ([None] on devices without
-          async copies) *)
+  evidence : Tc_profile.Evidence.t;
+      (** the mapping's plan with its charge sheet and schema race (never
+          measured); the report shows the race's classic lane and, on
+          devices with async copies, its fastest pipelined lane *)
 }
 
 type t = {

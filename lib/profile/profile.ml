@@ -9,23 +9,14 @@ type row = {
   measured : float;
   sim : float option;
   model : float option;
-  sim_abs : float;
   sim_rel : float;
-  model_abs : float;
   model_rel : float;
 }
 
 type t = {
-  plan : Plan.t;
-  counters : Interp.counters;
-  sim_result : Tc_sim.Simkernel.result;
-  exact : Cost.breakdown;
-  exact_l2 : Cost.breakdown;
-  cost : Cost.explanation;
+  evidence : Evidence.t;
   rows : row list;
   worst : row option;
-  cost_bound : float;
-  timeline : Trace.event list;
 }
 
 (* Measured and simulator-predicted counters must agree exactly (checked
@@ -39,21 +30,13 @@ let cost_bound = 0.5
 let signed_error ~measured p =
   (p -. measured) /. Float.max (Float.abs measured) 1.0
 
-let errors measured = function
-  | None -> (0.0, 0.0)
-  | Some p -> (Float.abs (p -. measured), Float.abs (signed_error ~measured p))
+let rel_error measured = function
+  | None -> 0.0
+  | Some p -> Float.abs (signed_error ~measured p)
 
 let make_row quantity measured sim model =
-  let sim_abs, sim_rel = errors measured sim in
-  let model_abs, model_rel = errors measured model in
-  { quantity; measured; sim; model; sim_abs; sim_rel; model_abs; model_rel }
-
-let charge_of (cost : Cost.explanation) tensor =
-  match
-    List.find_opt (fun c -> String.equal c.Cost.tensor tensor) cost.Cost.charges
-  with
-  | Some c -> c.Cost.transactions
-  | None -> 0.0
+  let sim_rel = rel_error measured sim and model_rel = rel_error measured model in
+  { quantity; measured; sim; model; sim_rel; model_rel }
 
 let ceil_div a b = (a + b - 1) / b
 
@@ -62,7 +45,9 @@ let ceil_div a b = (a + b - 1) / b
    a representative block expanded inside the first wave.  A virtual clock
    keeps the output reproducible; wave and phase durations are read off the
    simulator's roofline terms. *)
-let build_timeline (plan : Plan.t) (sim : Tc_sim.Simkernel.result) counters =
+let build_timeline (e : Evidence.t) =
+  let plan = e.Evidence.plan and sim = Evidence.sim e in
+  let counters = Evidence.counters e in
   let now = ref 0.0 in
   let tr = Trace.make ~clock:(fun () -> !now) () in
   let span ?args name dur f =
@@ -147,17 +132,16 @@ let build_timeline (plan : Plan.t) (sim : Tc_sim.Simkernel.result) counters =
   Trace.events tr
 
 let profile (plan : Plan.t) =
-  let problem = plan.Plan.problem in
-  let mapping = plan.Plan.mapping in
-  let prec = plan.Plan.precision in
-  let counters = Interp.measure plan in
-  let sim_result = Tc_sim.Simkernel.run plan in
-  let exact = Tc_sim.Simkernel.transactions_exact prec problem mapping in
-  let exact_l2 =
-    Tc_sim.Simkernel.transactions_exact ~arch:plan.Plan.arch prec problem
-      mapping
+  let evidence = Evidence.make ~measure:true plan in
+  let mapping = plan.Plan.mapping and prec = plan.Plan.precision in
+  let counters = Evidence.counters evidence in
+  let measured = Evidence.measured_tx evidence
+  and exact = evidence.Evidence.exact
+  and model = Evidence.model_tx evidence in
+  let tx quantity pick =
+    make_row quantity (pick measured) (Some (pick exact)) (Some (pick model))
   in
-  let cost = Cost.explain prec problem mapping in
+  let total (b : Cost.breakdown) = b.lhs +. b.rhs +. b.out in
   let blocks = float_of_int (Plan.num_blocks plan) in
   let steps = float_of_int (Plan.num_steps plan) in
   let smem_predicted =
@@ -171,26 +155,19 @@ let profile (plan : Plan.t) =
     *. float_of_int (Mapping.size_tbk mapping)
     *. steps *. blocks
   in
-  let measured_total =
-    counters.Interp.tx_lhs +. counters.Interp.tx_rhs +. counters.Interp.tx_out
-  in
   let rows =
     [
-      make_row "DRAM tx, load A" counters.Interp.tx_lhs (Some exact.Cost.lhs)
-        (Some (charge_of cost "A"));
-      make_row "DRAM tx, load B" counters.Interp.tx_rhs (Some exact.Cost.rhs)
-        (Some (charge_of cost "B"));
-      make_row "DRAM tx, store C" counters.Interp.tx_out (Some exact.Cost.out)
-        (Some (charge_of cost "C"));
-      make_row "DRAM tx, total" measured_total
-        (Some (exact.Cost.lhs +. exact.Cost.rhs +. exact.Cost.out))
-        (Some cost.Cost.total_transactions);
+      tx "DRAM tx, load A" (fun b -> b.Cost.lhs);
+      tx "DRAM tx, load B" (fun b -> b.Cost.rhs);
+      tx "DRAM tx, store C" (fun b -> b.Cost.out);
+      (* The charge sheet's total is [total model], summed the same way. *)
+      tx "DRAM tx, total" total;
       make_row "SMEM bytes staged" counters.Interp.smem_bytes None
         (Some smem_predicted);
       make_row "FMA slots (padded loop)" counters.Interp.fma_padded
         (Some fma_padded_predicted) None;
       make_row "FMAs useful" counters.Interp.fma_useful None
-        (Some (Problem.flops problem /. 2.0));
+        (Some (Problem.flops plan.Plan.problem /. 2.0));
       make_row "store tx, busiest block" counters.Interp.store_tx_block_max
         None None;
     ]
@@ -204,29 +181,17 @@ let profile (plan : Plan.t) =
         | Some _, Some w -> if r.model_rel > w.model_rel then Some r else acc)
       None rows
   in
-  let timeline = build_timeline plan sim_result counters in
-  {
-    plan;
-    counters;
-    sim_result;
-    exact;
-    exact_l2;
-    cost;
-    rows;
-    worst;
-    cost_bound;
-    timeline;
-  }
+  { evidence; rows; worst }
 
 let sim_agrees t =
   List.for_all
-    (fun r -> match r.sim with None -> true | Some _ -> r.sim_abs = 0.0)
+    (fun r -> match r.sim with None -> true | Some p -> p = r.measured)
     t.rows
 
 let violations t =
   List.filter
     (fun r ->
-      match r.model with None -> false | Some _ -> r.model_rel > t.cost_bound)
+      match r.model with None -> false | Some _ -> r.model_rel > cost_bound)
     t.rows
 
 (* ---- rendering ---- *)
@@ -240,7 +205,7 @@ let opt_pct rel = function None -> "-" | Some _ -> Printf.sprintf "%.2f" (100.0 
 let render t =
   let buf = Buffer.create 2048 in
   let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let plan = t.plan in
+  let plan = t.evidence.Evidence.plan in
   let problem = plan.Plan.problem in
   p "simulated-hardware profile\n";
   p "==========================\n";
@@ -263,7 +228,7 @@ let render t =
   List.iter
     (fun r ->
       let flag =
-        if (match r.model with Some _ -> r.model_rel > t.cost_bound | None -> false)
+        if (match r.model with Some _ -> r.model_rel > cost_bound | None -> false)
         then " **"
         else if
           String.equal r.quantity worst_q && r.model <> None
@@ -285,13 +250,13 @@ let render t =
   (match t.worst with
   | Some w ->
       let verdict =
-        if w.model_rel > t.cost_bound then "EXCEEDS bound" else "ok"
+        if w.model_rel > cost_bound then "EXCEEDS bound" else "ok"
       in
       p
         "cost model: worst divergence %s (%.2f%%) against documented bound \
          %.0f%% — %s\n"
         w.quantity (100.0 *. w.model_rel)
-        (100.0 *. t.cost_bound)
+        (100.0 *. cost_bound)
         verdict
   | None -> ());
   let viol = violations t in
@@ -300,23 +265,24 @@ let render t =
     List.iter (fun r -> p " [%s]" r.quantity) viol;
     p "\n"
   end;
+  let l2 = t.evidence.Evidence.exact_l2 in
   p "L2 model:   A %s  B %s  C %s (DRAM-equivalent tx on %s)\n"
-    (num t.exact_l2.Cost.lhs) (num t.exact_l2.Cost.rhs)
-    (num t.exact_l2.Cost.out) plan.Plan.arch.Arch.name;
+    (num l2.Cost.lhs) (num l2.Cost.rhs) (num l2.Cost.out)
+    plan.Plan.arch.Arch.name;
+  let sim = Evidence.sim t.evidence in
   p "simulator:  %.1f GFLOPS, %s, %.3f ms (mem %.3f ms, compute %.3f ms)\n"
-    t.sim_result.Tc_sim.Simkernel.gflops
-    (Format.asprintf "%a" Tc_sim.Simkernel.pp_bound
-       t.sim_result.Tc_sim.Simkernel.bound)
-    (1e3 *. t.sim_result.Tc_sim.Simkernel.time_s)
-    (1e3 *. t.sim_result.Tc_sim.Simkernel.mem_time_s)
-    (1e3 *. t.sim_result.Tc_sim.Simkernel.compute_time_s);
+    sim.Tc_sim.Simkernel.gflops
+    (Format.asprintf "%a" Tc_sim.Simkernel.pp_bound sim.Tc_sim.Simkernel.bound)
+    (1e3 *. sim.Tc_sim.Simkernel.time_s)
+    (1e3 *. sim.Tc_sim.Simkernel.mem_time_s)
+    (1e3 *. sim.Tc_sim.Simkernel.compute_time_s);
   Buffer.contents buf
 
 (* ---- JSON ---- *)
 
 let json_opt = function None -> Json.Null | Some f -> Json.Float f
 
-let row_to_json t r =
+let row_to_json r =
   Json.Obj
     [
       ("quantity", Json.String r.quantity);
@@ -329,7 +295,7 @@ let row_to_json t r =
       ("within_bound",
        match r.model with
        | None -> Json.Null
-       | Some _ -> Json.Bool (r.model_rel <= t.cost_bound));
+       | Some _ -> Json.Bool (r.model_rel <= cost_bound));
     ]
 
 let breakdown_to_json (b : Cost.breakdown) =
@@ -341,8 +307,10 @@ let breakdown_to_json (b : Cost.breakdown) =
     ]
 
 let to_json t =
-  let plan = t.plan in
+  let e = t.evidence in
+  let plan = e.Evidence.plan in
   let problem = plan.Plan.problem in
+  let sim = Evidence.sim e in
   Json.Obj
     [
       ("schema", Json.String "cogent-profile/1");
@@ -358,9 +326,9 @@ let to_json t =
       ("steps", Json.Int (Plan.num_steps plan));
       ("threads", Json.Int (Plan.threads_per_block plan));
       ("sim_bound", Json.Float sim_bound);
-      ("cost_bound", Json.Float t.cost_bound);
+      ("cost_bound", Json.Float cost_bound);
       ("sim_agrees", Json.Bool (sim_agrees t));
-      ("rows", Json.List (List.map (row_to_json t) t.rows));
+      ("rows", Json.List (List.map row_to_json t.rows));
       ( "violations",
         Json.List
           (List.map (fun r -> Json.String r.quantity) (violations t)) );
@@ -373,19 +341,19 @@ let to_json t =
                 ("quantity", Json.String w.quantity);
                 ("rel_err", Json.Float w.model_rel);
               ] );
-      ("exact_no_l2", breakdown_to_json t.exact);
-      ("exact_l2", breakdown_to_json t.exact_l2);
+      ("exact_no_l2", breakdown_to_json e.Evidence.exact);
+      ("exact_l2", breakdown_to_json e.Evidence.exact_l2);
       ( "simulator",
         Json.Obj
           [
-            ("gflops", Json.Float t.sim_result.Tc_sim.Simkernel.gflops);
-            ("time_s", Json.Float t.sim_result.Tc_sim.Simkernel.time_s);
+            ("gflops", Json.Float sim.Tc_sim.Simkernel.gflops);
+            ("time_s", Json.Float sim.Tc_sim.Simkernel.time_s);
             ( "bound",
               Json.String
                 (Format.asprintf "%a" Tc_sim.Simkernel.pp_bound
-                   t.sim_result.Tc_sim.Simkernel.bound) );
-            ("occupancy", Json.Float t.sim_result.Tc_sim.Simkernel.occupancy);
+                   sim.Tc_sim.Simkernel.bound) );
+            ("occupancy", Json.Float sim.Tc_sim.Simkernel.occupancy);
           ] );
     ]
 
-let timeline_chrome t = Tc_obs.Export.to_chrome t.timeline
+let timeline_chrome t = Tc_obs.Export.to_chrome (build_timeline t.evidence)

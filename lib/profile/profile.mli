@@ -2,13 +2,10 @@
 
     The paper's central claim is that an analytical model of DRAM
     transactions is accurate enough to rank kernels.  This module
-    {e verifies} that claim inside the reproduction: {!profile} replays
-    the emitted schedule with {!Cogent.Interp.measure} (ground-truth
-    counters: every block, every step, every guarded lane), runs the
-    simulator's boundary-exact prediction
-    ({!Tc_sim.Simkernel.transactions_exact}, no-L2) and the coarse
-    Algorithm-3 charge sheet ({!Cogent.Cost.explain}) side by side, and
-    reports per-quantity divergence.
+    {e verifies} that claim inside the reproduction: {!profile} sets a
+    plan's measured {!Evidence.t} — the schedule replay's ground truth,
+    the simulator's boundary-exact count and the Algorithm-3 charge
+    sheet — side by side and reports per-quantity divergence.
 
     Two accuracy contracts are enforced, not averaged away:
 
@@ -17,7 +14,7 @@
       {!Cogent.Txcount} convention, so any gap is a bug in the pattern
       combinatorics;
     - the {e cost model} must stay within a 0.5 relative error
-      ([cost_bound], see EXPERIMENTS.md for the observed errors; it
+      (see EXPERIMENTS.md for the observed errors; it
       deliberately overcharges boundary tiles to stay cheap
       enough for millions of rankings); rows beyond the bound are
       flagged in the rendered report and in the JSON.
@@ -34,9 +31,7 @@ type row = {
   measured : float;
   sim : float option;  (** simulator prediction, when it makes one *)
   model : float option;  (** Algorithm-3 / analytic prediction *)
-  sim_abs : float;  (** [|sim - measured|], 0 when [sim = None] *)
-  sim_rel : float;
-  model_abs : float;
+  sim_rel : float;  (** 0 when [sim = None] *)
   model_rel : float;
 }
 (** One line of the divergence table.  Relative errors are against the
@@ -50,31 +45,23 @@ val signed_error : measured:float -> float -> float
     ratio. *)
 
 type t = {
-  plan : Plan.t;
-  counters : Interp.counters;  (** the measured side *)
-  sim_result : Tc_sim.Simkernel.result;
-  exact : Cost.breakdown;  (** simulator transactions, no-L2 *)
-  exact_l2 : Cost.breakdown;  (** with the plan's arch L2 discount *)
-  cost : Cost.explanation;  (** Algorithm-3 charge sheet *)
+  evidence : Evidence.t;  (** the plan's record, measured *)
   rows : row list;
   worst : row option;
       (** largest cost-model relative error among rows with a model
           prediction *)
-  cost_bound : float;  (** the bound rows were checked against *)
-  timeline : Tc_obs.Trace.event list;
 }
 
 val profile : Plan.t -> t
-(** Measure, predict and cross-validate one plan.  Pure and
-    deterministic; cost grows with [blocks * steps * tile volume] (full
-    TCCG sizes take well under a second). *)
+(** Cross-validate one plan's {!Evidence.make} [~measure:true] record.
+    Pure and deterministic (full TCCG sizes take well under a second). *)
 
 val sim_agrees : t -> bool
 (** [true] iff every simulator prediction matches its measurement
     exactly. *)
 
 val violations : t -> row list
-(** Rows whose cost-model relative error exceeds [cost_bound]. *)
+(** Rows whose cost-model relative error exceeds the 0.5 bound. *)
 
 val render : t -> string
 (** The divergence table plus plan header, worst-offender flag and

@@ -67,10 +67,11 @@ type report = {
   notices : string list;
 }
 
-(* [infos] and [dispatches] hold the per-session work a request does not
-   need to repeat: the analysis of an expression string (extents are bound
-   per request with [Problem.of_info]) and the dispatch decision of a
-   cached plan.  Both are written only by [run]'s sequential loops. *)
+(* Per-session work a request does not repeat: the analysis of an
+   expression string (extents are bound per request with
+   [Problem.of_info]), a cached plan's dispatch decision and, when
+   audited, its measured evidence.  Written only by [run]'s sequential
+   parts. *)
 type session = {
   ctx : Cogent.Ctx.t;
   cache : Cogent.Cache.t;
@@ -79,6 +80,7 @@ type session = {
   audit : Audit.collector option;
   infos : (string, Tc_expr.Classify.info) Hashtbl.t;
   dispatches : (string, Audit.dispatch) Hashtbl.t;
+  evidence : (string, Tc_profile.Evidence.t) Hashtbl.t;
 }
 
 let open_session ?store ?audit ctx =
@@ -93,6 +95,7 @@ let open_session ?store ?audit ctx =
       audit;
       infos = Hashtbl.create 64;
       dispatches = Hashtbl.create 64;
+      evidence = Hashtbl.create 64;
     }
   in
   match store with
@@ -242,29 +245,27 @@ let run session items =
           | Error e -> (k, Error (Generation e))
           | exception e -> (k, Error (Crashed (Printexc.to_string e)))
         in
-        (* The accuracy observatory's ground truth — the interpreter's
-           counter-only schedule replay — is the expensive part of a
-           sample, so it runs here, once per distinct key, wherever the
-           pool scheduled this search (the result is a pure function of
-           the plan, so batch output stays bit-identical at any job
-           count). *)
-        let measured =
-          match (session.audit, r) with
-          | Some _, (_, Ok d) ->
+        (* The audit's evidence is a pure function of the key's plan, which
+           never changes once cached: built once per session, here (the
+           schedule replay is costly) and read-only during the fan-out. *)
+        let evidence =
+          match r with
+          | _, Ok d
+            when Option.is_some session.audit
+                 && not (Hashtbl.mem session.evidence k) ->
               Some
                 (Tc_obs.Trace.with_span "audit.measure" (fun () ->
-                     Cogent.Interp.measure d.Cogent.Driver.plan))
+                     Tc_profile.Evidence.make ~measure:true
+                       d.Cogent.Driver.plan))
           | _ -> None
         in
         Tc_obs.Metrics.observe (generate_wall_hist ())
           (Float.max 0.0 (Sys.time () -. t0));
-        (r, measured))
+        (r, evidence))
       distinct
   in
-  let measures = Hashtbl.create 16 in
   List.iter
-    (fun ((k, _), measured) ->
-      Option.iter (fun c -> Hashtbl.replace measures k c) measured)
+    (fun ((k, _), e) -> Option.iter (Hashtbl.replace session.evidence k) e)
     generated;
   let generated = List.map fst generated in
   let plans = Hashtbl.create 16 in
@@ -356,7 +357,7 @@ let run session items =
                      below are part of the CI replay gate's deterministic
                      subset. *)
                   let regret = Audit.regret ~ctx ~own:problem d plan in
-                  let _, _, regret_s, _ = regret in
+                  let regret_s = regret.Audit.regret_s in
                   Audit.record_regret regret_s;
                   if regret_s > 0.0 then incr regrets;
                   (match session.audit with
@@ -364,9 +365,8 @@ let run session items =
                   | Some c ->
                       let s =
                         Audit.sample ~suite:"serve" ~request:rid ~key:k
-                          ?measured:(Hashtbl.find_opt measures k)
                           ~degraded:r.Cogent.Driver.degraded ~dispatch:d
-                          ~regret plan
+                          ~regret (Hashtbl.find session.evidence k)
                       in
                       Audit.add c s;
                       Audit.record_sample s;

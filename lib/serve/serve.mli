@@ -109,9 +109,10 @@ val open_session :
   (session, string) result
 (** [store] names a {!Planstore} directory; its entries pre-populate the
     cache.  [audit] attaches an accuracy-ledger collector: {!run} then
-    also measures every distinct plan's ground-truth counters (inside the
-    generation fan-out) and appends one {!Tc_audit.Audit.sample} per
-    successful request, in request order.  [Error] on an unreadable or
+    also builds each plan key's measured {!Tc_profile.Evidence.t} once per
+    session (inside the generation fan-out of the first batch that serves
+    the key) and appends one {!Tc_audit.Audit.sample} per successful
+    request, in request order.  [Error] on an unreadable or
     wrong-schema store. *)
 
 val close_session : session -> unit

@@ -175,7 +175,8 @@ let boundary_enumeration ~width ~ept (bs : Txcount.boundary array) =
 (* The dispatch regret as serving priced it by building a plan at the
    request's own extents: [Plan.make] (which validates the mapping and
    computes the model cost), the served schema, [Simkernel.run]. *)
-let regret ~ctx ~own (d : Tc_audit.Audit.dispatch) (plan : Plan.t) =
+let regret ~ctx ~own (d : Tc_audit.Audit.dispatch) (plan : Plan.t) :
+    Tc_audit.Audit.regret =
   match
     Plan.make ~problem:own ~mapping:plan.Plan.mapping ~arch:plan.Plan.arch
       ~precision:plan.Plan.precision
@@ -189,8 +190,14 @@ let regret ~ctx ~own (d : Tc_audit.Audit.dispatch) (plan : Plan.t) =
         | Tc_audit.Audit.Cogent_kernel -> Float.max 0.0 (oc -. ot)
         | Tc_audit.Audit.Ttgt_pipeline -> Float.max 0.0 (ot -. oc)
       in
-      (oc, ot, regret, false)
-  | Error _ -> (d.Tc_audit.Audit.cogent_s, d.Tc_audit.Audit.ttgt_s, 0.0, true)
+      { own_cogent_s = oc; own_ttgt_s = ot; regret_s = regret; own_approx = false }
+  | Error _ ->
+      {
+        own_cogent_s = d.Tc_audit.Audit.cogent_s;
+        own_ttgt_s = d.Tc_audit.Audit.ttgt_s;
+        regret_s = 0.0;
+        own_approx = true;
+      }
 
 (* The plan-cache key as it was formatted with [Printf]; stored plan-store
    rows are keyed by these bytes. *)

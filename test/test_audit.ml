@@ -24,14 +24,16 @@ let plan_of problem =
   | Ok r -> r.Cogent.Driver.plan
   | Error e -> fail (Cogent.Driver.error_to_string e)
 
-let sample_of ?(suite = "eq1") ?(request = "eq1") problem =
-  let plan = plan_of problem in
+let sample_of_plan ?(suite = "eq1") ?(request = "eq1") ctx plan =
   let dispatch = Audit.dispatch ctx plan in
   Audit.sample ~suite ~request
-    ~key:(Cogent.Cache.key ctx problem)
+    ~key:(Cogent.Cache.key ctx plan.Cogent.Plan.problem)
     ~degraded:false ~dispatch
     ~regret:(Audit.regret ~ctx ~own:plan.Cogent.Plan.problem dispatch plan)
-    plan
+    (Tc_profile.Evidence.make ~measure:true plan)
+
+let sample_of ?suite ?request problem =
+  sample_of_plan ?suite ?request ctx (plan_of problem)
 
 let fresh_dir () =
   let f = Filename.temp_file "cogent_audit" ".ledger" in
@@ -52,11 +54,11 @@ let test_sample_invariants () =
   (* own problem defaulted to the representative: the chosen side is the
      minimum by construction, so regret is identically zero *)
   check (Alcotest.float 0.0) "regret 0 on the representative" 0.0
-    s.Audit.regret_s;
+    s.Audit.own.regret_s;
   check Alcotest.bool "own times are the representative's" true
-    (Float.equal s.Audit.own_cogent_s s.Audit.pred_cogent_s
-    && Float.equal s.Audit.own_ttgt_s s.Audit.pred_ttgt_s);
-  check Alcotest.bool "no own-extents fallback" false s.Audit.own_approx;
+    (Float.equal s.Audit.own.own_cogent_s s.Audit.pred_cogent_s
+    && Float.equal s.Audit.own.own_ttgt_s s.Audit.pred_ttgt_s);
+  check Alcotest.bool "no own-extents fallback" false s.Audit.own.own_approx;
   (* the simulator contract: exact counters agree with the interpreter *)
   check Alcotest.bool "no simulator mismatch" false (Audit.sim_mismatch s);
   check Alcotest.bool "model error is a finite ratio" true
@@ -75,11 +77,12 @@ let test_dispatch_regret_on_own_extents () =
     Problem.of_string_exn "ab-ac-cb"
       ~sizes:[ ('a', 60); ('b', 60); ('c', 60) ]
   in
-  let oc, ot, regret, approx = Audit.dispatch_regret ~ctx ~own plan in
+  let r = Audit.dispatch_regret ~ctx ~own plan in
   check Alcotest.bool "own predictions are positive" true
-    (oc > 0.0 && ot > 0.0);
-  check Alcotest.bool "regret is non-negative" true (regret >= 0.0);
-  check Alcotest.bool "own extents re-planned (no fallback)" false approx
+    (r.Audit.own_cogent_s > 0.0 && r.Audit.own_ttgt_s > 0.0);
+  check Alcotest.bool "regret is non-negative" true (r.Audit.regret_s >= 0.0);
+  check Alcotest.bool "own extents re-planned (no fallback)" false
+    r.Audit.own_approx
 
 (* At the representative problem the chosen engine is the minimum, so
    regret is 0 whatever the plan's schema: the own-extent kernel must run
@@ -110,7 +113,10 @@ let test_regret_zero_on_representative_every_schema () =
         (fun sc ->
           let what = name ^ "/" ^ Tc_gpu.Schema.to_string sc in
           let p = Result.get_ok (Cogent.Plan.with_schema sc plan) in
-          let oc, ot, regret, approx = Audit.dispatch_regret ~ctx ~own:problem p in
+          let { Audit.own_cogent_s = oc; own_ttgt_s = ot; regret_s = regret;
+                own_approx = approx } =
+            Audit.dispatch_regret ~ctx ~own:problem p
+          in
           let served =
             Result.get_ok
               (Cogent.Plan.with_schema (Audit.dispatch ctx p).Audit.schema plan)
@@ -133,7 +139,10 @@ let test_regret_zero_on_representative_every_schema () =
 let test_regret_is_plan_built_regret () =
   let st = Random.State.make [| 0x5eed |] in
   let fits = ref 0 and approx = ref 0 in
-  let bits (oc, ot, regret, ap) = Printf.sprintf "%h %h %h %b" oc ot regret ap in
+  let bits (r : Audit.regret) =
+    Printf.sprintf "%h %h %h %b" r.own_cogent_s r.own_ttgt_s r.regret_s
+      r.own_approx
+  in
   List.iter
     (fun (arch, precision) ->
       let ctx = Cogent.Ctx.make ~arch ~precision () in
@@ -145,8 +154,7 @@ let test_regret_is_plan_built_regret () =
           List.iter
             (fun own ->
               let r = Audit.regret ~ctx ~own d plan in
-              let _, _, _, ap = r in
-              incr (if ap then approx else fits);
+              incr (if r.Audit.own_approx then approx else fits);
               check Alcotest.string
                 (Printf.sprintf "%s %s/%s" e.Tc_tccg.Suite.name
                    arch.Tc_gpu.Arch.name

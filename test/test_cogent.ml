@@ -1005,70 +1005,6 @@ let test_codegen_standalone_has_main () =
   | exception Invalid_argument _ -> ()
   | _ -> fail "standalone OpenCL emitted"
 
-(* ---- Variants (§IV-B multi-version generation) ---- *)
-
-let variants_ast =
-  match Parser.parse "ab-ac-cb" with Ok a -> a | Error _ -> assert false
-
-let small_sizes = Sizes.of_list [ ('a', 64); ('b', 64); ('c', 64) ]
-let big_sizes = Sizes.of_list [ ('a', 2048); ('b', 2048); ('c', 512) ]
-
-let variants_t =
-  Result.get_ok
-    (Variants.generate_ctx Ctx.default variants_ast [ small_sizes; big_sizes ])
-
-let test_variants_generate () =
-  check Alcotest.int "two versions" 2 (List.length variants_t.Variants.variants);
-  let names = List.map (fun v -> v.Variants.name) variants_t.Variants.variants in
-  check Alcotest.bool "distinct names" true
-    (List.length (List.sort_uniq String.compare names) = 2)
-
-let test_variants_generate_rejects () =
-  let generate = Variants.generate_ctx Ctx.default variants_ast in
-  (match generate [] with
-  | Error e ->
-      check Alcotest.bool "error names its raiser" true
-        (String.starts_with ~prefix:"Variants.generate_ctx: "
-           (Driver.error_to_string e))
-  | Ok _ -> fail "empty representative list accepted");
-  match generate [ Sizes.of_list [ ('a', 4) ] ] with
-  | Error _ -> ()
-  | Ok _ -> fail "non-covering sizes accepted"
-
-let test_variants_distance () =
-  check (Alcotest.float 1e-9) "identical sizes" 0.0
-    (Variants.distance small_sizes small_sizes [ 'a'; 'b'; 'c' ]);
-  check Alcotest.bool "positive otherwise" true
-    (Variants.distance small_sizes big_sizes [ 'a'; 'b'; 'c' ] > 0.0)
-
-let test_variants_select () =
-  let exact = Variants.select variants_t big_sizes in
-  check Alcotest.bool "exact representative selected" true
-    (exact.Variants.sizes == big_sizes
-    || Variants.distance exact.Variants.sizes big_sizes [ 'a'; 'b'; 'c' ] = 0.0);
-  (* a size near the small representative picks the small variant *)
-  let near_small = Sizes.of_list [ ('a', 80); ('b', 80); ('c', 48) ] in
-  let v = Variants.select variants_t near_small in
-  check Alcotest.int "nearest is the small version" 64
-    (Sizes.extent v.Variants.sizes 'a');
-  match Variants.select variants_t (Sizes.of_list [ ('a', 4) ]) with
-  | exception Invalid_argument _ -> ()
-  | _ -> fail "non-covering runtime size accepted"
-
-let test_variants_emit () =
-  let src = Variants.emit variants_t in
-  let has needle =
-    let ln = String.length needle and ls = String.length src in
-    let rec go i = i + ln <= ls && (String.sub src i ln = needle || go (i + 1)) in
-    go 0
-  in
-  check Alcotest.bool "v0 kernel" true (has "cogent_ab_ac_cb_v0(");
-  check Alcotest.bool "v1 kernel" true (has "cogent_ab_ac_cb_v1(");
-  check Alcotest.bool "dispatcher" true (has "cogent_ab_ac_cb_dispatch(");
-  check Alcotest.bool "distance code" true (has "fabs(log((double)N_a / 64.0))");
-  check Alcotest.bool "dispatch calls v1" true
-    (has "case 1: cogent_ab_ac_cb_v1_launch(d_C, d_A, d_B, N_a, N_b, N_c, stream); break;")
-
 (* ---- Driver ---- *)
 
 let test_driver_generate () =
@@ -1396,15 +1332,6 @@ let () =
           Alcotest.test_case "golden MMA kernel" `Quick test_codegen_golden_mma;
           Alcotest.test_case "golden suite codegen digests" `Quick
             test_codegen_suite_digests;
-        ] );
-      ( "variants",
-        [
-          Alcotest.test_case "generate" `Quick test_variants_generate;
-          Alcotest.test_case "generate rejects" `Quick
-            test_variants_generate_rejects;
-          Alcotest.test_case "distance" `Quick test_variants_distance;
-          Alcotest.test_case "select" `Quick test_variants_select;
-          Alcotest.test_case "emit dispatcher" `Quick test_variants_emit;
         ] );
       ( "cache",
         [

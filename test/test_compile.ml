@@ -108,31 +108,6 @@ let test_suite_kernels_compile_opencl () =
         (e.Tc_tccg.Suite.name ^ " (OpenCL)"))
     Tc_tccg.Suite.all
 
-let test_variants_unit_compiles () =
-  require_gxx ();
-  (* the multi-version translation unit contains launchers (<<<>>>), so
-     check only its kernels: regenerate them individually *)
-  let ast =
-    match Tc_expr.Parser.parse "abcd-aebf-dfce" with
-    | Ok a -> a
-    | Error _ -> assert false
-  in
-  let v =
-    Result.get_ok
-    @@ Cogent.Variants.generate_ctx Cogent.Ctx.default ast
-      [
-        Tc_expr.Sizes.of_list
-          [ ('a', 48); ('b', 48); ('c', 48); ('d', 48); ('e', 32); ('f', 32) ];
-        Tc_expr.Sizes.of_list
-          [ ('a', 16); ('b', 16); ('c', 96); ('d', 96); ('e', 16); ('f', 16) ];
-      ]
-  in
-  List.iter
-    (fun var ->
-      check_kernel ~shim:cuda_shim var.Cogent.Variants.plan
-        var.Cogent.Variants.name)
-    v.Cogent.Variants.variants
-
 (* ---- C-host dialect: compile, execute, compare against Contract_ref ---- *)
 
 let cc_available =
@@ -385,13 +360,11 @@ let () =
             (test_suite_kernels_compile Precision.FP32);
           Alcotest.test_case "48 TCCG kernels, OpenCL" `Slow
             test_suite_kernels_compile_opencl;
-          Alcotest.test_case "multi-version kernels" `Slow
-            test_variants_unit_compiles;
           Alcotest.test_case "adversarial mappings" `Slow
             test_adversarial_mappings_compile;
+          Alcotest.test_case "fp16 MMA kernel" `Slow test_mma_kernel_compiles;
           Alcotest.test_case "48 TCCG kernels, pipelined" `Slow
             test_suite_kernels_compile_pipelined;
-          Alcotest.test_case "fp16 MMA kernel" `Slow test_mma_kernel_compiles;
         ] );
       ( "execute (gcc, C-host dialect)",
         [

@@ -782,7 +782,9 @@ let test_explain_is_driver_prefix () =
           | Ok x, Ok d ->
               check Alcotest.bool (name ^ ": first 3 ranked") true
                 (List.map
-                   (fun c -> c.Tc_explain.Explain.plan.Cogent.Plan.mapping)
+                   (fun c ->
+                     c.Tc_explain.Explain.evidence.Tc_profile.Evidence.plan
+                       .Cogent.Plan.mapping)
                    x.Tc_explain.Explain.candidates
                 = List.filteri (fun k _ -> k < 3)
                     (List.map fst d.Cogent.Driver.ranked));

@@ -477,6 +477,93 @@ let test_profile_eq1_contracts () =
       | _ -> fail "timeline has no traceEvents")
   | Error e -> fail ("timeline is not valid chrome JSON: " ^ e)
 
+(* ---- one record, three views ---- *)
+
+(* Profile, Audit and Explain render the same {!Tc_profile.Evidence.t}, so
+   every number they share agrees to the bit: Eq. 1 on V100/fp64, a
+   tile-misaligned GEMM on P100/fp32, and ccsd_1 on A100/fp16, where the
+   race picks a pipelined lane. *)
+let test_views_share_one_record () =
+  let module Audit = Tc_audit.Audit in
+  let module Evidence = Tc_profile.Evidence in
+  let module Sim = Tc_sim.Simkernel in
+  let h = Printf.sprintf "%h" in
+  let same what a b = check Alcotest.string what (h a) (h b) in
+  let sim_bits (r : Sim.result) =
+    List.map h
+      [ r.Sim.time_s; r.gflops; r.transactions; r.mem_time_s; r.compute_time_s ]
+  in
+  let charge_bits (c : Cost.tensor_charge) =
+    Printf.sprintf "%s %h %h %d %h" c.Cost.tensor c.transactions c.bytes c.run
+      c.coalescing
+  in
+  let explained = ref 0 in
+  List.iter
+    (fun (name, ctx, problem, pipelined) ->
+      let plan = Gen.plan_of ctx problem in
+      let prof = Profile.profile plan in
+      let d = Audit.dispatch ctx plan in
+      let smp =
+        Audit.sample ~suite:"views" ~request:name ~key:name ~degraded:false
+          ~dispatch:d
+          ~regret:(Audit.regret ~ctx ~own:problem d plan)
+          (Evidence.make ~measure:true plan)
+      in
+      let row q =
+        match List.find_opt (fun r -> r.Profile.quantity = q) prof.Profile.rows with
+        | Some r -> r
+        | None -> fail (name ^ ": no row " ^ q)
+      in
+      List.iter
+        (fun (q, pick) ->
+          let r = row q in
+          let what col = Printf.sprintf "%s: %s, %s" name q col in
+          same (what "measured") (pick smp.Audit.measured_tx) r.Profile.measured;
+          same (what "simulator") (pick smp.Audit.exact_tx)
+            (Option.get r.Profile.sim);
+          same (what "cost model") (pick smp.Audit.model_tx)
+            (Option.get r.Profile.model))
+        [
+          ("DRAM tx, load A", fun (b : Cost.breakdown) -> b.lhs);
+          ("DRAM tx, load B", fun b -> b.rhs);
+          ("DRAM tx, store C", fun b -> b.out);
+        ];
+      let race = Sim.race plan in
+      check Alcotest.bool (name ^ ": race picks a pipelined lane") pipelined
+        (Schema.pipelined (fst race.Sim.chosen));
+      check
+        (Alcotest.list Alcotest.string)
+        (name ^ ": simulator is the plan schema's lane")
+        (sim_bits (Sim.lane race plan.Plan.schema))
+        (sim_bits (Evidence.sim prof.Profile.evidence));
+      match Tc_explain.Explain.analyze ctx ~top:1 problem with
+      | Ok { Tc_explain.Explain.candidates = [ c ]; _ } ->
+          let ev = c.Tc_explain.Explain.evidence in
+          if ev.Evidence.plan.Plan.mapping = plan.Plan.mapping then begin
+            incr explained;
+            check
+              (Alcotest.list Alcotest.string)
+              (name ^ ": explain's rank-1 charges are the record's")
+              (List.map charge_bits
+                 prof.Profile.evidence.Evidence.cost.Cost.charges)
+              (List.map charge_bits ev.Evidence.cost.Cost.charges)
+          end
+      | Ok _ -> fail (name ^ ": expected one explained candidate")
+      | Error e -> fail (name ^ ": " ^ Driver.error_to_string e))
+    [
+      ("eq1 V100/fp64", Ctx.default, eq1, false);
+      ( "gemm 250x60x33 P100/fp32",
+        Ctx.make ~arch:Arch.p100 ~precision:Precision.FP32 (),
+        Problem.of_string_exn "ab-ac-cb"
+          ~sizes:[ ('a', 250); ('b', 60); ('c', 33) ],
+        false );
+      ( "ccsd_1 A100/fp16",
+        Ctx.make ~arch:Arch.a100 ~precision:Precision.FP16 (),
+        Tc_tccg.Suite.problem (Option.get (Tc_tccg.Suite.find "ccsd_1")),
+        true );
+    ];
+  check Alcotest.bool "explain's rank 1 was compared" true (!explained > 0)
+
 (* ---- bench report schema and regression gate ---- *)
 
 (* Metric values chosen to survive the %g round-trip exactly. *)
@@ -716,6 +803,8 @@ let () =
       ( "profiler",
         [
           Alcotest.test_case "golden report" `Quick test_profile_eq1_golden;
+          Alcotest.test_case "views share one evidence record" `Quick
+            test_views_share_one_record;
           Alcotest.test_case "accuracy contracts" `Quick
             test_profile_eq1_contracts;
         ] );

@@ -422,7 +422,7 @@ let test_audit_hook () =
     (fun smp ->
       check Alcotest.string "suite stamped" "serve" smp.Tc_audit.Audit.suite;
       check Alcotest.bool "regret is non-negative" true
-        (smp.Tc_audit.Audit.regret_s >= 0.0);
+        (smp.Tc_audit.Audit.own.regret_s >= 0.0);
       check Alcotest.bool "measured counters populated" true
         (Tc_audit.Audit.tx_total smp.Tc_audit.Audit.measured_tx > 0.0))
     samples;
@@ -432,11 +432,11 @@ let test_audit_hook () =
         (rep.Tc_audit.Audit.key = dup.Tc_audit.Audit.key);
       (* the first request IS the representative: regret identically 0 *)
       check (Alcotest.float 0.0) "no regret on the representative" 0.0
-        rep.Tc_audit.Audit.regret_s
+        rep.Tc_audit.Audit.own.regret_s
   | _ -> fail "expected two samples");
   check Alcotest.int "summary counts regretted requests"
     (List.length
-       (List.filter (fun smp -> smp.Tc_audit.Audit.regret_s > 0.0) samples))
+       (List.filter (fun smp -> smp.Tc_audit.Audit.own.regret_s > 0.0) samples))
     report.Tc_serve.Serve.summary.Tc_serve.Serve.regrets;
   List.iter
     (fun e ->
@@ -475,6 +475,46 @@ let test_audit_cold_warm_identical () =
   let warm = batch () in
   check Alcotest.int "both batches sampled everything" 2 (List.length cold);
   check Alcotest.bool "cold and warm samples are identical" true (cold = warm)
+
+(* An audited session measures each plan key once: a second batch on the
+   same keys replays no schedule, and samples exactly what the first
+   batch sampled. *)
+let test_audit_measures_once_per_session () =
+  let collector = Tc_audit.Audit.collector () in
+  let s =
+    match Tc_serve.Serve.open_session ~audit:collector ctx with
+    | Ok s -> s
+    | Error m -> fail m
+  in
+  let batch first =
+    List.map
+      (fun (id, expr, sizes) -> Ok (req (first + id) expr sizes))
+      [
+        (1, "ab-ac-cb", [ ('a', 64); ('b', 64); ('c', 64) ]);
+        (2, "abc-bda-dc", [ ('a', 32); ('b', 32); ('c', 32); ('d', 32) ]);
+        (3, "ab-ac-cb", [ ('a', 60); ('b', 60); ('c', 60) ]);
+      ]
+  in
+  let measures first =
+    let t = Tc_obs.Trace.make () in
+    ignore
+      (Tc_obs.Trace.with_installed t (fun () ->
+           Tc_serve.Serve.run s (batch first)));
+    List.length
+      (List.filter
+         (function
+           | Tc_obs.Trace.Span { name; _ } -> name = "audit.measure"
+           | _ -> false)
+         (Tc_obs.Trace.events t))
+  in
+  check Alcotest.int "first batch measures each key" 2 (measures 0);
+  check Alcotest.int "second batch measures nothing" 0 (measures 10);
+  let unnamed smp = { smp with Tc_audit.Audit.request = "" } in
+  match List.map unnamed (Tc_audit.Audit.samples collector) with
+  | [ a1; a2; a3; b1; b2; b3 ] ->
+      check Alcotest.bool "second batch samples equal the first's" true
+        ([ a1; a2; a3 ] = [ b1; b2; b3 ])
+  | l -> fail (Printf.sprintf "expected 6 samples, got %d" (List.length l))
 
 (* A session computes each key's dispatch once and analyses each
    expression once.  Neither memo may change an answer: serve a batch in
@@ -718,12 +758,15 @@ let test_race_shared_by_consumers () =
                 Tc_explain.Explain.analyze ctx ~top:1 (Tc_tccg.Suite.problem e)
               with
               | Ok { Tc_explain.Explain.candidates = c :: _; _ } ->
-                  let race = Tc_sim.Simkernel.race c.Tc_explain.Explain.plan in
+                  let ev = c.Tc_explain.Explain.evidence in
+                  let race =
+                    Tc_sim.Simkernel.race ev.Tc_profile.Evidence.plan
+                  in
                   same "explain pipelined lane"
                     race.Tc_sim.Simkernel.pipelined
-                    c.Tc_explain.Explain.pipelined;
+                    ev.Tc_profile.Evidence.race.Tc_sim.Simkernel.pipelined;
                   same "explain classic lane" race.Tc_sim.Simkernel.classic
-                    c.Tc_explain.Explain.sim
+                    ev.Tc_profile.Evidence.race.Tc_sim.Simkernel.classic
               | Ok _ -> fail (name ^ ": explain returned no candidate")
               | Error err ->
                   fail (name ^ ": " ^ Cogent.Driver.error_to_string err))
@@ -777,7 +820,7 @@ let test_ledger_follows_serve () =
                |> Cogent.Plan.with_schema o.Serve.schema
                |> Result.get_ok))
               .Tc_sim.Simkernel.time_s
-            smp.Audit.own_cogent_s)
+            smp.Audit.own.own_cogent_s)
     (List.combine Tc_tccg.Suite.all report.Tc_serve.Serve.responses)
     samples
 
@@ -1076,5 +1119,7 @@ let () =
             test_audit_hook;
           Alcotest.test_case "audit samples identical cold vs warm" `Quick
             test_audit_cold_warm_identical;
+          Alcotest.test_case "audit measures each key once per session"
+            `Quick test_audit_measures_once_per_session;
         ] );
     ]
