@@ -240,6 +240,20 @@ let generate_one (ctx : Ctx.t) ~topk problem =
           bound_aborted = outcome.Pipeline.bound_aborted;
         }
 
+let no_prune_stats =
+  Prune.stats_of_tally ~enumerated:0 ~kept:0 ~relaxed:false ~relax_attempts:0
+    (Array.make Prune.num_reasons 0)
+
+let of_plan ~degraded (plan : Plan.t) =
+  {
+    plan;
+    ranked = [ (plan.Plan.mapping, plan.Plan.cost) ];
+    prune_stats = no_prune_stats;
+    naive_space = Enumerate.naive_space_size plan.Plan.problem;
+    degraded;
+    bound_aborted = 0;
+  }
+
 let default_topk = 8
 
 let run ctx ?(auto_split = false) ?(topk = default_topk) problem =

@@ -30,6 +30,17 @@ type t = {
           than the current top-K bound — distinct from rule-based prunes,
           which are tallied in [prune_stats] *)
 }
+(** [plan] and [degraded] are what a served entry is; the other four
+    fields describe the search that found it, and hold it only when that
+    search ran in this process.  An entry built by {!of_plan} (a plan
+    loaded from a store) holds no search: see there. *)
+
+val of_plan : degraded:bool -> Plan.t -> t
+(** An entry for a plan whose search did not run in this process:
+    [ranked] is [[(plan.mapping, plan.cost)]], [prune_stats] is all zero
+    (with [relaxed = false]), [naive_space] is
+    {!Enumerate.naive_space_size} of the plan's problem and
+    [bound_aborted] is 0. *)
 
 type measure = Ctx.measure
 (** Empirical throughput of a candidate plan (higher is better) — in this

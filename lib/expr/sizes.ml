@@ -2,20 +2,23 @@ open Tc_tensor
 
 type t = int Index.Map.t
 
-let of_list l =
+let make l =
   (* Insert in index order so that equal size maps are structurally
      identical whatever order the caller listed them in — the serving
      layer's plan store relies on rebuilt problems comparing equal with
      (=) to the originals. *)
-  List.fold_left
-    (fun acc (i, n) ->
-      if n <= 0 then
-        invalid_arg (Printf.sprintf "Sizes: extent of %c must be positive" i);
-      if Index.Map.mem i acc then
-        invalid_arg (Printf.sprintf "Sizes: duplicate extent for %c" i);
-      Index.Map.add i n acc)
-    Index.Map.empty
+  let rec go acc = function
+    | [] -> Ok acc
+    | (i, n) :: _ when n <= 0 ->
+        Error (Printf.sprintf "Sizes: extent of %c must be positive" i)
+    | (i, _) :: _ when Index.Map.mem i acc ->
+        Error (Printf.sprintf "Sizes: duplicate extent for %c" i)
+    | (i, n) :: rest -> go (Index.Map.add i n acc) rest
+  in
+  go Index.Map.empty
     (List.stable_sort (fun (a, _) (b, _) -> Index.compare a b) l)
+
+let of_list l = match make l with Ok t -> t | Error m -> invalid_arg m
 
 let uniform indices n = of_list (List.map (fun i -> (i, n)) indices)
 
@@ -47,10 +50,7 @@ let parse s =
         | Ok p -> go (p :: acc) rest
         | Error e -> Error e)
   in
-  match go [] items with
-  | Error e -> Error e
-  | Ok pairs -> (
-      try Ok (of_list pairs) with Invalid_argument m -> Error m)
+  Result.bind (go [] items) make
 
 let extent t i = Index.Map.find i t
 let extent_opt t i = Index.Map.find_opt i t

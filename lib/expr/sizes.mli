@@ -8,10 +8,15 @@ open Tc_tensor
 
 type t = int Index.Map.t
 
-val of_list : (Index.t * int) list -> t
+val make : (Index.t * int) list -> (t, string) result
 (** Order-insensitive: the entries are inserted in index order, so equal
     size maps are structurally identical (safe to compare with [=]).
-    @raise Invalid_argument on duplicates or non-positive extents. *)
+    [Error] on duplicates or non-positive extents: the constructor for
+    sizes read from outside the program. *)
+
+val of_list : (Index.t * int) list -> t
+(** {!make} for sizes the program built itself.
+    @raise Invalid_argument where {!make} returns [Error]. *)
 
 val uniform : Index.t list -> int -> t
 (** Every listed index gets the same extent. *)

@@ -48,8 +48,8 @@ let grid_of_json j =
     Ok (List.init (String.length s) (String.get s))
   else Error (Printf.sprintf "bad grid %S" s)
 
-(* Nine mappings per row: matching the six decoded parts at once
-   allocates no closure per part, as a chain of binds would. *)
+(* Matching the six decoded parts at once allocates no closure per
+   part, as a chain of binds would. *)
 let mapping_of_json j =
   let part name = Result.bind (J.field name j) bindings_of_json in
   match
@@ -70,70 +70,6 @@ let mapping_of_json j =
   | (_, _, _, _, _, Error e) ->
       Error e
 
-(* ---- prune-stats codec ---- *)
-
-let reason_of_slug s =
-  match
-    List.find_opt
-      (fun r -> Cogent.Prune.reason_slug r = s)
-      Cogent.Prune.all_reasons
-  with
-  | Some r -> Ok r
-  | None -> Error (Printf.sprintf "unknown prune rule %S" s)
-
-let stats_to_json (s : Cogent.Prune.stats) =
-  J.Obj
-    [
-      ("enumerated", J.Int s.Cogent.Prune.enumerated);
-      ("kept", J.Int s.kept);
-      ( "pruned",
-        J.List
-          (List.map
-             (fun (r, n) ->
-               J.List [ J.String (Cogent.Prune.reason_slug r); J.Int n ])
-             s.pruned) );
-      ("hardware_rejects", J.Int s.hardware_rejects);
-      ("performance_rejects", J.Int s.performance_rejects);
-      ("relaxed", J.Bool s.relaxed);
-      ("relax_attempts", J.Int s.relax_attempts);
-    ]
-
-let stats_of_json j =
-  let* enumerated = Result.bind (J.field "enumerated" j) J.as_int in
-  let* kept = Result.bind (J.field "kept" j) J.as_int in
-  let* pruned_l = Result.bind (J.field "pruned" j) J.as_list in
-  let* pruned =
-    J.map_result
-      (fun row ->
-        let* l = J.as_list row in
-        match l with
-        | [ slug; n ] ->
-            let* s = J.as_string slug in
-            let* r = reason_of_slug s in
-            let* n = J.as_int n in
-            Ok (r, n)
-        | _ -> Error "pruned row must be [rule, count]")
-      pruned_l
-  in
-  let* hardware_rejects =
-    Result.bind (J.field "hardware_rejects" j) J.as_int
-  in
-  let* performance_rejects =
-    Result.bind (J.field "performance_rejects" j) J.as_int
-  in
-  let* relaxed = Result.bind (J.field "relaxed" j) J.as_bool in
-  let* relax_attempts = Result.bind (J.field "relax_attempts" j) J.as_int in
-  Ok
-    {
-      Cogent.Prune.enumerated;
-      kept;
-      pruned;
-      hardware_rejects;
-      performance_rejects;
-      relaxed;
-      relax_attempts;
-    }
-
 (* ---- entry codec ---- *)
 
 let entry_to_json (r : Cogent.Driver.t) =
@@ -152,47 +88,20 @@ let entry_to_json (r : Cogent.Driver.t) =
       ("precision", J.String (Precision.to_string plan.Cogent.Plan.precision));
       ("kernel_schema", J.String (Schema.to_string plan.Cogent.Plan.schema));
       ("mapping", mapping_to_json plan.Cogent.Plan.mapping);
-      ( "ranked",
-        J.List
-          (List.map
-             (fun (m, c) -> J.List [ mapping_to_json m; J.Float c ])
-             r.ranked) );
-      ("prune", stats_to_json r.prune_stats);
-      ("naive_space", J.Float r.naive_space);
-      ("degraded", J.Bool r.degraded);
-      ("bound_aborted", J.Int r.bound_aborted);
+      ("degraded", J.Bool r.Cogent.Driver.degraded);
     ]
 
-(* What the rows of one load share: the classified contraction of each
-   distinct ["expr"] (parsed and classified once), and one copy of each
-   distinct mapping (a store of 2048 rows holds ~18.4k mappings, ~2.3k of
-   them distinct).  Every check still runs per row. *)
-module Mappings = Hashtbl.Make (struct
-  type t = Cogent.Mapping.t
+(* The fields [entry_to_json] writes.  Rows of earlier versions may lack
+   ["kernel_schema"] or carry the search that found the plan (["ranked"],
+   ["prune"], ["naive_space"], ["bound_aborted"]), which decoding
+   ignores; only a row with exactly these fields is current. *)
+let fields =
+  [ "expr"; "sizes"; "arch"; "precision"; "kernel_schema"; "mapping"; "degraded" ]
 
-  let equal = ( = )
-
-  (* The default hash stops after 10 meaningful words, too few to tell
-     apart mappings that differ past their first bindings. *)
-  let hash = Hashtbl.hash_param 50 200
-end)
-
-type memo = {
-  infos : (string, (Classify.info, string) result) Hashtbl.t;
-  mappings : Cogent.Mapping.t Mappings.t;
-}
-
-let memo () = { infos = Hashtbl.create 16; mappings = Mappings.create 16 }
-
-let shared_mapping memo j =
-  let* m = mapping_of_json j in
-  match Mappings.find_opt memo.mappings m with
-  | Some m -> Ok m
-  | None ->
-      Mappings.add memo.mappings m m;
-      Ok m
-
-let decode_entry memo j =
+(* [infos] holds the classified contraction of each distinct ["expr"] of
+   one load, parsed and classified once.  Every check still runs per
+   row. *)
+let decode_entry infos j =
   let* expr = Result.bind (J.field "expr" j) J.as_string in
   let* sizes_j = J.field "sizes" j in
   let* sizes =
@@ -206,17 +115,13 @@ let decode_entry memo j =
           kvs
     | _ -> Error "field \"sizes\" must be an object"
   in
-  let* sizes =
-    match Sizes.of_list sizes with
-    | s -> Ok s
-    | exception Invalid_argument m -> Error m
-  in
+  let* sizes = Sizes.make sizes in
   let* info =
-    match Hashtbl.find_opt memo.infos expr with
+    match Hashtbl.find_opt infos expr with
     | Some info -> info
     | None ->
         let info = Problem.analyse expr in
-        Hashtbl.add memo.infos expr info;
+        Hashtbl.add infos expr info;
         info
   in
   let* problem = Problem.of_info info sizes in
@@ -228,9 +133,9 @@ let decode_entry memo j =
   in
   let* prec_s = Result.bind (J.field "precision" j) J.as_string in
   let* precision = Precision.of_string prec_s in
-  let* mapping = Result.bind (J.field "mapping" j) (shared_mapping memo) in
+  let* mapping = Result.bind (J.field "mapping" j) mapping_of_json in
   (* [Plan.make] recomputes the model cost — deterministic, so the
-     reloaded entry is bit-identical to the one that was saved. *)
+     reloaded plan is bit-identical to the one that was saved. *)
   let* plan = Cogent.Plan.make ~problem ~mapping ~arch ~precision in
   (* Lenient: rows written before kernel schemas existed lack the tag and
      load as classic; a present tag must name a schema still feasible for
@@ -244,54 +149,27 @@ let decode_entry memo j =
         | None -> Error (Printf.sprintf "unknown kernel schema %S" s)
         | Some sc -> Cogent.Plan.with_schema sc plan)
   in
-  let* ranked_l = Result.bind (J.field "ranked" j) J.as_list in
-  let* ranked =
-    J.map_result
-      (fun row ->
-        let* l = J.as_list row in
-        match l with
-        | [ m; c ] ->
-            let* m = shared_mapping memo m in
-            let* c = J.as_float c in
-            Ok (m, c)
-        | _ -> Error "ranked row must be [mapping, cost]")
-      ranked_l
-  in
-  let* prune_stats = Result.bind (J.field "prune" j) stats_of_json in
-  let* naive_space = Result.bind (J.field "naive_space" j) J.as_float in
   let* degraded = Result.bind (J.field "degraded" j) J.as_bool in
-  (* Lenient: rows written before the streaming pipeline lack the counter;
-     0 keeps them loadable. *)
-  let* bound_aborted =
-    match J.field "bound_aborted" j with
-    | Ok v -> J.as_int v
-    | Error _ -> Ok 0
-  in
-  Ok
-    {
-      Cogent.Driver.plan;
-      ranked;
-      prune_stats;
-      naive_space;
-      degraded;
-      bound_aborted;
-    }
+  Ok (Cogent.Driver.of_plan ~degraded plan)
 
-let entry_of_json j = decode_entry (memo ()) j
+let entry_of_json j = decode_entry (Hashtbl.create 1) j
 
 (* ---- store I/O ---- *)
 
 type origin = (string, Cogent.Driver.t * Tc_obs.Jsonl.span) Hashtbl.t
 
-(* A row missing a field added since it was written decoded leniently;
-   only an encode gives it that field. *)
-let current_fields = [ "kernel_schema"; "bound_aborted" ]
-
-let row_of_json memo j =
+let row_of_json infos j =
   let* k = Result.bind (J.field "key" j) J.as_string in
   let* e = J.field "entry" j in
-  let* entry = decode_entry memo e in
-  Ok (k, entry, List.for_all (fun f -> J.member f e <> None) current_fields)
+  let* entry = decode_entry infos e in
+  let current =
+    match e with
+    | J.Obj kvs ->
+        List.compare_lengths kvs fields = 0
+        && List.for_all (fun f -> List.mem_assoc f kvs) fields
+    | _ -> false
+  in
+  Ok (k, entry, current)
 
 let add_counter name n =
   Tc_obs.Metrics.incr ~by:n
@@ -302,7 +180,7 @@ let read ~dir =
   let* rows =
     Tc_obs.Jsonl.load ~kind:"plan store" ~row:"plan-store row"
       ~metrics:"cogent.serve.planstore" ~schema (file ~dir)
-      (row_of_json (memo ()))
+      (row_of_json (Hashtbl.create 16))
   in
   (* A duplicated key keeps its first row, as [Cache.install] does. *)
   let origin = Hashtbl.create (List.length rows) in

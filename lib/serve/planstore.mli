@@ -2,19 +2,27 @@
 
     A store directory holds one [plans.jsonl]: line 1 is the schema header
     [{"schema":"cogent-planstore/1"}], every further line a row
-    [{"key":K,"entry":E}] where [K] is the {!Cogent.Cache.key} and [E] a
-    serialized {!Cogent.Driver.t}.  The serving engine loads the store
-    into its cache at session open and flushes the cache at close, so a
-    warm restart re-generates nothing.
+    [{"key":K,"entry":E}] where [K] is the {!Cogent.Cache.key} and [E] the
+    served plan of a {!Cogent.Driver.t}.  The serving engine loads the
+    store into its cache at session open and flushes the cache at close,
+    so a warm restart re-generates nothing.
 
-    The codec stores the contraction as its TCCG string plus extents and
-    {e reconstructs} the plan with [Plan.make], which recomputes the model
-    cost — costs are a pure function of (problem, mapping, device,
-    precision), and {!Tc_obs.Json} renders floats with the shortest
-    representation that parses back to the same value, so a save→load
-    round trip is bit-exact (locked by a property test).  The plan's
-    kernel schema rides along as a ["kernel_schema"] tag, decoded
-    leniently: rows written before schemas existed load as classic.
+    A row holds what a warm session serves, not the search that found
+    it.  [E] has seven fields: the contraction as its TCCG string
+    (["expr"]) plus extents (["sizes"]), ["arch"], ["precision"],
+    ["kernel_schema"], ["mapping"] and ["degraded"].  Decoding
+    {e reconstructs} the plan with [Plan.make], which validates the
+    mapping and recomputes the model cost — costs are a pure function of
+    (problem, mapping, device, precision), and {!Tc_obs.Json} renders
+    floats with the shortest representation that parses back to the same
+    value, so a save→load round trip gives the saved plan bit-exactly
+    (locked by a property test).  The kernel schema is checked feasible
+    for the mapping again; a row without ["kernel_schema"] (written
+    before schemas existed) loads as classic.  A loaded entry is built by
+    {!Cogent.Driver.of_plan}: its search fields say no search ran.  Rows
+    of earlier versions that also carry the search (["ranked"],
+    ["prune"], ["naive_space"], ["bound_aborted"]) load the same; those
+    fields are ignored.
 
     Verbatim rows: a save copies each row loaded from the store file
     back as the bytes it was read from, and encodes only the rows this
@@ -24,12 +32,11 @@
     row's span and digest ({!Tc_obs.Jsonl.span}), and {!save} reads each
     span back from the file and copies it only while it still holds the
     same bytes.  A row is encoded again when the file was replaced since
-    the load, and when the row lacks a field this version writes
-    (["kernel_schema"], ["bound_aborted"]), which upgrades it.  A
-    hand-formatted row (other spacing or field order) is written back as
-    it is, not renormalised.  Every load parses and classifies each
-    distinct ["expr"] once and keeps one copy of each distinct mapping,
-    shared across its rows.
+    the load, and when its entry does not have exactly the seven fields
+    this version writes, which re-encodes an older row as the current
+    one.  A hand-formatted row (other spacing or field order) is written
+    back as it is, not renormalised.  Every load parses and classifies
+    each distinct ["expr"] once.
 
     Failure ladder ({!Tc_obs.Jsonl}): a missing file is an empty store; a
     wrong or missing schema header rejects the whole store (a later
@@ -44,14 +51,17 @@ val file : dir:string -> string
 (** [dir/plans.jsonl]. *)
 
 val entry_to_json : Cogent.Driver.t -> Tc_obs.Json.t
+(** The seven fields of a row's entry: the plan and [degraded]. *)
 
 val entry_of_json : Tc_obs.Json.t -> (Cogent.Driver.t, string) result
-(** Inverse of {!entry_to_json}; [Error] on any malformed field. *)
+(** Inverse of {!entry_to_json} up to the search fields: the entry is
+    [Driver.of_plan ~degraded plan].  [Error] on any malformed field
+    (of the seven). *)
 
 type origin
 (** Where each row of one {!read} sits in the store file: for each key,
-    the entry decoded from its first current-format row, with that row's
-    span and digest. *)
+    the entry decoded from its first row with exactly the seven fields,
+    with that row's span and digest. *)
 
 val read :
   dir:string -> ((string * Cogent.Driver.t) list * origin, string) result

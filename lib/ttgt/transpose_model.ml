@@ -13,10 +13,12 @@ type result = {
 let base_efficiency = 0.65
 
 let run (arch : Arch.t) prec ~sizes ~src ~dst =
+  (* A permutation: the same indices, each as often, in another order. *)
   if
     not
-      (List.length src = List.length dst
-      && Index.Set.equal (Index.Set.of_list src) (Index.Set.of_list dst))
+      (List.equal Index.equal
+         (List.sort Index.compare src)
+         (List.sort Index.compare dst))
   then
     invalid_arg
       (Printf.sprintf "Transpose_model: %s is not a permutation of %s"

@@ -117,9 +117,15 @@ let candidate_plans problem =
    (tensor bookkeeping, argument marshalling, stream management). *)
 let talsh_overhead_s = 150e-6
 
+(* Span arguments are built only under an installed trace, as
+   [Simkernel.price] does: serve estimates once per fitting request. *)
 let estimate arch prec t =
+  let traced = Tc_obs.Trace.enabled () in
   Tc_obs.Trace.with_span "ttgt.estimate"
-    ~args:[ ("permutes", Tc_obs.Trace.Int (List.length t.permutes)) ]
+    ~args:
+      (if traced then
+         [ ("permutes", Tc_obs.Trace.Int (List.length t.permutes)) ]
+       else [])
   @@ fun () ->
   let sizes = Problem.sizes t.problem in
   let transposes =
@@ -137,14 +143,15 @@ let estimate arch prec t =
   let gemm = Gemm_model.run arch prec ~m ~n ~k:t.k in
   let gemm_time_s = gemm.Gemm_model.time_s in
   let time_s = transpose_time_s +. gemm_time_s +. talsh_overhead_s in
-  Tc_obs.Trace.add_args
-    [
-      ("transpose_ms", Tc_obs.Trace.Float (transpose_time_s *. 1e3));
-      ("gemm_ms", Tc_obs.Trace.Float (gemm_time_s *. 1e3));
-      ( "transpose_share",
-        Tc_obs.Trace.Float
-          (if time_s > 0.0 then transpose_time_s /. time_s else 0.0) );
-    ];
+  if traced then
+    Tc_obs.Trace.add_args
+      [
+        ("transpose_ms", Tc_obs.Trace.Float (transpose_time_s *. 1e3));
+        ("gemm_ms", Tc_obs.Trace.Float (gemm_time_s *. 1e3));
+        ( "transpose_share",
+          Tc_obs.Trace.Float
+            (if time_s > 0.0 then transpose_time_s /. time_s else 0.0) );
+      ];
   {
     time_s;
     gflops = Problem.flops t.problem /. time_s /. 1e9;
@@ -194,7 +201,10 @@ let faithful_plan problem =
 
 let plan_ctx (ctx : Cogent.Ctx.t) ?(optimize = false) problem =
   Tc_obs.Trace.with_span "ttgt.plan"
-    ~args:[ ("optimize", Tc_obs.Trace.Bool optimize) ]
+    ~args:
+      (if Tc_obs.Trace.enabled () then
+         [ ("optimize", Tc_obs.Trace.Bool optimize) ]
+       else [])
   @@ fun () ->
   Tc_obs.Metrics.incr (Tc_obs.Metrics.counter "cogent.ttgt.plans");
   if not optimize then faithful_plan problem

@@ -354,3 +354,25 @@ let verdict_ref c =
 (* Fixed seed: property tests must be reproducible across runs. *)
 let to_alcotest t =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t
+
+(* The rows of [data/planstore_fat.jsonl], a plan store written by the
+   previous row encoding, which also held the search that found each plan
+   (["ranked"], ["prune"], ["naive_space"], ["bound_aborted"]):
+   ab-ac-cb at 64^3 on V100/fp64 with the simulator as measure, and eq1
+   on V100/fp64 and A100/fp16 under the default context.  dune places
+   the file beside the test executable; from the repository root it is
+   read from the source tree. *)
+let planstore_fat_rows () =
+  let beside_exe =
+    Filename.concat (Filename.dirname Sys.executable_name)
+      "data/planstore_fat.jsonl"
+  in
+  let path =
+    if Sys.file_exists beside_exe then beside_exe
+    else "test/data/planstore_fat.jsonl"
+  in
+  match
+    String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all)
+  with
+  | _header :: rows -> List.filter (( <> ) "") rows
+  | [] -> []

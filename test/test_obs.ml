@@ -657,8 +657,9 @@ let mutated_gen bases =
   pair (oneofl bases) (list_size (1 -- 4) (triple (int_bound 5) nat byte))
   |> map (fun (base, edits) -> mutate base edits)
 
-(* Stored rows of a classic V100/fp64 plan and a pipelined A100/fp16
-   one, exactly as the plan store writes them. *)
+(* Stored rows of the eq1 plans on V100/fp64 and A100/fp16, exactly as
+   the plan store writes them; the previous encoding's fat rows of the
+   same plans join them below. *)
 let planstore_rows =
   List.map
     (fun (arch, precision) ->
@@ -685,7 +686,9 @@ let request_lines =
 let never_raises =
   QCheck.Test.make ~count:2000
     ~name:"mutated rows and requests never make parse or entry_of_json raise"
-    (QCheck.make ~print:Fun.id (mutated_gen (planstore_rows @ request_lines)))
+    (QCheck.make ~print:Fun.id
+       (mutated_gen
+          (planstore_rows @ Gen.planstore_fat_rows () @ request_lines)))
     (fun line ->
       (match Json.parse line with
       | Ok j ->

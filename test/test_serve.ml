@@ -30,10 +30,15 @@ let req id expr sizes =
 
 (* ---- Planstore ---- *)
 
-(* Save→load must reproduce every entry bit-exactly: the codec stores the
-   contraction textually and *recomputes* plan costs on load, so this
-   property locks both the codec and the determinism of the cost model.
-   Budget-truncated (degraded) entries are covered too. *)
+(* What a store row keeps of an entry: its plan and [degraded]. *)
+let stored (r : Cogent.Driver.t) =
+  Cogent.Driver.of_plan ~degraded:r.Cogent.Driver.degraded r.Cogent.Driver.plan
+
+(* Save→load must give back the stored projection of every entry, its
+   plan bit-exactly: the codec stores the contraction textually and
+   *recomputes* plan costs on load, so this property locks both the codec
+   and the determinism of the cost model.  Budget-truncated (degraded)
+   entries are covered too. *)
 let planstore_roundtrip =
   QCheck.Test.make ~count:20
     ~name:"Planstore save/load round-trips entries bit-exactly"
@@ -57,9 +62,14 @@ let planstore_roundtrip =
       in
       let dir = fresh_dir () in
       Tc_serve.Planstore.save ~dir rows;
+      let cost_bits (_, r) =
+        Int64.bits_of_float r.Cogent.Driver.plan.Cogent.Plan.cost
+      in
       match Tc_serve.Planstore.load ~dir with
       | Error m -> QCheck.Test.fail_report m
-      | Ok rows' -> rows = rows')
+      | Ok rows' ->
+          List.map (fun (k, r) -> (k, stored r)) rows = rows'
+          && List.map cost_bits rows = List.map cost_bits rows')
 
 let test_planstore_missing_is_empty () =
   match Tc_serve.Planstore.load ~dir:(fresh_dir ()) with
@@ -107,24 +117,16 @@ let test_planstore_skips_corrupt_row () =
   | Error m -> fail m
   | Ok rows ->
       check Alcotest.int "good row survives" 1 (List.length rows);
-      check Alcotest.bool "row round-tripped" true ([ ("good", r) ] = rows));
+      check Alcotest.bool "row round-tripped" true
+        ([ ("good", stored r) ] = rows));
   check (Alcotest.float 0.0) "corrupt row counted" (before +. 1.0)
     (metric "corrupt_rows");
   (* header line 1, good row line 2, corrupt row line 3 *)
   check (Alcotest.float 0.0) "gauge names the offending line" 3.0
     (metric "corrupt_line");
-  (* a well-formed row naming a precision no parser accepts is corrupt too *)
-  let rec requad = function
-    | Tc_obs.Json.Obj kvs ->
-        Tc_obs.Json.Obj
-          (List.map
-             (fun (k, v) ->
-               (k, if k = "precision" then Tc_obs.Json.String "quad"
-                   else requad v))
-             kvs)
-    | j -> j
-  in
-  let quad_row =
+  (* well-formed rows naming a precision no parser accepts, a zero
+     extent or a duplicated extent are corrupt too *)
+  let good_row =
     match
       Tc_obs.Json.parse
         (List.nth
@@ -133,20 +135,62 @@ let test_planstore_skips_corrupt_row () =
                  In_channel.input_all))
            1)
     with
-    | Ok j -> Tc_obs.Json.to_string (requad j)
+    | Ok j -> j
     | Error m -> fail m
   in
-  let oc =
-    open_out_gen [ Open_append ] 0o644 (Tc_serve.Planstore.file ~dir)
+  let rec rewrite field v = function
+    | Tc_obs.Json.Obj kvs ->
+        Tc_obs.Json.Obj
+          (List.map
+             (fun (k, x) -> (k, if k = field then v else rewrite field v x))
+             kvs)
+    | j -> j
   in
-  output_string oc (quad_row ^ "\n");
-  close_out oc;
+  let append rows =
+    let oc =
+      open_out_gen [ Open_append ] 0o644 (Tc_serve.Planstore.file ~dir)
+    in
+    List.iter
+      (fun j -> output_string oc (Tc_obs.Json.to_string j ^ "\n"))
+      rows;
+    close_out oc
+  in
+  append [ rewrite "precision" (Tc_obs.Json.String "quad") good_row ];
   (match Tc_serve.Planstore.load ~dir with
   | Error m -> fail m
   | Ok rows -> check Alcotest.int "quad row skipped" 1 (List.length rows));
   check (Alcotest.float 0.0) "quad row counted" (before +. 3.0)
     (metric "corrupt_rows");
   check (Alcotest.float 0.0) "gauge names the quad row" 4.0
+    (metric "corrupt_line");
+  let sizes kvs =
+    rewrite "sizes"
+      (Tc_obs.Json.Obj (List.map (fun (i, n) -> (i, Tc_obs.Json.Int n)) kvs))
+      good_row
+  in
+  let zero = sizes [ ("a", 0); ("b", 64); ("c", 64) ]
+  and dup = sizes [ ("a", 64); ("a", 64); ("b", 64); ("c", 64) ] in
+  List.iter
+    (fun (row, why) ->
+      match
+        Option.map Tc_serve.Planstore.entry_of_json
+          (Tc_obs.Json.member "entry" row)
+      with
+      | Some (Error m) -> check Alcotest.string "rejected by Sizes.make" why m
+      | _ -> fail ("row decoded: " ^ why))
+    [
+      (zero, "Sizes: extent of a must be positive");
+      (dup, "Sizes: duplicate extent for a");
+    ];
+  append [ zero; dup ];
+  (match Tc_serve.Planstore.load ~dir with
+  | Error m -> fail m
+  | Ok rows ->
+      check Alcotest.int "zero and duplicate extent rows skipped" 1
+        (List.length rows));
+  check (Alcotest.float 0.0) "zero and duplicate extent rows counted"
+    (before +. 7.0) (metric "corrupt_rows");
+  check (Alcotest.float 0.0) "gauge names the duplicate extent row" 6.0
     (metric "corrupt_line")
 
 (* ---- budget degradation ---- *)
@@ -965,7 +1009,7 @@ let test_verbatim_duplicate_key () =
       let cache = Cogent.Cache.create () in
       List.iter (fun (k, r) -> Cogent.Cache.install cache k r) rows;
       check Alcotest.bool "the cache keeps the first row" true
-        (Cogent.Cache.entries cache = [ ("k", a) ]));
+        (Cogent.Cache.entries cache = [ ("k", stored a) ]));
   let copied, encoded = copied_encoded (fun () -> reopen dir) in
   check Alcotest.string "the file keeps the first row, as written"
     (header ^ "\n" ^ spaced ^ "\n")
@@ -973,46 +1017,100 @@ let test_verbatim_duplicate_key () =
   check (Alcotest.pair Alcotest.int Alcotest.int) "copied, encoded" (1, 0)
     (copied, encoded)
 
-(* A row written before kernel schemas and the bound-abort counter
-   decodes leniently and is upgraded by the next save. *)
+(* Rows of earlier versions load to the plan a search finds today, are
+   served as the current row is, and the next save re-encodes them with
+   exactly the seven fields: a row written before kernel schemas, and a
+   row carrying its search as the previous encoding wrote it
+   ({!Gen.planstore_fat_rows}). *)
 let test_verbatim_upgrades_legacy_row () =
-  let a = drive_expr "ab-ac-cb" [ ('a', 64); ('b', 64); ('c', 64) ] in
-  let legacy =
+  let sizes = [ ('a', 64); ('b', 64); ('c', 64) ] in
+  let a = drive_expr "ab-ac-cb" sizes in
+  let k = Cogent.Cache.key ctx (Problem.of_string_exn "ab-ac-cb" ~sizes) in
+  let pre_schema =
     match Planstore.entry_to_json a with
     | J.Obj kvs ->
         J.to_string
           (J.Obj
              [
-               ("key", J.String "k");
+               ("key", J.String k);
                ( "entry",
-                 J.Obj
-                   (List.filter
-                      (fun (f, _) ->
-                        f <> "kernel_schema" && f <> "bound_aborted")
-                      kvs) );
+                 J.Obj (List.filter (fun (f, _) -> f <> "kernel_schema") kvs)
+               );
              ])
     | _ -> fail "entry is not an object"
   in
-  let dir = fresh_dir () in
-  write_store dir [ legacy ];
-  let loaded =
-    match Planstore.load ~dir with
-    | Ok [ ("k", r) ] -> r
-    | Ok _ -> fail "expected one row"
-    | Error m -> fail m
+  let fat =
+    List.find
+      (fun l ->
+        match J.parse l with
+        | Ok j -> J.member "key" j = Some (J.String k)
+        | Error _ -> false)
+      (Gen.planstore_fat_rows ())
   in
-  let copied, encoded = copied_encoded (fun () -> reopen dir) in
-  check Alcotest.string "the legacy row is re-encoded"
-    (header ^ "\n" ^ row_line "k" loaded ^ "\n")
-    (store_text dir);
-  check (Alcotest.pair Alcotest.int Alcotest.int) "copied, encoded" (0, 1)
-    (copied, encoded);
-  match J.parse (List.nth (String.split_on_char '\n' (store_text dir)) 1) with
-  | Ok j ->
-      let entry = Option.get (J.member "entry" j) in
-      check Alcotest.bool "the saved row names its schema and bound aborts" true
-        (J.member "kernel_schema" entry <> None
-        && J.member "bound_aborted" entry <> None)
+  let serve lines =
+    let dir = fresh_dir () in
+    write_store dir lines;
+    let s = open_session ~store:dir ctx in
+    let report = Tc_serve.Serve.run s [ Ok (req 1 "ab-ac-cb" sizes) ] in
+    check Alcotest.int "served from the store" 0
+      report.Tc_serve.Serve.summary.Tc_serve.Serve.generations;
+    (dir, s, report.Tc_serve.Serve.responses)
+  in
+  let _, current, served = serve [ row_line k a ] in
+  Tc_serve.Serve.close_session current;
+  List.iter
+    (fun (name, legacy) ->
+      let dir, s, responses = serve [ legacy ] in
+      check Alcotest.bool (name ^ ": served as the current row") true
+        (responses = served);
+      let copied, encoded =
+        copied_encoded (fun () -> Tc_serve.Serve.close_session s)
+      in
+      check (Alcotest.pair Alcotest.int Alcotest.int)
+        (name ^ ": copied, encoded") (0, 1) (copied, encoded);
+      let loaded =
+        match Planstore.load ~dir with
+        | Ok [ (k', r) ] when k' = k -> r
+        | Ok _ -> fail "expected one row"
+        | Error m -> fail m
+      in
+      check Alcotest.bool (name ^ ": loads to the searched plan") true
+        (loaded = stored a);
+      check Alcotest.string (name ^ ": re-encoded as the current row")
+        (header ^ "\n" ^ row_line k a ^ "\n")
+        (store_text dir);
+      match Planstore.entry_to_json a with
+      | J.Obj kvs ->
+          check (Alcotest.list Alcotest.string) (name ^ ": seven fields")
+            [
+              "expr"; "sizes"; "arch"; "precision"; "kernel_schema"; "mapping";
+              "degraded";
+            ]
+            (List.map fst kvs)
+      | _ -> fail "entry is not an object")
+    [ ("pre-schema row", pre_schema); ("fat row", fat) ];
+  (* the whole previous-encoding store loads to the plans a search finds *)
+  let dir = fresh_dir () in
+  write_store dir (Gen.planstore_fat_rows ());
+  let eq1 =
+    Problem.of_string_exn "abcd-aebf-dfce"
+      ~sizes:[ ('a', 48); ('b', 48); ('c', 48); ('d', 48); ('e', 32); ('f', 32) ]
+  in
+  let expected =
+    (k, stored a)
+    :: List.map
+         (fun (arch, precision) ->
+           let c = Cogent.Ctx.make ~arch ~precision () in
+           (Cogent.Cache.key c eq1, stored (drive eq1 c)))
+         [
+           (Tc_gpu.Arch.v100, Tc_gpu.Precision.FP64);
+           (Tc_gpu.Arch.a100, Tc_gpu.Precision.FP16);
+         ]
+  in
+  match Planstore.load ~dir with
+  | Ok rows ->
+      check Alcotest.bool "the previous encoding's store loads the same plans"
+        true (rows = expected)
   | Error m -> fail m
 
 (* A corrupt row is counted at load, dropped by the next save, and the
