@@ -47,7 +47,7 @@ let tccg_suite ~suite ~arch ~precision entries =
           Some
             (Audit.sample ~suite ~request:e.Tc_tccg.Suite.name
                ~key:(Cogent.Cache.key ctx problem)
-               ~degraded:r.Cogent.Driver.degraded ~dispatch
+               ~dispatch
                ~regret:
                  (Audit.regret ~ctx ~own:plan.Cogent.Plan.problem dispatch plan)
                (Tc_profile.Evidence.make ~measure:true plan)))

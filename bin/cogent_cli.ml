@@ -27,7 +27,7 @@
      suite    list the TCCG benchmark entries
 
    The generation subcommands share one configuration surface (a
-   Cogent.Ctx built from --arch, --precision and --budget).  Every
+   Cogent.Ctx built from --arch and --precision).  Every
    subcommand accepts --metrics FILE to write the final metrics snapshot
    in Prometheus text format and --jobs N to set the worker-domain count
    for the parallel sections (overrides COGENT_JOBS; 1 disables
@@ -139,19 +139,11 @@ let jobs_arg =
                to the machine's core count minus one; 1 disables \
                parallelism.  Results are bit-identical at any job count.")
 
-let budget_arg =
-  Arg.(value & opt (some int) None & info [ "budget" ] ~docv:"N"
-         ~doc:"Search budget: rank at most $(docv) surviving configurations \
-               per plan search.  A truncated search degrades gracefully \
-               toward the heuristic top-of-enumeration plan and is flagged \
-               in the output.  Unlimited by default.")
-
-(* The shared front door: every generation subcommand folds its --arch,
-   --precision and --budget into one [Cogent.Ctx.t] (the simulator is the
-   measure — this repo's stand-in for timed runs on real hardware). *)
-let mk_ctx ?schema ?budget (arch, precision) =
-  Cogent.Ctx.make ~arch ~precision ?schema ~measure:Tc_sim.Simkernel.gflops
-    ?budget ()
+(* The shared front door: every generation subcommand folds its --arch
+   and --precision into one [Cogent.Ctx.t] (the simulator is the measure —
+   this repo's stand-in for timed runs on real hardware). *)
+let mk_ctx ?schema (arch, precision) =
+  Cogent.Ctx.make ~arch ~precision ?schema ~measure:Tc_sim.Simkernel.gflops ()
 
 let resolve_problem expr sizes entry =
   match (entry, expr, sizes) with
@@ -271,11 +263,11 @@ let harness_term ~trace =
 (* ---- gen ---- *)
 
 let gen_cmd =
-  let run harness problem device schema budget output standalone dialect =
+  let run harness problem device schema output standalone dialect =
     harness @@ fun () ->
     let problem = problem.resolve () in
     let r =
-      or_die_gen (Cogent.Driver.run (mk_ctx ?schema ?budget device) problem)
+      or_die_gen (Cogent.Driver.run (mk_ctx ?schema device) problem)
     in
     if standalone && dialect = Cogent.Codegen.Opencl then
       or_die (Error "--standalone is not available for the OpenCL dialect");
@@ -314,27 +306,26 @@ let gen_cmd =
     (Cmd.info "gen" ~version
        ~doc:"Generate CUDA, OpenCL or host-C for a tensor contraction")
     Term.(const run $ harness_term ~trace:true $ problem_term expr_arg
-          $ device_term $ schema_arg $ budget_arg $ output_arg $ standalone
+          $ device_term $ schema_arg $ output_arg $ standalone
           $ dialect)
 
 (* ---- plan ---- *)
 
 let plan_cmd =
-  let run harness problem ((arch, precision) as device) schema budget top =
+  let run harness problem ((arch, precision) as device) schema top =
     harness @@ fun () ->
     let problem = problem.resolve () in
     let r =
       or_die_gen
-        (Cogent.Driver.run (mk_ctx ?schema ?budget device) ~topk:top problem)
+        (Cogent.Driver.run (mk_ctx ?schema device) ~topk:top problem)
     in
     let s = r.Cogent.Driver.prune_stats in
     Format.printf "problem:     %a@." Problem.pp problem;
     Format.printf
       "search:      naive space %.3e, enumerated %d, kept %d, bound-aborted \
-       %d%s@."
+       %d@."
       r.Cogent.Driver.naive_space s.Cogent.Prune.enumerated s.Cogent.Prune.kept
-      r.Cogent.Driver.bound_aborted
-      (if r.Cogent.Driver.degraded then " (budget-truncated)" else "");
+      r.Cogent.Driver.bound_aborted;
     let plan = r.Cogent.Driver.plan in
     (* Predicted overlap saving: the schema race's lane for the selected
        schema over its classic lane (or its best pipelined lane when
@@ -375,7 +366,7 @@ let plan_cmd =
     (Cmd.info "plan" ~version
        ~doc:"Inspect the configuration search for a contraction")
     Term.(const run $ harness_term ~trace:true $ problem_term expr_arg
-          $ device_term $ schema_arg $ budget_arg $ top)
+          $ device_term $ schema_arg $ top)
 
 (* ---- explain ---- *)
 
@@ -533,10 +524,10 @@ let bench_cmd =
 (* ---- serve ---- *)
 
 let serve_cmd =
-  let run harness requests store device budget json flight_dump audit_ledger =
+  let run harness requests store device json flight_dump audit_ledger =
     harness @@ fun () ->
     let t0 = Sys.time () in
-    let ctx = mk_ctx ?budget device in
+    let ctx = mk_ctx device in
     let requests =
       match requests with
       | Some f -> f
@@ -571,13 +562,12 @@ let serve_cmd =
         (fun (r : Tc_serve.Serve.response) ->
           match r.Tc_serve.Serve.result with
           | Ok o ->
-              Format.printf "req-%03d  %-24s -> %-6s  %10.3f ms  %8.0f GFLOPS%s%s@."
+              Format.printf "req-%03d  %-24s -> %-6s  %10.3f ms  %8.0f GFLOPS%s@."
                 r.Tc_serve.Serve.id r.Tc_serve.Serve.expr
                 (Tc_audit.Audit.engine_name o.Tc_serve.Serve.engine)
                 (o.Tc_serve.Serve.predicted_s *. 1e3)
                 o.Tc_serve.Serve.gflops
                 (if o.Tc_serve.Serve.cached then "  [cached]" else "")
-                (if o.Tc_serve.Serve.degraded then "  [degraded]" else "")
           | Error e ->
               Format.printf "req-%03d  %-24s -> error: %a@." r.Tc_serve.Serve.id
                 r.Tc_serve.Serve.expr Tc_serve.Serve.pp_error e)
@@ -645,7 +635,7 @@ let serve_cmd =
              plan key, search in parallel, dispatch each request to the \
              COGENT kernel or the TTGT pipeline by predicted time")
     Term.(const run $ harness_term ~trace:true $ requests $ store $ device_term
-          $ budget_arg $ json $ flight_dump $ audit_ledger)
+          $ json $ flight_dump $ audit_ledger)
 
 (* ---- audit ---- *)
 

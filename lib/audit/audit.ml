@@ -18,7 +18,6 @@ type sample = {
   arch : string;
   precision : string;
   strategy : string;
-  degraded : bool;
   pred_cogent_s : float;
   pred_ttgt_s : float;
   own : regret;
@@ -111,7 +110,7 @@ let regret ~ctx ~own d (plan : Cogent.Plan.t) =
 
 let dispatch_regret ~ctx ~own plan = regret ~ctx ~own (dispatch ctx plan) plan
 
-let sample ~suite ~request ~key ~degraded ~dispatch:d ~regret
+let sample ~suite ~request ~key ~dispatch:d ~regret
     (e : Tc_profile.Evidence.t) =
   let plan = e.Tc_profile.Evidence.plan in
   {
@@ -124,7 +123,6 @@ let sample ~suite ~request ~key ~degraded ~dispatch:d ~regret
     arch = plan.Cogent.Plan.arch.Arch.name;
     precision = Precision.to_string plan.Cogent.Plan.precision;
     strategy = engine_name d.engine;
-    degraded;
     pred_cogent_s = d.cogent_s;
     pred_ttgt_s = d.ttgt_s;
     own = regret;
@@ -354,12 +352,11 @@ let render samples =
         "pred ms" "regret ms" "tx err";
       List.iter
         (fun s ->
-          p "  %-10s %-18s %-8s %12.3f %12.3f %10s%s%s\n" s.request s.expr
+          p "  %-10s %-18s %-8s %12.3f %12.3f %10s%s\n" s.request s.expr
             s.strategy
             (pred_chosen_s s *. 1e3)
             (s.own.regret_s *. 1e3)
             (pct (tx_rel_err s))
-            (if s.degraded then "  [degraded]" else "")
             (if s.own.own_approx then "  [own-approx]" else ""))
         group)
     (group_keys samples);

@@ -46,7 +46,6 @@ type sample = {
   arch : string;
   precision : string;
   strategy : string;  (** {!engine_name} of the {!dispatch}'s engine *)
-  degraded : bool;  (** plan came from a budget-truncated search *)
   pred_cogent_s : float;  (** served COGENT lane, representative problem *)
   pred_ttgt_s : float;  (** TTGT model prediction, representative problem *)
   own : regret;  (** the dispatch priced at the request's own extents *)
@@ -116,7 +115,6 @@ val sample :
   suite:string ->
   request:string ->
   key:string ->
-  degraded:bool ->
   dispatch:dispatch ->
   regret:regret ->
   Tc_profile.Evidence.t ->

@@ -29,7 +29,6 @@ let sample_to_json (s : Audit.sample) =
       ("arch", J.String s.arch);
       ("precision", J.String s.precision);
       ("strategy", J.String s.strategy);
-      ("degraded", J.Bool s.degraded);
       ("pred_cogent_s", J.Float s.pred_cogent_s);
       ("pred_ttgt_s", J.Float s.pred_ttgt_s);
       ("own_cogent_s", J.Float s.own.own_cogent_s);
@@ -52,7 +51,7 @@ let sample_of_json j =
   let* arch = str "arch" j in
   let* precision = str "precision" j in
   let* strategy = str "strategy" j in
-  let* degraded = boolean "degraded" j in
+  (* Ledgers of earlier versions also carry ["degraded"], ignored here. *)
   let* pred_cogent_s = num "pred_cogent_s" j in
   let* pred_ttgt_s = num "pred_ttgt_s" j in
   let* own_cogent_s = num "own_cogent_s" j in
@@ -72,7 +71,6 @@ let sample_of_json j =
       arch;
       precision;
       strategy;
-      degraded;
       pred_cogent_s;
       pred_ttgt_s;
       own = { own_cogent_s; own_ttgt_s; own_approx; regret_s };

@@ -7,7 +7,7 @@
     [cogent.audit.ledger.corrupt_line].  A missing directory loads as
     empty; a wrong or missing schema header is an error.  Rows still
     carry the retired [sim_time_s] key (always [pred_cogent_s]); loading
-    ignores it.
+    ignores it, and the [degraded] key rows of earlier versions carry.
 
     Samples are deterministic model output appended in request order, so
     a saved ledger is byte-identical across worker-domain counts and

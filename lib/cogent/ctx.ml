@@ -9,7 +9,6 @@ type t = {
   refine : int;
   measure : measure option;
   jobs : int option;
-  budget : int option;
 }
 
 let default =
@@ -20,11 +19,10 @@ let default =
     refine = 8;
     measure = None;
     jobs = None;
-    budget = None;
   }
 
 let make ?(arch = Arch.v100) ?(precision = Precision.FP64) ?schema
-    ?(refine = 8) ?measure ?jobs ?budget () =
-  { arch; precision; schema; refine; measure; jobs; budget }
+    ?(refine = 8) ?measure ?jobs () =
+  { arch; precision; schema; refine; measure; jobs }
 
 let install_jobs t = Option.iter Tc_par.Pool.set_default_jobs t.jobs

@@ -30,22 +30,14 @@ type t = {
   jobs : int option;
       (** worker-domain count for the {!Tc_par.Pool} fan-outs; [None]
           leaves the process default ([COGENT_JOBS]) untouched *)
-  budget : int option;
-      (** search budget: at most this many surviving configurations are
-          cost-ranked per generation.  [None] = unlimited.  When the
-          budget truncates the space the result is flagged
-          {!Driver.t.degraded} and the selection degrades toward the
-          heuristic top-of-enumeration plan (budget [0] is clamped to 1:
-          the first surviving configuration, no real ranking). *)
 }
 
 val default : t
-(** V100, FP64, refine 8, no measure, process-default jobs, unlimited
-    budget. *)
+(** V100, FP64, refine 8, no measure, process-default jobs. *)
 
 val make :
   ?arch:Arch.t -> ?precision:Precision.t -> ?schema:Schema.t -> ?refine:int
-  -> ?measure:measure -> ?jobs:int -> ?budget:int -> unit -> t
+  -> ?measure:measure -> ?jobs:int -> unit -> t
 (** {!default} with the given fields replaced. *)
 
 val install_jobs : t -> unit

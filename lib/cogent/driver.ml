@@ -9,7 +9,6 @@ type t = {
   ranked : (Mapping.t * float) list;
   prune_stats : Prune.stats;
   naive_space : float;
-  degraded : bool;
   bound_aborted : int;
 }
 
@@ -60,15 +59,12 @@ let generate_one (ctx : Ctx.t) ~topk problem =
   @@ fun () ->
   Metrics.incr (Metrics.counter "cogent.driver.generations");
   (* One streamed pass over the candidate space: enumerate → prune →
-     bound-aborting cost evaluation, fused (see {!Pipeline}).  The search
-     budget keeps the serving layer's worst case bounded: rank only the
-     first [budget] survivors (enumeration order), degrading — at budget
-     0/1 — to the heuristic top-of-enumeration plan. *)
+     bound-aborting cost evaluation, fused (see {!Pipeline}). *)
   let outcome =
     Trace.with_span "driver.pipeline" (fun () ->
         let o =
           timed_phase "pipeline" (fun () ->
-              Pipeline.search ?budget:ctx.Ctx.budget
+              Pipeline.search
                 ~topk:(max (max 1 ctx.Ctx.refine) (max 1 topk))
                 arch precision problem)
         in
@@ -83,18 +79,14 @@ let generate_one (ctx : Ctx.t) ~topk problem =
         o)
   in
   let prune_stats = outcome.Pipeline.stats in
-  let degraded = outcome.Pipeline.degraded in
   (* The pipeline itself emits no metrics (its chunk scans run on pool
      workers); the per-search counters land here, post-merge, on the
      calling domain — same names the materialized phases used. *)
   Prune.emit_stats_metrics prune_stats;
-  if degraded then
-    Metrics.incr (Metrics.counter "cogent.driver.degraded_searches");
   Log.debug (fun m ->
-      m "%a: enumerated %d, kept %d%s%s" Tc_expr.Problem.pp problem
+      m "%a: enumerated %d, kept %d%s" Tc_expr.Problem.pp problem
         prune_stats.Prune.enumerated prune_stats.Prune.kept
-        (if prune_stats.Prune.relaxed then " (relaxed)" else "")
-        (if degraded then " (budget-truncated)" else ""));
+        (if prune_stats.Prune.relaxed then " (relaxed)" else ""));
   match outcome.Pipeline.ranked with
   | [] -> Error (No_viable_mapping prune_stats)
   | (top, _) :: _ as ranked ->
@@ -217,7 +209,6 @@ let generate_one (ctx : Ctx.t) ~topk problem =
           [
             ("kept", Trace.Int prune_stats.Prune.kept);
             ("selected_cost", Trace.Float plan.Plan.cost);
-            ("degraded", Trace.Bool degraded);
             ("bound_aborted", Trace.Int outcome.Pipeline.bound_aborted);
           ];
       (* The accuracy observatory's driver-side hook: every selected
@@ -236,7 +227,6 @@ let generate_one (ctx : Ctx.t) ~topk problem =
           ranked;
           prune_stats;
           naive_space = Enumerate.naive_space_size problem;
-          degraded;
           bound_aborted = outcome.Pipeline.bound_aborted;
         }
 
@@ -244,13 +234,12 @@ let no_prune_stats =
   Prune.stats_of_tally ~enumerated:0 ~kept:0 ~relaxed:false ~relax_attempts:0
     (Array.make Prune.num_reasons 0)
 
-let of_plan ~degraded (plan : Plan.t) =
+let of_plan (plan : Plan.t) =
   {
     plan;
     ranked = [ (plan.Plan.mapping, plan.Plan.cost) ];
     prune_stats = no_prune_stats;
     naive_space = Enumerate.naive_space_size plan.Plan.problem;
-    degraded;
     bound_aborted = 0;
   }
 

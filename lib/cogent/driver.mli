@@ -16,26 +16,21 @@ type t = {
   plan : Plan.t;  (** the selected configuration (see [Ctx.refine]) *)
   ranked : (Mapping.t * float) list;
       (** the top-K surviving configurations, ascending model cost, where
-          K = [max ctx.refine topk] (see {!run}); under a {!Ctx.t.budget}
-          the budgeted survivor set instead, ranked in full *)
+          K = [max ctx.refine topk] (see {!run}) *)
   prune_stats : Prune.stats;
   naive_space : float;  (** unpruned search-space size (§IV formula) *)
-  degraded : bool;
-      (** true when a {!Ctx.t.budget} truncated the surviving space before
-          ranking, so the selection fell back toward the heuristic
-          top-of-enumeration plan *)
   bound_aborted : int;
       (** prune survivors whose cost evaluation the streaming pipeline cut
           short (or discarded unranked) because they provably cost more
           than the current top-K bound — distinct from rule-based prunes,
           which are tallied in [prune_stats] *)
 }
-(** [plan] and [degraded] are what a served entry is; the other four
-    fields describe the search that found it, and hold it only when that
-    search ran in this process.  An entry built by {!of_plan} (a plan
-    loaded from a store) holds no search: see there. *)
+(** [plan] is what a served entry is; the other four fields describe the
+    search that found it, and hold it only when that search ran in this
+    process.  An entry built by {!of_plan} (a plan loaded from a store)
+    holds no search: see there. *)
 
-val of_plan : degraded:bool -> Plan.t -> t
+val of_plan : Plan.t -> t
 (** An entry for a plan whose search did not run in this process:
     [ranked] is [[(plan.mapping, plan.cost)]], [prune_stats] is all zero
     (with [relaxed = false]), [naive_space] is
@@ -65,9 +60,7 @@ val run :
     top [ctx.refine] candidates (default 8) are then benchmarked with
     [ctx.measure] to select the final kernel; [refine = 1] gives pure
     model-driven selection.  When no measure is supplied the model ranking
-    alone decides.  A [ctx.budget] caps how many surviving configurations
-    are cost-ranked (see {!Ctx.t.budget}); a truncated search is flagged
-    [degraded].
+    alone decides.
 
     The search streams candidates through {!Pipeline.search} rather than
     materializing the enumeration; [ranked] retains the

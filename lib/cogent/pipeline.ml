@@ -5,7 +5,6 @@ type outcome = {
   ranked : (Mapping.t * float) list;
   stats : Prune.stats;
   bound_aborted : int;
-  degraded : bool;
 }
 
 let no_mapping =
@@ -93,15 +92,8 @@ type chunk_out = {
   c_tally : int array;
   c_kept : int;
   c_aborted : int;
-  c_top : (int * float) list;  (* heap mode: chunk top-K keys, unordered *)
-  c_fed : (int * float) list;
-      (* feed mode: first <= maxfeed survivor keys and costs, in order *)
+  c_top : (int * float) list;  (* chunk top-K keys, unordered *)
 }
-
-(* Feed mode (search budget set) costs the first [maxfeed] survivors in
-   candidate order and ranks them all; heap mode streams every survivor
-   through the bounded evaluator. *)
-type mode = Heap of int | Feed of int
 
 (* Per-search factor tables.  A candidate is a coordinate (x, y, k) of the
    product X-side x Y-side x TB_k, and every term of the §IV-A rules and
@@ -218,22 +210,16 @@ let[@inline] load_cost s ~width ~size_k ~ept ~steps ~fblocks p pk =
    tightens as it goes) are reproducible at any parallelism.  Candidates
    are visited in ascending (x, y, k) order — ascending key, ascending
    {!Mapping.compare} — and enter the heap as keys; the cost is the float
-   expression of {!Cost.transactions}, term by term.  Heap mode aborts it
-   as soon as a partial sum exceeds the heap bound (each term is >= blocks
-   >= 1). *)
-let scan_chunks tabs checker prec mode ~tallying ~lo ~hi =
+   expression of {!Cost.transactions}, term by term, aborted as soon as
+   a partial sum exceeds the heap bound (each term is >= blocks >= 1). *)
+let scan_chunks tabs checker prec ~cap ~tallying ~lo ~hi =
   let tally = Array.make Prune.num_reasons 0 in
-  let kept = ref 0 and aborted = ref 0 and n_fed = ref 0 in
-  let fed = ref [] in
+  let kept = ref 0 and aborted = ref 0 in
   let x = tabs.x and y = tabs.y and nk = Array.length tabs.tbk_size in
   let ny = Array.length y.tb in
   (* Like the search's own heap, a slice heap never holds more than the
      slice's candidates. *)
-  let heap =
-    match mode with
-    | Heap cap -> Topk.create (min cap ((hi - lo) * ny * nk))
-    | Feed _ -> Topk.create 1
-  in
+  let heap = Topk.create (min cap ((hi - lo) * ny * nk)) in
   let ept = Precision.elems_per_transaction prec in
   let bytes = Precision.bytes prec in
   for xi = lo to hi - 1 do
@@ -264,32 +250,18 @@ let scan_chunks tabs checker prec mode ~tallying ~lo ~hi =
         else begin
           incr kept;
           let steps = tabs.steps.(k) and size_k = tabs.tbk_size.(k) in
-          match mode with
-          | Feed maxfeed ->
-              if !n_fed < maxfeed then begin
-                let total =
-                  load_cost x ~width ~size_k ~ept ~steps ~fblocks xi xk
-                  +. load_cost y ~width ~size_k ~ept ~steps ~fblocks yi yk
-                  +. (float_of_int out_tx *. fblocks)
-                in
-                fed := (key0 + k, total) :: !fed;
-                incr n_fed
-              end
-          | Heap _ ->
-              let bound = Topk.bound heap in
-              let lhs = load_cost x ~width ~size_k ~ept ~steps ~fblocks xi xk in
-              if lhs > bound then incr aborted
-              else
-                let rhs =
-                  load_cost y ~width ~size_k ~ept ~steps ~fblocks yi yk
-                in
-                let partial = lhs +. rhs in
-                if partial > bound then incr aborted
-                else
-                  let total = partial +. (float_of_int out_tx *. fblocks) in
-                  if total > bound then incr aborted
-                  else if not (Topk.insert heap (key0 + k) total) then
-                    incr aborted
+          let bound = Topk.bound heap in
+          let lhs = load_cost x ~width ~size_k ~ept ~steps ~fblocks xi xk in
+          if lhs > bound then incr aborted
+          else
+            let rhs = load_cost y ~width ~size_k ~ept ~steps ~fblocks yi yk in
+            let partial = lhs +. rhs in
+            if partial > bound then incr aborted
+            else
+              let total = partial +. (float_of_int out_tx *. fblocks) in
+              if total > bound then incr aborted
+              else if not (Topk.insert heap (key0 + k) total) then
+                incr aborted
         end
       done
     done
@@ -299,7 +271,6 @@ let scan_chunks tabs checker prec mode ~tallying ~lo ~hi =
     c_kept = !kept;
     c_aborted = !aborted;
     c_top = Topk.entries heap;
-    c_fed = List.rev !fed;
   }
 
 (* Fixed fan-out width: chunk slices per search.  A constant (not the
@@ -307,7 +278,7 @@ let scan_chunks tabs checker prec mode ~tallying ~lo ~hi =
    tallies — are identical however many workers execute them. *)
 let work_units = 16
 
-let search ?(performance = true) ?budget ~topk arch prec problem =
+let search ?(performance = true) ~topk arch prec problem =
   let cands = Candidates.create problem in
   let tabs = tables cands problem in
   let enumerated = Candidates.count cands in
@@ -319,92 +290,65 @@ let search ?(performance = true) ?budget ~topk arch prec problem =
     List.init units (fun u ->
         (nchunks * u / units, nchunks * (u + 1) / units))
   in
-  let maxfeed = Option.map (fun b -> max 1 b) budget in
   (* The heap never holds more than every candidate, so [topk:max_int]
      keeps every survivor: the heap never fills before the last one, and
      nothing is bound-aborted. *)
-  let mode =
-    match maxfeed with
-    | Some f -> Feed f
-    | None -> Heap (max 1 (min topk enumerated))
-  in
+  let cap = max 1 (min topk enumerated) in
   (* One pass over the whole candidate stream with a given rule set.
      Workers are pure: each work unit gets its own heap and only reads the
      shared tables, and metrics/trace emission stays on the calling domain
      after the merge. *)
   let pass checker ~tallying =
     let tally = Array.make Prune.num_reasons 0 in
-    let heap =
-      match mode with Heap cap -> Topk.create cap | Feed _ -> Topk.create 1
-    in
-    let kept, aborted, _, fed_rev =
+    let heap = Topk.create cap in
+    let kept, aborted =
       Tc_par.Pool.map_fold slices
         ~map:(fun (lo, hi) ->
-          scan_chunks tabs checker prec mode ~tallying ~lo ~hi)
-        ~init:(0, 0, 0, [])
-        ~fold:(fun (kept, aborted, n_fed, fed_rev) c ->
+          scan_chunks tabs checker prec ~cap ~tallying ~lo ~hi)
+        ~init:(0, 0)
+        ~fold:(fun (kept, aborted) c ->
           if tallying then
             Array.iteri (fun k n -> tally.(k) <- tally.(k) + n) c.c_tally;
           List.iter (fun (key, cost) -> ignore (Topk.insert heap key cost))
             c.c_top;
-          let n_fed, fed_rev =
-            match mode with
-            | Heap _ -> (n_fed, fed_rev)
-            | Feed maxfeed ->
-                List.fold_left
-                  (fun (n, acc) e ->
-                    if n < maxfeed then (n + 1, e :: acc) else (n, acc))
-                  (n_fed, fed_rev) c.c_fed
-          in
-          (kept + c.c_kept, aborted + c.c_aborted, n_fed, fed_rev))
+          (kept + c.c_kept, aborted + c.c_aborted))
     in
-    (tally, kept, aborted, heap, List.rev fed_rev)
+    (tally, kept, aborted, heap)
   in
-  let primary_tally, primary_kept, primary_aborted, primary_heap, primary_fed =
+  let primary_tally, primary_kept, primary_aborted, primary_heap =
     pass (Prune.checker ~performance arch problem) ~tallying:true
   in
-  let kept, aborted, heap, fed, relaxed, relax_attempts =
+  let kept, aborted, heap, relaxed, relax_attempts =
     if primary_kept > 0 then
-      (primary_kept, primary_aborted, primary_heap, primary_fed, false, 0)
+      (primary_kept, primary_aborted, primary_heap, false, 0)
     else
       (* Relaxation ladder ({!Prune.relax_attempts_classes}): re-stream the
          candidates per attempt (hardware rules always stay), stop at the
          first rule set with survivors; reject tallies cover only the
          primary pass. *)
       let rec try_relax n = function
-        | [] -> (0, 0, primary_heap, [], true, n)
+        | [] -> (0, 0, primary_heap, true, n)
         | classes :: rest -> (
             match
               pass (Prune.checker_of_classes classes arch problem)
                 ~tallying:false
             with
-            | _, 0, _, _, _ -> try_relax (n + 1) rest
-            | _, kept, aborted, heap, fed ->
-                (kept, aborted, heap, fed, true, n + 1))
+            | _, 0, _, _ -> try_relax (n + 1) rest
+            | _, kept, aborted, heap -> (kept, aborted, heap, true, n + 1))
       in
       try_relax 0 Prune.relax_attempts_classes
   in
-  (* Only the final top-K (or the fed survivors) become mappings. *)
+  (* Only the final top-K become mappings. *)
   let ny = Candidates.num_y cands and nk = Candidates.num_tbk cands in
   let mapping_of (key, cost) =
     let k = key mod nk and xy = key / nk in
     let x = xy / ny and y = xy mod ny in
     (Candidates.mapping cands x y k, cost)
   in
-  let ranked =
-    List.map mapping_of
-      (match mode with
-      | Heap _ -> Topk.to_sorted heap
-      | Feed _ -> List.sort Topk.compare_ranked fed)
-  in
-  let degraded =
-    match maxfeed with Some f -> kept > f | None -> false
-  in
   {
-    ranked;
+    ranked = List.map mapping_of (Topk.to_sorted heap);
     stats =
       Prune.stats_of_tally ~enumerated ~kept ~relaxed ~relax_attempts
         primary_tally;
     bound_aborted = aborted;
-    degraded;
   }

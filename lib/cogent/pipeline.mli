@@ -16,8 +16,8 @@
     (key, cost) pairs, where the key packs the coordinate as
     [((x * num_y) + y) * num_tbk + k]; ordered by (cost, key), which is
     (cost, {!Mapping.compare}) order because coordinate order is
-    mapping order).  A [Mapping.t] is built only for the final top-K —
-    or, under a budget, for the fed survivors — never per heap entrant.
+    mapping order).  A [Mapping.t] is built only for the final top-K,
+    never per heap entrant.
 
     The materialized reference — enumerate every configuration, filter
     it with the mapping-level form of {!Prune.verdict}, cost and sort the
@@ -29,10 +29,7 @@
     {- the ranked result equals the first [topk] entries of the oracle's
        full ranking — mappings and costs bit-identical;}
     {- {!Prune.stats} is structurally equal (same canonical reject
-       tally, relaxation behaves identically);}
-    {- with [budget], the first [max 1 budget] survivors in candidate
-       order are ranked in full, and [degraded] is set iff survivors
-       were dropped.}}
+       tally, relaxation behaves identically).}}
 
     Determinism: the parallel fan-out is over fixed slices of the X-side
     range ({!Candidates.num_chunks}) via {!Tc_par.Pool.map_fold}.  Slice
@@ -52,12 +49,10 @@ type outcome = {
       (** prune survivors discarded by the cost bound instead of a §IV-A
           rule: their (possibly partial) transaction count already
           exceeded the current top-K — distinct from [stats.pruned] *)
-  degraded : bool;  (** budget truncation dropped survivors *)
 }
 
 val search :
   ?performance:bool ->
-  ?budget:int ->
   topk:int ->
   Arch.t ->
   Precision.t ->
@@ -66,9 +61,6 @@ val search :
 (** One fused search.  [performance:false] streams with hardware rules
     only (the ablation hook for what §IV-A2's rules buy).  [topk] is
     clamped to the candidate count, so [topk:max_int] ranks every
-    survivor with no bound aborts.  [budget] bounds the survivors ranked
-    (serving-layer worst case): the first [max 1 budget] in candidate
-    order are ranked exactly, with no bound aborts.
-    [ranked] is empty iff no configuration survives even relaxation.
+    survivor with no bound aborts.  [ranked] is empty iff no configuration survives even relaxation.
     Emits no metrics or spans — the caller ({!Driver}) owns
     observability, outside the parallel section. *)

@@ -20,7 +20,7 @@ let analyze (ctx : Ctx.t) ?(top = 3) problem =
   Tc_obs.Trace.with_span "explain.analyze" @@ fun () ->
   let top = max 1 top in
   (* The planner's own search: [ranked] holds at least the [top] cheapest
-     survivors, under the context's budget and refinement. *)
+     survivors, under the context's refinement. *)
   match Driver.run ctx ~topk:top problem with
   | Error e -> Error e
   | Ok d -> (

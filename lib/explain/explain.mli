@@ -34,7 +34,7 @@ type t = {
 val analyze : Ctx.t -> ?top:int -> Problem.t -> (t, Driver.error) result
 (** Plan [problem] with [Driver.run ctx ~topk:top] and explain the first
     [top] (default 3, at least 1) mappings of its model ranking, with its
-    prune stats and naive space — the same search, budget and refinement
+    prune stats and naive space — the same search and refinement
     every other entry point runs.  [Error] is the driver's: e.g.
     [Driver.No_viable_mapping stats] when no hardware-feasible
     configuration exists — the stats carry the per-rule pruning audit so

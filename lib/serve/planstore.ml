@@ -88,15 +88,14 @@ let entry_to_json (r : Cogent.Driver.t) =
       ("precision", J.String (Precision.to_string plan.Cogent.Plan.precision));
       ("kernel_schema", J.String (Schema.to_string plan.Cogent.Plan.schema));
       ("mapping", mapping_to_json plan.Cogent.Plan.mapping);
-      ("degraded", J.Bool r.Cogent.Driver.degraded);
     ]
 
 (* The fields [entry_to_json] writes.  Rows of earlier versions may lack
-   ["kernel_schema"] or carry the search that found the plan (["ranked"],
-   ["prune"], ["naive_space"], ["bound_aborted"]), which decoding
-   ignores; only a row with exactly these fields is current. *)
-let fields =
-  [ "expr"; "sizes"; "arch"; "precision"; "kernel_schema"; "mapping"; "degraded" ]
+   ["kernel_schema"] or carry ["degraded"] or the search that found the
+   plan (["ranked"], ["prune"], ["naive_space"], ["bound_aborted"]),
+   which decoding ignores (all but a true ["degraded"]); only a row with
+   exactly these fields is current. *)
+let fields = [ "expr"; "sizes"; "arch"; "precision"; "kernel_schema"; "mapping" ]
 
 (* [infos] holds the classified contraction of each distinct ["expr"] of
    one load, parsed and classified once.  Every check still runs per
@@ -149,8 +148,28 @@ let decode_entry infos j =
         | None -> Error (Printf.sprintf "unknown kernel schema %S" s)
         | Some sc -> Cogent.Plan.with_schema sc plan)
   in
-  let* degraded = Result.bind (J.field "degraded" j) J.as_bool in
-  Ok (Cogent.Driver.of_plan ~degraded plan)
+  (* Lenient: earlier versions wrote ["degraded"], true when a search
+     budget truncated the search.  Such a plan is not what the full search
+     picks, so it is refused and its key generated again. *)
+  match J.field "degraded" j with
+  | Error _ | Ok (J.Bool false) -> Ok (Cogent.Driver.of_plan plan)
+  | Ok _ -> Error "plan of a truncated search (\"degraded\")"
+
+(* A row is served under its key, so the key must be the one its plan is
+   filed under: {!Cogent.Cache.key} of the decoded problem, device and
+   precision.  A forced-schema suffix is the one part of a key the entry
+   does not hold; it must name the entry's kernel schema. *)
+let check_key k (plan : Cogent.Plan.t) =
+  let key schema =
+    Cogent.Cache.key
+      (Cogent.Ctx.make ~arch:plan.Cogent.Plan.arch
+         ~precision:plan.Cogent.Plan.precision ?schema ())
+      plan.Cogent.Plan.problem
+  in
+  let own = key None in
+  if String.equal k own || String.equal k (key (Some plan.Cogent.Plan.schema))
+  then Ok ()
+  else Error (Printf.sprintf "key %S does not match its entry's key %S" k own)
 
 let entry_of_json j = decode_entry (Hashtbl.create 1) j
 
@@ -162,6 +181,7 @@ let row_of_json infos j =
   let* k = Result.bind (J.field "key" j) J.as_string in
   let* e = J.field "entry" j in
   let* entry = decode_entry infos e in
+  let* () = check_key k entry.Cogent.Driver.plan in
   let current =
     match e with
     | J.Obj kvs ->

@@ -8,9 +8,9 @@
     so a warm restart re-generates nothing.
 
     A row holds what a warm session serves, not the search that found
-    it.  [E] has seven fields: the contraction as its TCCG string
+    it.  [E] has six fields: the contraction as its TCCG string
     (["expr"]) plus extents (["sizes"]), ["arch"], ["precision"],
-    ["kernel_schema"], ["mapping"] and ["degraded"].  Decoding
+    ["kernel_schema"] and ["mapping"].  Decoding
     {e reconstructs} the plan with [Plan.make], which validates the
     mapping and recomputes the model cost — costs are a pure function of
     (problem, mapping, device, precision), and {!Tc_obs.Json} renders
@@ -21,8 +21,16 @@
     before schemas existed) loads as classic.  A loaded entry is built by
     {!Cogent.Driver.of_plan}: its search fields say no search ran.  Rows
     of earlier versions that also carry the search (["ranked"],
-    ["prune"], ["naive_space"], ["bound_aborted"]) load the same; those
-    fields are ignored.
+    ["prune"], ["naive_space"], ["bound_aborted"]) or
+    ["degraded": false] load the same; those fields are ignored.  A row
+    with ["degraded": true] holds the plan of a truncated search, not the
+    one the full search picks: it is corrupt.
+
+    A row is served under its key [K], so [K] must be the key its plan
+    is filed under: {!Cogent.Cache.key} rebuilt from the decoded problem,
+    device and precision, or that key with a forced-schema suffix naming
+    the entry's own kernel schema.  A row under any other key is
+    corrupt.
 
     Verbatim rows: a save copies each row loaded from the store file
     back as the bytes it was read from, and encodes only the rows this
@@ -32,7 +40,7 @@
     row's span and digest ({!Tc_obs.Jsonl.span}), and {!save} reads each
     span back from the file and copies it only while it still holds the
     same bytes.  A row is encoded again when the file was replaced since
-    the load, and when its entry does not have exactly the seven fields
+    the load, and when its entry does not have exactly the six fields
     this version writes, which re-encodes an older row as the current
     one.  A hand-formatted row (other spacing or field order) is written
     back as it is, not renormalised.  Every load parses and classifies
@@ -51,16 +59,16 @@ val file : dir:string -> string
 (** [dir/plans.jsonl]. *)
 
 val entry_to_json : Cogent.Driver.t -> Tc_obs.Json.t
-(** The seven fields of a row's entry: the plan and [degraded]. *)
+(** The six fields of a row's entry: the plan. *)
 
 val entry_of_json : Tc_obs.Json.t -> (Cogent.Driver.t, string) result
 (** Inverse of {!entry_to_json} up to the search fields: the entry is
-    [Driver.of_plan ~degraded plan].  [Error] on any malformed field
-    (of the seven). *)
+    [Driver.of_plan plan].  [Error] on any malformed field (of the six)
+    and on ["degraded": true]. *)
 
 type origin
 (** Where each row of one {!read} sits in the store file: for each key,
-    the entry decoded from its first row with exactly the seven fields,
+    the entry decoded from its first row with exactly the six fields,
     with that row's span and digest. *)
 
 val read :

@@ -18,7 +18,6 @@ let error_to_string e = Format.asprintf "%a" pp_error e
 type outcome = {
   key : string;
   cached : bool;
-  degraded : bool;
   engine : engine;
   schema : Schema.t;
   pipelined : (Schema.t * float) option;
@@ -53,7 +52,6 @@ type summary = {
   loaded : int;
   generations : int;
   hits : int;
-  degraded : int;
   errors : int;
   to_cogent : int;
   to_pipelined : int;
@@ -336,7 +334,6 @@ let run session items =
                     {
                       key = k;
                       cached = Hashtbl.mem warm k;
-                      degraded = r.Cogent.Driver.degraded;
                       engine = d.Audit.engine;
                       schema = d.Audit.schema;
                       pipelined =
@@ -365,8 +362,7 @@ let run session items =
                   | Some c ->
                       let s =
                         Audit.sample ~suite:"serve" ~request:rid ~key:k
-                          ~degraded:r.Cogent.Driver.degraded ~dispatch:d
-                          ~regret (Hashtbl.find session.evidence k)
+                          ~dispatch:d ~regret (Hashtbl.find session.evidence k)
                       in
                       Audit.add c s;
                       Audit.record_sample s;
@@ -388,7 +384,6 @@ let run session items =
                         Tc_obs.Trace.String (outcome_strategy outcome) );
                       ("outcome", Tc_obs.Trace.String "ok");
                       ("cached", Tc_obs.Trace.Bool outcome.cached);
-                      ("degraded", Tc_obs.Trace.Bool outcome.degraded);
                       ("gflops", Tc_obs.Trace.Float outcome.gflops);
                     ];
                   Tc_obs.Metrics.observe (predicted_hist ()) predicted_s;
@@ -445,7 +440,6 @@ let run session items =
       loaded = session.loaded;
       generations = after.Cogent.Cache.misses - before.Cogent.Cache.misses;
       hits = ok - fresh_ok;
-      degraded = count_ok (fun o -> o.degraded);
       errors = count (fun r -> Result.is_error r.result);
       to_cogent = count_ok (fun o -> o.engine = Cogent_kernel);
       to_pipelined =
@@ -459,8 +453,6 @@ let run session items =
     (Tc_obs.Metrics.counter "cogent.serve.requests");
   Tc_obs.Metrics.incr ~by:summary.errors
     (Tc_obs.Metrics.counter "cogent.serve.errors");
-  Tc_obs.Metrics.incr ~by:summary.degraded
-    (Tc_obs.Metrics.counter "cogent.serve.degraded");
   Tc_obs.Metrics.incr ~by:summary.to_cogent
     (Tc_obs.Metrics.counter "cogent.serve.dispatch.cogent");
   Tc_obs.Metrics.incr ~by:summary.to_ttgt
@@ -513,11 +505,7 @@ let report_doc ~wall_s report =
                       };
                       {
                         Tc_profile.Benchrep.strategy = "dispatch";
-                        metrics =
-                          [
-                            ("gflops", o.gflops);
-                            ("degraded", if o.degraded then 1.0 else 0.0);
-                          ];
+                        metrics = [ ("gflops", o.gflops) ];
                         config = Some (outcome_strategy o);
                       };
                     ]
@@ -542,7 +530,6 @@ let render_summary s =
      cache hits        %d\n\
      dispatch          cogent %d (%d pipelined), ttgt %d\n\
      dispatch regret   %d request(s)\n\
-     degraded          %d\n\
      errors            %d\n"
     s.requests s.distinct s.loaded s.generations s.hits s.to_cogent
-    s.to_pipelined s.to_ttgt s.regrets s.degraded s.errors
+    s.to_pipelined s.to_ttgt s.regrets s.errors

@@ -20,10 +20,8 @@
     {!Tc_expr.Problem.of_info}; both memos are pure functions of their
     key, so answers are the ones a fresh session gives.
 
-    Degradation ladder: a {!Cogent.Ctx.t.budget} falls generation back to
-    the heuristic top-of-enumeration plan (flagged per request); a failed
-    search or malformed request yields a typed {!error} for that request
-    only — the batch always completes. *)
+    A failed search or malformed request yields a typed {!error} for that
+    request only — the batch always completes. *)
 
 type engine = Tc_audit.Audit.engine = Cogent_kernel | Ttgt_pipeline
 
@@ -40,7 +38,6 @@ type outcome = {
   cached : bool;
       (** plan was already cached when the batch started (a warm store, or
           an earlier batch on this session) *)
-  degraded : bool;  (** plan came from a budget-truncated search *)
   engine : engine;  (** {!Tc_audit.Audit.dispatch}'s decision *)
   schema : Tc_gpu.Schema.t;
       (** kernel schema of the winning COGENT variant (the schema race's
@@ -76,7 +73,6 @@ type summary = {
   loaded : int;  (** entries loaded from the store at session open *)
   generations : int;  (** plan searches actually run (0 on a warm store) *)
   hits : int;  (** requests served from an already-present plan *)
-  degraded : int;
   errors : int;
   to_cogent : int;
   to_pipelined : int;
@@ -145,7 +141,7 @@ val run : session -> (Request.t, int * string) result list -> report
 val report_doc : wall_s:float -> report -> Tc_profile.Benchrep.doc
 (** The [--json] report: a cogent-bench/1 document (target ["serve"]) with
     one entry per request.  Only batch-invariant data is included —
-    predicted times, dispatch decision, degraded flag, typed errors — so
+    predicted times, dispatch decision, typed errors — so
     cold-store and warm-store runs at any job count produce documents
     equal under {!Tc_profile.Benchrep.equal_modulo_wall}. *)
 

@@ -130,23 +130,10 @@ let rank prec problem mappings =
          match Float.compare c1 c2 with 0 -> Mapping.compare m1 m2 | c -> c)
 
 (* The whole materialized search, with [Pipeline.search]'s semantics:
-   enumerate, filter, truncate to the search budget, rank, keep [topk]
-   (all of them under a budget). *)
-let search ?performance ?budget ~topk arch prec problem =
+   enumerate, filter, rank, keep [topk]. *)
+let search ?performance ~topk arch prec problem =
   let kept, stats = filter ?performance arch prec problem (enumerate problem) in
-  let kept, degraded =
-    match budget with
-    | Some b when List.length kept > max 1 b ->
-        (List.filteri (fun k _ -> k < max 1 b) kept, true)
-    | _ -> (kept, false)
-  in
-  let ranked = rank prec problem kept in
-  let ranked =
-    match budget with
-    | None -> List.filteri (fun k _ -> k < topk) ranked
-    | Some _ -> ranked
-  in
-  (ranked, stats, degraded)
+  (List.filteri (fun k _ -> k < topk) (rank prec problem kept), stats)
 
 (* Every full/partial boundary pattern of a tiled sweep, summed one by one:
    each axis takes its full cut ([full] instances) or, when [rem > 0], its

@@ -28,7 +28,7 @@ let sample_of_plan ?(suite = "eq1") ?(request = "eq1") ctx plan =
   let dispatch = Audit.dispatch ctx plan in
   Audit.sample ~suite ~request
     ~key:(Cogent.Cache.key ctx plan.Cogent.Plan.problem)
-    ~degraded:false ~dispatch
+    ~dispatch
     ~regret:(Audit.regret ~ctx ~own:plan.Cogent.Plan.problem dispatch plan)
     (Tc_profile.Evidence.make ~measure:true plan)
 
@@ -197,7 +197,34 @@ let test_ledger_roundtrip () =
   in
   let first = slurp () in
   Ledger.save ~dir rows;
-  check Alcotest.string "rewrite is byte-identical" first (slurp ())
+  check Alcotest.string "rewrite is byte-identical" first (slurp ());
+  (* earlier versions wrote a ["degraded"] key after ["strategy"]; such a
+     row still loads, to the same sample *)
+  let with_degraded = function
+    | Tc_obs.Json.Obj kvs ->
+        Tc_obs.Json.Obj
+          (List.concat_map
+             (fun ((f, _) as kv) ->
+               if f = "strategy" then
+                 [ kv; ("degraded", Tc_obs.Json.Bool false) ]
+               else [ kv ])
+             kvs)
+    | _ -> fail "row is not an object"
+  in
+  (match String.split_on_char '\n' first with
+  | header :: row :: _ -> (
+      match Tc_obs.Json.parse row with
+      | Ok j ->
+          Out_channel.with_open_bin (Ledger.file ~dir) (fun oc ->
+              Printf.fprintf oc "%s\n%s\n" header
+                (Tc_obs.Json.to_string (with_degraded j)))
+      | Error m -> fail m)
+  | _ -> fail "expected a header and a row");
+  match Ledger.load ~dir with
+  | Ok rows' ->
+      check Alcotest.bool "a row with a degraded key loads" true
+        (rows' = [ List.hd rows ])
+  | Error m -> fail m
 
 let test_ledger_missing_is_empty () =
   match Ledger.load ~dir:(fresh_dir ()) with

@@ -260,12 +260,11 @@ let ranked_equal a b =
 let test_pipeline_eq1 () =
   let arch = Arch.v100 and prec = Precision.FP64 in
   let topk = 8 in
-  let legacy_ranked, legacy_stats, _ = Oracle.search ~topk arch prec eq1 in
+  let legacy_ranked, legacy_stats = Oracle.search ~topk arch prec eq1 in
   let o = Pipeline.search ~topk arch prec eq1 in
   check Alcotest.bool "stats equal" true (o.Pipeline.stats = legacy_stats);
   check Alcotest.bool "top-8 equal" true
-    (ranked_equal o.Pipeline.ranked legacy_ranked);
-  check Alcotest.bool "not degraded" false o.Pipeline.degraded
+    (ranked_equal o.Pipeline.ranked legacy_ranked)
 
 let test_pipeline_bound_aborts () =
   let o = Pipeline.search ~topk:8 Arch.v100 Precision.FP64 eq1 in
@@ -302,7 +301,7 @@ let test_pipeline_suite_targets () =
         (fun (arch, prec) ->
           List.iter
             (fun performance ->
-              let full, stats, _ =
+              let full, stats =
                 Oracle.search ~performance ~topk:max_int arch prec problem
               in
               List.iter
@@ -435,24 +434,20 @@ let test_sim_suite_golden () =
     Tc_tccg.Suite.all;
   check_golden "suite simulator outputs" "sim_suite.txt" (Buffer.contents buf)
 
-let streamed_matches_legacy ?budget () =
+let streamed_matches_legacy =
   QCheck.Test.make ~count:40
-    ~name:
-      (match budget with
-      | None -> "streamed pipeline == materialized phases (jobs 1 and 4)"
-      | Some b -> Printf.sprintf "streamed pipeline == budget-%d path" b)
+    ~name:"streamed pipeline == materialized phases (jobs 1 and 4)"
     Gen.case_arbitrary (fun c ->
       let problem = c.Gen.problem in
       let topk = 8 in
       let agrees (arch, prec) performance =
-        let legacy_ranked, legacy_stats, legacy_degraded =
-          Oracle.search ~performance ?budget ~topk arch prec problem
+        let legacy_ranked, legacy_stats =
+          Oracle.search ~performance ~topk arch prec problem
         in
         let at_jobs jobs =
           Tc_par.Pool.set_default_jobs jobs;
-          let o = Pipeline.search ~performance ?budget ~topk arch prec problem in
+          let o = Pipeline.search ~performance ~topk arch prec problem in
           o.Pipeline.stats = legacy_stats
-          && o.Pipeline.degraded = legacy_degraded
           && ranked_equal o.Pipeline.ranked legacy_ranked
         in
         at_jobs 1 && at_jobs 4
@@ -1257,8 +1252,7 @@ let () =
             test_pipeline_bound_aborts;
           Alcotest.test_case "suite streamed = legacy on every target" `Quick
             test_pipeline_suite_targets;
-          Gen.to_alcotest (streamed_matches_legacy ());
-          Gen.to_alcotest (streamed_matches_legacy ~budget:3 ());
+          Gen.to_alcotest streamed_matches_legacy;
           Alcotest.test_case "golden suite search outcomes" `Quick
             test_pipeline_suite_golden;
           Alcotest.test_case "golden suite simulator outputs" `Quick

@@ -683,12 +683,56 @@ let request_lines =
     {|{"expr":"C[a,b] = A[a,c] * B[c,b]","sizes":"a=2305843009213693953,b=4,c=4"}|};
   ]
 
+(* A row with its ["key"] replaced: a mutated key is still a well-formed
+   string, so only the store's key check can refuse it. *)
+let rekey line key =
+  match Json.parse line with
+  | Ok (Json.Obj kvs) when List.mem_assoc "key" kvs ->
+      Json.to_string
+        (Json.Obj
+           (List.map
+              (fun (f, v) -> if f = "key" then (f, Json.String key) else (f, v))
+              kvs))
+  | _ -> line
+
+let rekeyed_gen bases =
+  let open QCheck.Gen in
+  let keys =
+    List.filter_map
+      (fun l ->
+        match Json.parse l with
+        | Ok j -> (
+            match Json.member "key" j with
+            | Some (Json.String k) -> Some k
+            | _ -> None)
+        | Error _ -> None)
+      bases
+  in
+  (* another row's key, or a byte-mutated one *)
+  map2 rekey (oneofl bases) (oneof [ oneofl keys; mutated_gen keys ])
+
+(* The key a loaded entry's plan is filed under, with and without its
+   schema as a forced-schema suffix. *)
+let own_keys (r : Cogent.Driver.t) =
+  let p = r.Cogent.Driver.plan in
+  let key schema =
+    Cogent.Cache.key
+      (Cogent.Ctx.make ~arch:p.Cogent.Plan.arch
+         ~precision:p.Cogent.Plan.precision ?schema ())
+      p.Cogent.Plan.problem
+  in
+  [ key None; key (Some p.Cogent.Plan.schema) ]
+
 let never_raises =
+  let bases = planstore_rows @ Gen.planstore_fat_rows () in
+  let dir = Filename.temp_file "cogent_mutated" ".store" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
   QCheck.Test.make ~count:2000
     ~name:"mutated rows and requests never make parse or entry_of_json raise"
     (QCheck.make ~print:Fun.id
-       (mutated_gen
-          (planstore_rows @ Gen.planstore_fat_rows () @ request_lines)))
+       (QCheck.Gen.oneof
+          [ mutated_gen (bases @ request_lines); rekeyed_gen bases ]))
     (fun line ->
       (match Json.parse line with
       | Ok j ->
@@ -697,7 +741,15 @@ let never_raises =
             (fun e -> ignore (Tc_serve.Planstore.entry_of_json e))
             (Json.member "entry" j)
       | Error _ -> ());
-      true)
+      (* as a store row: it loads only under its own key *)
+      Out_channel.with_open_bin (Tc_serve.Planstore.file ~dir) (fun oc ->
+          Printf.fprintf oc "%s\n%s\n"
+            (Json.to_string
+               (Json.Obj [ ("schema", Json.String Tc_serve.Planstore.schema) ]))
+            line);
+      match Tc_serve.Planstore.load ~dir with
+      | Ok rows -> List.for_all (fun (k, r) -> List.mem k (own_keys r)) rows
+      | Error m -> QCheck.Test.fail_report m)
 
 
 

@@ -504,8 +504,7 @@ let test_views_share_one_record () =
       let prof = Profile.profile plan in
       let d = Audit.dispatch ctx plan in
       let smp =
-        Audit.sample ~suite:"views" ~request:name ~key:name ~degraded:false
-          ~dispatch:d
+        Audit.sample ~suite:"views" ~request:name ~key:name ~dispatch:d
           ~regret:(Audit.regret ~ctx ~own:problem d plan)
           (Evidence.make ~measure:true plan)
       in

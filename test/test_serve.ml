@@ -1,6 +1,6 @@
 (* Tests for the serving layer: the Planstore codec and its failure
-   ladder, the engine's dedup / dispatch / typed-error semantics, budget
-   degradation, and warm-restart sessions. *)
+   ladder, the engine's dedup / dispatch / typed-error semantics, and
+   warm-restart sessions. *)
 
 open Tc_expr
 
@@ -30,15 +30,13 @@ let req id expr sizes =
 
 (* ---- Planstore ---- *)
 
-(* What a store row keeps of an entry: its plan and [degraded]. *)
-let stored (r : Cogent.Driver.t) =
-  Cogent.Driver.of_plan ~degraded:r.Cogent.Driver.degraded r.Cogent.Driver.plan
+(* What a store row keeps of an entry: its plan. *)
+let stored (r : Cogent.Driver.t) = Cogent.Driver.of_plan r.Cogent.Driver.plan
 
 (* Save→load must give back the stored projection of every entry, its
    plan bit-exactly: the codec stores the contraction textually and
    *recomputes* plan costs on load, so this property locks both the codec
-   and the determinism of the cost model.  Budget-truncated (degraded)
-   entries are covered too. *)
+   and the determinism of the cost model. *)
 let planstore_roundtrip =
   QCheck.Test.make ~count:20
     ~name:"Planstore save/load round-trips entries bit-exactly"
@@ -51,15 +49,7 @@ let planstore_roundtrip =
         | Error e ->
             QCheck.Test.fail_report (Cogent.Driver.error_to_string e)
       in
-      let degraded =
-        match Cogent.Driver.run { ctx with Cogent.Ctx.budget = Some 1 } problem with
-        | Ok r -> r
-        | Error e ->
-            QCheck.Test.fail_report (Cogent.Driver.error_to_string e)
-      in
-      let rows =
-        [ (Cogent.Cache.key ctx problem, full); ("degraded-row", degraded) ]
-      in
+      let rows = [ (Cogent.Cache.key ctx problem, full) ] in
       let dir = fresh_dir () in
       Tc_serve.Planstore.save ~dir rows;
       let cost_bits (_, r) =
@@ -99,8 +89,9 @@ let test_planstore_skips_corrupt_row () =
     Problem.of_string_exn "ab-ac-cb" ~sizes:[ ('a', 64); ('b', 64); ('c', 64) ]
   in
   let r = drive problem ctx in
+  let k = Cogent.Cache.key ctx problem in
   let dir = fresh_dir () in
-  Tc_serve.Planstore.save ~dir [ ("good", r) ];
+  Tc_serve.Planstore.save ~dir [ (k, r) ];
   (* corrupt trailing row: truncated JSON, as a crashed writer would leave *)
   let oc =
     open_out_gen [ Open_append ] 0o644 (Tc_serve.Planstore.file ~dir)
@@ -118,7 +109,7 @@ let test_planstore_skips_corrupt_row () =
   | Ok rows ->
       check Alcotest.int "good row survives" 1 (List.length rows);
       check Alcotest.bool "row round-tripped" true
-        ([ ("good", stored r) ] = rows));
+        ([ (k, stored r) ] = rows));
   check (Alcotest.float 0.0) "corrupt row counted" (before +. 1.0)
     (metric "corrupt_rows");
   (* header line 1, good row line 2, corrupt row line 3 *)
@@ -193,28 +184,6 @@ let test_planstore_skips_corrupt_row () =
   check (Alcotest.float 0.0) "gauge names the duplicate extent row" 6.0
     (metric "corrupt_line")
 
-(* ---- budget degradation ---- *)
-
-let test_budget_degrades_gracefully () =
-  let problem =
-    Problem.of_string_exn "abcd-aebf-dfce"
-      ~sizes:
-        [ ('a', 48); ('b', 48); ('c', 48); ('d', 48); ('e', 32); ('f', 32) ]
-  in
-  let full = drive problem ctx in
-  check Alcotest.bool "unlimited search is not degraded" false
-    full.Cogent.Driver.degraded;
-  (* near-zero budget: clamped to one candidate — the heuristic
-     top-of-enumeration plan — and flagged *)
-  let r = drive problem { ctx with Cogent.Ctx.budget = Some 0 } in
-  check Alcotest.bool "budget-truncated search is degraded" true
-    r.Cogent.Driver.degraded;
-  check Alcotest.int "exactly one candidate ranked" 1
-    (List.length r.Cogent.Driver.ranked);
-  check Alcotest.bool "still yields a valid plan" true
-    (Result.is_ok
-       (Cogent.Mapping.validate problem r.Cogent.Driver.plan.Cogent.Plan.mapping))
-
 (* ---- the engine ---- *)
 
 let open_session ?store c =
@@ -281,17 +250,6 @@ let test_dedup_single_generation () =
         (a.Tc_serve.Serve.engine = b.Tc_serve.Serve.engine
         && Float.equal a.Tc_serve.Serve.gflops b.Tc_serve.Serve.gflops)
   | _ -> fail "expected four Ok responses"
-
-let test_degraded_batch () =
-  let s = open_session { ctx with Cogent.Ctx.budget = Some 0 } in
-  let report =
-    Tc_serve.Serve.run s [ Ok (req 1 "ab-ac-cb" [ ('a', 64); ('b', 64); ('c', 64) ]) ]
-  in
-  check Alcotest.int "degraded request counted" 1
-    report.Tc_serve.Serve.summary.Tc_serve.Serve.degraded;
-  match (List.hd report.Tc_serve.Serve.responses).Tc_serve.Serve.result with
-  | Ok o -> check Alcotest.bool "outcome flagged" true o.Tc_serve.Serve.degraded
-  | Error e -> fail (Tc_serve.Serve.error_to_string e)
 
 let test_warm_restart_regenerates_nothing () =
   let dir = fresh_dir () in
@@ -904,6 +862,7 @@ let copied_encoded f =
 let reopen dir = Tc_serve.Serve.close_session (open_session ~store:dir ctx)
 
 let drive_expr expr sizes = drive (Problem.of_string_exn expr ~sizes) ctx
+let key_of expr sizes = Cogent.Cache.key ctx (Problem.of_string_exn expr ~sizes)
 
 (* A store written by this version and saved again unchanged is
    byte-identical, every row copied, on a device with pipelined schemas
@@ -993,23 +952,27 @@ let test_verbatim_lifetimes () =
 
 (* A duplicated key keeps its first row in the cache, as
    [Cache.install] does, and in the file, copied as it was written:
-   hand-formatted rows are not renormalised. *)
+   hand-formatted rows are not renormalised.  The two rows are plans of
+   one size class (extents 64 and 60 both round to 64). *)
 let test_verbatim_duplicate_key () =
-  let a = drive_expr "ab-ac-cb" [ ('a', 64); ('b', 64); ('c', 64) ] in
-  let b = drive_expr "ab-ac-cb" [ ('a', 128); ('b', 128); ('c', 128) ] in
+  let sizes = [ ('a', 64); ('b', 64); ('c', 64) ] in
+  let a = drive_expr "ab-ac-cb" sizes in
+  let b = drive_expr "ab-ac-cb" [ ('a', 60); ('b', 60); ('c', 60) ] in
+  let k = key_of "ab-ac-cb" sizes in
   let spaced =
-    Printf.sprintf "{ \"key\": \"k\",  \"entry\": %s }"
+    Printf.sprintf "{ \"key\": %s,  \"entry\": %s }"
+      (J.to_string (J.String k))
       (J.to_string (Planstore.entry_to_json a))
   in
   let dir = fresh_dir () in
-  write_store dir [ spaced; row_line "k" b ];
+  write_store dir [ spaced; row_line k b ];
   (match Planstore.read ~dir with
   | Error m -> fail m
   | Ok (rows, _) ->
       let cache = Cogent.Cache.create () in
       List.iter (fun (k, r) -> Cogent.Cache.install cache k r) rows;
       check Alcotest.bool "the cache keeps the first row" true
-        (Cogent.Cache.entries cache = [ ("k", stored a) ]));
+        (Cogent.Cache.entries cache = [ (k, stored a) ]));
   let copied, encoded = copied_encoded (fun () -> reopen dir) in
   check Alcotest.string "the file keeps the first row, as written"
     (header ^ "\n" ^ spaced ^ "\n")
@@ -1019,26 +982,26 @@ let test_verbatim_duplicate_key () =
 
 (* Rows of earlier versions load to the plan a search finds today, are
    served as the current row is, and the next save re-encodes them with
-   exactly the seven fields: a row written before kernel schemas, and a
-   row carrying its search as the previous encoding wrote it
-   ({!Gen.planstore_fat_rows}). *)
+   exactly the six fields: a row written before kernel schemas, a row
+   carrying its search as an earlier encoding wrote it
+   ({!Gen.planstore_fat_rows}), and a seven-field row with
+   ["degraded": false].  A ["degraded": true] row holds the plan of a
+   truncated search: it is counted corrupt and its key searched again. *)
 let test_verbatim_upgrades_legacy_row () =
   let sizes = [ ('a', 64); ('b', 64); ('c', 64) ] in
   let a = drive_expr "ab-ac-cb" sizes in
-  let k = Cogent.Cache.key ctx (Problem.of_string_exn "ab-ac-cb" ~sizes) in
-  let pre_schema =
+  let k = key_of "ab-ac-cb" sizes in
+  (* The current row of [a] with its entry's fields rewritten. *)
+  let rewritten f =
     match Planstore.entry_to_json a with
     | J.Obj kvs ->
-        J.to_string
-          (J.Obj
-             [
-               ("key", J.String k);
-               ( "entry",
-                 J.Obj (List.filter (fun (f, _) -> f <> "kernel_schema") kvs)
-               );
-             ])
+        J.to_string (J.Obj [ ("key", J.String k); ("entry", J.Obj (f kvs)) ])
     | _ -> fail "entry is not an object"
   in
+  let pre_schema =
+    rewritten (List.filter (fun (f, _) -> f <> "kernel_schema"))
+  in
+  let degraded b = rewritten (fun kvs -> kvs @ [ ("degraded", J.Bool b) ]) in
   let fat =
     List.find
       (fun l ->
@@ -1081,14 +1044,29 @@ let test_verbatim_upgrades_legacy_row () =
         (store_text dir);
       match Planstore.entry_to_json a with
       | J.Obj kvs ->
-          check (Alcotest.list Alcotest.string) (name ^ ": seven fields")
-            [
-              "expr"; "sizes"; "arch"; "precision"; "kernel_schema"; "mapping";
-              "degraded";
-            ]
+          check (Alcotest.list Alcotest.string) (name ^ ": six fields")
+            [ "expr"; "sizes"; "arch"; "precision"; "kernel_schema"; "mapping" ]
             (List.map fst kvs)
       | _ -> fail "entry is not an object")
-    [ ("pre-schema row", pre_schema); ("fat row", fat) ];
+    [
+      ("pre-schema row", pre_schema);
+      ("fat row", fat);
+      ("seven-field row", degraded false);
+    ];
+  (* a truncated search's plan is never served *)
+  let dir = fresh_dir () in
+  write_store dir [ degraded true ];
+  let before = store_counter "corrupt_rows" in
+  let s = open_session ~store:dir ctx in
+  check (Alcotest.float 0.0) "degraded row counted corrupt" (before +. 1.0)
+    (store_counter "corrupt_rows");
+  let report = Tc_serve.Serve.run s [ Ok (req 1 "ab-ac-cb" sizes) ] in
+  check Alcotest.int "degraded row's key searched again" 1
+    report.Tc_serve.Serve.summary.Tc_serve.Serve.generations;
+  Tc_serve.Serve.close_session s;
+  check Alcotest.string "saved as the searched plan's row"
+    (header ^ "\n" ^ row_line k a ^ "\n")
+    (store_text dir);
   (* the whole previous-encoding store loads to the plans a search finds *)
   let dir = fresh_dir () in
   write_store dir (Gen.planstore_fat_rows ());
@@ -1116,16 +1094,18 @@ let test_verbatim_upgrades_legacy_row () =
 (* A corrupt row is counted at load, dropped by the next save, and the
    reload after that counts nothing. *)
 let test_verbatim_drops_corrupt_row () =
-  let a = drive_expr "ab-ac-cb" [ ('a', 64); ('b', 64); ('c', 64) ] in
+  let sizes = [ ('a', 64); ('b', 64); ('c', 64) ] in
+  let a = drive_expr "ab-ac-cb" sizes in
+  let k = key_of "ab-ac-cb" sizes in
   let dir = fresh_dir () in
   write_store dir
-    [ row_line "good" a; "{\"key\":\"bad\",\"entry\":{\"expr\":" ];
+    [ row_line k a; "{\"key\":\"bad\",\"entry\":{\"expr\":" ];
   let before = store_counter "corrupt_rows" in
   reopen dir;
   check (Alcotest.float 0.0) "the corrupt row is counted" (before +. 1.0)
     (store_counter "corrupt_rows");
   check Alcotest.string "the save keeps only the good row"
-    (header ^ "\n" ^ row_line "good" a ^ "\n")
+    (header ^ "\n" ^ row_line k a ^ "\n")
     (store_text dir);
   reopen dir;
   check (Alcotest.float 0.0) "the reload counts no corrupt row" (before +. 1.0)
@@ -1134,15 +1114,15 @@ let test_verbatim_drops_corrupt_row () =
 (* A store file another writer replaced between load and save no longer
    holds the loaded rows' bytes: every row is encoded from the cache. *)
 let test_verbatim_replaced_file () =
-  let a = drive_expr "ab-ac-cb" [ ('a', 64); ('b', 64); ('c', 64) ] in
-  let b =
-    drive_expr "abc-bda-dc" [ ('a', 32); ('b', 32); ('c', 32); ('d', 32) ]
-  in
+  let sa = [ ('a', 64); ('b', 64); ('c', 64) ]
+  and sb = [ ('a', 32); ('b', 32); ('c', 32); ('d', 32) ] in
+  let a = drive_expr "ab-ac-cb" sa and b = drive_expr "abc-bda-dc" sb in
+  let ka = key_of "ab-ac-cb" sa and kb = key_of "abc-bda-dc" sb in
   let dir = fresh_dir () in
-  Planstore.save ~dir [ ("a", a); ("b", b) ];
+  Planstore.save ~dir [ (ka, a); (kb, b) ];
   let encoded_text = store_text dir in
   let s = open_session ~store:dir ctx in
-  write_store dir [ row_line "b" b; row_line "a" a ];
+  write_store dir [ row_line kb b; row_line ka a ];
   let copied, encoded =
     copied_encoded (fun () -> Tc_serve.Serve.close_session s)
   in
@@ -1150,6 +1130,41 @@ let test_verbatim_replaced_file () =
     (store_text dir);
   check (Alcotest.pair Alcotest.int Alcotest.int) "copied, encoded" (0, 2)
     (copied, encoded)
+
+(* A row is served only under its own key: the two-row store of the
+   first two example requests with their keys swapped would serve each
+   contraction the other's plan, so both rows are corrupt.  A
+   forced-schema suffix is accepted only when it names the entry's
+   schema. *)
+let test_planstore_row_under_own_key () =
+  let sizes = [ ('a', 312); ('b', 312); ('c', 312); ('d', 296) ] in
+  let a = drive_expr "abc-bda-dc" sizes and b = drive_expr "abc-dca-bd" sizes in
+  let ka = key_of "abc-bda-dc" sizes and kb = key_of "abc-dca-bd" sizes in
+  let loads lines =
+    let dir = fresh_dir () in
+    write_store dir lines;
+    let before = store_counter "corrupt_rows" in
+    match Planstore.load ~dir with
+    | Ok rows ->
+        (List.map fst rows, int_of_float (store_counter "corrupt_rows" -. before))
+    | Error m -> fail m
+  in
+  let keys_corrupt = Alcotest.(pair (list string) int) in
+  check keys_corrupt "own keys load" ([ ka; kb ], 0)
+    (loads [ row_line ka a; row_line kb b ]);
+  check keys_corrupt "swapped keys are corrupt" ([], 2)
+    (loads [ row_line ka b; row_line kb a ]);
+  let forced s =
+    Cogent.Cache.key { ctx with Cogent.Ctx.schema = Some s }
+      (Problem.of_string_exn "abc-bda-dc" ~sizes)
+  in
+  check Alcotest.bool "the plan is classic" true
+    (a.Cogent.Driver.plan.Cogent.Plan.schema = Tc_gpu.Schema.Classic);
+  check keys_corrupt "a suffix naming the entry's schema loads"
+    ([ forced Tc_gpu.Schema.Classic ], 0)
+    (loads [ row_line (forced Tc_gpu.Schema.Classic) a ]);
+  check keys_corrupt "a suffix naming another schema is corrupt" ([], 1)
+    (loads [ row_line (forced Tc_gpu.Schema.Pipelined) a ])
 
 let () =
   Alcotest.run "serve"
@@ -1163,6 +1178,8 @@ let () =
             test_planstore_rejects_wrong_schema;
           Alcotest.test_case "corrupt trailing row skipped" `Quick
             test_planstore_skips_corrupt_row;
+          Alcotest.test_case "row served only under its own key" `Quick
+            test_planstore_row_under_own_key;
           Alcotest.test_case "verbatim: TCCG store saved again unchanged"
             `Quick test_verbatim_suite_store;
           Alcotest.test_case "verbatim: three lifetimes decode the same"
@@ -1178,16 +1195,12 @@ let () =
         ] );
       ( "engine",
         [
-          Alcotest.test_case "budget degrades gracefully" `Quick
-            test_budget_degrades_gracefully;
           Alcotest.test_case "batch completes with typed errors" `Quick
             test_batch_completes_with_typed_errors;
           Alcotest.test_case "crash is a per-request error" `Quick
             test_crash_is_per_request;
           Alcotest.test_case "dedup: one search per key" `Quick
             test_dedup_single_generation;
-          Alcotest.test_case "near-zero budget flags the batch" `Quick
-            test_degraded_batch;
           Alcotest.test_case "warm restart regenerates nothing" `Quick
             test_warm_restart_regenerates_nothing;
           Alcotest.test_case "memos change no answer" `Quick
