@@ -42,13 +42,13 @@ let targets =
    The entries the target returns are persisted as its BENCH report. *)
 let timed name f =
   let entries = ref [] in
-  let t0 = Sys.time () in
+  let t0 = Tc_obs.Clock.now () in
   Tc_obs.Trace.with_span ~cat:"bench" name (fun () -> entries := f ());
   Tc_obs.Metrics.incr (Tc_obs.Metrics.counter "bench.targets_run");
   let doc =
     {
       Tc_profile.Benchrep.target = name;
-      wall_s = Sys.time () -. t0;
+      wall_s = Tc_obs.Clock.now () -. t0;
       jobs = Tc_par.Pool.default_jobs ();
       entries = !entries;
     }

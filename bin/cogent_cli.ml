@@ -164,30 +164,34 @@ let resolve_problem expr sizes entry =
 let write_file path s =
   Out_channel.with_open_text path (fun oc -> output_string oc s)
 
-let or_die = function
+(* Exit codes: 0 ok, 1 runtime error, 2 usage error.  A usage error is a
+   flag, entry, expression or problem the command cannot act on — an
+   infeasible forced --schema included, and cmdliner's own parse errors
+   (see [main]); a runtime error is a file that cannot be read or
+   written. *)
+type failure = Usage | Runtime
+
+let exits =
+  Cmd.Exit.
+    [
+      info 0 ~doc:"on success.";
+      info 1 ~doc:"on a runtime error (a file that cannot be read or \
+                   written), or a regression under audit --diff.";
+      info 2 ~doc:"on a usage error: a flag, entry, expression or problem \
+                   the command cannot act on.";
+      info 125 ~doc:"on unexpected internal errors (bugs).";
+    ]
+
+let or_die failure = function
   | Ok v -> v
   | Error m ->
       prerr_endline ("cogent: " ^ m);
-      exit 2
+      exit (match failure with Usage -> 2 | Runtime -> 1)
 
-(* Typed generation errors: [No_viable_mapping] carries the prune audit,
-   which [cogent explain] prints in full so the user sees which rule
-   rejected what. *)
-let or_die_gen ?(stats_table = false) = function
-  | Ok v -> v
-  | Error e ->
-      (if stats_table then
-         match e with
-         | Cogent.Driver.No_viable_mapping s ->
-             Format.eprintf "%a@." Cogent.Prune.pp_stats s
-         | Cogent.Driver.Bad_problem _ | Cogent.Driver.Infeasible_schema _ ->
-             ());
-      Format.eprintf "cogent: %a@." Cogent.Driver.pp_error e;
-      (* An infeasible forced schema is a usage error (bad flag for this
-         problem/device), not a search failure — exit 1, like flag parse
-         errors. *)
-      exit
-        (match e with Cogent.Driver.Infeasible_schema _ -> 1 | _ -> 2)
+(* Plan [problem] on the device; a generation error is a usage error. *)
+let plan_or_die ?schema ?topk device problem =
+  Cogent.Driver.run (mk_ctx ?schema device) ?topk problem
+  |> Result.map_error Cogent.Driver.error_to_string |> or_die Usage
 
 (* Run the body of a subcommand with error hardening (failures land on
    stderr with a nonzero exit, never a backtrace), the requested
@@ -229,9 +233,7 @@ let harness ?jobs ?metrics trace f =
       (* A failing trace/metrics write surfaces wrapped by [Fun.protect]. *)
       let rec unwrap = function Fun.Finally_raised e -> unwrap e | e -> e in
       match message (unwrap e) with
-      | Some m ->
-          prerr_endline ("cogent: " ^ m);
-          exit 1
+      | Some m -> or_die Runtime (Error m)
       | None -> raise (unwrap e))
 
 (* ---- shared terms ---- *)
@@ -246,7 +248,8 @@ let problem_term expr =
     const (fun expr sizes entry ->
         {
           entry;
-          resolve = (fun () -> or_die (resolve_problem expr sizes entry));
+          resolve =
+            (fun () -> or_die Usage (resolve_problem expr sizes entry));
         })
     $ expr $ sizes_arg $ entry_arg)
 
@@ -266,11 +269,10 @@ let gen_cmd =
   let run harness problem device schema output standalone dialect =
     harness @@ fun () ->
     let problem = problem.resolve () in
-    let r =
-      or_die_gen (Cogent.Driver.run (mk_ctx ?schema device) problem)
-    in
+    let r = plan_or_die ?schema device problem in
     if standalone && dialect = Cogent.Codegen.Opencl then
-      or_die (Error "--standalone is not available for the OpenCL dialect");
+      or_die Usage
+        (Error "--standalone is not available for the OpenCL dialect");
     let src =
       Cogent.Codegen.emit ~dialect ~standalone r.Cogent.Driver.plan
     in
@@ -303,7 +305,7 @@ let gen_cmd =
                    the CPU).")
   in
   Cmd.v
-    (Cmd.info "gen" ~version
+    (Cmd.info "gen" ~version ~exits
        ~doc:"Generate CUDA, OpenCL or host-C for a tensor contraction")
     Term.(const run $ harness_term ~trace:true $ problem_term expr_arg
           $ device_term $ schema_arg $ output_arg $ standalone
@@ -315,10 +317,7 @@ let plan_cmd =
   let run harness problem ((arch, precision) as device) schema top =
     harness @@ fun () ->
     let problem = problem.resolve () in
-    let r =
-      or_die_gen
-        (Cogent.Driver.run (mk_ctx ?schema device) ~topk:top problem)
-    in
+    let r = plan_or_die ?schema ~topk:top device problem in
     let s = r.Cogent.Driver.prune_stats in
     Format.printf "problem:     %a@." Problem.pp problem;
     Format.printf
@@ -363,7 +362,7 @@ let plan_cmd =
            ~doc:"How many configurations to display.")
   in
   Cmd.v
-    (Cmd.info "plan" ~version
+    (Cmd.info "plan" ~version ~exits
        ~doc:"Inspect the configuration search for a contraction")
     Term.(const run $ harness_term ~trace:true $ problem_term expr_arg
           $ device_term $ schema_arg $ top)
@@ -374,9 +373,14 @@ let explain_cmd =
   let run harness problem device top json =
     harness @@ fun () ->
     let problem = problem.resolve () in
+    let e = Tc_explain.Explain.analyze (mk_ctx device) ~top problem in
+    (match e with
+    | Error (Cogent.Driver.No_viable_mapping s) ->
+        (* the prune audit: which rule rejected what *)
+        Format.eprintf "%a@." Cogent.Prune.pp_stats s
+    | _ -> ());
     let e =
-      or_die_gen ~stats_table:true
-        (Tc_explain.Explain.analyze (mk_ctx device) ~top problem)
+      or_die Usage (Result.map_error Cogent.Driver.error_to_string e)
     in
     if json then
       print_endline (Tc_obs.Json.to_string_pretty (Tc_explain.Explain.to_json e))
@@ -391,7 +395,7 @@ let explain_cmd =
            ~doc:"Emit the breakdown as JSON instead of text.")
   in
   Cmd.v
-    (Cmd.info "explain" ~version
+    (Cmd.info "explain" ~version ~exits
        ~doc:"Explain the cost model's choice: prune audit, per-tensor DRAM \
              charges, occupancy limiter, simulator roofline")
     Term.(const run $ harness_term ~trace:true $ problem_term pos_or_expr_arg
@@ -403,7 +407,7 @@ let profile_cmd =
   let run harness problem device json trace =
     harness @@ fun () ->
     let problem = problem.resolve () in
-    let r = or_die_gen (Cogent.Driver.run (mk_ctx device) problem) in
+    let r = plan_or_die device problem in
     let prof = Tc_profile.Profile.profile r.Cogent.Driver.plan in
     (match trace with
     | None -> ()
@@ -426,7 +430,7 @@ let profile_cmd =
                  Chrome trace_event JSON (chrome://tracing, Perfetto).")
   in
   Cmd.v
-    (Cmd.info "profile" ~version
+    (Cmd.info "profile" ~version ~exits
        ~doc:"Profile the selected plan on the simulated hardware: \
              interpreter-measured counters cross-validated against the \
              simulator's exact transaction model and the Algorithm-3 cost \
@@ -439,13 +443,10 @@ let profile_cmd =
 let bench_cmd =
   let run harness problem ((arch, precision) as device) json_file =
     harness @@ fun () ->
-    let t0 = Sys.time () in
+    let t0 = Tc_obs.Clock.now () in
     let entry = problem.entry in
     let problem = problem.resolve () in
-    let cg_plan =
-      (or_die_gen (Cogent.Driver.run (mk_ctx device) problem))
-        .Cogent.Driver.plan
-    in
+    let cg_plan = (plan_or_die device problem).Cogent.Driver.plan in
     let cg_sim = Tc_sim.Simkernel.run cg_plan in
     let nw_plan = Tc_nwchem.Nwgen.plan ~arch ~precision problem in
     let nw_sim = Tc_sim.Simkernel.run nw_plan in
@@ -483,7 +484,7 @@ let bench_cmd =
         let doc =
           {
             Tc_profile.Benchrep.target = "bench";
-            wall_s = Sys.time () -. t0;
+            wall_s = Tc_obs.Clock.now () -. t0;
             jobs = Tc_par.Pool.default_jobs ();
             entries =
               [
@@ -516,7 +517,7 @@ let bench_cmd =
                  harness's BENCH_<target>.json files use.")
   in
   Cmd.v
-    (Cmd.info "bench" ~version
+    (Cmd.info "bench" ~version ~exits
        ~doc:"Compare execution strategies on one contraction")
     Term.(const run $ harness_term ~trace:true $ problem_term expr_arg
           $ device_term $ json_file)
@@ -526,18 +527,19 @@ let bench_cmd =
 let serve_cmd =
   let run harness requests store device json flight_dump audit_ledger =
     harness @@ fun () ->
-    let t0 = Sys.time () in
+    let t0 = Tc_obs.Clock.now () in
     let ctx = mk_ctx device in
     let requests =
       match requests with
       | Some f -> f
-      | None -> or_die (Error "missing --requests FILE")
+      | None -> or_die Usage (Error "missing --requests FILE")
     in
-    let items = or_die (Tc_serve.Request.load_file ~default:ctx requests) in
+    let items =
+      or_die Runtime (Tc_serve.Request.load_file ~default:ctx requests)
+    in
     let audit = Option.map (fun _ -> Tc_audit.Audit.collector ()) audit_ledger in
     let session =
-      or_die
-        (Tc_serve.Serve.open_session ?store ?audit ctx)
+      or_die Runtime (Tc_serve.Serve.open_session ?store ?audit ctx)
     in
     let report =
       Fun.protect
@@ -556,7 +558,9 @@ let serve_cmd =
       print_endline
         (Tc_obs.Json.to_string_pretty
            (Tc_profile.Benchrep.to_json
-              (Tc_serve.Serve.report_doc ~wall_s:(Sys.time () -. t0) report)))
+              (Tc_serve.Serve.report_doc
+                 ~wall_s:(Tc_obs.Clock.now () -. t0)
+                 report)))
     else
       List.iter
         (fun (r : Tc_serve.Serve.response) ->
@@ -630,7 +634,7 @@ let serve_cmd =
                  byte-identical at any --jobs and across cold/warm stores.")
   in
   Cmd.v
-    (Cmd.info "serve" ~version
+    (Cmd.info "serve" ~version ~exits
        ~doc:"Serve a batched workload of contraction requests: dedup by \
              plan key, search in parallel, dispatch each request to the \
              COGENT kernel or the TTGT pipeline by predicted time")
@@ -642,13 +646,15 @@ let serve_cmd =
 let audit_cmd =
   let run harness ledger json diff =
     harness @@ fun () ->
-    let samples = or_die (Tc_audit.Ledger.load ~dir:ledger) in
+    let samples = or_die Runtime (Tc_audit.Ledger.load ~dir:ledger) in
     match diff with
     | Some baseline_path ->
         (* The CI drift gate: compare this ledger's aggregation against a
            checked-in cogent-bench/1 baseline under the audit tolerances
            (counts and pred_ms_sum exact; error quantiles Lower_better). *)
-        let baseline = or_die (Tc_profile.Benchrep.read ~path:baseline_path) in
+        let baseline =
+          or_die Runtime (Tc_profile.Benchrep.read ~path:baseline_path)
+        in
         let deltas =
           Tc_profile.Benchrep.diff ~tolerances:Tc_audit.Audit.tolerances
             ~baseline (Tc_audit.Audit.doc samples)
@@ -685,7 +691,7 @@ let audit_cmd =
                  error drift, dispatch flip, new regret).")
   in
   Cmd.v
-    (Cmd.info "audit" ~version
+    (Cmd.info "audit" ~version ~exits
        ~doc:"Aggregate a cost-model accuracy ledger: error quantiles, \
              dispatch mix, regret account, CI drift gate")
     Term.(const run $ harness_term ~trace:false $ ledger $ json $ diff)
@@ -721,7 +727,7 @@ let triples_cmd =
            ~doc:"Virtual orbitals (d,e,f extents).")
   in
   Cmd.v
-    (Cmd.info "triples" ~version
+    (Cmd.info "triples" ~version ~exits
        ~doc:"Estimate a CCSD(T) triples sweep; compute E(T) at toy sizes")
     Term.(const run $ harness_term ~trace:true $ arch_arg $ nh $ np)
 
@@ -744,15 +750,21 @@ let suite_cmd =
                 e.Tc_tccg.Suite.sizes)))
       Tc_tccg.Suite.all
   in
-  Cmd.v (Cmd.info "suite" ~version ~doc:"List the TCCG benchmark entries")
+  Cmd.v
+    (Cmd.info "suite" ~version ~exits ~doc:"List the TCCG benchmark entries")
     Term.(const run $ harness_term ~trace:false)
 
 let main =
   let doc = "COGENT: a code generator for high-performance tensor contractions on GPUs" in
-  Cmd.group (Cmd.info "cogent" ~version ~doc)
+  Cmd.group (Cmd.info "cogent" ~version ~exits ~doc)
     [
       gen_cmd; plan_cmd; explain_cmd; profile_cmd; bench_cmd; serve_cmd;
       audit_cmd; triples_cmd; suite_cmd;
     ]
 
-let () = exit (Cmd.eval main)
+let () =
+  exit
+    (match Cmd.eval_value main with
+    | Ok (`Ok () | `Version | `Help) -> 0
+    | Error (`Parse | `Term) -> 2
+    | Error `Exn -> Cmd.Exit.internal_error)

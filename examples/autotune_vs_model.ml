@@ -16,16 +16,16 @@ let () =
   let problem = Tc_tccg.Suite.problem Tc_tccg.Suite.sd2_1 in
   let simulate plan = (Tc_sim.Simkernel.run plan).Tc_sim.Simkernel.gflops in
 
-  let t0 = Sys.time () in
+  let t0 = Tc_obs.Clock.now () in
   let r =
     Cogent.Driver.run_exn
       (Cogent.Ctx.make ~arch ~precision:prec ~measure:simulate ())
       problem
   in
-  let model_time = Sys.time () -. t0 in
+  let model_time = Tc_obs.Clock.now () -. t0 in
   let cogent = simulate r.Cogent.Driver.plan in
   Format.printf
-    "COGENT (model-driven):   %.0f GFLOPS, selected in %.0f ms of host time@."
+    "COGENT (model-driven):   %.0f GFLOPS, selected in %.0f ms of wall time@."
     cogent (model_time *. 1e3);
 
   let untuned = Tc_autotune.Tuner.untuned_gflops arch prec problem in

@@ -122,11 +122,11 @@ let find_or_generate_ctx t ctx problem =
         t.misses <- t.misses + 1;
         `Generate
   in
-  let t0 = Sys.time () in
+  let t0 = Tc_obs.Clock.now () in
   let claimed = locked t claim in
   if !waited then begin
     Tc_obs.Metrics.incr (wait_counter ());
-    Tc_obs.Metrics.observe (wait_hist ()) (Float.max 0.0 (Sys.time () -. t0));
+    Tc_obs.Metrics.observe (wait_hist ()) (Tc_obs.Clock.now () -. t0);
     Tc_obs.Trace.instant "cache.wait"
       ~args:[ ("key", Tc_obs.Trace.String k) ]
   end;

@@ -34,11 +34,11 @@ let error_to_string e = Format.asprintf "%a" pp_error e
    deterministic subset excludes them (they vary run to run even at a
    fixed job count). *)
 let timed_phase name f =
-  let t0 = Sys.time () in
+  let t0 = Tc_obs.Clock.now () in
   let r = f () in
   Tc_obs.Metrics.observe
     (Tc_obs.Metrics.histogram ("cogent.driver.phase_wall_seconds." ^ name))
-    (Float.max 0.0 (Sys.time () -. t0));
+    (Tc_obs.Clock.now () -. t0);
   r
 
 let generate_one (ctx : Ctx.t) ~topk problem =

@@ -80,9 +80,10 @@ val to_prometheus : item list -> string
     [cogent.serve.requests] exposes as [cogent_serve_requests]); items
     keep the snapshot's name order and floats use the shortest exact
     decimal form, so the output is byte-deterministic whenever the
-    snapshot is.  Wall-clock-derived instruments are named with a
-    [wall] component so deterministic consumers (the CI replay gate)
-    can filter them out. *)
+    snapshot is.  Instruments that hold a duration read {!Clock} and are
+    named with a [wall] component (or, for pool busy time, live under
+    [par.pool]) so deterministic consumers (the CI replay gate) can
+    filter them out. *)
 
 val pp : Format.formatter -> item list -> unit
 (** Human-readable table; histograms include their {!quantile_summary}

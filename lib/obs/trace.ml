@@ -51,7 +51,7 @@ type t = {
 
 let next_id = Atomic.make 0
 
-let make ?(clock = Sys.time) () =
+let make ?(clock = Clock.now) () =
   {
     id = Atomic.fetch_and_add next_id 1;
     clock;
@@ -214,7 +214,7 @@ let end_span t span =
                   name = s.oname;
                   cat = s.ocat;
                   start_us = s.ostart;
-                  dur_us = Float.max 0.0 (now_us t -. s.ostart);
+                  dur_us = now_us t -. s.ostart;
                   depth = s.odepth;
                   track = s.otrack;
                   args = s.oargs;

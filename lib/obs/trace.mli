@@ -34,8 +34,8 @@
 
     Timestamps come from the context's clock (seconds, converted to
     microseconds relative to the first event).  The default clock is
-    [Sys.time] — monotone for this process and dependency-free; tests
-    inject a deterministic virtual clock via [make ~clock]. *)
+    {!Clock.now}; the profiler's virtual timeline and tests substitute a
+    deterministic one via [make ~clock]. *)
 
 type value =
   | Bool of bool
@@ -73,7 +73,7 @@ type t
 
 val make : ?clock:(unit -> float) -> unit -> t
 (** A fresh, empty context.  [clock] returns seconds; it only needs to be
-    monotone.  Default: [Sys.time]. *)
+    monotone.  Default: {!Clock.now}. *)
 
 val install : t -> unit
 (** Make [t] the ambient context of the {e calling domain}: subsequent

@@ -20,12 +20,9 @@ let batches_counter () = Metrics.counter "par.pool.batches"
 let waits_counter () = Metrics.counter "par.pool.waits"
 let busy_counter () = Metrics.counter "par.pool.busy_s"
 
-(* [Sys.time] is process CPU time, so with several domains running the
-   attribution overlaps; the counter is a best-effort utilization signal,
-   never an output. *)
 let note_busy ran dt =
   Metrics.add (tasks_counter ()) (float_of_int ran);
-  Metrics.add (busy_counter ()) (Float.max 0.0 dt)
+  Metrics.add (busy_counter ()) dt
 
 (* ---- workers ---- *)
 
@@ -164,7 +161,7 @@ let map ?pool f xs =
          makes nested maps deadlock-free: unclaimed work never has to
          wait for a free worker. *)
       let participate () =
-        let t0 = Sys.time () in
+        let t0 = Tc_obs.Clock.now () in
         let ran = ref 0 in
         let continue_ = ref true in
         while !continue_ do
@@ -173,14 +170,18 @@ let map ?pool f xs =
           else begin
             (try results.(i) <- Some (f items.(i))
              with e -> failures.(i) <- Some (e, Printexc.get_raw_backtrace ()));
-            incr ran;
-            Mutex.lock m;
-            incr completed;
-            if !completed = n then Condition.broadcast done_c;
-            Mutex.unlock m
+            incr ran
           end
         done;
-        if !ran > 0 then note_busy !ran (Sys.time () -. t0)
+        (* A participant reports its items complete only after noting its
+           busy time, so once [map] returns every item's time is counted. *)
+        if !ran > 0 then begin
+          note_busy !ran (Tc_obs.Clock.now () -. t0);
+          Mutex.lock m;
+          completed := !completed + !ran;
+          if !completed = n then Condition.broadcast done_c;
+          Mutex.unlock m
+        end
       in
       (* Full ambient tracing state — the installed context AND the open
          request scope — so spans recorded on worker domains land in the

@@ -30,8 +30,9 @@
     Pool activity is observable in {!Tc_obs.Metrics.global}:
     [par.pool.tasks] (items executed), [par.pool.batches] (map calls
     that actually fanned out), [par.pool.waits] (times a caller blocked
-    waiting for in-flight items), and [par.pool.busy_s] (best-effort
-    [Sys.time] attributed to pool items). *)
+    waiting for in-flight items), and [par.pool.busy_s] (the
+    {!Tc_obs.Clock} seconds each participating domain spent claiming and
+    running items, summed over domains). *)
 
 type t
 

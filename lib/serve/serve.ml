@@ -236,7 +236,7 @@ let run session items =
           ~attrs:[ ("key", Tc_obs.Trace.String k) ]
           "serve.generate"
         @@ fun () ->
-        let t0 = Sys.time () in
+        let t0 = Tc_obs.Clock.now () in
         let r =
           match Cogent.Cache.find_or_generate_ctx session.cache ctx problem with
           | Ok r -> (k, Ok r)
@@ -258,7 +258,7 @@ let run session items =
           | _ -> None
         in
         Tc_obs.Metrics.observe (generate_wall_hist ())
-          (Float.max 0.0 (Sys.time () -. t0));
+          (Tc_obs.Clock.now () -. t0);
         (r, evidence))
       distinct
   in
@@ -303,7 +303,7 @@ let run session items =
         | Error resp -> resp
         | Ok (req, ctx, problem, k) ->
             let rid = request_label req.Request.id in
-            let t0 = Sys.time () in
+            let t0 = Tc_obs.Clock.now () in
             (* [result_r] carries the public outcome with the request's
                dispatch regret (not part of the report_doc surface — it
                lands on the span, the flight entry and the audit
@@ -390,6 +390,7 @@ let run session items =
                   Ok (outcome, regret_s)
             in
             let result = Result.map fst result_r in
+            let wall_s = Tc_obs.Clock.now () -. t0 in
             (match result_r with
             | Ok (o, regret_s) ->
                 Tc_obs.Flightrec.record ~key:k ~expr:req.Request.expr
@@ -400,14 +401,13 @@ let run session items =
                       ("cogent_s", o.cogent_time_s);
                       ("ttgt_s", o.ttgt_time_s);
                       ("regret_s", regret_s);
-                      ("wall_s", Float.max 0.0 (Sys.time () -. t0));
+                      ("wall_s", wall_s);
                     ]
                   rid
             | Error e ->
                 Tc_obs.Flightrec.record ~key:k ~expr:req.Request.expr
                   ~error:(error_to_string e) rid);
-            Tc_obs.Metrics.observe (request_wall_hist ())
-              (Float.max 0.0 (Sys.time () -. t0));
+            Tc_obs.Metrics.observe (request_wall_hist ()) wall_s;
             {
               id = req.Request.id;
               expr = req.Request.expr;

@@ -40,74 +40,65 @@ let dedup l =
   in
   go [] l
 
-let candidate_plans problem =
+(* The TAL_SH-faithful group orders, read off the input layouts: M and K
+   in A's order, N in B's. *)
+let faithful_orders info =
+  let a = info.Classify.expr.Ast.lhs.Ast.indices
+  and b = info.Classify.expr.Ast.rhs.Ast.indices in
+  ( sublist_in info.Classify.lhs_externals a,
+    sublist_in info.Classify.rhs_externals b,
+    sublist_in info.Classify.internals a )
+
+(* One lowering: each input is permuted to its [M@K] / [K@N] form unless
+   its layout already presents the two groups contiguously in either order
+   (cuBLAS's [op(A)]/[op(B)]), and the GEMM result ([C^T] when
+   [swapped_output]) is permuted into C's layout.  Identity permutes are
+   skipped. *)
+let variant problem ~swapped_output (m_order, n_order, k_order) =
   let info = Problem.info problem in
   let a_idx = info.Classify.expr.Ast.lhs.Ast.indices in
   let b_idx = info.Classify.expr.Ast.rhs.Ast.indices in
-  let c_idx = info.Classify.externals in
-  let m_orders =
-    dedup
-      [
-        sublist_in info.Classify.lhs_externals a_idx;
-        sublist_in info.Classify.lhs_externals c_idx;
-      ]
+  let permutes = ref [] in
+  let need operand src dst =
+    if not (list_eq src dst) then permutes := { operand; src; dst } :: !permutes
   in
-  let n_orders =
-    dedup
-      [
-        sublist_in info.Classify.rhs_externals b_idx;
-        sublist_in info.Classify.rhs_externals c_idx;
-      ]
-  in
-  let k_orders =
-    dedup
-      [
-        sublist_in info.Classify.internals a_idx;
-        sublist_in info.Classify.internals b_idx;
-      ]
-  in
-  let sizes = Problem.sizes problem in
-  let prod = Sizes.product sizes in
+  let op idx x y = list_eq idx (x @ y) || list_eq idx (y @ x) in
+  if not (op a_idx m_order k_order) then need "A" a_idx (m_order @ k_order);
+  if not (op b_idx k_order n_order) then need "B" b_idx (k_order @ n_order);
+  need "C"
+    (if swapped_output then n_order @ m_order else m_order @ n_order)
+    info.Classify.externals;
+  let prod = Sizes.product (Problem.sizes problem) in
+  {
+    problem;
+    m_order;
+    n_order;
+    k_order;
+    m = prod m_order;
+    n = prod n_order;
+    k = prod k_order;
+    swapped_output;
+    permutes = List.rev !permutes;
+  }
+
+(* The search also tries M and N in C's order and K in B's. *)
+let candidates problem =
+  let info = Problem.info problem in
+  let m0, n0, k0 = faithful_orders info in
+  let b = info.Classify.expr.Ast.rhs.Ast.indices
+  and c = info.Classify.externals in
+  let m_orders = dedup [ m0; sublist_in info.Classify.lhs_externals c ]
+  and n_orders = dedup [ n0; sublist_in info.Classify.rhs_externals c ]
+  and k_orders = dedup [ k0; sublist_in info.Classify.internals b ] in
   List.concat_map
-    (fun m_order ->
+    (fun m ->
       List.concat_map
-        (fun n_order ->
+        (fun n ->
           List.concat_map
-            (fun k_order ->
+            (fun k ->
               List.map
                 (fun swapped_output ->
-                  let permutes = ref [] in
-                  let need operand src dst =
-                    if not (list_eq src dst) then
-                      permutes := { operand; src; dst } :: !permutes
-                  in
-                  (* A must present as [M@K] or [K@M] (cuBLAS op(A)). *)
-                  if
-                    not
-                      (list_eq a_idx (m_order @ k_order)
-                      || list_eq a_idx (k_order @ m_order))
-                  then need "A" a_idx (m_order @ k_order);
-                  if
-                    not
-                      (list_eq b_idx (k_order @ n_order)
-                      || list_eq b_idx (n_order @ k_order))
-                  then need "B" b_idx (k_order @ n_order);
-                  let gemm_c =
-                    if swapped_output then n_order @ m_order
-                    else m_order @ n_order
-                  in
-                  need "C" gemm_c c_idx;
-                  {
-                    problem;
-                    m_order;
-                    n_order;
-                    k_order;
-                    m = prod m_order;
-                    n = prod n_order;
-                    k = prod k_order;
-                    swapped_output;
-                    permutes = List.rev !permutes;
-                  })
+                  variant problem ~swapped_output (m, n, k))
                 [ false; true ])
             k_orders)
         n_orders)
@@ -161,43 +152,9 @@ let estimate arch prec t =
     transpose_bytes;
   }
 
-(* TAL_SH-faithful lowering: operands are permuted to the framework's
-   canonical [M@K] / [K@N] forms derived from the *input* layouts, and the
-   GEMM result is permuted into C's layout.  Identity permutes are still
-   skipped, but no search for a cheaper variant happens. *)
+(* TAL_SH-faithful lowering: the search's first variant, with no search. *)
 let faithful_plan problem =
-  let info = Problem.info problem in
-  let a_idx = info.Classify.expr.Ast.lhs.Ast.indices in
-  let b_idx = info.Classify.expr.Ast.rhs.Ast.indices in
-  let c_idx = info.Classify.externals in
-  let m_order = sublist_in info.Classify.lhs_externals a_idx in
-  let k_order = sublist_in info.Classify.internals a_idx in
-  let n_order = sublist_in info.Classify.rhs_externals b_idx in
-  let permutes = ref [] in
-  let need operand src dst =
-    if not (list_eq src dst) then permutes := { operand; src; dst } :: !permutes
-  in
-  if
-    not
-      (list_eq a_idx (m_order @ k_order) || list_eq a_idx (k_order @ m_order))
-  then need "A" a_idx (m_order @ k_order);
-  if
-    not
-      (list_eq b_idx (k_order @ n_order) || list_eq b_idx (n_order @ k_order))
-  then need "B" b_idx (k_order @ n_order);
-  need "C" (m_order @ n_order) c_idx;
-  let prod = Sizes.product (Problem.sizes problem) in
-  {
-    problem;
-    m_order;
-    n_order;
-    k_order;
-    m = prod m_order;
-    n = prod n_order;
-    k = prod k_order;
-    swapped_output = false;
-    permutes = List.rev !permutes;
-  }
+  variant problem ~swapped_output:false (faithful_orders (Problem.info problem))
 
 let plan_ctx (ctx : Cogent.Ctx.t) ?(optimize = false) problem =
   Tc_obs.Trace.with_span "ttgt.plan"
@@ -209,7 +166,6 @@ let plan_ctx (ctx : Cogent.Ctx.t) ?(optimize = false) problem =
   Tc_obs.Metrics.incr (Tc_obs.Metrics.counter "cogent.ttgt.plans");
   if not optimize then faithful_plan problem
   else
-    let candidates = candidate_plans problem in
     let score t = (estimate ctx.Cogent.Ctx.arch ctx.Cogent.Ctx.precision t).time_s in
     (* Estimation is pure, so variants score on the domain pool; the
        index-ordered argmin with a strict [<] keeps the earliest variant
@@ -220,7 +176,7 @@ let plan_ctx (ctx : Cogent.Ctx.t) ?(optimize = false) problem =
       Tc_par.Pool.fold_best
         ~better:(fun (_, s) (_, bs) -> s < bs)
         (fun t -> (t, score t))
-        candidates
+        (candidates problem)
     with
     | Some (t, _) -> t
     | None -> invalid_arg "Ttgt.plan: no candidates (unreachable)"

@@ -29,6 +29,10 @@ type t = {
   permutes : permute_step list;  (** the data movements actually required *)
 }
 
+val candidates : Problem.t -> t list
+(** The variants [plan_ctx ~optimize:true] searches, in search order; the
+    first is the [optimize:false] plan. *)
+
 val plan_ctx : Cogent.Ctx.t -> ?optimize:bool -> Problem.t -> t
 (** With [optimize:false] (the default), the TAL_SH-faithful lowering: M/K
     group orders follow the lhs input's layout and N follows the rhs's, and

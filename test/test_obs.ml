@@ -1,6 +1,7 @@
 (* Tests for Tc_obs (tracing, metrics, JSON, exporters) and the explain
-   layer built on top of it.  Everything uses injected virtual clocks or
-   isolated registries, so results are fully deterministic. *)
+   layer built on top of it.  Everything but the default-clock test uses
+   injected virtual clocks or isolated registries, so results are fully
+   deterministic. *)
 
 open Tc_obs
 
@@ -57,6 +58,14 @@ let test_span_durations () =
       check Alcotest.bool "child starts after parent" true (sb >= sa);
       check Alcotest.bool "parent spans child" true (da >= db)
   | _ -> fail "expected two spans"
+
+let test_default_clock_is_wall () =
+  let t = Trace.make () in
+  Trace.with_span ~t "sleep" (fun () -> Unix.sleepf 0.02);
+  match Trace.events t with
+  | [ Trace.Span { dur_us; _ } ] ->
+      check Alcotest.bool "a 20 ms sleep lasts 20 ms" true (dur_us >= 20_000.0)
+  | _ -> fail "expected one span"
 
 let test_span_exception_unwind () =
   let t = Trace.make ~clock:(ticker ()) () in
@@ -863,6 +872,8 @@ let () =
         [
           Alcotest.test_case "span nesting" `Quick test_span_nesting;
           Alcotest.test_case "span durations" `Quick test_span_durations;
+          Alcotest.test_case "default clock is wall time" `Quick
+            test_default_clock_is_wall;
           Alcotest.test_case "exception unwind" `Quick
             test_span_exception_unwind;
           Alcotest.test_case "pay for use" `Quick test_pay_for_use;

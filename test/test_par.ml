@@ -288,6 +288,58 @@ let test_cache_single_flight () =
         rest
   | _ -> assert false
 
+(* ---- wall clocks: time a domain spends asleep or blocked is counted ---- *)
+
+let sleep_s = 0.01
+
+let global_value name =
+  Option.value ~default:0.0 (Tc_obs.Metrics.value Tc_obs.Metrics.global name)
+
+let test_cache_wait_is_wall_time () =
+  let problem =
+    Tc_expr.Problem.of_string_exn "ab-ac-cb"
+      ~sizes:[ ('a', 48); ('b', 48); ('c', 48) ]
+  in
+  (* The generation's measure calls hold it until the main domain is
+     about to claim the same key, then sleep: the main domain must block
+     behind at least one sleep. *)
+  let generating = Atomic.make false and claiming = Atomic.make false in
+  let measure plan =
+    Atomic.set generating true;
+    while not (Atomic.get claiming) do Domain.cpu_relax () done;
+    Unix.sleepf sleep_s;
+    Tc_sim.Simkernel.gflops plan
+  in
+  let ctx = Cogent.Ctx.make ~measure () in
+  let cache = Cogent.Cache.create () in
+  let wait = "cogent.cache.wait_wall_seconds"
+  and refine = "cogent.driver.phase_wall_seconds.refine" in
+  let wait0 = global_value wait and refine0 = global_value refine in
+  let owner =
+    Domain.spawn (fun () -> Cogent.Cache.find_or_generate_ctx cache ctx problem)
+  in
+  while not (Atomic.get generating) do Domain.cpu_relax () done;
+  Atomic.set claiming true;
+  let waited = Cogent.Cache.find_or_generate_ctx cache ctx problem in
+  List.iter
+    (function Ok _ -> () | Error e -> fail (Cogent.Driver.error_to_string e))
+    [ Domain.join owner; waited ];
+  check Alcotest.int "the main domain waited" 1
+    (Cogent.Cache.stats cache).Cogent.Cache.hits;
+  check Alcotest.bool "the wait covers a sleep" true
+    (global_value wait -. wait0 >= sleep_s);
+  check Alcotest.bool "the refine phase covers a sleep" true
+    (global_value refine -. refine0 >= sleep_s)
+
+let test_pool_busy_is_wall_time () =
+  with_pool 2 @@ fun p ->
+  let busy0 = global_value "par.pool.busy_s" in
+  let sleeps = List.init 4 (fun _ -> sleep_s) in
+  ignore (Pool.map ~pool:p Unix.sleepf sleeps);
+  check Alcotest.bool "busy_s covers the items' sleeps" true
+    (global_value "par.pool.busy_s" -. busy0
+    >= 0.9 *. List.fold_left ( +. ) 0.0 sleeps)
+
 (* [Cache.stats] keeps [entries] as a running count instead of walking
    the table: after every way a slot changes it must still equal the
    number of completed slots, which [Cache.entries] lists. *)
@@ -387,6 +439,8 @@ let () =
           Alcotest.test_case "request scope crosses domains" `Quick
             test_request_propagation;
           Gen.to_alcotest map_matches_sequential;
+          Alcotest.test_case "busy_s is wall time" `Quick
+            test_pool_busy_is_wall_time;
         ] );
       ( "determinism",
         [
@@ -401,5 +455,7 @@ let () =
             `Quick test_cache_single_flight;
           Alcotest.test_case "stats entries count ready slots" `Quick
             test_cache_stats_counts_ready;
+          Alcotest.test_case "a blocked waiter's wait is wall time" `Quick
+            test_cache_wait_is_wall_time;
         ] );
     ]

@@ -122,6 +122,46 @@ let test_optimized_plan_not_worse () =
         (optimized.Ttgt.time_s <= faithful.Ttgt.time_s +. 1e-12))
     [ "abcd-aebf-dfce"; "abcd-efab-cdef"; "abcd-be-aecd"; "ab-ac-cb" ]
 
+(* The faithful lowering is the search's first variant: M and K in A's
+   order, N in B's, no swapped output. *)
+let test_faithful_is_first_candidate () =
+  let idx = Alcotest.(list (list char)) in
+  let orders t = Ttgt.[ t.m_order; t.n_order; t.k_order ] in
+  let steps t =
+    List.map (fun s -> Ttgt.(s.operand, s.src, s.dst)) t.Ttgt.permutes
+  in
+  List.iter
+    (fun arch ->
+      let ctx = Cogent.Ctx.make ~arch () in
+      List.iter
+        (fun e ->
+          let p = Tc_tccg.Suite.problem e in
+          let info = Problem.info p in
+          let a = info.Classify.expr.Ast.lhs.Ast.indices
+          and b = info.Classify.expr.Ast.rhs.Ast.indices in
+          let in_order set = List.filter (fun i -> List.mem i set) in
+          let f = Ttgt.plan_ctx ctx p and c = List.hd (Ttgt.candidates p) in
+          let name what =
+            Printf.sprintf "%s %s: %s" e.Tc_tccg.Suite.name arch.Arch.name what
+          in
+          check idx (name "orders") (orders c) (orders f);
+          check idx (name "orders read off A and B")
+            [
+              in_order info.Classify.lhs_externals a;
+              in_order info.Classify.rhs_externals b;
+              in_order info.Classify.internals a;
+            ]
+            (orders f);
+          check Alcotest.(list int) (name "m/n/k")
+            Ttgt.[ c.m; c.n; c.k ] Ttgt.[ f.m; f.n; f.k ];
+          check Alcotest.(list bool) (name "swapped_output") [ false; false ]
+            Ttgt.[ c.swapped_output; f.swapped_output ];
+          check
+            Alcotest.(list (triple string (list char) (list char)))
+            (name "permutes") (steps c) (steps f))
+        Tc_tccg.Suite.all)
+    [ Arch.p100; Arch.v100 ]
+
 let test_estimate_components () =
   let p = Problem.of_string_exn "abcd-aebf-dfce" ~sizes:sizes6 in
   let e = Ttgt.run_ctx Cogent.Ctx.default p in
@@ -245,6 +285,8 @@ let () =
             test_plan_faithful_always_permutes_output_when_needed;
           Alcotest.test_case "optimized never worse" `Quick
             test_optimized_plan_not_worse;
+          Alcotest.test_case "faithful plan is the first candidate" `Quick
+            test_faithful_is_first_candidate;
           Alcotest.test_case "estimate components" `Quick
             test_estimate_components;
         ] );
