@@ -323,7 +323,7 @@ let plan_cmd =
     Format.printf
       "search:      naive space %.3e, enumerated %d, kept %d, bound-aborted \
        %d@."
-      r.Cogent.Driver.naive_space s.Cogent.Prune.enumerated s.Cogent.Prune.kept
+      (Cogent.Enumerate.naive_space_size problem) s.Cogent.Prune.enumerated s.Cogent.Prune.kept
       r.Cogent.Driver.bound_aborted;
     let plan = r.Cogent.Driver.plan in
     (* Predicted overlap saving: the schema race's lane for the selected
@@ -646,6 +646,11 @@ let serve_cmd =
 let audit_cmd =
   let run harness ledger json diff =
     harness @@ fun () ->
+    (* [Ledger.load] reads a missing file as an empty ledger; here that
+       is a mistyped path, not a ledger with no samples. *)
+    let path = Tc_audit.Ledger.file ~dir:ledger in
+    if not (Sys.file_exists path) then
+      or_die Runtime (Error (Printf.sprintf "no audit ledger at %s" path));
     let samples = or_die Runtime (Tc_audit.Ledger.load ~dir:ledger) in
     match diff with
     | Some baseline_path ->
@@ -674,7 +679,8 @@ let audit_cmd =
     Arg.(value & opt string "audit-ledger" & info [ "ledger" ] ~docv:"DIR"
            ~doc:"The cogent-audit/1 ledger directory to aggregate (as \
                  written by serve --audit-ledger or the accuracy bench \
-                 target).")
+                 target).  A directory without $(docv)/audit.jsonl is a \
+                 runtime error (exit 1).")
   in
   let json =
     Arg.(value & flag & info [ "json" ]

@@ -38,7 +38,8 @@ let () =
   let s = r.Cogent.Driver.prune_stats in
   Format.printf
     "@.search: naive space %.2e, enumerated %d, kept %d after pruning@."
-    r.Cogent.Driver.naive_space s.Cogent.Prune.enumerated s.Cogent.Prune.kept;
+    (Cogent.Enumerate.naive_space_size problem)
+    s.Cogent.Prune.enumerated s.Cogent.Prune.kept;
   Format.printf "selected plan:@.  %a@." Cogent.Plan.pp r.Cogent.Driver.plan;
 
   (* 3. The generated CUDA (first lines). *)

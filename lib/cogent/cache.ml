@@ -6,10 +6,9 @@ open Tc_expr
 type slot = Ready of Driver.t | In_flight
 
 type t = {
-  lock : Mutex.t;  (* guards [table], [ready], [hits] and [misses] *)
+  lock : Mutex.t;  (* guards [table], [hits] and [misses] *)
   cond : Condition.t;  (* signalled when an in-flight slot resolves *)
   table : (string, slot) Hashtbl.t;
-  mutable ready : int;  (* [Ready] slots in [table] *)
   mutable hits : int;
   mutable misses : int;
 }
@@ -19,7 +18,6 @@ let create () =
     lock = Mutex.create ();
     cond = Condition.create ();
     table = Hashtbl.create 32;
-    ready = 0;
     hits = 0;
     misses = 0;
   }
@@ -27,16 +25,6 @@ let create () =
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-(* Every write to [table] goes through [set] (under the lock), so [ready]
-   stays the number of [Ready] slots and {!stats} never walks the table. *)
-let ready_in = function Some (Ready _) -> 1 | Some In_flight | None -> 0
-
-let set t k slot =
-  t.ready <- t.ready - ready_in (Hashtbl.find_opt t.table k) + ready_in slot;
-  match slot with
-  | Some s -> Hashtbl.replace t.table k s
-  | None -> Hashtbl.remove t.table k
 
 (* Nearest power of two; extents above 2^61, the largest power of two an
    [int] holds, round to 2^61 (doubling past it would overflow). *)
@@ -118,7 +106,7 @@ let find_or_generate_ctx t ctx problem =
         Condition.wait t.cond t.lock;
         claim ()
     | None ->
-        set t k (Some In_flight);
+        Hashtbl.replace t.table k In_flight;
         t.misses <- t.misses + 1;
         `Generate
   in
@@ -144,7 +132,9 @@ let find_or_generate_ctx t ctx problem =
          so a later call can retry — errors are never cached. *)
       let resolve slot =
         locked t (fun () ->
-            set t k (Option.map (fun r -> Ready r) slot);
+            (match slot with
+            | Some r -> Hashtbl.replace t.table k (Ready r)
+            | None -> Hashtbl.remove t.table k);
             Condition.broadcast t.cond)
       in
       match
@@ -162,32 +152,19 @@ let find_or_generate_ctx t ctx problem =
           resolve None;
           raise e)
 
-let install t k r =
-  locked t (fun () ->
-      if not (Hashtbl.mem t.table k) then set t k (Some (Ready r)))
-
-let entries t =
-  locked t (fun () ->
-      Hashtbl.fold
-        (fun k slot acc ->
-          match slot with Ready r -> (k, r) :: acc | In_flight -> acc)
-        t.table [])
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let mem t k =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.table k with
-      | Some (Ready _) -> true
-      | Some In_flight | None -> false)
-
 type stats = { entries : int; hits : int; misses : int }
 
 let stats t =
-  locked t (fun () -> { entries = t.ready; hits = t.hits; misses = t.misses })
+  locked t (fun () ->
+      let entries =
+        Hashtbl.fold
+          (fun _ slot n -> match slot with Ready _ -> n + 1 | In_flight -> n)
+          t.table 0
+      in
+      { entries; hits = t.hits; misses = t.misses })
 
 let clear t =
   locked t (fun () ->
       Hashtbl.reset t.table;
-      t.ready <- 0;
       t.hits <- 0;
       t.misses <- 0)

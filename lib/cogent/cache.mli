@@ -13,7 +13,16 @@
     Concurrency: lookups and inserts are mutex-guarded, and generation is
     {e single-flight} — when two domains race on one key, the second
     blocks on the first's in-flight generation instead of re-running the
-    same expensive search, then returns the first's result as a hit. *)
+    same expensive search, then returns the first's result as a hit.
+
+    The callers are the bench figures and the perf plan-cold workload.
+    Neither is seen to race on a key: plan-cold asks one request at a
+    time on a fresh cache, and a full [bench/main.exe] run at 2 or 4 jobs
+    records hits and misses but no [cogent.cache.inflight_waits].  The
+    serving layer does not use this cache: it dedups a batch's keys
+    before its fan-out and keeps each key's plan in its own session entry
+    ({!Tc_serve.Serve}), so it calls {!Driver.run} directly and takes
+    only {!key} from here. *)
 
 open Tc_expr
 
@@ -39,24 +48,11 @@ val find_or_generate_ctx : t -> Ctx.t -> Problem.t -> (Driver.t, Driver.error) r
     generation count as hits.  (This is the only lookup entry point — the
     historical optional-argument wrapper is gone; build a {!Ctx.t}.) *)
 
-val install : t -> string -> Driver.t -> unit
-(** Pre-populate an entry under an externally computed {!key} (the
-    serving layer's warm-store load).  First insert wins; neither the hit
-    nor the miss counter moves. *)
-
-val entries : t -> (string * Driver.t) list
-(** Every cached entry, sorted by key — deterministic, for flushing to a
-    {!Tc_serve.Planstore}.  In-flight generations are not included. *)
-
-val mem : t -> string -> bool
-(** True iff a {e completed} entry is cached under this key. *)
-
 type stats = { entries : int; hits : int; misses : int }
 
 val stats : t -> stats
-(** [entries] counts completed slots (in-flight generations excluded) and
-    is kept as a running count, so [stats] costs O(1) at any cache size.
-    [misses] counts generations actually started (single-flight waiters
-    count as [hits]). *)
+(** [entries] counts completed slots (in-flight generations excluded),
+    counted under the lock.  [misses] counts generations actually started
+    (single-flight waiters count as [hits]). *)
 
 val clear : t -> unit

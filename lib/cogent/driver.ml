@@ -8,7 +8,6 @@ type t = {
   plan : Plan.t;
   ranked : (Mapping.t * float) list;
   prune_stats : Prune.stats;
-  naive_space : float;
   bound_aborted : int;
 }
 
@@ -226,7 +225,6 @@ let generate_one (ctx : Ctx.t) ~topk problem =
           plan;
           ranked;
           prune_stats;
-          naive_space = Enumerate.naive_space_size problem;
           bound_aborted = outcome.Pipeline.bound_aborted;
         }
 
@@ -239,7 +237,6 @@ let of_plan (plan : Plan.t) =
     plan;
     ranked = [ (plan.Plan.mapping, plan.Plan.cost) ];
     prune_stats = no_prune_stats;
-    naive_space = Enumerate.naive_space_size plan.Plan.problem;
     bound_aborted = 0;
   }
 

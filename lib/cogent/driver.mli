@@ -7,8 +7,7 @@
     the best kernel plan together with the search statistics the paper
     reports (§IV-A3).  {!Codegen.emit} turns the plan into source.  It is
     the one front door: every CLI subcommand that plans ([gen], [plan],
-    [bench], [explain], [profile], and [serve] through {!Cache}) goes
-    through {!run}. *)
+    [bench], [explain], [profile] and [serve]) goes through {!run}. *)
 
 open Tc_expr
 
@@ -18,24 +17,22 @@ type t = {
       (** the top-K surviving configurations, ascending model cost, where
           K = [max ctx.refine topk] (see {!run}) *)
   prune_stats : Prune.stats;
-  naive_space : float;  (** unpruned search-space size (§IV formula) *)
   bound_aborted : int;
       (** prune survivors whose cost evaluation the streaming pipeline cut
           short (or discarded unranked) because they provably cost more
           than the current top-K bound — distinct from rule-based prunes,
           which are tallied in [prune_stats] *)
 }
-(** [plan] is what a served entry is; the other four fields describe the
-    search that found it, and hold it only when that search ran in this
-    process.  An entry built by {!of_plan} (a plan loaded from a store)
+(** [plan] is what a served entry is; the other three fields describe
+    the search that found it, and hold it only when that search ran in
+    this process.  The unpruned search-space size (§IV formula) is a pure
+    function of the problem: {!Enumerate.naive_space_size}.  An entry built by {!of_plan} (a plan loaded from a store)
     holds no search: see there. *)
 
 val of_plan : Plan.t -> t
 (** An entry for a plan whose search did not run in this process:
     [ranked] is [[(plan.mapping, plan.cost)]], [prune_stats] is all zero
-    (with [relaxed = false]), [naive_space] is
-    {!Enumerate.naive_space_size} of the plan's problem and
-    [bound_aborted] is 0. *)
+    (with [relaxed = false]) and [bound_aborted] is 0. *)
 
 type measure = Ctx.measure
 (** Empirical throughput of a candidate plan (higher is better) — in this

@@ -43,7 +43,7 @@ let analyze (ctx : Ctx.t) ?(top = 3) problem =
               problem;
               arch;
               precision;
-              naive_space = d.Driver.naive_space;
+              naive_space = Enumerate.naive_space_size problem;
               stats = d.Driver.prune_stats;
               candidates;
             })

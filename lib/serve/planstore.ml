@@ -175,8 +175,10 @@ let entry_of_json j = decode_entry (Hashtbl.create 1) j
 
 (* ---- store I/O ---- *)
 
-type origin = (string, Cogent.Driver.t * Tc_obs.Jsonl.span) Hashtbl.t
+type row = string * Cogent.Driver.t * Tc_obs.Jsonl.span option
 
+(* A row's span is kept only when its entry has exactly the six fields
+   this version writes: only such a row may be copied back as it is. *)
 let row_of_json infos j =
   let* k = Result.bind (J.field "key" j) J.as_string in
   let* e = J.field "entry" j in
@@ -202,13 +204,6 @@ let read ~dir =
       ~metrics:"cogent.serve.planstore" ~schema (file ~dir)
       (row_of_json (Hashtbl.create 16))
   in
-  (* A duplicated key keeps its first row, as [Cache.install] does. *)
-  let origin = Hashtbl.create (List.length rows) in
-  List.iter
-    (fun ((k, r, current), span) ->
-      if current && not (Hashtbl.mem origin k) then
-        Hashtbl.add origin k (r, span))
-    rows;
   Tc_obs.Trace.add_args
     [
       ("rows", Tc_obs.Trace.Int (List.length rows));
@@ -218,23 +213,22 @@ let read ~dir =
              (fun b (_, sp) -> b + sp.Tc_obs.Jsonl.length + 1)
              0 rows) );
     ];
-  Ok (List.map (fun ((k, r, _), _) -> (k, r)) rows, origin)
+  Ok
+    (List.map
+       (fun ((k, r, current), span) ->
+         (k, r, if current then Some span else None))
+       rows)
 
-let load ~dir = Result.map fst (read ~dir)
+let load ~dir = Result.map (List.map (fun (k, r, _) -> (k, r))) (read ~dir)
 
-let save ?(origin = Hashtbl.create 0) ~dir rows =
+let save ~dir rows =
   Tc_obs.Trace.with_span "planstore.save" @@ fun () ->
-  (* Copy a row only when the cache still holds the very entry decoded
-     from it: a loaded entry is never replaced, so its bytes still
-     describe it. *)
-  let copy (k, r) =
-    match Hashtbl.find_opt origin k with
-    | Some (loaded, span) when loaded == r -> Some span
-    | _ -> None
-  in
   let w =
-    Tc_obs.Jsonl.save ~schema ~copy (file ~dir)
-      (fun (k, r) -> J.Obj [ ("key", J.String k); ("entry", entry_to_json r) ])
+    Tc_obs.Jsonl.save ~schema
+      ~copy:(fun (_, _, span) -> span)
+      (file ~dir)
+      (fun (k, r, _) ->
+        J.Obj [ ("key", J.String k); ("entry", entry_to_json r) ])
       rows
   in
   let encoded = w.Tc_obs.Jsonl.rows - w.copied in

@@ -4,7 +4,7 @@
     [{"schema":"cogent-planstore/1"}], every further line a row
     [{"key":K,"entry":E}] where [K] is the {!Cogent.Cache.key} and [E] the
     served plan of a {!Cogent.Driver.t}.  The serving engine loads the
-    store into its cache at session open and flushes the cache at close,
+    store into its session's entries at open and saves them at close,
     so a warm restart re-generates nothing.
 
     A row holds what a warm session serves, not the search that found
@@ -34,12 +34,11 @@
 
     Verbatim rows: a save copies each row loaded from the store file
     back as the bytes it was read from, and encodes only the rows this
-    lifetime generated.  A loaded entry never changes in the cache
-    ({!Cogent.Cache.install} keeps the first entry), so its bytes still
-    describe it.  The bytes are not held in memory: {!read} records each
-    row's span and digest ({!Tc_obs.Jsonl.span}), and {!save} reads each
-    span back from the file and copies it only while it still holds the
-    same bytes.  A row is encoded again when the file was replaced since
+    lifetime generated.  The bytes are not held in memory: {!read}
+    returns each row's span and digest ({!Tc_obs.Jsonl.span}) beside its
+    entry, the caller keeps the two together, and {!save} reads each span
+    back from the file and copies it only while it still holds the same
+    bytes.  A row is encoded again when the file was replaced since
     the load, and when its entry does not have exactly the six fields
     this version writes, which re-encodes an older row as the current
     one.  A hand-formatted row (other spacing or field order) is written
@@ -66,29 +65,28 @@ val entry_of_json : Tc_obs.Json.t -> (Cogent.Driver.t, string) result
     [Driver.of_plan plan].  [Error] on any malformed field (of the six)
     and on ["degraded": true]. *)
 
-type origin
-(** Where each row of one {!read} sits in the store file: for each key,
-    the entry decoded from its first row with exactly the six fields,
-    with that row's span and digest. *)
+type row = string * Cogent.Driver.t * Tc_obs.Jsonl.span option
+(** A key, its entry, and where the row sat in the store file
+    ({!Tc_obs.Jsonl.span}: offset, length, digest) when it has exactly
+    the six fields this version writes.  [None] marks an entry to encode:
+    a row of an earlier version, or an entry this lifetime generated. *)
 
-val read :
-  dir:string -> ((string * Cogent.Driver.t) list * origin, string) result
-(** Rows in file order, and their origin for {!save}.  [Ok ([], _)] when
-    the file does not exist; [Error] when the header is missing or
-    carries the wrong schema; corrupt rows are skipped (see above).
-    Records a [planstore.load] span with [rows] and [bytes] (of the
-    decoded rows' lines). *)
+val read : dir:string -> (row list, string) result
+(** Rows in file order, duplicated keys included.  [Ok []] when the file
+    does not exist; [Error] when the header is missing or carries the
+    wrong schema; corrupt rows are skipped (see above).  Records a
+    [planstore.load] span with [rows] and [bytes] (of the decoded rows'
+    lines). *)
 
 val load : dir:string -> ((string * Cogent.Driver.t) list, string) result
-(** The rows of {!read}. *)
+(** The keys and entries of {!read}. *)
 
-val save :
-  ?origin:origin -> dir:string -> (string * Cogent.Driver.t) list -> unit
-(** Write header plus one row per entry, creating [dir] if needed.  An
-    entry [origin] maps its key to, physically, is copied verbatim from
-    the file (see above); every other entry is encoded.  The file is
-    replaced atomically (write-to-temp, rename).  Records a
-    [planstore.save] span with [rows], [bytes], [copied] and [encoded],
-    and adds the last two to the [cogent.serve.planstore.rows_copied]
-    and [.rows_encoded] counters.
+val save : dir:string -> row list -> unit
+(** Write header plus one line per row, creating [dir] if needed.  A row
+    with a span is copied verbatim from the file while the span still
+    holds the bytes it was read from (see above); every other row is
+    encoded.  The file is replaced atomically (write-to-temp, rename).
+    Records a [planstore.save] span with [rows], [bytes], [copied] and
+    [encoded], and adds the last two to the
+    [cogent.serve.planstore.rows_copied] and [.rows_encoded] counters.
     @raise Sys_error when the directory cannot be created or written. *)

@@ -65,51 +65,65 @@ type report = {
   notices : string list;
 }
 
+(* One plan key's state in a session, written only by the sequential
+   parts of [open_session] and [run].  [plan] is never replaced: a key
+   with an entry is not searched again, and a duplicated store key keeps
+   its first row.  [row] is the current-format store row [plan] was
+   decoded from, copied back on save while its digest matches ([None]:
+   encode).  [dispatch] memoizes [Audit.dispatch ctx plan], which reads
+   the plan and the context's device and precision; the key names those
+   (and any forced schema) and every other context field is the
+   session's, so it is what a fresh call returns.  [evidence], a pure
+   function of [plan], is measured once per key in an audited session. *)
+type entry = {
+  plan : Cogent.Driver.t;
+  row : Tc_obs.Jsonl.span option;
+  mutable dispatch : Audit.dispatch option;
+  mutable evidence : Tc_profile.Evidence.t option;
+}
+
 (* Per-session work a request does not repeat: the analysis of an
    expression string (extents are bound per request with
-   [Problem.of_info]), a cached plan's dispatch decision and, when
-   audited, its measured evidence.  Written only by [run]'s sequential
-   parts. *)
+   [Problem.of_info]) and every plan key's entry. *)
 type session = {
   ctx : Cogent.Ctx.t;
-  cache : Cogent.Cache.t;
-  store : (string * Planstore.origin) option;
+  store : string option;
   loaded : int;
   audit : Audit.collector option;
   infos : (string, Tc_expr.Classify.info) Hashtbl.t;
-  dispatches : (string, Audit.dispatch) Hashtbl.t;
-  evidence : (string, Tc_profile.Evidence.t) Hashtbl.t;
+  entries : (string, entry) Hashtbl.t;
 }
 
 let open_session ?store ?audit ctx =
   Cogent.Ctx.install_jobs ctx;
-  let cache = Cogent.Cache.create () in
-  let session store loaded =
+  let session rows =
+    let entries = Hashtbl.create 64 in
+    List.iter
+      (fun (k, plan, row) ->
+        if not (Hashtbl.mem entries k) then
+          Hashtbl.add entries k
+            { plan; row; dispatch = None; evidence = None })
+      rows;
     {
       ctx;
-      cache;
       store;
-      loaded;
+      loaded = List.length rows;
       audit;
       infos = Hashtbl.create 64;
-      dispatches = Hashtbl.create 64;
-      evidence = Hashtbl.create 64;
+      entries;
     }
   in
   match store with
-  | None -> Ok (session None 0)
-  | Some dir -> (
-      match Planstore.read ~dir with
-      | Error m -> Error m
-      | Ok (rows, origin) ->
-          List.iter (fun (k, r) -> Cogent.Cache.install cache k r) rows;
-          Ok (session (Some (dir, origin)) (List.length rows)))
+  | None -> Ok (session [])
+  | Some dir -> Result.map session (Planstore.read ~dir)
 
 let close_session s =
-  match s.store with
-  | None -> ()
-  | Some (dir, origin) ->
-      Planstore.save ~origin ~dir (Cogent.Cache.entries s.cache)
+  Option.iter
+    (fun dir ->
+      Hashtbl.fold (fun k e rows -> (k, e.plan, e.row) :: rows) s.entries []
+      |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
+      |> Planstore.save ~dir)
+    s.store
 
 (* Request ids as they appear everywhere observable: span/flight-recorder
    attribution and the per-request entries of the JSON report. *)
@@ -128,20 +142,6 @@ let problem session (req : Request.t) =
         r
   in
   Result.bind info (fun info -> Tc_expr.Problem.of_info info req.Request.sizes)
-
-(* [Audit.dispatch ctx plan] reads the plan and the context's device and
-   precision (the TTGT estimate), and the plan filed under a key never
-   changes once cached ([Cache.install] and generation both keep the first
-   plan).  The key names the contraction, device, precision and any forced
-   schema, and every other context field is the session's, so one
-   decision per key is exactly what a fresh call would return. *)
-let dispatch session ctx k plan =
-  match Hashtbl.find_opt session.dispatches k with
-  | Some d -> d
-  | None ->
-      let d = Audit.dispatch ctx plan in
-      Hashtbl.add session.dispatches k d;
-      d
 
 (* Per-request telemetry instruments.  [predicted_seconds] records model
    predictions — a pure function of the workload, so its exposition (and
@@ -163,7 +163,6 @@ let run session items =
   Tc_obs.Metrics.set
     (Tc_obs.Metrics.gauge "cogent.serve.queue_depth")
     (float_of_int (List.length items));
-  let before = Cogent.Cache.stats session.cache in
   let default = session.ctx in
   (* Resolve every line to either an error response or a work item; the
      work item's key is the dedup and dispatch handle.  Each line is
@@ -208,73 +207,84 @@ let run session items =
                 Ok (req, ctx, problem, Cogent.Cache.key ctx problem)))
       items
   in
-  (* Distinct keys in first-appearance order: the fan-out domain.  The
-     order is a pure function of the workload, so [Pool.map] keeps the
-     batch bit-identical at any job count.  Each distinct search carries
-     its first requester's id, so the whole generation subtree — prune,
-     cost ranking, refinement, wherever the pool schedules it — stays
-     attributed to that request in the trace. *)
+  (* The fan-out, over distinct keys in first-appearance order: every key
+     with no entry is searched and, when audited, every key with no
+     evidence is measured.  The order is a pure function of the workload,
+     so [Pool.map] keeps the batch bit-identical at any job count.  The
+     keys are distinct, so no two items share work.  Each item carries
+     its first requester's id, so its whole subtree — prune, cost
+     ranking, refinement, the schedule replay, wherever the pool runs
+     it — stays attributed to that request in the trace. *)
+  let audited = Option.is_some session.audit in
   let seen = Hashtbl.create 16 in
-  let distinct =
+  let todo =
     List.filter_map
       (function
-        | Ok (req, ctx, problem, k) when not (Hashtbl.mem seen k) ->
+        | Ok (req, ctx, problem, k) when not (Hashtbl.mem seen k) -> (
             Hashtbl.add seen k ();
-            Some (k, ctx, problem, request_label req.Request.id)
+            let item held =
+              Some (k, ctx, problem, request_label req.Request.id, held)
+            in
+            match Hashtbl.find_opt session.entries k with
+            | None -> item None
+            | Some e when audited && Option.is_none e.evidence ->
+                item (Some e.plan)
+            | Some _ -> None)
         | _ -> None)
       resolved
   in
-  let warm = Hashtbl.create 16 in
-  List.iter
-    (fun (k, _, _, _) ->
-      if Cogent.Cache.mem session.cache k then Hashtbl.add warm k ())
-    distinct;
-  let generated =
+  let worked =
     Tc_par.Pool.map
-      (fun (k, ctx, problem, rid) ->
+      (fun (k, ctx, problem, rid, held) ->
         Tc_obs.Trace.with_request ~id:rid
           ~attrs:[ ("key", Tc_obs.Trace.String k) ]
-          "serve.generate"
+          (if Option.is_none held then "serve.generate" else "serve.measure")
         @@ fun () ->
-        let t0 = Tc_obs.Clock.now () in
         let r =
-          match Cogent.Cache.find_or_generate_ctx session.cache ctx problem with
-          | Ok r -> (k, Ok r)
-          | Error e -> (k, Error (Generation e))
-          | exception e -> (k, Error (Crashed (Printexc.to_string e)))
+          match held with
+          | Some d -> Ok d
+          | None ->
+              let t0 = Tc_obs.Clock.now () in
+              let r =
+                match Cogent.Driver.run ctx problem with
+                | r -> Result.map_error (fun e -> Generation e) r
+                | exception e -> Error (Crashed (Printexc.to_string e))
+              in
+              Tc_obs.Metrics.observe (generate_wall_hist ())
+                (Tc_obs.Clock.now () -. t0);
+              r
         in
-        (* The audit's evidence is a pure function of the key's plan, which
-           never changes once cached: built once per session, here (the
-           schedule replay is costly) and read-only during the fan-out. *)
-        let evidence =
+        ( r,
           match r with
-          | _, Ok d
-            when Option.is_some session.audit
-                 && not (Hashtbl.mem session.evidence k) ->
+          | Ok d when audited ->
               Some
                 (Tc_obs.Trace.with_span "audit.measure" (fun () ->
                      Tc_profile.Evidence.make ~measure:true
                        d.Cogent.Driver.plan))
-          | _ -> None
-        in
-        Tc_obs.Metrics.observe (generate_wall_hist ())
-          (Tc_obs.Clock.now () -. t0);
-        (r, evidence))
-      distinct
+          | _ -> None ))
+      todo
   in
-  List.iter
-    (fun ((k, _), e) -> Option.iter (Hashtbl.replace session.evidence k) e)
-    generated;
-  let generated = List.map fst generated in
-  let plans = Hashtbl.create 16 in
-  List.iter (fun (k, r) -> Hashtbl.replace plans k r) generated;
+  (* This batch's searches and their outcomes.  A failed search leaves no
+     entry: errors are never kept, so a doomed request retries every
+     batch. *)
+  let searched = Hashtbl.create 16 in
+  List.iter2
+    (fun (k, _, _, _, held) (r, evidence) ->
+      if Option.is_none held then Hashtbl.add searched k r;
+      match (Hashtbl.find_opt session.entries k, r) with
+      | Some e, _ -> e.evidence <- evidence
+      | None, Ok plan ->
+          Hashtbl.add session.entries k
+            { plan; row = None; dispatch = None; evidence }
+      | None, Error _ -> ())
+    todo worked;
   (* Failed searches become stderr-destined notices — assembled here,
      strictly after the parallel section, and printed by the caller (the
      DESIGN.md parallel-runtime rule: print only after the fan-out), so
      the summary can never interleave with pool worker output. *)
   let notices =
     List.filter_map
-      (fun (k, r, rid) ->
+      (fun ((k, _, _, rid, _), (r, _)) ->
         match r with
         | Ok _ -> None
         | Error e ->
@@ -286,7 +296,7 @@ let run session items =
                   ("key", Tc_obs.Trace.String k);
                 ];
             Some (Printf.sprintf "%s: %s" rid (error_to_string e)))
-      (List.map2 (fun (k, r) (_, _, _, rid) -> (k, r, rid)) generated distinct)
+      (List.combine todo worked)
   in
   (* Dispatch: [Audit.dispatch] races the engines on the plan's
      representative problem (for a dedup'd request that is the first
@@ -317,23 +327,27 @@ let run session items =
                   ]
                 "serve.request"
               @@ fun () ->
-              match Hashtbl.find_opt plans k with
-              | None ->
-                  Tc_obs.Trace.add_args
-                    [ ("outcome", Tc_obs.Trace.String "error") ];
-                  Error (Crashed "internal: generation result missing")
+              match Hashtbl.find_opt searched k with
               | Some (Error e) ->
                   Tc_obs.Trace.add_args
                     [ ("outcome", Tc_obs.Trace.String "error") ];
                   Error e
-              | Some (Ok r) ->
-                  let plan = r.Cogent.Driver.plan in
-                  let d = dispatch session ctx k plan in
+              | search ->
+                  let e = Hashtbl.find session.entries k in
+                  let plan = e.plan.Cogent.Driver.plan in
+                  let d =
+                    match e.dispatch with
+                    | Some d -> d
+                    | None ->
+                        let d = Audit.dispatch ctx plan in
+                        e.dispatch <- Some d;
+                        d
+                  in
                   let race = d.Audit.race in
                   let outcome =
                     {
                       key = k;
-                      cached = Hashtbl.mem warm k;
+                      cached = Option.is_none search;
                       engine = d.Audit.engine;
                       schema = d.Audit.schema;
                       pipelined =
@@ -362,7 +376,7 @@ let run session items =
                   | Some c ->
                       let s =
                         Audit.sample ~suite:"serve" ~request:rid ~key:k
-                          ~dispatch:d ~regret (Hashtbl.find session.evidence k)
+                          ~dispatch:d ~regret (Option.get e.evidence)
                       in
                       Audit.add c s;
                       Audit.record_sample s;
@@ -417,7 +431,6 @@ let run session items =
             })
       resolved
   in
-  let after = Cogent.Cache.stats session.cache in
   let count p = List.length (List.filter p responses) in
   let count_ok p =
     count (fun r -> match r.result with Ok o -> p o | Error _ -> false)
@@ -425,20 +438,16 @@ let run session items =
   let ok = count (fun r -> Result.is_ok r.result) in
   (* A fresh successful search serves its first requester; everyone else —
      dups, warm-store keys, repeat batches — is a hit.  [generations]
-     counts searches actually run, including failed ones (errors are never
-     cached, so a doomed request retries every batch). *)
+     counts searches actually run, including failed ones. *)
   let fresh_ok =
-    List.length
-      (List.filter
-         (fun (k, r) -> Result.is_ok r && not (Hashtbl.mem warm k))
-         generated)
+    Hashtbl.fold (fun _ r n -> if Result.is_ok r then n + 1 else n) searched 0
   in
   let summary =
     {
       requests = List.length items;
-      distinct = List.length distinct;
+      distinct = Hashtbl.length seen;
       loaded = session.loaded;
-      generations = after.Cogent.Cache.misses - before.Cogent.Cache.misses;
+      generations = Hashtbl.length searched;
       hits = ok - fresh_ok;
       errors = count (fun r -> Result.is_error r.result);
       to_cogent = count_ok (fun o -> o.engine = Cogent_kernel);

@@ -1,14 +1,16 @@
 (** The batched contraction-serving engine.
 
-    A session owns a plan cache, optionally backed by an on-disk
-    {!Planstore} (loaded at open, flushed at close — a warm restart
-    re-generates nothing).  {!run} takes a parsed workload, dedups it by
-    {!Cogent.Cache.key}, fans the {e distinct} plan searches out on
-    {!Tc_par.Pool} (first-appearance order, so results are bit-identical
-    at any job count), then serves every request on the engine that
-    {!Tc_audit.Audit.dispatch} picks for its cached plan — the schema
-    race's chosen COGENT lane (classic, or a pipelined variant on devices
-    with async copies) against the TTGT pipeline on the same
+    A session holds one entry per plan key: the plan, the store row it
+    was decoded from, its dispatch decision and, when audited, its
+    measured evidence.  The entries are loaded from an optional on-disk
+    {!Planstore} at open and saved back at close — a warm restart
+    re-generates nothing.  {!run} takes a parsed workload, dedups it by
+    {!Cogent.Cache.key}, fans the {e distinct} plan searches of keys with
+    no entry out on {!Tc_par.Pool} (first-appearance order, so results
+    are bit-identical at any job count), then serves every request on the
+    engine that {!Tc_audit.Audit.dispatch} picks for its key's plan — the
+    schema race's chosen COGENT lane (classic, or a pipelined variant on
+    devices with async copies) against the TTGT pipeline on the same
     representative problem.  Serve makes no comparison of its own: the
     outcome, the dispatch regret and the audit sample all read that one
     decision.
@@ -36,7 +38,7 @@ val error_to_string : error -> string
 type outcome = {
   key : string;  (** the {!Cogent.Cache.key} the request resolved to *)
   cached : bool;
-      (** plan was already cached when the batch started (a warm store, or
+      (** the key had an entry when the batch started (a warm store, or
           an earlier batch on this session) *)
   engine : engine;  (** {!Tc_audit.Audit.dispatch}'s decision *)
   schema : Tc_gpu.Schema.t;
@@ -72,7 +74,9 @@ type summary = {
   distinct : int;  (** distinct plan keys among well-formed requests *)
   loaded : int;  (** entries loaded from the store at session open *)
   generations : int;  (** plan searches actually run (0 on a warm store) *)
-  hits : int;  (** requests served from an already-present plan *)
+  hits : int;
+      (** successful requests other than the first requester of each key
+          this batch searched *)
   errors : int;
   to_cogent : int;
   to_pipelined : int;
@@ -81,7 +85,7 @@ type summary = {
   regrets : int;
       (** requests with positive dispatch regret: the losing engine would
           have been faster at the request's own extents (only possible
-          through the cache's size-class approximation; see
+          through the plan key's size-class approximation; see
           {!Tc_audit.Audit}) *)
 }
 
@@ -103,24 +107,30 @@ val open_session :
   ?audit:Tc_audit.Audit.collector ->
   Cogent.Ctx.t ->
   (session, string) result
-(** [store] names a {!Planstore} directory; its entries pre-populate the
-    cache.  [audit] attaches an accuracy-ledger collector: {!run} then
-    also builds each plan key's measured {!Tc_profile.Evidence.t} once per
-    session (inside the generation fan-out of the first batch that serves
-    the key) and appends one {!Tc_audit.Audit.sample} per successful
-    request, in request order.  [Error] on an unreadable or
-    wrong-schema store. *)
+(** [store] names a {!Planstore} directory; each of its keys becomes an
+    entry (a duplicated key keeps its first row; [summary.loaded] counts
+    every row read).  [audit] attaches an accuracy-ledger collector:
+    {!run} then also builds each plan key's measured
+    {!Tc_profile.Evidence.t} once per session (inside the fan-out of the
+    first batch that serves the key, loaded keys included) and appends
+    one {!Tc_audit.Audit.sample} per successful request, in request
+    order.  [Error] on an unreadable or wrong-schema store. *)
 
 val close_session : session -> unit
-(** Flush every cached plan back to the store (no-op without one): the
-    rows loaded at open are copied from the file as they were read, and
-    only plans this session generated are encoded ({!Planstore.save}). *)
+(** Save every entry's plan to the store, sorted by key (no-op without
+    one): a row loaded at open in the current format is copied from the
+    file as it was read while its digest still matches, and every other
+    entry is encoded ({!Planstore.save}). *)
 
 val run : session -> (Request.t, int * string) result list -> report
 (** Serve one workload (the shape {!Request.load_file} returns); parse
     failures become [Bad_request] responses.  Responses are in request
-    order.  Safe to call repeatedly on one session; the cache carries
-    over.
+    order.  Safe to call repeatedly on one session; the entries carry
+    over.  Only keys with no entry are searched, with {!Cogent.Driver.run}
+    directly (the keys are distinct, so there is nothing to
+    single-flight); when audited, keys with no evidence are also
+    measured.  A batch whose keys all have entries (and evidence) runs no
+    pool task.
 
     Telemetry: every request is served inside a
     {!Tc_obs.Trace.with_request} scope named [req-NNN], so its parse,
@@ -135,7 +145,8 @@ val run : session -> (Request.t, int * string) result list -> report
     [cogent.serve.predicted_seconds] histogram (deterministic — model
     output observed in request order) and the [cogent.serve.*_wall_*]
     histograms (wall clock, excluded from the CI deterministic subset by
-    the "wall" naming convention); each request also appends one
+    the "wall" naming convention; [generate_wall_seconds] observes each
+    search, and nothing on a batch that searches nothing); each request also appends one
     {!Tc_obs.Flightrec} entry to the global flight recorder. *)
 
 val report_doc : wall_s:float -> report -> Tc_profile.Benchrep.doc

@@ -853,10 +853,7 @@ let test_explain_is_driver_prefix () =
                 = List.filteri (fun k _ -> k < 3)
                     (List.map fst d.Cogent.Driver.ranked));
               check Alcotest.bool (name ^ ": prune stats") true
-                (x.Tc_explain.Explain.stats = d.Cogent.Driver.prune_stats);
-              check Alcotest.bool (name ^ ": naive space") true
-                (x.Tc_explain.Explain.naive_space
-                = d.Cogent.Driver.naive_space)
+                (x.Tc_explain.Explain.stats = d.Cogent.Driver.prune_stats)
           | Error err, _ | _, Error err ->
               fail (name ^ ": " ^ Cogent.Driver.error_to_string err))
         Tc_tccg.Suite.all)

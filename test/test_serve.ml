@@ -51,7 +51,7 @@ let planstore_roundtrip =
       in
       let rows = [ (Cogent.Cache.key ctx problem, full) ] in
       let dir = fresh_dir () in
-      Tc_serve.Planstore.save ~dir rows;
+      Tc_serve.Planstore.save ~dir (List.map (fun (k, r) -> (k, r, None)) rows);
       let cost_bits (_, r) =
         Int64.bits_of_float r.Cogent.Driver.plan.Cogent.Plan.cost
       in
@@ -91,7 +91,7 @@ let test_planstore_skips_corrupt_row () =
   let r = drive problem ctx in
   let k = Cogent.Cache.key ctx problem in
   let dir = fresh_dir () in
-  Tc_serve.Planstore.save ~dir [ (k, r) ];
+  Tc_serve.Planstore.save ~dir [ (k, r, None) ];
   (* corrupt trailing row: truncated JSON, as a crashed writer would leave *)
   let oc =
     open_out_gen [ Open_append ] 0o644 (Tc_serve.Planstore.file ~dir)
@@ -478,16 +478,79 @@ let test_audit_cold_warm_identical () =
   check Alcotest.int "both batches sampled everything" 2 (List.length cold);
   check Alcotest.bool "cold and warm samples are identical" true (cold = warm)
 
+(* [f]'s result, and the number of spans of each name it recorded. *)
+let counting_spans f =
+  let t = Tc_obs.Trace.make () in
+  let r = Tc_obs.Trace.with_installed t f in
+  let count name =
+    List.length
+      (List.filter
+         (function
+           | Tc_obs.Trace.Span { name = n; _ } -> n = name | _ -> false)
+         (Tc_obs.Trace.events t))
+  in
+  (r, count)
+
+(* Three requests on two keys (1 and 3 share a size class) and a bad
+   line. *)
+let warm_items =
+  [
+    Ok (req 1 "ab-ac-cb" [ ('a', 64); ('b', 64); ('c', 64) ]);
+    Ok (req 2 "abc-bda-dc" [ ('a', 32); ('b', 32); ('c', 32); ('d', 32) ]);
+    Ok (req 3 "ab-ac-cb" [ ('a', 60); ('b', 60); ('c', 60) ]);
+    Error (4, "bad JSON: oops");
+  ]
+
+(* A warm batch searches nothing: on a session opened on a warm store,
+   and in a second batch of the session that searched, an unaudited
+   batch opens no [serve.generate] and no [driver.generate] span, and
+   answers as a cold session does (every hit marked [cached]). *)
+let test_warm_batch_searches_nothing () =
+  let dir = fresh_dir () in
+  let cold = open_session ~store:dir ctx in
+  let r_cold, spans =
+    counting_spans (fun () -> Tc_serve.Serve.run cold warm_items)
+  in
+  check Alcotest.int "the cold batch searches each key" 2
+    (spans "serve.generate");
+  let uncached (r : Tc_serve.Serve.response) =
+    {
+      r with
+      Tc_serve.Serve.result =
+        Result.map
+          (fun o -> { o with Tc_serve.Serve.cached = false })
+          r.Tc_serve.Serve.result;
+    }
+  in
+  let warm_batch what s =
+    let r, spans = counting_spans (fun () -> Tc_serve.Serve.run s warm_items) in
+    check Alcotest.int (what ^ ": no serve.generate span") 0
+      (spans "serve.generate");
+    check Alcotest.int (what ^ ": no driver.generate span") 0
+      (spans "driver.generate");
+    check Alcotest.int (what ^ ": no generation") 0
+      r.Tc_serve.Serve.summary.Tc_serve.Serve.generations;
+    List.iter
+      (fun (resp : Tc_serve.Serve.response) ->
+        match resp.Tc_serve.Serve.result with
+        | Ok o -> check Alcotest.bool (what ^ ": cached") true o.Tc_serve.Serve.cached
+        | Error _ -> ())
+      r.Tc_serve.Serve.responses;
+    check Alcotest.bool (what ^ ": responses equal the cold session's") true
+      (List.map uncached r_cold.Tc_serve.Serve.responses
+      = List.map uncached r.Tc_serve.Serve.responses)
+  in
+  warm_batch "second batch" cold;
+  Tc_serve.Serve.close_session cold;
+  let warm = open_session ~store:dir ctx in
+  warm_batch "warm store" warm;
+  Tc_serve.Serve.close_session warm
+
 (* An audited session measures each plan key once: a second batch on the
    same keys replays no schedule, and samples exactly what the first
-   batch sampled. *)
+   batch sampled.  A session opened on a warm store measures the same way
+   and searches nothing. *)
 let test_audit_measures_once_per_session () =
-  let collector = Tc_audit.Audit.collector () in
-  let s =
-    match Tc_serve.Serve.open_session ~audit:collector ctx with
-    | Ok s -> s
-    | Error m -> fail m
-  in
   let batch first =
     List.map
       (fun (id, expr, sizes) -> Ok (req (first + id) expr sizes))
@@ -497,26 +560,39 @@ let test_audit_measures_once_per_session () =
         (3, "ab-ac-cb", [ ('a', 60); ('b', 60); ('c', 60) ]);
       ]
   in
-  let measures first =
-    let t = Tc_obs.Trace.make () in
-    ignore
-      (Tc_obs.Trace.with_installed t (fun () ->
-           Tc_serve.Serve.run s (batch first)));
-    List.length
-      (List.filter
-         (function
-           | Tc_obs.Trace.Span { name; _ } -> name = "audit.measure"
-           | _ -> false)
-         (Tc_obs.Trace.events t))
+  let dir = fresh_dir () in
+  let measured what ~searches =
+    let collector = Tc_audit.Audit.collector () in
+    let s =
+      match Tc_serve.Serve.open_session ~store:dir ~audit:collector ctx with
+      | Ok s -> s
+      | Error m -> fail m
+    in
+    let measures first ~generations =
+      let r, spans = counting_spans (fun () -> Tc_serve.Serve.run s (batch first)) in
+      check Alcotest.int (what ^ ": generations") generations
+        r.Tc_serve.Serve.summary.Tc_serve.Serve.generations;
+      check Alcotest.int (what ^ ": driver.generate spans") generations
+        (spans "driver.generate");
+      spans "audit.measure"
+    in
+    check Alcotest.int (what ^ ": first batch measures each key") 2
+      (measures 0 ~generations:searches);
+    check Alcotest.int (what ^ ": second batch measures nothing") 0
+      (measures 10 ~generations:0);
+    Tc_serve.Serve.close_session s;
+    let unnamed smp = { smp with Tc_audit.Audit.request = "" } in
+    match List.map unnamed (Tc_audit.Audit.samples collector) with
+    | [ a1; a2; a3; b1; b2; b3 ] ->
+        check Alcotest.bool (what ^ ": second batch samples equal the first's")
+          true
+          ([ a1; a2; a3 ] = [ b1; b2; b3 ])
+    | l ->
+        fail
+          (Printf.sprintf "%s: expected 6 samples, got %d" what (List.length l))
   in
-  check Alcotest.int "first batch measures each key" 2 (measures 0);
-  check Alcotest.int "second batch measures nothing" 0 (measures 10);
-  let unnamed smp = { smp with Tc_audit.Audit.request = "" } in
-  match List.map unnamed (Tc_audit.Audit.samples collector) with
-  | [ a1; a2; a3; b1; b2; b3 ] ->
-      check Alcotest.bool "second batch samples equal the first's" true
-        ([ a1; a2; a3 ] = [ b1; b2; b3 ])
-  | l -> fail (Printf.sprintf "expected 6 samples, got %d" (List.length l))
+  measured "cold store" ~searches:2;
+  measured "warm store" ~searches:0
 
 (* A session computes each key's dispatch once and analyses each
    expression once.  Neither memo may change an answer: serve a batch in
@@ -921,7 +997,7 @@ let test_verbatim_lifetimes () =
   check Alcotest.bool "the third lifetime decodes the same rows" true
     (second = third);
   let fresh = fresh_dir () in
-  Planstore.save ~dir:fresh third;
+  Planstore.save ~dir:fresh (List.map (fun (k, r) -> (k, r, None)) third);
   check Alcotest.string "the file is a fresh encode of its rows"
     (store_text fresh) (store_text dir);
   let span name =
@@ -950,10 +1026,12 @@ let test_verbatim_lifetimes () =
         (arg args "bytes")
   | None -> fail "no planstore.save span"
 
-(* A duplicated key keeps its first row in the cache, as
-   [Cache.install] does, and in the file, copied as it was written:
-   hand-formatted rows are not renormalised.  The two rows are plans of
-   one size class (extents 64 and 60 both round to 64). *)
+(* A duplicated key keeps its first row.  [Planstore.read] returns both
+   rows in file order, each with its span; a session serves the first
+   row's plan, counts both rows as loaded, and saves the first row
+   copied as it was written: hand-formatted rows are not renormalised.
+   The two rows are plans of one size class (extents 64 and 60 both
+   round to 64). *)
 let test_verbatim_duplicate_key () =
   let sizes = [ ('a', 64); ('b', 64); ('c', 64) ] in
   let a = drive_expr "ab-ac-cb" sizes in
@@ -968,12 +1046,30 @@ let test_verbatim_duplicate_key () =
   write_store dir [ spaced; row_line k b ];
   (match Planstore.read ~dir with
   | Error m -> fail m
-  | Ok (rows, _) ->
-      let cache = Cogent.Cache.create () in
-      List.iter (fun (k, r) -> Cogent.Cache.install cache k r) rows;
-      check Alcotest.bool "the cache keeps the first row" true
-        (Cogent.Cache.entries cache = [ (k, stored a) ]));
-  let copied, encoded = copied_encoded (fun () -> reopen dir) in
+  | Ok rows ->
+      check Alcotest.bool "read returns both rows in file order" true
+        (List.map (fun (k, r, _) -> (k, r)) rows
+        = [ (k, stored a); (k, stored b) ]);
+      check Alcotest.bool "both rows are current" true
+        (List.for_all (fun (_, _, span) -> Option.is_some span) rows));
+  let s = open_session ~store:dir ctx in
+  let report = Tc_serve.Serve.run s [ Ok (req 1 "ab-ac-cb" sizes) ] in
+  check Alcotest.int "both rows loaded" 2
+    report.Tc_serve.Serve.summary.Tc_serve.Serve.loaded;
+  let time (r : Cogent.Driver.t) =
+    (Tc_audit.Audit.dispatch ctx r.Cogent.Driver.plan).Tc_audit.Audit.cogent_s
+  in
+  check Alcotest.bool "the rows' plans time differently" false
+    (Float.equal (time a) (time b));
+  (match report.Tc_serve.Serve.responses with
+  | [ { Tc_serve.Serve.result = Ok o; _ } ] ->
+      check Alcotest.bool "served from the store" true o.Tc_serve.Serve.cached;
+      check (Alcotest.float 0.0) "the session serves the first row's plan"
+        (time a) o.Tc_serve.Serve.cogent_time_s
+  | _ -> fail "expected one Ok response");
+  let copied, encoded =
+    copied_encoded (fun () -> Tc_serve.Serve.close_session s)
+  in
   check Alcotest.string "the file keeps the first row, as written"
     (header ^ "\n" ^ spaced ^ "\n")
     (store_text dir);
@@ -1112,21 +1208,21 @@ let test_verbatim_drops_corrupt_row () =
     (store_counter "corrupt_rows")
 
 (* A store file another writer replaced between load and save no longer
-   holds the loaded rows' bytes: every row is encoded from the cache. *)
+   holds the loaded rows' bytes: every row is encoded from its entry. *)
 let test_verbatim_replaced_file () =
   let sa = [ ('a', 64); ('b', 64); ('c', 64) ]
   and sb = [ ('a', 32); ('b', 32); ('c', 32); ('d', 32) ] in
   let a = drive_expr "ab-ac-cb" sa and b = drive_expr "abc-bda-dc" sb in
   let ka = key_of "ab-ac-cb" sa and kb = key_of "abc-bda-dc" sb in
   let dir = fresh_dir () in
-  Planstore.save ~dir [ (ka, a); (kb, b) ];
+  Planstore.save ~dir [ (ka, a, None); (kb, b, None) ];
   let encoded_text = store_text dir in
   let s = open_session ~store:dir ctx in
   write_store dir [ row_line kb b; row_line ka a ];
   let copied, encoded =
     copied_encoded (fun () -> Tc_serve.Serve.close_session s)
   in
-  check Alcotest.string "re-encoded from the cache" encoded_text
+  check Alcotest.string "re-encoded from the entries" encoded_text
     (store_text dir);
   check (Alcotest.pair Alcotest.int Alcotest.int) "copied, encoded" (0, 2)
     (copied, encoded)
@@ -1203,6 +1299,8 @@ let () =
             test_dedup_single_generation;
           Alcotest.test_case "warm restart regenerates nothing" `Quick
             test_warm_restart_regenerates_nothing;
+          Alcotest.test_case "warm batch opens no search span" `Quick
+            test_warm_batch_searches_nothing;
           Alcotest.test_case "memos change no answer" `Quick
             test_memo_changes_no_answer;
           Alcotest.test_case "request parsing" `Quick test_request_parsing;
