@@ -10,16 +10,13 @@
     nearby problem sizes share a plan while order-of-magnitude changes
     trigger a fresh search.
 
-    Concurrency: lookups and inserts are mutex-guarded, and generation is
-    {e single-flight} — when two domains race on one key, the second
-    blocks on the first's in-flight generation instead of re-running the
-    same expensive search, then returns the first's result as a hit.
+    Concurrency: lookups and inserts are mutex-guarded; generation runs
+    outside the lock.  Two domains racing on one key both search, and the
+    first insert wins: the search is deterministic, so the plan each
+    caller returns is the same.  Use is counted in
+    [cogent.cache.hits]/[cogent.cache.misses] of {!Tc_obs.Metrics.global}.
 
-    The callers are the bench figures and the perf plan-cold workload.
-    Neither is seen to race on a key: plan-cold asks one request at a
-    time on a fresh cache, and a full [bench/main.exe] run at 2 or 4 jobs
-    records hits and misses but no [cogent.cache.inflight_waits].  The
-    serving layer does not use this cache: it dedups a batch's keys
+    The serving layer does not use this cache: it dedups a batch's keys
     before its fan-out and keeps each key's plan in its own session entry
     ({!Tc_serve.Serve}), so it calls {!Driver.run} directly and takes
     only {!key} from here. *)
@@ -44,15 +41,4 @@ val find_or_generate_ctx : t -> Ctx.t -> Problem.t -> (Driver.t, Driver.error) r
     representative size: the kernel text is identical in structure and
     valid for any extents; only the tile-selection inputs differed.
     Errors are returned, never cached: a later call with the same key
-    retries the search.  Callers latched onto another domain's in-flight
-    generation count as hits.  (This is the only lookup entry point — the
-    historical optional-argument wrapper is gone; build a {!Ctx.t}.) *)
-
-type stats = { entries : int; hits : int; misses : int }
-
-val stats : t -> stats
-(** [entries] counts completed slots (in-flight generations excluded),
-    counted under the lock.  [misses] counts generations actually started
-    (single-flight waiters count as [hits]). *)
-
-val clear : t -> unit
+    retries the search. *)

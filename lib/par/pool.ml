@@ -10,8 +10,6 @@ type t = {
   mutable workers : unit Domain.t list;
 }
 
-let jobs t = t.jobs
-
 (* ---- pool metrics (registered lazily so the registry only shows pool
    rows once a pool actually ran something) ---- *)
 
@@ -69,16 +67,7 @@ let default_jobs_unlocked () =
   in
   max 1 j
 
-let create ?jobs () =
-  let jobs =
-    match jobs with
-    | Some j -> max 1 j
-    | None ->
-        Mutex.lock admin;
-        let j = default_jobs_unlocked () in
-        Mutex.unlock admin;
-        j
-  in
+let create jobs =
   let pool =
     {
       jobs;
@@ -108,15 +97,15 @@ let default_jobs () =
   Mutex.unlock admin;
   j
 
-(* The process-global pool, created on first use: every [?pool]-less call
-   shares it, which keeps the total domain count bounded. *)
+(* The process-global pool, created on first use: every call shares it,
+   which keeps the total domain count bounded. *)
 let default () =
   Mutex.lock admin;
   let p =
     match !the_default with
     | Some p -> p
     | None ->
-        let p = create ~jobs:(default_jobs_unlocked ()) () in
+        let p = create (default_jobs_unlocked ()) in
         the_default := Some p;
         p
   in
@@ -140,8 +129,8 @@ let set_default_jobs j =
 
 (* ---- parallel map ---- *)
 
-let map ?pool f xs =
-  let pool = match pool with Some p -> p | None -> default () in
+let map f xs =
+  let pool = default () in
   match xs with
   | [] -> []
   | [ x ] -> [ f x ]
@@ -221,11 +210,10 @@ let map ?pool f xs =
            (function Some v -> v | None -> assert false (* all completed *))
            results)
 
-let map_fold ?pool ~map:f ~fold ~init xs =
-  List.fold_left fold init (map ?pool f xs)
+let map_fold ~map:f ~fold ~init xs = List.fold_left fold init (map f xs)
 
-let fold_best ?pool ~better f xs =
-  map_fold ?pool ~map:f ~init:None
+let fold_best ~better f xs =
+  map_fold ~map:f ~init:None
     ~fold:(fun best candidate ->
       match best with
       | None -> Some candidate

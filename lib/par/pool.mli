@@ -11,12 +11,12 @@
        {!fold_best} reduces in index order, so as long as the per-item
        function is pure, results are bit-identical for every job count —
        parallelism changes wall time, never output.}
-    {- {b Sequential degradation}: a pool with [jobs = 1] spawns no
+    {- {b Sequential degradation}: at one job the pool spawns no
        domains and runs the plain [List.map] path.}
     {- {b Exception transparency}: if items raise, the exception of the
        {e lowest-indexed} failing item is re-raised in the caller (with
        its backtrace), again independent of scheduling.}
-    {- {b Re-entrancy}: an item may itself call {!map} on the same pool
+    {- {b Re-entrancy}: an item may itself call {!map}
        (nested fan-outs happen naturally: bench entry -> driver ->
        cost rank).  The claiming caller always helps execute its own
        batch, so nesting cannot deadlock even with zero idle workers.}
@@ -34,35 +34,22 @@
     {!Tc_obs.Clock} seconds each participating domain spent claiming and
     running items, summed over domains). *)
 
-type t
-
-val create : ?jobs:int -> unit -> t
-(** A pool running at most [jobs] items concurrently: the calling domain
-    plus [jobs - 1] persistent worker domains.  [jobs] defaults to the
-    process default (see {!default_jobs}); values below 1 are clamped to
-    1.  [jobs = 1] spawns no domains. *)
-
-val jobs : t -> int
-
-val shutdown : t -> unit
-(** Stop and join the worker domains.  Idempotent.  Maps on a shut-down
-    pool run sequentially. *)
-
 val default_jobs : unit -> int
-(** The job count the default pool has (or would be created with):
-    {!set_default_jobs}'s value if called, else [COGENT_JOBS] from the
-    environment, else [Domain.recommended_domain_count () - 1], min 1. *)
+(** The job count of the process-wide pool every call below runs on: the
+    calling domain plus [default_jobs () - 1] persistent worker domains,
+    spawned on first use ([1] spawns none).  It is {!set_default_jobs}'s
+    value if called, else [COGENT_JOBS] from the environment, else
+    [Domain.recommended_domain_count () - 1], min 1. *)
 
 val set_default_jobs : int -> unit
 (** Override the default pool size (the CLI's [--jobs]).  If the default
     pool already exists with a different size it is shut down and
     recreated lazily. *)
 
-val map : ?pool:t -> ('a -> 'b) -> 'a list -> 'b list
+val map : ('a -> 'b) -> 'a list -> 'b list
 (** Order-preserving parallel [List.map].  See the module contract. *)
 
 val map_fold :
-  ?pool:t ->
   map:('a -> 'b) ->
   fold:('acc -> 'b -> 'acc) ->
   init:'acc ->
@@ -77,7 +64,7 @@ val map_fold :
     is the argmax/argmin special case. *)
 
 val fold_best :
-  ?pool:t -> better:('b -> 'b -> bool) -> ('a -> 'b) -> 'a list -> 'b option
+  better:('b -> 'b -> bool) -> ('a -> 'b) -> 'a list -> 'b option
 (** [fold_best ~better f xs] evaluates [f] on every element (in
     parallel) and then reduces {e in index order}, keeping the incumbent
     unless [better candidate incumbent] — the deterministic argmax/argmin

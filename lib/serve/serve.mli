@@ -127,9 +127,8 @@ val run : session -> (Request.t, int * string) result list -> report
     failures become [Bad_request] responses.  Responses are in request
     order.  Safe to call repeatedly on one session; the entries carry
     over.  Only keys with no entry are searched, with {!Cogent.Driver.run}
-    directly (the keys are distinct, so there is nothing to
-    single-flight); when audited, keys with no evidence are also
-    measured.  A batch whose keys all have entries (and evidence) runs no
+    directly (the keys are distinct, so no two searches share a key);
+    when audited, keys with no evidence are also measured.  A batch whose keys all have entries (and evidence) runs no
     pool task.
 
     Telemetry: every request is served inside a

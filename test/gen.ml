@@ -351,6 +351,13 @@ let verdict_ref c =
   in
   (occ, Option.map snd (List.find_opt fst rules))
 
+(* Runs [f] with the process-wide pool at [jobs] workers, then restores
+   the previous job count. *)
+let with_jobs jobs f =
+  let prev = Tc_par.Pool.default_jobs () in
+  Tc_par.Pool.set_default_jobs jobs;
+  Fun.protect ~finally:(fun () -> Tc_par.Pool.set_default_jobs prev) f
+
 (* Fixed seed: property tests must be reproducible across runs. *)
 let to_alcotest t =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t

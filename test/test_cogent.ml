@@ -445,20 +445,16 @@ let streamed_matches_legacy =
           Oracle.search ~performance ~topk arch prec problem
         in
         let at_jobs jobs =
-          Tc_par.Pool.set_default_jobs jobs;
+          Gen.with_jobs jobs @@ fun () ->
           let o = Pipeline.search ~performance ~topk arch prec problem in
           o.Pipeline.stats = legacy_stats
           && ranked_equal o.Pipeline.ranked legacy_ranked
         in
         at_jobs 1 && at_jobs 4
       in
-      let ok =
-        List.for_all
-          (fun target -> agrees target true && agrees target false)
-          bench_targets
-      in
-      Tc_par.Pool.set_default_jobs 1;
-      ok)
+      List.for_all
+        (fun target -> agrees target true && agrees target false)
+        bench_targets)
 
 (* ---- Prune ---- *)
 
@@ -1124,33 +1120,51 @@ let driver_succeeds_on_generated =
 
 (* ---- Cache ---- *)
 
+(* Cache use is counted in the global [cogent.cache.*] counters; a test
+   reads their growth over its own calls. *)
+let cache_counts f =
+  let value name =
+    Option.value ~default:0.0
+      (Tc_obs.Metrics.value Tc_obs.Metrics.global ("cogent.cache." ^ name))
+  in
+  let h0 = value "hits" and m0 = value "misses" in
+  f ();
+  (int_of_float (value "hits" -. h0), int_of_float (value "misses" -. m0))
+
+let hits_misses = Alcotest.(pair int int)
+
 let test_cache_hits_and_misses () =
   let cache = Cache.create () in
   let p1 = Problem.of_string_exn "ab-ac-cb" ~sizes:[ ('a', 64); ('b', 64); ('c', 64) ] in
-  let _ = Cache.find_or_generate_ctx cache Ctx.default p1 in
-  let _ = Cache.find_or_generate_ctx cache Ctx.default p1 in
   (* 60 rounds to the same power-of-two class as 64 *)
   let near = Problem.of_string_exn "ab-ac-cb" ~sizes:[ ('a', 60); ('b', 60); ('c', 60) ] in
-  let _ = Cache.find_or_generate_ctx cache Ctx.default near in
-  let s = Cache.stats cache in
-  check Alcotest.int "one entry" 1 s.Cache.entries;
-  check Alcotest.int "two hits" 2 s.Cache.hits;
-  check Alcotest.int "one miss" 1 s.Cache.misses
+  check hits_misses "two hits, one miss" (2, 1)
+    (cache_counts (fun () ->
+         List.iter
+           (fun p -> ignore (Cache.find_or_generate_ctx cache Ctx.default p))
+           [ p1; p1; near ]))
 
 let test_cache_discriminates () =
   let cache = Cache.create () in
   let p = Problem.of_string_exn "ab-ac-cb" ~sizes:[ ('a', 64); ('b', 64); ('c', 64) ] in
   let far = Problem.of_string_exn "ab-ac-cb" ~sizes:[ ('a', 512); ('b', 512); ('c', 512) ] in
   let other_layout = Problem.of_string_exn "ab-ca-cb" ~sizes:[ ('a', 64); ('b', 64); ('c', 64) ] in
-  ignore (Cache.find_or_generate_ctx cache Ctx.default p);
-  ignore (Cache.find_or_generate_ctx cache Ctx.default far);
-  ignore (Cache.find_or_generate_ctx cache Ctx.default other_layout);
-  ignore
-    (Cache.find_or_generate_ctx cache
-       (Ctx.make ~precision:Precision.FP32 ())
-       p);
-  ignore (Cache.find_or_generate_ctx cache (Ctx.make ~arch:Arch.p100 ()) p);
-  check Alcotest.int "five distinct entries" 5 (Cache.stats cache).Cache.entries
+  let lookups =
+    [
+      (Ctx.default, p);
+      (Ctx.default, far);
+      (Ctx.default, other_layout);
+      (Ctx.make ~precision:Precision.FP32 (), p);
+      (Ctx.make ~arch:Arch.p100 (), p);
+    ]
+  in
+  let pass () =
+    List.iter
+      (fun (ctx, p) -> ignore (Cache.find_or_generate_ctx cache ctx p))
+      lookups
+  in
+  check hits_misses "five distinct keys: five misses" (0, 5) (cache_counts pass);
+  check hits_misses "then five hits" (5, 0) (cache_counts pass)
 
 let test_cache_size_class () =
   let p = Problem.of_string_exn "ab-ac-cb" ~sizes:[ ('a', 48); ('b', 65); ('c', 96) ] in
@@ -1196,14 +1210,6 @@ let test_cache_key_huge_extents () =
       check Alcotest.bool name true
         (Result.is_error (Problem.of_string "ab-ac-cb" ~sizes:(sizes a))))
     [ ("2^61 + 1 rejected", (1 lsl 61) + 1); ("max_int rejected", max_int) ]
-
-let test_cache_clear () =
-  let cache = Cache.create () in
-  let p = Problem.of_string_exn "ab-ac-cb" ~sizes:[ ('a', 64); ('b', 64); ('c', 64) ] in
-  ignore (Cache.find_or_generate_ctx cache Ctx.default p);
-  Cache.clear cache;
-  check Alcotest.int "empty" 0 (Cache.stats cache).Cache.entries;
-  check Alcotest.int "counters reset" 0 (Cache.stats cache).Cache.hits
 
 let () =
   Alcotest.run "cogent"
@@ -1334,7 +1340,6 @@ let () =
           Alcotest.test_case "key bytes" `Quick test_cache_key_bytes;
           Alcotest.test_case "key terminates on huge extents" `Quick
             test_cache_key_huge_extents;
-          Alcotest.test_case "clear" `Quick test_cache_clear;
         ] );
       ( "driver",
         [

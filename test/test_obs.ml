@@ -222,14 +222,9 @@ let audit_exposition_jobs_invariant =
     QCheck.(small_list (float_bound_inclusive 2.0))
     (fun xs ->
       let expose jobs =
-        let p = Tc_par.Pool.create ~jobs () in
         let errs =
-          Fun.protect
-            ~finally:(fun () -> Tc_par.Pool.shutdown p)
-            (fun () ->
-              Tc_par.Pool.map
-                (fun x -> Float.abs (1.0 -. Float.exp (-.x)))
-                xs)
+          Gen.with_jobs jobs (fun () ->
+              Tc_par.Pool.map (fun x -> Float.abs (1.0 -. Float.exp (-.x))) xs)
         in
         let reg = Metrics.create () in
         let h =

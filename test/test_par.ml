@@ -9,31 +9,29 @@ open Tc_par
 let check = Alcotest.check
 let fail = Alcotest.fail
 
-(* A pool wide enough to actually exercise cross-domain scheduling even
-   on a single-core host (domains timeshare), plus the degenerate one. *)
-let with_pool jobs f =
-  let p = Pool.create ~jobs () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
+(* Pools of 2 and 4 jobs exercise cross-domain scheduling even on a
+   single-core host (domains timeshare); 1 job is the degenerate pool. *)
+let with_jobs = Gen.with_jobs
 
 (* ---- map: order preservation and sequential degradation ---- *)
 
 let test_map_ordering () =
-  with_pool 4 @@ fun p ->
+  with_jobs 4 @@ fun () ->
   let xs = List.init 100 Fun.id in
   let f x = (x * 37) mod 101 in
   check (Alcotest.list Alcotest.int) "map preserves input order" (List.map f xs)
-    (Pool.map ~pool:p f xs);
+    (Pool.map f xs);
   check (Alcotest.list Alcotest.int) "empty list" []
-    (Pool.map ~pool:p (fun _ -> fail "called on empty input") [])
+    (Pool.map (fun _ -> fail "called on empty input") [])
 
 let test_jobs1_is_sequential () =
-  with_pool 1 @@ fun p ->
-  check Alcotest.int "clamped to 1" 1 (Pool.jobs p);
+  with_jobs 0 @@ fun () ->
+  check Alcotest.int "clamped to 1" 1 (Pool.default_jobs ());
   (* the jobs=1 path must observe strictly left-to-right evaluation, like
      List.map — this would be flaky if a domain were involved *)
   let order = ref [] in
   let r =
-    Pool.map ~pool:p
+    Pool.map
       (fun x ->
         order := x :: !order;
         x + 1)
@@ -48,9 +46,9 @@ let test_jobs1_is_sequential () =
 exception Boom of int
 
 let test_exception_propagation () =
-  with_pool 4 @@ fun p ->
+  with_jobs 4 @@ fun () ->
   (match
-     Pool.map ~pool:p
+     Pool.map
        (fun x -> if x mod 2 = 0 then raise (Boom x) else x)
        [ 1; 2; 3; 4; 5; 6 ]
    with
@@ -59,16 +57,16 @@ let test_exception_propagation () =
       check Alcotest.int "lowest-indexed failure is re-raised" 2 x);
   (* the pool survives a failing batch *)
   check (Alcotest.list Alcotest.int) "pool still works" [ 2; 4; 6 ]
-    (Pool.map ~pool:p (fun x -> 2 * x) [ 1; 2; 3 ])
+    (Pool.map (fun x -> 2 * x) [ 1; 2; 3 ])
 
 (* ---- re-entrancy: nested maps on the same pool must not deadlock ---- *)
 
 let test_nested_map () =
-  with_pool 2 @@ fun p ->
+  with_jobs 2 @@ fun () ->
   let r =
-    Pool.map ~pool:p
+    Pool.map
       (fun i ->
-        Pool.map ~pool:p (fun j -> (10 * i) + j) [ 1; 2; 3 ]
+        Pool.map (fun j -> (10 * i) + j) [ 1; 2; 3 ]
         |> List.fold_left ( + ) 0)
       [ 1; 2; 3; 4; 5; 6; 7; 8 ]
   in
@@ -79,13 +77,13 @@ let test_nested_map () =
 (* ---- fold_best: index-ordered reduction, earliest tie wins ---- *)
 
 let test_fold_best () =
-  with_pool 4 @@ fun p ->
+  with_jobs 4 @@ fun () ->
   check (Alcotest.option Alcotest.int) "argmax" (Some 9)
-    (Pool.fold_best ~pool:p ~better:( > ) Fun.id [ 3; 9; 2; 7; 1 ]);
+    (Pool.fold_best ~better:( > ) Fun.id [ 3; 9; 2; 7; 1 ]);
   check (Alcotest.option Alcotest.int) "empty input" None
-    (Pool.fold_best ~pool:p ~better:( > ) Fun.id []);
+    (Pool.fold_best ~better:( > ) Fun.id []);
   let r =
-    Pool.fold_best ~pool:p
+    Pool.fold_best
       ~better:(fun (_, a) (_, b) -> a > b)
       Fun.id
       [ (0, 5); (1, 9); (2, 9); (3, 9) ]
@@ -94,28 +92,28 @@ let test_fold_best () =
     "strict better keeps the earliest tie" (Some (1, 9)) r
 
 let test_map_fold () =
-  with_pool 4 @@ fun p ->
+  with_jobs 4 @@ fun () ->
   (* a non-commutative fold exposes any reduction-order difference *)
   let xs = List.init 50 Fun.id in
   let f x = string_of_int ((x * 13) mod 17) in
   check Alcotest.string "reduces in index order"
     (String.concat "," (List.map f xs))
-    (Pool.map_fold ~pool:p ~map:f ~init:""
+    (Pool.map_fold ~map:f ~init:""
        ~fold:(fun acc s -> if acc = "" then s else acc ^ "," ^ s)
        xs);
   check Alcotest.int "empty input yields init" 42
-    (Pool.map_fold ~pool:p ~map:Fun.id ~init:42 ~fold:( + ) [])
+    (Pool.map_fold ~map:Fun.id ~init:42 ~fold:( + ) [])
 
 (* ---- trace propagation: spans from worker domains land in the
    caller's installed context (Domain.DLS ambient, re-installed by the
    pool around each item) ---- *)
 
 let test_trace_propagation () =
-  with_pool 4 @@ fun p ->
+  with_jobs 4 @@ fun () ->
   let t = Tc_obs.Trace.make () in
   let squares =
     Tc_obs.Trace.with_installed t (fun () ->
-        Pool.map ~pool:p
+        Pool.map
           (fun i -> Tc_obs.Trace.with_span "par.item" (fun () -> i * i))
           [ 1; 2; 3; 4; 5 ])
   in
@@ -134,12 +132,12 @@ let test_trace_propagation () =
 (* The ambient request scope travels with the ambient context: spans
    recorded by pool items stay attributed to the submitting request. *)
 let test_request_propagation () =
-  with_pool 4 @@ fun p ->
+  with_jobs 4 @@ fun () ->
   let t = Tc_obs.Trace.make () in
   Tc_obs.Trace.with_installed t (fun () ->
       Tc_obs.Trace.with_request ~id:"req-042" "serve.generate" (fun () ->
           ignore
-            (Pool.map ~pool:p
+            (Pool.map
                (fun i -> Tc_obs.Trace.with_span "par.item" (fun () -> i))
                [ 1; 2; 3; 4; 5 ])));
   let stamps =
@@ -166,10 +164,8 @@ let map_matches_sequential =
     (fun xs ->
       let f x = (x * x) - (3 * x) + 1 in
       let expected = List.map f xs in
-      with_pool 4 (fun p4 ->
-          with_pool 1 (fun p1 ->
-              Pool.map ~pool:p4 f xs = expected
-              && Pool.map ~pool:p1 f xs = expected)))
+      with_jobs 4 (fun () -> Pool.map f xs) = expected
+      && with_jobs 1 (fun () -> Pool.map f xs) = expected)
 
 (* The pipeline-level determinism contract: generation (model ranking +
    measured refinement on the default pool) must select the same plan and
@@ -180,14 +176,13 @@ let driver_deterministic_across_jobs =
     ~name:"Driver.generate is bit-identical at jobs 1 vs 4" Gen.case_arbitrary
     (fun c ->
       let run jobs =
-        Pool.set_default_jobs jobs;
+        with_jobs jobs @@ fun () ->
         Cogent.Driver.run_exn
           (Cogent.Ctx.make ~measure:Tc_sim.Simkernel.gflops ())
           c.Gen.problem
       in
       let r1 = run 1 in
       let r4 = run 4 in
-      Pool.set_default_jobs 1;
       Cogent.Mapping.compare r1.Cogent.Driver.plan.Cogent.Plan.mapping
         r4.Cogent.Driver.plan.Cogent.Plan.mapping
       = 0
@@ -218,170 +213,128 @@ let histogram_exposition_jobs_invariant =
           (Tc_expr.Classify.all_indices info)
       in
       let run jobs =
-        with_pool jobs (fun p ->
+        with_jobs jobs (fun () ->
             let reg = Tc_obs.Metrics.create () in
             let h =
               Tc_obs.Metrics.histogram ~registry:reg
                 ~buckets:[ 0.5; 1.0; 2.0; 4.0 ] "par.lat"
             in
             ignore
-              (Pool.map ~pool:p (fun v -> Tc_obs.Metrics.observe h v) obs);
+              (Pool.map (fun v -> Tc_obs.Metrics.observe h v) obs);
             let snap = Tc_obs.Metrics.snapshot reg in
             ( Tc_obs.Metrics.to_prometheus snap,
               List.concat_map Tc_obs.Metrics.quantile_summary snap ))
       in
       run 1 = run 4)
 
-(* ---- plan-cache single-flight: racing domains must not duplicate a
-   generation, and the latched callers must count as hits ---- *)
-
-let test_cache_single_flight () =
-  let problem =
-    Tc_expr.Problem.of_string_exn "ab-ac-cb"
-      ~sizes:[ ('a', 64); ('b', 64); ('c', 64) ]
-  in
-  let calls = Atomic.make 0 in
-  let measure plan =
-    Atomic.incr calls;
-    Tc_sim.Simkernel.gflops plan
-  in
-  let ctx = Cogent.Ctx.make ~measure () in
-  (* learn how many measure calls one generation costs, sequentially *)
-  let warmup = Cogent.Cache.create () in
-  (match Cogent.Cache.find_or_generate_ctx warmup ctx problem with
-  | Ok _ -> ()
-  | Error e -> fail (Cogent.Driver.error_to_string e));
-  let per_generation = Atomic.get calls in
-  check Alcotest.bool "generation measures candidates" true (per_generation > 0);
-  (* four domains race on the same key on a fresh cache: whatever the
-     interleaving, at most one generation may actually run *)
-  Atomic.set calls 0;
-  let cache = Cogent.Cache.create () in
-  let results =
-    List.init 4 (fun _ ->
-        Domain.spawn (fun () ->
-            Cogent.Cache.find_or_generate_ctx cache ctx problem))
-    |> List.map Domain.join
-  in
-  List.iter
-    (function
-      | Ok _ -> () | Error e -> fail (Cogent.Driver.error_to_string e))
-    results;
-  check Alcotest.int "exactly one generation's worth of measure calls"
-    per_generation (Atomic.get calls);
-  let s = Cogent.Cache.stats cache in
-  check Alcotest.int "one miss: the generation that ran" 1
-    s.Cogent.Cache.misses;
-  check Alcotest.int "three latched callers count as hits" 3
-    s.Cogent.Cache.hits;
-  check Alcotest.int "one cached entry" 1 s.Cogent.Cache.entries;
-  match results with
-  | Ok first :: rest ->
-      List.iter
-        (function
-          | Ok r ->
-              check Alcotest.int "every caller gets the same plan" 0
-                (Cogent.Mapping.compare
-                   first.Cogent.Driver.plan.Cogent.Plan.mapping
-                   r.Cogent.Driver.plan.Cogent.Plan.mapping)
-          | Error _ -> assert false)
-        rest
-  | _ -> assert false
-
-(* ---- wall clocks: time a domain spends asleep or blocked is counted ---- *)
-
-let sleep_s = 0.01
+(* ---- plan cache: a plain memo; use is counted in the global
+   [cogent.cache.*] counters ---- *)
 
 let global_value name =
   Option.value ~default:0.0 (Tc_obs.Metrics.value Tc_obs.Metrics.global name)
 
-let test_cache_wait_is_wall_time () =
+let hits () = global_value "cogent.cache.hits"
+let misses () = global_value "cogent.cache.misses"
+
+let check_ok = function
+  | Ok r -> r
+  | Error e -> fail (Cogent.Driver.error_to_string e)
+
+let same_plan what (a : Cogent.Driver.t) (b : Cogent.Driver.t) =
+  check Alcotest.int what 0
+    (Cogent.Mapping.compare a.Cogent.Driver.plan.Cogent.Plan.mapping
+       b.Cogent.Driver.plan.Cogent.Plan.mapping)
+
+(* Four domains race on one key of a fresh cache: each may search (the
+   first insert wins), all get the same plan, and once the races are
+   over the key is a hit. *)
+let test_cache_race () =
+  let problem =
+    Tc_expr.Problem.of_string_exn "ab-ac-cb"
+      ~sizes:[ ('a', 64); ('b', 64); ('c', 64) ]
+  in
+  let ctx = Cogent.Ctx.make ~measure:Tc_sim.Simkernel.gflops () in
+  let cache = Cogent.Cache.create () in
+  let hits0 = hits () and misses0 = misses () in
+  let plans =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            Cogent.Cache.find_or_generate_ctx cache ctx problem))
+    |> List.map (fun d -> check_ok (Domain.join d))
+  in
+  let first = List.hd plans in
+  List.iter (same_plan "every racer gets the same plan" first) plans;
+  let raced_misses = misses () -. misses0 in
+  check Alcotest.bool "at least one racer searched" true (raced_misses >= 1.0);
+  check (Alcotest.float 0.0) "every racer counted once" 4.0
+    (hits () -. hits0 +. raced_misses);
+  let hits1 = hits () in
+  same_plan "the cached plan" first
+    (check_ok (Cogent.Cache.find_or_generate_ctx cache ctx problem));
+  check (Alcotest.float 0.0) "the fifth call is a hit" 1.0 (hits () -. hits1);
+  check (Alcotest.float 0.0) "and searches nothing" raced_misses
+    (misses () -. misses0)
+
+(* A generation that fails and one that raises insert nothing: asking the
+   same key again searches again. *)
+let test_cache_errors_not_cached () =
+  let problem =
+    Tc_expr.Problem.of_string_exn "ab-ac-cb"
+      ~sizes:[ ('a', 32); ('b', 64); ('c', 64) ]
+  in
+  let cache = Cogent.Cache.create () in
+  let counts_a_miss what f =
+    let m0 = misses () in
+    f ();
+    check (Alcotest.float 0.0) what 1.0 (misses () -. m0)
+  in
+  (* a forced schema no fp64 mapping admits: the search returns an error *)
+  let mma = Cogent.Ctx.make ~schema:Tc_gpu.Schema.Pipelined_mma () in
+  let failed () =
+    match Cogent.Cache.find_or_generate_ctx cache mma problem with
+    | Ok _ -> fail "pipelined-mma admits no fp64 mapping"
+    | Error _ -> ()
+  in
+  counts_a_miss "a failed generation is a miss" failed;
+  counts_a_miss "and a miss again when retried" failed;
+  let crashing =
+    Cogent.Ctx.make ~measure:(fun _ -> failwith "measure failed") ()
+  in
+  let raised () =
+    match Cogent.Cache.find_or_generate_ctx cache crashing problem with
+    | _ -> fail "expected the measure's exception"
+    | exception Failure _ -> ()
+  in
+  counts_a_miss "a raising generation is a miss" raised;
+  counts_a_miss "and a miss again when retried" raised
+
+(* ---- wall clocks: time a domain spends asleep is counted ---- *)
+
+let sleep_s = 0.01
+
+let test_refine_is_wall_time () =
   let problem =
     Tc_expr.Problem.of_string_exn "ab-ac-cb"
       ~sizes:[ ('a', 48); ('b', 48); ('c', 48) ]
   in
-  (* The generation's measure calls hold it until the main domain is
-     about to claim the same key, then sleep: the main domain must block
-     behind at least one sleep. *)
-  let generating = Atomic.make false and claiming = Atomic.make false in
   let measure plan =
-    Atomic.set generating true;
-    while not (Atomic.get claiming) do Domain.cpu_relax () done;
     Unix.sleepf sleep_s;
     Tc_sim.Simkernel.gflops plan
   in
-  let ctx = Cogent.Ctx.make ~measure () in
-  let cache = Cogent.Cache.create () in
-  let wait = "cogent.cache.wait_wall_seconds"
-  and refine = "cogent.driver.phase_wall_seconds.refine" in
-  let wait0 = global_value wait and refine0 = global_value refine in
-  let owner =
-    Domain.spawn (fun () -> Cogent.Cache.find_or_generate_ctx cache ctx problem)
-  in
-  while not (Atomic.get generating) do Domain.cpu_relax () done;
-  Atomic.set claiming true;
-  let waited = Cogent.Cache.find_or_generate_ctx cache ctx problem in
-  List.iter
-    (function Ok _ -> () | Error e -> fail (Cogent.Driver.error_to_string e))
-    [ Domain.join owner; waited ];
-  check Alcotest.int "the main domain waited" 1
-    (Cogent.Cache.stats cache).Cogent.Cache.hits;
-  check Alcotest.bool "the wait covers a sleep" true
-    (global_value wait -. wait0 >= sleep_s);
+  let refine = "cogent.driver.phase_wall_seconds.refine" in
+  let refine0 = global_value refine in
+  ignore (check_ok (Cogent.Driver.run (Cogent.Ctx.make ~measure ()) problem));
   check Alcotest.bool "the refine phase covers a sleep" true
     (global_value refine -. refine0 >= sleep_s)
 
 let test_pool_busy_is_wall_time () =
-  with_pool 2 @@ fun p ->
+  with_jobs 2 @@ fun () ->
   let busy0 = global_value "par.pool.busy_s" in
   let sleeps = List.init 4 (fun _ -> sleep_s) in
-  ignore (Pool.map ~pool:p Unix.sleepf sleeps);
+  ignore (Pool.map Unix.sleepf sleeps);
   check Alcotest.bool "busy_s covers the items' sleeps" true
     (global_value "par.pool.busy_s" -. busy0
     >= 0.9 *. List.fold_left ( +. ) 0.0 sleeps)
-
-(* [Cache.stats] counts completed slots: after every way a slot changes
-   — a generation, a hit, a failed or crashed generation, racing
-   domains, [clear] — [entries] is the number of keys whose generation
-   succeeded. *)
-let test_cache_stats_counts_ready () =
-  let problem a =
-    Tc_expr.Problem.of_string_exn "ab-ac-cb"
-      ~sizes:[ ('a', a); ('b', 64); ('c', 64) ]
-  in
-  let ctx = Cogent.Ctx.make ~measure:Tc_sim.Simkernel.gflops () in
-  let cache = Cogent.Cache.create () in
-  let agree what expected =
-    check Alcotest.int (what ^ ": stats entries") expected
-      (Cogent.Cache.stats cache).Cogent.Cache.entries
-  in
-  let generate ctx p = ignore (Cogent.Cache.find_or_generate_ctx cache ctx p) in
-  agree "empty" 0;
-  generate ctx (problem 16);
-  generate ctx (problem 16);
-  agree "one generation, one hit" 1;
-  (* a forced schema no fp64 mapping admits: the search returns an error *)
-  generate (Cogent.Ctx.make ~schema:Tc_gpu.Schema.Pipelined_mma ()) (problem 32);
-  (* a measure that raises: the generation crashes *)
-  (try generate (Cogent.Ctx.make ~measure:(fun _ -> failwith "boom") ())
-         (problem 32)
-   with Failure _ -> ());
-  agree "failed generations leave no slot" 1;
-  check Alcotest.int "both failures started a generation" 3
-    (Cogent.Cache.stats cache).Cogent.Cache.misses;
-  (* four domains race over the same three keys, in rotated orders *)
-  let keys = [ problem 16; problem 128; problem 256 ] in
-  List.init 4 (fun d ->
-      Domain.spawn (fun () ->
-          List.iteri
-            (fun k _ -> generate ctx (List.nth keys ((k + d) mod 3)))
-            keys))
-  |> List.iter Domain.join;
-  agree "racing domains" 3;
-  Cogent.Cache.clear cache;
-  agree "clear" 0;
-  generate ctx (problem 16);
-  agree "generation after clear" 1
 
 let test_autotune_deterministic_across_jobs () =
   let problem =
@@ -392,13 +345,12 @@ let test_autotune_deterministic_across_jobs () =
     { Tc_autotune.Genetic.default_params with population = 12; generations = 3 }
   in
   let run jobs =
-    Pool.set_default_jobs jobs;
+    with_jobs jobs @@ fun () ->
     Tc_autotune.Genetic.tune ~params Tc_gpu.Arch.v100 Tc_gpu.Precision.FP32
       problem
   in
   let r1 = run 1 in
   let r4 = run 4 in
-  Pool.set_default_jobs 1;
   check Alcotest.int "same evaluation count" r1.Tc_autotune.Genetic.evaluations
     r4.Tc_autotune.Genetic.evaluations;
   check (Alcotest.float 0.0) "same best gflops"
@@ -432,6 +384,8 @@ let () =
           Gen.to_alcotest map_matches_sequential;
           Alcotest.test_case "busy_s is wall time" `Quick
             test_pool_busy_is_wall_time;
+          Alcotest.test_case "refine phase is wall time" `Quick
+            test_refine_is_wall_time;
         ] );
       ( "determinism",
         [
@@ -442,11 +396,9 @@ let () =
         ] );
       ( "cache",
         [
-          Alcotest.test_case "single-flight generation under racing domains"
-            `Quick test_cache_single_flight;
-          Alcotest.test_case "stats entries count ready slots" `Quick
-            test_cache_stats_counts_ready;
-          Alcotest.test_case "a blocked waiter's wait is wall time" `Quick
-            test_cache_wait_is_wall_time;
+          Alcotest.test_case "racing domains share one plan" `Quick
+            test_cache_race;
+          Alcotest.test_case "errors are never cached" `Quick
+            test_cache_errors_not_cached;
         ] );
     ]

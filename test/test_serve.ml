@@ -293,8 +293,7 @@ let contains s needle =
    in the installed context, request-stamped, and every dispatched
    request must carry predicted/actual/strategy attributes. *)
 let test_serve_trace_regression () =
-  Tc_par.Pool.set_default_jobs 4;
-  Fun.protect ~finally:(fun () -> Tc_par.Pool.set_default_jobs 1) @@ fun () ->
+  Gen.with_jobs 4 @@ fun () ->
   let t = Tc_obs.Trace.make () in
   let s = open_session ctx in
   let items =
