@@ -29,12 +29,12 @@ let full_ranking problem =
   (Cogent.Pipeline.search ~topk:max_int arch prec problem).Cogent.Pipeline.ranked
 
 (* The driver's plan, refined on the simulator. *)
-let refined ?auto_split problem =
+let refined problem =
   let ctx =
     Cogent.Ctx.make ~arch ~precision:prec ~measure:Tc_sim.Simkernel.gflops ()
   in
   Tc_sim.Simkernel.gflops
-    (Cogent.Driver.run_exn ctx ?auto_split problem).Cogent.Driver.plan
+    (Cogent.Driver.run_exn ctx problem).Cogent.Driver.plan
 
 (* Geomean of a/b over pairs, dropping non-finite ratios so a degenerate
    study cannot poison the JSON report. *)
@@ -210,40 +210,5 @@ let ttgt_planner () =
   Report.speedup_summary ~name:"optimized TTGT" ~base:"faithful TTGT" gains;
   summary_entry "ttgt" (Figures.finite "opt_vs_faithful" (geo gains))
 
-let splitting () =
-  Report.section
-    "Ablation 5 — dimension splitting (extension) on register-starved      contractions";
-  Printf.printf "%-8s %-18s %10s %10s %9s
-" "name" "contraction" "base"
-    "auto-split" "gain";
-  Report.hrule 60;
-  let gains =
-    Tc_par.Pool.map
-      (fun e ->
-        let problem = Tc_tccg.Suite.problem e in
-        let _, applied = Tc_expr.Split.auto problem in
-        if applied = [] then None
-        else
-          let base = refined problem in
-          let split = refined ~auto_split:true problem in
-          Some (e, base, split))
-      Tc_tccg.Suite.all
-    |> List.filter_map (fun row ->
-           Option.map
-             (fun (e, base, split) ->
-               Printf.printf "%-8s %-18s %10.0f %10.0f %8.2fx\n"
-                 e.Tc_tccg.Suite.name e.Tc_tccg.Suite.expr base split
-                 (split /. base);
-               (split, base))
-             row)
-  in
-  print_newline ();
-  if gains = [] then print_endline "no register-starved entries in the suite"
-  else
-    Report.speedup_summary ~name:"with auto-split" ~base:"without" gains;
-  summary_entry "splitting"
-    (("entries_split", float_of_int (List.length gains))
-    :: Figures.finite "split_vs_base" (geo gains))
-
 let run () =
-  [ selection (); correlation (); constraints (); ttgt_planner (); splitting () ]
+  [ selection (); correlation (); constraints (); ttgt_planner () ]

@@ -40,7 +40,9 @@ let timed_phase name f =
     (Tc_obs.Clock.now () -. t0);
   r
 
-let generate_one (ctx : Ctx.t) ~topk problem =
+let default_topk = 8
+
+let run (ctx : Ctx.t) ?(topk = default_topk) problem =
   let arch = ctx.Ctx.arch and precision = ctx.Ctx.precision in
   let open Tc_obs in
   (* Span arguments are built only under an installed trace: printing the
@@ -88,7 +90,7 @@ let generate_one (ctx : Ctx.t) ~topk problem =
         (if prune_stats.Prune.relaxed then " (relaxed)" else ""));
   match outcome.Pipeline.ranked with
   | [] -> Error (No_viable_mapping prune_stats)
-  | (top, _) :: _ as ranked ->
+  | _ :: _ as ranked ->
       (* Every ranked mapping was enumerated for [problem], so [Plan.make]
          accepts it; a rejection would be a planner bug, reported as a
          typed error like any other bad problem. *)
@@ -113,21 +115,24 @@ let generate_one (ctx : Ctx.t) ~topk problem =
             else []
         | None -> Plan.feasible_schemas ~arch ~precision m
       in
-      (* A forced schema that no ranked mapping admits is a typed error —
-         never an exception — so the CLI can print why and exit: e.g.
-         [--schema mma] with an fp64 problem, or double-buffered slabs
-         that overflow SMEM on every candidate. *)
+      (* The unmeasured pick: the first ranked mapping with a lane, under
+         its first lane — unforced, the top mapping under Classic (always
+         feasible).  A forced schema that no ranked mapping admits is a
+         typed error — never an exception — so the CLI can print why and
+         exit: e.g. [--schema mma] with an fp64 problem, or
+         double-buffered slabs that overflow SMEM on every candidate. *)
       let model_pick () =
-        match forced with
-        | None -> plan_of top
-        | Some s -> (
-            match
-              List.find_opt
-                (fun (m, _) -> Plan.schema_feasible ~arch ~precision ~mapping:m s)
-                ranked
-            with
-            | Some (m, _) -> Result.bind (plan_of m) (with_schema s)
-            | None ->
+        match
+          List.find_map
+            (fun (m, _) ->
+              match schemas_of m with s :: _ -> Some (m, s) | [] -> None)
+            ranked
+        with
+        | Some (m, s) -> Result.bind (plan_of m) (with_schema s)
+        | None -> (
+            match forced with
+            | None -> Error (No_viable_mapping prune_stats)
+            | Some s ->
                 Error
                   (Infeasible_schema
                      ( s,
@@ -149,7 +154,7 @@ let generate_one (ctx : Ctx.t) ~topk problem =
       let selected =
         match ctx.Ctx.measure with
         | None -> model_pick ()
-        | Some run ->
+        | Some measure ->
             (* One plan per refined mapping (validated and costed once);
                its schema lanes are derived from it. *)
             let rec lanes acc = function
@@ -182,15 +187,16 @@ let generate_one (ctx : Ctx.t) ~topk problem =
                  else [])
             @@ fun () ->
             timed_phase "refine" @@ fun () ->
-            (* [candidates] starts with [top] under its first schema, so
-               measuring exactly the candidate list (no extra seed run)
-               costs [refine * schemas] simulator calls; the index-ordered
-               reduction with a strict [>] keeps the earliest candidate on
-               ties, exactly like the sequential fold it replaces. *)
+            (* [candidates] starts with the model's pick under its first
+               lane, so measuring exactly the candidate list (no extra seed
+               run) costs [refine * schemas] simulator calls; the
+               index-ordered reduction with a strict [>] keeps the earliest
+               candidate on ties, exactly like the sequential fold it
+               replaces. *)
             (match
                Tc_par.Pool.fold_best
                  ~better:(fun (_, g) (_, bg) -> g > bg)
-                 (fun p -> (p, run p))
+                 (fun p -> (p, measure p))
                  candidates
              with
             | Some (best, _) -> Ok best
@@ -240,21 +246,7 @@ let of_plan (plan : Plan.t) =
     bound_aborted = 0;
   }
 
-let default_topk = 8
-
-let run ctx ?(auto_split = false) ?(topk = default_topk) problem =
-  let base = generate_one ctx ~topk problem in
-  if not auto_split then base
-  else
-    match (Tc_expr.Split.auto problem, ctx.Ctx.measure, base) with
-    | (split_problem, _ :: _), Some run, Ok base_t -> (
-        match generate_one ctx ~topk split_problem with
-        | Error _ -> base
-        | Ok split_t ->
-            if run split_t.plan > run base_t.plan then Ok split_t else base)
-    | _ -> base
-
-let run_exn ctx ?auto_split ?topk problem =
-  match run ctx ?auto_split ?topk problem with
+let run_exn ctx ?topk problem =
+  match run ctx ?topk problem with
   | Ok t -> t
   | Error e -> invalid_arg ("Driver.run_exn: " ^ error_to_string e)

@@ -51,13 +51,15 @@ type error =
 val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
-val run :
-  Ctx.t -> ?auto_split:bool -> ?topk:int -> Problem.t -> (t, error) result
+val run : Ctx.t -> ?topk:int -> Problem.t -> (t, error) result
 (** Per the paper's methodology, the model ranks the pruned space and the
     top [ctx.refine] candidates (default 8) are then benchmarked with
     [ctx.measure] to select the final kernel; [refine = 1] gives pure
     model-driven selection.  When no measure is supplied the model ranking
-    alone decides.
+    alone decides: the first ranked mapping that admits a schema (the
+    forced [ctx.schema], else Classic, which every mapping admits), under
+    that schema.  The same pick stands when no refined candidate admits
+    the forced schema.
 
     The search streams candidates through {!Pipeline.search} rather than
     materializing the enumeration; [ranked] retains the
@@ -66,18 +68,12 @@ val run :
     retained prefix, [prune_stats] and the selected plan are bit-identical
     at any job count.
 
-    [auto_split:true] additionally considers the {!Tc_expr.Split.auto}
-    rewriting of register-starved contractions (an extension §IV names) and
-    keeps whichever variant [ctx.measure] scores higher — splitting is a
-    pure relabeling of the same memory, so the winning plan's kernel
-    applies to the original data unchanged.
-
     Every stage — the fused candidate pipeline ([driver.pipeline]),
     measured refinement, and anything they call — records spans into the
     ambient {!Tc_obs.Trace} context; trace a call by running it under
     [Tc_obs.Trace.with_installed].  With no context installed
     instrumentation is inert and the result is identical. *)
 
-val run_exn : Ctx.t -> ?auto_split:bool -> ?topk:int -> Problem.t -> t
+val run_exn : Ctx.t -> ?topk:int -> Problem.t -> t
 (** {!run}, raising [Invalid_argument "Driver.run_exn: <error>"] on an
     error. *)

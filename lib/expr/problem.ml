@@ -44,7 +44,7 @@ let analyse s =
   | Ok ast -> Classify.analyse ast
 
 let of_string s ~sizes =
-  let sizes = Sizes.of_list sizes in
+  let* sizes = Sizes.make sizes in
   let* info = analyse s in
   of_info info sizes
 

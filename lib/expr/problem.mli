@@ -32,9 +32,8 @@ val of_info : Classify.info -> Sizes.t -> (t, string) result
     can wrap, and the predicted time and GFLOPS mean nothing. *)
 
 val of_string : string -> sizes:(Index.t * int) list -> (t, string) result
-(** {!analyse}, then {!of_info}.
-    @raise Invalid_argument when [sizes] has duplicates or non-positive
-    extents ({!Sizes.of_list}). *)
+(** {!Sizes.make}, {!analyse}, then {!of_info}: [Error] also when [sizes]
+    has duplicates or non-positive extents. *)
 
 val of_string_exn : string -> sizes:(Index.t * int) list -> t
 

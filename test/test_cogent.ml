@@ -792,6 +792,74 @@ let test_schema_forced_infeasible () =
         (String.starts_with ~prefix:"Driver.run_exn: " m)
   | _ -> fail "MMA accepted for fp64"
 
+(* Without a measure, a forced schema selects the first ranked mapping
+   that admits it, under that schema.  The search does not depend on the
+   schema, so where no ranked mapping admits it the typed error must be
+   the answer, and the unforced run's ranking shows why.  At the suite's
+   sizes every top mapping admits both schemas; at uniform extents of 24
+   and 40 some top mappings' macro-tiles do not tile into MMA fragments,
+   so the pick lies below the top, and some entries admit no MMA mapping
+   at all. *)
+let test_schema_forced_model_pick () =
+  let arch = Arch.a100 and precision = Precision.FP16 in
+  let admits schema (m, _) =
+    Plan.schema_feasible ~arch ~precision ~mapping:m schema
+  in
+  let below_top = ref 0 and infeasible = ref 0 in
+  let uniform e n =
+    let info = Result.get_ok (Problem.analyse e.Tc_tccg.Suite.expr) in
+    Problem.of_string_exn e.Tc_tccg.Suite.expr
+      ~sizes:(List.map (fun i -> (i, n)) (Classify.all_indices info))
+  in
+  List.iter
+    (fun e ->
+      List.iter
+        (fun (size, problem) ->
+          List.iter
+            (fun schema ->
+              let name =
+                Printf.sprintf "%s (%s) %s" e.Tc_tccg.Suite.name size
+                  (Schema.to_string schema)
+              in
+              match
+                Driver.run (Ctx.make ~arch ~precision ~schema ()) problem
+              with
+              | Ok r -> (
+                  let plan = r.Driver.plan in
+                  check Alcotest.bool (name ^ ": forced schema") true
+                    (plan.Plan.schema = schema);
+                  match List.find_opt (admits schema) r.Driver.ranked with
+                  | None -> fail (name ^ ": no ranked mapping admits the pick")
+                  | Some (m, _) ->
+                      check Alcotest.bool (name ^ ": first admitting mapping")
+                        true
+                        (Mapping.equal m plan.Plan.mapping);
+                      if not (Mapping.equal m (fst (List.hd r.Driver.ranked)))
+                      then incr below_top)
+              | Error (Driver.Infeasible_schema (s, _)) ->
+                  incr infeasible;
+                  check Alcotest.bool (name ^ ": error names the schema") true
+                    (s = schema);
+                  let ranked =
+                    (Driver.run_exn (Ctx.make ~arch ~precision ()) problem)
+                      .Driver.ranked
+                  in
+                  check Alcotest.bool (name ^ ": no ranked mapping admits it")
+                    false
+                    (List.exists (admits schema) ranked)
+              | Error e -> fail (name ^ ": " ^ Driver.error_to_string e))
+            [ Schema.Pipelined; Schema.Pipelined_mma ])
+        [
+          ("suite sizes", Tc_tccg.Suite.problem e);
+          ("extent 24", uniform e 24);
+          ("extent 40", uniform e 40);
+        ])
+    Tc_tccg.Suite.all;
+  check Alcotest.bool "some picks lie below the top mapping" true
+    (!below_top > 0);
+  check Alcotest.bool "some forced schemas are infeasible" true
+    (!infeasible > 0)
+
 (* ---- Codegen ---- *)
 
 let gemm_plan =
@@ -1077,27 +1145,6 @@ let test_driver_refine_measurement_count () =
        0 refined)
     (List.length !seen)
 
-let test_driver_auto_split () =
-  let simulate plan =
-    (* stand-in measurement inside the core tests: model cost inverse is
-       enough to exercise the plumbing deterministically *)
-    1.0 /. (1.0 +. plan.Plan.cost)
-  in
-  let ttm =
-    Problem.of_string_exn "ab-cad-dcb"
-      ~sizes:[ ('a', 384); ('b', 384); ('c', 128); ('d', 128) ]
-  in
-  let ctx = Ctx.make ~measure:simulate () in
-  let base = Driver.run_exn ctx ttm in
-  let with_split = Driver.run_exn ctx ~auto_split:true ttm in
-  check Alcotest.bool "never worse under its own measure" true
-    (simulate with_split.Driver.plan >= simulate base.Driver.plan);
-  (* without a measure, auto_split silently degrades to the base path *)
-  let no_measure = Driver.run_exn Ctx.default ~auto_split:true ttm in
-  check Alcotest.bool "same contraction without measure" true
-    (Problem.flops no_measure.Driver.plan.Plan.problem
-    = Problem.flops ttm)
-
 let test_driver_top_plans () =
   let r = Driver.run_exn Ctx.default eq1 in
   check Alcotest.int "n=5" 5 (List.length (Gen.top_plans ~n:5 r));
@@ -1305,6 +1352,8 @@ let () =
           Alcotest.test_case "feasibility rules" `Quick test_schema_feasibility;
           Alcotest.test_case "forced infeasible schema is typed" `Quick
             test_schema_forced_infeasible;
+          Alcotest.test_case "forced schema model pick" `Quick
+            test_schema_forced_model_pick;
         ] );
       ( "codegen",
         [
@@ -1348,7 +1397,6 @@ let () =
             test_driver_refine_uses_measure;
           Alcotest.test_case "refine measures each candidate once" `Quick
             test_driver_refine_measurement_count;
-          Alcotest.test_case "auto_split" `Quick test_driver_auto_split;
           Alcotest.test_case "top_plans" `Quick test_driver_top_plans;
           Alcotest.test_case "cuda source" `Quick test_driver_cuda_source;
           Gen.to_alcotest driver_succeeds_on_generated;

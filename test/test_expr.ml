@@ -172,93 +172,6 @@ let test_sizes_uniform_covers () =
   check Alcotest.bool "covers" true (Sizes.covers s [ 'a'; 'b' ]);
   check Alcotest.bool "does not cover c" false (Sizes.covers s [ 'c' ])
 
-(* ---- Split ---- *)
-
-let ttm_problem =
-  Problem.of_string_exn "ab-cad-dcb"
-    ~sizes:[ ('a', 64); ('b', 64); ('c', 16); ('d', 16) ]
-
-let test_split_basic () =
-  match Split.split ttm_problem 'a' ~factor:16 with
-  | Error e -> fail e
-  | Ok (p, slow) ->
-      check Alcotest.int "fast extent" 16 (Problem.extent p 'a');
-      check Alcotest.int "slow extent" 4 (Problem.extent p slow);
-      (* slow index follows a in every tensor containing a *)
-      let info = Problem.info p in
-      let orig = info.Classify.original in
-      let follows indices =
-        let rec go = function
-          | x :: y :: _ when Index.equal x 'a' -> Index.equal y slow
-          | _ :: rest -> go rest
-          | [] -> true
-        in
-        go indices
-      in
-      check Alcotest.bool "adjacent in out" true (follows orig.Ast.out.Ast.indices);
-      check Alcotest.bool "adjacent in lhs" true (follows orig.Ast.lhs.Ast.indices);
-      check (Alcotest.float 1e-6) "same flops" (Problem.flops ttm_problem)
-        (Problem.flops p)
-
-let test_split_rejects () =
-  let err = function Error _ -> () | Ok _ -> fail "bad split accepted" in
-  err (Split.split ttm_problem 'z' ~factor:2);
-  err (Split.split ttm_problem 'a' ~factor:5);
-  (* non-divisor *)
-  err (Split.split ttm_problem 'a' ~factor:1);
-  err (Split.split ttm_problem 'a' ~factor:64)
-
-let test_split_fresh_index () =
-  check Alcotest.bool "fresh letter avoids used ones" true
-    (match Split.fresh_index ttm_problem with
-    | Some i -> not (List.mem i [ 'a'; 'b'; 'c'; 'd' ])
-    | None -> false)
-
-let test_split_auto_ttm () =
-  let p, applied = Split.auto ttm_problem in
-  (* both sides have a single big external: both get split *)
-  check Alcotest.int "two splits" 2 (List.length applied);
-  let info = Problem.info p in
-  check Alcotest.int "lhs now has two externals" 2
-    (List.length info.Classify.lhs_externals);
-  check Alcotest.int "rhs now has two externals" 2
-    (List.length info.Classify.rhs_externals)
-
-let test_split_auto_noop () =
-  (* Eq. 1 has two externals per side already *)
-  let p =
-    Problem.of_string_exn "abcd-aebf-dfce"
-      ~sizes:[ ('a', 48); ('b', 48); ('c', 48); ('d', 48); ('e', 32); ('f', 32) ]
-  in
-  let _, applied = Split.auto p in
-  check Alcotest.int "no split" 0 (List.length applied)
-
-(* splitting is a relabeling of the same memory *)
-let test_split_preserves_memory () =
-  let p = ttm_problem in
-  let sp, _ = Split.auto p in
-  let reinterpret shape t =
-    let out = Dense.create shape in
-    Array.blit (Dense.unsafe_data t) 0 (Dense.unsafe_data out) 0
-      (Dense.numel t);
-    out
-  in
-  let a = Dense.random ~seed:61 (Problem.lhs_shape p) in
-  let b = Dense.random ~seed:62 (Problem.rhs_shape p) in
-  let fa = reinterpret (Problem.lhs_shape sp) a in
-  let fb = reinterpret (Problem.rhs_shape sp) b in
-  let orig =
-    Contract_ref.contract ~out_indices:(Problem.info p).Classify.externals a b
-  in
-  let via =
-    Contract_ref.contract
-      ~out_indices:(Problem.info sp).Classify.externals fa fb
-  in
-  check Alcotest.bool "flat outputs identical" true
-    (Array.for_all2
-       (fun x y -> Float.abs (x -. y) < 1e-12)
-       (Dense.unsafe_data orig) (Dense.unsafe_data via))
-
 (* ---- Idxset ---- *)
 
 let test_idxset_basics () =
@@ -300,10 +213,20 @@ let test_problem_flops () =
   in
   check (Alcotest.float 0.0) "2*m*n*k" (2.0 *. 60.0) (Problem.flops p)
 
+(* Sizes that bind no valid problem are an [Error], never an exception:
+   a missing index, a duplicated index and a non-positive extent. *)
 let test_problem_missing_extent () =
-  match Problem.of_string "ab-ac-cb" ~sizes:[ ('a', 3); ('b', 4) ] with
-  | Error _ -> ()
-  | Ok _ -> fail "missing extent accepted"
+  List.iter
+    (fun (what, sizes) ->
+      match Problem.of_string "ab-ac-cb" ~sizes with
+      | Error _ -> ()
+      | Ok _ -> fail (what ^ " accepted")
+      | exception e -> fail (what ^ " raised " ^ Printexc.to_string e))
+    [
+      ("missing extent", [ ('a', 3); ('b', 4) ]);
+      ("duplicate extent", [ ('a', 3); ('a', 4); ('b', 4); ('c', 5) ]);
+      ("zero extent", [ ('a', 3); ('b', 0); ('c', 5) ]);
+    ]
 
 let test_problem_shapes_canonical () =
   let p =
@@ -352,16 +275,6 @@ let () =
           Alcotest.test_case "parse" `Quick test_sizes_parse;
           Alcotest.test_case "parse errors" `Quick test_sizes_parse_errors;
           Alcotest.test_case "uniform/covers" `Quick test_sizes_uniform_covers;
-        ] );
-      ( "split",
-        [
-          Alcotest.test_case "basic split" `Quick test_split_basic;
-          Alcotest.test_case "rejects bad splits" `Quick test_split_rejects;
-          Alcotest.test_case "fresh index" `Quick test_split_fresh_index;
-          Alcotest.test_case "auto on TTM" `Quick test_split_auto_ttm;
-          Alcotest.test_case "auto no-op on Eq. 1" `Quick test_split_auto_noop;
-          Alcotest.test_case "split preserves memory" `Quick
-            test_split_preserves_memory;
         ] );
       ( "idxset",
         [
